@@ -103,8 +103,6 @@ func run(args []string, stop <-chan struct{}, started func(boundAddrs)) error {
 		overStale   = fs.Int("overload-stale-rolls", 0, "degrade when replication is down and the estimator missed this many roll intervals (0 = disabled)")
 		maxTCP      = fs.Int("max-tcp-conns", 0, "concurrent TCP connection cap; accepts pause at the cap (0 = default 512, negative = unlimited)")
 		udpWorkers  = fs.Int("udp-workers", 0, "parallel UDP serve goroutines (0 = GOMAXPROCS)")
-		udpBatch    = fs.Int("udp-batch", 0, "datagrams moved per recvmmsg/sendmmsg syscall over per-worker SO_REUSEPORT sockets; 0 = one-datagram portable loop (Linux amd64/arm64 only; other platforms fall back)")
-		answerCache = fs.Bool("answer-cache", false, "serve repeat A queries from packed response bytes, invalidated by the scheduler state version (zero-allocation hot path)")
 		httpAddr    = fs.String("http-addr", "", "DNS-over-HTTP listen address: RFC 8484 wire on /dns-query, JSON on /resolve (empty = disabled)")
 		ecsMode     = fs.String("ecs-mode", "", "EDNS-Client-Subnet handling: passthrough (default), add, or override")
 		ecsV4       = fs.Int("ecs-v4-prefix", 0, "IPv4 ECS source-prefix granularity for clamping and synthesis (0 = /24)")
@@ -197,8 +195,6 @@ func run(args []string, stop <-chan struct{}, started func(boundAddrs)) error {
 		Addr:           *addr,
 		Logger:         logger,
 		UDPWorkers:     *udpWorkers,
-		UDPBatch:       *udpBatch,
-		AnswerCache:    *answerCache,
 		HTTPAddr:       *httpAddr,
 		ECS:            dnslb.ECSConfig{Mode: ecsParsed, V4Prefix: *ecsV4, V6Prefix: *ecsV6},
 		EstimatorAlpha: *estAlpha,
@@ -261,8 +257,7 @@ func run(args []string, stop <-chan struct{}, started func(boundAddrs)) error {
 	defer srv.Close()
 	logger.Info("serving", "zone", *zone, "addr", srv.Addr().String(),
 		"policy", *policy, "servers", len(addrs),
-		"udp_workers", srv.UDPWorkers(), "udp_batch", srv.UDPBatchActive(),
-		"answer_cache", *answerCache)
+		"udp_workers", srv.UDPWorkers())
 	if ha := srv.HTTPAddr(); ha != nil {
 		logger.Info("DNS-over-HTTP enabled",
 			"wire", fmt.Sprintf("http://%s/dns-query", ha),

@@ -80,8 +80,7 @@ func waitMetric(t *testing.T, metricsAddr, series string, want float64, timeout 
 //   - a crashed backend is excluded by the active prober well inside
 //     the passive k-missed-reports bound, with the passive detector
 //     never firing (its reports keep flowing throughout);
-//   - with the versioned answer cache enabled, no stale cached answer
-//     ever resurrects the dead backend's address;
+//   - no answer after the exclusion names the dead backend's address;
 //   - induced overload flips the server into degraded mode where every
 //     response is NOERROR with the short degraded TTL — zero SERVFAIL;
 //   - calm traffic exits degraded mode.
@@ -126,7 +125,6 @@ func TestChaosSoak(t *testing.T) {
 			"-capacities", "100,100,50",
 			"-policy", "DRR2-TTL/S_K",
 			"-domains", "4",
-			"-answer-cache",
 			"-metrics-addr", "127.0.0.1:0",
 			"-probe", "http=/healthz,interval=50ms,timeout=250ms,fail=3,rise=2",
 			"-probe-targets", targets,
@@ -223,7 +221,7 @@ func TestChaosSoak(t *testing.T) {
 	if got := scrapeValue(bound.Metrics, `dnslb_liveness_exclusions_total{server="1"}`); got != 0 {
 		t.Errorf("passive liveness fired (%v exclusions) while reports were flowing", got)
 	}
-	// The versioned answer cache must not resurrect the dead address.
+	// No answer may name the dead address once it is excluded.
 	waitMetric(t, bound.Metrics, `dnslb_state_server_down{server="1"}`, 1, 2*time.Second)
 	for i := 0; i < 30; i++ {
 		for _, a := range lookupRetry(t, r, "www.soak.test") {

@@ -153,7 +153,6 @@ func run() error {
 		Policy:      policy,
 		Mapper:      dnslb.StaticMapper(table, 0),
 		Addr:        "127.0.0.1:0",
-		AnswerCache: true,
 	})
 	if err != nil {
 		return err

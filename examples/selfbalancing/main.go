@@ -72,9 +72,6 @@ func run() error {
 		Policy: policy,
 		Mapper: dnslb.PrefixHashMapper(domains),
 		Addr:   "127.0.0.1:0",
-		// Packed-answer reuse across repeat queries; invalidated by the
-		// scheduler state version, so rebalancing is never served stale.
-		AnswerCache: true,
 	})
 	if err != nil {
 		return err

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"dnslb/internal/core"
 	"dnslb/internal/dnswire"
@@ -15,11 +16,12 @@ import (
 )
 
 // benchServer starts a server for throughput benchmarks: 7 servers,
-// 20 domains, parallel UDP workers. Metrics are enabled — the numbers
-// this benchmark records are for the instrumented hot path, which is
-// what production runs. mod, when non-nil, adjusts the Config before
-// construction (cache and batch variants).
-func benchServer(b *testing.B, policyName string, mod func(*Config)) *Server {
+// 20 domains, parallel UDP workers, otherwise the default
+// configuration. Metrics are enabled — the numbers this benchmark
+// records are for the instrumented hot path, which is what production
+// runs. An empty addr leaves the server unstarted, for benchmarks that
+// call the handler directly.
+func benchServer(b *testing.B, policyName, addr string) *Server {
 	b.Helper()
 	cluster, err := core.ScaledCluster(7, 50, 500)
 	if err != nil {
@@ -46,27 +48,56 @@ func benchServer(b *testing.B, policyName string, mod func(*Config)) *Server {
 	for i := range addrs {
 		addrs[i] = netip.AddrFrom4([4]byte{10, 0, 0, byte(i + 1)})
 	}
-	cfg := Config{
+	srv, err := New(Config{
 		Zone:        "www.site.example",
 		ServerAddrs: addrs,
 		Policy:      policy,
-		Addr:        "127.0.0.1:0",
+		Addr:        addr,
 		UDPWorkers:  runtime.GOMAXPROCS(0),
 		Metrics:     metrics.NewRegistry(),
-		AnswerCache: true,
-	}
-	if mod != nil {
-		mod(&cfg)
-	}
-	srv, err := New(cfg)
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := srv.Start(); err != nil {
-		b.Fatal(err)
+	if addr != "" {
+		if err := srv.Start(); err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { _ = srv.Close() })
 	}
-	b.Cleanup(func() { _ = srv.Close() })
 	return srv
+}
+
+// zoneQuery packs an IN A query for the test zone, with a Client Subnet
+// option when ecs is valid.
+func zoneQuery(t testing.TB, ecs netip.Prefix) []byte {
+	t.Helper()
+	q := &dnswire.Message{
+		Header: dnswire.Header{ID: 7, RecursionDesired: true},
+		Questions: []dnswire.Question{
+			{Name: "www.site.example", Type: dnswire.TypeA, Class: dnswire.ClassIN},
+		},
+	}
+	if ecs.IsValid() {
+		if err := q.SetClientSubnet(dnswire.ClientSubnet{Prefix: ecs}, 1232); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wire, err := q.Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wire
+}
+
+// The two query shapes of live traffic: from a resolver that forwards
+// its client's subnet, and from one that does not.
+var hotPathQueries = []struct {
+	name string
+	ecs  netip.Prefix
+}{
+	{"plain", netip.Prefix{}},
+	{"ecs", netip.MustParsePrefix("10.4.7.0/24")},
 }
 
 // BenchmarkServerUDPThroughput measures full query round-trips over
@@ -76,35 +107,8 @@ func benchServer(b *testing.B, policyName string, mod func(*Config)) *Server {
 // the component this benchmark tracks (the client sends a pre-packed
 // query into a reused buffer).
 func BenchmarkServerUDPThroughput(b *testing.B) {
-	benchUDPRoundTrips(b, benchServer(b, "DRR2-TTL/S_K", nil))
-}
-
-// BenchmarkServerUDPThroughputNoCache is the same round trip with the
-// hot-answer cache disabled — the pre-cache serve path, kept as the
-// comparison point for the cache's effect.
-func BenchmarkServerUDPThroughputNoCache(b *testing.B) {
-	benchUDPRoundTrips(b, benchServer(b, "DRR2-TTL/S_K",
-		func(c *Config) { c.AnswerCache = false }))
-}
-
-// BenchmarkServerUDPThroughputBatch runs the round trip against the
-// batched SO_REUSEPORT serve loops (a no-op fallback to the default
-// loop on platforms without recvmmsg).
-func BenchmarkServerUDPThroughputBatch(b *testing.B) {
-	benchUDPRoundTrips(b, benchServer(b, "DRR2-TTL/S_K",
-		func(c *Config) { c.UDPBatch = 32 }))
-}
-
-func benchUDPRoundTrips(b *testing.B, srv *Server) {
-	query, err := (&dnswire.Message{
-		Header: dnswire.Header{ID: 7, RecursionDesired: true},
-		Questions: []dnswire.Question{
-			{Name: "www.site.example", Type: dnswire.TypeA, Class: dnswire.ClassIN},
-		},
-	}).Pack()
-	if err != nil {
-		b.Fatal(err)
-	}
+	srv := benchServer(b, "DRR2-TTL/S_K", "127.0.0.1:0")
+	query := zoneQuery(b, netip.Prefix{})
 
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -135,57 +139,102 @@ func benchUDPRoundTrips(b *testing.B, srv *Server) {
 }
 
 // BenchmarkHandleHotPath measures the server-side handler alone —
-// decode, schedule, cache lookup, response bytes — without sockets.
-// With the cache warm this is the zero-allocation path; the companion
-// TestHandleHotPathZeroAlloc pins the allocation count.
+// decode, schedule, encode — without sockets, in the default
+// configuration. The companion TestHandleHotPathZeroAlloc pins the
+// allocation count.
 func BenchmarkHandleHotPath(b *testing.B) {
-	srv := benchServer(b, "DRR2-TTL/S_K", func(c *Config) { c.Addr = "" })
-	query, err := (&dnswire.Message{
-		Header: dnswire.Header{ID: 7, RecursionDesired: true},
-		Questions: []dnswire.Question{
-			{Name: "www.site.example", Type: dnswire.TypeA, Class: dnswire.ClassIN},
-		},
-	}).Pack()
-	if err != nil {
-		b.Fatal(err)
-	}
-	from := netip.MustParseAddr("127.0.0.1")
-	buf := make([]byte, 0, 2048)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out := srv.handle(query, from, engine.TransportUDP, dnswire.MaxUDPPayload, buf[:0])
-		if out == nil {
-			b.Fatal("query dropped")
-		}
+	for _, c := range hotPathQueries {
+		b.Run(c.name, func(b *testing.B) {
+			srv := benchServer(b, "DRR2-TTL/S_K", "")
+			query := zoneQuery(b, c.ecs)
+			from := netip.MustParseAddr("127.0.0.1")
+			buf := make([]byte, 0, 2048)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				out := srv.handle(query, from, engine.TransportUDP, dnswire.MaxUDPPayload, buf[:0])
+				if out == nil {
+					b.Fatal("query dropped")
+				}
+			}
+		})
 	}
 }
 
-// TestHandleHotPathZeroAlloc pins the acceptance target: once the
-// cache is warm for every (domain, server) pair the scheduler rotates
-// through, the handler allocates nothing per query.
-func TestHandleHotPathZeroAlloc(t *testing.T) {
-	srv, _ := cacheServer(t, "DRR2-TTL/S_K")
-	query, err := (&dnswire.Message{
-		Header: dnswire.Header{ID: 7, RecursionDesired: true},
-		Questions: []dnswire.Question{
-			{Name: "www.site.example", Type: dnswire.TypeA, Class: dnswire.ClassIN},
-		},
-	}).Pack()
-	if err != nil {
-		t.Fatal(err)
+// BenchmarkAppendAnswer measures the answer encoder alone.
+func BenchmarkAppendAnswer(b *testing.B) {
+	for _, c := range hotPathQueries {
+		b.Run(c.name, func(b *testing.B) {
+			srv, _ := testServerNoStart(b, "RR")
+			q := dnswire.GetQuery()
+			defer dnswire.PutQuery(q)
+			if err := q.UnpackQuery(zoneQuery(b, c.ecs)); err != nil {
+				b.Fatal(err)
+			}
+			addr := netip.MustParseAddr("10.0.0.3")
+			buf := make([]byte, 0, 2048)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if out := srv.appendAnswer(buf[:0], q, addr, 240, 24); out == nil {
+					b.Fatal("no answer")
+				}
+			}
+		})
 	}
+}
+
+// TestHandleHotPathZeroAlloc pins the acceptance target: in the default
+// configuration the handler allocates nothing per query — for an
+// address answer with or without a Client Subnet echo, from the policy
+// or from the degraded ladder, and for the REFUSED a rate-limited
+// source gets.
+func TestHandleHotPathZeroAlloc(t *testing.T) {
 	from := netip.MustParseAddr("127.0.0.1")
 	buf := make([]byte, 0, 2048)
-	for i := 0; i < 64; i++ { // warm every rotation slot
-		srv.handle(query, from, engine.TransportUDP, dnswire.MaxUDPPayload, buf[:0])
+	zeroAlloc := func(t *testing.T, srv *Server, query []byte, rcode dnswire.RCode) {
+		t.Helper()
+		ask := func() {
+			out := srv.handle(query, from, engine.TransportUDP, dnswire.MaxUDPPayload, buf[:0])
+			if out == nil {
+				t.Fatal("query dropped")
+			}
+			if got := dnswire.RCode(out[3] & 0xF); got != rcode {
+				t.Fatalf("rcode %v, want %v", got, rcode)
+			}
+		}
+		for i := 0; i < 64; i++ { // every rotation slot, the pools, the limiter's bucket
+			ask()
+		}
+		if allocs := testing.AllocsPerRun(500, ask); allocs != 0 {
+			t.Errorf("handler allocates %.1f times per query, want 0", allocs)
+		}
 	}
-	allocs := testing.AllocsPerRun(500, func() {
-		if out := srv.handle(query, from, engine.TransportUDP, dnswire.MaxUDPPayload, buf[:0]); out == nil {
-			t.Fatal("query dropped")
+
+	queries := map[string][]byte{
+		"A":        zoneQuery(t, netip.Prefix{}),
+		"A+ECS v4": zoneQuery(t, netip.MustParsePrefix("10.4.7.0/24")),
+		"A+ECS v6": zoneQuery(t, netip.MustParsePrefix("2001:db8:4:5600::/56")),
+	}
+	for name, query := range queries {
+		t.Run(name, func(t *testing.T) {
+			srv, _ := testServerNoStart(t, "DRR2-TTL/S_K")
+			zeroAlloc(t, srv, query, dnswire.RCodeNoError)
+		})
+	}
+	t.Run("degraded", func(t *testing.T) {
+		srv, _ := testServerNoStart(t, "DRR2-TTL/S_K")
+		srv.over = newOverloadController(srv, OverloadConfig{QPSCeiling: 1e12, Tick: time.Hour, DegradedTTL: 5})
+		srv.over.degraded.Store(true)
+		zeroAlloc(t, srv, queries["A+ECS v4"], dnswire.RCodeNoError)
+		if got := srv.Degraded().Answers; got == 0 {
+			t.Error("no answer came from the degraded ladder")
 		}
 	})
-	if allocs != 0 {
-		t.Errorf("warm hot path allocates %.1f times per query, want 0", allocs)
-	}
+	t.Run("rate-limited", func(t *testing.T) {
+		srv, _ := testServerNoStart(t, "DRR2-TTL/S_K")
+		srv.limiter = NewRateLimiter(1e-9, 1)
+		srv.limiter.Allow(from) // the burst's one token
+		zeroAlloc(t, srv, queries["A"], dnswire.RCodeRefused)
+	})
 }

@@ -22,8 +22,7 @@
 // several UDP reader/responder goroutines over one shared socket, each
 // scheduling directly against the engine. Serve counters are sharded
 // per source-address hash and response buffers are pooled, so the hot
-// path takes no server-level lock and makes no per-query allocations
-// beyond message decode.
+// path takes no server-level lock and makes no per-query allocations.
 package dnsserver
 
 import (
@@ -84,22 +83,9 @@ type Config struct {
 	// address; excess queries are answered REFUSED.
 	RateLimit *RateLimiter
 	// UDPWorkers is the number of parallel UDP reader/responder
-	// goroutines. Zero or negative defaults to runtime.GOMAXPROCS(0).
-	// In the default mode the workers share one socket; with UDPBatch
-	// enabled each worker owns its own SO_REUSEPORT socket.
+	// goroutines over the one shared socket. Zero or negative defaults
+	// to runtime.GOMAXPROCS(0).
 	UDPWorkers int
-	// UDPBatch enables batched UDP I/O: each worker binds its own
-	// SO_REUSEPORT socket and moves up to UDPBatch datagrams per
-	// recvmmsg/sendmmsg syscall. Zero or negative disables batching
-	// (the portable one-datagram-per-syscall loop). On platforms
-	// without recvmmsg support the setting is ignored.
-	UDPBatch int
-	// AnswerCache enables the versioned hot-answer cache: responses to
-	// the dominant query shape (IN A for the zone, no ECS) are packed
-	// once per (domain, server, state version) and served as byte
-	// copies until the next reconfiguration. See answercache.go for the
-	// correctness argument.
-	AnswerCache bool
 	// EstimatorAlpha is the EWMA weight the hidden-load estimator
 	// gives the newest collection interval, in (0,1]. Zero defaults to
 	// core.DefaultEstimatorAlpha — the same default the simulator's
@@ -134,6 +120,9 @@ type Config struct {
 // Server is the authoritative DNS front end.
 type Server struct {
 	zone string
+	// zoneWire is zone in wire form, the question name of a response
+	// whose query cannot be echoed verbatim (see appendQuestion).
+	zoneWire []byte
 	// addrs points at the immutable per-slot address table,
 	// index-aligned with the policy's cluster; Join replaces it
 	// copy-on-write so the query path reads it with one atomic load.
@@ -153,27 +142,12 @@ type Server struct {
 	listenAddr string
 	limiter    *RateLimiter
 	udpWorkers int
-	udpBatch   int
-
-	// answers is the versioned hot-answer cache; nil when disabled
-	// (Config.AnswerCache), in which case every query takes the
-	// Message-building path.
-	answers *answerCache
-
-	// batchMode records whether the batched SO_REUSEPORT serve loops
-	// are actually running (platform support + Config.UDPBatch),
-	// surfaced in /metrics next to the worker count.
-	batchMode atomic.Bool
 
 	registry *metrics.Registry // nil when uninstrumented
 	metrics  *serverMetrics    // nil when uninstrumented
 
 	udp *net.UDPConn
-	// udpConns is every bound UDP socket: [udp] in the default mode,
-	// one SO_REUSEPORT socket per worker in batch mode (udp aliases the
-	// first for Addr()).
-	udpConns []*net.UDPConn
-	tcp      net.Listener
+	tcp net.Listener
 
 	// DoH front end (doh.go): nil when Config.HTTPAddr is empty.
 	httpAddr string
@@ -394,8 +368,14 @@ func New(cfg Config) (*Server, error) {
 	case maxTCP < 0:
 		maxTCP = 0 // explicit "unlimited"
 	}
+	zone := dnswire.CanonicalName(cfg.Zone)
+	packed, err := (&dnswire.Message{Questions: []dnswire.Question{{Name: zone}}}).Pack()
+	if err != nil {
+		return nil, fmt.Errorf("dnsserver: Zone: %w", err)
+	}
 	s := &Server{
-		zone:        dnswire.CanonicalName(cfg.Zone),
+		zone:        zone,
+		zoneWire:    packed[12 : len(packed)-4],
 		eng:         eng,
 		clock:       clock,
 		policy:      cfg.Policy,
@@ -405,7 +385,6 @@ func New(cfg Config) (*Server, error) {
 		httpAddr:    cfg.HTTPAddr,
 		limiter:     cfg.RateLimit,
 		udpWorkers:  workers,
-		udpBatch:    cfg.UDPBatch,
 		overCfg:     cfg.Overload,
 		maxTCPConns: maxTCP,
 		registry:    cfg.Metrics,
@@ -413,9 +392,6 @@ func New(cfg Config) (*Server, error) {
 		conns:       make(map[net.Conn]struct{}),
 		drainTimers: make(map[int]*time.Timer),
 		closed:      make(chan struct{}),
-	}
-	if cfg.AnswerCache {
-		s.answers = newAnswerCache()
 	}
 	if maxTCP > 0 {
 		s.tcpSem = make(chan struct{}, maxTCP)
@@ -476,33 +452,6 @@ func (s *Server) Stats() ServerStats {
 	}
 	return out
 }
-
-// AnswerCacheStats reports the hot-answer cache's counters; all zero
-// when the cache is disabled. Invalidations count lookups that found a
-// key-matching entry staled by a snapshot-version, TTL-calibration, or
-// address change (each is also a miss).
-type AnswerCacheStats struct {
-	Hits          uint64
-	Misses        uint64
-	Invalidations uint64
-}
-
-// AnswerCache returns a snapshot of the hot-answer cache counters.
-func (s *Server) AnswerCache() AnswerCacheStats {
-	if s.answers == nil {
-		return AnswerCacheStats{}
-	}
-	return AnswerCacheStats{
-		Hits:          s.answers.Hits(),
-		Misses:        s.answers.Misses(),
-		Invalidations: s.answers.Invalidations(),
-	}
-}
-
-// UDPBatchActive reports whether the batched SO_REUSEPORT serve loops
-// are running (requires Config.UDPBatch > 0 and platform support;
-// valid after Start).
-func (s *Server) UDPBatchActive() bool { return s.batchMode.Load() }
 
 // UDPWorkers returns the number of UDP serve workers the server runs.
 func (s *Server) UDPWorkers() int { return s.udpWorkers }

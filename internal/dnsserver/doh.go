@@ -15,8 +15,8 @@ import (
 
 // DNS-over-HTTPS front end (enabled by Config.HTTPAddr).
 //
-// Two endpoints share the engine, the answer cache, the rate limiter,
-// the overload-degradation ladder, and the per-transport metrics with
+// Two endpoints share the engine, the rate limiter, the
+// overload-degradation ladder, and the per-transport metrics with
 // the UDP and TCP fronts, because every request funnels into the same
 // safeHandle the socket serve loops call:
 //

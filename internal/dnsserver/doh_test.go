@@ -21,10 +21,10 @@ import (
 	"dnslb/internal/simcore"
 )
 
-// dohServer starts a server with the HTTP front end (and optionally the
-// answer cache) enabled, a metrics registry attached, and a mapper that
-// classifies 10.d.0.0/16 client networks to domain d.
-func dohServer(t *testing.T, answerCache bool) (*Server, *metrics.Registry) {
+// dohServer starts a server with the HTTP front end enabled, a metrics
+// registry attached, and a mapper that classifies 10.d.0.0/16 client
+// networks to domain d.
+func dohServer(t *testing.T) (*Server, *metrics.Registry) {
 	t.Helper()
 	cluster, err := core.ScaledCluster(7, 50, 500)
 	if err != nil {
@@ -62,10 +62,9 @@ func dohServer(t *testing.T, answerCache bool) (*Server, *metrics.Registry) {
 			}
 			return int(a.As4()[1]) % 20
 		},
-		Addr:        "127.0.0.1:0",
-		HTTPAddr:    "127.0.0.1:0",
-		AnswerCache: answerCache,
-		Metrics:     reg,
+		Addr:     "127.0.0.1:0",
+		HTTPAddr: "127.0.0.1:0",
+		Metrics:  reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +86,7 @@ func dohBase(t *testing.T, srv *Server) string {
 }
 
 func TestDoHWireGetAndPost(t *testing.T) {
-	srv, _ := dohServer(t, false)
+	srv, _ := dohServer(t)
 	base := dohBase(t, srv)
 	wire := testQueryWire(t)
 	client := &http.Client{Timeout: 3 * time.Second}
@@ -124,7 +123,7 @@ func TestDoHWireGetAndPost(t *testing.T) {
 }
 
 func TestDoHWireRejections(t *testing.T) {
-	srv, reg := dohServer(t, false)
+	srv, reg := dohServer(t)
 	base := dohBase(t, srv)
 	client := &http.Client{Timeout: 3 * time.Second}
 
@@ -175,7 +174,7 @@ func TestDoHWireRejections(t *testing.T) {
 }
 
 func TestDoHJSONResolve(t *testing.T) {
-	srv, _ := dohServer(t, false)
+	srv, _ := dohServer(t)
 	base := dohBase(t, srv)
 	client := &http.Client{Timeout: 3 * time.Second}
 
@@ -240,7 +239,7 @@ func TestDoHJSONResolve(t *testing.T) {
 // decision differs per query; equivalence means structure, zone,
 // record shape and scope, not the rotated server address).
 func TestMultiTransportEquivalence(t *testing.T) {
-	srv, reg := dohServer(t, false)
+	srv, reg := dohServer(t)
 
 	subnet := netip.MustParsePrefix("10.5.0.0/16")
 	build := func(id uint16) []byte {
@@ -368,12 +367,11 @@ func TestMultiTransportEquivalence(t *testing.T) {
 	}
 }
 
-// TestScopedAnswerCacheNeverCrossesSubnets drives two client subnets
-// through the hot answer cache: repeat queries may be served from
-// cache, but an entry stored for one subnet must never answer the
-// other (the echoed ECS prefix always matches the asking subnet).
-func TestScopedAnswerCacheNeverCrossesSubnets(t *testing.T) {
-	srv, _ := dohServer(t, true)
+// TestScopedAnswersNeverCrossSubnets interleaves queries from two client
+// subnets: each must only ever see its own prefix echoed, and a
+// subnet-blind query no ECS option at all.
+func TestScopedAnswersNeverCrossSubnets(t *testing.T) {
+	srv, _ := dohServer(t)
 
 	query := func(prefix netip.Prefix) dnswire.ClientSubnet {
 		t.Helper()
@@ -402,7 +400,7 @@ func TestScopedAnswerCacheNeverCrossesSubnets(t *testing.T) {
 		}
 		cs := query(pick)
 		if cs.Prefix != pick {
-			t.Fatalf("query %d for %v answered with ECS %v: cached entry crossed subnets",
+			t.Fatalf("query %d for %v answered with ECS %v: answer crossed subnets",
 				i, pick, cs.Prefix)
 		}
 	}
@@ -414,14 +412,147 @@ func TestScopedAnswerCacheNeverCrossesSubnets(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, ok := resp.ClientSubnet(); ok {
-		t.Error("ECS-less query received an ECS option from the cache")
+		t.Error("ECS-less query received an ECS option")
+	}
+}
+
+// TestMixedCaseQuestionEchoed is the 0x20 contract: a resolver that
+// randomizes the case of the query name matches the response's question
+// against what it sent byte for byte, so every transport must echo the
+// question as it arrived, and the answer's owner name must resolve to
+// that spelling.
+func TestMixedCaseQuestionEchoed(t *testing.T) {
+	srv, _ := dohServer(t)
+
+	// build packs a query for name and re-spells the packed name in
+	// alternating case (the packer lower-cases).
+	build := func(id uint16, name string, subnet netip.Prefix) (wire, question []byte) {
+		t.Helper()
+		q := &dnswire.Message{
+			Header:    dnswire.Header{ID: id},
+			Questions: []dnswire.Question{{Name: name, Type: dnswire.TypeA, Class: dnswire.ClassIN}},
+		}
+		if subnet.IsValid() {
+			if err := q.SetClientSubnet(dnswire.ClientSubnet{Prefix: subnet}, dnswire.MaxUDPPayload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		wire, err := q.Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		end := 12 + len(dnswire.CanonicalName(name)) + 1
+		upper := true
+		for i := 12; i < end; i++ {
+			if c := wire[i]; 'a' <= c && c <= 'z' {
+				if upper {
+					wire[i] = c - 'a' + 'A'
+				}
+				upper = !upper
+			}
+		}
+		return wire, wire[12 : end+4]
+	}
+	overUDP := func(wire []byte) []byte {
+		t.Helper()
+		conn, err := net.Dial("udp", srv.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := conn.Write(wire); err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.SetReadDeadline(time.Now().Add(3 * time.Second))
+		buf := make([]byte, 65535)
+		n, err := conn.Read(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf[:n]
+	}
+	overTCP := func(wire []byte) []byte {
+		t.Helper()
+		conn, err := net.Dial("tcp", srv.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := conn.Write(frameTCP(wire)); err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.SetReadDeadline(time.Now().Add(3 * time.Second))
+		resp, err := readTCPResponse(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	overDoH := func(wire []byte) []byte {
+		t.Helper()
+		hr, err := (&http.Client{Timeout: 3 * time.Second}).Post(
+			dohBase(t, srv)+"/dns-query", "application/dns-message", bytes.NewReader(wire))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer hr.Body.Close()
+		resp, err := io.ReadAll(hr.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+
+	subnet := netip.MustParsePrefix("10.5.0.0/16")
+	for i, tr := range []struct {
+		name string
+		send func([]byte) []byte
+	}{{"udp", overUDP}, {"tcp", overTCP}, {"doh", overDoH}} {
+		for j, ecs := range []netip.Prefix{{}, subnet} {
+			wire, question := build(uint16(1+2*i+j), "www.site.example", ecs)
+			if bytes.Equal(question, bytes.ToLower(question)) {
+				t.Fatal("query name is not mixed-case; the test exercises nothing")
+			}
+			resp := tr.send(wire)
+			if len(resp) < 12+len(question)+2 || !bytes.Equal(resp[12:12+len(question)], question) {
+				t.Fatalf("%s ecs=%v: question not echoed as sent:\nsent %q\n got %q", tr.name, ecs.IsValid(), question, resp[12:])
+			}
+			if owner := resp[12+len(question):][:2]; owner[0] != 0xC0 || owner[1] != 12 {
+				t.Errorf("%s: answer owner name %x is not a pointer to the echoed question", tr.name, owner)
+			}
+			msg, err := dnswire.Unpack(resp)
+			if err != nil {
+				t.Fatalf("%s: unparseable response: %v", tr.name, err)
+			}
+			if msg.Header.RCode != dnswire.RCodeNoError || len(msg.Answers) != 1 || msg.Answers[0].Name != "www.site.example." {
+				t.Errorf("%s: rcode %v, answers %v", tr.name, msg.Header.RCode, msg.Answers)
+			}
+			if _, ok := msg.ClientSubnet(); ok != ecs.IsValid() {
+				t.Errorf("%s: ECS echo present = %v, want %v", tr.name, ok, ecs.IsValid())
+			}
+		}
+	}
+
+	// The Message-built shapes echo the spelling too: NXDOMAIN for a
+	// sibling name, whose SOA owner compresses against the question.
+	wire, question := build(99, "ftp.site.example", netip.Prefix{})
+	resp := overUDP(wire)
+	if len(resp) < 12+len(question) || !bytes.Equal(resp[12:12+len(question)], question) {
+		t.Fatalf("NXDOMAIN: question not echoed as sent:\nsent %q\n got %q", question, resp[12:])
+	}
+	msg, err := dnswire.Unpack(resp)
+	if err != nil {
+		t.Fatalf("NXDOMAIN: unparseable response: %v", err)
+	}
+	if msg.Header.RCode != dnswire.RCodeNXDomain || len(msg.Authority) != 1 || msg.Authority[0].Name != "www.site.example." {
+		t.Errorf("NXDOMAIN: rcode %v, authority %v", msg.Header.RCode, msg.Authority)
 	}
 }
 
 // TestDoHResolverTransport exercises the dnsclient "doh" transport
 // against the real front end.
 func TestDoHResolverTransport(t *testing.T) {
-	srv, _ := dohServer(t, false)
+	srv, _ := dohServer(t)
 	r := &dnsclient.Resolver{
 		Server:    srv.HTTPAddr().String(),
 		Transport: "doh",

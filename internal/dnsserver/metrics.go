@@ -106,14 +106,9 @@ func newServerMetrics(reg *metrics.Registry, s *Server) *serverMetrics {
 		"Query-handler panics recovered by the serve workers.",
 		nil, s.panics.Load)
 
-	// Transport shape: worker count and whether the batched
-	// SO_REUSEPORT loops are active (platform + configuration).
 	reg.NewGaugeFunc("dnslb_dns_udp_workers",
 		"Parallel UDP serve workers.",
 		nil, func() float64 { return float64(s.udpWorkers) })
-	reg.NewGaugeFunc("dnslb_dns_udp_batch_active",
-		"1 while the batched recvmmsg/sendmmsg serve loops are running.",
-		nil, func() float64 { return boolGauge(s.batchMode.Load()) })
 
 	// DoH front end (doh.go): request outcomes. The series exist even
 	// when no HTTP listener is configured (all zero) so dashboards need
@@ -152,19 +147,6 @@ func newServerMetrics(reg *metrics.Registry, s *Server) *serverMetrics {
 	reg.NewGaugeFunc("dnslb_dns_overload_rate_qps",
 		"Aggregate query rate at the overload controller's last sample.",
 		nil, func() float64 { return s.Degraded().LastRateQPS })
-
-	// Versioned hot-answer cache (answercache.go). The series exist
-	// even when the cache is disabled (all zero) so dashboards need no
-	// conditional scrape config.
-	reg.NewCounterFunc("dnslb_dns_answer_cache_hits_total",
-		"Queries answered from the pre-packed hot-answer cache.",
-		nil, func() uint64 { return s.AnswerCache().Hits })
-	reg.NewCounterFunc("dnslb_dns_answer_cache_misses_total",
-		"Cacheable queries that had to pack a fresh response.",
-		nil, func() uint64 { return s.AnswerCache().Misses })
-	reg.NewCounterFunc("dnslb_dns_answer_cache_invalidations_total",
-		"Cache entries found stale (snapshot version, TTL calibration, or address change).",
-		nil, func() uint64 { return s.AnswerCache().Invalidations })
 
 	// Scheduling policy: class-level decision counters and no-server
 	// failures from the policy's own atomics (per-server decisions are

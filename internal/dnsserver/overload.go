@@ -20,8 +20,8 @@ import (
 //
 // In degraded mode the zone's A queries are answered by the engine's
 // static capacity-weighted round-robin ladder (engine.DecideFallback)
-// with a short TTL, bypassing the policy, the estimator feed, and the
-// answer cache. No query is dropped and nothing is answered SERVFAIL
+// with a short TTL, bypassing the policy and the estimator feed. No
+// query is dropped and nothing is answered SERVFAIL
 // merely because the server is overloaded — a deliberately "dumber but
 // always on" posture, with short TTLs pulling clients back to the
 // adaptive policy quickly after recovery.

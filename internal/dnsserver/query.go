@@ -1,11 +1,14 @@
 package dnsserver
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"net/netip"
 	"runtime/debug"
 
+	"dnslb/internal/core"
 	"dnslb/internal/dnswire"
 	"dnslb/internal/engine"
 )
@@ -17,20 +20,16 @@ import (
 // fed by an engine.QueryContext carrying the resolver address, the
 // RFC 7871 client subnet when the query forwarded one, and the
 // transport tag. This file only adds DNS semantics around it: message
-// validation, rate limiting, scoped ECS echo, record assembly and
-// truncation.
+// validation, rate limiting, scoped ECS echo and response encoding.
 //
-// Decoding uses the pooled zero-alloc decoder (dnswire.UnpackQuery);
-// the cacheable query shape — IN A for the zone, standard opcode —
-// is additionally served through the versioned hot-answer cache
-// (answercache.go), making the steady-state query entirely
-// allocation-free: pooled decode, cache hit, copy into the pooled
-// response buffer, two-byte ID patch. ECS-carrying queries take the
-// same path under a subnet-scoped cache key, so a scoped entry is
-// never served across subnets. Every other shape (FORMERR, REFUSED,
-// NOTIMP, NXDOMAIN, ANY, TXT, negative answers) builds a
-// dnswire.Message as before; those paths are rare and their behavior
-// is byte-compatible with the pre-cache server.
+// Decoding uses the pooled zero-alloc decoder (dnswire.UnpackQuery).
+// The address answer — the response the TTL policy exists to hand out,
+// and so the one whose cost is the cost of the policy — is a fixed
+// template written straight into the pooled response buffer by
+// appendAnswer, with no allocation; so are the header-only error
+// replies, REFUSED above all, which is what a flood is answered with.
+// The rare shapes (NOTIMP, NXDOMAIN, TXT, negative answers) build a
+// dnswire.Message.
 
 // safeHandle is handle behind a panic recovery: a bug in the query
 // path must not kill the serve worker. The panic is logged with its
@@ -67,49 +66,73 @@ func (s *Server) handle(wire []byte, from netip.Addr, tr engine.Transport, maxSi
 		if len(wire) < 2 {
 			return nil // cannot even echo an ID
 		}
-		resp := &dnswire.Message{Header: dnswire.Header{
+		return dnswire.AppendHeader(dst, dnswire.Header{
 			ID:       uint16(wire[0])<<8 | uint16(wire[1]),
 			Response: true,
 			RCode:    dnswire.RCodeFormErr,
-		}}
-		return mustPack(resp, dst)
+		}, 0, 0, 0, 0)
 	}
 	if q.Header.Response {
 		return nil // never answer responses
 	}
 	if s.limiter != nil && !s.limiter.Allow(from) {
 		st.ratelimited.Add(1)
-		resp := &dnswire.Message{Header: dnswire.Header{
+		return dnswire.AppendHeader(dst, dnswire.Header{
 			ID:       q.Header.ID,
 			Response: true,
 			OpCode:   q.Header.OpCode,
 			RCode:    dnswire.RCodeRefused,
-		}}
-		return mustPack(resp, dst)
+		}, 0, 0, 0, 0)
 	}
-	// Degraded mode (overload.go): while the admission controller has
-	// the server degraded, address queries for the zone skip the policy,
-	// the estimator feed, and the answer cache, and are served by the
-	// engine's static capacity-weighted round-robin ladder with a short
-	// TTL. Checked before the hot path so no degraded answer is ever
-	// cached (its TTL is not the policy's) and no cached pre-degradation
-	// answer is served (its TTL may outlive the episode).
-	if s.over != nil && s.over.active() && q.Header.OpCode == dnswire.OpQuery &&
-		(q.Type == dnswire.TypeA || q.Type == dnswire.TypeANY) &&
-		q.Class == dnswire.ClassIN && string(q.Name) == s.zone {
-		return s.handleDegraded(q, from, idx, st, maxSize, dst)
+	// string(q.Name) in a comparison does not allocate; the name is
+	// already canonical (lower-case, trailing dot).
+	if q.Header.OpCode == dnswire.OpQuery && string(q.Name) == s.zone &&
+		(q.Type == dnswire.TypeA || q.Type == dnswire.TypeANY) {
+		return s.handleAddress(q, from, tr, idx, st, dst)
 	}
-	// The wire-speed fast path. string(q.Name) in a comparison does not
-	// allocate; the name is already canonical (lower-case, trailing
-	// dot), so this is the same zone test the slow path performs.
-	// ECS-carrying queries qualify too: the cache key grows the scoped
-	// subnet, so a scoped entry only ever serves its own subnet.
-	if s.answers != nil && q.Header.OpCode == dnswire.OpQuery &&
-		q.Type == dnswire.TypeA && q.Class == dnswire.ClassIN &&
-		string(q.Name) == s.zone {
-		return s.handleHot(q, from, tr, idx, st, maxSize, dst)
+	return s.handleOther(q, idx, st, maxSize, dst)
+}
+
+// handleAddress answers an address query for the zone: one scheduling
+// decision, one A record. While the admission controller has the server
+// degraded (overload.go) the decision comes from the engine's static
+// capacity-weighted round-robin ladder with the configured short TTL,
+// skipping the policy and the estimator feed, and an ECS option is
+// echoed with scope zero ("answer not tailored to your subnet"), which
+// is exactly true of the ladder. Otherwise DecideQuery classifies the
+// originating domain from the forwarded client subnet (per the
+// configured ECS mode) or the resolver's address, and reports the scope
+// to echo. SERVFAIL only when every server is unschedulable, never
+// because of load.
+func (s *Server) handleAddress(q *dnswire.Query, from netip.Addr, tr engine.Transport, idx uint32, st *statsShard, dst []byte) []byte {
+	var (
+		d     core.Decision
+		scope uint8
+		err   error
+	)
+	degraded := s.over != nil && s.over.active()
+	if degraded {
+		d, err = s.eng.DecideFallback(s.over.cfg.DegradedTTL)
+	} else {
+		var qd engine.QueryDecision
+		qd, err = s.eng.DecideQuery(queryContext(q, from, tr))
+		d, scope = qd.Decision, qd.Scope
 	}
-	return s.handleCold(q, from, tr, idx, st, maxSize, dst)
+	if err != nil {
+		st.servfail.Add(1)
+		return s.appendQuestion(dst, q, dnswire.RCodeServFail, 0, 0)
+	}
+	if s.metrics != nil {
+		s.metrics.ttl.ObserveHint(idx, d.TTL)
+		if q.HasECS {
+			s.metrics.ecsScope.ObserveHint(idx, float64(scope))
+		}
+	}
+	st.answered.Add(1)
+	if degraded {
+		s.over.noteDegradedAnswer(idx)
+	}
+	return s.appendAnswer(dst, q, s.serverAddrs()[d.Server], wireTTL(d.TTL), scope)
 }
 
 // queryContext assembles the engine's decision input for one query.
@@ -121,175 +144,81 @@ func queryContext(q *dnswire.Query, from netip.Addr, tr engine.Transport) engine
 	return qc
 }
 
-// echoECS attaches the RFC 7871 response option: the query's option
-// echoed with the scope the decision reports (the honoured source
-// prefix when the answer was tailored to the client's subnet, 0
-// otherwise). Observes the scope histogram when instrumented.
-func (s *Server) echoECS(resp *dnswire.Message, q *dnswire.Query, from netip.Addr, idx uint32, scope uint8) {
-	if err := resp.SetClientSubnet(dnswire.EchoClientSubnet(q.ECS, scope), dnswire.MaxUDPPayload); err != nil {
-		s.logger.Debug("ECS echo failed", "err", err, "raddr", from)
-		return
+// wireTTL rounds a policy TTL in seconds to the wire's whole seconds.
+// Never 0: a zero TTL forbids caching, and then every request of the
+// domain comes back to the DNS.
+func wireTTL(seconds float64) uint32 {
+	r := math.Round(seconds)
+	if !(r >= 1) { // NaN too
+		return 1
 	}
-	if s.metrics != nil {
-		s.metrics.ecsScope.ObserveHint(idx, float64(scope))
+	if r >= math.MaxUint32 {
+		return math.MaxUint32
 	}
+	return uint32(r)
 }
 
-// handleHot answers the cacheable query shape — IN A for the zone,
-// standard opcode — through the versioned hot-answer cache. One
-// DecideQuery per query as always (the cache stores response bytes,
-// not decisions); a hit serves the pre-packed response with an ID/RD
-// patch, a miss packs once and publishes the bytes for the next query
-// that draws the same (domain, server, subnet) triple at the same
-// state version. Subnet-blind queries use the invalid zero subnet as
-// their key dimension, preserving the pre-ECS cache behavior exactly.
-func (s *Server) handleHot(q *dnswire.Query, from netip.Addr, tr engine.Transport, idx uint32, st *statsShard, maxSize int, dst []byte) []byte {
-	qc := queryContext(q, from, tr)
-	// The version is read before Decide; if a reconfiguration lands in
-	// between, the stored entry's TTL/address equality checks still
-	// guarantee any bytes served are identical to a fresh pack.
-	ver := s.eng.StateVersion()
-	qd, err := s.eng.DecideQuery(qc)
-	if err != nil {
-		st.servfail.Add(1)
-		resp := &dnswire.Message{
-			Header: dnswire.Header{
-				ID:               q.Header.ID,
-				Response:         true,
-				OpCode:           dnswire.OpQuery,
-				Authoritative:    true,
-				RecursionDesired: q.Header.RecursionDesired,
-				RCode:            dnswire.RCodeServFail,
-			},
-			Questions: []dnswire.Question{{Name: s.zone, Type: q.Type, Class: q.Class}},
-		}
-		return mustPack(resp, dst)
+// appendQuestion appends the header of an authoritative response to q
+// — its ID and RD echoed — and q's question: byte for byte as it
+// arrived, so a resolver that randomized the name's case gets its own
+// spelling back, or, when the query compressed the name, the zone's
+// canonical name (every caller has matched the name against the zone).
+func (s *Server) appendQuestion(dst []byte, q *dnswire.Query, rcode dnswire.RCode, an, ar int) []byte {
+	dst = dnswire.AppendHeader(dst, dnswire.Header{
+		ID:               q.Header.ID,
+		Response:         true,
+		Authoritative:    true,
+		RecursionDesired: q.Header.RecursionDesired,
+		RCode:            rcode,
+	}, 1, an, 0, ar)
+	if q.Question != nil {
+		return append(dst, q.Question...)
 	}
-	ttl := uint32(math.Round(qd.TTL))
-	if ttl == 0 {
-		ttl = 1
-	}
-	if s.metrics != nil {
-		s.metrics.ttl.ObserveHint(idx, qd.TTL)
-	}
-	// The cache key's subnet dimension: the scoped client subnet when
-	// it drove classification, invalid (subnet-blind) otherwise. Exact
-	// prefix equality in the cache guarantees a scoped entry is never
-	// served across subnets. An ECS query whose subnet did NOT scope the
-	// decision (override mode) bypasses the cache entirely: its response
-	// still echoes the option (scope 0), so its bytes are neither
-	// reusable under the blind key nor keyed by any subnet.
-	var subnet netip.Prefix
-	if qd.ClientScoped {
-		subnet = qc.ClientSubnet.Masked()
-	}
-	cacheable := !q.HasECS || qd.ClientScoped
-	addr := s.serverAddrs()[qd.Server]
-	if cacheable {
-		if e := s.answers.lookup(qd.Domain, qd.Server, ver, ttl, addr, subnet); e != nil && len(e.wire) <= maxSize {
-			st.answered.Add(1)
-			if q.HasECS && s.metrics != nil {
-				s.metrics.ecsScope.ObserveHint(idx, float64(qd.Scope))
-			}
-			return e.appendAnswer(dst, q.Header.ID, q.Header.RecursionDesired)
-		}
-	}
-	resp := &dnswire.Message{
-		Header: dnswire.Header{
-			ID:               q.Header.ID,
-			Response:         true,
-			OpCode:           dnswire.OpQuery,
-			Authoritative:    true,
-			RecursionDesired: q.Header.RecursionDesired,
-		},
-		Questions: []dnswire.Question{{Name: s.zone, Type: q.Type, Class: q.Class}},
-		Answers: []dnswire.ResourceRecord{{
-			Name:  s.zone,
-			Type:  dnswire.TypeA,
-			Class: dnswire.ClassIN,
-			TTL:   ttl,
-			Data:  dnswire.A{Addr: addr},
-		}},
-	}
+	dst = append(dst, s.zoneWire...)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(q.Type))
+	return binary.BigEndian.AppendUint16(dst, uint16(q.Class))
+}
+
+// appendAnswer appends the address answer to q — header, question, one
+// A record for addr and, when the query carried a Client Subnet option,
+// the OPT record echoing it with the given scope (RFC 7871 §7.2.2) —
+// and is the only place the server encodes one. Byte for byte what
+// dnswire.Message.AppendPack produces for the same response, without
+// building the Message. dst must be zero-length: the record's owner
+// name is a compression pointer to the question at offset 12. The
+// response is at most 322 bytes (a 255-byte name, an IPv6 /128 echo),
+// so it fits every transport's limit and is never truncated.
+func (s *Server) appendAnswer(dst []byte, q *dnswire.Query, addr netip.Addr, ttl uint32, scope uint8) []byte {
+	ar := 0
 	if q.HasECS {
-		s.echoECS(resp, q, from, idx, qd.Scope)
+		ar = 1
 	}
-	st.answered.Add(1)
-	out := mustPack(resp, dst)
-	if len(out) > maxSize {
-		// Unreachable for UDP (a single compressed A answer plus the
-		// OPT record fits 512 bytes), but kept for parity with the slow
-		// path.
-		resp.Answers = nil
-		resp.Header.Truncated = true
-		st.truncated.Add(1)
-		return mustPack(resp, out[:0])
+	dst = s.appendQuestion(dst, q, dnswire.RCodeNoError, 1, ar)
+	a := addr.As4()
+	dst = append(dst, 0xC0, 12, 0, byte(dnswire.TypeA), 0, byte(dnswire.ClassIN))
+	dst = binary.BigEndian.AppendUint32(dst, ttl)
+	dst = append(dst, 0, 4, a[0], a[1], a[2], a[3])
+	if !q.HasECS {
+		return dst
 	}
-	if out != nil && cacheable {
-		s.answers.store(qd.Domain, qd.Server, ver, ttl, addr, subnet, out)
-	}
-	return out
-}
-
-// handleDegraded answers an address query for the zone through the
-// degraded decision ladder: engine.DecideFallback (static
-// capacity-weighted smooth WRR over live members) with the configured
-// short TTL. SERVFAIL is still possible — but only when every server
-// is genuinely unschedulable, never because of load. ECS options are
-// echoed with scope zero ("answer not tailored to your subnet"), which
-// is exactly true of the static ladder.
-func (s *Server) handleDegraded(q *dnswire.Query, from netip.Addr, idx uint32, st *statsShard, maxSize int, dst []byte) []byte {
-	resp := &dnswire.Message{
-		Header: dnswire.Header{
-			ID:               q.Header.ID,
-			Response:         true,
-			OpCode:           dnswire.OpQuery,
-			Authoritative:    true,
-			RecursionDesired: q.Header.RecursionDesired,
-		},
-		Questions: []dnswire.Question{{Name: s.zone, Type: q.Type, Class: q.Class}},
-	}
-	d, err := s.eng.DecideFallback(s.over.cfg.DegradedTTL)
+	// OPT: root owner, CLASS = the 512-byte payload this server accepts,
+	// TTL (extended RCODE, version, flags) zero, one option.
+	dst = append(dst, 0, 0, byte(dnswire.TypeOPT), dnswire.MaxUDPPayload>>8, dnswire.MaxUDPPayload&0xFF, 0, 0, 0, 0)
+	rdlenAt := len(dst)
+	dst = append(dst, 0, 0, 0, byte(dnswire.OptionClientSubnet), 0, 0)
+	dst, err := dnswire.EchoClientSubnet(q.ECS, scope).AppendPack(dst)
 	if err != nil {
-		resp.Header.RCode = dnswire.RCodeServFail
-		st.servfail.Add(1)
-		return mustPack(resp, dst)
+		return nil // unreachable: HasECS means the option parsed
 	}
-	ttl := uint32(math.Round(d.TTL))
-	if ttl == 0 {
-		ttl = 1
-	}
-	if s.metrics != nil {
-		s.metrics.ttl.ObserveHint(idx, d.TTL)
-	}
-	resp.Answers = []dnswire.ResourceRecord{{
-		Name:  s.zone,
-		Type:  dnswire.TypeA,
-		Class: dnswire.ClassIN,
-		TTL:   ttl,
-		Data:  dnswire.A{Addr: s.serverAddrs()[d.Server]},
-	}}
-	if q.HasECS {
-		s.echoECS(resp, q, from, idx, 0)
-	}
-	st.answered.Add(1)
-	s.over.noteDegradedAnswer(idx)
-	out := mustPack(resp, dst)
-	if len(out) > maxSize {
-		resp.Answers = nil
-		resp.Additional = nil
-		resp.Header.Truncated = true
-		st.truncated.Add(1)
-		out = mustPack(resp, out[:0])
-	}
-	return out
+	optLen := len(dst) - rdlenAt - 6
+	dst[rdlenAt+1] = byte(optLen + 4)
+	dst[rdlenAt+5] = byte(optLen)
+	return dst
 }
 
-// handleCold serves every non-cacheable shape by building a
-// dnswire.Message, exactly as the server did before the cache: NOTIMP,
-// NXDOMAIN, ECS-classified answers, ANY, TXT, negative answers, and
-// all A traffic when the cache is disabled.
-func (s *Server) handleCold(q *dnswire.Query, from netip.Addr, tr engine.Transport, idx uint32, st *statsShard, maxSize int, dst []byte) []byte {
+// handleOther serves every shape but the address answer by building a
+// dnswire.Message: NOTIMP, NXDOMAIN, TXT and negative answers.
+func (s *Server) handleOther(q *dnswire.Query, idx uint32, st *statsShard, maxSize int, dst []byte) []byte {
 	resp := &dnswire.Message{
 		Header: dnswire.Header{
 			ID:               q.Header.ID,
@@ -300,48 +229,15 @@ func (s *Server) handleCold(q *dnswire.Query, from netip.Addr, tr engine.Transpo
 		},
 		Questions: []dnswire.Question{{Name: string(q.Name), Type: q.Type, Class: q.Class}},
 	}
-	if q.Header.OpCode != dnswire.OpQuery {
+	switch {
+	case q.Header.OpCode != dnswire.OpQuery:
 		resp.Header.RCode = dnswire.RCodeNotImp
 		st.notimp.Add(1)
-		return mustPack(resp, dst)
-	}
-	if resp.Questions[0].Name != s.zone {
+	case resp.Questions[0].Name != s.zone:
 		resp.Header.RCode = dnswire.RCodeNXDomain
 		resp.Authority = []dnswire.ResourceRecord{s.soa()}
 		st.nxdomain.Add(1)
-		return mustPack(resp, dst)
-	}
-	switch q.Type {
-	case dnswire.TypeA, dnswire.TypeANY:
-		// RFC 7871 Client Subnet: DecideQuery classifies the
-		// originating domain from the forwarded client subnet (per the
-		// configured ECS mode) instead of the resolver's own transport
-		// address, and reports the scope to echo with the option.
-		qd, err := s.eng.DecideQuery(queryContext(q, from, tr))
-		if err != nil {
-			resp.Header.RCode = dnswire.RCodeServFail
-			st.servfail.Add(1)
-			return mustPack(resp, dst)
-		}
-		ttl := uint32(math.Round(qd.TTL))
-		if ttl == 0 {
-			ttl = 1
-		}
-		if s.metrics != nil {
-			s.metrics.ttl.ObserveHint(idx, qd.TTL)
-		}
-		resp.Answers = []dnswire.ResourceRecord{{
-			Name:  s.zone,
-			Type:  dnswire.TypeA,
-			Class: dnswire.ClassIN,
-			TTL:   ttl,
-			Data:  dnswire.A{Addr: s.serverAddrs()[qd.Server]},
-		}}
-		if q.HasECS {
-			s.echoECS(resp, q, from, idx, qd.Scope)
-		}
-		st.answered.Add(1)
-	case dnswire.TypeTXT:
+	case q.Type == dnswire.TypeTXT:
 		// Debug visibility: the policy name and decision counters.
 		stats := s.policy.Stats()
 		resp.Answers = []dnswire.ResourceRecord{{
@@ -364,10 +260,15 @@ func (s *Server) handleCold(q *dnswire.Query, from netip.Addr, tr engine.Transpo
 	if len(out) > maxSize {
 		resp.Answers = nil
 		resp.Authority = nil
-		resp.Additional = nil
 		resp.Header.Truncated = true
 		st.truncated.Add(1)
 		out = mustPack(resp, out[:0])
+	}
+	// The sender's spelling goes back over the canonical name in place
+	// (see appendQuestion): the two differ in letter case only, unless a
+	// label held a dot, which the canonical form reads as two labels.
+	if n := 12 + len(q.Question); len(out) >= n && bytes.EqualFold(out[12:n], q.Question) {
+		copy(out[12:], q.Question)
 	}
 	return out
 }

@@ -36,16 +36,15 @@ func (s *Server) Start() error {
 	}
 	const pairAttempts = 16
 	for attempt := 0; ; attempt++ {
-		if err := s.bindUDP(uaddr); err != nil {
+		s.udp, err = net.ListenUDP("udp", uaddr)
+		if err != nil {
 			return fmt.Errorf("dnsserver: listen udp: %w", err)
 		}
 		s.tcp, err = net.Listen("tcp", s.udp.LocalAddr().String())
 		if err == nil {
 			break
 		}
-		for _, c := range s.udpConns {
-			_ = c.Close()
-		}
+		_ = s.udp.Close()
 		if uaddr.Port != 0 || attempt == pairAttempts-1 {
 			return fmt.Errorf("dnsserver: listen tcp: %w", err)
 		}
@@ -53,9 +52,7 @@ func (s *Server) Start() error {
 	if s.httpAddr != "" {
 		ln, err := net.Listen("tcp", s.httpAddr)
 		if err != nil {
-			for _, c := range s.udpConns {
-				_ = c.Close()
-			}
+			_ = s.udp.Close()
 			_ = s.tcp.Close()
 			return fmt.Errorf("dnsserver: listen http: %w", err)
 		}
@@ -81,44 +78,10 @@ func (s *Server) Start() error {
 		s.over = newOverloadController(s, s.overCfg)
 	}
 	s.wg.Add(s.udpWorkers + 1)
-	if s.batchMode.Load() {
-		for i := 0; i < s.udpWorkers; i++ {
-			go s.serveUDPBatch(i, s.udpConns[i])
-		}
-	} else {
-		for i := 0; i < s.udpWorkers; i++ {
-			go s.serveUDP(i)
-		}
+	for i := 0; i < s.udpWorkers; i++ {
+		go s.serveUDP(i)
 	}
 	go s.serveTCP()
-	return nil
-}
-
-// bindUDP binds the UDP side: one SO_REUSEPORT socket per worker when
-// batching is configured and the platform supports it, otherwise one
-// shared socket for the portable loop. Config.UDPWorkers governs the
-// worker count identically in both modes. s.udp always aliases the
-// first socket (the bound address).
-func (s *Server) bindUDP(uaddr *net.UDPAddr) error {
-	if s.udpBatch > 0 && batchSupported {
-		conns, err := listenUDPBatchConns(uaddr, s.udpWorkers)
-		if err == nil {
-			s.udpConns = conns
-			s.udp = conns[0]
-			s.batchMode.Store(true)
-			return nil
-		}
-		// SO_REUSEPORT can be refused by hardened kernels or policy;
-		// serving on the portable path beats not serving.
-		s.logger.Warn("batched UDP unavailable; using the portable serve loop", "err", err)
-	}
-	conn, err := net.ListenUDP("udp", uaddr)
-	if err != nil {
-		return err
-	}
-	s.udp = conn
-	s.udpConns = []*net.UDPConn{conn}
-	s.batchMode.Store(false)
 	return nil
 }
 
@@ -157,10 +120,8 @@ func (s *Server) Close() error {
 	s.stopProbing()
 	s.stopOverload()
 	var first error
-	for _, c := range s.udpConns {
-		if err := c.Close(); err != nil && first == nil {
-			first = err
-		}
+	if s.udp != nil {
+		first = s.udp.Close()
 	}
 	if s.tcp != nil {
 		if err := s.tcp.Close(); err != nil && first == nil {
@@ -201,12 +162,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.StopReplication()
 	s.stopProbing()
 	s.stopOverload()
-	// Unblock the UDP readers without closing the sockets: a worker
-	// blocked in read (or in recvmmsg under the netpoller) observes the
-	// deadline error, sees closed, and exits; a worker mid-response can
-	// still write it.
-	for _, c := range s.udpConns {
-		_ = c.SetReadDeadline(time.Now())
+	// Unblock the UDP readers without closing the socket: a worker
+	// blocked in read observes the deadline error, sees closed, and
+	// exits; a worker mid-response can still write it.
+	if s.udp != nil {
+		_ = s.udp.SetReadDeadline(time.Now())
 	}
 	var first error
 	if s.tcp != nil {
@@ -239,8 +199,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		}
 		s.connsMu.Unlock()
 	}
-	for _, c := range s.udpConns {
-		_ = c.Close()
+	if s.udp != nil {
+		_ = s.udp.Close()
 	}
 	<-done
 	return first

@@ -99,31 +99,30 @@ const (
 
 // Pack encodes the option payload.
 func (cs ClientSubnet) Pack() ([]byte, error) {
+	return cs.AppendPack(make([]byte, 0, 4+16))
+}
+
+// AppendPack appends the option payload to dst: the allocation-free
+// variant of Pack for callers that recycle buffers.
+func (cs ClientSubnet) AppendPack(dst []byte) ([]byte, error) {
 	if !cs.Prefix.IsValid() {
 		return nil, ErrBadClientSubnet
 	}
 	addr := cs.Prefix.Addr()
-	family := ecsFamilyIPv4
-	if addr.Is6() && !addr.Is4In6() {
-		family = ecsFamilyIPv6
-	}
 	bits := cs.Prefix.Bits()
 	// Address bytes: only ceil(bits/8) octets are sent, with unused
-	// trailing bits zeroed (the Prefix is already masked).
-	var raw []byte
-	if family == ecsFamilyIPv4 {
-		b := addr.As4()
-		raw = b[:]
-	} else {
-		b := addr.As16()
-		raw = b[:]
-	}
+	// trailing bits zeroed (the Prefix is already masked). The family
+	// follows the address width, so an IPv4-mapped IPv6 prefix a query
+	// sent as family 2 is echoed as family 2.
 	n := (bits + 7) / 8
-	out := make([]byte, 0, 4+n)
-	out = binary.BigEndian.AppendUint16(out, uint16(family))
-	out = append(out, byte(bits), cs.ScopePrefixLen)
-	out = append(out, raw[:n]...)
-	return out, nil
+	if addr.Is4() {
+		b := addr.As4()
+		dst = append(dst, 0, ecsFamilyIPv4, byte(bits), cs.ScopePrefixLen)
+		return append(dst, b[:n]...), nil
+	}
+	b := addr.As16()
+	dst = append(dst, 0, ecsFamilyIPv6, byte(bits), cs.ScopePrefixLen)
+	return append(dst, b[:n]...), nil
 }
 
 // ParseClientSubnet decodes an ECS option payload.

@@ -151,6 +151,7 @@ func FuzzUnpackPooled(f *testing.F) {
 					lq, q.Name, q.Type, q.Class)
 			}
 		}
+		checkQuestionSpan(t, q, data)
 		ecs, ok := m.ClientSubnet()
 		if q.HasECS != ok {
 			t.Fatalf("ECS presence divergence: legacy %v, pooled %v", ok, q.HasECS)
@@ -198,6 +199,8 @@ func FuzzParseECSOption(f *testing.F) {
 	f.Add(uint16(1), uint8(33), uint8(0), []byte{10, 1, 2, 3, 4})
 	f.Add(uint16(3), uint8(8), uint8(8), []byte{10})
 	f.Add(uint16(1), uint8(0), uint8(255), []byte{})
+	// An IPv4-mapped address sent as family 2 is echoed as family 2.
+	f.Add(uint16(2), uint8(120), uint8(0), []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 10, 1, 2})
 	f.Fuzz(func(t *testing.T, family uint16, srcBits, scope uint8, payload []byte) {
 		data := make([]byte, 0, 4+len(payload))
 		data = append(data, byte(family>>8), byte(family), srcBits, scope)

@@ -37,6 +37,35 @@ const (
 	flagRA = 1 << 7
 )
 
+// AppendHeader appends the 12-byte message header with the given
+// section counts. It is the first step of AppendPack, exported for
+// callers that write a fixed response shape without building a Message
+// (the server's address answers and header-only error replies).
+func AppendHeader(dst []byte, h Header, qd, an, ns, ar int) []byte {
+	flags := uint16(h.OpCode&0xF)<<11 | uint16(h.RCode&0xF)
+	if h.Response {
+		flags |= flagQR
+	}
+	if h.Authoritative {
+		flags |= flagAA
+	}
+	if h.Truncated {
+		flags |= flagTC
+	}
+	if h.RecursionDesired {
+		flags |= flagRD
+	}
+	if h.RecursionAvailable {
+		flags |= flagRA
+	}
+	dst = binary.BigEndian.AppendUint16(dst, h.ID)
+	dst = binary.BigEndian.AppendUint16(dst, flags)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(qd))
+	dst = binary.BigEndian.AppendUint16(dst, uint16(an))
+	dst = binary.BigEndian.AppendUint16(dst, uint16(ns))
+	return binary.BigEndian.AppendUint16(dst, uint16(ar))
+}
+
 // Pack encodes the message with name compression.
 func (m *Message) Pack() ([]byte, error) {
 	return m.AppendPack(make([]byte, 0, 128))
@@ -49,33 +78,7 @@ func (m *Message) Pack() ([]byte, error) {
 // are computed from the start of dst, so dst must be positioned at the
 // start of the DNS message: pass a zero-length slice.
 func (m *Message) AppendPack(dst []byte) ([]byte, error) {
-	var zero [headerLen]byte
-	buf := append(dst, zero[:]...)
-	hdr := buf[len(dst):]
-	binary.BigEndian.PutUint16(hdr[0:], m.Header.ID)
-	var flags uint16
-	if m.Header.Response {
-		flags |= flagQR
-	}
-	flags |= uint16(m.Header.OpCode&0xF) << 11
-	if m.Header.Authoritative {
-		flags |= flagAA
-	}
-	if m.Header.Truncated {
-		flags |= flagTC
-	}
-	if m.Header.RecursionDesired {
-		flags |= flagRD
-	}
-	if m.Header.RecursionAvailable {
-		flags |= flagRA
-	}
-	flags |= uint16(m.Header.RCode & 0xF)
-	binary.BigEndian.PutUint16(hdr[2:], flags)
-	binary.BigEndian.PutUint16(hdr[4:], uint16(len(m.Questions)))
-	binary.BigEndian.PutUint16(hdr[6:], uint16(len(m.Answers)))
-	binary.BigEndian.PutUint16(hdr[8:], uint16(len(m.Authority)))
-	binary.BigEndian.PutUint16(hdr[10:], uint16(len(m.Additional)))
+	buf := AppendHeader(dst, m.Header, len(m.Questions), len(m.Answers), len(m.Authority), len(m.Additional))
 
 	cmap := cmapPool.Get().(map[string]int)
 	defer func() {

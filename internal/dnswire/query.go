@@ -37,6 +37,13 @@ type Query struct {
 	Name  []byte
 	Type  Type
 	Class Class
+	// Question is the first question entry exactly as it arrived (name,
+	// type and class), aliasing the decoded message, so a response can
+	// echo the sender's spelling — resolvers that randomize the case of
+	// the name (0x20 hardening) discard answers whose question does not
+	// match byte for byte. Nil when the name used compression, which
+	// cannot be copied to another message as is.
+	Question []byte
 	// HasECS reports whether the additional section carried a
 	// well-formed RFC 7871 Client Subnet option; ECS is its content.
 	HasECS bool
@@ -73,6 +80,7 @@ func (q *Query) reset() {
 	q.Name = nil
 	q.Type = 0
 	q.Class = 0
+	q.Question = nil
 	q.HasECS = false
 	q.ECS = ClientSubnet{}
 	q.ecsDone = false
@@ -112,20 +120,22 @@ func (q *Query) UnpackQuery(msg []byte) error {
 		if i == 0 {
 			dst = q.nameBuf[:]
 		}
-		n, next, err := scanName(msg, off, dst)
+		n, next, compressed, err := scanName(msg, off, dst)
 		if err != nil {
 			return fmt.Errorf("question %d: %w", i, err)
 		}
-		off = next
-		if off+4 > len(msg) {
+		if next+4 > len(msg) {
 			return ErrTruncatedMessage
 		}
 		if i == 0 {
 			q.Name = q.nameBuf[:n]
-			q.Type = Type(binary.BigEndian.Uint16(msg[off:]))
-			q.Class = Class(binary.BigEndian.Uint16(msg[off+2:]))
+			q.Type = Type(binary.BigEndian.Uint16(msg[next:]))
+			q.Class = Class(binary.BigEndian.Uint16(msg[next+2:]))
+			if !compressed {
+				q.Question = msg[off : next+4]
+			}
 		}
-		off += 4
+		off = next + 4
 	}
 	// The answer and authority sections are validated and skipped; the
 	// additional section is additionally scanned for the first OPT
@@ -151,7 +161,7 @@ func (q *Query) UnpackQuery(msg []byte) error {
 // OPT record has resolved the ECS question yet, OPT records are
 // scanned for the Client Subnet option.
 func (q *Query) scanRR(msg []byte, off int, ecs bool) (int, error) {
-	_, off, err := scanName(msg, off, q.scratch[:])
+	_, off, _, err := scanName(msg, off, q.scratch[:])
 	if err != nil {
 		return 0, err
 	}
@@ -211,7 +221,7 @@ func (q *Query) validRData(msg []byte, off, n int, typ Type) error {
 			return fmt.Errorf("dnswire: AAAA RDATA length %d, want 16", n)
 		}
 	case TypeCNAME, TypeNS, TypePTR:
-		if _, _, err := scanName(msg, off, q.scratch[:]); err != nil {
+		if _, _, _, err := scanName(msg, off, q.scratch[:]); err != nil {
 			return err
 		}
 	case TypeTXT:
@@ -230,11 +240,11 @@ func (q *Query) validRData(msg []byte, off, n int, typ Type) error {
 			return errEmptyTXT
 		}
 	case TypeSOA:
-		_, next, err := scanName(msg, off, q.scratch[:])
+		_, next, _, err := scanName(msg, off, q.scratch[:])
 		if err != nil {
 			return err
 		}
-		_, next, err = scanName(msg, next, q.scratch[:])
+		_, next, _, err = scanName(msg, next, q.scratch[:])
 		if err != nil {
 			return err
 		}
@@ -264,21 +274,21 @@ var errEmptyTXT = fmt.Errorf("dnswire: empty TXT RDATA")
 // scanName decodes a possibly compressed name starting at off into
 // dst (which must have room for maxNameLen bytes), lower-cased and in
 // canonical presentation form with a trailing dot ("." for the root).
-// It returns the number of bytes written and the offset just past the
-// name in the original byte stream, applying exactly unpackName's
+// It returns the number of bytes written, the offset just past the
+// name in the original byte stream and whether the name used a
+// compression pointer, applying exactly unpackName's
 // validation: truncation, reserved label types, pointer loops and
 // forward pointers, and the 255-octet name bound. When the name
 // overflows the bound, scanning continues without writing so that
 // truncation or loop errors take precedence, as they do in unpackName
 // (which validates the length only at the terminating label).
-func scanName(msg []byte, off int, dst []byte) (n, next int, err error) {
-	jumped := false
+func scanName(msg []byte, off int, dst []byte) (n, next int, jumped bool, err error) {
 	over := false
 	next = off
 	jumps := 0
 	for {
 		if off >= len(msg) {
-			return 0, 0, ErrTruncatedMessage
+			return 0, 0, false, ErrTruncatedMessage
 		}
 		b := msg[off]
 		switch {
@@ -287,16 +297,16 @@ func scanName(msg []byte, off int, dst []byte) (n, next int, err error) {
 				next = off + 1
 			}
 			if over {
-				return 0, 0, ErrNameTooLong
+				return 0, 0, false, ErrNameTooLong
 			}
 			if n == 0 {
 				dst[0] = '.'
 				n = 1
 			}
-			return n, next, nil
+			return n, next, jumped, nil
 		case b&0xC0 == 0xC0:
 			if off+1 >= len(msg) {
-				return 0, 0, ErrTruncatedMessage
+				return 0, 0, false, ErrTruncatedMessage
 			}
 			ptr := int(b&0x3F)<<8 | int(msg[off+1])
 			if !jumped {
@@ -305,18 +315,18 @@ func scanName(msg []byte, off int, dst []byte) (n, next int, err error) {
 			}
 			jumps++
 			if jumps > maxPointerJumps {
-				return 0, 0, ErrPointerLoop
+				return 0, 0, false, ErrPointerLoop
 			}
 			if ptr >= off {
-				return 0, 0, ErrPointerLoop
+				return 0, 0, false, ErrPointerLoop
 			}
 			off = ptr
 		case b&0xC0 != 0:
-			return 0, 0, fmt.Errorf("%w: reserved label type 0x%02x", ErrBadName, b&0xC0)
+			return 0, 0, false, fmt.Errorf("%w: reserved label type 0x%02x", ErrBadName, b&0xC0)
 		default:
 			l := int(b)
 			if off+1+l > len(msg) {
-				return 0, 0, ErrTruncatedMessage
+				return 0, 0, false, ErrTruncatedMessage
 			}
 			// The presentation form "a.b." is one byte shorter than the
 			// wire form's 255-octet bound (the root byte), so the name

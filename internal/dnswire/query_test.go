@@ -34,12 +34,45 @@ func diffQuery(t *testing.T, wire []byte) {
 			t.Fatalf("first question mismatch: legacy %+v, pooled {%q %v %v}", lq, q.Name, q.Type, q.Class)
 		}
 	}
+	checkQuestionSpan(t, q, wire)
 	ecs, ok := m.ClientSubnet()
 	if q.HasECS != ok {
 		t.Fatalf("ECS presence mismatch: legacy %v, pooled %v", ok, q.HasECS)
 	}
 	if ok && (q.ECS.Prefix != ecs.Prefix || q.ECS.ScopePrefixLen != ecs.ScopePrefixLen) {
 		t.Fatalf("ECS mismatch: legacy %+v, pooled %+v", ecs, q.ECS)
+	}
+}
+
+// checkQuestionSpan holds Query.Question, after an accepted decode of
+// wire, to its contract: nil exactly when there is no first question or
+// its name is compressed; otherwise that question's own wire bytes,
+// which standing alone decode to Name, Type and Class.
+func checkQuestionSpan(t *testing.T, q *Query, wire []byte) {
+	t.Helper()
+	compressed := false
+	if q.QDCount > 0 {
+		off := headerLen
+		for wire[off] != 0 && wire[off]&0xC0 == 0 {
+			off += 1 + int(wire[off])
+		}
+		compressed = wire[off] != 0
+	}
+	if q.QDCount == 0 || compressed {
+		if q.Question != nil {
+			t.Fatalf("Question = %x for %d questions, compressed %v; want nil", q.Question, q.QDCount, compressed)
+		}
+		return
+	}
+	if !bytes.HasPrefix(wire[headerLen:], q.Question) || len(q.Question) < 5 {
+		t.Fatalf("Question %x is not the first question of %x", q.Question, wire)
+	}
+	name, next, err := unpackName(q.Question, 0)
+	if err != nil || next != len(q.Question)-4 || name != string(q.Name) {
+		t.Fatalf("Question %x decodes to %q, %d, %v; want %q and 4 bytes left", q.Question, name, next, err, q.Name)
+	}
+	if Type(binary.BigEndian.Uint16(q.Question[next:])) != q.Type || Class(binary.BigEndian.Uint16(q.Question[next+2:])) != q.Class {
+		t.Fatalf("Question %x does not end in type %v class %v", q.Question, q.Type, q.Class)
 	}
 }
 
@@ -132,6 +165,16 @@ func TestUnpackQueryMatchesUnpack(t *testing.T) {
 	wire = append(wire, 0, 0, 41, 2, 0, 0, 0, 0, 0, 0, 8, 0, 8, 0, 4, 0, 9, 24, 0)
 	binary.BigEndian.PutUint16(wire[10:], 1) // ARCOUNT = 1
 	cases["malformed ECS option"] = wire
+
+	// Question spans: a name in the sender's own mixed case, and one
+	// compressed into the header (ID 0x0161 reads as the label "a",
+	// the zero flags as the root).
+	mixed := append([]byte(nil), simple...)
+	mixed[headerLen+1], mixed[headerLen+6] = 'W', 'I'
+	cases["mixed-case wire name"] = mixed
+	inHeader := append(hdr(1), 0xC0, 0x00, 0, 1, 0, 1)
+	inHeader[0], inHeader[1] = 1, 'a'
+	cases["question compressed into the header"] = inHeader
 
 	for name, w := range cases {
 		t.Run(name, func(t *testing.T) { diffQuery(t, w) })

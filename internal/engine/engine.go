@@ -167,16 +167,6 @@ func (e *Engine) Decide(domain int) (core.Decision, error) {
 // Ledger returns the outstanding-mapping ledger.
 func (e *Engine) Ledger() *Ledger { return e.ledger }
 
-// StateVersion returns the scheduler state's current snapshot version
-// — the monotone counter bumped by every weight, β, membership,
-// liveness, or capacity change (one atomic load). Because the TTL
-// calibration is itself keyed on this version (core.TTLPolicy
-// recalibrates per version), a decision's TTL is a pure function of
-// (version, domain, server): any cache of decision-derived artifacts
-// — the live server's pre-packed hot-answer cache — keys on it, and a
-// version bump is exactly the event that invalidates such entries.
-func (e *Engine) StateVersion() uint64 { return e.policy.State().Version() }
-
 // NoteMapping extends server i's outstanding-mapping window to expire
 // no earlier than expiry (engine seconds). Decide already notes
 // now+TTL; callers use this for externally lengthened windows — a

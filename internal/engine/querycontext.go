@@ -243,8 +243,7 @@ func (e *Engine) classifySubnet(qc QueryContext) (netip.Prefix, bool) {
 
 // clampPrefix bounds a forwarded subnet to the configured source
 // granularity: /32 host prefixes become /24 under the default clamp,
-// which is both the privacy posture RFC 7871 recommends and what keeps
-// the scoped answer-cache key space bounded.
+// which is the privacy posture RFC 7871 recommends.
 func clampPrefix(p netip.Prefix, maxBits int) netip.Prefix {
 	if p.Bits() <= maxBits {
 		return p.Masked()
