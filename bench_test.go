@@ -109,10 +109,20 @@ func BenchmarkExtBaselines(b *testing.B) { benchFigure(b, experiments.ExtBaselin
 
 // BenchmarkSimulation5h measures one full paper-scale run (5 simulated
 // hours, ~620k events) of the best-performing policy.
-func BenchmarkSimulation5h(b *testing.B) {
+func BenchmarkSimulation5h(b *testing.B) { benchSimulation5h(b, 0) }
+
+// BenchmarkSimulation5hReplicated is the same run on a replica set of
+// three gossiping every virtual second — the shape benchmark/simload
+// runs, and the part of the sim assembly only R > 1 exercises.
+func BenchmarkSimulation5hReplicated(b *testing.B) { benchSimulation5h(b, 3) }
+
+func benchSimulation5h(b *testing.B, replicas int) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		cfg := sim.DefaultConfig("DRR2-TTL/S_K")
 		cfg.Seed = uint64(i) + 1
+		cfg.Replicas = replicas
+		cfg.ReplicationInterval = 1 // read only when replicas > 1
 		res, err := sim.Run(cfg)
 		if err != nil {
 			b.Fatal(err)

@@ -391,6 +391,25 @@ type jsonSummary struct {
 	FailedResolves   uint64    `json:"failedResolves,omitempty"`
 	MeanDrainSeconds float64   `json:"meanDrainSeconds,omitempty"`
 	LostReports      uint64    `json:"lostReports,omitempty"`
+
+	DetectedCrashes       uint64  `json:"detectedCrashes,omitempty"`
+	MeanDetectionDelaySec float64 `json:"meanDetectionDelaySeconds,omitempty"`
+	MeanReviveDelaySec    float64 `json:"meanReviveDelaySeconds,omitempty"`
+
+	ReplDecisions           []uint64 `json:"replicaDecisions,omitempty"`
+	ReplDeltasApplied       uint64   `json:"replicaDeltasApplied,omitempty"`
+	ReplDeltasDropped       uint64   `json:"replicaDeltasDropped,omitempty"`
+	ReplFullSyncs           uint64   `json:"replicaFullSyncs,omitempty"`
+	ReplMaxWeightDiff       float64  `json:"replicaMaxWeightDiff,omitempty"`
+	ReplLedgerDivergenceSec float64  `json:"replicaLedgerDivergenceSeconds,omitempty"`
+
+	ECSQueries   uint64 `json:"ecsQueries,omitempty"`
+	ECSCarried   uint64 `json:"ecsCarried,omitempty"`
+	ECSMisrouted uint64 `json:"ecsMisrouted,omitempty"`
+
+	EstimatorAlarmTime float64 `json:"estimatorAlarmTimeSeconds,omitempty"`
+	ForecastAbsError   float64 `json:"forecastAbsError,omitempty"`
+	EstimatorRejected  uint64  `json:"estimatorRejected,omitempty"`
 }
 
 func writeJSON(out io.Writer, policy string, cfg dnslb.SimConfig, results []*dnslb.SimResult) error {
@@ -425,6 +444,21 @@ func writeJSON(out io.Writer, policy string, cfg dnslb.SimConfig, results []*dns
 	summary.FailedResolves = r.FailedResolves
 	summary.MeanDrainSeconds = r.MeanTimeToDrain
 	summary.LostReports = r.LostReports
+	summary.DetectedCrashes = r.DetectedCrashes
+	summary.MeanDetectionDelaySec = r.MeanDetectionDelay
+	summary.MeanReviveDelaySec = r.MeanReviveDelay
+	summary.ReplDecisions = r.ReplDecisions
+	summary.ReplDeltasApplied = r.ReplDeltasApplied
+	summary.ReplDeltasDropped = r.ReplDeltasDropped
+	summary.ReplFullSyncs = r.ReplFullSyncs
+	summary.ReplMaxWeightDiff = r.ReplMaxWeightDiff
+	summary.ReplLedgerDivergenceSec = r.ReplLedgerDivergenceSec
+	summary.ECSQueries = r.ECSQueries
+	summary.ECSCarried = r.ECSCarried
+	summary.ECSMisrouted = r.ECSMisrouted
+	summary.EstimatorAlarmTime = r.EstimatorAlarmTime
+	summary.ForecastAbsError = r.ForecastAbsError
+	summary.EstimatorRejected = r.EstimatorRejected
 	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")
 	return enc.Encode(summary)

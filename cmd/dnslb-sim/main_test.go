@@ -191,6 +191,34 @@ func TestRunJSONOutput(t *testing.T) {
 			t.Errorf("JSON missing %q", key)
 		}
 	}
+	if _, ok := got["replicaDecisions"]; ok {
+		t.Error("single-DNS JSON carries replica fields")
+	}
+
+	// Everything the text mode prints per extension must also reach
+	// the JSON summary.
+	for _, tc := range []struct {
+		args []string
+		keys []string
+	}{
+		{[]string{"-replicas", "2"}, []string{"replicaDecisions", "replicaDeltasApplied", "replicaFullSyncs"}},
+		{[]string{"-estimator", "predictive"}, []string{"forecastAbsError"}},
+	} {
+		buf.Reset()
+		args := append([]string{"-policy", "DRR2-TTL/S_K", "-duration", "900", "-warmup", "100", "-json"}, tc.args...)
+		if err := run(args, &buf); err != nil {
+			t.Fatalf("%v: %v", tc.args, err)
+		}
+		got = nil
+		if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
+			t.Fatalf("%v: invalid JSON: %v\n%s", tc.args, err, buf.String())
+		}
+		for _, key := range tc.keys {
+			if _, ok := got[key]; !ok {
+				t.Errorf("%v: JSON missing %q:\n%s", tc.args, key, buf.String())
+			}
+		}
+	}
 }
 
 func TestParseFaults(t *testing.T) {

@@ -3,7 +3,6 @@ package sim
 import (
 	"math"
 
-	"dnslb/internal/core"
 	"dnslb/internal/engine"
 	"dnslb/internal/simcore"
 	"dnslb/internal/stats"
@@ -14,16 +13,17 @@ import (
 // protocol, and accumulates the max-utilization metric. Servers
 // recompute utilization (and evaluate the alarm condition) every
 // UtilizationInterval; the reported metric averages the sub-windows
-// spanned by each MetricWindow.
+// spanned by each MetricWindow. Server i's alarm protocol runs against
+// its authority replica (i mod R); the other replicas learn the
+// standing only through gossip.
 type utilizationCollector struct {
-	cfg     Config
-	sim     *simcore.Simulator
-	eng     *engine.Engine
-	state   *core.State
-	servers []*webserver.Server
-	res     *Result
-	fail    func(error)
-	horizon float64
+	cfg      Config
+	sim      *simcore.Simulator
+	replicas []*replica
+	servers  []*webserver.Server
+	res      *Result
+	fail     func(error)
+	horizon  float64
 
 	maxUtil      *stats.WindowedMax
 	utilSum      []float64
@@ -31,12 +31,11 @@ type utilizationCollector struct {
 	subPerMetric int
 }
 
-func newUtilizationCollector(cfg Config, sim *simcore.Simulator, eng *engine.Engine, servers []*webserver.Server, res *Result, fail func(error), horizon float64) *utilizationCollector {
+func newUtilizationCollector(cfg Config, sim *simcore.Simulator, replicas []*replica, servers []*webserver.Server, res *Result, fail func(error), horizon float64) *utilizationCollector {
 	return &utilizationCollector{
 		cfg:          cfg,
 		sim:          sim,
-		eng:          eng,
-		state:        eng.State(),
+		replicas:     replicas,
 		servers:      servers,
 		res:          res,
 		fail:         fail,
@@ -56,7 +55,8 @@ func (u *utilizationCollector) sample() {
 	measuring := now > u.cfg.Warmup
 	for i, sv := range u.servers {
 		util := sv.CloseWindow(now)
-		if u.state.Down(i) || !u.state.Member(i) {
+		rep := authority(u.replicas, i)
+		if rep.state.Down(i) || !rep.state.Member(i) {
 			// A dead or retired server serves nothing and signals
 			// nothing; its residual backlog drain is not a utilization
 			// observation (the metric window averages it as zero).
@@ -64,8 +64,8 @@ func (u *utilizationCollector) sample() {
 		}
 		if u.cfg.AlarmThreshold > 0 {
 			over := util > u.cfg.AlarmThreshold
-			if over != u.state.Alarmed(i) {
-				if err := u.eng.SetAlarm(i, over); err != nil {
+			if over != rep.state.Alarmed(i) {
+				if err := rep.eng.SetAlarm(i, over); err != nil {
 					u.fail(err)
 				}
 				u.res.AlarmSignals++
@@ -92,25 +92,27 @@ func (u *utilizationCollector) sample() {
 
 // estimatorCollector closes the dynamic hidden-load feedback loop:
 // each EstimatorInterval it gathers every live member's per-domain hit
-// report into the engine's estimator and rolls the re-estimated
-// weights into the scheduler state. The report-loss fault model drops
-// a server's whole interval report with probability ReportLossProb;
-// dead servers report nothing.
+// report into its authority replica's estimator (server i reports to
+// replica i mod R) and rolls every replica's re-estimated weights into
+// its scheduler state. In a replicated set the other replicas receive
+// the same hits one gossip round later as replicated increments, so
+// the weight views drift apart by exactly the traffic still in flight
+// between replicas. The report-loss fault model drops a server's whole
+// interval report with probability ReportLossProb; dead servers report
+// nothing.
 type estimatorCollector struct {
-	cfg     Config
-	sim     *simcore.Simulator
-	eng     *engine.Engine
-	state   *core.State
-	servers []*webserver.Server
-	res     *Result
-	fail    func(error)
-	horizon float64
+	cfg      Config
+	sim      *simcore.Simulator
+	replicas []*replica
+	servers  []*webserver.Server
+	res      *Result
+	fail     func(error)
+	horizon  float64
 
 	loss *simcore.Stream
 }
 
 func (c *estimatorCollector) install() {
-	c.state = c.eng.State()
 	c.loss = c.sim.Stream("reportloss")
 	c.sim.Schedule(c.cfg.EstimatorInterval, c.collect)
 }
@@ -118,7 +120,8 @@ func (c *estimatorCollector) install() {
 func (c *estimatorCollector) collect() {
 	for i, sv := range c.servers {
 		hits := sv.TakeDomainHits()
-		if c.state.Down(i) || !c.state.Member(i) {
+		rep := authority(c.replicas, i)
+		if rep.state.Down(i) || !rep.state.Member(i) {
 			// Dead and retired servers report nothing (draining ones
 			// still do — they are alive and serving).
 			continue
@@ -128,11 +131,16 @@ func (c *estimatorCollector) collect() {
 			continue
 		}
 		for j, h := range hits {
-			c.eng.RecordHits(j, h)
+			rep.eng.RecordHits(j, h)
+			if rep.node != nil && h > 0 {
+				rep.node.AddHits(j, h)
+			}
 		}
 	}
-	if err := c.eng.RollEstimates(c.cfg.EstimatorInterval); err != nil {
-		c.fail(err)
+	for _, rep := range c.replicas {
+		if err := rep.eng.RollEstimates(c.cfg.EstimatorInterval); err != nil {
+			c.fail(err)
+		}
 	}
 	if c.sim.Now() < c.horizon {
 		c.sim.Schedule(c.cfg.EstimatorInterval, c.collect)

@@ -117,7 +117,8 @@ type Config struct {
 	// d mod R, server i reports load to replica i mod R, and the
 	// replicas exchange soft-state deltas (internal/replication) every
 	// ReplicationInterval. 0 or 1 runs the paper's single authoritative
-	// DNS — that path is byte-identical to a build without this field.
+	// DNS: R ≤ 1 is the same assembly with one replica, no replication
+	// node and no gossip events.
 	Replicas int
 	// ReplicationInterval is the gossip cadence between replicas in
 	// virtual seconds (required when Replicas > 1).
@@ -153,8 +154,10 @@ type Config struct {
 
 	// DecisionTap, when non-nil, observes every scheduler decision in
 	// scheduling order — the engine's OnDecision seam, which the
-	// sim/live conformance and replay tests record from. Ignored by
-	// Validate and excluded from serialized output.
+	// sim/live conformance and replay tests record from. With
+	// Replicas > 1 it sees every replica's decisions, interleaved in
+	// virtual-time order. Ignored by Validate and excluded from
+	// serialized output.
 	DecisionTap func(domain int, d core.Decision) `json:"-"`
 
 	// Duration is the measured virtual time in seconds (paper: 5 h).

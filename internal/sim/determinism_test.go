@@ -28,6 +28,19 @@ const (
 	goldenPRR2K = "78897c26fef92290d53cfda682c7dcadd662a8738493742dafd34f107f34bfb7"
 )
 
+// Golden fingerprints of R > 1 runs, recorded at commit 85d24f7 — the
+// last one that built replicated runs in an assembly of their own — by
+// running Run on the two configs of TestReplicatedGolden and printing
+// fingerprint(res): 3 replicas with lag and a partition window on
+// oracle weights, and 2 estimator-driven replicas. The second is taken
+// with EventsFired zeroed: the read-only estimator probe is installed
+// at every R, which at that commit it was not for R > 1; it adds fired
+// events and moves nothing else.
+const (
+	goldenReplDRR2     = "7b78d488bbdcd2e535e7419b7f0ffdb240eedba837ab8a8633f72013626bcf76"
+	goldenReplPRR2KEst = "32fdc71df4fbf227daae0cdd3cc463be215b497d0e46d7f98f7e21d97353c7ad"
+)
+
 func goldenConfig(policy string) Config {
 	cfg := DefaultConfig(policy)
 	cfg.Duration = 900
@@ -55,6 +68,32 @@ func TestSingleThreadedDeterminismGolden(t *testing.T) {
 			t.Errorf("%s: output drifted from pre-refactor golden\n got %s\nwant %s",
 				tc.policy, got, tc.want)
 		}
+	}
+}
+
+// TestReplicatedGolden pins the R>1 output the same way: replicas are
+// one more dimension of the single assembly, and folding the former
+// replicated assembly into it must not move a decision.
+func TestReplicatedGolden(t *testing.T) {
+	part := replicaCfg("DRR2-TTL/S_K", 3, 2)
+	part.Partitions = []PartitionEvent{{Start: 400, End: 460}}
+	res, err := Run(part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fingerprint(res); got != goldenReplDRR2 {
+		t.Errorf("3 replicas, partition: output drifted\n got %s\nwant %s", got, goldenReplDRR2)
+	}
+
+	est := replicaCfg("PRR2-TTL/K", 2, 5)
+	est.OracleWeights = false
+	res, err = Run(est)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.EventsFired = 0
+	if got := fingerprint(res); got != goldenReplPRR2KEst {
+		t.Errorf("2 replicas, estimator: output drifted\n got %s\nwant %s", got, goldenReplPRR2KEst)
 	}
 }
 

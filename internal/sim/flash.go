@@ -22,9 +22,9 @@ const flashRampSeconds = 10.0
 // predictive estimator's NS-cache model forecasts from, and that the
 // reactive estimator cannot see until the hits arrive in a report.
 //
-// When no flash crowds are configured the injector schedules nothing
-// and draws from no stream, leaving existing runs (and the
-// determinism goldens) untouched.
+// With no flash crowds configured the injector must schedule nothing
+// and draw from no stream: either would shift every other run's
+// seeded output.
 type flashInjector struct {
 	cfg     Config
 	sim     *simcore.Simulator

@@ -1,24 +1,23 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
 	"dnslb/internal/core"
 	"dnslb/internal/engine"
-	"dnslb/internal/nameserver"
 	"dnslb/internal/replication"
 	"dnslb/internal/simcore"
-	"dnslb/internal/stats"
-	"dnslb/internal/webserver"
 )
 
-// The replicated assembly (Config.Replicas > 1): R authoritative DNS
-// replicas, each with its own scheduler state, policy, estimator, and
-// engine, joined by the same soft-state replication protocol the live
-// servers gossip over (internal/replication) — here under virtual time
-// with a controllable delivery lag and partition windows.
+// The replication extension (Config.Replicas > 1): Run's replica set
+// holds R authoritative DNS replicas, each with its own scheduler
+// state, policy, estimator, and engine, joined by the same soft-state
+// replication protocol the live servers gossip over
+// (internal/replication) — here under virtual time with a controllable
+// delivery lag and partition windows. This file holds only what exists
+// because of replication: the gossip fabric and the per-replica result
+// folds, installed when R > 1.
 //
 // Traffic splits by authority: domain d resolves through replica
 // d mod R, and Web server i reports its load to replica i mod R; each
@@ -29,165 +28,20 @@ import (
 // and the partition scenarios measure the availability the protocol
 // buys: a cut replica keeps answering from local state.
 
-// replica is one authoritative DNS replica: engine + replication node.
+// replica is one authoritative DNS: a scheduling engine over its own
+// state and policy, plus — only in a set of more than one — the
+// replication node that gossips its decisions, alarms and hit counts.
 type replica struct {
 	eng       *engine.Engine
-	node      *replication.Node
-	policy    *core.Policy
-	state     *core.State
-	decisions uint64
+	node      *replication.Node // nil when the set has one replica
+	state     *core.State       // eng.State(), read on every sample and miss
+	decisions uint64            // counted only when node != nil
 }
 
-// runReplicated executes one Replicas>1 simulation. The structure
-// mirrors Run; the single-replica path never enters here, so its
-// deterministic goldens are untouched.
-func runReplicated(cfg Config) (*Result, error) {
-	cluster, err := core.ScaledCluster(cfg.Servers, cfg.HeterogeneityPct, cfg.TotalCapacity)
-	if err != nil {
-		return nil, err
-	}
-	sc := simcore.New(cfg.Seed)
-	prox, err := core.RingProximityConfig(cfg.Workload.Domains, cfg.Servers, cfg.GeoPreference, cfg.GeoBaseMS, cfg.GeoSpanMS)
-	if err != nil {
-		return nil, err
-	}
-	var geo *core.LatencyMatrix
-	if prox != nil {
-		geo = prox.Matrix
-	}
-
-	replicas := make([]*replica, cfg.Replicas)
-	for r := range replicas {
-		state, err := core.NewState(cluster, cfg.Workload.Domains)
-		if err != nil {
-			return nil, err
-		}
-		if err := state.SetWeights(cfg.Workload.OracleWeights()); err != nil {
-			return nil, err
-		}
-		policyCfg := core.PolicyConfig{
-			Name:        cfg.Policy,
-			State:       state,
-			Rand:        sc.Stream(fmt.Sprintf("policy-%d", r)),
-			Now:         sc.Now,
-			ConstantTTL: cfg.ConstantTTL,
-			Proximity:   prox,
-		}
-		policy, err := core.NewPolicy(policyCfg)
-		if err != nil {
-			return nil, err
-		}
-		// Assigned only when enabled: a typed-nil concrete pointer in
-		// the interface would enable feedback on oracle runs.
-		var estimator core.LoadEstimator
-		if !cfg.OracleWeights {
-			estimator, err = core.NewLoadEstimator(cfg.Estimator, cfg.Workload.Domains, cfg.EstimatorAlpha)
-			if err != nil {
-				return nil, err
-			}
-		}
-		rep := &replica{policy: policy, state: state}
-		eng, err := engine.New(engine.Config{
-			Policy:    policy,
-			Clock:     engine.ClockFunc(sc.Now),
-			Estimator: estimator,
-			OnDecision: func(domain int, d core.Decision) {
-				rep.decisions++
-				rep.node.Observe(domain, d)
-			},
-		})
-		if err != nil {
-			return nil, err
-		}
-		rep.eng = eng
-		rep.node, err = replication.NewNode(replication.NodeConfig{
-			Origin: fmt.Sprintf("replica-%d", r),
-			Epoch:  1,
-			Engine: eng,
-			Base:   replication.IdentityBase{},
-		})
-		if err != nil {
-			return nil, err
-		}
-		replicas[r] = rep
-	}
-
-	servers := make([]*webserver.Server, cfg.Servers)
-	for i := range servers {
-		servers[i], err = webserver.New(cluster.Capacity(i), cfg.Workload.Domains)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	res := &Result{Config: cfg}
-	var sched failSlot
-
-	// The traffic sink reads only membership standing, which is frozen
-	// under replication (no faults/drains); replica 0's state stands in
-	// for the ground truth.
-	recov := newDrainTracker(cfg.Servers)
-	sink := &trafficSink{sim: sc, state: replicas[0].state, servers: servers, geo: geo, recov: recov, res: res}
-	tier, err := newReplicaTier(cfg, sc, replicas, res, sched.fail)
-	if err != nil {
-		return nil, err
-	}
-
-	if len(cfg.Trace) > 0 {
-		if err := scheduleTrace(cfg, sc, sink.deliver, tier.resolve); err != nil {
-			return nil, err
-		}
-	} else {
-		scheduleClients(cfg, sc, sink.deliver, tier.resolve)
-	}
-	horizon := cfg.Warmup + cfg.Duration
-	exch := &replicaExchange{sim: sc, cfg: cfg, replicas: replicas, fail: sched.fail, horizon: horizon}
-	exch.install()
-	util := &replicaUtilization{
-		cfg:          cfg,
-		sim:          sc,
-		replicas:     replicas,
-		servers:      servers,
-		res:          res,
-		fail:         sched.fail,
-		horizon:      horizon,
-		maxUtil:      stats.NewWindowedMax(cfg.Servers),
-		utilSum:      make([]float64, cfg.Servers),
-		subPerMetric: int(math.Round(cfg.MetricWindow / cfg.UtilizationInterval)),
-	}
-	util.install()
-	if !cfg.OracleWeights {
-		(&replicaEstimator{cfg: cfg, sim: sc, replicas: replicas, servers: servers, res: res, fail: sched.fail, horizon: horizon}).install()
-	}
-
-	sc.Run(horizon)
-	if sched.err != nil {
-		return nil, fmt.Errorf("sim: scheduling failed: %w", sched.err)
-	}
-
-	res.MaxUtil = util.maxUtil.Series()
-	res.MeanServerUtil = make([]float64, cfg.Servers)
-	var weightedResponse float64
-	for i, sv := range servers {
-		res.MeanServerUtil[i] = sv.MeanUtilization(sc.Now())
-		res.TotalHits += sv.TotalHits()
-		res.TotalPages += sv.TotalPages()
-		weightedResponse += sv.MeanResponseTime() * float64(sv.TotalPages())
-		if sv.MaxResponseTime() > res.MaxResponseTime {
-			res.MaxResponseTime = sv.MaxResponseTime()
-		}
-	}
-	if res.TotalPages > 0 {
-		res.MeanResponseTime = weightedResponse / float64(res.TotalPages)
-	}
-	res.MeanLatencyMS = sink.meanLatencyMS()
-	res.MeanTimeToDrain = recov.mean()
-	tier.collect(res)
-	res.Sched = aggregateSched(replicas)
-	res.EventsFired = sc.EventsFired()
-	collectReplStats(replicas, res)
-	return res, nil
-}
+// authority returns the replica that owns index i of a keyspace split
+// across the set: domains for decisions, servers for alarms and hit
+// reports.
+func authority(replicas []*replica, i int) *replica { return replicas[i%len(replicas)] }
 
 // aggregateSched folds the per-replica policy counters into one Stats
 // as if a single scheduler had made every decision.
@@ -196,7 +50,7 @@ func aggregateSched(replicas []*replica) core.Stats {
 	out.PerClass = make(map[core.DomainClass]uint64)
 	var ttlWeighted float64
 	for _, rep := range replicas {
-		s := rep.policy.Stats()
+		s := rep.eng.Policy().Stats()
 		if out.PerServer == nil {
 			out.PerServer = make([]uint64, len(s.PerServer))
 		}
@@ -251,64 +105,6 @@ func collectReplStats(replicas []*replica, res *Result) {
 				}
 			}
 		}
-	}
-}
-
-// replicaTier is the cacheTier of the replicated assembly: one NS
-// cache per domain as before, but misses resolve through the domain's
-// authoritative replica (d mod R).
-type replicaTier struct {
-	sim      *simcore.Simulator
-	replicas []*replica
-	caches   []*nameserver.Cache
-	res      *Result
-	fail     func(error)
-}
-
-func newReplicaTier(cfg Config, sim *simcore.Simulator, replicas []*replica, res *Result, fail func(error)) (*replicaTier, error) {
-	caches := make([]*nameserver.Cache, cfg.Workload.Domains)
-	for j := range caches {
-		c, err := nameserver.New(cfg.MinNSTTL)
-		if err != nil {
-			return nil, err
-		}
-		caches[j] = c
-	}
-	return &replicaTier{sim: sim, replicas: replicas, caches: caches, res: res, fail: fail}, nil
-}
-
-func (rt *replicaTier) resolve(domain int) int {
-	now := rt.sim.Now()
-	if server, ok := rt.caches[domain].Lookup(now); ok {
-		return server
-	}
-	rep := rt.replicas[domain%len(rt.replicas)]
-	d, err := rep.eng.Decide(domain)
-	if err != nil {
-		if errors.Is(err, core.ErrNoServers) {
-			rt.res.FailedResolves++
-			return -1
-		}
-		rt.fail(err)
-		return 0
-	}
-	rt.res.AddressRequests++
-	if effective := rt.caches[domain].Store(now, d.Server, d.TTL); effective > d.TTL {
-		rep.eng.NoteMapping(d.Server, now+effective)
-		rep.node.NoteLedger()
-	}
-	sn := rep.state.Snapshot()
-	if sn.Draining(d.Server) || !sn.Member(d.Server) {
-		rt.res.PostDrainMappings++
-	}
-	return d.Server
-}
-
-func (rt *replicaTier) collect(res *Result) {
-	for _, c := range rt.caches {
-		st := c.Stats()
-		res.CacheHits += st.Hits
-		res.ClampedTTLs += st.Clamped
 	}
 }
 
@@ -385,110 +181,5 @@ func (x *replicaExchange) fanOut(from int, deltas []*replication.Delta) {
 				apply()
 			}
 		}
-	}
-}
-
-// replicaUtilization is the utilization/alarm collector of the
-// replicated assembly: identical metric accounting, but server i's
-// alarm protocol runs against its reporting replica (i mod R) — the
-// other replicas learn the standing only through gossip.
-type replicaUtilization struct {
-	cfg      Config
-	sim      *simcore.Simulator
-	replicas []*replica
-	servers  []*webserver.Server
-	res      *Result
-	fail     func(error)
-	horizon  float64
-
-	maxUtil      *stats.WindowedMax
-	utilSum      []float64
-	subCount     int
-	subPerMetric int
-}
-
-func (u *replicaUtilization) install() {
-	u.sim.Schedule(u.cfg.UtilizationInterval, u.sample)
-}
-
-func (u *replicaUtilization) sample() {
-	now := u.sim.Now()
-	measuring := now > u.cfg.Warmup
-	for i, sv := range u.servers {
-		util := sv.CloseWindow(now)
-		rep := u.replicas[i%len(u.replicas)]
-		if u.cfg.AlarmThreshold > 0 {
-			over := util > u.cfg.AlarmThreshold
-			if over != rep.state.Alarmed(i) {
-				if err := rep.eng.SetAlarm(i, over); err != nil {
-					u.fail(err)
-				}
-				u.res.AlarmSignals++
-			}
-		}
-		if measuring {
-			u.utilSum[i] += util
-		}
-	}
-	if measuring {
-		u.subCount++
-		if u.subCount == u.subPerMetric {
-			for i := range u.utilSum {
-				u.maxUtil.Observe(i, u.utilSum[i]/float64(u.subPerMetric))
-				u.utilSum[i] = 0
-			}
-			u.subCount = 0
-		}
-	}
-	if now < u.horizon {
-		u.sim.Schedule(u.cfg.UtilizationInterval, u.sample)
-	}
-}
-
-// replicaEstimator closes the hidden-load feedback loop per replica:
-// server i's per-domain hit report reaches only its reporting replica
-// (i mod R) directly; every other replica receives the same hits one
-// gossip round later as replicated increments. Each replica rolls its
-// own estimate — the weight views drift apart by exactly the traffic
-// that is still in flight between replicas.
-type replicaEstimator struct {
-	cfg      Config
-	sim      *simcore.Simulator
-	replicas []*replica
-	servers  []*webserver.Server
-	res      *Result
-	fail     func(error)
-	horizon  float64
-
-	loss *simcore.Stream
-}
-
-func (c *replicaEstimator) install() {
-	c.loss = c.sim.Stream("reportloss")
-	c.sim.Schedule(c.cfg.EstimatorInterval, c.collect)
-}
-
-func (c *replicaEstimator) collect() {
-	for i, sv := range c.servers {
-		hits := sv.TakeDomainHits()
-		if c.cfg.ReportLossProb > 0 && c.loss.Float64() < c.cfg.ReportLossProb {
-			c.res.LostReports++
-			continue
-		}
-		rep := c.replicas[i%len(c.replicas)]
-		for j, h := range hits {
-			if h > 0 {
-				rep.eng.RecordHits(j, h)
-				rep.node.AddHits(j, h)
-			}
-		}
-	}
-	for _, rep := range c.replicas {
-		if err := rep.eng.RollEstimates(c.cfg.EstimatorInterval); err != nil {
-			c.fail(err)
-		}
-	}
-	if c.sim.Now() < c.horizon {
-		c.sim.Schedule(c.cfg.EstimatorInterval, c.collect)
 	}
 }

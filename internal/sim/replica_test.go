@@ -3,6 +3,8 @@ package sim
 import (
 	"math"
 	"testing"
+
+	"dnslb/internal/core"
 )
 
 // replicaCfg is a short replicated run: R replicas gossiping every 8
@@ -185,9 +187,9 @@ func TestReplicatedRunDeterminism(t *testing.T) {
 }
 
 func TestSingleReplicaIsSinglePath(t *testing.T) {
-	// Replicas 0 and 1 must take the unreplicated path and match it
-	// exactly — the replication extension must not perturb the paper's
-	// assembly.
+	// Replicas 0 and 1 are a replica set of one and must match a run
+	// that never set the field, to the byte — the replication extension
+	// must not perturb the paper's assembly.
 	base := DefaultConfig("RR2")
 	base.Duration = 900
 	base.Warmup = 60
@@ -202,12 +204,34 @@ func TestSingleReplicaIsSinglePath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Sched.Decisions != ref.Sched.Decisions || res.TotalHits != ref.TotalHits ||
-			res.MeanResponseTime != ref.MeanResponseTime {
-			t.Errorf("Replicas=%d diverged from the single path", r)
+		if got, want := fingerprint(res), fingerprint(ref); got != want {
+			t.Errorf("Replicas=%d diverged from the unset run: %s != %s", r, got, want)
+		}
+		if res.MeanResponseTime != ref.MeanResponseTime {
+			t.Errorf("Replicas=%d mean response time %v != %v", r, res.MeanResponseTime, ref.MeanResponseTime)
 		}
 		if res.ReplDecisions != nil || res.ReplDeltasApplied != 0 {
 			t.Errorf("Replicas=%d populated replication metrics", r)
 		}
+	}
+}
+
+func TestReplicatedDecisionTap(t *testing.T) {
+	// The caller's tap sees every replica's decisions, not only those
+	// of a single-DNS run.
+	cfg := replicaCfg("DRR2-TTL/S_K", 3, 2)
+	var tapped uint64
+	cfg.DecisionTap = func(int, core.Decision) { tapped++ }
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var perReplica uint64
+	for _, n := range res.ReplDecisions {
+		perReplica += n
+	}
+	if tapped == 0 || tapped != res.Sched.Decisions || tapped != perReplica {
+		t.Errorf("tap saw %d decisions; scheduler made %d, replicas sum to %d",
+			tapped, res.Sched.Decisions, perReplica)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"dnslb/internal/core"
 	"dnslb/internal/engine"
+	"dnslb/internal/replication"
 	"dnslb/internal/simcore"
 	"dnslb/internal/stats"
 	"dnslb/internal/webserver"
@@ -188,51 +189,38 @@ func (f *failSlot) fail(err error) {
 
 // Run executes one simulation and returns its results.
 //
-// Run is an assembly of components around one scheduling engine
-// (internal/engine) — the same decision lifecycle the live DNS server
-// runs, here under virtual time:
+// Run is the one assembly of components around a set of scheduling
+// engines (internal/engine) — the same decision lifecycle the live DNS
+// server runs, here under virtual time:
 //
+//   - the replica set: max(1, Config.Replicas) authoritative DNS
+//     engines, each with its own state, policy and estimator. One
+//     replica is the paper's single DNS: no replication node, no gossip
+//     event. In a larger set, domain d resolves through replica d mod R,
+//     server i signals alarms and reports hits to replica i mod R, and
+//     the replica exchange (replica.go) gossips the rest;
 //   - the traffic source (live client processes or trace playback),
-//   - the NS cache tier resolving sessions through the engine,
+//   - the NS cache tier resolving sessions through the engines,
 //   - the traffic sink routing page bursts to the Web servers,
 //   - the fault and drain injectors,
 //   - the utilization and estimator collectors.
 //
 // Component installation order is part of the deterministic contract:
 // the event heap breaks time ties by insertion order, so traffic is
-// installed first, then the flash-crowd injector, the utilization
-// sampler, the fault injector, the drain injector, the estimator
-// collector, and the estimator probe (the last two only when the
-// hidden-load estimator is enabled).
+// installed first, then the flash-crowd injector, the replica exchange
+// (R > 1 only), the utilization sampler, the fault injector, the drain
+// injector, the estimator collector, and the estimator probe (the last
+// two only when the hidden-load estimator is enabled). Random streams
+// derive from (seed, name), so their creation order is free.
 func Run(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.Replicas > 1 {
-		// The replicated assembly lives in replica.go; the single-replica
-		// path below stays byte-identical to its pre-replication goldens.
-		return runReplicated(cfg)
 	}
 	cluster, err := core.ScaledCluster(cfg.Servers, cfg.HeterogeneityPct, cfg.TotalCapacity)
 	if err != nil {
 		return nil, err
 	}
-	state, err := core.NewState(cluster, cfg.Workload.Domains)
-	if err != nil {
-		return nil, err
-	}
-	if err := state.SetWeights(cfg.Workload.OracleWeights()); err != nil {
-		return nil, err
-	}
-
 	sc := simcore.New(cfg.Seed)
-	policyCfg := core.PolicyConfig{
-		Name:        cfg.Policy,
-		State:       state,
-		Rand:        sc.Stream("policy"),
-		Now:         sc.Now,
-		ConstantTTL: cfg.ConstantTTL,
-	}
 	prox, err := core.RingProximityConfig(cfg.Workload.Domains, cfg.Servers, cfg.GeoPreference, cfg.GeoBaseMS, cfg.GeoSpanMS)
 	if err != nil {
 		return nil, err
@@ -240,12 +228,90 @@ func Run(cfg Config) (*Result, error) {
 	var geo *core.LatencyMatrix
 	if prox != nil {
 		geo = prox.Matrix
-		policyCfg.Proximity = prox
 	}
-	policy, err := core.NewPolicy(policyCfg)
-	if err != nil {
-		return nil, err
+	var ecs *ecsResolvers
+	if cfg.ECSMisalign != nil {
+		ecs = newECSResolvers(cfg.ECSMisalign, cfg.Workload.Domains)
 	}
+
+	replicas := make([]*replica, max(1, cfg.Replicas))
+	for r := range replicas {
+		state, err := core.NewState(cluster, cfg.Workload.Domains)
+		if err != nil {
+			return nil, err
+		}
+		if err := state.SetWeights(cfg.Workload.OracleWeights()); err != nil {
+			return nil, err
+		}
+		// The stream names are part of the seeded output: a lone replica
+		// draws from "policy", replica r of a larger set from "policy-r".
+		// A lone replica also hands the caller's tap to the engine as is.
+		rep := &replica{state: state}
+		stream, onDecision := "policy", cfg.DecisionTap
+		if len(replicas) > 1 {
+			stream = fmt.Sprintf("policy-%d", r)
+			// rep.node is assigned below, before any decision is made.
+			tap := cfg.DecisionTap
+			onDecision = func(domain int, d core.Decision) {
+				rep.decisions++
+				if tap != nil {
+					tap(domain, d)
+				}
+				rep.node.Observe(domain, d)
+			}
+		}
+		policy, err := core.NewPolicy(core.PolicyConfig{
+			Name:        cfg.Policy,
+			State:       state,
+			Rand:        sc.Stream(stream),
+			Now:         sc.Now,
+			ConstantTTL: cfg.ConstantTTL,
+			Proximity:   prox,
+		})
+		if err != nil {
+			return nil, err
+		}
+		engCfg := engine.Config{
+			Policy:     policy,
+			Clock:      engine.ClockFunc(sc.Now),
+			OnDecision: onDecision,
+		}
+		// The interface field is assigned only when feedback is enabled:
+		// a typed-nil concrete pointer in the interface would make the
+		// engine believe an estimator exists.
+		if !cfg.OracleWeights {
+			engCfg.Estimator, err = core.NewLoadEstimator(cfg.Estimator, cfg.Workload.Domains, cfg.EstimatorAlpha)
+			if err != nil {
+				return nil, err
+			}
+		}
+		if ecs != nil {
+			// The misalignment extension routes decisions through the
+			// engine's DecideQuery seam, which needs the address→domain
+			// mapper; without it no decision ever calls the mapper.
+			engCfg.Mapper = ecsDomainMapper(cfg.Workload.Domains)
+		}
+		rep.eng, err = engine.New(engCfg)
+		if err != nil {
+			return nil, err
+		}
+		if len(replicas) > 1 {
+			rep.node, err = replication.NewNode(replication.NodeConfig{
+				Origin: fmt.Sprintf("replica-%d", r),
+				Epoch:  1,
+				Engine: rep.eng,
+				Base:   replication.IdentityBase{},
+			})
+			if err != nil {
+				return nil, err
+			}
+		}
+		replicas[r] = rep
+	}
+	// Faults, drains, detection, flash crowds and ECS misalignment are
+	// rejected by Validate when R > 1, so the components below that take
+	// one engine get replica 0 — the only one there is.
+	eng := replicas[0].eng
 
 	servers := make([]*webserver.Server, cfg.Servers)
 	for i := range servers {
@@ -255,43 +321,16 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	// The interface variable is assigned only when feedback is enabled:
-	// a typed-nil concrete pointer in the interface would make the
-	// engine believe an estimator exists.
-	var estimator core.LoadEstimator
-	if !cfg.OracleWeights {
-		estimator, err = core.NewLoadEstimator(cfg.Estimator, cfg.Workload.Domains, cfg.EstimatorAlpha)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	engCfg := engine.Config{
-		Policy:     policy,
-		Clock:      engine.ClockFunc(sc.Now),
-		Estimator:  estimator,
-		OnDecision: cfg.DecisionTap,
-	}
-	var ecs *ecsResolvers
-	if cfg.ECSMisalign != nil {
-		// The misalignment extension routes decisions through the
-		// engine's DecideQuery seam, which needs the address→domain
-		// mapper; the default path never calls it, keeping its decision
-		// stream (and the determinism goldens) untouched.
-		engCfg.Mapper = ecsDomainMapper(cfg.Workload.Domains)
-		ecs = newECSResolvers(cfg.ECSMisalign, cfg.Workload.Domains)
-	}
-	eng, err := engine.New(engCfg)
-	if err != nil {
-		return nil, err
-	}
-
 	res := &Result{Config: cfg}
 	var sched failSlot
+	fail := sched.fail
+	horizon := cfg.Warmup + cfg.Duration
 
+	// The sink reads only membership and liveness standing, which no
+	// replicated run can change, so replica 0's state is ground truth.
 	recov := newDrainTracker(cfg.Servers)
-	sink := &trafficSink{sim: sc, state: state, servers: servers, geo: geo, recov: recov, res: res}
-	tier, err := newCacheTier(cfg, sc, eng, res, sched.fail)
+	sink := &trafficSink{sim: sc, state: replicas[0].state, servers: servers, geo: geo, recov: recov, res: res}
+	tier, err := newCacheTier(cfg, sc, replicas, res, fail)
 	if err != nil {
 		return nil, err
 	}
@@ -304,12 +343,14 @@ func Run(cfg Config) (*Result, error) {
 	} else {
 		scheduleClients(cfg, sc, sink.deliver, tier.resolve)
 	}
-	flash := &flashInjector{cfg: cfg, sim: sc, tier: tier, deliver: sink.deliver, fail: sched.fail}
+	flash := &flashInjector{cfg: cfg, sim: sc, tier: tier, deliver: sink.deliver, fail: fail}
 	flash.install()
-	horizon := cfg.Warmup + cfg.Duration
-	util := newUtilizationCollector(cfg, sc, eng, servers, res, sched.fail, horizon)
+	if len(replicas) > 1 {
+		(&replicaExchange{sim: sc, cfg: cfg, replicas: replicas, fail: fail, horizon: horizon}).install()
+	}
+	util := newUtilizationCollector(cfg, sc, replicas, servers, res, fail, horizon)
 	util.install()
-	faults := &faultInjector{sim: sc, eng: eng, recov: recov, fail: sched.fail}
+	faults := &faultInjector{sim: sc, eng: eng, recov: recov, fail: fail}
 	if cfg.Detection != nil {
 		actual := &groundTruth{down: make([]bool, cfg.Servers)}
 		sink.actual = actual
@@ -319,9 +360,9 @@ func Run(cfg Config) (*Result, error) {
 		faults.gen = make([]uint64, cfg.Servers)
 	}
 	faults.install(cfg.Faults)
-	(&drainInjector{sim: sc, eng: eng, fail: sched.fail}).install(cfg.Drains)
+	(&drainInjector{sim: sc, eng: eng, fail: fail}).install(cfg.Drains)
 	if eng.HasEstimator() {
-		(&estimatorCollector{cfg: cfg, sim: sc, eng: eng, servers: servers, res: res, fail: sched.fail, horizon: horizon}).install()
+		(&estimatorCollector{cfg: cfg, sim: sc, replicas: replicas, servers: servers, res: res, fail: fail, horizon: horizon}).install()
 		(&estimatorProbe{cfg: cfg, sim: sc, eng: eng, res: res, horizon: horizon}).install()
 	}
 
@@ -359,11 +400,16 @@ func Run(cfg Config) (*Result, error) {
 	if ecs != nil {
 		ecs.collect(res)
 	}
+	// Estimator results are replica 0's view, like the probe's.
 	res.EstimatorRejected = eng.EstimatorRejected()
 	if abs, ok := eng.ForecastError(); ok {
 		res.ForecastAbsError = abs
 	}
-	res.Sched = policy.Stats()
+	res.Sched = eng.Policy().Stats()
+	if len(replicas) > 1 {
+		res.Sched = aggregateSched(replicas)
+		collectReplStats(replicas, res)
+	}
 	res.EventsFired = sc.EventsFired()
 	return res, nil
 }

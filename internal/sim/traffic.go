@@ -138,26 +138,25 @@ func (t *trafficSink) meanLatencyMS() float64 {
 }
 
 // cacheTier is the per-domain name-server cache layer between the
-// clients and the scheduling engine: lookups hit the domain's cache
-// first; misses go to the engine for a fresh decision, whose TTL the
-// cache then applies (after any non-cooperative clamp).
+// clients and the scheduling engines: lookups hit the domain's cache
+// first; misses go to the domain's authority replica (d mod R) for a
+// fresh decision, whose TTL the cache then applies (after any
+// non-cooperative clamp).
 type cacheTier struct {
-	sim    *simcore.Simulator
-	eng    *engine.Engine
-	state  *core.State
-	caches []*nameserver.Cache
-	res    *Result
-	fail   func(error)
+	sim      *simcore.Simulator
+	replicas []*replica
+	caches   []*nameserver.Cache
+	res      *Result
+	fail     func(error)
 
 	// ecs, when non-nil, routes cache misses through the resolver
 	// population model (DecideQuery with resolver address and optional
 	// client subnet) instead of the direct Decide(domain) call — the
-	// misalignment extension (ecs.go). Nil keeps the default path
-	// byte-identical to a build without the extension.
+	// misalignment extension (ecs.go).
 	ecs *ecsResolvers
 }
 
-func newCacheTier(cfg Config, sim *simcore.Simulator, eng *engine.Engine, res *Result, fail func(error)) (*cacheTier, error) {
+func newCacheTier(cfg Config, sim *simcore.Simulator, replicas []*replica, res *Result, fail func(error)) (*cacheTier, error) {
 	caches := make([]*nameserver.Cache, cfg.Workload.Domains)
 	for j := range caches {
 		c, err := nameserver.New(cfg.MinNSTTL)
@@ -166,14 +165,7 @@ func newCacheTier(cfg Config, sim *simcore.Simulator, eng *engine.Engine, res *R
 		}
 		caches[j] = c
 	}
-	return &cacheTier{
-		sim:    sim,
-		eng:    eng,
-		state:  eng.State(),
-		caches: caches,
-		res:    res,
-		fail:   fail,
-	}, nil
+	return &cacheTier{sim: sim, replicas: replicas, caches: caches, res: res, fail: fail}, nil
 }
 
 // resolve returns the server for a new session of the given domain,
@@ -191,14 +183,15 @@ func (ct *cacheTier) resolveVia(cache *nameserver.Cache, domain int) int {
 	if server, ok := cache.Lookup(now); ok {
 		return server
 	}
+	rep := authority(ct.replicas, domain)
 	var d core.Decision
 	var err error
 	if ct.ecs != nil {
 		var qd engine.QueryDecision
-		qd, err = ct.ecs.decide(ct.eng, domain)
+		qd, err = ct.ecs.decide(rep.eng, domain)
 		d = qd.Decision
 	} else {
-		d, err = ct.eng.Decide(domain)
+		d, err = rep.eng.Decide(domain)
 	}
 	if err != nil {
 		if errors.Is(err, core.ErrNoServers) {
@@ -212,11 +205,15 @@ func (ct *cacheTier) resolveVia(cache *nameserver.Cache, domain int) int {
 	// The NS-applied TTL (after any non-cooperative clamp) bounds how
 	// long this mapping can pin traffic to the chosen server. Decide
 	// already noted now+TTL in the engine's ledger; a clamped-up TTL
-	// lengthens the outstanding-mapping window past it.
+	// lengthens the outstanding-mapping window past it, which a
+	// replicated DNS must also gossip.
 	if effective := cache.Store(now, d.Server, d.TTL); effective > d.TTL {
-		ct.eng.NoteMapping(d.Server, now+effective)
+		rep.eng.NoteMapping(d.Server, now+effective)
+		if rep.node != nil {
+			rep.node.NoteLedger()
+		}
 	}
-	sn := ct.state.Snapshot()
+	sn := rep.state.Snapshot()
 	if sn.Draining(d.Server) || !sn.Member(d.Server) {
 		ct.res.PostDrainMappings++
 	}
