@@ -17,7 +17,8 @@ const predictiveClasses = 2
 // maxTrackedWindows bounds the active-mapping windows tracked per
 // (domain, class). When full, a new window replaces the
 // soonest-expiring one — the bound trades a little forecast mass at
-// extreme decision rates for a hard memory cap.
+// extreme decision rates for a hard memory cap. It must fit the uint16
+// indices of the soonest-expiry heaps.
 const maxTrackedWindows = 512
 
 // meanTTLAlpha smooths the running mean handed-out TTL that splits the
@@ -72,12 +73,20 @@ type PredictiveEstimator struct {
 	rates  []float64
 	rolls  int
 
-	// NS-cache model.
+	// NS-cache model. Invariant: every stored window has expiry >
+	// lastRoll. Roll prunes every slot right after moving that fence,
+	// Restore clears the windows, and ObserveDecision refuses a window
+	// born behind it — so nothing else needs to prune.
 	meanTTL  float64 // running mean handed-out TTL (class split point)
 	ttlObs   int
-	windows  [][]mappingWindow // per domain*predictiveClasses+class
+	windows  [][]mappingWindow // per domain*predictiveClasses+class, in insertion order
 	lastNow  float64           // latest engine time observed
 	lastRoll float64           // engine time of the last Roll (attribution fence)
+
+	// soonest[dc] is a min-heap of indices into a full windows[dc] by
+	// (expiry, index): its top is the window a newcomer replaces. Built
+	// when an insert finds the slot full, emptied when prune shrinks it.
+	soonest [][]uint16
 
 	mapRate []ewmaRate // learned hits/s per active mapping, per (domain, class)
 	domRate []ewmaRate // per-domain fallback
@@ -104,6 +113,7 @@ func NewPredictiveEstimator(domains int, alpha float64) (*PredictiveEstimator, e
 		counts:  make([]float64, domains),
 		rates:   make([]float64, domains),
 		windows: make([][]mappingWindow, domains*predictiveClasses),
+		soonest: make([][]uint16, domains*predictiveClasses),
 		mapRate: make([]ewmaRate, domains*predictiveClasses),
 		domRate: make([]ewmaRate, domains),
 	}, nil
@@ -133,9 +143,14 @@ func (e *PredictiveEstimator) classOf(ttl float64) int {
 
 // ObserveDecision feeds one scheduling decision: a resolver received a
 // mapping for domain at engine time now with the given TTL. Implements
-// Forecaster.
+// Forecaster. This is the one estimator call on the query path: O(1)
+// while the slot has room, O(log maxTrackedWindows) and allocation-free
+// once it is full. A non-finite time or TTL is refused, and so is a
+// window born behind the fence (the clock stepped back past a TTL).
 func (e *PredictiveEstimator) ObserveDecision(domain int, now, ttl float64) {
-	if domain < 0 || domain >= e.domains || ttl <= 0 || math.IsNaN(now) || math.IsInf(now, 0) {
+	expiry := now + ttl // NaN or ±Inf when either operand is
+	if domain < 0 || domain >= e.domains || ttl <= 0 ||
+		math.IsNaN(expiry) || math.IsInf(expiry, 0) || expiry <= e.lastRoll {
 		return
 	}
 	if now > e.lastNow {
@@ -150,33 +165,59 @@ func (e *PredictiveEstimator) ObserveDecision(domain int, now, ttl float64) {
 	e.ttlObs++
 
 	dc := domain*predictiveClasses + c
-	w := e.prune(dc)
-	win := mappingWindow{start: now, expiry: now + ttl}
+	w := e.windows[dc]
+	win := mappingWindow{start: now, expiry: expiry}
 	if len(w) < maxTrackedWindows {
 		e.windows[dc] = append(w, win)
 		return
 	}
-	// Full: replace the soonest-expiring window if the new one lasts
-	// longer, keeping the forecast horizon as long as possible.
-	minAt, minExp := -1, win.expiry
-	for i := range w {
-		if w[i].expiry < minExp {
-			minAt, minExp = i, w[i].expiry
+	// Full: replace the soonest-expiring window (the first, on a tie) if
+	// the new one lasts longer, keeping the forecast horizon as long as
+	// possible — in place, because Roll's float sums run in slice order.
+	h := e.soonest[dc]
+	if len(h) == 0 { // first full insert since the slot last shrank
+		for i := range w {
+			h = append(h, uint16(i))
 		}
+		for i := len(h)/2 - 1; i >= 0; i-- {
+			siftSoonest(w, h, i)
+		}
+		e.soonest[dc] = h
 	}
-	if minAt >= 0 {
-		w[minAt] = win
+	if top := h[0]; w[top].expiry < expiry {
+		w[top] = win
+		siftSoonest(w, h, 0)
+	}
+}
+
+// soonestLess orders window indices a, b of w by (expiry, index).
+func soonestLess(w []mappingWindow, a, b uint16) bool {
+	return w[a].expiry < w[b].expiry || (w[a].expiry == w[b].expiry && a < b)
+}
+
+// siftSoonest restores the heap order of h below position i.
+func siftSoonest(w []mappingWindow, h []uint16, i int) {
+	for {
+		j := 2*i + 1
+		if j+1 < len(h) && soonestLess(w, h[j+1], h[j]) {
+			j++
+		}
+		if j >= len(h) || !soonestLess(w, h[j], h[i]) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
 	}
 }
 
 // prune drops windows of (domain, class) slot dc whose mapping-seconds
-// the last Roll has already attributed, and returns the compacted
-// slice. The fence is the last roll time, NOT the current time: a
-// short-TTL window that expires mid-interval still owes its active
-// seconds to the next Roll's attribution — dropping it early would
-// shrink the denominator and inflate the learned per-mapping rate for
-// exactly the hot, short-TTL domains the forecast matters most for.
-func (e *PredictiveEstimator) prune(dc int) []mappingWindow {
+// the Roll that just moved the fence has attributed. The fence is the
+// last roll time, NOT the current time: a short-TTL window that expires
+// mid-interval still owes its active seconds to the next Roll's
+// attribution — dropping it early would shrink the denominator and
+// inflate the learned per-mapping rate for exactly the hot, short-TTL
+// domains the forecast matters most for.
+func (e *PredictiveEstimator) prune(dc int) {
 	w := e.windows[dc]
 	keep := w[:0]
 	for _, win := range w {
@@ -184,8 +225,10 @@ func (e *PredictiveEstimator) prune(dc int) []mappingWindow {
 			keep = append(keep, win)
 		}
 	}
+	if len(keep) < len(w) {
+		e.soonest[dc] = e.soonest[dc][:0] // indices shifted
+	}
 	e.windows[dc] = keep
-	return keep
 }
 
 // Roll closes a collection interval: it folds the reported hits into
@@ -297,7 +340,7 @@ func (e *PredictiveEstimator) ForecastRates(now float64) []float64 {
 			// Count windows covering now; expired-but-unattributed ones
 			// stay stored for the next Roll but carry no current demand.
 			var active int
-			for _, win := range e.prune(j*predictiveClasses + c) {
+			for _, win := range e.windows[j*predictiveClasses+c] {
 				if win.start <= now && now < win.expiry {
 					active++
 				}
@@ -409,6 +452,7 @@ func (e *PredictiveEstimator) Restore(st EstimatorState) error {
 	// empty and repopulate from live decisions.
 	for i := range e.windows {
 		e.windows[i] = nil
+		e.soonest[i] = nil
 	}
 	e.lastNow = 0
 	e.lastRoll = 0

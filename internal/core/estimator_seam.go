@@ -30,8 +30,9 @@ func EstimatorKinds() []string { return []string{EstimatorReactive, EstimatorPre
 // catalog policy runs unmodified on either.
 //
 // Implementations are not safe for concurrent use; the engine
-// serializes all calls behind one mutex (feedback arrives on
-// report/collection intervals, never per query).
+// serializes all calls behind one mutex. Record and Roll arrive on
+// report/collection intervals; the one per-query call is a
+// Forecaster's ObserveDecision, which must therefore stay cheap.
 type LoadEstimator interface {
 	// Kind identifies the implementation (EstimatorReactive, ...).
 	Kind() string
@@ -62,7 +63,7 @@ type LoadEstimator interface {
 // Forecaster is the optional capability a LoadEstimator implements
 // when it can predict demand from the engine's own TTL handouts. The
 // engine type-asserts it once at assembly; the reactive estimator does
-// not implement it, so the reactive query path carries no extra work.
+// not implement it, so the reactive query path pays only a nil check.
 type Forecaster interface {
 	// ObserveDecision feeds one scheduling decision: at engine time
 	// now the DNS handed a resolver a mapping for domain with the

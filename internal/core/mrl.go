@@ -1,9 +1,6 @@
 package core
 
-import (
-	"container/heap"
-	"sync"
-)
+import "sync"
 
 // mrlSelector implements the Minimum Residual Load baseline from the
 // companion homogeneous-server study (Colajanni, Yu, Dias, ICDCS'97),
@@ -39,7 +36,7 @@ func (m *mrlSelector) Select(sn *Snapshot, domain int) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for len(m.pending) > 0 && m.pending[0].expire <= t {
-		heap.Pop(&m.pending)
+		m.pending.pop()
 	}
 	residual := make([]float64, n)
 	for _, e := range m.pending {
@@ -60,6 +57,6 @@ func (m *mrlSelector) Select(sn *Snapshot, domain int) int {
 	if best == -1 {
 		return -1
 	}
-	heap.Push(&m.pending, dalEntry{expire: t + m.ttl, server: best, load: sn.Weight(domain)})
+	m.pending.push(dalEntry{expire: t + m.ttl, server: best, load: sn.Weight(domain)})
 	return best
 }

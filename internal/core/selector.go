@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/heap"
 	"sync"
 	"sync/atomic"
 )
@@ -226,13 +225,37 @@ type dalEntry struct {
 	load   float64
 }
 
+// dalHeap is a min-heap of mappings by expiry. push and pop move
+// entries exactly as container/heap does — pop order among equal
+// expiries decides every DAL/MRL float — without boxing one per call.
 type dalHeap []dalEntry
 
-func (h dalHeap) Len() int           { return len(h) }
-func (h dalHeap) Less(i, j int) bool { return h[i].expire < h[j].expire }
-func (h dalHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *dalHeap) Push(x any)        { *h = append(*h, x.(dalEntry)) }
-func (h *dalHeap) Pop() any          { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
+func (h *dalHeap) push(e dalEntry) {
+	s := append(*h, e)
+	*h = s
+	for j := len(s) - 1; j > 0 && s[j].expire < s[(j-1)/2].expire; j = (j - 1) / 2 {
+		s[j], s[(j-1)/2] = s[(j-1)/2], s[j]
+	}
+}
+
+func (h *dalHeap) pop() dalEntry {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j+1 < n && s[j+1].expire < s[j].expire {
+			j++
+		}
+		if j >= n || !(s[j].expire < s[i].expire) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
+	*h = s[:n]
+	return s[n]
+}
 
 // dalSelector implements the minimum Dynamically Accumulated Load
 // baseline in the capacity-aware version used by the paper's Figure 3:
@@ -269,7 +292,7 @@ func (d *dalSelector) Select(sn *Snapshot, domain int) int {
 		d.load = make([]float64, n)
 	}
 	for len(d.pending) > 0 && d.pending[0].expire <= t {
-		e := heap.Pop(&d.pending).(dalEntry)
+		e := d.pending.pop()
 		d.load[e.server] -= e.load
 		if d.load[e.server] < 0 {
 			d.load[e.server] = 0
@@ -290,6 +313,6 @@ func (d *dalSelector) Select(sn *Snapshot, domain int) int {
 	}
 	w := sn.Weight(domain)
 	d.load[best] += w
-	heap.Push(&d.pending, dalEntry{expire: t + d.ttl, server: best, load: w})
+	d.pending.push(dalEntry{expire: t + d.ttl, server: best, load: w})
 	return best
 }

@@ -519,7 +519,8 @@ func (s *Server) DomainWeight(domain int) float64 {
 // RecordHits feeds per-domain hit counts into the hidden-load
 // estimator (the server-side accounting the paper's DNS collects).
 // The estimator keeps mutable running sums, so the engine serializes
-// it behind its own lock — off the query path entirely.
+// it behind its own lock, which the query path shares only under the
+// predictive estimator (one short insert per decision).
 // Hit reports received here are locally observed, so they are also
 // queued for replication when a peer set is configured; hits merged
 // FROM peers go straight into the engine and are never re-queued (no

@@ -20,8 +20,10 @@
 // Decide is safe for concurrent callers and takes no engine-level
 // lock: the policy schedules against atomically published snapshots
 // and the ledger is CAS-max per slot. The estimator keeps mutable
-// running sums and is serialized by its own mutex — off the query
-// path entirely (feedback arrives on report/collection intervals).
+// running sums and is serialized by its own mutex: reports and rolls
+// take it on collection intervals; per query the reactive kind pays a
+// nil check and the predictive kind takes it for an O(log W) window
+// insert (DESIGN.md §14, "Cost of the tap", has the measured ceiling).
 package engine
 
 import (
@@ -33,11 +35,12 @@ import (
 	"dnslb/internal/core"
 )
 
-// lockedEstimator serializes estimator mutations. Feedback arrives on
-// report/collection intervals, never per query, so one mutex suffices.
-// fc is the estimator's Forecaster capability, type-asserted once at
-// assembly: nil for the reactive kind, which therefore pays nothing on
-// the query path.
+// lockedEstimator serializes estimator mutations. Reports and rolls
+// arrive on collection intervals and the one per-query holder, the
+// predictive kind's decision tap, is a ≈50–100 ns insert, so one mutex
+// suffices. fc is the estimator's Forecaster capability, type-asserted
+// once at assembly: nil for the reactive kind, whose query path
+// therefore pays only that nil check.
 type lockedEstimator struct {
 	mu  sync.Mutex
 	est core.LoadEstimator
@@ -153,7 +156,8 @@ func (e *Engine) Decide(domain int) (core.Decision, error) {
 	if e.est != nil && e.est.fc != nil {
 		// Feed the TTL handout to the forecasting estimator: this is
 		// the NS-cache model's input. Only the predictive kind takes
-		// this lock on the query path; the reactive kind's fc is nil.
+		// this lock on the query path, for one O(log W) insert; the
+		// reactive kind's fc is nil.
 		e.est.mu.Lock()
 		e.est.fc.ObserveDecision(domain, now, d.TTL)
 		e.est.mu.Unlock()
