@@ -205,6 +205,10 @@ func startRun(t *testing.T, args []string) (boundAddrs, func() error) {
 	stop := make(chan struct{})
 	addrs := make(chan boundAddrs, 1)
 	errc := make(chan error, 1)
+	// The default report port is the DNS port + 1, which beside an
+	// ephemeral DNS port is often some client socket's: bind a free one
+	// unless the test names its own (a later flag wins).
+	args = append([]string{"-report", "127.0.0.1:0"}, args...)
 	go func() { errc <- run(args, stop, func(b boundAddrs) { addrs <- b }) }()
 	select {
 	case b := <-addrs:

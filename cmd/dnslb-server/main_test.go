@@ -70,6 +70,7 @@ func TestRunEndToEnd(t *testing.T) {
 		errc <- run([]string{
 			"-zone", "www.e2e.test",
 			"-addr", "127.0.0.1:0",
+			"-report", "127.0.0.1:0", // not DNS port + 1: it may be taken
 			"-servers", "10.9.0.1,10.9.0.2",
 			"-capacities", "100,50",
 			"-policy", "DRR2-TTL/S_K",
@@ -285,6 +286,7 @@ func TestRunTwoReplicaReplication(t *testing.T) {
 	common := []string{
 		"-zone", "www.repl.test",
 		"-addr", "127.0.0.1:0",
+		"-report", "127.0.0.1:0", // not DNS port + 1: it may be taken
 		"-servers", "10.9.1.1,10.9.1.2",
 		"-capacities", "100,50",
 		"-policy", "DRR2-TTL/S_K",

@@ -121,6 +121,7 @@ func TestChaosSoak(t *testing.T) {
 		errc <- run([]string{
 			"-zone", "www.soak.test",
 			"-addr", "127.0.0.1:0",
+			"-report", "127.0.0.1:0", // not DNS port + 1: it may be taken
 			"-servers", "10.7.0.1,10.7.0.2,10.7.0.3",
 			"-capacities", "100,100,50",
 			"-policy", "DRR2-TTL/S_K",

@@ -1,6 +1,8 @@
 package dnsserver
 
 import (
+	"bufio"
+	"io"
 	"net"
 	"net/netip"
 	"runtime"
@@ -136,6 +138,45 @@ func BenchmarkServerUDPThroughput(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkServerTCPPipelined measures query round-trips over one
+// loopback TCP connection with 16 queries kept in flight — the serve
+// loop's framing, batching and socket cost on top of the handler. The
+// client writes pre-framed queries and reads responses into a reused
+// buffer, so the allocations reported are the server's.
+func BenchmarkServerTCPPipelined(b *testing.B) {
+	srv := benchServer(b, "DRR2-TTL/S_K", "127.0.0.1:0")
+	conn, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer conn.Close()
+	const window = 16
+	frame := frameTCP(zoneQuery(b, netip.Prefix{}))
+	br := bufio.NewReaderSize(conn, 4096)
+	resp := make([]byte, dnswire.MaxUDPPayload)
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	sent := 0
+	for done := 0; done < b.N; done++ {
+		for ; sent < b.N && sent < done+window; sent++ {
+			if _, err := conn.Write(frame); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, err := io.ReadFull(br, resp[:2]); err != nil {
+			b.Fatal(err)
+		}
+		n := int(resp[0])<<8 | int(resp[1])
+		if _, err := io.ReadFull(br, resp[:n]); err != nil {
+			b.Fatal(err)
+		}
+		if n < 12 || resp[0] != frame[2] || resp[1] != frame[3] {
+			b.Fatal("malformed response")
+		}
+	}
 }
 
 // BenchmarkHandleHotPath measures the server-side handler alone —

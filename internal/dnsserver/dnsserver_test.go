@@ -2,6 +2,7 @@ package dnsserver
 
 import (
 	"context"
+	"io"
 	"math"
 	"net"
 	"net/netip"
@@ -18,6 +19,12 @@ import (
 // testServer starts a server with the given policy name over a 7-node
 // 50%-heterogeneity cluster and 20 Zipf domains.
 func testServer(t *testing.T, policyName string, mapper DomainMapper) (*Server, *core.State) {
+	t.Helper()
+	return testServerCfg(t, policyName, func(cfg *Config) { cfg.Mapper = mapper })
+}
+
+// testServerCfg is testServer with the Config open to edits before New.
+func testServerCfg(t *testing.T, policyName string, edit func(*Config)) (*Server, *core.State) {
 	t.Helper()
 	cluster, err := core.ScaledCluster(7, 50, 500)
 	if err != nil {
@@ -44,13 +51,14 @@ func testServer(t *testing.T, policyName string, mapper DomainMapper) (*Server, 
 	for i := range addrs {
 		addrs[i] = netip.AddrFrom4([4]byte{10, 0, 0, byte(i + 1)})
 	}
-	srv, err := New(Config{
+	cfg := Config{
 		Zone:        "www.site.example",
 		ServerAddrs: addrs,
 		Policy:      policy,
-		Mapper:      mapper,
 		Addr:        "127.0.0.1:0",
-	})
+	}
+	edit(&cfg)
+	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,11 +234,11 @@ func TestTCPTransport(t *testing.T) {
 		t.Fatal(err)
 	}
 	lenBuf := make([]byte, 2)
-	if _, err := readFull(conn, lenBuf); err != nil {
+	if _, err := io.ReadFull(conn, lenBuf); err != nil {
 		t.Fatal(err)
 	}
 	msg := make([]byte, int(lenBuf[0])<<8|int(lenBuf[1]))
-	if _, err := readFull(conn, msg); err != nil {
+	if _, err := io.ReadFull(conn, msg); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := dnswire.Unpack(msg)

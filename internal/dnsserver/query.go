@@ -53,6 +53,11 @@ func (s *Server) safeHandle(wire []byte, from netip.Addr, tr engine.Transport, m
 // no server-level lock: the engine and state are internally safe, and
 // counters go to the caller's stats shard.
 func (s *Server) handle(wire []byte, from netip.Addr, tr engine.Transport, maxSize int, dst []byte) []byte {
+	// A dual-stack socket (a wildcard listen address) reports an IPv4
+	// peer as ::ffff:a.b.c.d. Shed the mapping here, once, so the domain
+	// mapper, the rate limiter and the stats shard see one resolver as
+	// one address whatever socket it arrived on.
+	from = from.Unmap()
 	idx := s.statsIndex(from)
 	st := &s.stats[idx]
 	st.queries.Add(1)

@@ -253,9 +253,15 @@ func TestReplicationPartitionHealE2E(t *testing.T) {
 	})
 	t.Logf("converged %v after heal", time.Since(healedAt).Round(time.Millisecond))
 
-	for _, h := range append(a.Replicator().Health(), b.Replicator().Health()...) {
-		if h.FullSyncs < 2 {
-			t.Errorf("peer %s: FullSyncs = %d, want ≥2 (initial + post-heal)", h.Addr, h.FullSyncs)
+	// The sender counts a full sync only after the snapshot's last delta
+	// is written, which can trail the receiver applying it: wait for the
+	// counters instead of reading them the instant convergence shows.
+	waitUntil(t, "FullSyncs ≥ 2 on both peers (initial + post-heal)", 5*time.Second, func() bool {
+		for _, h := range append(a.Replicator().Health(), b.Replicator().Health()...) {
+			if h.FullSyncs < 2 {
+				return false
+			}
 		}
-	}
+		return true
+	})
 }

@@ -1,6 +1,7 @@
 package dnsserver
 
 import (
+	"bufio"
 	"context"
 	"fmt"
 	"math"
@@ -8,7 +9,6 @@ import (
 	"net/http"
 	"net/netip"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dnslb/internal/dnswire"
@@ -16,8 +16,8 @@ import (
 )
 
 // Serve loops and lifecycle: socket binding, the parallel UDP
-// reader/responder workers, the TCP accept loop and its pipelined
-// per-connection handlers, the optional DoH front end, and the two
+// reader/responder workers, the TCP accept loop and its buffered
+// per-connection loops, the optional DoH front end, and the two
 // stop paths (immediate Close, graceful Shutdown).
 
 // Start binds the UDP socket and TCP listener and begins serving with
@@ -217,9 +217,9 @@ func (s *Server) cancelDrainTimers() {
 	s.reconfigMu.Unlock()
 }
 
-// packPool recycles response buffers across queries; serve loops pack
-// into a pooled buffer via dnswire.AppendPack and return it after the
-// write, so steady-state encoding allocates nothing.
+// packPool recycles response buffers across queries: the UDP and DoH
+// loops hand handle a pooled buffer to encode into and return it after
+// the write, so steady-state encoding allocates nothing.
 var packPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 2048)
@@ -314,8 +314,8 @@ func (s *Server) serveUDP(worker int) {
 
 // DefaultMaxTCPConns is the concurrent TCP connection cap applied when
 // Config.MaxTCPConns is zero. Each connection costs one goroutine plus
-// a pooled read buffer; 512 comfortably covers legitimate TCP retry
-// traffic (truncated UDP responses) while bounding a connection flood.
+// its pooled buffers (tcpBufs); 512 comfortably covers legitimate TCP
+// retry traffic (truncated UDP responses) while bounding a flood.
 const DefaultMaxTCPConns = 512
 
 // TCPConns returns the number of TCP connections currently being
@@ -389,135 +389,128 @@ const tcpIdleTimeout = 30 * time.Second
 // either way the connection is cut before reading the payload.
 const maxTCPQuery = 4096
 
-// tcpBufPool recycles TCP read buffers: one Get per in-flight message
-// keeps the steady-state read path allocation-free while a flood of
-// short-lived connections recycles instead of churning 4 KiB slabs.
-var tcpBufPool = sync.Pool{
+// tcpBufs is what one TCP connection reads, encodes and writes through:
+// a reader that holds one maximal frame, a writer that batches the
+// responses, and the buffer handle encodes each response into (handle
+// needs a zero-length dst — the answer's compression pointer is offset
+// 12 — so the ≈60 bytes are copied into the writer behind their length
+// prefix). ≈10 KiB per connection, pooled so a flood of short-lived
+// connections recycles the buffers instead of churning them.
+type tcpBufs struct {
+	br   *bufio.Reader
+	bw   *bufio.Writer
+	resp []byte
+}
+
+var tcpBufsPool = sync.Pool{
 	New: func() any {
-		b := make([]byte, maxTCPQuery)
-		return &b
+		return &tcpBufs{
+			br:   bufio.NewReaderSize(nil, 2+maxTCPQuery),
+			bw:   bufio.NewWriterSize(nil, maxTCPQuery),
+			resp: make([]byte, 0, 2048),
+		}
 	},
 }
 
-// maxTCPPipeline bounds how many queries one TCP connection may have in
-// flight at once (RFC 7766 §6.2.1.1 pipelining). The reader stalls —
-// applying natural backpressure through the kernel's receive window —
-// once the cap is reached, so one connection can neither spawn
-// unbounded handler goroutines nor pin unbounded pooled buffers.
-const maxTCPPipeline = 16
-
-// serveTCPConn serves one TCP connection with pipelining per RFC 7766:
-// the read loop keeps consuming length-prefixed queries while up to
-// maxTCPPipeline handler goroutines process earlier ones concurrently,
-// and each handler writes its length-prefixed response under the
-// connection's write lock the moment it is ready — so responses may
-// interleave in any order (clients match on message ID) and one slow
-// decision never convoys the queries behind it.
+// serveTCPConn serves one TCP connection: the UDP loop with framing.
+// Each length-prefixed query (RFC 7766) is handled inline, on the frame
+// as it lies in the read buffer, and its length-prefixed response is
+// appended to the write buffer; the batch goes out in one write when
+// the read buffer holds no further complete frame — right before the
+// loop would block — or when the write buffer is full. A client that
+// pipelines k queries costs about two syscalls per batch, one that asks
+// one at a time costs one read and one write per query, and responses
+// leave in arrival order (RFC 7766 §7 permits any; clients match on
+// message ID). Nothing under handle blocks, so there is nothing to
+// overlap by handing queries to other goroutines.
 //
-// Framing errors (zero or oversized length prefix) and unanswerable
-// messages cut the connection exactly as the sequential loop did;
-// in-flight handlers for earlier queries still complete and write
-// their responses before the deferred Wait returns.
+// A zero or oversized length prefix, an unanswerable message, a socket
+// error and a graceful shutdown all end the loop; the responses already
+// batched are flushed on every one of those paths before the caller
+// closes the connection.
 func (s *Server) serveTCPConn(conn net.Conn) {
 	var raddr netip.Addr
-	if ap, err := netip.ParseAddrPort(conn.RemoteAddr().String()); err == nil {
-		raddr = ap.Addr()
+	if ta, ok := conn.RemoteAddr().(*net.TCPAddr); ok {
+		raddr = ta.AddrPort().Addr()
 	}
-	var (
-		wmu    sync.Mutex // serializes response writes
-		wg     sync.WaitGroup
-		broken atomic.Bool // a handler failed to write or dropped its query
-		sem    = make(chan struct{}, maxTCPPipeline)
-	)
-	// Cut the connection: mark it broken so the read loop stops, and
-	// close it so concurrent handlers' writes fail fast. Handlers call
-	// this too, making a mid-pipeline failure converge from both sides.
-	cut := func() {
-		broken.Store(true)
-		_ = conn.Close()
+	b := tcpBufsPool.Get().(*tcpBufs)
+	br, bw := b.br, b.bw
+	br.Reset(conn)
+	bw.Reset(conn)
+	// flush also arms the write deadline for a response larger than the
+	// write buffer, which bw writes through right after making room.
+	flush := func() bool {
+		_ = conn.SetWriteDeadline(time.Now().Add(tcpIdleTimeout))
+		return bw.Flush() == nil
 	}
-	defer wg.Wait()
-	var lenBuf [2]byte
+	defer func() {
+		flush()
+		br.Reset(nil)
+		bw.Reset(nil)
+		tcpBufsPool.Put(b)
+	}()
+	// awaited: the idle deadline for the frame at the head of the buffer
+	// is running. It is set once per frame, when the loop first blocks
+	// for it, so a client trickling one frame byte by byte has
+	// tcpIdleTimeout for all of it, not for each byte.
+	awaited := false
 	for {
-		// A graceful shutdown lets in-flight exchanges finish but takes
-		// no further messages from the connection.
-		select {
-		case <-s.closed:
-			return
-		default:
-		}
-		if broken.Load() {
-			return
-		}
-		if err := conn.SetReadDeadline(time.Now().Add(tcpIdleTimeout)); err != nil {
-			return
-		}
-		if _, err := readFull(conn, lenBuf[:]); err != nil {
-			return
-		}
-		n := int(lenBuf[0])<<8 | int(lenBuf[1])
-		// Validate the length prefix BEFORE reading the payload: a
+		// Validate the length prefix BEFORE awaiting the payload: a
 		// zero-length message carries nothing answerable, and an
 		// oversized one is read-and-discard work no legitimate resolver
-		// ever asks for. Both stop the read loop; responses already in
-		// flight drain through the deferred Wait before the caller
-		// closes the connection.
-		if n == 0 || n > maxTCPQuery {
-			return
-		}
-		// The message gets its own pooled buffer: the handler goroutine
-		// owns it until done, while the read loop moves on to the next
-		// length prefix.
-		msgp := tcpBufPool.Get().(*[]byte)
-		msg := (*msgp)[:n]
-		if _, err := readFull(conn, msg); err != nil {
-			tcpBufPool.Put(msgp)
-			return
-		}
-		sem <- struct{}{}
-		wg.Add(1)
-		go func() {
-			defer func() {
-				<-sem
-				wg.Done()
-			}()
-			bp := packPool.Get().(*[]byte)
-			resp := s.safeHandle(msg, raddr, engine.TransportTCP, math.MaxUint16, (*bp)[:0])
-			tcpBufPool.Put(msgp)
-			if resp == nil {
-				packPool.Put(bp)
-				cut()
+		// ever asks for.
+		need := 2
+		if br.Buffered() >= 2 {
+			pfx, _ := br.Peek(2)
+			n := int(pfx[0])<<8 | int(pfx[1])
+			if n == 0 || n > maxTCPQuery {
 				return
 			}
-			var pfx [2]byte
-			pfx[0], pfx[1] = byte(len(resp)>>8), byte(len(resp))
-			// Two-buffer writev under the write lock: length prefix +
-			// pooled response body, no copy into a combined slice, and
-			// no interleaving of partial responses from other handlers.
-			wmu.Lock()
-			_ = conn.SetWriteDeadline(time.Now().Add(tcpIdleTimeout))
-			bufs := net.Buffers{pfx[:], resp}
-			_, err := bufs.WriteTo(conn)
-			wmu.Unlock()
-			if cap(resp) > cap(*bp) {
-				*bp = resp[:0]
+			need += n
+		}
+		if br.Buffered() < need {
+			// About to block. Flush first, or a client that waits for an
+			// answer before sending more (or whose next frame is split
+			// across segments) waits out the idle timeout for a response
+			// sitting in the write buffer. A graceful shutdown answers
+			// what was already read but takes nothing more from the socket.
+			if !flush() {
+				return
 			}
-			packPool.Put(bp)
-			if err != nil {
-				cut()
+			select {
+			case <-s.closed:
+				return
+			default:
 			}
-		}()
-	}
-}
-
-func readFull(conn net.Conn, buf []byte) (int, error) {
-	read := 0
-	for read < len(buf) {
-		n, err := conn.Read(buf[read:])
-		read += n
-		if err != nil {
-			return read, err
+			if !awaited {
+				if err := conn.SetReadDeadline(time.Now().Add(tcpIdleTimeout)); err != nil {
+					return
+				}
+				awaited = true
+			}
+			if _, err := br.Peek(need); err != nil {
+				return
+			}
+			continue
+		}
+		frame, _ := br.Peek(need)
+		resp := s.safeHandle(frame[2:], raddr, engine.TransportTCP, math.MaxUint16, b.resp[:0])
+		_, _ = br.Discard(need)
+		awaited = false
+		if resp == nil {
+			return
+		}
+		if cap(resp) > cap(b.resp) {
+			b.resp = resp[:0] // keep the grown buffer
+		}
+		if bw.Available() < 2+len(resp) && !flush() {
+			return
+		}
+		// bw's write errors are sticky: one for a prefix byte shows below.
+		_ = bw.WriteByte(byte(len(resp) >> 8))
+		_ = bw.WriteByte(byte(len(resp)))
+		if _, err := bw.Write(resp); err != nil {
+			return
 		}
 	}
-	return read, nil
 }

@@ -1,7 +1,9 @@
 package metrics
 
 import (
+	"io"
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -142,6 +144,29 @@ dnslb_test_utilization 0.625
 	}
 	if n, err := CheckText(strings.NewReader(b.String())); err != nil || n == 0 {
 		t.Errorf("CheckText: samples=%d err=%v", n, err)
+	}
+}
+
+// TestScrapeWhileRegistering: a series joins a family that a scrape is
+// rendering (a backend JOIN under a live /metrics); run under -race.
+func TestScrapeWhileRegistering(t *testing.T) {
+	r := NewRegistry()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 500; i++ {
+			r.NewCounter("joined_total", "Late series.", Labels{"server", strconv.Itoa(i)}).Inc()
+		}
+	}()
+	for {
+		if err := r.WritePrometheus(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-done:
+			return
+		default:
+		}
 	}
 }
 

@@ -189,11 +189,14 @@ const TextContentType = "text/plain; version=0.0.4; charset=utf-8"
 // families sorted by name, series by label string. Func metrics are
 // evaluated as they are written.
 func (r *Registry) WritePrometheus(w io.Writer) error {
+	// Copy each family with its series list under the lock: a series
+	// registered while the server runs (a backend JOIN) appends to and
+	// re-sorts that list.
 	r.mu.Lock()
-	names := append([]string(nil), r.names...)
-	fams := make([]*family, len(names))
-	for i, n := range names {
-		fams[i] = r.families[n]
+	fams := make([]family, len(r.names))
+	for i, n := range r.names {
+		fams[i] = *r.families[n]
+		fams[i].series = append([]*series(nil), fams[i].series...)
 	}
 	r.mu.Unlock()
 	var b strings.Builder
