@@ -260,26 +260,6 @@ func mustA(s string) dnswire.A {
 	return a
 }
 
-// BenchmarkEngineEvents measures the raw discrete-event engine
-// throughput: schedule-and-fire of chained events.
-func BenchmarkEngineEvents(b *testing.B) {
-	s := simcore.New(1)
-	var tick func()
-	fired := 0
-	tick = func() {
-		fired++
-		s.Schedule(1, tick)
-	}
-	s.Schedule(0, tick)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Step()
-	}
-	if fired == 0 {
-		b.Fatal("no events fired")
-	}
-}
-
 // Example of using the public API; also keeps the facade's quickstart
 // in the doc comment honest.
 func Example() {

@@ -15,6 +15,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"time"
 
 	"dnslb"
@@ -35,7 +36,7 @@ func run(args []string, out io.Writer) error {
 		reps     = fs.Int("reps", 0, "override replications")
 		duration = fs.Float64("duration", 0, "override measured virtual seconds")
 		seed     = fs.Uint64("seed", 1, "base random seed")
-		workers  = fs.Int("workers", 0, "parallel simulation runs per figure (0 or 1 = sequential; results are identical)")
+		workers  = fs.Int("workers", runtime.NumCPU(), "parallel simulation runs per figure (0 or 1 = sequential; results are identical)")
 		csv      = fs.Bool("csv", false, "emit CSV instead of text tables")
 		plot     = fs.Bool("plot", false, "also draw each figure as an ASCII chart")
 		outDir   = fs.String("out", "", "also write each experiment to <out>/<id>.{txt,csv}")

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -178,6 +179,29 @@ func TestSweepFigureStructure(t *testing.T) {
 	for _, v := range s.Values {
 		if v < 0 || v > 1 {
 			t.Errorf("probability %v out of [0,1]", v)
+		}
+	}
+}
+
+// Options.Workers fans a figure's runs (forEachLimit) and each point's
+// replications (sim.RunReplicationsParallel) across goroutines; both
+// promise the numbers of the sequential loop, bit for bit.
+func TestWorkersDoNotChangeFigures(t *testing.T) {
+	o := tinyOptions()
+	o.Reps = 2
+	for _, run := range []func(Options) (*Figure, error){Figure1, Figure3} {
+		o.Workers = 1
+		seq, err := run(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.Workers = 4
+		par, err := run(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(seq, par) {
+			t.Errorf("%s: Workers=4 rows differ from Workers=1\nseq %+v\npar %+v", seq.ID, seq.Series, par.Series)
 		}
 	}
 }

@@ -99,8 +99,11 @@ func TestReplicatedGolden(t *testing.T) {
 
 // TestParallelReplicationsMatchSequential asserts the parallel
 // replication runner produces the exact results of the sequential one,
-// replication by replication — parallelism is a wall-clock
-// optimization, never a behavioural one.
+// replication by replication and at every worker count — parallelism
+// is a wall-clock optimization, never a behavioural one. The
+// fingerprint covers EventsFired and every max-utilization sample (%v
+// prints the shortest decimal that round-trips, so equal text means
+// equal bits).
 func TestParallelReplicationsMatchSequential(t *testing.T) {
 	cfg := goldenConfig("PRR2-TTL/K")
 	cfg.Duration = 300
@@ -109,16 +112,18 @@ func TestParallelReplicationsMatchSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunReplicationsParallel(cfg, reps, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(par) != len(seq) {
-		t.Fatalf("parallel returned %d results, sequential %d", len(par), len(seq))
-	}
-	for i := range seq {
-		if got, want := fingerprint(par[i]), fingerprint(seq[i]); got != want {
-			t.Errorf("replication %d: parallel output %s != sequential %s", i, got, want)
+	for _, workers := range []int{1, 2, 4} {
+		par, err := RunReplicationsParallel(cfg, reps, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(par) != len(seq) {
+			t.Fatalf("workers %d: parallel returned %d results, sequential %d", workers, len(par), len(seq))
+		}
+		for i := range seq {
+			if got, want := fingerprint(par[i]), fingerprint(seq[i]); got != want {
+				t.Errorf("workers %d, replication %d: parallel output %s != sequential %s", workers, i, got, want)
+			}
 		}
 	}
 }

@@ -7,80 +7,31 @@
 // three primitives exposed here: Now, Schedule, and Run.
 package simcore
 
-import (
-	"container/heap"
-	"fmt"
-	"math"
-)
+import "math"
 
-// Event is a scheduled callback in the future-event list. The zero
-// value is not useful; events are created by Simulator.Schedule and
-// Simulator.ScheduleAt.
-type Event struct {
-	time      float64
-	seq       uint64
-	index     int // position in the heap, -1 when popped
-	cancelled bool
-	fn        func()
+// event is one entry of the future-event list. Events are values: the
+// list hands out no handle, so nothing outside this file can hold one.
+type event struct {
+	time float64
+	seq  uint64 // schedule order; breaks ties so runs are deterministic
+	fn   func()
 }
 
-// Time returns the virtual time at which the event fires.
-func (e *Event) Time() float64 { return e.time }
-
-// Cancel marks the event so that it will not fire. Cancelling an event
-// that already fired or was already cancelled is a no-op.
-func (e *Event) Cancel() { e.cancelled = true }
-
-// Cancelled reports whether the event was cancelled before firing.
-func (e *Event) Cancelled() bool { return e.cancelled }
-
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
-	}
-	// Ties break by schedule order so runs are fully deterministic.
-	return h[i].seq < h[j].seq
-}
-
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-
-func (h *eventHeap) Push(x any) {
-	ev, ok := x.(*Event)
-	if !ok {
-		panic(fmt.Sprintf("simcore: pushed non-event %T", x))
-	}
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
+// before reports whether e fires before o. (time, seq) is a total
+// order, so the firing sequence does not depend on the heap's shape.
+func (e *event) before(o *event) bool {
+	return e.time < o.time || (e.time == o.time && e.seq < o.seq)
 }
 
 // Simulator owns the virtual clock and the future-event list.
 // It is not safe for concurrent use; a simulation is a single-threaded
 // sequential program over virtual time.
 type Simulator struct {
-	now     float64
-	seq     uint64
-	queue   eventHeap
-	seed    uint64
-	fired   uint64
-	stopped bool
+	now   float64
+	seq   uint64
+	queue []event // binary min-heap by (time, seq)
+	seed  uint64
+	fired uint64
 }
 
 // New returns a simulator whose random streams all derive from seed.
@@ -96,48 +47,76 @@ func (s *Simulator) Now() float64 { return s.now }
 // progress and performance counter.
 func (s *Simulator) EventsFired() uint64 { return s.fired }
 
-// Pending returns the number of events currently scheduled (including
-// cancelled events that have not yet been discarded).
+// Pending returns the number of events currently scheduled.
 func (s *Simulator) Pending() int { return len(s.queue) }
 
-// Schedule registers fn to run delay seconds from now and returns a
-// handle that can cancel it. A negative delay is treated as zero.
-func (s *Simulator) Schedule(delay float64, fn func()) *Event {
+// Schedule registers fn to run delay seconds from now. A negative or
+// NaN delay is treated as zero.
+func (s *Simulator) Schedule(delay float64, fn func()) {
 	if delay < 0 || math.IsNaN(delay) {
 		delay = 0
 	}
-	return s.ScheduleAt(s.now+delay, fn)
+	s.ScheduleAt(s.now+delay, fn)
 }
 
 // ScheduleAt registers fn to run at absolute virtual time t. Times in
 // the past are clamped to the current time.
-func (s *Simulator) ScheduleAt(t float64, fn func()) *Event {
+func (s *Simulator) ScheduleAt(t float64, fn func()) {
 	if t < s.now || math.IsNaN(t) {
 		t = s.now
 	}
-	ev := &Event{time: t, seq: s.seq, fn: fn}
+	ev := event{time: t, seq: s.seq, fn: fn}
 	s.seq++
-	heap.Push(&s.queue, ev)
-	return ev
+	// Sift up: move the hole at the tail towards the root, pulling
+	// later parents down into it, then drop the new event in.
+	s.queue = append(s.queue, event{})
+	q := s.queue
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(&q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = ev
 }
 
 // Step executes the single next event. It returns false when the event
 // list is empty.
 func (s *Simulator) Step() bool {
-	for len(s.queue) > 0 {
-		ev, ok := heap.Pop(&s.queue).(*Event)
-		if !ok {
-			panic("simcore: corrupt event heap")
-		}
-		if ev.cancelled {
-			continue
-		}
-		s.now = ev.time
-		s.fired++
-		ev.fn()
-		return true
+	q := s.queue
+	if len(q) == 0 {
+		return false
 	}
-	return false
+	ev := q[0]
+	// Sift down: the root is a hole; pull the earlier child up into it
+	// until the former tail event fits. The vacated tail slot is zeroed
+	// so no closure stays reachable from beyond the live heap.
+	n := len(q) - 1
+	last := q[n]
+	q[n] = event{}
+	q = q[:n]
+	s.queue = q
+	i := 0
+	for child := 1; child < n; child = 2*i + 1 {
+		if r := child + 1; r < n && q[r].before(&q[child]) {
+			child = r
+		}
+		if !q[child].before(&last) {
+			break
+		}
+		q[i] = q[child]
+		i = child
+	}
+	if n > 0 {
+		q[i] = last
+	}
+	s.now = ev.time
+	s.fired++
+	ev.fn()
+	return true
 }
 
 // Run executes events in time order until the clock would pass `until`
@@ -145,26 +124,13 @@ func (s *Simulator) Step() bool {
 // The clock finishes at `until` when it was reached, so a subsequent
 // Run continues from there.
 func (s *Simulator) Run(until float64) {
-	s.stopped = false
-	for len(s.queue) > 0 && !s.stopped {
-		next := s.queue[0]
-		if next.cancelled {
-			heap.Pop(&s.queue)
-			continue
-		}
-		if next.time > until {
-			break
-		}
+	for len(s.queue) > 0 && s.queue[0].time <= until {
 		s.Step()
 	}
 	if s.now < until {
 		s.now = until
 	}
 }
-
-// Stop makes the innermost Run return after the current event
-// completes. Pending events remain queued.
-func (s *Simulator) Stop() { s.stopped = true }
 
 // Stream returns an independent deterministic random stream for the
 // named component. The same (seed, name) pair always yields the same

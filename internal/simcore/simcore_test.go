@@ -2,6 +2,9 @@ package simcore
 
 import (
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -36,6 +39,25 @@ func TestTieBreakBySequence(t *testing.T) {
 	}
 }
 
+// An event scheduled for the current instant from inside a handler
+// fires after everything already queued for that instant.
+func TestSameTimeScheduleFromHandlerFiresLast(t *testing.T) {
+	s := New(1)
+	var got []string
+	s.Schedule(5, func() {
+		got = append(got, "a")
+		s.Schedule(0, func() { got = append(got, "a0") })
+		s.ScheduleAt(5, func() { got = append(got, "a5") })
+	})
+	s.Schedule(5, func() { got = append(got, "b") })
+	s.Schedule(5, func() { got = append(got, "c") })
+	s.Run(5)
+	want := []string{"a", "b", "c", "a0", "a5"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+}
+
 func TestRunStopsAtUntil(t *testing.T) {
 	s := New(1)
 	fired := 0
@@ -60,32 +82,6 @@ func TestClockAdvancesToUntilWhenIdle(t *testing.T) {
 	s.Run(100)
 	if s.Now() != 100 {
 		t.Errorf("Now() = %v, want 100 on an empty event list", s.Now())
-	}
-}
-
-func TestCancel(t *testing.T) {
-	s := New(1)
-	fired := false
-	ev := s.Schedule(1, func() { fired = true })
-	ev.Cancel()
-	s.Run(10)
-	if fired {
-		t.Error("cancelled event fired")
-	}
-	if !ev.Cancelled() {
-		t.Error("Cancelled() = false after Cancel")
-	}
-}
-
-func TestCancelFromWithinEvent(t *testing.T) {
-	s := New(1)
-	fired := false
-	var victim *Event
-	s.Schedule(1, func() { victim.Cancel() })
-	victim = s.Schedule(2, func() { fired = true })
-	s.Run(10)
-	if fired {
-		t.Error("event cancelled by an earlier event still fired")
 	}
 }
 
@@ -123,18 +119,230 @@ func TestNegativeAndNaNDelaysClamp(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
+func TestStepOnEmptyList(t *testing.T) {
 	s := New(1)
-	fired := 0
-	s.Schedule(1, func() { fired++; s.Stop() })
-	s.Schedule(2, func() { fired++ })
-	s.Run(10)
-	if fired != 1 {
-		t.Errorf("fired = %d, want 1 after Stop", fired)
+	if s.Step() {
+		t.Error("Step() = true on an empty event list")
 	}
-	s.Run(10)
-	if fired != 2 {
-		t.Errorf("fired = %d, want 2: a later Run resumes", fired)
+	s.Schedule(1, func() {})
+	if !s.Step() || s.Step() {
+		t.Error("Step() should fire the one event, then report an empty list")
+	}
+	if s.Now() != 1 || s.EventsFired() != 1 {
+		t.Errorf("Now() = %v, EventsFired() = %d, want 1 and 1", s.Now(), s.EventsFired())
+	}
+}
+
+// A fired event's closure must not stay reachable from the slot its
+// pop vacated, or every handler's captures live as long as the list.
+func TestFiredEventSlotCleared(t *testing.T) {
+	s := New(1)
+	for i := 0; i < 64; i++ {
+		s.Schedule(float64(i%7), func() {})
+	}
+	for s.Pending() > 10 {
+		s.Step()
+	}
+	for i, ev := range s.queue[len(s.queue):cap(s.queue)] {
+		if ev.fn != nil {
+			t.Fatalf("slot %d past the live heap still holds a closure", len(s.queue)+i)
+		}
+	}
+}
+
+// eventList is what the oracle script drives: the real Simulator and
+// the reference list below.
+type eventList interface {
+	Now() float64
+	EventsFired() uint64
+	Pending() int
+	Schedule(delay float64, fn func())
+	ScheduleAt(t float64, fn func())
+	Step() bool
+	Run(until float64)
+}
+
+// refList is the reference future-event list: an event is appended
+// and the list stably re-sorted by time, so insertion order is the
+// tie-break. It states the clamping and Run rules on its own.
+type refList struct {
+	now    float64
+	fired  uint64
+	events []refEvent
+}
+
+type refEvent struct {
+	time float64
+	fn   func()
+}
+
+func (r *refList) Now() float64        { return r.now }
+func (r *refList) EventsFired() uint64 { return r.fired }
+func (r *refList) Pending() int        { return len(r.events) }
+
+func (r *refList) Schedule(delay float64, fn func()) {
+	if !(delay > 0) {
+		delay = 0
+	}
+	r.ScheduleAt(r.now+delay, fn)
+}
+
+func (r *refList) ScheduleAt(t float64, fn func()) {
+	if !(t > r.now) {
+		t = r.now
+	}
+	r.events = append(r.events, refEvent{t, fn})
+	sort.SliceStable(r.events, func(i, j int) bool { return r.events[i].time < r.events[j].time })
+}
+
+func (r *refList) Step() bool {
+	if len(r.events) == 0 {
+		return false
+	}
+	ev := r.events[0]
+	r.events = r.events[1:]
+	r.now = ev.time
+	r.fired++
+	ev.fn()
+	return true
+}
+
+func (r *refList) Run(until float64) {
+	for len(r.events) > 0 && r.events[0].time <= until {
+		r.Step()
+	}
+	if until > r.now {
+		r.now = until
+	}
+}
+
+// oracleRecord is one line of a script's log: a firing (id ≥ 0) or the
+// state after a top-level operation (id = -1).
+type oracleRecord struct {
+	id      int
+	now     float64
+	fired   uint64
+	pending int
+}
+
+// runOracleScript drives l with a script that is a pure function of
+// seed, and returns everything observable. All times sit on a 1/8 s
+// grid (exact in binary), so ties and Run boundaries that land exactly
+// on an event time are common.
+func runOracleScript(l eventList, seed int64, ops int) []oracleRecord {
+	rng := rand.New(rand.NewSource(seed))
+	var log []oracleRecord
+	nextID := 0
+	grid := func(h uint64) float64 { return float64(h%321) / 8 } // 0–40 s
+	// arm schedules one event in the manner picked by h; its handler
+	// logs the firing and arms 0–3 children chosen by its own id, so a
+	// wrong firing order shows up as a diverging log, not as a crash.
+	var arm func(h uint64)
+	arm = func(h uint64) {
+		id := nextID
+		nextID++
+		fn := func() {
+			log = append(log, oracleRecord{id: id, now: l.Now()})
+			c := splitmix64(uint64(seed) ^ uint64(id)<<20)
+			for n := [...]int{0, 0, 0, 0, 0, 1, 1, 1, 2, 3}[c%10]; n > 0; n-- {
+				c = splitmix64(c)
+				arm(c)
+			}
+		}
+		switch (h >> 8) % 12 {
+		case 0:
+			l.Schedule(0, fn)
+		case 1:
+			l.ScheduleAt(l.Now(), fn)
+		case 2:
+			l.Schedule(-grid(h)-1, fn)
+		case 3:
+			l.Schedule(math.NaN(), fn)
+		case 4:
+			l.ScheduleAt(l.Now()-grid(h)-1, fn)
+		case 5:
+			l.ScheduleAt(math.NaN(), fn)
+		case 6, 7:
+			l.ScheduleAt(l.Now()+grid(h), fn)
+		default:
+			l.Schedule(grid(h), fn)
+		}
+	}
+	for op := 0; op < ops; op++ {
+		switch k := rng.Intn(10); {
+		case k < 5:
+			arm(rng.Uint64())
+		case k < 8:
+			l.Step()
+		case k == 8:
+			l.Run(l.Now() + float64(rng.Intn(41))/8) // 0–5 s on the grid
+		default:
+			l.Run(l.Now() - 1) // already passed: fires nothing, clock stays
+		}
+		log = append(log, oracleRecord{id: -1, now: l.Now(), fired: l.EventsFired(), pending: l.Pending()})
+	}
+	return log
+}
+
+// TestEventListMatchesOracle replays one seeded script of Schedule,
+// ScheduleAt, Step and Run against the Simulator and the reference
+// list and requires the same firing sequence (id and clock at firing)
+// and the same EventsFired, Pending and Now after every operation.
+func TestEventListMatchesOracle(t *testing.T) {
+	const ops = 20000
+	for _, seed := range []int64{1, 2, 3} {
+		got := runOracleScript(New(1), seed, ops)
+		want := runOracleScript(&refList{}, seed, ops)
+		if len(got) != len(want) {
+			t.Errorf("seed %d: %d log records, oracle has %d", seed, len(got), len(want))
+		}
+		firings := 0
+		for i := 0; i < len(got) && i < len(want); i++ {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: record %d = %+v, oracle has %+v", seed, i, got[i], want[i])
+			}
+			if got[i].id >= 0 {
+				firings++
+			}
+		}
+		if firings < ops {
+			t.Errorf("seed %d: script fired only %d events in %d operations", seed, firings, ops)
+		}
+	}
+}
+
+// newHold builds the event list at the size the paper runs it: n
+// timers, each re-arming itself through one closure built up front
+// with an Exp(15) delay (500 clients and 15 s think time in the paper).
+func newHold(n int) *Simulator {
+	s := New(1)
+	st := s.Stream("hold")
+	for i := 0; i < n; i++ {
+		var rearm func()
+		rearm = func() { s.Schedule(st.Exp(15), rearm) }
+		s.Schedule(st.Exp(15), rearm)
+	}
+	return s
+}
+
+func TestScheduleStepZeroAlloc(t *testing.T) {
+	s := newHold(500)
+	for i := 0; i < 2000; i++ {
+		s.Step()
+	}
+	if avg := testing.AllocsPerRun(2000, func() { s.Step() }); avg != 0 {
+		t.Errorf("Step of a self-re-arming timer allocates %v times, want 0", avg)
+	}
+}
+
+// BenchmarkSimcoreHold is the classic hold operation — pop the next
+// event, push its successor — on a list of 500 pending events.
+func BenchmarkSimcoreHold(b *testing.B) {
+	s := newHold(500)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Step()
 	}
 }
 
