@@ -14,10 +14,15 @@
 //   - The paper's experiments (Figures 1–7, Table 2) and the extension
 //     sweeps — run via the Experiments registry; VerifyReproduction
 //     checks every claim executably.
-//   - Workload traces — GenerateTrace, ReadTrace, WriteTrace; replay
-//     via SimConfig.Trace.
+//   - Workload traces — GenerateTrace; replay via SimConfig.Trace.
 //   - The real network path — NewDNSServer, NewCachingNS, NewBackend,
-//     NewReportListener, NewRateLimiter.
+//     NewReportListener, NewRateLimiter, NewLivenessMonitor,
+//     NewCheckpointer, NewMetricsRegistry.
+//
+// The facade names what the commands' siblings under examples/ and
+// benchmark/ and this package's own tests use, and nothing else: a type
+// that is only ever received from a constructor here (a Policy, a State,
+// an Engine) is used through its methods and needs no name of its own.
 //
 // Quick start:
 //
@@ -34,67 +39,16 @@ import (
 	"dnslb/internal/dnsserver"
 	"dnslb/internal/engine"
 	"dnslb/internal/experiments"
-	"dnslb/internal/logging"
 	"dnslb/internal/metrics"
 	"dnslb/internal/probe"
-	"dnslb/internal/replication"
 	"dnslb/internal/sim"
-	"dnslb/internal/stats"
 	"dnslb/internal/trace"
 	"dnslb/internal/workload"
 )
 
-// Scheduling algorithm types (see internal/core for full docs).
-type (
-	// Cluster describes the heterogeneous server set.
-	Cluster = core.Cluster
-	// State is the scheduler's view: weights, classes, alarms. Reads
-	// are lock-free against an immutable atomically-published
-	// snapshot; mutators may be called concurrently with reads and
-	// with Policy.Schedule.
-	State = core.State
-	// Policy is a complete DNS scheduling policy. Schedule and Stats
-	// are safe for concurrent callers: each decision is made against
-	// one immutable state snapshot and the counters are atomic (exact
-	// once callers quiesce). See DESIGN.md §9 for the full
-	// concurrency contract.
-	Policy = core.Policy
-	// PolicyConfig selects and parameterizes a policy by name.
-	PolicyConfig = core.PolicyConfig
-	// Decision is a scheduling answer: server index and TTL.
-	Decision = core.Decision
-	// TTLVariant identifies a member of the adaptive TTL family.
-	TTLVariant = core.TTLVariant
-	// LoadEstimator is the hidden-load estimation seam: the reactive
-	// EWMA and the predictive NS-cache model both implement it, and
-	// every catalog policy runs unmodified on either.
-	LoadEstimator = core.LoadEstimator
-	// Estimator is the paper's reactive estimator: an EWMA over the
-	// hidden-load weights the server reports imply.
-	Estimator = core.Estimator
-	// PredictiveEstimator forecasts hidden load from the TTLs the
-	// engine handed out (per-(domain, resolver-class) NS-cache model).
-	PredictiveEstimator = core.PredictiveEstimator
-	// Forecaster is the optional capability a LoadEstimator implements
-	// when it predicts demand from the engine's own decisions.
-	Forecaster = core.Forecaster
-	// EstimatorState is a LoadEstimator's serializable soft state,
-	// kind-tagged and carried inside a Checkpoint.
-	EstimatorState = core.EstimatorState
-	// DomainClass is the two-tier domain classification.
-	DomainClass = core.DomainClass
-	// ProximityConfig enables GeoDNS-style proximity steering on a
-	// policy (PolicyConfig.Proximity).
-	ProximityConfig = core.ProximityConfig
-	// LatencyMatrix is a domain×server network latency map.
-	LatencyMatrix = core.LatencyMatrix
-)
-
-// Domain classes.
-const (
-	ClassNormal = core.ClassNormal
-	ClassHot    = core.ClassHot
-)
+// PolicyConfig selects and parameterizes a scheduling policy by name
+// (see internal/core for full docs).
+type PolicyConfig = core.PolicyConfig
 
 // DefaultConstantTTL is the paper's 240-second baseline TTL.
 const DefaultConstantTTL = core.DefaultConstantTTL
@@ -105,8 +59,8 @@ const DefaultConstantTTL = core.DefaultConstantTTL
 // identically unless explicitly tuned.
 const DefaultEstimatorAlpha = core.DefaultEstimatorAlpha
 
-// Estimator kind tags (SimConfig.Estimator, DNSServerConfig.Estimator,
-// the -estimator flags, and EstimatorState.Kind).
+// Estimator kind tags (SimConfig.Estimator, DNSServerConfig.Estimator
+// and the -estimator flags).
 const (
 	EstimatorReactive   = core.EstimatorReactive
 	EstimatorPredictive = core.EstimatorPredictive
@@ -128,91 +82,20 @@ var (
 	HeterogeneityVector = core.HeterogeneityVector
 	// NewState creates scheduler state for a cluster and domain count.
 	NewState = core.NewState
-	// NewEstimator creates the reactive hidden-load estimator.
-	NewEstimator = core.NewEstimator
-	// NewPredictiveEstimator creates the NS-cache forecasting
-	// estimator.
-	NewPredictiveEstimator = core.NewPredictiveEstimator
-	// NewLoadEstimator creates an estimator by kind tag
-	// (EstimatorReactive, EstimatorPredictive; empty = reactive).
-	NewLoadEstimator = core.NewLoadEstimator
-	// ParseEstimatorState decodes and validates serialized estimator
-	// soft state.
-	ParseEstimatorState = core.ParseEstimatorState
 	// RingProximityConfig builds the synthetic ring-geography
 	// ProximityConfig both the simulator and the live server use for
 	// proximity steering (nil when preference is 0).
 	RingProximityConfig = core.RingProximityConfig
 )
 
-// Unified scheduling engine (see internal/engine): the per-query
-// decision lifecycle — membership/drain filtering, policy selection,
-// TTL assignment, the outstanding-mapping ledger, estimator feedback —
-// shared verbatim by the simulator and the live DNS server. The two
-// environment seams are the Clock and the policy's Rand stream; the
-// conformance suite in internal/engine holds both paths to
-// bit-identical decisions.
-type (
-	// Engine owns one scheduling decision lifecycle.
-	Engine = engine.Engine
-	// EngineConfig wires a policy, clock, and optional estimator into
-	// an Engine.
-	EngineConfig = engine.Config
-	// EngineClock supplies the engine's notion of current time in
-	// seconds (virtual in the simulator, wall time live).
-	EngineClock = engine.Clock
-	// WallClock is the live path's EngineClock.
-	WallClock = engine.WallClock
-	// QueryContext is the per-query decision input a front end
-	// assembles: resolver address, optional RFC 7871 client subnet, and
-	// arrival transport (Engine.DecideQuery).
-	QueryContext = engine.QueryContext
-	// QueryDecision is DecideQuery's answer: the scheduling decision
-	// plus classification provenance and the ECS scope to echo.
-	QueryDecision = engine.QueryDecision
-	// ECSConfig parameterizes the engine's client-subnet handling
-	// (EngineConfig.ECS, DNSServerConfig.ECS).
-	ECSConfig = engine.ECSConfig
-	// ECSMode is the RFC 7871 deployment mode (passthrough, add,
-	// override).
-	ECSMode = engine.ECSMode
-	// Transport identifies the front end a query arrived through.
-	Transport = engine.Transport
-	// SubnetRule maps one network prefix to a connected-domain index.
-	SubnetRule = core.SubnetRule
-	// SubnetMapper classifies addresses into connected domains by
-	// longest-prefix match over a rule table.
-	SubnetMapper = core.SubnetMapper
-)
+// ECSConfig parameterizes the RFC 7871 client-subnet handling of the
+// scheduling engine (internal/engine) the simulator and the live DNS
+// server share (DNSServerConfig.ECS).
+type ECSConfig = engine.ECSConfig
 
-// ECS deployment modes (ECSConfig.Mode).
-const (
-	ECSPassthrough = engine.ECSPassthrough
-	ECSAdd         = engine.ECSAdd
-	ECSOverride    = engine.ECSOverride
-)
-
-// Query transports (QueryContext.Transport).
-const (
-	TransportNone = engine.TransportNone
-	TransportUDP  = engine.TransportUDP
-	TransportTCP  = engine.TransportTCP
-	TransportDoH  = engine.TransportDoH
-)
-
-// Engine entry points.
-var (
-	// NewEngine builds a scheduling engine.
-	NewEngine = engine.New
-	// NewWallClock creates a wall-time clock with its epoch at now.
-	NewWallClock = engine.NewWallClock
-	// ParseECSMode parses the -ecs-mode flag spellings (passthrough,
-	// add, override; empty = passthrough).
-	ParseECSMode = engine.ParseECSMode
-	// NewSubnetMapper builds a longest-prefix-match subnet→domain
-	// classifier for EngineConfig.Mapper / DNSServerConfig.Mapper.
-	NewSubnetMapper = core.NewSubnetMapper
-)
+// ParseECSMode parses the -ecs-mode flag spellings (passthrough, add,
+// override; empty = passthrough) into an ECSConfig.Mode.
+var ParseECSMode = engine.ParseECSMode
 
 // Simulation types.
 type (
@@ -220,20 +103,9 @@ type (
 	SimConfig = sim.Config
 	// SimResult carries a run's metrics.
 	SimResult = sim.Result
-	// Workload describes the client population.
-	Workload = workload.Config
-	// Interval is a confidence interval.
-	Interval = stats.Interval
-	// TraceRecord is one page request of a recorded workload trace.
-	TraceRecord = trace.Record
-	// TraceSummary aggregates a trace for inspection.
-	TraceSummary = trace.Summary
 	// FaultEvent is one scheduled crash or recovery of a simulated
 	// server (SimConfig.Faults).
 	FaultEvent = sim.FaultEvent
-	// DrainEvent is one scheduled graceful retirement of a simulated
-	// server (SimConfig.Drains).
-	DrainEvent = sim.DrainEvent
 	// PartitionEvent is one total inter-replica link cut of a
 	// replicated simulation (SimConfig.Partitions).
 	PartitionEvent = sim.PartitionEvent
@@ -274,29 +146,13 @@ var (
 	// GenerateTrace synthesizes a workload trace that replays exactly
 	// like a live simulation with the same seed.
 	GenerateTrace = trace.Generate
-	// WriteTrace and ReadTrace encode/decode trace files.
-	WriteTrace = trace.Write
-	// ReadTrace decodes a trace file written by WriteTrace.
-	ReadTrace = trace.Read
-	// SummarizeTrace aggregates a trace.
-	SummarizeTrace = trace.Summarize
 	// Outage builds the crash+recover fault pair for one server.
 	Outage = sim.Outage
 )
 
-// ErrNoServers is returned by Policy.Schedule when every server in the
-// cluster is down; the DNS server answers SERVFAIL in that case.
-var ErrNoServers = core.ErrNoServers
-
-// Experiment types.
-type (
-	// ExperimentOptions controls duration, replications and seeds.
-	ExperimentOptions = experiments.Options
-	// FigureData is the reproduced data behind one paper figure.
-	FigureData = experiments.Figure
-	// FigureSeries is one labelled curve of a figure.
-	FigureSeries = experiments.Series
-)
+// ExperimentOptions controls an experiment's duration, replications and
+// seeds.
+type ExperimentOptions = experiments.Options
 
 // Experiment entry points.
 var (
@@ -311,8 +167,6 @@ var (
 	// VerifyReproduction checks every qualitative claim of the paper
 	// against fresh simulations and reports PASS/FAIL per claim.
 	VerifyReproduction = experiments.Verify
-	// ReproductionClaims lists the validator's claims.
-	ReproductionClaims = experiments.Claims
 )
 
 // Real-network types.
@@ -321,10 +175,6 @@ type (
 	DNSServerConfig = dnsserver.Config
 	// DNSServer is the adaptive-TTL authoritative server.
 	DNSServer = dnsserver.Server
-	// ReportListener accepts load reports from Web servers.
-	ReportListener = dnsserver.ReportListener
-	// RateLimiter bounds per-source query rates at the DNS server.
-	RateLimiter = dnsserver.RateLimiter
 	// Resolver is a stub resolver against one upstream.
 	Resolver = dnsclient.Resolver
 	// CachingNS is a TTL-honouring caching name server.
@@ -336,64 +186,26 @@ type (
 	Backend = backend.Server
 	// BackendConfig configures a Backend.
 	BackendConfig = backend.Config
-	// LivenessMonitor excludes backends that stop reporting from the
-	// DNS scheduler and re-admits them on their next report.
-	LivenessMonitor = dnsserver.LivenessMonitor
-	// Checkpoint is the serialized soft state of a DNSServer: learned
-	// domain weights, estimator windows, alarm/down/draining standing,
-	// and selector cursors.
-	Checkpoint = dnsserver.Checkpoint
-	// ServerCheckpoint is one server slot's standing inside a Checkpoint.
-	ServerCheckpoint = dnsserver.ServerCheckpoint
 	// Checkpointer periodically saves a DNSServer's checkpoint to a file
 	// and flushes a final one on Close.
 	Checkpointer = dnsserver.Checkpointer
 	// ReplicationConfig configures a DNSServer's multi-replica soft-state
 	// replication (see DNSServer.StartReplication and DESIGN.md §13).
 	ReplicationConfig = dnsserver.ReplicationConfig
-	// ReplicaPeerHealth is one replication peer link's health snapshot.
-	ReplicaPeerHealth = replication.PeerHealth
 	// ProbeConfig configures a DNSServer's active health prober (see
 	// DNSServer.StartProbing and DESIGN.md §16).
 	ProbeConfig = probe.Config
-	// ProbeTarget is one probed backend endpoint; an empty Addr skips
-	// the slot.
-	ProbeTarget = probe.Target
-	// ProbeSpec is the parsed -probe flag: detector kind, cadence and
-	// hysteresis thresholds.
-	ProbeSpec = probe.Spec
-	// Prober runs the probe loops (returned by DNSServer.StartProbing).
-	Prober = probe.Prober
 	// OverloadConfig configures the DNSServer's graceful-degradation
 	// admission layer (DNSServerConfig.Overload, DESIGN.md §16).
 	OverloadConfig = dnsserver.OverloadConfig
-	// DegradedStats is the degradation controller's counter snapshot.
-	DegradedStats = dnsserver.DegradedStats
 )
 
-// Observability types (see internal/metrics and internal/logging).
-type (
-	// MetricsRegistry collects counters, gauges, and histograms and
-	// renders them in the Prometheus text exposition format. Pass one
-	// via DNSServerConfig.Metrics / BackendConfig.Metrics to
-	// instrument the live path; serve Handler() on /metrics.
-	MetricsRegistry = metrics.Registry
-	// MetricLabels is an ordered key/value list attached to a series.
-	MetricLabels = metrics.Labels
-	// LogOptions carries the shared -log-level/-log-format flag values
-	// and builds slog loggers from them.
-	LogOptions = logging.Options
-)
-
-// Observability entry points.
-var (
-	// NewMetricsRegistry creates an empty metrics registry.
-	NewMetricsRegistry = metrics.NewRegistry
-	// AddLogFlags registers -log-level and -log-format on a FlagSet.
-	AddLogFlags = logging.AddFlags
-	// DiscardLogger returns a logger that drops every record.
-	DiscardLogger = logging.Discard
-)
+// NewMetricsRegistry creates an empty metrics registry (see
+// internal/metrics): counters, gauges and histograms, rendered in the
+// Prometheus text exposition format. Pass one via
+// DNSServerConfig.Metrics / BackendConfig.Metrics to instrument the live
+// path; serve its Handler() on /metrics.
+var NewMetricsRegistry = metrics.NewRegistry
 
 // Real-network entry points.
 var (

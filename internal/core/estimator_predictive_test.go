@@ -422,17 +422,21 @@ func TestDALHeapMatchesContainerHeap(t *testing.T) {
 	}
 }
 
+// TestDALSelectZeroAlloc covers the two selectors that keep a ledger of
+// pending mappings, DAL and MRL: no selector allocates per decision.
 func TestDALSelectZeroAlloc(t *testing.T) {
 	st := zipfState(t, 50, 20)
 	sn := st.Snapshot()
-	now := 0.0
-	sel := NewDAL(func() float64 { now++; return now }, 240)
-	for i := 0; i < 1000; i++ { // reach the steady 240 pending mappings
-		sel.Select(sn, i%20)
-	}
-	i := 0
-	if n := testing.AllocsPerRun(1000, func() { sel.Select(sn, i%20); i++ }); n != 0 {
-		t.Errorf("DAL Select allocates %v times per decision, want 0", n)
+	for _, newSelector := range []func(func() float64, float64) Selector{NewDAL, NewMRL} {
+		now := 0.0
+		sel := newSelector(func() float64 { now++; return now }, 240)
+		for i := 0; i < 1000; i++ { // reach the steady 240 pending mappings
+			sel.Select(sn, i%20)
+		}
+		i := 0
+		if n := testing.AllocsPerRun(1000, func() { sel.Select(sn, i%20); i++ }); n != 0 {
+			t.Errorf("%s Select allocates %v times per decision, want 0", sel.Name(), n)
+		}
 	}
 }
 

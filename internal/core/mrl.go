@@ -20,6 +20,9 @@ type mrlSelector struct {
 
 	mu      sync.Mutex
 	pending dalHeap // reuses the (expire, server, load) entry heap
+	// residual is Select's per-server scratch, kept across calls and
+	// grown when the cluster has.
+	residual []float64
 }
 
 // NewMRL returns the minimum residual load selector. now supplies the
@@ -38,7 +41,11 @@ func (m *mrlSelector) Select(sn *Snapshot, domain int) int {
 	for len(m.pending) > 0 && m.pending[0].expire <= t {
 		m.pending.pop()
 	}
-	residual := make([]float64, n)
+	if len(m.residual) < n {
+		m.residual = make([]float64, n)
+	}
+	residual := m.residual[:n]
+	clear(residual)
 	for _, e := range m.pending {
 		// Linear decay: full weight at assignment, zero at expiry.
 		residual[e.server] += e.load * (e.expire - t) / m.ttl

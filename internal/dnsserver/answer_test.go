@@ -2,8 +2,10 @@ package dnsserver
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"net/netip"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -114,9 +116,9 @@ func TestWireTTL(t *testing.T) {
 }
 
 // encodeBoth answers one query for the given zone twice — through
-// appendAnswer and through the reference, a dnswire.Message packed by
-// AppendPack, built the way the server built it before appendAnswer
-// existed — and returns both encodings. The query is made from its
+// appendReply and through the reference, a dnswire.Message packed by
+// AppendPack, built the way the server built it before it had an encoder
+// of its own — and returns both encodings. The query is made from its
 // parts (and goes through UnpackQuery) so that the fuzzer can vary them.
 func encodeBoth(t *testing.T, zone string, id uint16, rd bool, qtype dnswire.Type, ecs netip.Prefix, addr netip.Addr, ttl uint32, scope uint8) (got, want []byte) {
 	t.Helper()
@@ -170,17 +172,220 @@ func encodeBoth(t *testing.T, zone string, id uint16, rd bool, qtype dnswire.Typ
 	}
 
 	s := &Server{zone: canonical, zoneWire: wire[12 : 12+len(q.Question)-4]}
-	got = s.appendAnswer(make([]byte, 0, 512), q, addr, ttl, scope)
+	r := reply{hdr: ref.Header, shape: shapeA, addr: addr, ttl: ttl, scope: scope}
+	got = s.appendReply(make([]byte, 0, 512), q, &r, dnswire.MaxUDPPayload, nil)
 	// The same answer when the question cannot be copied from the query.
 	q.Question = nil
-	if fallback := s.appendAnswer(nil, q, addr, ttl, scope); !bytes.Equal(fallback, got) {
+	if fallback := s.appendReply(nil, q, &r, dnswire.MaxUDPPayload, nil); !bytes.Equal(fallback, got) {
 		t.Errorf("canonical-name fallback differs from the echoed question:\n got %x\nwant %x", fallback, got)
 	}
 	return got, want
 }
 
+// reference is the response to every query but an address query as the
+// server built it before appendReply: a dnswire.Message, packed by
+// AppendPack, stripped to header and question with TC when over maxSize.
+// It stays here as the oracle of the encoder that replaced it.
+func reference(t *testing.T, s *Server, q *dnswire.Query, maxSize int) []byte {
+	t.Helper()
+	resp := &dnswire.Message{
+		Header: dnswire.Header{
+			ID:               q.Header.ID,
+			Response:         true,
+			OpCode:           q.Header.OpCode,
+			Authoritative:    true,
+			RecursionDesired: q.Header.RecursionDesired,
+		},
+		Questions: []dnswire.Question{{Name: string(q.Name), Type: q.Type, Class: q.Class}},
+	}
+	soa := []dnswire.ResourceRecord{{
+		Name:  s.zone,
+		Type:  dnswire.TypeSOA,
+		Class: dnswire.ClassIN,
+		TTL:   60,
+		Data: dnswire.SOA{
+			MName:   "ns1." + s.zone,
+			RName:   "hostmaster." + s.zone,
+			Serial:  1,
+			Refresh: 3600,
+			Retry:   600,
+			Expire:  86400,
+			Minimum: 60,
+		},
+	}}
+	switch {
+	case q.Header.OpCode != dnswire.OpQuery:
+		resp.Header.RCode = dnswire.RCodeNotImp
+	case string(q.Name) != s.zone:
+		resp.Header.RCode = dnswire.RCodeNXDomain
+		resp.Authority = soa
+	case q.Type == dnswire.TypeTXT:
+		resp.Answers = []dnswire.ResourceRecord{{
+			Name:  s.zone,
+			Type:  dnswire.TypeTXT,
+			Class: dnswire.ClassIN,
+			Data: dnswire.TXT{Strings: []string{
+				"policy=" + s.policy.Name(),
+				fmt.Sprintf("decisions=%d", s.policy.Stats().Decisions),
+			}},
+		}}
+	default:
+		resp.Authority = soa
+	}
+	out, err := resp.AppendPack(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) > maxSize {
+		resp.Answers, resp.Authority = nil, nil
+		resp.Header.Truncated = true
+		if out, err = resp.AppendPack(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// packQuery packs a query with the given opcode for name and type.
+func packQuery(t testing.TB, id uint16, op dnswire.OpCode, name string, qtype dnswire.Type) []byte {
+	t.Helper()
+	wire, err := (&dnswire.Message{
+		Header:    dnswire.Header{ID: id, OpCode: op, RecursionDesired: id%2 == 1},
+		Questions: []dnswire.Question{{Name: name, Type: qtype, Class: dnswire.ClassIN}},
+	}).Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wire
+}
+
+// checkNegativeShape reads a negative answer the way benchmark/loadgen's
+// checker does, by offsets alone: no answer, one authority record that
+// is an SOA of class IN, nothing after it — and every compression
+// pointer in it points backwards.
+func checkNegativeShape(t *testing.T, msg []byte) {
+	t.Helper()
+	if an, ns, ar := msg[7], msg[9], msg[11]; msg[5] != 1 || an != 0 || ns != 1 || ar != 0 {
+		t.Fatalf("counts qd=%d an=%d ns=%d ar=%d, want 1/0/1/0", msg[5], an, ns, ar)
+	}
+	// skipName returns the offset after the name at off; a pointer ends it.
+	skipName := func(off int) int {
+		for msg[off] != 0 {
+			if msg[off]&0xC0 == 0xC0 {
+				if target := int(msg[off]&0x3F)<<8 | int(msg[off+1]); target >= off {
+					t.Fatalf("pointer at %d points forward, to %d", off, target)
+				}
+				return off + 2
+			}
+			off += 1 + int(msg[off])
+		}
+		return off + 1
+	}
+	off := skipName(skipName(12) + 4) // question, then the record's owner
+	if typ, class := msg[off+1], msg[off+3]; typ != byte(dnswire.TypeSOA) || class != byte(dnswire.ClassIN) {
+		t.Fatalf("authority record is type %d class %d, want SOA/IN", typ, class)
+	}
+	rdata := off + 10
+	if end := rdata + int(msg[off+8])<<8 + int(msg[off+9]); end != len(msg) {
+		t.Fatalf("SOA record ends at %d of %d bytes", end, len(msg))
+	}
+	if end := skipName(skipName(rdata)) + 20; end != len(msg) {
+		t.Fatalf("SOA RDATA ends at %d of %d bytes", end, len(msg))
+	}
+}
+
+// checkOtherShapes sends s, a server for zone, the queries that get
+// every response shape but the address answer, and holds handle's
+// response against the reference: byte for byte where the question names
+// the zone, and as the same message after decoding for an NXDOMAIN,
+// whose SOA owner the two encoders are free to compress differently —
+// under, above and outside the zone.
+func checkOtherShapes(t *testing.T, s *Server, other string) {
+	t.Helper()
+	zone := strings.TrimSuffix(s.zone, ".")
+	from := netip.MustParseAddr("127.0.0.1")
+	q := dnswire.GetQuery()
+	defer dnswire.PutQuery(q)
+	for _, c := range []struct {
+		shape string
+		wire  []byte
+		// identical: the reference has nothing to compress differently.
+		identical bool
+	}{
+		{"NODATA", packQuery(t, 1, dnswire.OpQuery, zone, dnswire.TypeAAAA), true},
+		{"TXT", packQuery(t, 2, dnswire.OpQuery, zone, dnswire.TypeTXT), true},
+		{"NOTIMP", packQuery(t, 3, dnswire.OpStatus, zone, dnswire.TypeA), true},
+		{"NOTIMP other name", packQuery(t, 4, dnswire.OpIQuery, other, dnswire.TypeA), true},
+		{"NXDOMAIN under", packQuery(t, 5, dnswire.OpQuery, "x."+zone, dnswire.TypeTXT), true},
+		{"NXDOMAIN above", packQuery(t, 6, dnswire.OpQuery, zone[strings.IndexByte(zone, '.')+1:], dnswire.TypeA), false},
+		{"NXDOMAIN outside", packQuery(t, 7, dnswire.OpQuery, other, dnswire.TypeA), false},
+	} {
+		if err := q.UnpackQuery(c.wire); err != nil {
+			t.Fatal(err)
+		}
+		nxdomain := strings.HasPrefix(c.shape, "NXDOMAIN")
+		if nxdomain && string(q.Name) == s.zone {
+			continue // a zone of one label has nothing above it; the fuzzer's other name is the zone
+		}
+		for _, maxSize := range []int{dnswire.MaxUDPPayload, math.MaxUint16} {
+			got := s.handle(c.wire, from, engine.TransportUDP, maxSize, make([]byte, 0, 64))
+			want := reference(t, s, q, maxSize)
+			if truncated := want[2]&0x02 != 0; c.identical || truncated {
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%s, zone %.20s, limit %d:\n got %x\nwant %x", c.shape, zone, maxSize, got, want)
+				}
+				continue
+			}
+			gm, err := dnswire.Unpack(got)
+			if err != nil {
+				t.Fatalf("%s: %v in %x", c.shape, err, got)
+			}
+			wm, _ := dnswire.Unpack(want)
+			if !reflect.DeepEqual(gm, wm) {
+				t.Fatalf("%s, zone %.20s:\n got %+v\nwant %+v", c.shape, zone, gm, wm)
+			}
+			if n := 12 + len(q.Question); !bytes.Equal(got[12:n], q.Question) {
+				t.Fatalf("%s: question %x, asked %x", c.shape, got[12:n], q.Question)
+			}
+			checkNegativeShape(t, got)
+		}
+	}
+}
+
+// shapesPolicy is the policy the hand-made servers name in their TXT
+// answer.
+var shapesPolicy = sync.OnceValue(func() *core.Policy {
+	cluster, err := core.ScaledCluster(3, 0, 500)
+	if err != nil {
+		panic(err)
+	}
+	state, err := core.NewState(cluster, 4)
+	if err != nil {
+		panic(err)
+	}
+	policy, err := core.NewPolicy(core.PolicyConfig{Name: "RR", State: state})
+	if err != nil {
+		panic(err)
+	}
+	return policy
+})
+
+// shapesServer is a server for zone good for every query but an address
+// query: made by hand, so that the fuzzer gets one per input cheaply
+// (and for a zone New refuses as too long, which it then skips).
+func shapesServer(t *testing.T, zone string) *Server {
+	t.Helper()
+	wire := packQuery(t, 0, dnswire.OpQuery, zone, dnswire.TypeA)
+	return &Server{zone: dnswire.CanonicalName(zone), zoneWire: wire[12 : len(wire)-4], policy: shapesPolicy()}
+}
+
 // longZone is a name of the maximum length: 255 bytes on the wire.
-var longZone = strings.Repeat(strings.Repeat("a", 63)+".", 3) + strings.Repeat("b", 61)
+// longSOAZone is the longest name a zone can have, 244 bytes on the
+// wire: its SOA names "hostmaster." + zone.
+var (
+	longZone    = strings.Repeat(strings.Repeat("a", 63)+".", 3) + strings.Repeat("b", 61)
+	longSOAZone = strings.Repeat(strings.Repeat("c", 63)+".", 3) + strings.Repeat("d", 50)
+)
 
 // TestAppendAnswerMatchesAppendPack proves the one encoder byte-identical
 // to the Message-based reference over every input that varies between
@@ -222,20 +427,43 @@ func TestAppendAnswerMatchesAppendPack(t *testing.T) {
 	if largest != 322 || largest > dnswire.MaxUDPPayload {
 		t.Errorf("largest address answer is %d bytes, want 322 (under the %d-byte UDP limit)", largest, dnswire.MaxUDPPayload)
 	}
+
+	// The other shapes. An NXDOMAIN for longZone under longSOAZone is the
+	// response that does not fit 512 bytes: 12 + 259 + a 244-byte owner +
+	// 10 + 39 of SOA.
+	for _, zone := range []string{"a", "www.site.example", longSOAZone} {
+		s := shapesServer(t, zone)
+		for _, other := range []string{"ftp.site.example", "b", longZone} {
+			checkOtherShapes(t, s, other)
+		}
+		if got := s.Stats().Truncated; (zone == longSOAZone) != (got == 1) {
+			t.Errorf("zone %.20s: truncated counter = %d; only the NXDOMAIN for longZone under longSOAZone over UDP is", zone, got)
+		}
+	}
+	// That response, untruncated, is the largest of all, and what the
+	// pooled response buffers need not outgrow.
+	out := shapesServer(t, longSOAZone).handle(packQuery(t, 1, dnswire.OpQuery, longZone, dnswire.TypeA),
+		netip.MustParseAddr("127.0.0.1"), engine.TransportTCP, math.MaxUint16, nil)
+	if len(out) != 564 || len(out) > cap(*packPool.Get().(*[]byte)) {
+		t.Errorf("largest response is %d bytes, want 564", len(out))
+	}
 }
 
 // FuzzAppendAnswer is the same equivalence over fuzzer-chosen inputs.
 func FuzzAppendAnswer(f *testing.F) {
-	f.Add("www.site.example", uint16(7), true, false, []byte{10, 4, 7, 0}, uint8(24), uint8(24), uint32(240), []byte{10, 0, 0, 1})
-	f.Add("a", uint16(0), false, true, []byte{}, uint8(0), uint8(0), uint32(1), []byte{192, 0, 2, 9})
-	f.Add(longZone, uint16(65535), true, true,
+	f.Add("www.site.example", "ftp.site.example", uint16(7), true, false, []byte{10, 4, 7, 0}, uint8(24), uint8(24), uint32(240), []byte{10, 0, 0, 1})
+	f.Add("a", "a.a.a", uint16(0), false, true, []byte{}, uint8(0), uint8(0), uint32(1), []byte{192, 0, 2, 9})
+	f.Add(longZone, longSOAZone, uint16(65535), true, true,
 		[]byte{0x20, 0x01, 0x0d, 0xb8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1}, uint8(128), uint8(56), uint32(math.MaxUint32), []byte{10, 0, 0, 7})
-	f.Fuzz(func(t *testing.T, zone string, id uint16, rd, anyType bool, subnet []byte, bits, scope uint8, ttl uint32, server []byte) {
+	f.Add(longSOAZone, longZone, uint16(9), false, false, []byte{}, uint8(0), uint8(0), uint32(60), []byte{10, 0, 0, 2})
+	f.Fuzz(func(t *testing.T, zone, other string, id uint16, rd, anyType bool, subnet []byte, bits, scope uint8, ttl uint32, server []byte) {
 		if dnswire.CanonicalName(zone) == "." {
 			t.Skip() // not a servable zone
 		}
-		if _, err := (&dnswire.Message{Questions: []dnswire.Question{{Name: zone}}}).Pack(); err != nil {
-			t.Skip()
+		for _, name := range []string{zone, other} {
+			if _, err := (&dnswire.Message{Questions: []dnswire.Question{{Name: name}}}).Pack(); err != nil {
+				t.Skip()
+			}
 		}
 		addr, ok := netip.AddrFromSlice(server)
 		if !ok || !addr.Is4() {
@@ -255,7 +483,10 @@ func FuzzAppendAnswer(f *testing.F) {
 		}
 		got, want := encodeBoth(t, zone, id, rd, qtype, ecs, addr, ttl, scope)
 		if !bytes.Equal(got, want) {
-			t.Fatalf("appendAnswer differs from AppendPack:\n got %x\nwant %x", got, want)
+			t.Fatalf("appendReply differs from AppendPack:\n got %x\nwant %x", got, want)
+		}
+		if s := shapesServer(t, zone); len(s.zoneWire) <= maxZoneWire {
+			checkOtherShapes(t, s, other)
 		}
 	})
 }
@@ -441,6 +672,47 @@ func TestNoStaleTTLUnderReloadLoad(t *testing.T) {
 		if resp.Answers[0].TTL != want1[server] {
 			t.Fatalf("stale TTL after reload settled: server %d got %d, want %d",
 				server, resp.Answers[0].TTL, want1[server])
+		}
+	}
+}
+
+// TestCompressedQuestionEchoesAskedName: a query may compress its
+// question's name — here into the header, a pointer to offset 0, where
+// the zero ID reads as the root — and then there are no question bytes
+// to copy into the response. The shapes whose name was never matched
+// against the zone must spell the name that was asked, not the zone's.
+func TestCompressedQuestionEchoesAskedName(t *testing.T) {
+	srv, _ := testServerNoStart(t, "RR")
+	for _, c := range []struct {
+		op    dnswire.OpCode
+		name  string
+		rcode dnswire.RCode
+	}{
+		{dnswire.OpQuery, "\x03FtP", dnswire.RCodeNXDomain},
+		{dnswire.OpStatus, "\x03FtP", dnswire.RCodeNotImp},
+		{dnswire.OpStatus, "\x03wWw\x04site\x07example", dnswire.RCodeNotImp},
+		{dnswire.OpQuery, "\x03wWw\x04site\x07example", dnswire.RCodeNoError},
+	} {
+		wire := []byte{0, 0, byte(c.op) << 3, 0, 0, 1, 0, 0, 0, 0, 0, 0}
+		wire = append(wire, c.name...)
+		wire = append(wire, 0xC0, 0, 0, byte(dnswire.TypeAAAA), 0, byte(dnswire.ClassIN))
+		out := srv.handle(wire, netip.MustParseAddr("127.0.0.1"), engine.TransportTCP, math.MaxUint16, nil)
+		want := append(bytes.ToLower([]byte(c.name)), 0, 0, byte(dnswire.TypeAAAA), 0, byte(dnswire.ClassIN))
+		if len(out) < 12+len(want) || !bytes.Equal(out[12:12+len(want)], want) {
+			t.Fatalf("%v for %q: question %x, want %x", c.rcode, c.name, out[12:], want)
+		}
+		resp, err := dnswire.Unpack(out)
+		if err != nil {
+			t.Fatalf("%v for %q: %v", c.rcode, c.name, err)
+		}
+		if resp.Header.RCode != c.rcode || resp.Header.OpCode != c.op {
+			t.Errorf("%q: %v, opcode %d; want %v, opcode %d", c.name, resp.Header.RCode, resp.Header.OpCode, c.rcode, c.op)
+		}
+		if c.op == dnswire.OpQuery {
+			checkNegativeShape(t, out)
+			if owner := resp.Authority[0].Name; owner != "www.site.example." {
+				t.Errorf("%q: SOA owner %q", c.name, owner)
+			}
 		}
 	}
 }

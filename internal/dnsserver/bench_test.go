@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"io"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"net/netip"
 	"runtime"
 	"sync/atomic"
@@ -179,6 +181,57 @@ func BenchmarkServerTCPPipelined(b *testing.B) {
 	}
 }
 
+// The query shapes that get no address: a few percent of live traffic,
+// and what a resolver whose cache the short TTLs keep emptying sends
+// just as often as before.
+var coldPathQueries = []struct {
+	name  string
+	op    dnswire.OpCode
+	qname string
+	qtype dnswire.Type
+	rcode dnswire.RCode
+}{
+	{"NXDOMAIN", dnswire.OpQuery, "ftp.site.example", dnswire.TypeA, dnswire.RCodeNXDomain},
+	{"NODATA", dnswire.OpQuery, "www.site.example", dnswire.TypeAAAA, dnswire.RCodeNoError},
+	{"TXT", dnswire.OpQuery, "www.site.example", dnswire.TypeTXT, dnswire.RCodeNoError},
+	{"NOTIMP", dnswire.OpStatus, "www.site.example", dnswire.TypeA, dnswire.RCodeNotImp},
+}
+
+// BenchmarkHandleColdPath is BenchmarkHandleHotPath for the other
+// response shapes, and for the /resolve handler (request parsing, query
+// synthesis, answer, JSON) on an address query with a client subnet.
+func BenchmarkHandleColdPath(b *testing.B) {
+	for _, c := range coldPathQueries {
+		b.Run(c.name, func(b *testing.B) {
+			srv := benchServer(b, "DRR2-TTL/S_K", "")
+			query := packQuery(b, 7, c.op, c.qname, c.qtype)
+			from := netip.MustParseAddr("127.0.0.1")
+			buf := make([]byte, 0, 2048)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				out := srv.handle(query, from, engine.TransportUDP, dnswire.MaxUDPPayload, buf[:0])
+				if out == nil {
+					b.Fatal("query dropped")
+				}
+			}
+		})
+	}
+	b.Run("resolve", func(b *testing.B) {
+		srv := benchServer(b, "DRR2-TTL/S_K", "")
+		req := httptest.NewRequest(http.MethodGet, "/resolve?name=www.site.example&type=A&edns_client_subnet=10.4.7.0/24", nil)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rec := httptest.NewRecorder()
+			srv.handleDoHJSON(rec, req)
+			if rec.Code != http.StatusOK {
+				b.Fatalf("status %d", rec.Code)
+			}
+		}
+	})
+}
+
 // BenchmarkHandleHotPath measures the server-side handler alone —
 // decode, schedule, encode — without sockets, in the default
 // configuration. The companion TestHandleHotPathZeroAlloc pins the
@@ -212,12 +265,18 @@ func BenchmarkAppendAnswer(b *testing.B) {
 			if err := q.UnpackQuery(zoneQuery(b, c.ecs)); err != nil {
 				b.Fatal(err)
 			}
-			addr := netip.MustParseAddr("10.0.0.3")
+			r := reply{
+				hdr:   dnswire.Header{ID: q.Header.ID, Response: true, Authoritative: true, RecursionDesired: true},
+				shape: shapeA,
+				addr:  netip.MustParseAddr("10.0.0.3"),
+				ttl:   240,
+				scope: 24,
+			}
 			buf := make([]byte, 0, 2048)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if out := srv.appendAnswer(buf[:0], q, addr, 240, 24); out == nil {
+				if out := srv.appendReply(buf[:0], q, &r, dnswire.MaxUDPPayload, nil); out == nil {
 					b.Fatal("no answer")
 				}
 			}
@@ -228,8 +287,8 @@ func BenchmarkAppendAnswer(b *testing.B) {
 // TestHandleHotPathZeroAlloc pins the acceptance target: in the default
 // configuration the handler allocates nothing per query — for an
 // address answer with or without a Client Subnet echo, from the policy
-// or from the degraded ladder, and for the REFUSED a rate-limited
-// source gets.
+// or from the degraded ladder, for the REFUSED a rate-limited source
+// gets, and for every other shape appendReply writes.
 func TestHandleHotPathZeroAlloc(t *testing.T) {
 	from := netip.MustParseAddr("127.0.0.1")
 	buf := make([]byte, 0, 2048)
@@ -261,6 +320,12 @@ func TestHandleHotPathZeroAlloc(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			srv, _ := testServerNoStart(t, "DRR2-TTL/S_K")
 			zeroAlloc(t, srv, query, dnswire.RCodeNoError)
+		})
+	}
+	for _, c := range coldPathQueries {
+		t.Run(c.name, func(t *testing.T) {
+			srv, _ := testServerNoStart(t, "DRR2-TTL/S_K")
+			zeroAlloc(t, srv, packQuery(t, 7, c.op, c.qname, c.qtype), c.rcode)
 		})
 	}
 	t.Run("degraded", func(t *testing.T) {

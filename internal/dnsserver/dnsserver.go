@@ -301,6 +301,10 @@ func (s *Server) statsIndex(addr netip.Addr) uint32 {
 	return h & (statsShards - 1)
 }
 
+// maxZoneWire is the longest zone name, in wire bytes, whose SOA names
+// (appendSOA puts a "hostmaster" label before it) still fit a name's 255.
+const maxZoneWire = 255 - len("\x0ahostmaster")
+
 // New creates a server; call Start to bind and serve.
 func New(cfg Config) (*Server, error) {
 	if cfg.Zone == "" {
@@ -372,6 +376,9 @@ func New(cfg Config) (*Server, error) {
 	packed, err := (&dnswire.Message{Questions: []dnswire.Question{{Name: zone}}}).Pack()
 	if err != nil {
 		return nil, fmt.Errorf("dnsserver: Zone: %w", err)
+	}
+	if len(packed)-16 > maxZoneWire {
+		return nil, fmt.Errorf("dnsserver: Zone: %w: no room for its SOA's hostmaster.%s", dnswire.ErrNameTooLong, zone)
 	}
 	s := &Server{
 		zone:        zone,

@@ -96,6 +96,13 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Zone: "x", ServerAddrs: bad, Policy: policy}); err == nil {
 		t.Error("IPv6 server address should error")
 	}
+	// The longest zone is the longest whose SOA names still fit a name.
+	if _, err := New(Config{Zone: longSOAZone, ServerAddrs: addrs, Policy: policy}); err != nil {
+		t.Errorf("a %d-byte zone: %v", maxZoneWire, err)
+	}
+	if _, err := New(Config{Zone: longSOAZone + "d", ServerAddrs: addrs, Policy: policy}); err == nil {
+		t.Errorf("a %d-byte zone leaves no room for hostmaster.<zone> and should error", maxZoneWire+1)
+	}
 }
 
 func TestUDPQueryAnswersWithAdaptiveTTL(t *testing.T) {

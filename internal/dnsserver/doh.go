@@ -4,6 +4,7 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/netip"
 	"strconv"
@@ -18,14 +19,15 @@ import (
 // Two endpoints share the engine, the rate limiter, the
 // overload-degradation ladder, and the per-transport metrics with
 // the UDP and TCP fronts, because every request funnels into the same
-// safeHandle the socket serve loops call:
+// decode and answer steps (query.go) the socket serve loops run:
 //
 //   - /dns-query — RFC 8484 wire format: GET with a ?dns= base64url
 //     parameter, or POST with an application/dns-message body. The
 //     response body is the verbatim wire response, so a stub resolver
 //     speaking DoH gets bit-identical answers to one speaking UDP.
 //   - /resolve — a dns-json style debugging endpoint: ?name=…&type=…
-//     [&edns_client_subnet=…] rendered as JSON. The subnet parameter
+//     [&edns_client_subnet=…] rendered as JSON from the same reply
+//     value the wire responses are encoded from. The subnet parameter
 //     builds a real ECS option into the synthesized query, so the
 //     JSON endpoint exercises the identical classification path.
 //
@@ -59,54 +61,44 @@ func dohClientAddr(r *http.Request) netip.Addr {
 	return netip.Addr{}
 }
 
+// badRequest refuses a DoH request the front end could not make a DNS
+// query of, and counts it.
+func (s *Server) badRequest(w http.ResponseWriter, msg string, code int) {
+	s.dohBadRequest.Add(1)
+	http.Error(w, msg, code)
+}
+
 // handleDoHWire serves RFC 8484 wire-format exchanges.
 func (s *Server) handleDoHWire(w http.ResponseWriter, r *http.Request) {
 	var wire []byte
+	var err error
 	switch r.Method {
 	case http.MethodGet:
-		enc := r.URL.Query().Get("dns")
-		if enc == "" {
-			s.dohBadRequest.Add(1)
-			http.Error(w, "missing dns parameter", http.StatusBadRequest)
-			return
-		}
 		// RFC 8484 requires unpadded base64url; accept padded as a
-		// courtesy (curl users add it).
-		dec, err := base64.RawURLEncoding.DecodeString(strings.TrimRight(enc, "="))
-		if err != nil {
-			s.dohBadRequest.Add(1)
-			http.Error(w, "bad dns parameter", http.StatusBadRequest)
-			return
-		}
-		wire = dec
+		// courtesy (curl users add it). A missing parameter decodes to
+		// the empty message, refused below.
+		wire, err = base64.RawURLEncoding.DecodeString(strings.TrimRight(r.URL.Query().Get("dns"), "="))
 	case http.MethodPost:
 		if ct := r.Header.Get("Content-Type"); ct != "application/dns-message" {
-			s.dohBadRequest.Add(1)
-			http.Error(w, "content type must be application/dns-message", http.StatusUnsupportedMediaType)
+			s.badRequest(w, "content type must be application/dns-message", http.StatusUnsupportedMediaType)
 			return
 		}
-		body, err := io.ReadAll(io.LimitReader(r.Body, maxDoHRequest+1))
-		if err != nil || len(body) == 0 || len(body) > maxDoHRequest {
-			s.dohBadRequest.Add(1)
-			http.Error(w, "bad request body", http.StatusBadRequest)
-			return
-		}
-		wire = body
+		wire, err = io.ReadAll(io.LimitReader(r.Body, maxDoHRequest+1))
 	default:
-		s.dohBadRequest.Add(1)
 		w.Header().Set("Allow", "GET, POST")
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+		s.badRequest(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	if len(wire) == 0 || len(wire) > maxDoHRequest {
-		s.dohBadRequest.Add(1)
-		http.Error(w, "bad dns message size", http.StatusBadRequest)
+	if err != nil || len(wire) == 0 || len(wire) > maxDoHRequest {
+		s.badRequest(w, "bad dns message", http.StatusBadRequest)
 		return
 	}
 	bp := packPool.Get().(*[]byte)
-	resp := s.safeHandle(wire, dohClientAddr(r), engine.TransportDoH, maxDoHResponse, (*bp)[:0])
+	defer packPool.Put(bp)
+	// HTTP has no 512-byte constraint: DoH gets the TCP budget, and no
+	// response is truncated.
+	resp := s.handle(wire, dohClientAddr(r), engine.TransportDoH, math.MaxUint16, (*bp)[:0])
 	if resp == nil {
-		packPool.Put(bp)
 		s.dohDropped.Add(1)
 		http.Error(w, "query dropped", http.StatusInternalServerError)
 		return
@@ -115,16 +107,7 @@ func (s *Server) handleDoHWire(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/dns-message")
 	w.Header().Set("Content-Length", strconv.Itoa(len(resp)))
 	_, _ = w.Write(resp)
-	if cap(resp) > cap(*bp) {
-		*bp = resp[:0]
-	}
-	packPool.Put(bp)
 }
-
-// maxDoHResponse is the response size budget handed to the handler:
-// HTTP has no 512-byte constraint, so DoH gets the TCP budget and
-// never truncates a single-answer response.
-const maxDoHResponse = 65535
 
 // dohJSONAnswer is one answer record in the /resolve rendering,
 // following the de-facto dns-json field names.
@@ -186,22 +169,23 @@ func parseDoHSubnet(s string) (netip.Prefix, bool) {
 	return netip.PrefixFrom(a, a.BitLen()), true
 }
 
-// handleDoHJSON serves the dns-json style /resolve endpoint by
-// synthesizing a wire query (including a real ECS option when
-// edns_client_subnet is given), running it through the standard
-// handler, and rendering the wire response as JSON.
+// handleDoHJSON serves the dns-json style /resolve endpoint. It acts as
+// a DNS client towards its own server: the parameters become a wire
+// query (with a real ECS option when edns_client_subnet is given), which
+// goes through the decoder and answer step every transport uses — so
+// names and subnets from outside are validated in one place, and
+// counters, limiter and degraded mode apply — and the reply is rendered
+// as JSON directly, with no wire response in between.
 func (s *Server) handleDoHJSON(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		s.dohBadRequest.Add(1)
 		w.Header().Set("Allow", "GET")
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+		s.badRequest(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
 	params := r.URL.Query()
 	name := params.Get("name")
 	if name == "" {
-		s.dohBadRequest.Add(1)
-		http.Error(w, "missing name parameter", http.StatusBadRequest)
+		s.badRequest(w, "missing name parameter", http.StatusBadRequest)
 		return
 	}
 	if !strings.HasSuffix(name, ".") {
@@ -209,8 +193,7 @@ func (s *Server) handleDoHJSON(w http.ResponseWriter, r *http.Request) {
 	}
 	qtype, ok := parseDoHType(params.Get("type"))
 	if !ok {
-		s.dohBadRequest.Add(1)
-		http.Error(w, "bad type parameter", http.StatusBadRequest)
+		s.badRequest(w, "bad type parameter", http.StatusBadRequest)
 		return
 	}
 	q := &dnswire.Message{
@@ -219,73 +202,54 @@ func (s *Server) handleDoHJSON(w http.ResponseWriter, r *http.Request) {
 	}
 	if sn := params.Get("edns_client_subnet"); sn != "" {
 		p, ok := parseDoHSubnet(sn)
-		if !ok {
-			s.dohBadRequest.Add(1)
-			http.Error(w, "bad edns_client_subnet parameter", http.StatusBadRequest)
-			return
-		}
-		if err := q.SetClientSubnet(dnswire.ClientSubnet{Prefix: p}, dnswire.MaxUDPPayload); err != nil {
-			s.dohBadRequest.Add(1)
-			http.Error(w, "bad edns_client_subnet parameter", http.StatusBadRequest)
+		if !ok || q.SetClientSubnet(dnswire.ClientSubnet{Prefix: p}, dnswire.MaxUDPPayload) != nil {
+			s.badRequest(w, "bad edns_client_subnet parameter", http.StatusBadRequest)
 			return
 		}
 	}
 	wire, err := q.Pack()
 	if err != nil {
-		s.dohBadRequest.Add(1)
-		http.Error(w, "bad query", http.StatusBadRequest)
+		s.badRequest(w, "bad query", http.StatusBadRequest)
 		return
 	}
-	bp := packPool.Get().(*[]byte)
-	respWire := s.safeHandle(wire, dohClientAddr(r), engine.TransportDoH, maxDoHResponse, (*bp)[:0])
-	if respWire == nil {
-		packPool.Put(bp)
+	out, ok := s.answerJSON(wire, dohClientAddr(r))
+	if !ok {
 		s.dohDropped.Add(1)
 		http.Error(w, "query dropped", http.StatusInternalServerError)
 		return
-	}
-	m, err := dnswire.Unpack(respWire)
-	packPool.Put(bp)
-	if err != nil {
-		s.dohDropped.Add(1)
-		http.Error(w, "bad response", http.StatusInternalServerError)
-		return
-	}
-	out := dohJSONResponse{
-		Status: uint16(m.Header.RCode),
-		TC:     m.Header.Truncated,
-	}
-	for _, qq := range m.Questions {
-		out.Question = append(out.Question, dohJSONQ{Name: qq.Name, Type: uint16(qq.Type)})
-	}
-	for _, rr := range m.Answers {
-		out.Answer = append(out.Answer, dohJSONAnswer{
-			Name: rr.Name,
-			Type: uint16(rr.Type),
-			TTL:  rr.TTL,
-			Data: renderRData(rr.Data),
-		})
-	}
-	if cs, ok := m.ClientSubnet(); ok {
-		out.Subnet = cs.Prefix.Addr().String() + "/" +
-			strconv.Itoa(cs.Prefix.Bits()) + "/" + strconv.Itoa(int(cs.ScopePrefixLen))
 	}
 	s.dohOK.Add(1)
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(out)
 }
 
-// renderRData renders a record's data as the dns-json presentation
-// string.
-func renderRData(d dnswire.RData) string {
-	switch v := d.(type) {
-	case dnswire.A:
-		return v.Addr.String()
-	case dnswire.AAAA:
-		return v.Addr.String()
-	case dnswire.TXT:
-		return strings.Join(v.Strings, " ")
-	default:
-		return ""
+// answerJSON is handle with the JSON renderer in appendReply's place:
+// decode and answer behind the same panic recovery (ok is false when the
+// query is dropped), then the /resolve body for the reply — field for
+// field what decoding the wire response gives. The authority section has
+// no place in the body: a negative answer is its status.
+func (s *Server) answerJSON(wire []byte, from netip.Addr) (out dohJSONResponse, ok bool) {
+	defer func() {
+		if s.recovered(recover(), from, engine.TransportDoH) {
+			ok = false
+		}
+	}()
+	q := dnswire.GetQuery()
+	defer dnswire.PutQuery(q)
+	r, _ := s.answer(q, wire, from, engine.TransportDoH)
+	out.Status = uint16(r.hdr.RCode)
+	if r.shape >= shapeQuestion {
+		out.Question = []dohJSONQ{{Name: string(q.Name), Type: uint16(q.Type)}}
 	}
+	switch r.shape {
+	case shapeA:
+		out.Answer = []dohJSONAnswer{{Name: s.zone, Type: uint16(dnswire.TypeA), TTL: r.ttl, Data: r.addr.String()}}
+		if q.HasECS {
+			out.Subnet = q.ECS.Prefix.String() + "/" + strconv.Itoa(int(r.scope))
+		}
+	case shapeTXT:
+		out.Answer = []dohJSONAnswer{{Name: s.zone, Type: uint16(dnswire.TypeTXT),
+			Data: "policy=" + s.policy.Name() + " decisions=" + strconv.FormatUint(s.policy.Decisions(), 10)}}
+	}
+	return out, r.shape != shapeDrop
 }

@@ -9,7 +9,9 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"net/netip"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -17,6 +19,7 @@ import (
 	"dnslb/internal/core"
 	"dnslb/internal/dnsclient"
 	"dnslb/internal/dnswire"
+	"dnslb/internal/engine"
 	"dnslb/internal/metrics"
 	"dnslb/internal/simcore"
 )
@@ -426,11 +429,11 @@ func TestMixedCaseQuestionEchoed(t *testing.T) {
 
 	// build packs a query for name and re-spells the packed name in
 	// alternating case (the packer lower-cases).
-	build := func(id uint16, name string, subnet netip.Prefix) (wire, question []byte) {
+	build := func(id uint16, name string, qtype dnswire.Type, subnet netip.Prefix) (wire, question []byte) {
 		t.Helper()
 		q := &dnswire.Message{
 			Header:    dnswire.Header{ID: id},
-			Questions: []dnswire.Question{{Name: name, Type: dnswire.TypeA, Class: dnswire.ClassIN}},
+			Questions: []dnswire.Question{{Name: name, Type: qtype, Class: dnswire.ClassIN}},
 		}
 		if subnet.IsValid() {
 			if err := q.SetClientSubnet(dnswire.ClientSubnet{Prefix: subnet}, dnswire.MaxUDPPayload); err != nil {
@@ -509,7 +512,7 @@ func TestMixedCaseQuestionEchoed(t *testing.T) {
 		send func([]byte) []byte
 	}{{"udp", overUDP}, {"tcp", overTCP}, {"doh", overDoH}} {
 		for j, ecs := range []netip.Prefix{{}, subnet} {
-			wire, question := build(uint16(1+2*i+j), "www.site.example", ecs)
+			wire, question := build(uint16(1+2*i+j), "www.site.example", dnswire.TypeA, ecs)
 			if bytes.Equal(question, bytes.ToLower(question)) {
 				t.Fatal("query name is not mixed-case; the test exercises nothing")
 			}
@@ -533,19 +536,42 @@ func TestMixedCaseQuestionEchoed(t *testing.T) {
 		}
 	}
 
-	// The Message-built shapes echo the spelling too: NXDOMAIN for a
-	// sibling name, whose SOA owner compresses against the question.
-	wire, question := build(99, "ftp.site.example", netip.Prefix{})
-	resp := overUDP(wire)
-	if len(resp) < 12+len(question) || !bytes.Equal(resp[12:12+len(question)], question) {
-		t.Fatalf("NXDOMAIN: question not echoed as sent:\nsent %q\n got %q", question, resp[12:])
-	}
-	msg, err := dnswire.Unpack(resp)
-	if err != nil {
-		t.Fatalf("NXDOMAIN: unparseable response: %v", err)
-	}
-	if msg.Header.RCode != dnswire.RCodeNXDomain || len(msg.Authority) != 1 || msg.Authority[0].Name != "www.site.example." {
-		t.Errorf("NXDOMAIN: rcode %v, authority %v", msg.Header.RCode, msg.Authority)
+	// The other shapes echo the spelling too, and their records' owner
+	// names — pointers into that spelling for a name at or under the zone,
+	// the zone's own bytes beside a sibling name — decode to the zone.
+	for i, c := range []struct {
+		name   string
+		qtype  dnswire.Type
+		rcode  dnswire.RCode
+		an, ns int
+	}{
+		{"ftp.site.example", dnswire.TypeA, dnswire.RCodeNXDomain, 0, 1},
+		{"ftp.www.site.example", dnswire.TypeA, dnswire.RCodeNXDomain, 0, 1},
+		{"www.site.example", dnswire.TypeAAAA, dnswire.RCodeNoError, 0, 1},
+		{"www.site.example", dnswire.TypeTXT, dnswire.RCodeNoError, 1, 0},
+	} {
+		wire, question := build(uint16(90+i), c.name, c.qtype, netip.Prefix{})
+		resp := overUDP(wire)
+		if len(resp) < 12+len(question) || !bytes.Equal(resp[12:12+len(question)], question) {
+			t.Fatalf("%s %v: question not echoed as sent:\nsent %q\n got %q", c.name, c.qtype, question, resp[12:])
+		}
+		msg, err := dnswire.Unpack(resp)
+		if err != nil {
+			t.Fatalf("%s %v: unparseable response: %v", c.name, c.qtype, err)
+		}
+		if msg.Header.RCode != c.rcode || len(msg.Answers) != c.an || len(msg.Authority) != c.ns {
+			t.Fatalf("%s %v: rcode %v, answers %v, authority %v", c.name, c.qtype, msg.Header.RCode, msg.Answers, msg.Authority)
+		}
+		for _, rr := range append(msg.Answers, msg.Authority...) {
+			if rr.Name != "www.site.example." {
+				t.Errorf("%s %v: record owner %q, want the zone", c.name, c.qtype, rr.Name)
+			}
+		}
+		if c.name != "ftp.site.example" {
+			if owner := resp[12+len(question)]; owner&0xC0 != 0xC0 {
+				t.Errorf("%s %v: record owner is not a pointer into the echoed question", c.name, c.qtype)
+			}
+		}
 	}
 }
 
@@ -638,5 +664,135 @@ func FuzzDoHRequest(f *testing.F) {
 		}
 		_, _ = io.Copy(io.Discard, hr.Body)
 		hr.Body.Close()
+	})
+}
+
+// jsonFromWire renders a wire response the way /resolve did when it ran
+// a wire exchange with itself and decoded the answer: the reference for
+// the JSON renderer that replaced it.
+func jsonFromWire(t *testing.T, wire []byte) dohJSONResponse {
+	t.Helper()
+	m, err := dnswire.Unpack(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := dohJSONResponse{Status: uint16(m.Header.RCode), TC: m.Header.Truncated}
+	for _, q := range m.Questions {
+		out.Question = append(out.Question, dohJSONQ{Name: q.Name, Type: uint16(q.Type)})
+	}
+	for _, rr := range m.Answers {
+		a := dohJSONAnswer{Name: rr.Name, Type: uint16(rr.Type), TTL: rr.TTL}
+		switch v := rr.Data.(type) {
+		case dnswire.A:
+			a.Data = v.Addr.String()
+		case dnswire.TXT:
+			a.Data = strings.Join(v.Strings, " ")
+		}
+		out.Answer = append(out.Answer, a)
+	}
+	if cs, ok := m.ClientSubnet(); ok {
+		out.Subnet = fmt.Sprintf("%v/%d/%d", cs.Prefix.Addr(), cs.Prefix.Bits(), cs.ScopePrefixLen)
+	}
+	return out
+}
+
+// TestResolveJSONMatchesWire holds the JSON renderer to the wire
+// renderer: the /resolve body equals, field for field, a rendering of
+// the wire response to the same query over POST /dns-query — for each
+// shape, from the policy, from the degraded ladder and for a
+// rate-limited source. Both handlers are driven directly, so counters,
+// limiter and degraded mode are seen to cover /resolve as they cover
+// the wire path.
+func TestResolveJSONMatchesWire(t *testing.T) {
+	queries := []struct {
+		name, qtype, subnet string
+	}{
+		{"www.site.example", "A", "10.3.0.0/16"},
+		{"www.site.example", "A", "2001:db8:4:5600::/56"},
+		{"WWW.Site.Example.", "TXT", ""},
+		{"www.site.example", "AAAA", ""},
+		{"ftp.site.example", "A", "10.3.7.0/24"},
+	}
+	check := func(t *testing.T, srv *Server, status uint16, answered uint64) {
+		t.Helper()
+		for _, c := range queries {
+			qtype, _ := parseDoHType(c.qtype)
+			m := &dnswire.Message{Questions: []dnswire.Question{{Name: c.name, Type: qtype, Class: dnswire.ClassIN}}}
+			target := "/resolve?name=" + c.name + "&type=" + c.qtype
+			if c.subnet != "" {
+				if err := m.SetClientSubnet(dnswire.ClientSubnet{Prefix: netip.MustParsePrefix(c.subnet)}, dnswire.MaxUDPPayload); err != nil {
+					t.Fatal(err)
+				}
+				target += "&edns_client_subnet=" + c.subnet
+			}
+			wire, err := m.Pack()
+			if err != nil {
+				t.Fatal(err)
+			}
+			post := httptest.NewRequest(http.MethodPost, "/dns-query", bytes.NewReader(wire))
+			post.Header.Set("Content-Type", "application/dns-message")
+			wireRec := httptest.NewRecorder()
+			srv.handleDoHWire(wireRec, post)
+			jsonRec := httptest.NewRecorder()
+			srv.handleDoHJSON(jsonRec, httptest.NewRequest(http.MethodGet, target, nil))
+			if wireRec.Code != http.StatusOK || jsonRec.Code != http.StatusOK {
+				t.Fatalf("%v: status %d over /dns-query, %d over /resolve", c, wireRec.Code, jsonRec.Code)
+			}
+			want := jsonFromWire(t, wireRec.Body.Bytes())
+			var got dohJSONResponse
+			if err := json.Unmarshal(jsonRec.Body.Bytes(), &got); err != nil {
+				t.Fatalf("%v: %v in %s", c, err, jsonRec.Body)
+			}
+			if status != 0 && got.Status != status {
+				t.Errorf("%v: Status %d, want %d", c, got.Status, status)
+			}
+			// The two exchanges are two decisions: the scheduler rotates the
+			// server, and the TTL adapts to it.
+			for _, r := range []*dohJSONResponse{&got, &want} {
+				if len(r.Answer) == 1 && r.Answer[0].Type == uint16(dnswire.TypeA) {
+					a := &r.Answer[0]
+					if addr, err := netip.ParseAddr(a.Data); err != nil || addr.As4()[3] < 1 || addr.As4()[3] > 7 || a.TTL == 0 {
+						t.Errorf("%v: answer %+v is not a site server with a TTL", c, *a)
+					}
+					a.Data, a.TTL = "", 0
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%v:\n/resolve   %+v\n/dns-query %+v", c, got, want)
+			}
+		}
+		n := uint64(len(queries))
+		if st := srv.Stats(); st.Queries != 2*n || st.Answered != answered {
+			t.Errorf("stats %+v, want %d queries, %d answered", st, 2*n, answered)
+		}
+		if got := srv.TransportQueries(engine.TransportDoH); got != 2*n {
+			t.Errorf("%d queries counted on the DoH transport, want %d", got, 2*n)
+		}
+		if ok := srv.dohOK.Load(); ok != 2*n {
+			t.Errorf("doh ok counter = %d, want %d", ok, 2*n)
+		}
+	}
+
+	t.Run("policy", func(t *testing.T) {
+		srv, _ := testServerNoStart(t, "DRR2-TTL/S_K")
+		check(t, srv, 0, 8)
+	})
+	t.Run("degraded", func(t *testing.T) {
+		srv, _ := testServerNoStart(t, "DRR2-TTL/S_K")
+		srv.over = newOverloadController(srv, OverloadConfig{QPSCeiling: 1e12, Tick: time.Hour, DegradedTTL: 5})
+		srv.over.degraded.Store(true)
+		check(t, srv, 0, 8)
+		if got := srv.Degraded().Answers; got != 4 {
+			t.Errorf("%d answers from the degraded ladder, want 4 (two address queries, each asked twice)", got)
+		}
+	})
+	t.Run("rate-limited", func(t *testing.T) {
+		srv, _ := testServerNoStart(t, "DRR2-TTL/S_K")
+		srv.limiter = NewRateLimiter(1e-9, 1)
+		srv.limiter.Allow(netip.MustParseAddr("192.0.2.1")) // httptest's client address; the burst's one token
+		check(t, srv, uint16(dnswire.RCodeRefused), 0)
+		if got := srv.Stats().RateLimited; got != uint64(2*len(queries)) {
+			t.Errorf("%d queries rate-limited, want %d", got, 2*len(queries))
+		}
 	})
 }

@@ -3,102 +3,154 @@ package dnsserver
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
 	"math"
 	"net/netip"
 	"runtime/debug"
+	"strconv"
 
 	"dnslb/internal/core"
 	"dnslb/internal/dnswire"
 	"dnslb/internal/engine"
 )
 
-// The query path: one wire-format message in, one out, whatever front
-// end it arrived through (UDP, pipelined TCP, DoH). Scheduling goes
-// through the engine's DecideQuery — the same lifecycle (snapshot
-// filtering, selection, TTL, mapping ledger) the simulator drives —
-// fed by an engine.QueryContext carrying the resolver address, the
-// RFC 7871 client subnet when the query forwarded one, and the
-// transport tag. This file only adds DNS semantics around it: message
-// validation, rate limiting, scoped ECS echo and response encoding.
+// The query path: one wire-format message in, one reply out, whatever
+// front end it arrived through (UDP, pipelined TCP, DoH), in three
+// steps. Decode is the pooled zero-alloc dnswire.UnpackQuery. Answer is
+// everything the server decides: counters, the response-bit drop, rate
+// limiting, DNS semantics for the zone and, for an address query, the
+// scheduling decision — the engine's DecideQuery, the same lifecycle
+// (snapshot filtering, selection, TTL, mapping ledger) the simulator
+// drives, fed by an engine.QueryContext carrying the resolver address,
+// the RFC 7871 client subnet when the query forwarded one, and the
+// transport tag. Its result is one small value, a reply: the header to
+// send and the shape of the message under it.
 //
-// Decoding uses the pooled zero-alloc decoder (dnswire.UnpackQuery).
-// The address answer — the response the TTL policy exists to hand out,
-// and so the one whose cost is the cost of the policy — is a fixed
-// template written straight into the pooled response buffer by
-// appendAnswer, with no allocation; so are the header-only error
-// replies, REFUSED above all, which is what a flood is answered with.
-// The rare shapes (NOTIMP, NXDOMAIN, TXT, negative answers) build a
-// dnswire.Message.
+// Render turns the reply into bytes, and there are two renderers.
+// appendReply writes the wire form of every shape straight into the
+// caller's pooled buffer, with no allocation and no dnswire.Message: the
+// address answer the TTL policy exists to hand out, the header-only
+// errors (REFUSED above all, which is what a flood is answered with),
+// and NXDOMAIN, NODATA, TXT and NOTIMP, which reach the authority as
+// often as resolver caches let them. answerJSON (doh.go) fills the
+// /resolve body from the same reply, with no wire response in between.
 
-// safeHandle is handle behind a panic recovery: a bug in the query
-// path must not kill the serve worker. The panic is logged with its
-// stack, counted, and the query dropped (the client retries; losing
-// one datagram is the UDP failure model anyway).
-func (s *Server) safeHandle(wire []byte, from netip.Addr, tr engine.Transport, maxSize int, dst []byte) (resp []byte) {
+// shape says what a reply consists of: each value is the one before it
+// and something more, up to the question, and then one kind of record.
+type shape uint8
+
+const (
+	shapeDrop     shape = iota // no reply: the query is dropped
+	shapeHeader                // the header alone: FORMERR, REFUSED
+	shapeQuestion              // and the question echoed: NOTIMP, SERVFAIL
+	shapeA                     // and one A record, plus the ECS echo for a query that had the option
+	shapeTXT                   // and the debug TXT pair, policy name and decision count
+	shapeSOA                   // and the zone's SOA as authority: NXDOMAIN, and NODATA for the zone itself
+)
+
+// reply is what the server decided to say to one query, before any
+// encoding. What else a renderer needs — the question, the client subnet
+// to echo — it reads from the decoded query.
+type reply struct {
+	shape shape
+	// hdr is the response header: the query's ID, and its opcode and RD
+	// bit as far as the message was understood.
+	hdr dnswire.Header
+	// The A record: the chosen server, the TTL the policy assigned the
+	// mapping, and the scope prefix length of the ECS echo.
+	addr  netip.Addr
+	ttl   uint32
+	scope uint8
+}
+
+// recovered is the query path's panic recovery, given recover()'s result
+// by a deferred function: a bug under answer or a renderer must not kill
+// the serve worker. The panic is logged with its stack and counted, and
+// the caller drops the query (the client retries; losing one datagram is
+// the UDP failure model anyway).
+func (s *Server) recovered(r any, from netip.Addr, tr engine.Transport) bool {
+	if r != nil {
+		s.panics.Add(1)
+		s.logger.Error("panic in query handler",
+			"panic", r, "raddr", from, "transport", tr, "stack", string(debug.Stack()))
+	}
+	return r != nil
+}
+
+// handle processes one wire-format query, behind the panic recovery,
+// and returns the wire-format response (nil to drop), packed into dst's
+// capacity when possible. dst must be a zero-length slice (or nil to
+// allocate). handle touches no server-level lock: the engine and state
+// are internally safe, and counters go to the caller's stats shard.
+func (s *Server) handle(wire []byte, from netip.Addr, tr engine.Transport, maxSize int, dst []byte) (resp []byte) {
 	defer func() {
-		if r := recover(); r != nil {
-			s.panics.Add(1)
-			s.logger.Error("panic in query handler",
-				"panic", r, "raddr", from, "transport", tr, "stack", string(debug.Stack()))
+		if s.recovered(recover(), from, tr) {
 			resp = nil
 		}
 	}()
-	return s.handle(wire, from, tr, maxSize, dst)
+	q := dnswire.GetQuery()
+	defer dnswire.PutQuery(q)
+	r, st := s.answer(q, wire, from, tr)
+	return s.appendReply(dst, q, &r, maxSize, st)
 }
 
-// handle processes one wire-format query and returns the wire-format
-// response (nil to drop), packed into dst's capacity when possible.
-// dst must be a zero-length slice (or nil to allocate). handle touches
-// no server-level lock: the engine and state are internally safe, and
-// counters go to the caller's stats shard.
-func (s *Server) handle(wire []byte, from netip.Addr, tr engine.Transport, maxSize int, dst []byte) []byte {
+// answer decodes wire into q and decides the reply to it. st is the
+// stats shard the query was counted on.
+func (s *Server) answer(q *dnswire.Query, wire []byte, from netip.Addr, tr engine.Transport) (r reply, st *statsShard) {
 	// A dual-stack socket (a wildcard listen address) reports an IPv4
 	// peer as ::ffff:a.b.c.d. Shed the mapping here, once, so the domain
 	// mapper, the rate limiter and the stats shard see one resolver as
 	// one address whatever socket it arrived on.
 	from = from.Unmap()
 	idx := s.statsIndex(from)
-	st := &s.stats[idx]
+	st = &s.stats[idx]
 	st.queries.Add(1)
 	if int(tr) < numTransports {
 		s.tquery[idx].counts[tr].Add(1)
 	}
-	q := dnswire.GetQuery()
-	defer dnswire.PutQuery(q)
 	if err := q.UnpackQuery(wire); err != nil || q.QDCount == 0 {
 		st.formerr.Add(1)
-		if len(wire) < 2 {
-			return nil // cannot even echo an ID
+		if len(wire) >= 2 { // or it cannot even echo an ID
+			r.shape = shapeHeader
+			r.hdr = dnswire.Header{ID: binary.BigEndian.Uint16(wire), Response: true, RCode: dnswire.RCodeFormErr}
 		}
-		return dnswire.AppendHeader(dst, dnswire.Header{
-			ID:       uint16(wire[0])<<8 | uint16(wire[1]),
-			Response: true,
-			RCode:    dnswire.RCodeFormErr,
-		}, 0, 0, 0, 0)
+		return r, st
 	}
 	if q.Header.Response {
-		return nil // never answer responses
+		return r, st // never answer responses
 	}
+	r.shape = shapeHeader
+	r.hdr = dnswire.Header{ID: q.Header.ID, Response: true, OpCode: q.Header.OpCode}
 	if s.limiter != nil && !s.limiter.Allow(from) {
 		st.ratelimited.Add(1)
-		return dnswire.AppendHeader(dst, dnswire.Header{
-			ID:       q.Header.ID,
-			Response: true,
-			OpCode:   q.Header.OpCode,
-			RCode:    dnswire.RCodeRefused,
-		}, 0, 0, 0, 0)
+		r.hdr.RCode = dnswire.RCodeRefused
+		return r, st
 	}
+	r.shape = shapeQuestion
+	r.hdr.Authoritative = true
+	r.hdr.RecursionDesired = q.Header.RecursionDesired
+	switch {
+	case q.Header.OpCode != dnswire.OpQuery:
+		r.hdr.RCode = dnswire.RCodeNotImp
+		st.notimp.Add(1)
 	// string(q.Name) in a comparison does not allocate; the name is
 	// already canonical (lower-case, trailing dot).
-	if q.Header.OpCode == dnswire.OpQuery && string(q.Name) == s.zone &&
-		(q.Type == dnswire.TypeA || q.Type == dnswire.TypeANY) {
-		return s.handleAddress(q, from, tr, idx, st, dst)
+	case string(q.Name) != s.zone:
+		r.hdr.RCode = dnswire.RCodeNXDomain
+		r.shape = shapeSOA
+		st.nxdomain.Add(1)
+	case q.Type == dnswire.TypeA || q.Type == dnswire.TypeANY:
+		s.decideAddress(&r, q, from, tr, idx, st)
+	case q.Type == dnswire.TypeTXT:
+		r.shape = shapeTXT // debug visibility: the policy name and decision counter
+		st.answered.Add(1)
+	default:
+		r.shape = shapeSOA // the name exists but has no data of this type: NOERROR + SOA
+		st.answered.Add(1)
 	}
-	return s.handleOther(q, idx, st, maxSize, dst)
+	return r, st
 }
 
-// handleAddress answers an address query for the zone: one scheduling
+// decideAddress answers an address query for the zone: one scheduling
 // decision, one A record. While the admission controller has the server
 // degraded (overload.go) the decision comes from the engine's static
 // capacity-weighted round-robin ladder with the configured short TTL,
@@ -109,7 +161,7 @@ func (s *Server) handle(wire []byte, from netip.Addr, tr engine.Transport, maxSi
 // configured ECS mode) or the resolver's address, and reports the scope
 // to echo. SERVFAIL only when every server is unschedulable, never
 // because of load.
-func (s *Server) handleAddress(q *dnswire.Query, from netip.Addr, tr engine.Transport, idx uint32, st *statsShard, dst []byte) []byte {
+func (s *Server) decideAddress(r *reply, q *dnswire.Query, from netip.Addr, tr engine.Transport, idx uint32, st *statsShard) {
 	var (
 		d     core.Decision
 		scope uint8
@@ -119,13 +171,18 @@ func (s *Server) handleAddress(q *dnswire.Query, from netip.Addr, tr engine.Tran
 	if degraded {
 		d, err = s.eng.DecideFallback(s.over.cfg.DegradedTTL)
 	} else {
+		qc := engine.QueryContext{Resolver: from, Transport: tr}
+		if q.HasECS && q.ECS.Prefix.IsValid() {
+			qc.ClientSubnet = q.ECS.Prefix
+		}
 		var qd engine.QueryDecision
-		qd, err = s.eng.DecideQuery(queryContext(q, from, tr))
+		qd, err = s.eng.DecideQuery(qc)
 		d, scope = qd.Decision, qd.Scope
 	}
 	if err != nil {
 		st.servfail.Add(1)
-		return s.appendQuestion(dst, q, dnswire.RCodeServFail, 0, 0)
+		r.hdr.RCode = dnswire.RCodeServFail
+		return
 	}
 	if s.metrics != nil {
 		s.metrics.ttl.ObserveHint(idx, d.TTL)
@@ -137,16 +194,7 @@ func (s *Server) handleAddress(q *dnswire.Query, from netip.Addr, tr engine.Tran
 	if degraded {
 		s.over.noteDegradedAnswer(idx)
 	}
-	return s.appendAnswer(dst, q, s.serverAddrs()[d.Server], wireTTL(d.TTL), scope)
-}
-
-// queryContext assembles the engine's decision input for one query.
-func queryContext(q *dnswire.Query, from netip.Addr, tr engine.Transport) engine.QueryContext {
-	qc := engine.QueryContext{Resolver: from, Transport: tr}
-	if q.HasECS && q.ECS.Prefix.IsValid() {
-		qc.ClientSubnet = q.ECS.Prefix
-	}
-	return qc
+	r.shape, r.addr, r.ttl, r.scope = shapeA, s.serverAddrs()[d.Server], wireTTL(d.TTL), scope
 }
 
 // wireTTL rounds a policy TTL in seconds to the wire's whole seconds.
@@ -163,55 +211,76 @@ func wireTTL(seconds float64) uint32 {
 	return uint32(r)
 }
 
-// appendQuestion appends the header of an authoritative response to q
-// — its ID and RD echoed — and q's question: byte for byte as it
-// arrived, so a resolver that randomized the name's case gets its own
-// spelling back, or, when the query compressed the name, the zone's
-// canonical name (every caller has matched the name against the zone).
-func (s *Server) appendQuestion(dst []byte, q *dnswire.Query, rcode dnswire.RCode, an, ar int) []byte {
-	dst = dnswire.AppendHeader(dst, dnswire.Header{
-		ID:               q.Header.ID,
-		Response:         true,
-		Authoritative:    true,
-		RecursionDesired: q.Header.RecursionDesired,
-		RCode:            rcode,
-	}, 1, an, 0, ar)
-	if q.Question != nil {
-		return append(dst, q.Question...)
+// appendReply is the wire renderer, the only place the server encodes a
+// response (nil for shapeDrop): byte for byte what
+// dnswire.Message.AppendPack produces for the same response wherever the
+// question names the zone, without building the Message. dst must be
+// zero-length: compression pointers count from the start of dst. Each
+// record counts itself into the header (the low bytes of ANCOUNT,
+// NSCOUNT and ARCOUNT are dst[7], dst[9] and dst[11]). A response over
+// maxSize goes out as header and question with TC set; on UDP that is a
+// negative answer for a long name outside a long zone — an address
+// answer is at most 322 bytes (a 255-byte name, an IPv6 /128 echo) and
+// fits every transport's limit.
+func (s *Server) appendReply(dst []byte, q *dnswire.Query, r *reply, maxSize int, st *statsShard) []byte {
+	switch r.shape {
+	case shapeDrop:
+		return nil
+	case shapeHeader:
+		return dnswire.AppendHeader(dst, r.hdr, 0, 0, 0, 0)
 	}
-	dst = append(dst, s.zoneWire...)
-	dst = binary.BigEndian.AppendUint16(dst, uint16(q.Type))
-	return binary.BigEndian.AppendUint16(dst, uint16(q.Class))
+	dst = dnswire.AppendHeader(dst, r.hdr, 1, 0, 0, 0)
+	// The question goes back byte for byte as it arrived, so a resolver
+	// that randomized the name's case gets its own spelling back. A name
+	// the query compressed cannot be copied as is and is written from its
+	// canonical form ("a.b.", "." for the root), label by label; the zone's
+	// name would do only for the callers that matched it.
+	if q.Question != nil {
+		dst = append(dst, q.Question...)
+	} else {
+		name := q.Name
+		for n := bytes.IndexByte(name, '.'); n > 0; n = bytes.IndexByte(name, '.') {
+			dst = append(append(dst, byte(n)), name[:n]...)
+			name = name[n+1:]
+		}
+		dst = append(dst, 0, byte(q.Type>>8), byte(q.Type), byte(q.Class>>8), byte(q.Class))
+	}
+	switch r.shape {
+	case shapeA:
+		dst = appendA(dst, q, r)
+	case shapeTXT:
+		dst = s.appendTXT(dst)
+	case shapeSOA:
+		dst = s.appendSOA(dst)
+	}
+	if len(dst) > maxSize && r.shape > shapeQuestion {
+		st.truncated.Add(1)
+		r.hdr.Truncated, r.shape = true, shapeQuestion
+		return s.appendReply(dst[:0], q, r, maxSize, st)
+	}
+	return dst
 }
 
-// appendAnswer appends the address answer to q — header, question, one
-// A record for addr and, when the query carried a Client Subnet option,
-// the OPT record echoing it with the given scope (RFC 7871 §7.2.2) —
-// and is the only place the server encodes one. Byte for byte what
-// dnswire.Message.AppendPack produces for the same response, without
-// building the Message. dst must be zero-length: the record's owner
-// name is a compression pointer to the question at offset 12. The
-// response is at most 322 bytes (a 255-byte name, an IPv6 /128 echo),
-// so it fits every transport's limit and is never truncated.
-func (s *Server) appendAnswer(dst []byte, q *dnswire.Query, addr netip.Addr, ttl uint32, scope uint8) []byte {
-	ar := 0
-	if q.HasECS {
-		ar = 1
-	}
-	dst = s.appendQuestion(dst, q, dnswire.RCodeNoError, 1, ar)
-	a := addr.As4()
+// appendA appends the address answer — one A record for r.addr and, when
+// the query carried a Client Subnet option, the OPT record echoing it
+// with r.scope (RFC 7871 §7.2.2). The question names the zone, so the
+// record's owner is a compression pointer to it at offset 12.
+func appendA(dst []byte, q *dnswire.Query, r *reply) []byte {
+	a := r.addr.As4()
+	dst[7] = 1
 	dst = append(dst, 0xC0, 12, 0, byte(dnswire.TypeA), 0, byte(dnswire.ClassIN))
-	dst = binary.BigEndian.AppendUint32(dst, ttl)
+	dst = binary.BigEndian.AppendUint32(dst, r.ttl)
 	dst = append(dst, 0, 4, a[0], a[1], a[2], a[3])
 	if !q.HasECS {
 		return dst
 	}
 	// OPT: root owner, CLASS = the 512-byte payload this server accepts,
 	// TTL (extended RCODE, version, flags) zero, one option.
+	dst[11] = 1
 	dst = append(dst, 0, 0, byte(dnswire.TypeOPT), dnswire.MaxUDPPayload>>8, dnswire.MaxUDPPayload&0xFF, 0, 0, 0, 0)
 	rdlenAt := len(dst)
 	dst = append(dst, 0, 0, 0, byte(dnswire.OptionClientSubnet), 0, 0)
-	dst, err := dnswire.EchoClientSubnet(q.ECS, scope).AppendPack(dst)
+	dst, err := dnswire.EchoClientSubnet(q.ECS, r.scope).AppendPack(dst)
 	if err != nil {
 		return nil // unreachable: HasECS means the option parsed
 	}
@@ -221,90 +290,63 @@ func (s *Server) appendAnswer(dst []byte, q *dnswire.Query, addr netip.Addr, ttl
 	return dst
 }
 
-// handleOther serves every shape but the address answer by building a
-// dnswire.Message: NOTIMP, NXDOMAIN, TXT and negative answers.
-func (s *Server) handleOther(q *dnswire.Query, idx uint32, st *statsShard, maxSize int, dst []byte) []byte {
-	resp := &dnswire.Message{
-		Header: dnswire.Header{
-			ID:               q.Header.ID,
-			Response:         true,
-			OpCode:           q.Header.OpCode,
-			Authoritative:    true,
-			RecursionDesired: q.Header.RecursionDesired,
-		},
-		Questions: []dnswire.Question{{Name: string(q.Name), Type: q.Type, Class: q.Class}},
+// appendZoneName appends the zone's name as a record's owner to dst,
+// which holds header and question, and returns where in dst later names
+// can point to it. The question spells it already when it asks about the
+// zone (at offset 12) or about a name under it (as that name's tail); the
+// owner is then a compression pointer there. Beside any other name it is
+// written in full. The tail is held against zoneWire byte by byte but
+// for the case of letters: label lengths, at most 63, lie below every
+// letter, so a match decodes to the zone's name even where the tail does
+// not begin on one of the question's label boundaries.
+func (s *Server) appendZoneName(dst []byte) ([]byte, int) {
+	at := len(dst) - 4 - len(s.zoneWire)
+	spelled := at >= 12
+	for i := 0; spelled && i < len(s.zoneWire); i++ {
+		c := dst[at+i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		spelled = c == s.zoneWire[i]
 	}
-	switch {
-	case q.Header.OpCode != dnswire.OpQuery:
-		resp.Header.RCode = dnswire.RCodeNotImp
-		st.notimp.Add(1)
-	case resp.Questions[0].Name != s.zone:
-		resp.Header.RCode = dnswire.RCodeNXDomain
-		resp.Authority = []dnswire.ResourceRecord{s.soa()}
-		st.nxdomain.Add(1)
-	case q.Type == dnswire.TypeTXT:
-		// Debug visibility: the policy name and decision counters.
-		stats := s.policy.Stats()
-		resp.Answers = []dnswire.ResourceRecord{{
-			Name:  s.zone,
-			Type:  dnswire.TypeTXT,
-			Class: dnswire.ClassIN,
-			TTL:   0,
-			Data: dnswire.TXT{Strings: []string{
-				"policy=" + s.policy.Name(),
-				fmt.Sprintf("decisions=%d", stats.Decisions),
-			}},
-		}}
-		st.answered.Add(1)
-	default:
-		// Name exists but no data of this type: NOERROR + SOA.
-		resp.Authority = []dnswire.ResourceRecord{s.soa()}
-		st.answered.Add(1)
+	if !spelled {
+		return append(dst, s.zoneWire...), len(dst)
 	}
-	out := mustPack(resp, dst)
-	if len(out) > maxSize {
-		resp.Answers = nil
-		resp.Authority = nil
-		resp.Header.Truncated = true
-		st.truncated.Add(1)
-		out = mustPack(resp, out[:0])
-	}
-	// The sender's spelling goes back over the canonical name in place
-	// (see appendQuestion): the two differ in letter case only, unless a
-	// label held a dot, which the canonical form reads as two labels.
-	if n := 12 + len(q.Question); len(out) >= n && bytes.EqualFold(out[12:n], q.Question) {
-		copy(out[12:], q.Question)
-	}
-	return out
+	return append(dst, 0xC0|byte(at>>8), byte(at)), at
 }
 
-// soa returns the zone's SOA record, used in negative responses.
-func (s *Server) soa() dnswire.ResourceRecord {
-	return dnswire.ResourceRecord{
-		Name:  s.zone,
-		Type:  dnswire.TypeSOA,
-		Class: dnswire.ClassIN,
-		TTL:   60,
-		Data: dnswire.SOA{
-			MName:   "ns1." + s.zone,
-			RName:   "hostmaster." + s.zone,
-			Serial:  1,
-			Refresh: 3600,
-			Retry:   600,
-			Expire:  86400,
-			Minimum: 60,
-		},
-	}
+// appendTXT appends the debug answer: one TXT record for the zone, TTL 0,
+// of two strings, "policy=<name>" and "decisions=<count>".
+func (s *Server) appendTXT(dst []byte) []byte {
+	dst[7] = 1
+	dst, _ = s.appendZoneName(dst)
+	dst = append(dst, 0, byte(dnswire.TypeTXT), 0, byte(dnswire.ClassIN), 0, 0, 0, 0, 0, 0)
+	rdata := len(dst)
+	dst = append(append(dst, byte(len("policy=")+len(s.policy.Name()))), "policy="...)
+	dst = append(dst, s.policy.Name()...)
+	counter := len(dst)
+	dst = append(dst, 0) // the second string's length, known once it is written
+	dst = strconv.AppendUint(append(dst, "decisions="...), s.policy.Decisions(), 10)
+	dst[counter] = byte(len(dst) - counter - 1)
+	binary.BigEndian.PutUint16(dst[rdata-2:], uint16(len(dst)-rdata))
+	return dst
 }
 
-// mustPack appends the encoded message to dst (a zero-length slice or
-// nil), returning nil on encode failure: responses are built from
-// validated parts, so a pack failure is a programming error, but in
-// production we drop the response instead of crashing.
-func mustPack(m *dnswire.Message, dst []byte) []byte {
-	out, err := m.AppendPack(dst)
-	if err != nil {
-		return nil
-	}
-	return out
+// appendSOA appends the zone's SOA record, the authority section of the
+// negative answers: TTL and MINIMUM 60, which is how long a resolver may
+// cache the denial (RFC 2308 §5); primary ns1.<zone> and mailbox
+// hostmaster.<zone>, each one label and a pointer to the zone's name.
+func (s *Server) appendSOA(dst []byte) []byte {
+	dst[9] = 1
+	dst, zoneAt := s.appendZoneName(dst)
+	hi, lo := 0xC0|byte(zoneAt>>8), byte(zoneAt)
+	dst = append(dst, 0, byte(dnswire.TypeSOA), 0, byte(dnswire.ClassIN), 0, 0, 0, 60)
+	dst = append(dst, 0, 6+13+20) // RDLENGTH: the two names and five 32-bit fields
+	dst = append(dst, 3, 'n', 's', '1', hi, lo)
+	dst = append(dst, 10, 'h', 'o', 's', 't', 'm', 'a', 's', 't', 'e', 'r', hi, lo)
+	dst = binary.BigEndian.AppendUint32(dst, 1)     // serial
+	dst = binary.BigEndian.AppendUint32(dst, 3600)  // refresh
+	dst = binary.BigEndian.AppendUint32(dst, 600)   // retry
+	dst = binary.BigEndian.AppendUint32(dst, 86400) // expire
+	return binary.BigEndian.AppendUint32(dst, 60)   // minimum
 }

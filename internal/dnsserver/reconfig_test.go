@@ -3,6 +3,7 @@ package dnsserver
 import (
 	"context"
 	"fmt"
+	"net"
 	"net/netip"
 	"os"
 	"path/filepath"
@@ -760,6 +761,39 @@ func TestShutdownGraceful(t *testing.T) {
 	// Idempotent with Close (Cleanup runs it again).
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestShutdownEndsIdleTCPConn: a TCP connection waiting between
+// exchanges has nothing in flight for a graceful shutdown to wait for.
+// It used to hold Shutdown until the context ran out.
+func TestShutdownEndsIdleTCPConn(t *testing.T) {
+	srv, _ := smallServer(t, "RR")
+	conn, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// One exchange, so that the connection is known accepted and back in
+	// its read.
+	if _, err := conn.Write(frameTCP(testQueryWire(t))); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(3 * time.Second))
+	if _, err := readTCPResponse(conn); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	start := time.Now()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("graceful shutdown with an idle TCP connection: %v", err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("Shutdown waited %v for an idle TCP connection", took)
+	}
+	if n := srv.TCPConns(); n != 0 {
+		t.Errorf("%d TCP connections still served after Shutdown", n)
 	}
 }
 

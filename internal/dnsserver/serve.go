@@ -3,6 +3,7 @@ package dnsserver
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"net"
@@ -17,8 +18,8 @@ import (
 
 // Serve loops and lifecycle: socket binding, the parallel UDP
 // reader/responder workers, the TCP accept loop and its buffered
-// per-connection loops, the optional DoH front end, and the two
-// stop paths (immediate Close, graceful Shutdown).
+// per-connection loops, the optional DoH front end, and the stop
+// path (graceful Shutdown; Close is Shutdown without the patience).
 
 // Start binds the UDP socket and TCP listener and begins serving with
 // the configured number of parallel UDP workers.
@@ -106,51 +107,24 @@ func (s *Server) HTTPAddr() net.Addr {
 }
 
 // Close stops serving immediately and waits for the serve loops to
-// exit; in-flight exchanges may be cut off. For a drain-then-stop, use
-// Shutdown.
+// exit; in-flight exchanges may be cut off. It is Shutdown with no
+// patience: the context it passes has expired already.
 func (s *Server) Close() error {
-	select {
-	case <-s.closed:
-		return nil
-	default:
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := s.Shutdown(ctx); !errors.Is(err, context.Canceled) {
+		return err
 	}
-	close(s.closed)
-	s.cancelDrainTimers()
-	s.StopReplication()
-	s.stopProbing()
-	s.stopOverload()
-	var first error
-	if s.udp != nil {
-		first = s.udp.Close()
-	}
-	if s.tcp != nil {
-		if err := s.tcp.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	if s.httpSrv != nil {
-		if err := s.httpSrv.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	// Closing the listener does not close accepted connections; do it
-	// explicitly so Close never waits out a TCP idle deadline.
-	s.connsMu.Lock()
-	for c := range s.conns {
-		_ = c.Close()
-	}
-	s.connsMu.Unlock()
-	s.wg.Wait()
-	return first
+	return nil
 }
 
 // Shutdown stops the server gracefully: new work is refused, but
 // queries already read from the sockets are answered before the serve
 // loops exit. The UDP socket stays open (writable) until every worker
-// has finished its in-flight response; TCP stops accepting at once and
-// each open connection completes its current exchange. When ctx
-// expires first, the remaining work is cut off as in Close and ctx's
-// error is returned.
+// has finished its in-flight response; TCP stops accepting at once, a
+// connection idle between exchanges ends at once and one in the middle
+// of an exchange completes it. When ctx expires first, what remains is
+// cut off, every connection closed, and ctx's error is returned.
 func (s *Server) Shutdown(ctx context.Context) error {
 	select {
 	case <-s.closed:
@@ -172,9 +146,17 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if s.tcp != nil {
 		first = s.tcp.Close()
 	}
+	// The same for the TCP connections: one blocked reading its next query
+	// wakes and exits, one handling a query still writes the response (the
+	// write deadline is its own) and exits when it comes back to read.
+	s.connsMu.Lock()
+	for c := range s.conns {
+		_ = c.SetReadDeadline(time.Now())
+	}
+	s.connsMu.Unlock()
 	if s.httpSrv != nil {
 		// Graceful: in-flight DoH exchanges complete; if ctx expires the
-		// Close fallback below cuts whatever remains.
+		// fallback below cuts whatever remains.
 		if err := s.httpSrv.Shutdown(ctx); err != nil && first == nil {
 			first = err
 		}
@@ -193,6 +175,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		if s.httpSrv != nil {
 			_ = s.httpSrv.Close()
 		}
+		// Closing the listener does not close accepted connections; do it
+		// explicitly so the stop never waits out a TCP idle deadline.
 		s.connsMu.Lock()
 		for c := range s.conns {
 			_ = c.Close()
@@ -219,7 +203,9 @@ func (s *Server) cancelDrainTimers() {
 
 // packPool recycles response buffers across queries: the UDP and DoH
 // loops hand handle a pooled buffer to encode into and return it after
-// the write, so steady-state encoding allocates nothing.
+// the write, so encoding allocates nothing. No response outgrows the
+// buffer: the largest is 564 bytes, the NXDOMAIN for a name of the
+// maximum length beside a zone of the maximum length (maxZoneWire).
 var packPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 2048)
@@ -296,13 +282,10 @@ func (s *Server) serveUDP(worker int) {
 			start = time.Now()
 		}
 		bp := packPool.Get().(*[]byte)
-		resp := s.safeHandle(buf[:n], raddr.Addr(), engine.TransportUDP, dnswire.MaxUDPPayload, (*bp)[:0])
+		resp := s.handle(buf[:n], raddr.Addr(), engine.TransportUDP, dnswire.MaxUDPPayload, (*bp)[:0])
 		if resp != nil {
 			if _, err := s.udp.WriteToUDPAddrPort(resp, raddr); err != nil {
 				s.logger.Warn("udp write failed", "err", err, "worker", worker, "raddr", raddr)
-			}
-			if cap(resp) > cap(*bp) {
-				*bp = resp[:0] // keep the grown buffer
 			}
 		}
 		packPool.Put(bp)
@@ -472,15 +455,9 @@ func (s *Server) serveTCPConn(conn net.Conn) {
 			// About to block. Flush first, or a client that waits for an
 			// answer before sending more (or whose next frame is split
 			// across segments) waits out the idle timeout for a response
-			// sitting in the write buffer. A graceful shutdown answers
-			// what was already read but takes nothing more from the socket.
+			// sitting in the write buffer.
 			if !flush() {
 				return
-			}
-			select {
-			case <-s.closed:
-				return
-			default:
 			}
 			if !awaited {
 				if err := conn.SetReadDeadline(time.Now().Add(tcpIdleTimeout)); err != nil {
@@ -488,20 +465,27 @@ func (s *Server) serveTCPConn(conn net.Conn) {
 				}
 				awaited = true
 			}
+			// A graceful shutdown answers what was already read but takes
+			// nothing more from the socket. Checked after the deadline is
+			// set: Shutdown closes the channel and then sets the deadline to
+			// now, so either this sees it closed or that deadline outlasts
+			// the one above and ends the read below.
+			select {
+			case <-s.closed:
+				return
+			default:
+			}
 			if _, err := br.Peek(need); err != nil {
 				return
 			}
 			continue
 		}
 		frame, _ := br.Peek(need)
-		resp := s.safeHandle(frame[2:], raddr, engine.TransportTCP, math.MaxUint16, b.resp[:0])
+		resp := s.handle(frame[2:], raddr, engine.TransportTCP, math.MaxUint16, b.resp[:0])
 		_, _ = br.Discard(need)
 		awaited = false
 		if resp == nil {
 			return
-		}
-		if cap(resp) > cap(b.resp) {
-			b.resp = resp[:0] // keep the grown buffer
 		}
 		if bw.Available() < 2+len(resp) && !flush() {
 			return
