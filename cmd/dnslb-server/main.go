@@ -101,7 +101,7 @@ func run(args []string, stop <-chan struct{}, started func(boundAddrs)) error {
 		overQPS     = fs.Float64("overload-qps", 0, "aggregate query rate ceiling; above it the server degrades to static weighted answers (0 = disabled)")
 		overTTL     = fs.Float64("overload-ttl", 5, "TTL in seconds for degraded-mode answers")
 		overStale   = fs.Int("overload-stale-rolls", 0, "degrade when replication is down and the estimator missed this many roll intervals (0 = disabled)")
-		maxTCP      = fs.Int("max-tcp-conns", 0, "concurrent TCP connection cap; accepts pause at the cap (0 = default 512, negative = unlimited)")
+		maxTCP      = fs.Int("max-tcp-conns", 0, "concurrent connection cap of each stream listener (TCP, and DoH under -http-addr); accepts pause at the cap (0 = default 512, negative = unlimited)")
 		udpWorkers  = fs.Int("udp-workers", 0, "parallel UDP serve goroutines (0 = GOMAXPROCS)")
 		httpAddr    = fs.String("http-addr", "", "DNS-over-HTTP listen address: RFC 8484 wire on /dns-query, JSON on /resolve (empty = disabled)")
 		ecsMode     = fs.String("ecs-mode", "", "EDNS-Client-Subnet handling: passthrough (default), add, or override")

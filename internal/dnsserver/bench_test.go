@@ -2,10 +2,9 @@ package dnsserver
 
 import (
 	"bufio"
+	"bytes"
 	"io"
 	"net"
-	"net/http"
-	"net/http/httptest"
 	"net/netip"
 	"runtime"
 	"sync/atomic"
@@ -25,7 +24,7 @@ import (
 // records are for the instrumented hot path, which is what production
 // runs. An empty addr leaves the server unstarted, for benchmarks that
 // call the handler directly.
-func benchServer(b *testing.B, policyName, addr string) *Server {
+func benchServer(b *testing.B, policyName, addr string, edits ...func(*Config)) *Server {
 	b.Helper()
 	cluster, err := core.ScaledCluster(7, 50, 500)
 	if err != nil {
@@ -52,14 +51,18 @@ func benchServer(b *testing.B, policyName, addr string) *Server {
 	for i := range addrs {
 		addrs[i] = netip.AddrFrom4([4]byte{10, 0, 0, byte(i + 1)})
 	}
-	srv, err := New(Config{
+	cfg := Config{
 		Zone:        "www.site.example",
 		ServerAddrs: addrs,
 		Policy:      policy,
 		Addr:        addr,
 		UDPWorkers:  runtime.GOMAXPROCS(0),
 		Metrics:     metrics.NewRegistry(),
-	})
+	}
+	for _, edit := range edits {
+		edit(&cfg)
+	}
+	srv, err := New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -198,8 +201,9 @@ var coldPathQueries = []struct {
 }
 
 // BenchmarkHandleColdPath is BenchmarkHandleHotPath for the other
-// response shapes, and for the /resolve handler (request parsing, query
-// synthesis, answer, JSON) on an address query with a client subnet.
+// response shapes, and for /resolve through the DoH framer (request
+// parsing, query synthesis, answer, JSON, response head) on an address
+// query with a client subnet.
 func BenchmarkHandleColdPath(b *testing.B) {
 	for _, c := range coldPathQueries {
 		b.Run(c.name, func(b *testing.B) {
@@ -219,14 +223,12 @@ func BenchmarkHandleColdPath(b *testing.B) {
 	}
 	b.Run("resolve", func(b *testing.B) {
 		srv := benchServer(b, "DRR2-TTL/S_K", "")
-		req := httptest.NewRequest(http.MethodGet, "/resolve?name=www.site.example&type=A&edns_client_subnet=10.4.7.0/24", nil)
+		d, req := newDoHDirect(srv), dohGet(dohResolve)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			rec := httptest.NewRecorder()
-			srv.handleDoHJSON(rec, req)
-			if rec.Code != http.StatusOK {
-				b.Fatalf("status %d", rec.Code)
+			if resp := d.raw(b, req); !bytes.HasPrefix(resp, []byte("HTTP/1.1 200 OK\r\n")) {
+				b.Fatalf("response %q", resp)
 			}
 		}
 	})

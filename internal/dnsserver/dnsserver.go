@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
-	"net/http"
 	"net/netip"
 	"runtime"
 	"sync"
@@ -70,7 +69,9 @@ type Config struct {
 	// (DoH): RFC 8484 wire format on /dns-query and a JSON API on
 	// /resolve (see doh.go). The HTTP front end shares the engine, the
 	// rate limiter, the overload-degradation ladder and the metrics
-	// with the UDP/TCP listeners.
+	// with the UDP/TCP listeners. It speaks a strict subset of HTTP/1.1
+	// in the clear and closes on anything else: TLS and HTTP/2 terminate
+	// ahead of the process.
 	HTTPAddr string
 	// ECS selects the engine's RFC 7871 client-subnet handling
 	// (passthrough/add/override plus source-prefix clamps); the zero
@@ -103,11 +104,12 @@ type Config struct {
 	// or stale soft state (see overload.go). The zero value disables
 	// the admission layer.
 	Overload OverloadConfig
-	// MaxTCPConns bounds the number of concurrently served TCP
-	// connections; when the cap is reached the accept loop pauses until
-	// a connection finishes (SYN backlog absorbs the burst) instead of
-	// pinning a goroutine per flooding connection. Zero defaults to
-	// DefaultMaxTCPConns; negative means unlimited.
+	// MaxTCPConns bounds the number of concurrently served connections
+	// of each stream listener, DNS-over-TCP and DoH; when a listener's
+	// cap is reached its accept loop pauses until a connection finishes
+	// (SYN backlog absorbs the burst) instead of pinning a goroutine per
+	// flooding connection. Zero defaults to DefaultMaxTCPConns; negative
+	// means unlimited.
 	MaxTCPConns int
 	// Metrics optionally registers the server's observability series
 	// (queries by outcome, per-worker latency, returned-TTL histogram,
@@ -152,7 +154,6 @@ type Server struct {
 	// DoH front end (doh.go): nil when Config.HTTPAddr is empty.
 	httpAddr string
 	httpLn   net.Listener
-	httpSrv  *http.Server
 
 	// DoH request outcomes, kept as plain atomics (always maintained,
 	// exported as dnslb_doh_requests_total{outcome=...} when
@@ -202,12 +203,11 @@ type Server struct {
 	lastRoll         atomic.Int64
 	lastRollInterval atomic.Uint64
 
-	// maxTCPConns caps concurrent TCP connections (0 = unlimited after
-	// New applied the default); tcpConns is the live count, tcpSem the
-	// accept-side semaphore.
+	// maxTCPConns caps the concurrent connections of each stream listener
+	// (0 = unlimited after New applied the default); tcpConns is the live
+	// count on the TCP one.
 	maxTCPConns int
 	tcpConns    atomic.Int64
-	tcpSem      chan struct{}
 
 	overCfg OverloadConfig
 
@@ -399,9 +399,6 @@ func New(cfg Config) (*Server, error) {
 		conns:       make(map[net.Conn]struct{}),
 		drainTimers: make(map[int]*time.Timer),
 		closed:      make(chan struct{}),
-	}
-	if maxTCP > 0 {
-		s.tcpSem = make(chan struct{}, maxTCP)
 	}
 	addrs := append([]netip.Addr(nil), cfg.ServerAddrs...)
 	s.addrs.Store(&addrs)

@@ -1,14 +1,16 @@
 package dnsserver
 
 import (
+	"bytes"
 	"encoding/base64"
 	"encoding/json"
 	"io"
 	"math"
-	"net/http"
 	"net/netip"
+	"net/url"
 	"strconv"
 	"strings"
+	"time"
 
 	"dnslb/internal/dnswire"
 	"dnslb/internal/engine"
@@ -31,82 +33,266 @@ import (
 //     builds a real ECS option into the synthesized query, so the
 //     JSON endpoint exercises the identical classification path.
 //
-// The front end is HTTP (not TLS): production deployments terminate
-// TLS ahead of the process, and the tests exercise the protocol, not
-// the transport security.
+// The front end is HTTP/1.1 in the clear: TLS and HTTP/2 terminate ahead
+// of the process. It runs on the stream loop DNS-over-TCP runs on
+// (serveStream), behind a framer that serves a strict subset of HTTP/1.1
+// and closes the connection on everything outside it, so it never has to
+// resynchronise on bytes it did not understand; and every request it
+// takes net/http takes too, with the same method, path and body
+// (FuzzHTTPFramer holds it to that). Served: "METHOD /target HTTP/1.1"
+// (kept alive unless the request says Connection: close) and HTTP/1.0
+// (answered, then closed), lines ending in CRLF, a Content-Length the
+// only way to say a body follows. A request outside that is a framing
+// error — parseHTTPHead names each — answered once, the connection then
+// closed; a request that was framed and asks for what the endpoints do
+// not do (404, 405, 415, their own 400s and 500) keeps the connection.
 
-// maxDoHRequest bounds an accepted DoH request body; same budget as a
-// TCP query, and for the same reason.
-const maxDoHRequest = maxTCPQuery
+const (
+	// maxDoHRequest bounds an accepted DoH request body; same budget as a
+	// TCP query, and for the same reason.
+	maxDoHRequest = maxTCPQuery
+	// maxDoHHead bounds request line and headers together; the longest
+	// legitimate one is a GET whose ?dns= holds maxDoHRequest in base64.
+	maxDoHHead = 8192
+	// dohRequestTimeout bounds a request's arrival from its first bytes on.
+	dohRequestTimeout = 5 * time.Second
+)
 
-// dohMux routes the two DoH endpoints.
-func (s *Server) dohMux() *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/dns-query", s.handleDoHWire)
-	mux.HandleFunc("/resolve", s.handleDoHJSON)
-	return mux
+// httpRequest is what the framer keeps of a request's head: slices of
+// the read buffer, valid until the request is discarded from it.
+type httpRequest struct {
+	method, path, query []byte
+	ctype               []byte // the first Content-Type's value, or nil
+	// head is the length of request line and headers, 0 while they are
+	// incomplete; body is the Content-Length, 0 without one.
+	head, body int
+	hasLength  bool
+	close      bool // the connection ends after this request's response
 }
 
-// dohClientAddr recovers the querying client's address from the HTTP
-// request for rate limiting and (absent ECS) domain classification —
-// the same role the source address plays on the socket paths.
-func dohClientAddr(r *http.Request) netip.Addr {
-	if ap, err := netip.ParseAddrPort(r.RemoteAddr); err == nil {
-		return ap.Addr()
+// parseHTTPHead parses the request head at the front of buf, as far as it
+// has arrived. A non-empty status is the framing error to answer the
+// client with before closing. Of the headers, Content-Length,
+// Content-Type, Connection, Transfer-Encoding and Expect are interpreted,
+// their names matched case-insensitively; every other one is checked for
+// form and skipped without being stored.
+func parseHTTPHead(buf []byte) (r httpRequest, status, msg string) {
+	const malformed = "400 Bad Request"
+	for pos := 0; ; {
+		i := bytes.IndexByte(buf[pos:], '\n')
+		if i < 0 && len(buf) < maxDoHHead {
+			return r, "", ""
+		}
+		if i < 0 || pos+i+1 > maxDoHHead {
+			return r, "431 Request Header Fields Too Large", "request head too large"
+		}
+		if i == 0 || buf[pos+i-1] != '\r' {
+			return r, malformed, "line does not end in CRLF"
+		}
+		line := buf[pos : pos+i-1]
+		if bytes.ContainsFunc(line, func(c rune) bool { return c < ' ' && c != '\t' || c == 0x7f }) {
+			return r, malformed, "control character"
+		}
+		first := pos == 0
+		pos += i + 1
+		if first {
+			sp1, sp2 := bytes.IndexByte(line, ' '), bytes.LastIndexByte(line, ' ')
+			if sp1 <= 0 || sp2 == sp1 || !isToken(line[:sp1]) {
+				return r, malformed, "malformed request line"
+			}
+			r.method = line[:sp1]
+			target, proto := line[sp1+1:sp2], line[sp2+1:]
+			r.path, r.query, _ = bytes.Cut(target, []byte{'?'})
+			// A path with a percent-escape is refused rather than decoded:
+			// neither endpoint needs one, and so the path routed on is the
+			// path every other parser of the request sees.
+			if len(r.path) == 0 || r.path[0] != '/' || bytes.IndexByte(r.path, '%') >= 0 || bytes.ContainsAny(target, " \t") {
+				return r, malformed, "malformed request target"
+			}
+			switch {
+			case string(proto) == "HTTP/1.1":
+			case string(proto) == "HTTP/1.0":
+				r.close = true
+			case bytes.HasPrefix(proto, []byte("HTTP/")):
+				return r, "505 HTTP Version Not Supported", "HTTP/1.0 and HTTP/1.1 only"
+			default:
+				return r, malformed, "malformed request line"
+			}
+			continue
+		}
+		if len(line) == 0 {
+			r.head = pos
+			return r, "", ""
+		}
+		// A folded line (obsolete, RFC 9112 §5.2) begins with a space: no
+		// token, refused here with every other malformed header.
+		colon := bytes.IndexByte(line, ':')
+		if colon <= 0 || !isToken(line[:colon]) {
+			return r, malformed, "malformed header line"
+		}
+		// EqualFold on a token, which is ASCII, folds the case of letters
+		// and no more. (A Connection option need be no token; the worst a
+		// loose match there does is close a connection.)
+		key, val := line[:colon], bytes.Trim(line[colon+1:], " \t")
+		switch {
+		case bytes.EqualFold(key, []byte("content-length")):
+			// Refused when repeated, even in agreement: one length or none.
+			if r.hasLength || len(val) == 0 {
+				return r, malformed, "bad Content-Length"
+			}
+			r.hasLength = true
+			for _, c := range val {
+				if c < '0' || c > '9' {
+					return r, malformed, "bad Content-Length"
+				}
+				// Past the bound the value only has to stay past it.
+				r.body = min(r.body*10+int(c-'0'), maxDoHRequest+1)
+			}
+		case bytes.EqualFold(key, []byte("content-type")):
+			if r.ctype == nil {
+				r.ctype = val
+			}
+		case bytes.EqualFold(key, []byte("connection")):
+			for len(val) > 0 && !r.close {
+				var tok []byte
+				tok, val, _ = bytes.Cut(val, []byte{','})
+				r.close = bytes.EqualFold(bytes.Trim(tok, " \t"), []byte("close"))
+			}
+		case bytes.EqualFold(key, []byte("transfer-encoding")):
+			// Whatever it says: no request then has two lengths for a proxy
+			// ahead to have read the other of (no smuggling surface).
+			return r, "501 Not Implemented", "Transfer-Encoding not supported"
+		case bytes.EqualFold(key, []byte("expect")):
+			return r, "417 Expectation Failed", "Expect not supported"
+		}
 	}
-	// httptest and exotic transports may hand a bare host.
-	if a, err := netip.ParseAddr(r.RemoteAddr); err == nil {
-		return a
+}
+
+// isToken reports whether b is an HTTP token (RFC 9110 §5.6.2): what a
+// method and a header name are made of.
+func isToken(b []byte) bool {
+	for _, c := range b {
+		if !('a' <= c|0x20 && c|0x20 <= 'z' || '0' <= c && c <= '9' || strings.IndexByte("!#$%&'*+-.^_`|~", c) >= 0) {
+			return false
+		}
 	}
-	return netip.Addr{}
+	return len(b) > 0
+}
+
+// appendHTTPHead appends a response's status line and headers to the
+// write buffer; the caller appends the n bytes of body. extra is any
+// further header lines, each with its CRLF.
+func (b *streamBufs) appendHTTPHead(status, ctype, extra string, n int, closing bool) {
+	if now := time.Now(); now.Unix() != b.dateSec {
+		b.dateSec = now.Unix()
+		b.date = now.UTC().AppendFormat(b.date[:0], "Mon, 02 Jan 2006 15:04:05 GMT")
+	}
+	h := append(append(b.bw.AvailableBuffer(), "HTTP/1.1 "...), status...)
+	h = append(append(h, "\r\nDate: "...), b.date...)
+	h = append(append(h, "\r\nContent-Type: "...), ctype...)
+	h = strconv.AppendInt(append(h, "\r\nContent-Length: "...), int64(n), 10)
+	h = append(append(h, "\r\n"...), extra...)
+	if closing {
+		h = append(h, "Connection: close\r\n"...)
+	}
+	_, _ = b.bw.Write(append(h, "\r\n"...))
+}
+
+// httpError appends a plain-text error response.
+func (b *streamBufs) httpError(status, extra, msg string, closing bool) {
+	b.appendHTTPHead(status, "text/plain; charset=utf-8", extra+"X-Content-Type-Options: nosniff\r\n", len(msg)+1, closing)
+	_, _ = b.bw.WriteString(msg)
+	_ = b.bw.WriteByte('\n')
 }
 
 // badRequest refuses a DoH request the front end could not make a DNS
 // query of, and counts it.
-func (s *Server) badRequest(w http.ResponseWriter, msg string, code int) {
+func (s *Server) badRequest(b *streamBufs, r *httpRequest, status, extra, msg string) {
 	s.dohBadRequest.Add(1)
-	http.Error(w, msg, code)
+	b.httpError(status, extra, msg, r.close)
 }
 
-// handleDoHWire serves RFC 8484 wire-format exchanges.
-func (s *Server) handleDoHWire(w http.ResponseWriter, r *http.Request) {
-	var wire []byte
-	var err error
-	switch r.Method {
-	case http.MethodGet:
+// exchangeDoH is the HTTP/1.1 framer (see the head of this file for the
+// subset it serves): it answers the request at the head of buf once all
+// of it, head and body, lies there.
+func (s *Server) exchangeDoH(b *streamBufs, buf []byte) int {
+	r, status, msg := parseHTTPHead(buf)
+	if status == "" && r.body > maxDoHRequest {
+		s.dohBadRequest.Add(1)
+		status, msg = "400 Bad Request", "bad dns message"
+	}
+	if status != "" {
+		b.httpError(status, "", msg, true)
+		// The client may still be sending the request just refused, and a
+		// close with its bytes unread resets the connection, which can take
+		// the error response with it: the response goes out now, and what
+		// arrives in the next half second is read and dropped first.
+		if b.bw.Flush() == nil && b.conn.SetReadDeadline(time.Now().Add(time.Second/2)) == nil {
+			_, _ = io.CopyN(io.Discard, b.br, 1<<16)
+		}
+		return 0
+	}
+	n := r.head + r.body
+	if r.head == 0 {
+		return len(buf) + 1
+	} else if len(buf) < n {
+		return n
+	}
+	// A response to HEAD has no body, which is what no response written
+	// here can do; the connection closes behind it instead, and the client
+	// drops the body with it.
+	r.close = r.close || string(r.method) == "HEAD"
+	switch string(r.path) {
+	case "/dns-query":
+		s.serveDoHWire(b, &r, buf[r.head:n])
+	case "/resolve":
+		s.serveDoHJSON(b, &r)
+	default:
+		b.httpError("404 Not Found", "", "404 page not found", r.close)
+	}
+	if r.close {
+		return 0
+	}
+	return n
+}
+
+// serveDoHWire serves RFC 8484 wire-format exchanges.
+func (s *Server) serveDoHWire(b *streamBufs, r *httpRequest, wire []byte) {
+	switch string(r.method) {
+	case "GET":
 		// RFC 8484 requires unpadded base64url; accept padded as a
 		// courtesy (curl users add it). A missing parameter decodes to
 		// the empty message, refused below.
-		wire, err = base64.RawURLEncoding.DecodeString(strings.TrimRight(r.URL.Query().Get("dns"), "="))
-	case http.MethodPost:
-		if ct := r.Header.Get("Content-Type"); ct != "application/dns-message" {
-			s.badRequest(w, "content type must be application/dns-message", http.StatusUnsupportedMediaType)
+		params, _ := url.ParseQuery(string(r.query))
+		var err error
+		wire, err = base64.RawURLEncoding.DecodeString(strings.TrimRight(params.Get("dns"), "="))
+		if err != nil {
+			wire = nil
+		}
+	case "POST":
+		if string(r.ctype) != "application/dns-message" {
+			s.badRequest(b, r, "415 Unsupported Media Type", "", "content type must be application/dns-message")
 			return
 		}
-		wire, err = io.ReadAll(io.LimitReader(r.Body, maxDoHRequest+1))
 	default:
-		w.Header().Set("Allow", "GET, POST")
-		s.badRequest(w, "method not allowed", http.StatusMethodNotAllowed)
+		s.badRequest(b, r, "405 Method Not Allowed", "Allow: GET, POST\r\n", "method not allowed")
 		return
 	}
-	if err != nil || len(wire) == 0 || len(wire) > maxDoHRequest {
-		s.badRequest(w, "bad dns message", http.StatusBadRequest)
+	if len(wire) == 0 || len(wire) > maxDoHRequest {
+		s.badRequest(b, r, "400 Bad Request", "", "bad dns message")
 		return
 	}
-	bp := packPool.Get().(*[]byte)
-	defer packPool.Put(bp)
 	// HTTP has no 512-byte constraint: DoH gets the TCP budget, and no
 	// response is truncated.
-	resp := s.handle(wire, dohClientAddr(r), engine.TransportDoH, math.MaxUint16, (*bp)[:0])
+	resp := s.handle(wire, b.from, engine.TransportDoH, math.MaxUint16, b.resp[:0])
 	if resp == nil {
 		s.dohDropped.Add(1)
-		http.Error(w, "query dropped", http.StatusInternalServerError)
+		b.httpError("500 Internal Server Error", "", "query dropped", r.close)
 		return
 	}
 	s.dohOK.Add(1)
-	w.Header().Set("Content-Type", "application/dns-message")
-	w.Header().Set("Content-Length", strconv.Itoa(len(resp)))
-	_, _ = w.Write(resp)
+	b.appendHTTPHead("200 OK", "application/dns-message", "", len(resp), r.close)
+	_, _ = b.bw.Write(resp)
 }
 
 // dohJSONAnswer is one answer record in the /resolve rendering,
@@ -169,23 +355,22 @@ func parseDoHSubnet(s string) (netip.Prefix, bool) {
 	return netip.PrefixFrom(a, a.BitLen()), true
 }
 
-// handleDoHJSON serves the dns-json style /resolve endpoint. It acts as
+// serveDoHJSON serves the dns-json style /resolve endpoint. It acts as
 // a DNS client towards its own server: the parameters become a wire
 // query (with a real ECS option when edns_client_subnet is given), which
 // goes through the decoder and answer step every transport uses — so
 // names and subnets from outside are validated in one place, and
 // counters, limiter and degraded mode apply — and the reply is rendered
 // as JSON directly, with no wire response in between.
-func (s *Server) handleDoHJSON(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", "GET")
-		s.badRequest(w, "method not allowed", http.StatusMethodNotAllowed)
+func (s *Server) serveDoHJSON(b *streamBufs, r *httpRequest) {
+	if string(r.method) != "GET" {
+		s.badRequest(b, r, "405 Method Not Allowed", "Allow: GET\r\n", "method not allowed")
 		return
 	}
-	params := r.URL.Query()
+	params, _ := url.ParseQuery(string(r.query))
 	name := params.Get("name")
 	if name == "" {
-		s.badRequest(w, "missing name parameter", http.StatusBadRequest)
+		s.badRequest(b, r, "400 Bad Request", "", "missing name parameter")
 		return
 	}
 	if !strings.HasSuffix(name, ".") {
@@ -193,7 +378,7 @@ func (s *Server) handleDoHJSON(w http.ResponseWriter, r *http.Request) {
 	}
 	qtype, ok := parseDoHType(params.Get("type"))
 	if !ok {
-		s.badRequest(w, "bad type parameter", http.StatusBadRequest)
+		s.badRequest(b, r, "400 Bad Request", "", "bad type parameter")
 		return
 	}
 	q := &dnswire.Message{
@@ -203,24 +388,31 @@ func (s *Server) handleDoHJSON(w http.ResponseWriter, r *http.Request) {
 	if sn := params.Get("edns_client_subnet"); sn != "" {
 		p, ok := parseDoHSubnet(sn)
 		if !ok || q.SetClientSubnet(dnswire.ClientSubnet{Prefix: p}, dnswire.MaxUDPPayload) != nil {
-			s.badRequest(w, "bad edns_client_subnet parameter", http.StatusBadRequest)
+			s.badRequest(b, r, "400 Bad Request", "", "bad edns_client_subnet parameter")
 			return
 		}
 	}
 	wire, err := q.Pack()
 	if err != nil {
-		s.badRequest(w, "bad query", http.StatusBadRequest)
+		s.badRequest(b, r, "400 Bad Request", "", "bad query")
 		return
 	}
-	out, ok := s.answerJSON(wire, dohClientAddr(r))
+	out, ok := s.answerJSON(wire, b.from)
 	if !ok {
 		s.dohDropped.Add(1)
-		http.Error(w, "query dropped", http.StatusInternalServerError)
+		b.httpError("500 Internal Server Error", "", "query dropped", r.close)
 		return
 	}
 	s.dohOK.Add(1)
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(out)
+	// The connection's own buffer and encoder, not a pair made for each
+	// request. Encode cannot fail on this value: strings and numbers.
+	if b.enc == nil {
+		b.enc = json.NewEncoder(&b.json)
+	}
+	b.json.Reset()
+	_ = b.enc.Encode(out)
+	b.appendHTTPHead("200 OK", "application/json", "", b.json.Len(), r.close)
+	_, _ = b.bw.Write(b.json.Bytes())
 }
 
 // answerJSON is handle with the JSON renderer in appendReply's place:

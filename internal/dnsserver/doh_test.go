@@ -1,6 +1,7 @@
 package dnsserver
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/base64"
@@ -9,7 +10,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"net/netip"
 	"reflect"
 	"strings"
@@ -700,9 +700,9 @@ func jsonFromWire(t *testing.T, wire []byte) dohJSONResponse {
 // renderer: the /resolve body equals, field for field, a rendering of
 // the wire response to the same query over POST /dns-query — for each
 // shape, from the policy, from the degraded ladder and for a
-// rate-limited source. Both handlers are driven directly, so counters,
-// limiter and degraded mode are seen to cover /resolve as they cover
-// the wire path.
+// rate-limited source. Both endpoints are driven through the framer on a
+// hand-made connection, so counters, limiter and degraded mode are seen
+// to cover /resolve as they cover the wire path.
 func TestResolveJSONMatchesWire(t *testing.T) {
 	queries := []struct {
 		name, qtype, subnet string
@@ -715,6 +715,14 @@ func TestResolveJSONMatchesWire(t *testing.T) {
 	}
 	check := func(t *testing.T, srv *Server, status uint16, answered uint64) {
 		t.Helper()
+		client, server := handAccept(t)
+		done := serveByHand(srv, server, dohFramer)
+		defer func() {
+			_ = client.Close()
+			<-done
+		}()
+		_ = client.SetDeadline(time.Now().Add(10 * time.Second))
+		replies := bufio.NewReader(client)
 		for _, c := range queries {
 			qtype, _ := parseDoHType(c.qtype)
 			m := &dnswire.Message{Questions: []dnswire.Question{{Name: c.name, Type: qtype, Class: dnswire.ClassIN}}}
@@ -729,19 +737,17 @@ func TestResolveJSONMatchesWire(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			post := httptest.NewRequest(http.MethodPost, "/dns-query", bytes.NewReader(wire))
-			post.Header.Set("Content-Type", "application/dns-message")
-			wireRec := httptest.NewRecorder()
-			srv.handleDoHWire(wireRec, post)
-			jsonRec := httptest.NewRecorder()
-			srv.handleDoHJSON(jsonRec, httptest.NewRequest(http.MethodGet, target, nil))
-			if wireRec.Code != http.StatusOK || jsonRec.Code != http.StatusOK {
-				t.Fatalf("%v: status %d over /dns-query, %d over /resolve", c, wireRec.Code, jsonRec.Code)
+			if _, err := client.Write(append(dohPost(wire), dohGet(target)...)); err != nil {
+				t.Fatal(err)
 			}
-			want := jsonFromWire(t, wireRec.Body.Bytes())
+			wireRec, jsonRec := readDoHReply(t, replies), readDoHReply(t, replies)
+			if wireRec.status != http.StatusOK || jsonRec.status != http.StatusOK {
+				t.Fatalf("%v: status %d over /dns-query, %d over /resolve", c, wireRec.status, jsonRec.status)
+			}
+			want := jsonFromWire(t, wireRec.body)
 			var got dohJSONResponse
-			if err := json.Unmarshal(jsonRec.Body.Bytes(), &got); err != nil {
-				t.Fatalf("%v: %v in %s", c, err, jsonRec.Body)
+			if err := json.Unmarshal(jsonRec.body, &got); err != nil {
+				t.Fatalf("%v: %v in %s", c, err, jsonRec.body)
 			}
 			if status != 0 && got.Status != status {
 				t.Errorf("%v: Status %d, want %d", c, got.Status, status)
@@ -789,7 +795,7 @@ func TestResolveJSONMatchesWire(t *testing.T) {
 	t.Run("rate-limited", func(t *testing.T) {
 		srv, _ := testServerNoStart(t, "DRR2-TTL/S_K")
 		srv.limiter = NewRateLimiter(1e-9, 1)
-		srv.limiter.Allow(netip.MustParseAddr("192.0.2.1")) // httptest's client address; the burst's one token
+		srv.limiter.Allow(netip.MustParseAddr("127.0.0.1")) // the hand-made connection's client; the burst's one token
 		check(t, srv, uint16(dnswire.RCodeRefused), 0)
 		if got := srv.Stats().RateLimited; got != uint64(2*len(queries)) {
 			t.Errorf("%d queries rate-limited, want %d", got, 2*len(queries))

@@ -273,7 +273,7 @@ func TestTCPPipelineUnderConnCap(t *testing.T) {
 }
 
 // handConn is the server side of a hand-accepted connection: it counts
-// the Write calls serveTCPConn makes and, when set, lets a test step in
+// the Write calls the stream loop makes and, when set, lets a test step in
 // on a Read.
 type handConn struct {
 	net.Conn
@@ -297,7 +297,7 @@ func (c *handConn) Read(p []byte) (int, error) {
 
 // handAccept returns both ends of a fresh loopback TCP connection, the
 // server end wrapped and not yet served.
-func handAccept(t *testing.T) (client net.Conn, server *handConn) {
+func handAccept(t testing.TB) (client net.Conn, server *handConn) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -317,13 +317,14 @@ func handAccept(t *testing.T) (client net.Conn, server *handConn) {
 	return client, &handConn{Conn: raw}
 }
 
-// serveByHand runs serveTCPConn on conn and closes it afterwards, as
-// the accept loop's goroutine does; the channel closes when it is done.
-func serveByHand(srv *Server, conn net.Conn) <-chan struct{} {
+// serveByHand runs the stream loop on conn with the given framer and
+// closes it afterwards, as the accept loop's goroutine does; the channel
+// closes when it is done.
+func serveByHand(srv *Server, conn net.Conn, f *framer) <-chan struct{} {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		srv.serveTCPConn(conn)
+		srv.serveStream(conn, f)
 		_ = conn.Close()
 	}()
 	return done
@@ -360,7 +361,7 @@ func TestTCPPipelineCoalescesWrites(t *testing.T) {
 		if _, err := client.Write(pipelineBurst(t, tc.depth)); err != nil {
 			t.Fatal(err)
 		}
-		done := serveByHand(srv, server)
+		done := serveByHand(srv, server, tcpFramer)
 		_ = client.SetReadDeadline(time.Now().Add(5 * time.Second))
 		readInOrder(t, client, tc.depth)
 		if got := int(server.writes.Load()); got > tc.maxWrites {
@@ -449,7 +450,7 @@ func TestTCPPipelineShutdownAnswersBuffered(t *testing.T) {
 	if _, err := client.Write(burst); err != nil {
 		t.Fatal(err)
 	}
-	done := serveByHand(srv, server)
+	done := serveByHand(srv, server, tcpFramer)
 	_ = client.SetReadDeadline(time.Now().Add(5 * time.Second))
 	readInOrder(t, client, depth)
 	var one [1]byte

@@ -2,12 +2,13 @@ package dnsserver
 
 import (
 	"bufio"
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"net"
-	"net/http"
 	"net/netip"
 	"sync"
 	"time"
@@ -17,9 +18,10 @@ import (
 )
 
 // Serve loops and lifecycle: socket binding, the parallel UDP
-// reader/responder workers, the TCP accept loop and its buffered
-// per-connection loops, the optional DoH front end, and the stop
-// path (graceful Shutdown; Close is Shutdown without the patience).
+// reader/responder workers, the accept loop and the buffered
+// per-connection loop the two stream listeners share (DNS-over-TCP, and
+// DoH when configured, each with its own framer), and the stop path
+// (graceful Shutdown; Close is Shutdown without the patience).
 
 // Start binds the UDP socket and TCP listener and begins serving with
 // the configured number of parallel UDP workers.
@@ -58,22 +60,8 @@ func (s *Server) Start() error {
 			return fmt.Errorf("dnsserver: listen http: %w", err)
 		}
 		s.httpLn = ln
-		s.httpSrv = &http.Server{
-			Handler:           s.dohMux(),
-			ReadHeaderTimeout: 5 * time.Second,
-			IdleTimeout:       tcpIdleTimeout,
-		}
 		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			if err := s.httpSrv.Serve(ln); err != nil && err != http.ErrServerClosed {
-				select {
-				case <-s.closed:
-				default:
-					s.logger.Warn("http serve failed", "err", err)
-				}
-			}
-		}()
+		go s.acceptLoop(ln, func(c net.Conn) { s.serveStream(c, dohFramer) })
 	}
 	if s.overCfg.Enabled() && s.over == nil {
 		s.over = newOverloadController(s, s.overCfg)
@@ -82,7 +70,7 @@ func (s *Server) Start() error {
 	for i := 0; i < s.udpWorkers; i++ {
 		go s.serveUDP(i)
 	}
-	go s.serveTCP()
+	go s.acceptLoop(s.tcp, s.serveTCPConn)
 	return nil
 }
 
@@ -121,10 +109,11 @@ func (s *Server) Close() error {
 // Shutdown stops the server gracefully: new work is refused, but
 // queries already read from the sockets are answered before the serve
 // loops exit. The UDP socket stays open (writable) until every worker
-// has finished its in-flight response; TCP stops accepting at once, a
-// connection idle between exchanges ends at once and one in the middle
-// of an exchange completes it. When ctx expires first, what remains is
-// cut off, every connection closed, and ctx's error is returned.
+// has finished its in-flight response; the stream listeners (TCP, DoH)
+// stop accepting at once, a connection idle between exchanges ends at
+// once and one in the middle of an exchange completes it. When ctx
+// expires first, what remains is cut off, every connection closed, and
+// ctx's error is returned.
 func (s *Server) Shutdown(ctx context.Context) error {
 	select {
 	case <-s.closed:
@@ -143,24 +132,22 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		_ = s.udp.SetReadDeadline(time.Now())
 	}
 	var first error
-	if s.tcp != nil {
-		first = s.tcp.Close()
+	for _, ln := range []net.Listener{s.tcp, s.httpLn} {
+		if ln != nil {
+			if err := ln.Close(); err != nil && first == nil {
+				first = err
+			}
+		}
 	}
-	// The same for the TCP connections: one blocked reading its next query
-	// wakes and exits, one handling a query still writes the response (the
-	// write deadline is its own) and exits when it comes back to read.
+	// The same for the stream connections, TCP and DoH alike: one blocked
+	// reading its next request wakes and exits, one handling a request
+	// still writes the response (the write deadline is its own) and exits
+	// when it comes back to read.
 	s.connsMu.Lock()
 	for c := range s.conns {
 		_ = c.SetReadDeadline(time.Now())
 	}
 	s.connsMu.Unlock()
-	if s.httpSrv != nil {
-		// Graceful: in-flight DoH exchanges complete; if ctx expires the
-		// fallback below cuts whatever remains.
-		if err := s.httpSrv.Shutdown(ctx); err != nil && first == nil {
-			first = err
-		}
-	}
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()
@@ -172,11 +159,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		if first == nil {
 			first = ctx.Err()
 		}
-		if s.httpSrv != nil {
-			_ = s.httpSrv.Close()
-		}
-		// Closing the listener does not close accepted connections; do it
-		// explicitly so the stop never waits out a TCP idle deadline.
+		// Closing the listeners does not close accepted connections; do it
+		// explicitly so the stop never waits out an idle deadline.
 		s.connsMu.Lock()
 		for c := range s.conns {
 			_ = c.Close()
@@ -201,17 +185,12 @@ func (s *Server) cancelDrainTimers() {
 	s.reconfigMu.Unlock()
 }
 
-// packPool recycles response buffers across queries: the UDP and DoH
-// loops hand handle a pooled buffer to encode into and return it after
-// the write, so encoding allocates nothing. No response outgrows the
-// buffer: the largest is 564 bytes, the NXDOMAIN for a name of the
-// maximum length beside a zone of the maximum length (maxZoneWire).
-var packPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 2048)
-		return &b
-	},
-}
+// respBufSize is the capacity of the buffer each serve loop — a UDP
+// worker, a stream connection — hands handle to encode into, over and
+// over, so encoding allocates nothing. No response outgrows it: the
+// largest is 564 bytes, the NXDOMAIN for a name of the maximum length
+// beside a zone of the maximum length (maxZoneWire).
+const respBufSize = 2048
 
 // Read/accept error backoff: persistent socket errors (ENOBUFS, EMFILE)
 // would otherwise hot-spin the serve loop and flood the log. The delay
@@ -256,7 +235,7 @@ func (s *Server) sleepOrClosed(d time.Duration) bool {
 // contention-free as the serving.
 func (s *Server) serveUDP(worker int) {
 	defer s.wg.Done()
-	buf := make([]byte, 65535)
+	buf, out := make([]byte, 65535), make([]byte, 0, respBufSize)
 	m := s.metrics
 	hint := uint32(worker)
 	var backoff time.Duration
@@ -281,56 +260,60 @@ func (s *Server) serveUDP(worker int) {
 		if m != nil {
 			start = time.Now()
 		}
-		bp := packPool.Get().(*[]byte)
-		resp := s.handle(buf[:n], raddr.Addr(), engine.TransportUDP, dnswire.MaxUDPPayload, (*bp)[:0])
+		resp := s.handle(buf[:n], raddr.Addr(), engine.TransportUDP, dnswire.MaxUDPPayload, out)
 		if resp != nil {
 			if _, err := s.udp.WriteToUDPAddrPort(resp, raddr); err != nil {
 				s.logger.Warn("udp write failed", "err", err, "worker", worker, "raddr", raddr)
 			}
 		}
-		packPool.Put(bp)
 		if m != nil {
 			m.latency.ObserveHint(hint, time.Since(start).Seconds())
 		}
 	}
 }
 
-// DefaultMaxTCPConns is the concurrent TCP connection cap applied when
-// Config.MaxTCPConns is zero. Each connection costs one goroutine plus
-// its pooled buffers (tcpBufs); 512 comfortably covers legitimate TCP
-// retry traffic (truncated UDP responses) while bounding a flood.
+// DefaultMaxTCPConns is the concurrent connection cap applied to each
+// stream listener when Config.MaxTCPConns is zero. Each connection costs
+// one goroutine plus its pooled buffers (streamBufs); 512 comfortably
+// covers legitimate TCP retry traffic (truncated UDP responses) while
+// bounding a flood.
 const DefaultMaxTCPConns = 512
 
 // TCPConns returns the number of TCP connections currently being
 // served (the dnslb_dns_tcp_conns gauge).
 func (s *Server) TCPConns() int64 { return s.tcpConns.Load() }
 
-func (s *Server) serveTCP() {
+// acceptLoop is the accept side of a stream listener, DNS-over-TCP or
+// DoH: it hands each accepted connection to serve on a goroutine of its
+// own, tracked in s.conns so that Shutdown can reach it, and holds the
+// listener to its own maxTCPConns connections at a time.
+func (s *Server) acceptLoop(ln net.Listener, serve func(net.Conn)) {
 	defer s.wg.Done()
+	limit := s.maxTCPConns
+	if limit == 0 {
+		limit = math.MaxInt32 // unlimited: a cap never reached (the slots take no memory)
+	}
+	sem := make(chan struct{}, limit)
 	var backoff time.Duration
 	for {
-		// Acquire a connection slot BEFORE accepting: when the server is
+		// Acquire a connection slot BEFORE accepting: when the listener is
 		// at its cap the accept loop pauses and the kernel's SYN backlog
 		// (and the clients' retries) absorb the burst. Pausing beats
 		// accept-and-close — a closed connection makes the client retry
 		// immediately, pausing makes it wait exactly as long as needed.
-		if s.tcpSem != nil {
-			select {
-			case s.tcpSem <- struct{}{}:
-			case <-s.closed:
-				return
-			}
+		select {
+		case sem <- struct{}{}:
+		case <-s.closed:
+			return
 		}
-		conn, err := s.tcp.Accept()
+		conn, err := ln.Accept()
 		if err != nil {
-			if s.tcpSem != nil {
-				<-s.tcpSem
-			}
+			<-sem
 			select {
 			case <-s.closed:
 				return
 			default:
-				s.logger.Warn("tcp accept failed", "err", err)
+				s.logger.Warn("accept failed", "err", err)
 				var sleep time.Duration
 				sleep, backoff = nextBackoff(backoff)
 				if s.sleepOrClosed(sleep) {
@@ -343,7 +326,6 @@ func (s *Server) serveTCP() {
 		s.connsMu.Lock()
 		s.conns[conn] = struct{}{}
 		s.connsMu.Unlock()
-		s.tcpConns.Add(1)
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
@@ -352,18 +334,15 @@ func (s *Server) serveTCP() {
 				s.connsMu.Lock()
 				delete(s.conns, conn)
 				s.connsMu.Unlock()
-				s.tcpConns.Add(-1)
-				if s.tcpSem != nil {
-					<-s.tcpSem
-				}
+				<-sem
 			}()
-			s.serveTCPConn(conn)
+			serve(conn)
 		}()
 	}
 }
 
-// tcpIdleTimeout bounds how long a TCP client may sit between
-// messages, so idle or slowloris connections cannot pin goroutines.
+// tcpIdleTimeout bounds how long a stream client may sit between
+// requests, so idle or slowloris connections cannot pin goroutines.
 const tcpIdleTimeout = 30 * time.Second
 
 // maxTCPQuery bounds the accepted TCP query size. Legitimate queries
@@ -372,129 +351,181 @@ const tcpIdleTimeout = 30 * time.Second
 // either way the connection is cut before reading the payload.
 const maxTCPQuery = 4096
 
-// tcpBufs is what one TCP connection reads, encodes and writes through:
-// a reader that holds one maximal frame, a writer that batches the
-// responses, and the buffer handle encodes each response into (handle
+// streamBufs is what one stream connection reads, encodes and writes
+// through: a reader that holds one maximal request, a writer that batches
+// the responses, and the buffer handle encodes each response into (handle
 // needs a zero-length dst — the answer's compression pointer is offset
-// 12 — so the ≈60 bytes are copied into the writer behind their length
-// prefix). ≈10 KiB per connection, pooled so a flood of short-lived
-// connections recycles the buffers instead of churning them.
-type tcpBufs struct {
+// 12 — so the ≈60 bytes are copied into the writer behind their framing).
+// ≈10 KiB per TCP connection and ≈18 KiB per DoH connection, pooled so a
+// flood of short-lived connections recycles the buffers instead of
+// churning them.
+type streamBufs struct {
+	conn net.Conn
+	from netip.Addr // the peer, taken once per connection
 	br   *bufio.Reader
 	bw   *bufio.Writer
 	resp []byte
+	// DoH only: the Date header's value, formatted once a second, and the
+	// buffer and encoder the /resolve body is rendered through.
+	date    []byte
+	dateSec int64
+	json    bytes.Buffer
+	enc     *json.Encoder
 }
 
-var tcpBufsPool = sync.Pool{
-	New: func() any {
-		return &tcpBufs{
-			br:   bufio.NewReaderSize(nil, 2+maxTCPQuery),
+// Write is what bw flushes through: every write to the socket, whether
+// the loop asked for it or the buffer filled, has its own deadline.
+func (b *streamBufs) Write(p []byte) (int, error) {
+	_ = b.conn.SetWriteDeadline(time.Now().Add(tcpIdleTimeout))
+	return b.conn.Write(p)
+}
+
+// A framer is what the two stream transports differ in: where a request
+// ends, and how its answer is written. Given the bytes the connection has
+// buffered, exchange answers the request at their head into b.bw and
+// returns its length; of an incomplete request it returns a length over
+// len(buf) that the request is known to reach, for the loop to wait for;
+// and 0 ends the connection, what the client is still owed written.
+type framer struct {
+	exchange func(s *Server, b *streamBufs, buf []byte) int
+	// requestTimeout bounds the arrival of the rest of a request once the
+	// loop has its first bytes and must block for more.
+	requestTimeout time.Duration
+	pool           *sync.Pool
+}
+
+// streamPool pools streamBufs that read requests of up to readSize bytes.
+func streamPool(readSize int) *sync.Pool {
+	return &sync.Pool{New: func() any {
+		return &streamBufs{
+			br:   bufio.NewReaderSize(nil, readSize),
 			bw:   bufio.NewWriterSize(nil, maxTCPQuery),
-			resp: make([]byte, 0, 2048),
+			resp: make([]byte, 0, respBufSize),
 		}
-	},
+	}}
 }
 
-// serveTCPConn serves one TCP connection: the UDP loop with framing.
-// Each length-prefixed query (RFC 7766) is handled inline, on the frame
-// as it lies in the read buffer, and its length-prefixed response is
-// appended to the write buffer; the batch goes out in one write when
-// the read buffer holds no further complete frame — right before the
-// loop would block — or when the write buffer is full. A client that
-// pipelines k queries costs about two syscalls per batch, one that asks
-// one at a time costs one read and one write per query, and responses
-// leave in arrival order (RFC 7766 §7 permits any; clients match on
-// message ID). Nothing under handle blocks, so there is nothing to
-// overlap by handing queries to other goroutines.
-//
-// A zero or oversized length prefix, an unanswerable message, a socket
-// error and a graceful shutdown all end the loop; the responses already
-// batched are flushed on every one of those paths before the caller
-// closes the connection.
+var (
+	tcpFramer = &framer{(*Server).exchangeTCP, tcpIdleTimeout, streamPool(2 + maxTCPQuery)}
+	dohFramer = &framer{(*Server).exchangeDoH, dohRequestTimeout, streamPool(maxDoHHead + maxDoHRequest)}
+)
+
+// serveTCPConn serves one DNS-over-TCP connection.
 func (s *Server) serveTCPConn(conn net.Conn) {
-	var raddr netip.Addr
+	s.tcpConns.Add(1)
+	defer s.tcpConns.Add(-1)
+	s.serveStream(conn, tcpFramer)
+}
+
+// serveStream serves one stream connection: the UDP loop with framing.
+// Each request is handled inline, where it lies in the read buffer, and
+// its response is appended to the write buffer; the batch goes out in
+// one write when the read buffer holds no further complete request —
+// right before the loop would block — or when the write buffer is full.
+// A client that pipelines k requests costs about two syscalls per batch,
+// one that asks one at a time costs one read and one write per request,
+// and responses leave in arrival order (HTTP requires it; RFC 7766 §7
+// permits any, and clients match on message ID). Nothing under handle
+// blocks, so there is nothing to overlap by handing requests to other
+// goroutines.
+//
+// A request the framer refuses, an unanswerable message, a socket error
+// and a graceful shutdown all end the loop; the responses already batched
+// are flushed on every one of those paths before the caller closes the
+// connection.
+func (s *Server) serveStream(conn net.Conn, f *framer) {
+	b := f.pool.Get().(*streamBufs)
+	b.conn, b.from = conn, netip.Addr{}
 	if ta, ok := conn.RemoteAddr().(*net.TCPAddr); ok {
-		raddr = ta.AddrPort().Addr()
+		b.from = ta.AddrPort().Addr()
 	}
-	b := tcpBufsPool.Get().(*tcpBufs)
 	br, bw := b.br, b.bw
 	br.Reset(conn)
-	bw.Reset(conn)
-	// flush also arms the write deadline for a response larger than the
-	// write buffer, which bw writes through right after making room.
-	flush := func() bool {
-		_ = conn.SetWriteDeadline(time.Now().Add(tcpIdleTimeout))
-		return bw.Flush() == nil
-	}
+	bw.Reset(b)
 	defer func() {
-		flush()
+		_ = bw.Flush()
 		br.Reset(nil)
 		bw.Reset(nil)
-		tcpBufsPool.Put(b)
+		b.conn = nil
+		f.pool.Put(b)
 	}()
-	// awaited: the idle deadline for the frame at the head of the buffer
-	// is running. It is set once per frame, when the loop first blocks
-	// for it, so a client trickling one frame byte by byte has
-	// tcpIdleTimeout for all of it, not for each byte.
-	awaited := false
+	// armed is the read timeout running for the request at the head of
+	// the buffer: none, tcpIdleTimeout for its first byte, or the framer's
+	// requestTimeout for the rest of it (on TCP the same, and so not set
+	// again). Each is set once, when the loop first blocks in that state:
+	// a client trickling a request byte by byte has the two for all of it,
+	// not one for each byte, and a request that arrives whole costs one
+	// timer update.
+	var armed time.Duration
 	for {
-		// Validate the length prefix BEFORE awaiting the payload: a
-		// zero-length message carries nothing answerable, and an
-		// oversized one is read-and-discard work no legitimate resolver
-		// ever asks for.
-		need := 2
-		if br.Buffered() >= 2 {
-			pfx, _ := br.Peek(2)
-			n := int(pfx[0])<<8 | int(pfx[1])
-			if n == 0 || n > maxTCPQuery {
-				return
-			}
-			need += n
+		buf, _ := br.Peek(br.Buffered())
+		n := f.exchange(s, b, buf)
+		if n == 0 {
+			return
 		}
-		if br.Buffered() < need {
-			// About to block. Flush first, or a client that waits for an
-			// answer before sending more (or whose next frame is split
-			// across segments) waits out the idle timeout for a response
-			// sitting in the write buffer.
-			if !flush() {
-				return
-			}
-			if !awaited {
-				if err := conn.SetReadDeadline(time.Now().Add(tcpIdleTimeout)); err != nil {
-					return
-				}
-				awaited = true
-			}
-			// A graceful shutdown answers what was already read but takes
-			// nothing more from the socket. Checked after the deadline is
-			// set: Shutdown closes the channel and then sets the deadline to
-			// now, so either this sees it closed or that deadline outlasts
-			// the one above and ends the read below.
-			select {
-			case <-s.closed:
-				return
-			default:
-			}
-			if _, err := br.Peek(need); err != nil {
-				return
-			}
+		if n <= len(buf) {
+			_, _ = br.Discard(n)
+			armed = 0
 			continue
 		}
-		frame, _ := br.Peek(need)
-		resp := s.handle(frame[2:], raddr, engine.TransportTCP, math.MaxUint16, b.resp[:0])
-		_, _ = br.Discard(need)
-		awaited = false
-		if resp == nil {
+		// About to block. Flush first, or a client that waits for an
+		// answer before sending more (or whose next request is split
+		// across segments) waits out the idle timeout for a response
+		// sitting in the write buffer.
+		if bw.Flush() != nil {
 			return
 		}
-		if bw.Available() < 2+len(resp) && !flush() {
-			return
+		timeout := tcpIdleTimeout
+		if len(buf) > 0 {
+			timeout = f.requestTimeout
 		}
-		// bw's write errors are sticky: one for a prefix byte shows below.
-		_ = bw.WriteByte(byte(len(resp) >> 8))
-		_ = bw.WriteByte(byte(len(resp)))
-		if _, err := bw.Write(resp); err != nil {
+		if armed != timeout {
+			if err := conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
+				return
+			}
+			armed = timeout
+		}
+		// A graceful shutdown answers what was already read but takes
+		// nothing more from the socket. Checked after the deadline is
+		// set: Shutdown closes the channel and then sets the deadline to
+		// now, so either this sees it closed or that deadline outlasts
+		// the one above and ends the read below.
+		select {
+		case <-s.closed:
+			return
+		default:
+		}
+		if _, err := br.Peek(n); err != nil {
 			return
 		}
 	}
+}
+
+// exchangeTCP is the RFC 7766 framer: a two-byte length before each
+// message, in both directions. The length is validated BEFORE the
+// payload is awaited: a zero-length message carries nothing answerable,
+// and an oversized one is read-and-discard work no legitimate resolver
+// ever asks for.
+func (s *Server) exchangeTCP(b *streamBufs, buf []byte) int {
+	if len(buf) < 2 {
+		return 2
+	}
+	n := 2 + (int(buf[0])<<8 | int(buf[1]))
+	if n == 2 || n > 2+maxTCPQuery {
+		return 0
+	}
+	if len(buf) < n {
+		return n
+	}
+	resp := s.handle(buf[2:n], b.from, engine.TransportTCP, math.MaxUint16, b.resp[:0])
+	if resp == nil {
+		return 0
+	}
+	// bw's write errors are sticky: one for a prefix byte shows below.
+	_ = b.bw.WriteByte(byte(len(resp) >> 8))
+	_ = b.bw.WriteByte(byte(len(resp)))
+	if _, err := b.bw.Write(resp); err != nil {
+		return 0
+	}
+	return n
 }
