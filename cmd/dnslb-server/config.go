@@ -15,8 +15,10 @@ package main
 // file > built-in defaults (a flag given explicitly on the command
 // line is never overridden by the file).
 //
-// On SIGHUP the file is re-read and the server set is diffed against
-// the running membership: new addresses join, missing addresses drain
+// On SIGHUP the command line is parsed again over the re-read file, just
+// as at startup, and a configuration a restart would refuse is refused
+// whole. Of one it would accept, the server set is diffed against the
+// running membership: new addresses join, missing addresses drain
 // gracefully, changed capacities apply in place. All other settings
 // are bound at startup; a reload that changes one logs a warning and
 // ignores it.
@@ -126,48 +128,27 @@ func applyConfigFile(fs *flag.FlagSet, path string) error {
 	return nil
 }
 
-// reloadConfig re-reads the config file and applies the server set to
-// the running server: joins for new addresses, graceful drains for
-// removed ones, capacity updates in place. Settings other than
-// servers/capacities are bound at startup; if the file changed one, a
-// warning notes that a restart is needed.
-func reloadConfig(fs *flag.FlagSet, path string, srv *dnslb.DNSServer, logger *slog.Logger) error {
-	data, err := os.ReadFile(path)
+// reloadConfig configures from the command line again — and so from the
+// config file as it is now — and applies the server set to the running
+// server (see the top of this file). running holds the flags as they were
+// parsed at startup.
+func reloadConfig(args []string, running *flag.FlagSet, srv *dnslb.DNSServer, logger *slog.Logger) error {
+	s, err := configure(args)
 	if err != nil {
 		return err
 	}
-	kvs, err := parseConfigFile(data)
-	if err != nil {
-		return fmt.Errorf("config %s: %w", path, err)
+	if _, err := newServer(s.server); err != nil {
+		return err
 	}
-	var servers, capacities string
-	for _, kv := range kvs {
-		switch kv[0] {
-		case "servers":
-			servers = kv[1]
-		case "capacities":
-			capacities = kv[1]
-		default:
-			f := fs.Lookup(kv[0])
-			if f == nil {
-				return fmt.Errorf("config %s: unknown setting %q", path, kv[0])
-			}
-			if f.Value.String() != kv[1] {
-				logger.Warn("config setting needs a restart; ignored on reload",
-					"setting", kv[0], "running", f.Value.String(), "file", kv[1])
-			}
+	s.flags.VisitAll(func(f *flag.Flag) {
+		if was := running.Lookup(f.Name).Value.String(); was != f.Value.String() && f.Name != "servers" && f.Name != "capacities" {
+			logger.Warn("config setting needs a restart; ignored on reload",
+				"setting", f.Name, "running", was, "file", f.Value.String())
 		}
-	}
-	if servers == "" {
-		return fmt.Errorf("config %s: no servers to reload", path)
-	}
-	addrs, caps, err := parseServers(servers, capacities)
-	if err != nil {
+	})
+	if err := srv.Reconfigure(s.server.ServerAddrs, s.capacities); err != nil {
 		return err
 	}
-	if err := srv.Reconfigure(addrs, caps); err != nil {
-		return err
-	}
-	logger.Info("config reloaded", "path", path, "servers", len(addrs))
+	logger.Info("config reloaded", "path", s.configPath, "servers", len(s.capacities))
 	return nil
 }

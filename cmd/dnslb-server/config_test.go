@@ -1,10 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -112,28 +114,63 @@ func TestApplyConfigFilePrecedence(t *testing.T) {
 func TestReloadConfigValidation(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "dnslb.conf")
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	fs.String("zone", "www.x.test", "")
-	logger := logging.Discard()
-
+	write := func(content string) {
+		t.Helper()
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	args := []string{"-config", path, "-zone", "www.x.test"}
+	write("servers 10.6.0.1,10.6.0.2\nliveness-interval 8s\n")
+	running, err := configure(args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var log bytes.Buffer
+	logger := slog.New(slog.NewTextHandler(&log, nil))
 	srv := newTestServer(t)
+
+	if err := reloadConfig([]string{"-config", filepath.Join(dir, "missing")}, running.flags, srv, logger); err == nil {
+		t.Error("missing file: reloadConfig accepted it")
+	}
 	for _, tc := range []struct {
 		name, content string
 	}{
-		{"missing file", ""}, // path not written yet
 		{"parse error", "zone"},
 		{"unknown key", "bogus 1"},
 		{"no servers", "zone www.x.test"},
 		{"bad servers", "servers not-an-ip"},
+		// What start-up would refuse is refused whole, by the same rule
+		// under the same name, though the file's server set is fine.
+		{"-estimator-alpha", "servers 10.6.0.1,10.6.0.3\nestimator-alpha 7"},
+		{"-checkpoint-interval", "servers 10.6.0.1,10.6.0.3\ncheckpoint x\ncheckpoint-interval 0"},
 	} {
-		if tc.content != "" {
-			if err := os.WriteFile(path, []byte(tc.content), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := reloadConfig(fs, path, srv, logger); err == nil {
+		write(tc.content)
+		err := reloadConfig(args, running.flags, srv, logger)
+		if err == nil {
 			t.Errorf("%s: reloadConfig accepted it", tc.name)
+		} else if strings.HasPrefix(tc.name, "-") && !strings.Contains(err.Error(), tc.name) {
+			t.Errorf("reload refused with %q, want the flag %s named", err, tc.name)
 		}
+	}
+	if srv.Servers() != 2 || srv.Reloads() != 0 {
+		t.Errorf("refused reloads changed membership: %d slots, %d reloads", srv.Servers(), srv.Reloads())
+	}
+
+	// A restart-only setting is compared by value, not by spelling.
+	write("servers 10.6.0.1,10.6.0.2\nliveness-interval 8000ms\n")
+	if err := reloadConfig(args, running.flags, srv, logger); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(log.String(), "needs a restart") {
+		t.Errorf("8000ms against a running 8s drew a warning:\n%s", log.String())
+	}
+	write("servers 10.6.0.1,10.6.0.2\nliveness-interval 9s\n")
+	if err := reloadConfig(args, running.flags, srv, logger); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(log.String(), "needs a restart") || !strings.Contains(log.String(), "liveness-interval") {
+		t.Errorf("a changed restart-only setting drew no warning:\n%s", log.String())
 	}
 }
 

@@ -50,18 +50,14 @@ import (
 	"time"
 
 	"dnslb"
+	"dnslb/internal/core"
 	"dnslb/internal/logging"
 )
 
 func main() {
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	stop := make(chan struct{})
-	go func() {
-		<-sig
-		close(stop)
-	}()
-	if err := run(os.Args[1:], stop, nil); err != nil {
+	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer cancel()
+	if err := run(os.Args[1:], ctx.Done(), nil); err != nil {
 		fmt.Fprintln(os.Stderr, "dnslb-server:", err)
 		os.Exit(1)
 	}
@@ -75,9 +71,24 @@ type boundAddrs struct {
 	Metrics string
 }
 
-// run serves until stop closes. When non-nil, started is called with
-// the bound addresses once every listener is up.
-func run(args []string, stop <-chan struct{}, started func(boundAddrs)) error {
+// settings is what a command line, with the -config file under it, asks
+// for: the server's configuration, and what only this command acts on.
+type settings struct {
+	flags      *flag.FlagSet // as parsed, for the reload's "needs a restart"
+	server     dnslb.DNSServerConfig
+	capacities []float64
+	log        *logging.Options
+
+	configPath, pprofAddr, metricsAddr string
+	shutdownTimeout                    time.Duration
+}
+
+// configure maps a command line to settings. It is the one place that
+// does, for start-up and for SIGHUP alike, so a reload judges a file
+// exactly as a restart would. What it checks itself is flag syntax —
+// lists, specs and flags that only make sense in pairs; what makes a
+// configuration valid is dnslb.NewDNSServer's to say (see newServer).
+func configure(args []string) (*settings, error) {
 	fs := flag.NewFlagSet("dnslb-server", flag.ContinueOnError)
 	var (
 		zone        = fs.String("zone", "www.site.example", "zone name answered authoritatively")
@@ -90,8 +101,6 @@ func run(args []string, stop <-chan struct{}, started func(boundAddrs)) error {
 		estAlpha    = fs.Float64("estimator-alpha", dnslb.DefaultEstimatorAlpha, "EWMA weight of the newest hidden-load collection interval, in (0,1]")
 		estKind     = fs.String("estimator", dnslb.EstimatorReactive, "hidden-load estimator kind: reactive or predictive")
 		geoPref     = fs.Float64("geo-preference", 0, "probability of answering with the nearest server instead of the policy's choice (0 = disabled)")
-		geoBaseMS   = fs.Float64("geo-base-ms", 0, "base latency of the synthetic ring geography in ms (0 = default)")
-		geoSpanMS   = fs.Float64("geo-span-ms", 0, "latency span of the synthetic ring geography in ms (0 = default)")
 		qps         = fs.Float64("qps", 0, "per-source query rate limit (0 = unlimited)")
 		burst       = fs.Float64("burst", 10, "per-source burst allowance when -qps is set")
 		livenessK   = fs.Int("liveness-k", 3, "missed report intervals before a backend is marked down (0 = disable liveness)")
@@ -101,7 +110,7 @@ func run(args []string, stop <-chan struct{}, started func(boundAddrs)) error {
 		overQPS     = fs.Float64("overload-qps", 0, "aggregate query rate ceiling; above it the server degrades to static weighted answers (0 = disabled)")
 		overTTL     = fs.Float64("overload-ttl", 5, "TTL in seconds for degraded-mode answers")
 		overStale   = fs.Int("overload-stale-rolls", 0, "degrade when replication is down and the estimator missed this many roll intervals (0 = disabled)")
-		maxTCP      = fs.Int("max-tcp-conns", 0, "concurrent connection cap of each stream listener (TCP, and DoH under -http-addr); accepts pause at the cap (0 = default 512, negative = unlimited)")
+		maxTCP      = fs.Int("max-tcp-conns", 0, "concurrent connection cap of each stream listener (TCP, the report socket, and DoH under -http-addr); accepts pause at the cap (0 = default 512, negative = unlimited)")
 		udpWorkers  = fs.Int("udp-workers", 0, "parallel UDP serve goroutines (0 = GOMAXPROCS)")
 		httpAddr    = fs.String("http-addr", "", "DNS-over-HTTP listen address: RFC 8484 wire on /dns-query, JSON on /resolve (empty = disabled)")
 		ecsMode     = fs.String("ecs-mode", "", "EDNS-Client-Subnet handling: passthrough (default), add, or override")
@@ -120,297 +129,231 @@ func run(args []string, stop <-chan struct{}, started func(boundAddrs)) error {
 		logOpts     = logging.AddFlags(fs)
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
+		return nil, err
 	}
 	if *configPath != "" {
 		if err := applyConfigFile(fs, *configPath); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	if *servers == "" {
-		return fmt.Errorf("-servers is required")
-	}
-	// Validate estimator knobs at flag-parse time (after the config
-	// file is applied) so a bad value fails with a clear message
-	// instead of surfacing from deep inside server construction.
-	if *estAlpha <= 0 || *estAlpha > 1 {
-		return fmt.Errorf("-estimator-alpha %v out of range: must be in (0,1]", *estAlpha)
-	}
-	if *estKind != dnslb.EstimatorReactive && *estKind != dnslb.EstimatorPredictive {
-		return fmt.Errorf("-estimator %q unknown: want %s or %s",
-			*estKind, dnslb.EstimatorReactive, dnslb.EstimatorPredictive)
-	}
-	ecsParsed, err := dnslb.ParseECSMode(*ecsMode)
-	if err != nil {
-		return fmt.Errorf("-ecs-mode: %w", err)
+		return nil, fmt.Errorf("-servers is required")
 	}
 	addrs, caps, err := parseServers(*servers, *capacities)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	logger, err := logOpts.New(os.Stderr)
+	// A zero -estimator-alpha is a value to refuse, where a zero in the
+	// Config means the default: core is asked here, under the flags' names.
+	if _, err := core.NewLoadEstimator(*estKind, 1, *estAlpha); err != nil {
+		return nil, fmt.Errorf("-estimator, -estimator-alpha: %w", err)
+	}
+	ecs, err := dnslb.ParseECSMode(*ecsMode)
 	if err != nil {
-		return err
+		return nil, fmt.Errorf("-ecs-mode: %w", err)
+	}
+	var probeCfg dnslb.ProbeConfig
+	if *probeSpec != "" {
+		spec, err := dnslb.ParseProbeSpec(*probeSpec)
+		if err != nil {
+			return nil, fmt.Errorf("-probe: %w", err)
+		}
+		if *probeAddrs == "" {
+			return nil, fmt.Errorf("-probe requires -probe-targets")
+		}
+		probeCfg = spec.Config(strings.Split(strings.ReplaceAll(*probeAddrs, " ", ""), ","))
+	} else if *probeAddrs != "" {
+		return nil, fmt.Errorf("-probe-targets requires -probe")
 	}
 
 	cluster, err := dnslb.NewCluster(caps)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	state, err := dnslb.NewState(cluster, *domains)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	rng := rand.New(rand.NewPCG(rand.Uint64(), rand.Uint64()))
 	start := time.Now()
 	polCfg := dnslb.PolicyConfig{
 		Name:  *policy,
 		State: state,
-		Rand:  rng,
+		Rand:  rand.New(rand.NewPCG(rand.Uint64(), rand.Uint64())),
 		Now:   func() float64 { return time.Since(start).Seconds() },
 	}
 	// Proximity steering uses the same ring-geography helper the
-	// simulator does, so both paths derive identical latency matrices
-	// from identical knobs.
-	prox, err := dnslb.RingProximityConfig(*domains, len(addrs), *geoPref, *geoBaseMS, *geoSpanMS)
-	if err != nil {
-		return err
-	}
-	if prox != nil {
-		polCfg.Proximity = prox
-		logger.Info("proximity steering enabled", "preference", *geoPref)
+	// simulator does, so both paths derive identical latency matrices.
+	if polCfg.Proximity, err = dnslb.RingProximityConfig(*domains, len(addrs), *geoPref); err != nil {
+		return nil, err
 	}
 	pol, err := dnslb.NewPolicy(polCfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
 
-	// The registry always exists — the SIGUSR1 dump works even without
-	// an HTTP exposition endpoint.
-	registry := dnslb.NewMetricsRegistry()
-	cfg := dnslb.DNSServerConfig{
-		Zone:           *zone,
-		ServerAddrs:    addrs,
-		Policy:         pol,
-		Addr:           *addr,
-		Logger:         logger,
-		UDPWorkers:     *udpWorkers,
-		HTTPAddr:       *httpAddr,
-		ECS:            dnslb.ECSConfig{Mode: ecsParsed, V4Prefix: *ecsV4, V6Prefix: *ecsV6},
-		EstimatorAlpha: *estAlpha,
-		Estimator:      *estKind,
-		Metrics:        registry,
+	s := &settings{
+		flags: fs, capacities: caps, log: logOpts,
+		configPath: *configPath, pprofAddr: *pprofAddr, metricsAddr: *metricsAddr,
+		shutdownTimeout: *shutdownTO,
+		server: dnslb.DNSServerConfig{
+			Zone:               *zone,
+			ServerAddrs:        addrs,
+			Policy:             pol,
+			Addr:               *addr,
+			HTTPAddr:           *httpAddr,
+			ReportAddr:         *reportAddr,
+			UDPWorkers:         *udpWorkers,
+			MaxTCPConns:        *maxTCP,
+			ECS:                dnslb.ECSConfig{Mode: ecs, V4Prefix: *ecsV4, V6Prefix: *ecsV6},
+			EstimatorAlpha:     *estAlpha,
+			Estimator:          *estKind,
+			Overload:           dnslb.OverloadConfig{QPSCeiling: *overQPS, DegradedTTL: *overTTL, StaleRolls: *overStale},
+			LivenessK:          *livenessK,
+			LivenessInterval:   *livenessIv,
+			Probe:              probeCfg,
+			Replication:        dnslb.ReplicationConfig{ReplicaID: *replicaID, Interval: *replIv},
+			CheckpointPath:     *ckptPath,
+			CheckpointInterval: *ckptIv,
+			CheckpointMaxAge:   *ckptMaxAge,
+		},
+	}
+	if s.server.ReportAddr == "" {
+		s.server.ReportAddr = nextPort(*addr)
 	}
 	if *qps > 0 {
-		cfg.RateLimit = dnslb.NewRateLimiter(*qps, *burst)
+		s.server.RateLimit = dnslb.NewRateLimiter(*qps, *burst)
 	}
-	cfg.MaxTCPConns = *maxTCP
-	cfg.Overload = dnslb.OverloadConfig{
-		QPSCeiling:  *overQPS,
-		DegradedTTL: *overTTL,
-		StaleRolls:  *overStale,
+	if *peers != "" {
+		s.server.Replication.Peers = strings.Split(*peers, ",")
 	}
-	// Parse the probe spec before building the server so a bad flag
-	// fails fast; probing itself starts once the server is up.
-	var probeCfg *dnslb.ProbeConfig
-	if *probeSpec != "" {
-		spec, err := dnslb.ParseProbeSpec(*probeSpec)
-		if err != nil {
-			return fmt.Errorf("-probe: %w", err)
-		}
-		if *probeAddrs == "" {
-			return fmt.Errorf("-probe requires -probe-targets")
-		}
-		targets := strings.Split(*probeAddrs, ",")
-		if len(targets) != len(addrs) {
-			return fmt.Errorf("-probe-targets has %d entries for %d servers", len(targets), len(addrs))
-		}
-		for i := range targets {
-			targets[i] = strings.TrimSpace(targets[i])
-		}
-		pc := spec.Config(targets)
-		probeCfg = &pc
-	} else if *probeAddrs != "" {
-		return fmt.Errorf("-probe-targets requires -probe")
-	}
+	return s, nil
+}
+
+// flagNames puts, in a server-configuration error, the flag in place of
+// the Config field it sets.
+var flagNames = strings.NewReplacer(
+	"Replication.ReplicaID", "-replica-id", "Replication.Peers", "-peers",
+	"Probe.Targets", "-probe-targets", "LivenessInterval", "-liveness-interval",
+	"CheckpointInterval", "-checkpoint-interval")
+
+// newServer assembles the server cfg describes. dnslb.NewDNSServer holds
+// every rule of a valid configuration and binds, reads and starts nothing,
+// so this is also how a reload asks whether a restart would accept the
+// file.
+func newServer(cfg dnslb.DNSServerConfig) (*dnslb.DNSServer, error) {
 	srv, err := dnslb.NewDNSServer(cfg)
+	if err != nil {
+		return nil, errors.New(flagNames.Replace(err.Error()))
+	}
+	return srv, nil
+}
+
+// serveHTTP serves h (nil = http.DefaultServeMux) on addr until the
+// returned listener is closed.
+func serveHTTP(what, addr string, h http.Handler, logger *slog.Logger) (net.Listener, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("%s listen: %w", what, err)
+	}
+	go func() {
+		if err := http.Serve(ln, h); err != nil && !errors.Is(err, net.ErrClosed) {
+			logger.Warn(what+" server exited", "err", err)
+		}
+	}()
+	logger.Info(what+" enabled", "addr", ln.Addr().String())
+	return ln, nil
+}
+
+// run serves until stop closes: flags → Config → New → Start → wait →
+// Shutdown. When non-nil, started is called with the bound addresses
+// once every listener is up.
+func run(args []string, stop <-chan struct{}, started func(boundAddrs)) error {
+	s, err := configure(args)
 	if err != nil {
 		return err
 	}
-	if *livenessK > 0 {
-		monitor, err := dnslb.NewLivenessMonitor(srv, *livenessIv, *livenessK)
-		if err != nil {
-			return err
-		}
-		defer monitor.Close()
-		logger.Info("liveness enabled", "k", *livenessK, "interval", *livenessIv)
+	logger, err := s.log.New(os.Stderr)
+	if err != nil {
+		return err
 	}
-	// Warm-start from the checkpoint before serving (and after the
-	// liveness monitor attaches, so restored down flags clear on the
-	// backend's next report). Any problem means a clean cold start.
-	if *ckptPath != "" {
-		restoreCheckpoint(srv, *ckptPath, *ckptMaxAge, logger)
+	// The registry always exists — the SIGUSR1 dump works even without
+	// an HTTP exposition endpoint.
+	registry := dnslb.NewMetricsRegistry()
+	s.server.Logger, s.server.Metrics = logger, registry
+	srv, err := newServer(s.server)
+	if err != nil {
+		return err
+	}
+	if repl := s.server.Replication; repl.ReplicaID != "" && len(repl.Peers) == 0 {
+		logger.Warn("-replica-id ignored: no -peers configured")
 	}
 	if err := srv.Start(); err != nil {
 		return err
 	}
 	defer srv.Close()
-	logger.Info("serving", "zone", *zone, "addr", srv.Addr().String(),
-		"policy", *policy, "servers", len(addrs),
-		"udp_workers", srv.UDPWorkers())
-	if ha := srv.HTTPAddr(); ha != nil {
-		logger.Info("DNS-over-HTTP enabled",
-			"wire", fmt.Sprintf("http://%s/dns-query", ha),
-			"json", fmt.Sprintf("http://%s/resolve", ha))
-	}
-	if *ecsMode != "" && *ecsMode != "passthrough" {
-		logger.Info("ECS mode", "mode", ecsParsed.String())
-	}
+	bound := boundAddrs{DNS: srv.Addr().String(), Report: srv.ReportAddr().String()}
+	logger.Info("serving", "zone", s.server.Zone, "addr", bound.DNS, "report", bound.Report,
+		"http", s.server.HTTPAddr, "policy", s.server.Policy.Name(),
+		"servers", len(s.server.ServerAddrs), "udp_workers", srv.UDPWorkers())
 
-	if probeCfg != nil {
-		if _, err := srv.StartProbing(*probeCfg); err != nil {
+	if s.pprofAddr != "" {
+		// net/http/pprof registers its handlers on DefaultServeMux at
+		// import. Profiling the lock-free query path under load is the
+		// point, so this stays opt-in and should never face the public
+		// internet.
+		ln, err := serveHTTP("pprof", s.pprofAddr, nil, logger)
+		if err != nil {
 			return err
 		}
-		logger.Info("active probing enabled", "spec", *probeSpec, "targets", *probeAddrs)
-	}
-	if cfg.Overload.Enabled() {
-		logger.Info("overload degradation enabled",
-			"qps_ceiling", *overQPS, "degraded_ttl", *overTTL, "stale_rolls", *overStale)
-	}
-
-	if *pprofAddr != "" {
-		// net/http/pprof registers its handlers on DefaultServeMux at
-		// import; a plain server on that mux exposes them. Profiling
-		// the lock-free query path under load is the point, so this
-		// stays opt-in and should never face the public internet.
-		ln, err := net.Listen("tcp", *pprofAddr)
-		if err != nil {
-			return fmt.Errorf("pprof listen: %w", err)
-		}
 		defer ln.Close()
-		go func() {
-			if err := http.Serve(ln, nil); err != nil && !errors.Is(err, net.ErrClosed) {
-				logger.Warn("pprof server exited", "err", err)
-			}
-		}()
-		logger.Info("pprof enabled", "url", fmt.Sprintf("http://%s/debug/pprof/", ln.Addr()))
 	}
-
-	boundMetrics := ""
-	if *metricsAddr != "" {
-		ln, err := net.Listen("tcp", *metricsAddr)
-		if err != nil {
-			return fmt.Errorf("metrics listen: %w", err)
-		}
-		defer ln.Close()
+	if s.metricsAddr != "" {
 		mux := http.NewServeMux()
 		mux.Handle("/metrics", registry.Handler())
-		go func() {
-			if err := http.Serve(ln, mux); err != nil && !errors.Is(err, net.ErrClosed) {
-				logger.Warn("metrics server exited", "err", err)
-			}
-		}()
-		boundMetrics = ln.Addr().String()
-		logger.Info("metrics enabled", "url", fmt.Sprintf("http://%s/metrics", ln.Addr()))
+		ln, err := serveHTTP("metrics", s.metricsAddr, mux, logger)
+		if err != nil {
+			return err
+		}
+		defer ln.Close()
+		bound.Metrics = ln.Addr().String()
 	}
 
 	// SIGUSR1: dump a metrics snapshot to stderr, exposition-formatted,
 	// so an operator can inspect a server that has no scrape endpoint
-	// configured (or whose endpoint is unreachable).
-	usr1 := make(chan os.Signal, 1)
-	signal.Notify(usr1, syscall.SIGUSR1)
-	defer signal.Stop(usr1)
+	// configured (or whose endpoint is unreachable). SIGHUP: reload the
+	// config file's server set with zero downtime (config.go).
+	sigs := make(chan os.Signal, 2)
+	signal.Notify(sigs, syscall.SIGUSR1, syscall.SIGHUP)
+	defer signal.Stop(sigs)
 	go func() {
-		for range usr1 {
-			fmt.Fprintln(os.Stderr, "--- metrics snapshot (SIGUSR1) ---")
-			if err := registry.WritePrometheus(os.Stderr); err != nil {
-				logger.Warn("metrics dump failed", "err", err)
-			}
-			fmt.Fprintln(os.Stderr, "--- end metrics snapshot ---")
-		}
-	}()
-
-	rAddr := *reportAddr
-	if rAddr == "" {
-		rAddr = nextPort(srv.Addr().String())
-	}
-	reporter, err := dnslb.NewReportListener(srv, rAddr)
-	if err != nil {
-		return err
-	}
-	defer reporter.Close()
-	logger.Info("load reports enabled", "addr", reporter.Addr().String(),
-		"protocol", "ALIVE/ALARM/HITS/ROLL/JOIN/DRAIN/REPL")
-
-	// Multi-replica soft-state replication: peer deltas arrive as REPL
-	// lines on the report socket above; outbound gossip dials the peers'
-	// report sockets. Losing every peer only degrades to local-only
-	// scheduling — queries are never refused on account of replication.
-	if *peers != "" {
-		if *replicaID == "" {
-			return fmt.Errorf("-peers requires -replica-id")
-		}
-		if err := srv.StartReplication(dnslb.ReplicationConfig{
-			ReplicaID: *replicaID,
-			Peers:     strings.Split(*peers, ","),
-			Interval:  *replIv,
-		}); err != nil {
-			return err
-		}
-	} else if *replicaID != "" {
-		logger.Warn("-replica-id ignored: no -peers configured")
-	}
-
-	var ckpt *dnslb.Checkpointer
-	if *ckptPath != "" {
-		ckpt, err = dnslb.NewCheckpointer(srv, *ckptPath, *ckptIv)
-		if err != nil {
-			return err
-		}
-		defer ckpt.Close()
-		logger.Info("checkpointing enabled", "path", *ckptPath, "interval", *ckptIv)
-	}
-
-	// SIGHUP: re-read the config file and apply the server set (joins,
-	// graceful drains, capacity changes) with zero downtime. Without
-	// -config there is nothing to re-read.
-	hup := make(chan os.Signal, 1)
-	signal.Notify(hup, syscall.SIGHUP)
-	defer signal.Stop(hup)
-	go func() {
-		for range hup {
-			if *configPath == "" {
+		for sig := range sigs {
+			switch {
+			case sig == syscall.SIGUSR1:
+				fmt.Fprintln(os.Stderr, "--- metrics snapshot (SIGUSR1) ---")
+				if err := registry.WritePrometheus(os.Stderr); err != nil {
+					logger.Warn("metrics dump failed", "err", err)
+				}
+				fmt.Fprintln(os.Stderr, "--- end metrics snapshot ---")
+			case s.configPath == "":
 				logger.Warn("SIGHUP ignored: no -config file to reload")
-				continue
-			}
-			if err := reloadConfig(fs, *configPath, srv, logger); err != nil {
-				logger.Warn("config reload failed", "path", *configPath, "err", err)
+			default:
+				if err := reloadConfig(args, s.flags, srv, logger); err != nil {
+					logger.Warn("config reload failed", "path", s.configPath, "err", err)
+				}
 			}
 		}
 	}()
 
 	if started != nil {
-		started(boundAddrs{
-			DNS:     srv.Addr().String(),
-			Report:  reporter.Addr().String(),
-			Metrics: boundMetrics,
-		})
+		started(bound)
 	}
 	<-stop
-	// Graceful shutdown: stop accepting, drain in-flight queries within
-	// the deadline, then flush one final checkpoint so the learned
-	// state survives the restart.
-	ctx, cancel := context.WithTimeout(context.Background(), *shutdownTO)
+	// Graceful shutdown: in-flight queries drain within the deadline, then
+	// the final checkpoint carries the learned state over the restart.
+	ctx, cancel := context.WithTimeout(context.Background(), s.shutdownTimeout)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
 		logger.Warn("shutdown drain incomplete", "err", err)
-	}
-	if ckpt != nil {
-		if err := ckpt.Close(); err != nil {
-			logger.Warn("final checkpoint failed", "path", *ckptPath, "err", err)
-		} else {
-			logger.Info("final checkpoint written", "path", *ckptPath)
-		}
 	}
 	st := srv.Stats()
 	logger.Info("shutdown complete", "queries", st.Queries, "answered", st.Answered,
@@ -418,66 +361,41 @@ func run(args []string, stop <-chan struct{}, started func(boundAddrs)) error {
 	return nil
 }
 
-// restoreCheckpoint warm-starts srv from a checkpoint file. Every
-// failure mode — missing, unreadable, corrupt, stale, or mismatched
-// with the running configuration — logs and leaves the server in its
-// cold-start state; a checkpoint is advisory, never required.
-func restoreCheckpoint(srv *dnslb.DNSServer, path string, maxAge time.Duration, logger *slog.Logger) {
-	cp, err := dnslb.LoadCheckpoint(path)
-	switch {
-	case errors.Is(err, os.ErrNotExist):
-		logger.Info("no checkpoint; cold start", "path", path)
-	case err != nil:
-		logger.Warn("checkpoint unreadable; cold start", "path", path, "err", err)
-	default:
-		if err := srv.RestoreCheckpoint(cp, maxAge); err != nil {
-			logger.Warn("checkpoint rejected; cold start", "path", path, "err", err)
-		} else {
-			logger.Info("checkpoint restored", "path", path,
-				"saved_at", cp.SavedAt.Format(time.RFC3339))
-		}
-	}
-}
-
 // parseServers parses the address and capacity lists. Capacities
 // default to 100 hits/s each and must be sorted non-increasing (the
 // paper numbers servers by decreasing capacity).
 func parseServers(servers, capacities string) ([]netip.Addr, []float64, error) {
-	parts := strings.Split(servers, ",")
-	addrs := make([]netip.Addr, 0, len(parts))
-	for _, p := range parts {
-		a, err := netip.ParseAddr(strings.TrimSpace(p))
-		if err != nil {
+	parts, cparts := strings.Split(servers, ","), strings.Split(capacities, ",")
+	if capacities != "" && len(cparts) != len(parts) {
+		return nil, nil, fmt.Errorf("%d capacities for %d servers", len(cparts), len(parts))
+	}
+	addrs, caps := make([]netip.Addr, len(parts)), make([]float64, len(parts))
+	for i, p := range parts {
+		var err error
+		if addrs[i], err = netip.ParseAddr(strings.TrimSpace(p)); err != nil {
 			return nil, nil, fmt.Errorf("bad server address %q: %w", p, err)
 		}
-		addrs = append(addrs, a)
-	}
-	caps := make([]float64, len(addrs))
-	if capacities == "" {
-		for i := range caps {
-			caps[i] = 100
+		caps[i] = 100
+		if capacities != "" {
+			if caps[i], err = strconv.ParseFloat(strings.TrimSpace(cparts[i]), 64); err != nil {
+				return nil, nil, fmt.Errorf("bad capacity %q: %w", cparts[i], err)
+			}
 		}
-		return addrs, caps, nil
-	}
-	cparts := strings.Split(capacities, ",")
-	if len(cparts) != len(addrs) {
-		return nil, nil, fmt.Errorf("%d capacities for %d servers", len(cparts), len(addrs))
-	}
-	for i, p := range cparts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return nil, nil, fmt.Errorf("bad capacity %q: %w", p, err)
-		}
-		caps[i] = v
 	}
 	return addrs, caps, nil
 }
 
-// nextPort returns host:port+1 of the given address.
+// nextPort returns the address one port after addr's — where the report
+// socket goes when -report does not say. Next to an ephemeral DNS port
+// it is ephemeral as well.
 func nextPort(addr string) string {
-	ap, err := netip.ParseAddrPort(addr)
-	if err != nil {
+	host, port, err := net.SplitHostPort(addr)
+	p, perr := strconv.ParseUint(port, 10, 16)
+	if err != nil || perr != nil {
 		return "127.0.0.1:0"
 	}
-	return netip.AddrPortFrom(ap.Addr(), ap.Port()+1).String()
+	if p != 0 {
+		p++
+	}
+	return net.JoinHostPort(host, strconv.FormatUint(p, 10))
 }

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -373,6 +375,32 @@ func TestRunTwoReplicaReplication(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatal("replica did not shut down")
 		}
+	}
+}
+
+// TestRunValidatesBeforeSideEffects: a configuration the server's rules
+// refuse is refused before a socket is bound or the checkpoint file
+// touched — the -addr here is taken, and it is not the bind that fails.
+func TestRunValidatesBeforeSideEffects(t *testing.T) {
+	held, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	ckpt := filepath.Join(t.TempDir(), "state.ckpt")
+	stop := make(chan struct{})
+	close(stop)
+	for flagName, args := range map[string][]string{
+		"-replica-id":          {"-peers", "127.0.0.1:9"},
+		"-checkpoint-interval": {"-checkpoint", ckpt, "-checkpoint-interval", "0"},
+	} {
+		err := run(append([]string{"-servers", "10.0.0.1", "-addr", held.Addr().String(), "-log-level", "error"}, args...), stop, nil)
+		if err == nil || !strings.Contains(err.Error(), flagName) || strings.Contains(err.Error(), "listen") {
+			t.Errorf("%v: err = %v, want %s named before anything is bound", args, err, flagName)
+		}
+	}
+	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
+		t.Errorf("checkpoint file after a refused configuration: %v", err)
 	}
 }
 

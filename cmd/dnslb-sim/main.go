@@ -22,6 +22,7 @@ import (
 	"strings"
 
 	"dnslb"
+	"dnslb/internal/core"
 )
 
 func main() {
@@ -90,23 +91,14 @@ func run(args []string, out io.Writer) error {
 	cfg.Warmup = *warmup
 	cfg.Seed = *seed
 	cfg.MinNSTTL = *minTTL
-	// Satellite guard: reject a bad alpha at flag-parse time with a
-	// clear message instead of letting the estimator constructor fail
-	// deep inside the run.
-	if *estAlpha <= 0 || *estAlpha > 1 {
-		return fmt.Errorf("-estimator-alpha %v out of range: must be in (0,1]", *estAlpha)
+	// Both estimator flags are core's to judge, here rather than deep
+	// inside the run so that the error names them (an empty kind, which
+	// means oracle weights, has the alpha checked against the default one).
+	if _, err := core.NewLoadEstimator(*estimator, 1, *estAlpha); err != nil {
+		return fmt.Errorf("-estimator, -estimator-alpha: %w", err)
 	}
-	switch *estimator {
-	case "":
-		cfg.OracleWeights = true
-	case dnslb.EstimatorReactive, dnslb.EstimatorPredictive:
-		cfg.OracleWeights = false
-		cfg.Estimator = *estimator
-		cfg.EstimatorAlpha = *estAlpha
-	default:
-		return fmt.Errorf("-estimator %q unknown: want %s or %s",
-			*estimator, dnslb.EstimatorReactive, dnslb.EstimatorPredictive)
-	}
+	cfg.OracleWeights = *estimator == ""
+	cfg.Estimator, cfg.EstimatorAlpha = *estimator, *estAlpha
 	cfg.ReportLossProb = *lossProb
 	flashes, err := parseFlashCrowds(*flash)
 	if err != nil {

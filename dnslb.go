@@ -15,9 +15,11 @@
 //     sweeps — run via the Experiments registry; VerifyReproduction
 //     checks every claim executably.
 //   - Workload traces — GenerateTrace; replay via SimConfig.Trace.
-//   - The real network path — NewDNSServer, NewCachingNS, NewBackend,
-//     NewReportListener, NewRateLimiter, NewLivenessMonitor,
-//     NewCheckpointer, NewMetricsRegistry.
+//   - The real network path — NewDNSServer, whose DNSServerConfig
+//     describes the whole server (report socket, liveness, probing,
+//     replication, checkpointing, overload) and whose Start, Shutdown
+//     and Close own its lifecycle; NewCachingNS, NewBackend,
+//     NewRateLimiter, NewMetricsRegistry.
 //
 // The facade names what the commands' siblings under examples/ and
 // benchmark/ and this package's own tests use, and nothing else: a type
@@ -186,14 +188,11 @@ type (
 	Backend = backend.Server
 	// BackendConfig configures a Backend.
 	BackendConfig = backend.Config
-	// Checkpointer periodically saves a DNSServer's checkpoint to a file
-	// and flushes a final one on Close.
-	Checkpointer = dnsserver.Checkpointer
 	// ReplicationConfig configures a DNSServer's multi-replica soft-state
-	// replication (see DNSServer.StartReplication and DESIGN.md §13).
+	// replication (DNSServerConfig.Replication, DESIGN.md §13).
 	ReplicationConfig = dnsserver.ReplicationConfig
-	// ProbeConfig configures a DNSServer's active health prober (see
-	// DNSServer.StartProbing and DESIGN.md §16).
+	// ProbeConfig configures a DNSServer's active health prober
+	// (DNSServerConfig.Probe, DESIGN.md §16).
 	ProbeConfig = probe.Config
 	// OverloadConfig configures the DNSServer's graceful-degradation
 	// admission layer (DNSServerConfig.Overload, DESIGN.md §16).
@@ -209,10 +208,9 @@ var NewMetricsRegistry = metrics.NewRegistry
 
 // Real-network entry points.
 var (
-	// NewDNSServer creates the authoritative server (call Start).
+	// NewDNSServer validates a configuration and assembles the
+	// authoritative server it describes (call Start).
 	NewDNSServer = dnsserver.New
-	// NewReportListener starts the load-report listener for a server.
-	NewReportListener = dnsserver.NewReportListener
 	// NewCachingNS creates a caching NS over a resolver.
 	NewCachingNS = dnsclient.NewCachingNS
 	// PrefixHashMapper maps resolver addresses to domains by prefix.
@@ -223,13 +221,8 @@ var (
 	NewBackend = backend.New
 	// NewRateLimiter creates a per-source query rate limiter.
 	NewRateLimiter = dnsserver.NewRateLimiter
-	// NewLivenessMonitor attaches k-missed-report failure detection to
-	// a DNS server.
-	NewLivenessMonitor = dnsserver.NewLivenessMonitor
-	// NewCheckpointer starts periodic state checkpointing of a server.
-	NewCheckpointer = dnsserver.NewCheckpointer
 	// LoadCheckpoint reads a checkpoint file written by WriteCheckpoint
-	// or a Checkpointer.
+	// or under DNSServerConfig.CheckpointPath.
 	LoadCheckpoint = dnsserver.LoadCheckpoint
 	// ParseProbeSpec parses the -probe flag syntax, e.g.
 	// "tcp,interval=2s,fail=3,rise=2" or "http=/healthz,interval=5s".

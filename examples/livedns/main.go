@@ -153,6 +153,7 @@ func run() error {
 		Policy:      policy,
 		Mapper:      dnslb.StaticMapper(table, 0),
 		Addr:        "127.0.0.1:0",
+		ReportAddr:  "127.0.0.1:0",
 	})
 	if err != nil {
 		return err
@@ -161,13 +162,8 @@ func run() error {
 		return err
 	}
 	defer dns.Close()
-	reporter, err := dnslb.NewReportListener(dns, "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	defer reporter.Close()
 	fmt.Printf("authoritative DNS for %s on %s, load reports on %s\n\n",
-		zone, dns.Addr(), reporter.Addr())
+		zone, dns.Addr(), dns.ReportAddr())
 
 	// Each domain's clients resolve through their local NS and fetch.
 	nses := make([]*domainNS, domains)
@@ -208,7 +204,7 @@ func run() error {
 	// Overload feedback: server 1 raises an alarm; once the NS caches
 	// are refreshed, no new mapping points at it.
 	fmt.Println("\nraising ALARM for S1 over the report socket...")
-	if err := report(reporter.Addr().String(), "ALARM 0 1"); err != nil {
+	if err := report(dns.ReportAddr().String(), "ALARM 0 1"); err != nil {
 		return err
 	}
 	for j := range nses {

@@ -72,6 +72,8 @@ func run() error {
 		Policy: policy,
 		Mapper: dnslb.PrefixHashMapper(domains),
 		Addr:   "127.0.0.1:0",
+		// The backends' agents report here.
+		ReportAddr: "127.0.0.1:0",
 	})
 	if err != nil {
 		return err
@@ -80,11 +82,6 @@ func run() error {
 		return err
 	}
 	defer dns.Close()
-	reporter, err := dnslb.NewReportListener(dns, "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	defer reporter.Close()
 
 	// Backends with self-reporting agents (250 ms windows, θ = 0.6).
 	byIP := make(map[netip.Addr]*dnslb.Backend, len(capacities))
@@ -94,7 +91,7 @@ func run() error {
 			Capacity:            c,
 			Domains:             domains,
 			ServerIndex:         i,
-			ReportAddr:          reporter.Addr().String(),
+			ReportAddr:          dns.ReportAddr().String(),
 			UtilizationInterval: 250 * time.Millisecond,
 			AlarmThreshold:      0.6,
 			Simulate:            true,

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"dnslb/internal/chaos"
 	"dnslb/internal/core"
 	"dnslb/internal/dnsserver"
 	"dnslb/internal/simcore"
@@ -114,14 +115,16 @@ func TestUtilizationTracksLoad(t *testing.T) {
 	}
 }
 
-// startDNS builds a DNS server + report listener for integration.
-func startDNS(t *testing.T) (*dnsserver.Server, *dnsserver.ReportListener) {
-	srv, rl, _ := startDNSState(t)
-	return srv, rl
+// startDNS builds a DNS server with a report socket, whose address it
+// also returns, for integration.
+func startDNS(t *testing.T) (*dnsserver.Server, string) {
+	srv, report, _ := startDNSState(t, func(*dnsserver.Config) {})
+	return srv, report
 }
 
-// startDNSState also exposes the scheduler state behind the DNS.
-func startDNSState(t *testing.T) (*dnsserver.Server, *dnsserver.ReportListener, *core.State) {
+// startDNSState also exposes the scheduler state behind the DNS, and the
+// configuration to edits before the server is built.
+func startDNSState(t *testing.T, edit func(*dnsserver.Config)) (*dnsserver.Server, string, *core.State) {
 	t.Helper()
 	cluster, err := core.NewCluster([]float64{100, 50})
 	if err != nil {
@@ -139,15 +142,18 @@ func startDNSState(t *testing.T) (*dnsserver.Server, *dnsserver.ReportListener, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := dnsserver.New(dnsserver.Config{
+	cfg := dnsserver.Config{
 		Zone: "www.b.test",
 		ServerAddrs: []netip.Addr{
 			netip.MustParseAddr("10.7.0.1"),
 			netip.MustParseAddr("10.7.0.2"),
 		},
-		Policy: policy,
-		Addr:   "127.0.0.1:0",
-	})
+		Policy:     policy,
+		Addr:       "127.0.0.1:0",
+		ReportAddr: "127.0.0.1:0",
+	}
+	edit(&cfg)
+	srv, err := dnsserver.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,12 +161,7 @@ func startDNSState(t *testing.T) (*dnsserver.Server, *dnsserver.ReportListener, 
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = srv.Close() })
-	rl, err := dnsserver.NewReportListener(srv, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = rl.Close() })
-	return srv, rl, state
+	return srv, srv.ReportAddr().String(), state
 }
 
 func TestAgentReportsAlarmToDNS(t *testing.T) {
@@ -170,7 +171,7 @@ func TestAgentReportsAlarmToDNS(t *testing.T) {
 		Domains:             4,
 		Simulate:            true,
 		ServerIndex:         1,
-		ReportAddr:          rl.Addr().String(),
+		ReportAddr:          rl,
 		UtilizationInterval: 50 * time.Millisecond,
 		AlarmThreshold:      0.5,
 	})
@@ -195,7 +196,7 @@ func TestAgentFeedsHiddenLoadEstimates(t *testing.T) {
 		Capacity:            10000,
 		Domains:             4,
 		Simulate:            true,
-		ReportAddr:          rl.Addr().String(),
+		ReportAddr:          rl,
 		UtilizationInterval: 50 * time.Millisecond,
 	})
 	// Domain 2 sends the bulk of the traffic.
@@ -275,18 +276,20 @@ func TestBackoffDoublesAndJitters(t *testing.T) {
 }
 
 func TestAgentSurvivesReportOutage(t *testing.T) {
-	// Acceptance path for the live failure model: kill the report
-	// socket, watch the liveness monitor exclude the backend, restart
-	// the socket, and watch the agent's backoff redial re-admit it —
-	// including the alarm transition that happened while disconnected.
-	srv, rl := startDNS(t)
-	m, err := dnsserver.NewLivenessMonitor(srv, 40*time.Millisecond, 2)
+	// Acceptance path for the live failure model: cut the path to the
+	// report socket, watch the liveness monitor exclude the backend, heal
+	// it, and watch the agent's backoff redial re-admit it — including
+	// the alarm transition that happened while disconnected.
+	srv, report, _ := startDNSState(t, func(cfg *dnsserver.Config) {
+		cfg.LivenessInterval, cfg.LivenessK = 40*time.Millisecond, 2
+	})
+	link, err := chaos.NewTCPProxy("127.0.0.1:0", report, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(m.Close)
+	t.Cleanup(func() { _ = link.Close() })
 
-	addr := rl.Addr().String()
+	addr := link.Addr()
 	s := startBackend(t, Config{
 		Capacity:            50,
 		Domains:             4,
@@ -313,10 +316,8 @@ func TestAgentSurvivesReportOutage(t *testing.T) {
 	waitFor("backend never marked live by its own heartbeats", func() bool {
 		return !srv.Down(1)
 	})
-	if err := rl.Close(); err != nil {
-		t.Fatal(err)
-	}
-	waitFor("silent backend never excluded after report socket died", func() bool {
+	link.Cut()
+	waitFor("silent backend never excluded after the report path was cut", func() bool {
 		return srv.Down(1)
 	})
 
@@ -326,12 +327,8 @@ func TestAgentSurvivesReportOutage(t *testing.T) {
 	get(t, fmt.Sprintf("http://%s/?hits=10000&domain=1", s.Addr()))
 	waitFor("backend never alarmed locally", s.Alarmed)
 
-	rl2, err := dnsserver.NewReportListener(srv, addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = rl2.Close() })
-	waitFor("backend never re-admitted after report socket restart", func() bool {
+	link.Heal()
+	waitFor("backend never re-admitted after the report path healed", func() bool {
 		return !srv.Down(1)
 	})
 	waitFor("alarm state not resynced after reconnect", func() bool {
@@ -340,13 +337,13 @@ func TestAgentSurvivesReportOutage(t *testing.T) {
 }
 
 func TestSelfRegistrationAndRetire(t *testing.T) {
-	_, rl, state := startDNSState(t)
+	_, rl, state := startDNSState(t, func(*dnsserver.Config) {})
 
 	s := startBackend(t, Config{
 		Capacity:            500,
 		Domains:             4,
 		Simulate:            true,
-		ReportAddr:          rl.Addr().String(),
+		ReportAddr:          rl,
 		AdvertiseAddr:       "10.7.0.50",
 		RetireOnClose:       true,
 		UtilizationInterval: 25 * time.Millisecond,
@@ -411,7 +408,7 @@ func TestSuccessfulWriteResetsBackoff(t *testing.T) {
 	// outage starts the ladder from the minimum instead of inheriting
 	// a stale ceiling.
 	_, rl := startDNS(t)
-	s, err := New(Config{Capacity: 10, Domains: 1, ReportAddr: rl.Addr().String(),
+	s, err := New(Config{Capacity: 10, Domains: 1, ReportAddr: rl,
 		ReconnectBackoffMin: 10 * time.Millisecond, ReconnectBackoffMax: time.Hour})
 	if err != nil {
 		t.Fatal(err)

@@ -95,9 +95,8 @@ func RingLatencies(domains, servers int, baseMS, spanMS float64) (*LatencyMatrix
 	return NewLatencyMatrix(domains, servers, ms)
 }
 
-// Default ring geography shape when the caller enables proximity but
-// specifies no latencies: 20 ms to the nearest point on the ring,
-// 180 ms to the farthest.
+// The ring geography's shape wherever proximity is enabled: 20 ms to the
+// nearest point on the ring, 180 ms to the farthest.
 const (
 	DefaultGeoBaseMS = 20.0
 	DefaultGeoSpanMS = 160.0
@@ -105,21 +104,17 @@ const (
 
 // RingProximityConfig builds the ProximityConfig both the simulator
 // and the live DNS server use for the geo extension: the synthetic
-// ring geography over the given population, with the default shape
-// when baseMS and spanMS are both zero. A zero preference returns
+// ring geography over the given population. A zero preference returns
 // (nil, nil) — the extension disabled — so callers can pass their
-// flag values through unconditionally.
-func RingProximityConfig(domains, servers int, preference, baseMS, spanMS float64) (*ProximityConfig, error) {
+// flag value through unconditionally.
+func RingProximityConfig(domains, servers int, preference float64) (*ProximityConfig, error) {
 	if preference == 0 {
 		return nil, nil
 	}
 	if preference < 0 || preference > 1 {
 		return nil, fmt.Errorf("core: proximity preference %v out of [0,1]", preference)
 	}
-	if baseMS == 0 && spanMS == 0 {
-		baseMS, spanMS = DefaultGeoBaseMS, DefaultGeoSpanMS
-	}
-	m, err := RingLatencies(domains, servers, baseMS, spanMS)
+	m, err := RingLatencies(domains, servers, DefaultGeoBaseMS, DefaultGeoSpanMS)
 	if err != nil {
 		return nil, err
 	}

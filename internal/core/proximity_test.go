@@ -216,26 +216,23 @@ func TestProximityPolicyEndToEnd(t *testing.T) {
 // and the live server must build identical ProximityConfigs from the
 // same knobs.
 func TestRingProximityConfig(t *testing.T) {
-	if pc, err := RingProximityConfig(8, 4, 0, 0, 0); pc != nil || err != nil {
+	if pc, err := RingProximityConfig(8, 4, 0); pc != nil || err != nil {
 		t.Errorf("zero preference: got (%v, %v), want (nil, nil)", pc, err)
 	}
-	if _, err := RingProximityConfig(8, 4, 1.5, 0, 0); err == nil {
+	if _, err := RingProximityConfig(8, 4, 1.5); err == nil {
 		t.Error("preference > 1 must be rejected")
 	}
-	if _, err := RingProximityConfig(8, 4, 0.5, -1, 0); err == nil {
-		t.Error("negative base latency must be rejected")
-	}
-	if _, err := RingProximityConfig(0, 4, 0.5, 0, 0); err == nil {
+	if _, err := RingProximityConfig(0, 4, 0.5); err == nil {
 		t.Error("zero domains must be rejected")
 	}
-	pc, err := RingProximityConfig(8, 4, 0.5, 0, 0)
+	pc, err := RingProximityConfig(8, 4, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pc.Preference != 0.5 {
 		t.Errorf("preference = %v", pc.Preference)
 	}
-	// Both-zero latencies take the documented default shape.
+	// The matrix has the documented shape.
 	want, err := RingLatencies(8, 4, DefaultGeoBaseMS, DefaultGeoSpanMS)
 	if err != nil {
 		t.Fatal(err)
@@ -246,13 +243,5 @@ func TestRingProximityConfig(t *testing.T) {
 				t.Fatalf("default matrix differs at (%d,%d)", j, i)
 			}
 		}
-	}
-	// Explicit latencies are passed through.
-	pc2, err := RingProximityConfig(8, 4, 1, 5, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := pc2.Matrix.Latency(0, 0); got != 5 {
-		t.Errorf("explicit base latency = %v, want 5", got)
 	}
 }

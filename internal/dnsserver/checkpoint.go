@@ -7,7 +7,6 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"dnslb/internal/core"
@@ -16,7 +15,8 @@ import (
 // Checkpoint/restore: the DNS's soft state — the hidden-load weight
 // estimates it learned from server reports, the alarm/down/draining
 // standing of every slot, and the selectors' rotation cursors — is
-// periodically serialized to a JSON file and restored on startup, so a
+// serialized to the JSON file Config.CheckpointPath names, every
+// Config.CheckpointInterval and at shutdown, and restored by Start, so a
 // restart does not reset the domain weights to uniform (which would
 // hand hot domains long TTLs until the estimator relearns).
 //
@@ -148,7 +148,8 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 // checkpointed servers unknown to the current config are skipped with
 // a log line (the config is authoritative for membership).
 //
-// Call before Start, after the liveness monitor (if any) is attached.
+// Start does this for Config.CheckpointPath, at the one point of its
+// order where it is safe; a direct call belongs before Start.
 func (s *Server) RestoreCheckpoint(cp *Checkpoint, maxAge time.Duration) error {
 	if cp == nil {
 		return errors.New("dnsserver: nil checkpoint")
@@ -226,11 +227,8 @@ func (s *Server) RestoreCheckpoint(cp *Checkpoint, maxAge time.Duration) error {
 			// Mirror the flag into the liveness monitor so the backend's
 			// next report clears it (Touch only re-admits backends the
 			// monitor itself marked down).
-			s.livenessMu.Lock()
-			m := s.liveness
-			s.livenessMu.Unlock()
-			if m != nil {
-				m.noteRestoredDown(i)
+			if s.liveness != nil {
+				s.liveness.noteRestoredDown(i)
 			}
 		}
 		if scp.Draining {
@@ -249,65 +247,33 @@ func (s *Server) RestoreCheckpoint(cp *Checkpoint, maxAge time.Duration) error {
 	return nil
 }
 
-// Checkpointer periodically writes a server's checkpoint to a file and
-// flushes one final checkpoint on Close — the shutdown path's state
-// save.
-type Checkpointer struct {
-	srv  *Server
-	path string
-
-	once sync.Once
-	stop chan struct{}
-	done chan struct{}
-}
-
-// NewCheckpointer starts periodic checkpointing of srv to path every
-// interval.
-func NewCheckpointer(srv *Server, path string, interval time.Duration) (*Checkpointer, error) {
-	if srv == nil {
-		return nil, errors.New("dnsserver: checkpointer needs a server")
+// restoreCheckpoint warm-starts the server from its checkpoint file.
+// Every failure mode — missing, unreadable, corrupt, stale, or mismatched
+// with the running configuration — logs and leaves the server in its
+// cold-start state; a checkpoint is advisory, never required.
+func (s *Server) restoreCheckpoint() {
+	path := s.cfg.CheckpointPath
+	cp, err := LoadCheckpoint(path)
+	if err == nil {
+		err = s.RestoreCheckpoint(cp, s.cfg.CheckpointMaxAge)
 	}
-	if path == "" {
-		return nil, errors.New("dnsserver: checkpointer needs a path")
-	}
-	if interval <= 0 {
-		return nil, fmt.Errorf("dnsserver: checkpoint interval %v must be positive", interval)
-	}
-	c := &Checkpointer{
-		srv:  srv,
-		path: path,
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
-	go c.loop(interval)
-	return c, nil
-}
-
-func (c *Checkpointer) loop(interval time.Duration) {
-	defer close(c.done)
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-c.stop:
-			return
-		case <-t.C:
-			if err := c.srv.WriteCheckpoint(c.path); err != nil {
-				c.srv.logger.Warn("periodic checkpoint failed", "path", c.path, "err", err)
-			}
-		}
+	switch {
+	case errors.Is(err, os.ErrNotExist):
+		s.logger.Info("no checkpoint; cold start", "path", path)
+	case err != nil:
+		s.logger.Warn("checkpoint unusable; cold start", "path", path, "err", err)
+	default:
+		s.logger.Info("checkpoint restored", "path", path, "saved_at", cp.SavedAt.Format(time.RFC3339))
 	}
 }
 
-// Close stops the periodic saver and writes one final checkpoint.
-func (c *Checkpointer) Close() error {
-	var err error
-	c.once.Do(func() {
-		close(c.stop)
-		<-c.done
-		err = c.srv.WriteCheckpoint(c.path)
-	})
-	return err
+// saveCheckpoint writes the checkpoint file, periodically and at
+// shutdown; a failed write is logged (and counted) and the next one
+// tries again.
+func (s *Server) saveCheckpoint() {
+	if err := s.WriteCheckpoint(s.cfg.CheckpointPath); err != nil {
+		s.logger.Warn("checkpoint not written", "path", s.cfg.CheckpointPath, "err", err)
+	}
 }
 
 // CheckpointSaves returns how many checkpoints were written

@@ -18,7 +18,6 @@ import (
 // -race to verify the locking discipline.
 func TestConcurrentQueries(t *testing.T) {
 	srv, _ := testServer(t, "PRR2-TTL/K", nil)
-	rl := startReportListener(t, srv)
 
 	const (
 		workers = 8
@@ -57,7 +56,7 @@ func TestConcurrentQueries(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		sendReports(t, rl.Addr().String(), "ALARM 3 1", "HITS 5 100", "ROLL 8", "ALARM 3 0")
+		sendReports(t, srv.ReportAddr().String(), "ALARM 3 1", "HITS 5 100", "ROLL 8", "ALARM 3 0")
 	}()
 
 	wg.Wait()

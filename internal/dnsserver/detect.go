@@ -1,8 +1,6 @@
 package dnsserver
 
 import (
-	"errors"
-	"fmt"
 	"strconv"
 	"sync"
 
@@ -13,7 +11,7 @@ import (
 // Failure-detector combination. The server can run two independent
 // detectors per backend:
 //
-//   - the passive k-missed-reports LivenessMonitor (liveness.go), which
+//   - the passive k-missed-reports livenessMonitor (liveness.go), which
 //     infers death from silence on the report path, and
 //   - the active Prober (internal/probe), which dials the backend's
 //     service port on a jittered interval.
@@ -32,7 +30,7 @@ import (
 // The public SetDown remains a direct administrative override outside
 // the vote ledger.
 const (
-	detectorPassive uint8 = 1 << iota // LivenessMonitor (k missed reports)
+	detectorPassive uint8 = 1 << iota // livenessMonitor (k missed reports)
 	detectorActive                    // active Prober
 )
 
@@ -84,21 +82,11 @@ func (s *Server) voteDown(src uint8, server int, down bool) error {
 	return s.eng.SetDown(server, isDown)
 }
 
-// StartProbing wires an active prober into the server's failure
-// detection: target i's probe standing becomes the active detector's
-// vote for server slot i. The target list must be index-aligned with
-// the server slots (empty Addr skips a slot); slots joined after Start
-// are simply unprobed. Returns the running prober; the server owns it
-// and closes it on Close/Shutdown.
-func (s *Server) StartProbing(cfg probe.Config) (*probe.Prober, error) {
-	if len(cfg.Targets) != s.Servers() {
-		return nil, fmt.Errorf("dnsserver: %d probe targets for %d server slots", len(cfg.Targets), s.Servers())
-	}
-	s.probeMu.Lock()
-	defer s.probeMu.Unlock()
-	if s.prober != nil {
-		return nil, errors.New("dnsserver: probing already started")
-	}
+// newProber builds the active prober of Config.Probe: target i's probe
+// standing becomes the active detector's vote for server slot i. Start
+// launches it and Shutdown closes it; probe votes are left in place then
+// — a stopping server has no reason to re-admit backends.
+func (s *Server) newProber(cfg probe.Config) error {
 	if cfg.Logger == nil {
 		cfg.Logger = s.logger
 	}
@@ -113,37 +101,19 @@ func (s *Server) StartProbing(cfg probe.Config) (*probe.Prober, error) {
 	}
 	p, err := probe.New(cfg)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	s.prober = p
 	if s.registry != nil {
 		registerProbeMetrics(s.registry, p)
 	}
-	p.Start()
-	s.logger.Info("active probing started",
-		"targets", len(cfg.Targets), "interval", cfg.Interval, "fail_n", cfg.FailN, "rise_m", cfg.RiseM)
-	return p, nil
-}
-
-// stopProbing closes the prober if one was started. Probe votes are
-// left in place: a stopping server has no reason to re-admit backends.
-func (s *Server) stopProbing() {
-	s.probeMu.Lock()
-	p := s.prober
-	s.prober = nil
-	s.probeMu.Unlock()
-	if p != nil {
-		_ = p.Close()
-	}
+	return nil
 }
 
 // ProbeDown reports the active prober's standing for a server slot
-// (false when probing is not running or the slot is unprobed).
+// (false when probing is not configured or the slot is unprobed).
 func (s *Server) ProbeDown(server int) bool {
-	s.probeMu.Lock()
-	p := s.prober
-	s.probeMu.Unlock()
-	return p != nil && p.Down(server)
+	return s.prober != nil && s.prober.Down(server)
 }
 
 // registerProbeMetrics exposes the prober's counters. Totals are

@@ -2,6 +2,7 @@ package dnsserver
 
 import (
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -83,11 +84,9 @@ func TestVoteCombination(t *testing.T) {
 // via the active vote, and restoring it must re-admit the slot (the
 // passive detector never voted).
 func TestStartProbingDetectsCrashAndRevives(t *testing.T) {
-	srv, _ := testServer(t, "RR", nil)
-
 	// Backends for slots 0 and 1; the remaining slots are unprobed.
 	listeners := make([]net.Listener, 2)
-	targets := make([]probe.Target, srv.Servers())
+	targets := make([]probe.Target, 7)
 	for i := range listeners {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -107,18 +106,17 @@ func TestStartProbingDetectsCrashAndRevives(t *testing.T) {
 		targets[i] = probe.Target{Addr: ln.Addr().String()}
 	}
 
-	p, err := srv.StartProbing(probe.Config{
-		Targets:  targets,
-		Interval: 20 * time.Millisecond,
-		Timeout:  200 * time.Millisecond,
-		FailN:    2,
-		RiseM:    2,
-		Seed:     1,
+	srv, _ := testServerCfg(t, "RR", func(cfg *Config) {
+		cfg.Probe = probe.Config{
+			Targets:  targets,
+			Interval: 20 * time.Millisecond,
+			Timeout:  200 * time.Millisecond,
+			FailN:    2,
+			RiseM:    2,
+			Seed:     1,
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitCond(t, 2*time.Second, func() bool { return p.Stats()[0].Probes >= 3 }, "probes not running")
+	waitCond(t, 2*time.Second, func() bool { return srv.prober.Stats()[0].Probes >= 3 }, "probes not running")
 	for i := 0; i < srv.Servers(); i++ {
 		if srv.Down(i) {
 			t.Fatalf("server %d down with healthy backends", i)
@@ -157,9 +155,7 @@ func TestStartProbingDetectsCrashAndRevives(t *testing.T) {
 // TestProbeReviveWaitsForPassiveAgreement: with both detectors voting
 // down, a probe recovery alone must not re-admit the backend.
 func TestProbeReviveWaitsForPassiveAgreement(t *testing.T) {
-	srv, _ := testServer(t, "RR", nil)
-
-	targets := make([]probe.Target, srv.Servers())
+	targets := make([]probe.Target, 7)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -176,16 +172,16 @@ func TestProbeReviveWaitsForPassiveAgreement(t *testing.T) {
 	}()
 	addr := ln.Addr().String()
 	targets[0] = probe.Target{Addr: addr}
-	if _, err := srv.StartProbing(probe.Config{
-		Targets:  targets,
-		Interval: 20 * time.Millisecond,
-		Timeout:  200 * time.Millisecond,
-		FailN:    2,
-		RiseM:    1,
-		Seed:     1,
-	}); err != nil {
-		t.Fatal(err)
-	}
+	srv, _ := testServerCfg(t, "RR", func(cfg *Config) {
+		cfg.Probe = probe.Config{
+			Targets:  targets,
+			Interval: 20 * time.Millisecond,
+			Timeout:  200 * time.Millisecond,
+			FailN:    2,
+			RiseM:    1,
+			Seed:     1,
+		}
+	})
 
 	// Passive detector (simulated) votes down, then the backend "dies".
 	_ = srv.voteDown(detectorPassive, 0, true)
@@ -224,15 +220,21 @@ func TestProbeReviveWaitsForPassiveAgreement(t *testing.T) {
 
 func TestStartProbingValidation(t *testing.T) {
 	srv, _ := testServerNoStart(t, "RR")
-	if _, err := srv.StartProbing(probe.Config{Targets: []probe.Target{{Addr: "1.2.3.4:80"}}}); err == nil {
-		t.Fatal("target/slot count mismatch accepted")
+	cfg := srv.cfg
+	cfg.Probe.Targets = []probe.Target{{Addr: "1.2.3.4:80"}}
+	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "1 Probe.Targets for 7 servers") {
+		t.Fatalf("target/slot count mismatch: %v", err)
 	}
-	targets := make([]probe.Target, srv.Servers())
-	if _, err := srv.StartProbing(probe.Config{Targets: targets, Interval: time.Hour}); err != nil {
+	// The prober's own rules are probe.New's, and refuse the server too.
+	cfg.Probe.Targets = make([]probe.Target, 7)
+	cfg.Probe.Targets[2].Addr = "no-port"
+	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "probe:") {
+		t.Fatalf("target without a port: %v", err)
+	}
+	cfg.Probe = probe.Config{Targets: make([]probe.Target, 7), Interval: time.Hour}
+	srv, err := New(cfg)
+	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := srv.StartProbing(probe.Config{Targets: targets, Interval: time.Hour}); err == nil {
-		t.Fatal("double StartProbing accepted")
 	}
 	if srv.ProbeDown(0) {
 		t.Fatal("all-empty targets should never be down")

@@ -15,7 +15,7 @@
 // server's address through a pluggable DomainMapper, defaulting to a
 // stable hash of the address prefix. Web servers feed the alarm and
 // hidden-load machinery through RecordHits/SetAlarm, or remotely over
-// the plain-text load-report listener (see report.go).
+// the plain-text load-report socket (see report.go).
 //
 // The query path is lock-free: core.Policy and core.State are safe for
 // concurrent use (see core's concurrency contract), so the server runs
@@ -105,12 +105,37 @@ type Config struct {
 	// the admission layer.
 	Overload OverloadConfig
 	// MaxTCPConns bounds the number of concurrently served connections
-	// of each stream listener, DNS-over-TCP and DoH; when a listener's
-	// cap is reached its accept loop pauses until a connection finishes
-	// (SYN backlog absorbs the burst) instead of pinning a goroutine per
-	// flooding connection. Zero defaults to DefaultMaxTCPConns; negative
-	// means unlimited.
+	// of each stream listener — DNS-over-TCP, DoH and the report socket;
+	// when a listener's cap is reached its accept loop pauses until a
+	// connection finishes (SYN backlog absorbs the burst) instead of
+	// pinning a goroutine per flooding connection. Zero defaults to
+	// DefaultMaxTCPConns; negative means unlimited.
 	MaxTCPConns int
+	// ReportAddr, when non-empty, binds the plain-text load-report socket
+	// (report.go): the backends' feedback channel and the peer replicas'
+	// REPL transport.
+	ReportAddr string
+	// LivenessK, when positive, marks a backend down after it stayed
+	// silent on the report socket for LivenessK consecutive
+	// LivenessIntervals (liveness.go). The interval should match the
+	// backends' report interval (the paper's 8 s); k trades detection
+	// latency against tolerance of transient report loss.
+	LivenessK        int
+	LivenessInterval time.Duration
+	// Probe, when it names Targets, runs the active health prober
+	// (detect.go). The targets are index-aligned with ServerAddrs; an
+	// empty Addr skips a slot, and slots joined later are unprobed.
+	Probe probe.Config
+	// Replication, when it names Peers, gossips soft state to the peer
+	// replicas' report sockets (replication.go).
+	Replication ReplicationConfig
+	// CheckpointPath, when non-empty, is the soft-state file (checkpoint.go):
+	// restored by Start unless older than CheckpointMaxAge (zero = no age
+	// limit), rewritten every CheckpointInterval and once more, last of
+	// all, by Shutdown.
+	CheckpointPath     string
+	CheckpointInterval time.Duration
+	CheckpointMaxAge   time.Duration
 	// Metrics optionally registers the server's observability series
 	// (queries by outcome, per-worker latency, returned-TTL histogram,
 	// policy decisions, alarm/liveness transitions) on the given
@@ -139,21 +164,21 @@ type Server struct {
 	clock  *engine.WallClock
 	policy *core.Policy
 
-	mapper     DomainMapper
+	// cfg is the configuration New accepted: what Start binds, restores
+	// and launches, read-only from New on.
+	cfg        Config
 	logger     *slog.Logger
-	listenAddr string
 	limiter    *RateLimiter
 	udpWorkers int
 
 	registry *metrics.Registry // nil when uninstrumented
 	metrics  *serverMetrics    // nil when uninstrumented
 
-	udp *net.UDPConn
-	tcp net.Listener
-
-	// DoH front end (doh.go): nil when Config.HTTPAddr is empty.
-	httpAddr string
-	httpLn   net.Listener
+	// The sockets Start binds. The three stream listeners share one
+	// accept loop and one stop path (serve.go); httpLn and reportLn are
+	// nil when Config.HTTPAddr and Config.ReportAddr are empty.
+	udp                   *net.UDPConn
+	tcp, httpLn, reportLn net.Listener
 
 	// DoH request outcomes, kept as plain atomics (always maintained,
 	// exported as dnslb_doh_requests_total{outcome=...} when
@@ -165,27 +190,22 @@ type Server struct {
 	connsMu sync.Mutex
 	conns   map[net.Conn]struct{}
 
-	livenessMu sync.Mutex
-	liveness   *LivenessMonitor
-
-	// votes combines the passive and active failure detectors (see
-	// detect.go); prober is the active detector when StartProbing ran.
-	votes   downVotes
-	probeMu sync.Mutex
-	prober  *probe.Prober
-
-	// over is the overload/staleness admission controller (overload.go);
-	// nil when graceful degradation is not configured. The query path
-	// pays one nil check plus one atomic load while disabled.
-	over *overloadController
-
-	// replNode, when replication is enabled, is the replica's protocol
-	// endpoint. The pointer is allocated in New (the engine's decision
-	// tap closes over it) and populated by StartReplication, so the
-	// query path pays one atomic load + nil check while replication is
-	// off. replicator is guarded by replMu.
-	replNode   *atomic.Pointer[replication.Node]
-	replMu     sync.Mutex
+	// The control plane around the engine. New builds each component its
+	// Config section asks for and none is attached, replaced or removed
+	// afterwards, so they are read without a lock; nil means not
+	// configured. Start launches them and Shutdown stops them (serve.go).
+	//
+	// liveness and prober are the passive and the active failure detector
+	// and votes combines them (detect.go). over is the overload/staleness
+	// admission controller (overload.go): while it is nil the query path
+	// pays one nil check. replNode is the replica's protocol endpoint,
+	// fed by the engine's decision tap, and replicator its gossip links
+	// (replication.go).
+	liveness   *livenessMonitor
+	votes      downVotes
+	prober     *probe.Prober
+	over       *overloadController
+	replNode   *replication.Node
 	replicator *replication.Replicator
 
 	// reconfigMu serializes membership changes (Join, Drain,
@@ -208,8 +228,6 @@ type Server struct {
 	// count on the TCP one.
 	maxTCPConns int
 	tcpConns    atomic.Int64
-
-	overCfg OverloadConfig
 
 	panics     atomic.Uint64
 	joins      atomic.Uint64
@@ -305,30 +323,53 @@ func (s *Server) statsIndex(addr netip.Addr) uint32 {
 // (appendSOA puts a "hostmaster" label before it) still fit a name's 255.
 const maxZoneWire = 255 - len("\x0ahostmaster")
 
-// New creates a server; call Start to bind and serve.
-func New(cfg Config) (*Server, error) {
-	if cfg.Zone == "" {
-		return nil, errors.New("dnsserver: Zone is required")
+// Validate reports the first rule of this package that c breaks. It is
+// the one place such a rule is written, and New calls it before anything
+// else; the estimator's, the ECS modes', the prober's and the replication
+// protocol's rules are their packages', whose constructors New calls next.
+// Either way a configuration is refused before anything is bound, read
+// from disk or started.
+func (c Config) Validate() error {
+	switch {
+	case c.Zone == "":
+		return errors.New("dnsserver: Zone is required")
+	case c.Policy == nil:
+		return errors.New("dnsserver: Policy is required")
 	}
-	if cfg.Policy == nil {
-		return nil, errors.New("dnsserver: Policy is required")
+	n := c.Policy.State().Cluster().N()
+	if len(c.ServerAddrs) != n {
+		return fmt.Errorf("dnsserver: %d server addresses for %d servers", len(c.ServerAddrs), n)
 	}
-	n := cfg.Policy.State().Cluster().N()
-	if len(cfg.ServerAddrs) != n {
-		return nil, fmt.Errorf("dnsserver: %d server addresses for %d servers", len(cfg.ServerAddrs), n)
-	}
-	for i, a := range cfg.ServerAddrs {
+	for i, a := range c.ServerAddrs {
 		if !a.Is4() {
-			return nil, fmt.Errorf("dnsserver: server address %d (%v) must be IPv4", i, a)
+			return fmt.Errorf("dnsserver: server address %d (%v) must be IPv4", i, a)
 		}
 	}
-	mapper := cfg.Mapper
-	if mapper == nil {
-		mapper = PrefixHashMapper(cfg.Policy.State().Domains())
+	switch {
+	case c.LivenessK > 0 && c.LivenessInterval <= 0:
+		return fmt.Errorf("dnsserver: LivenessInterval %v must be positive", c.LivenessInterval)
+	case len(c.Probe.Targets) != 0 && len(c.Probe.Targets) != n:
+		return fmt.Errorf("dnsserver: %d Probe.Targets for %d servers", len(c.Probe.Targets), n)
+	case len(c.Replication.Peers) != 0 && c.Replication.ReplicaID == "":
+		return errors.New("dnsserver: Replication.Peers need a Replication.ReplicaID")
+	case c.CheckpointPath != "" && c.CheckpointInterval <= 0:
+		return fmt.Errorf("dnsserver: CheckpointInterval %v must be positive", c.CheckpointInterval)
 	}
-	logger := cfg.Logger
-	if logger == nil {
-		logger = logging.Discard()
+	return c.Overload.validate()
+}
+
+// New validates cfg and assembles the server it describes, every
+// configured component included; nothing is bound, read from disk or
+// started until Start.
+func New(cfg Config) (*Server, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if cfg.Mapper == nil {
+		cfg.Mapper = PrefixHashMapper(cfg.Policy.State().Domains())
+	}
+	if cfg.Logger == nil {
+		cfg.Logger = logging.Discard()
 	}
 	alpha := cfg.EstimatorAlpha
 	if alpha == 0 {
@@ -338,32 +379,9 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	clock := engine.NewWallClock()
-	replNode := &atomic.Pointer[replication.Node]{}
-	eng, err := engine.New(engine.Config{
-		Policy:    cfg.Policy,
-		Clock:     clock,
-		Estimator: est,
-		OnDecision: func(domain int, d core.Decision) {
-			if n := replNode.Load(); n != nil {
-				n.Observe(domain, d)
-			}
-		},
-		// The server's DomainMapper is the engine's classification seam:
-		// DecideQuery applies the configured ECS mode and maps either
-		// the client-subnet address or the resolver address through it.
-		Mapper: mapper,
-		ECS:    cfg.ECS,
-	})
-	if err != nil {
-		return nil, err
-	}
 	workers := cfg.UDPWorkers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	if err := cfg.Overload.validate(); err != nil {
-		return nil, err
 	}
 	maxTCP := cfg.MaxTCPConns
 	switch {
@@ -381,27 +399,59 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("dnsserver: Zone: %w: no room for its SOA's hostmaster.%s", dnswire.ErrNameTooLong, zone)
 	}
 	s := &Server{
+		cfg:         cfg,
 		zone:        zone,
 		zoneWire:    packed[12 : len(packed)-4],
-		eng:         eng,
-		clock:       clock,
+		clock:       engine.NewWallClock(),
 		policy:      cfg.Policy,
-		mapper:      mapper,
-		logger:      logger,
-		listenAddr:  cfg.Addr,
-		httpAddr:    cfg.HTTPAddr,
+		logger:      cfg.Logger,
 		limiter:     cfg.RateLimit,
 		udpWorkers:  workers,
-		overCfg:     cfg.Overload,
 		maxTCPConns: maxTCP,
 		registry:    cfg.Metrics,
-		replNode:    replNode,
 		conns:       make(map[net.Conn]struct{}),
 		drainTimers: make(map[int]*time.Timer),
 		closed:      make(chan struct{}),
 	}
 	addrs := append([]netip.Addr(nil), cfg.ServerAddrs...)
 	s.addrs.Store(&addrs)
+	engCfg := engine.Config{
+		Policy:    cfg.Policy,
+		Clock:     s.clock,
+		Estimator: est,
+		// The server's DomainMapper is the engine's classification seam:
+		// DecideQuery applies the configured ECS mode and maps either
+		// the client-subnet address or the resolver address through it.
+		Mapper: cfg.Mapper,
+		ECS:    cfg.ECS,
+	}
+	replica := len(cfg.Replication.Peers) != 0
+	if replica {
+		// The decision tap is installed only for a replica, so that a
+		// lone server's query path does not pay for it; the node it feeds
+		// needs the engine and so is built right after it.
+		engCfg.OnDecision = func(domain int, d core.Decision) { s.replNode.Observe(domain, d) }
+	}
+	if s.eng, err = engine.New(engCfg); err != nil {
+		return nil, err
+	}
+	if replica {
+		if err := s.newReplication(cfg.Replication); err != nil {
+			return nil, err
+		}
+	}
+	if cfg.LivenessK > 0 {
+		s.liveness = &livenessMonitor{srv: s, interval: cfg.LivenessInterval, k: cfg.LivenessK}
+		s.liveness.Grow(len(addrs))
+	}
+	if len(cfg.Probe.Targets) != 0 {
+		if err := s.newProber(cfg.Probe); err != nil {
+			return nil, err
+		}
+	}
+	if cfg.Overload.Enabled() {
+		s.over = newOverloadController(s, cfg.Overload)
+	}
 	if cfg.Metrics != nil {
 		s.metrics = newServerMetrics(cfg.Metrics, s)
 	}
@@ -422,8 +472,8 @@ func (s *Server) serverAddrs() []netip.Addr { return *s.addrs.Load() }
 // is for externally handed-out mappings (tests, restores).
 func (s *Server) noteMapping(server int, ttlSeconds float64) {
 	s.eng.NoteMapping(server, s.clock.Now()+ttlSeconds)
-	if n := s.replNode.Load(); n != nil {
-		n.NoteLedger()
+	if s.replNode != nil {
+		s.replNode.NoteLedger()
 	}
 }
 
@@ -489,23 +539,11 @@ func (s *Server) Down(server int) bool {
 	return s.policy.State().Down(server)
 }
 
-// SetLiveness attaches a liveness monitor: report lines that prove a
-// backend alive are forwarded to it. NewLivenessMonitor attaches
-// itself; direct calls are only needed to detach (nil).
-func (s *Server) SetLiveness(m *LivenessMonitor) {
-	s.livenessMu.Lock()
-	s.liveness = m
-	s.livenessMu.Unlock()
-}
-
-// touchLiveness records proof of life for a backend, if a liveness
-// monitor is attached.
+// touchLiveness records proof of life for a backend, if liveness is
+// configured.
 func (s *Server) touchLiveness(server int) {
-	s.livenessMu.Lock()
-	m := s.liveness
-	s.livenessMu.Unlock()
-	if m != nil {
-		m.Touch(server)
+	if s.liveness != nil {
+		s.liveness.Touch(server)
 	}
 }
 
@@ -531,8 +569,8 @@ func (s *Server) DomainWeight(domain int) float64 {
 // gossip echo).
 func (s *Server) RecordHits(domain int, hits float64) {
 	s.eng.RecordHits(domain, hits)
-	if n := s.replNode.Load(); n != nil {
-		n.AddHits(domain, hits)
+	if s.replNode != nil {
+		s.replNode.AddHits(domain, hits)
 	}
 }
 

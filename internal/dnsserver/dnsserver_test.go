@@ -56,6 +56,7 @@ func testServerCfg(t *testing.T, policyName string, edit func(*Config)) (*Server
 		ServerAddrs: addrs,
 		Policy:      policy,
 		Addr:        "127.0.0.1:0",
+		ReportAddr:  "127.0.0.1:0",
 	}
 	edit(&cfg)
 	srv, err := New(cfg)

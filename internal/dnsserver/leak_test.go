@@ -2,12 +2,17 @@ package dnsserver
 
 import (
 	"context"
+	"fmt"
 	"net"
+	"os"
+	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"dnslb/internal/dnsclient"
+	"dnslb/internal/probe"
 )
 
 // checkGoroutines runs f and asserts the goroutine count returns to
@@ -43,18 +48,138 @@ func TestServerCloseStopsGoroutines(t *testing.T) {
 	})
 }
 
-func TestReportListenerCloseStopsGoroutines(t *testing.T) {
+// TestLifecycleEveryComponent runs a server with every component
+// configured — report socket, liveness, probing (a dead target),
+// replication (an unreachable peer), checkpointing, overload, DoH — and
+// stops it with an idle connection open on each stream listener: Shutdown
+// returns well within its deadline, no goroutine outlives it, report
+// intake has ended before the drain timers were cancelled, and the final
+// checkpoint, written last, restores into a fresh server.
+func TestLifecycleEveryComponent(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "state.json")
+	const tick = 20 * time.Millisecond
 	checkGoroutines(t, func(t *testing.T) {
-		srv, _ := testServer(t, "RR", nil)
-		rl := startReportListener(t, srv)
-		sendReports(t, rl.Addr().String(), "ALARM 1 1")
-		if err := rl.Close(); err != nil {
+		srv, state := testServerCfg(t, "RR", func(cfg *Config) {
+			cfg.HTTPAddr = "127.0.0.1:0"
+			cfg.LivenessK, cfg.LivenessInterval = 1000, tick
+			cfg.Probe = probe.Config{Targets: make([]probe.Target, 7), Interval: tick, Timeout: tick}
+			cfg.Probe.Targets[6].Addr = "127.0.0.1:1"
+			cfg.Replication = ReplicationConfig{ReplicaID: "lifecycle", Peers: []string{"127.0.0.1:1"}, Interval: tick}
+			cfg.CheckpointPath, cfg.CheckpointInterval = ckpt, tick
+			cfg.Overload = OverloadConfig{QPSCeiling: 1e9, Tick: tick}
+		})
+		if _, err := resolverFor(t, srv).LookupA(context.Background(), "www.site.example"); err != nil {
 			t.Fatal(err)
 		}
-		if err := srv.Close(); err != nil {
-			t.Fatal(err)
+		var idle [3]net.Conn // report, TCP, DoH
+		for i, addr := range []net.Addr{srv.ReportAddr(), srv.Addr(), srv.HTTPAddr()} {
+			conn, err := net.Dial("tcp", addr.String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			idle[i] = conn
+		}
+		// The report connection is accepted and served before it idles.
+		if resp := roundTrip(t, idle[0], "ALARM 1 1"); resp != "OK\n" {
+			t.Fatalf("response = %q", resp)
+		}
+		waitCond(t, 2*time.Second, func() bool { return srv.ProbeDown(6) && srv.CheckpointSaves() > 0 },
+			"the prober or the periodic checkpoint never ran")
+		saves := srv.CheckpointSaves()
+
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		start := time.Now()
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Fatalf("Shutdown: %v", err)
+		}
+		if elapsed := time.Since(start); elapsed > 2*time.Second {
+			t.Errorf("Shutdown took %v with three idle connections open", elapsed)
+		}
+		if srv.CheckpointSaves() != saves+1 {
+			t.Errorf("%d checkpoints written by Shutdown, want the final one", srv.CheckpointSaves()-saves)
+		}
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Errorf("second Shutdown: %v", err)
+		}
+
+		// A report line after the stop gets no reply and arms no timer.
+		_, _ = fmt.Fprintln(idle[0], "DRAIN 2")
+		_ = idle[0].SetReadDeadline(time.Now().Add(200 * time.Millisecond))
+		if n, _ := idle[0].Read(make([]byte, 16)); n != 0 {
+			t.Error("a DRAIN written after Shutdown was answered")
+		}
+		srv.reconfigMu.Lock()
+		timers := len(srv.drainTimers)
+		srv.reconfigMu.Unlock()
+		if timers != 0 || state.Draining(2) {
+			t.Errorf("after Shutdown: %d drain timers armed, server 2 draining = %v", timers, state.Draining(2))
 		}
 	})
+
+	cp, err := LoadCheckpoint(ckpt)
+	if err != nil {
+		t.Fatalf("final checkpoint: %v", err)
+	}
+	fresh, _ := testServerNoStart(t, "RR")
+	if err := fresh.RestoreCheckpoint(cp, time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if !fresh.Alarmed(1) || !fresh.Down(6) {
+		t.Errorf("restored: alarmed(1) = %v, down(6) = %v; want what the stopped server knew", fresh.Alarmed(1), fresh.Down(6))
+	}
+}
+
+// TestStartFailureLeavesNothingBehind: the report socket is the last to
+// bind; when its port is taken Start returns that error with the DNS
+// sockets released and nothing running, and the Close that follows does
+// not write a never-started server's cold state over the checkpoint file.
+func TestStartFailureLeavesNothingBehind(t *testing.T) {
+	held, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	free, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dnsAddr := free.Addr().String()
+	_ = free.Close()
+	ckpt := filepath.Join(t.TempDir(), "state.json")
+	base, _ := testServerNoStart(t, "RR")
+	checkGoroutines(t, func(t *testing.T) {
+		cfg := base.cfg
+		cfg.Addr, cfg.HTTPAddr, cfg.ReportAddr = dnsAddr, "127.0.0.1:0", held.Addr().String()
+		cfg.LivenessK, cfg.LivenessInterval = 3, time.Second
+		cfg.CheckpointPath, cfg.CheckpointInterval = ckpt, time.Second
+		srv, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.Start(); err == nil || !strings.Contains(err.Error(), "listen report") {
+			t.Fatalf("Start = %v, want the report bind's error", err)
+		}
+		if err := srv.Close(); err != nil {
+			t.Errorf("Close after a failed Start: %v", err)
+		}
+	})
+	udp, err := net.ListenPacket("udp", dnsAddr)
+	if err != nil {
+		t.Errorf("DNS UDP port still held after the failed Start: %v", err)
+	} else {
+		_ = udp.Close()
+	}
+	tcp, err := net.Listen("tcp", dnsAddr)
+	if err != nil {
+		t.Errorf("DNS TCP port still held after the failed Start: %v", err)
+	} else {
+		_ = tcp.Close()
+	}
+	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
+		t.Errorf("checkpoint file after a Start that never ran: %v", err)
+	}
 }
 
 func TestServerCloseWithOpenTCPConn(t *testing.T) {

@@ -1,8 +1,6 @@
 package dnsserver
 
 import (
-	"errors"
-	"fmt"
 	"strconv"
 	"sync"
 	"time"
@@ -10,17 +8,18 @@ import (
 	"dnslb/internal/metrics"
 )
 
-// LivenessMonitor implements failure detection for the live feedback
-// path: every report line that names a backend (ALIVE, ALARM) counts
-// as proof of life, and a backend that stays silent for k consecutive
-// report intervals is marked down in the scheduler — it receives no
-// new mappings until it reports again. Recovery is immediate: the
-// next line from a down backend re-admits it.
+// livenessMonitor implements failure detection for the live feedback
+// path (Config.LivenessK, Config.LivenessInterval): every report line
+// that names a backend (ALIVE, ALARM, JOIN) counts as proof of life, and
+// a backend that stays silent for k consecutive report intervals is
+// marked down in the scheduler — it receives no new mappings until it
+// reports again. Recovery is immediate: the next line from a down backend
+// re-admits it.
 //
-// The interval should match the backends' utilization/report interval
-// (the paper's 8 s); k trades detection latency against tolerance of
-// transient report loss.
-type LivenessMonitor struct {
+// New builds the monitor empty and grows it over the slots, which opens
+// every backend's grace period of k intervals to deliver its first
+// report; Start runs check once an interval until the server stops.
+type livenessMonitor struct {
 	srv      *Server
 	interval time.Duration
 	k        int
@@ -38,64 +37,12 @@ type LivenessMonitor struct {
 	// registry's lock at scrape time) is never attempted twice for the
 	// same slot.
 	growMu sync.Mutex
-
-	stop chan struct{}
-	done chan struct{}
-}
-
-// NewLivenessMonitor starts a monitor for srv's backends and attaches
-// it to the server's report path. Every backend starts with a full
-// grace period of k intervals to deliver its first report.
-func NewLivenessMonitor(srv *Server, interval time.Duration, k int) (*LivenessMonitor, error) {
-	if srv == nil {
-		return nil, errors.New("dnsserver: liveness monitor needs a server")
-	}
-	if interval <= 0 {
-		return nil, fmt.Errorf("dnsserver: liveness interval %v must be positive", interval)
-	}
-	if k <= 0 {
-		return nil, fmt.Errorf("dnsserver: liveness k %d must be positive", k)
-	}
-	n := srv.Servers()
-	m := &LivenessMonitor{
-		srv:      srv,
-		interval: interval,
-		k:        k,
-		lastSeen: make([]time.Time, n),
-		down:     make([]bool, n),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
-	}
-	now := time.Now()
-	for i := range m.lastSeen {
-		m.lastSeen[i] = now
-	}
-	if reg := srv.registry; reg != nil {
-		m.exclusions = make([]*metrics.Counter, n)
-		for i := 0; i < n; i++ {
-			i := i
-			lbl := metrics.Labels{"server", strconv.Itoa(i)}
-			m.exclusions[i] = reg.NewCounter("dnslb_liveness_exclusions_total",
-				"Backends marked down after k missed report intervals.", lbl)
-			reg.NewGaugeFunc("dnslb_liveness_report_age_seconds",
-				"Seconds since the backend last proved it was alive (heartbeat gap).", lbl,
-				func() float64 {
-					m.mu.Lock()
-					last := m.lastSeen[i]
-					m.mu.Unlock()
-					return time.Since(last).Seconds()
-				})
-		}
-	}
-	srv.SetLiveness(m)
-	go m.loop()
-	return m, nil
 }
 
 // Touch records proof of life for a backend; a down backend recovers
 // on the spot. Out-of-range indexes are ignored (the protocol layer
 // validates and reports them before they reach the monitor).
-func (m *LivenessMonitor) Touch(server int) {
+func (m *livenessMonitor) Touch(server int) {
 	m.mu.Lock()
 	if server < 0 || server >= len(m.lastSeen) {
 		m.mu.Unlock()
@@ -122,7 +69,7 @@ func (m *LivenessMonitor) Touch(server int) {
 // lock: the registry calls the gauge read functions (which take m.mu)
 // under its own lock at scrape time, so registering under m.mu would
 // invert that order.
-func (m *LivenessMonitor) Grow(n int) {
+func (m *livenessMonitor) Grow(n int) {
 	m.growMu.Lock()
 	defer m.growMu.Unlock()
 	m.mu.Lock()
@@ -173,7 +120,7 @@ func (m *LivenessMonitor) Grow(n int) {
 // scheduler's down flag only when the monitor itself considers the
 // backend down, so without this the restored exclusion would outlive
 // the backend's recovery.
-func (m *LivenessMonitor) noteRestoredDown(server int) {
+func (m *livenessMonitor) noteRestoredDown(server int) {
 	m.mu.Lock()
 	if server >= 0 && server < len(m.down) {
 		m.down[server] = true
@@ -183,7 +130,7 @@ func (m *LivenessMonitor) noteRestoredDown(server int) {
 
 // Down reports whether the monitor currently considers the backend
 // failed.
-func (m *LivenessMonitor) Down(server int) bool {
+func (m *livenessMonitor) Down(server int) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if server < 0 || server >= len(m.down) {
@@ -192,34 +139,8 @@ func (m *LivenessMonitor) Down(server int) bool {
 	return m.down[server]
 }
 
-// Close stops the monitor. The scheduler keeps its current liveness
-// view; it no longer changes.
-func (m *LivenessMonitor) Close() {
-	select {
-	case <-m.stop:
-		return
-	default:
-	}
-	close(m.stop)
-	<-m.done
-}
-
-func (m *LivenessMonitor) loop() {
-	defer close(m.done)
-	ticker := time.NewTicker(m.interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-m.stop:
-			return
-		case now := <-ticker.C:
-			m.check(now)
-		}
-	}
-}
-
 // check marks every backend silent for more than k intervals as down.
-func (m *LivenessMonitor) check(now time.Time) {
+func (m *livenessMonitor) check(now time.Time) {
 	deadline := time.Duration(m.k) * m.interval
 	var newlyDown []int
 	var counters []*metrics.Counter

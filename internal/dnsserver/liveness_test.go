@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 )
@@ -20,29 +21,31 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool) bool {
 	return cond()
 }
 
+// testServerLiveness is testServer with the passive detector configured.
+func testServerLiveness(t *testing.T, interval time.Duration, k int) *Server {
+	t.Helper()
+	srv, _ := testServerCfg(t, "RR", func(cfg *Config) { cfg.LivenessInterval, cfg.LivenessK = interval, k })
+	return srv
+}
+
 func TestLivenessMonitorValidation(t *testing.T) {
-	srv, _ := testServer(t, "RR", nil)
-	if _, err := NewLivenessMonitor(nil, time.Second, 3); err == nil {
-		t.Error("nil server accepted")
+	srv, _ := testServerNoStart(t, "RR")
+	cfg := srv.cfg
+	cfg.LivenessK = 3 // and no interval
+	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "LivenessInterval") {
+		t.Errorf("a k without an interval: %v, want it refused by name", err)
 	}
-	if _, err := NewLivenessMonitor(srv, 0, 3); err == nil {
-		t.Error("zero interval accepted")
-	}
-	if _, err := NewLivenessMonitor(srv, time.Second, 0); err == nil {
-		t.Error("zero k accepted")
+	cfg.LivenessK, cfg.LivenessInterval = 0, -time.Second
+	if s, err := New(cfg); err != nil || s.liveness != nil {
+		t.Errorf("k = 0 means off whatever the interval: monitor %v, err %v", s.liveness, err)
 	}
 }
 
 func TestLivenessDetectsSilentBackend(t *testing.T) {
 	// Backends 0..6 exist; only backend 0 keeps reporting. After the
 	// grace period the silent ones are marked down, the reporter stays.
-	srv, _ := testServer(t, "RR", nil)
-	rl := startReportListener(t, srv)
-	m, err := NewLivenessMonitor(srv, 20*time.Millisecond, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
+	srv := testServerLiveness(t, 20*time.Millisecond, 2)
+	m := srv.liveness
 
 	stop := make(chan struct{})
 	defer close(stop)
@@ -54,7 +57,7 @@ func TestLivenessDetectsSilentBackend(t *testing.T) {
 			case <-time.After(10 * time.Millisecond):
 				// Best effort: the listener may already be shut down
 				// when the test body is done.
-				if conn, err := net.Dial("tcp", rl.Addr().String()); err == nil {
+				if conn, err := net.Dial("tcp", srv.ReportAddr().String()); err == nil {
 					fmt.Fprintln(conn, "ALIVE 0")
 					_ = conn.SetReadDeadline(time.Now().Add(time.Second))
 					_, _ = bufio.NewReader(conn).ReadString('\n')
@@ -78,29 +81,13 @@ func TestLivenessDetectsSilentBackend(t *testing.T) {
 func TestLivenessRecoveryOnReport(t *testing.T) {
 	// A down backend is re-admitted the moment it reports again —
 	// ALIVE and ALARM both count as proof of life.
-	srv, _ := testServer(t, "RR", nil)
-	rl := startReportListener(t, srv)
-	m, err := NewLivenessMonitor(srv, 15*time.Millisecond, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
+	srv := testServerLiveness(t, 15*time.Millisecond, 2)
 
 	if !waitFor(t, 2*time.Second, func() bool { return srv.Down(2) && srv.Down(5) }) {
 		t.Fatal("backends never marked down")
 	}
-	sendReports(t, rl.Addr().String(), "ALIVE 2", "ALARM 5 0")
+	sendReports(t, srv.ReportAddr().String(), "ALIVE 2", "ALARM 5 0")
 	if srv.Down(2) || srv.Down(5) {
 		t.Error("reporting backends not re-admitted immediately")
 	}
-}
-
-func TestLivenessMonitorCloseIdempotent(t *testing.T) {
-	srv, _ := testServer(t, "RR", nil)
-	m, err := NewLivenessMonitor(srv, time.Hour, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Close()
-	m.Close()
 }

@@ -92,8 +92,8 @@ func (c OverloadConfig) validate() error {
 	return nil
 }
 
-// overloadController samples the aggregate query rate and the soft
-// state's health on a ticker and drives the degraded-mode flag.
+// overloadController drives the degraded-mode flag: Start has sample
+// take the aggregate query rate and the soft state's health once a Tick.
 type overloadController struct {
 	srv *Server
 	cfg OverloadConfig
@@ -103,13 +103,10 @@ type overloadController struct {
 	lastRate    atomic.Uint64 // float64 bits of the last sampled qps
 	shed        [statsShards]paddedCounter
 
-	// hysteresis counters, owned by the loop goroutine
+	// hysteresis counters, owned by the sampling goroutine
 	overStreak  int
 	clearStreak int
 	lastQueries uint64
-
-	stop chan struct{}
-	done chan struct{}
 }
 
 // paddedCounter is an atomic counter on its own cache line, so the
@@ -121,15 +118,7 @@ type paddedCounter struct {
 }
 
 func newOverloadController(s *Server, cfg OverloadConfig) *overloadController {
-	c := &overloadController{
-		srv:  s,
-		cfg:  cfg.withDefaults(),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
-	c.lastQueries = s.Stats().Queries
-	go c.loop()
-	return c
+	return &overloadController{srv: s, cfg: cfg.withDefaults(), lastQueries: s.Stats().Queries}
 }
 
 // active is the query path's gate: one atomic load.
@@ -147,30 +136,6 @@ func (c *overloadController) degradedAnswers() uint64 {
 		t += c.shed[i].n.Load()
 	}
 	return t
-}
-
-func (c *overloadController) close() {
-	select {
-	case <-c.stop:
-		return
-	default:
-	}
-	close(c.stop)
-	<-c.done
-}
-
-func (c *overloadController) loop() {
-	defer close(c.done)
-	ticker := time.NewTicker(c.cfg.Tick)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-c.stop:
-			return
-		case <-ticker.C:
-			c.sample()
-		}
-	}
 }
 
 // sample takes one rate measurement, evaluates the triggers, and
@@ -236,10 +201,7 @@ func (c *overloadController) stale() bool {
 	if c.cfg.StaleRolls == 0 {
 		return false
 	}
-	c.srv.replMu.Lock()
-	repl := c.srv.replicator
-	c.srv.replMu.Unlock()
-	if repl == nil || !repl.Degraded() {
+	if repl := c.srv.replicator; repl == nil || !repl.Degraded() {
 		return false
 	}
 	lastRoll := c.srv.lastRoll.Load()
@@ -280,13 +242,6 @@ func (s *Server) Degraded() DegradedStats {
 		Transitions: s.over.transitions.Load(),
 		Degraded:    s.over.active(),
 		LastRateQPS: s.over.rate(),
-	}
-}
-
-// stopOverload stops the controller's sampling loop, if configured.
-func (s *Server) stopOverload() {
-	if s.over != nil {
-		s.over.close()
 	}
 }
 

@@ -41,7 +41,6 @@ func TestOverloadRateHysteresis(t *testing.T) {
 		ExitTicks:  2,
 		Tick:       time.Hour,
 	})
-	t.Cleanup(c.close)
 
 	tick := func(qps float64) {
 		srv.stats[0].queries.Add(uint64(qps * time.Hour.Seconds()))
@@ -103,20 +102,18 @@ func TestOverloadRateHysteresis(t *testing.T) {
 // degraded mode immediately; a fresh roll plus ExitTicks calm samples
 // leaves it.
 func TestOverloadStaleTrigger(t *testing.T) {
-	srv, _ := testServer(t, "RR", nil)
-	if err := srv.StartReplication(ReplicationConfig{
-		ReplicaID: "stale-test",
-		Peers:     []string{"127.0.0.1:1"}, // unreachable: Degraded() holds
-		Interval:  20 * time.Millisecond,
-	}); err != nil {
-		t.Fatal(err)
-	}
+	srv, _ := testServerCfg(t, "RR", func(cfg *Config) {
+		cfg.Replication = ReplicationConfig{
+			ReplicaID: "stale-test",
+			Peers:     []string{"127.0.0.1:1"}, // unreachable: Degraded() holds
+			Interval:  20 * time.Millisecond,
+		}
+	})
 	c := newOverloadController(srv, OverloadConfig{
 		StaleRolls: 2,
 		ExitTicks:  2,
 		Tick:       time.Hour,
 	})
-	t.Cleanup(c.close)
 
 	// Never rolled: cold, not stale.
 	c.sample()

@@ -97,10 +97,7 @@ func (s *Server) joinLocked(addr netip.Addr, capacity float64) (int, error) {
 // noteJoin grows and touches the liveness monitor for a joined slot so
 // the fresh server starts with a full reporting grace period.
 func (s *Server) noteJoin(i int) {
-	s.livenessMu.Lock()
-	m := s.liveness
-	s.livenessMu.Unlock()
-	if m != nil {
+	if m := s.liveness; m != nil {
 		m.Grow(i + 1)
 		m.Touch(i)
 	}
@@ -150,8 +147,15 @@ func (s *Server) drainDeadline(i int) time.Time {
 }
 
 // armDrainTimer (re)schedules the drain-completion check for server i.
-// Caller holds reconfigMu.
+// Caller holds reconfigMu. A stopping server arms nothing: Shutdown
+// closes s.closed before it takes reconfigMu to cancel the timers, so a
+// DRAIN that slips in behind the cancellation sees the channel closed.
 func (s *Server) armDrainTimer(i int, deadline time.Time) {
+	select {
+	case <-s.closed:
+		return
+	default:
+	}
 	if t, ok := s.drainTimers[i]; ok {
 		t.Stop()
 	}

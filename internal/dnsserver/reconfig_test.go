@@ -29,6 +29,13 @@ func smallServer(t *testing.T, policyName string) (*Server, *core.State) {
 // bind raises the suite-wide chance of an ephemeral-port collision.
 func smallServerKind(t *testing.T, policyName, estKind string, started bool) (*Server, *core.State) {
 	t.Helper()
+	return smallServerCfg(t, policyName, started, func(cfg *Config) { cfg.Estimator = estKind })
+}
+
+// smallServerCfg is smallServerKind with the Config open to edits before
+// New.
+func smallServerCfg(t *testing.T, policyName string, started bool, edit func(*Config)) (*Server, *core.State) {
+	t.Helper()
 	cluster, err := core.ScaledCluster(3, 0, 500)
 	if err != nil {
 		t.Fatal(err)
@@ -54,13 +61,15 @@ func smallServerKind(t *testing.T, policyName, estKind string, started bool) (*S
 	for i := range addrs {
 		addrs[i] = netip.AddrFrom4([4]byte{10, 1, 0, byte(i + 1)})
 	}
-	srv, err := New(Config{
+	cfg := Config{
 		Zone:        "www.site.example",
 		ServerAddrs: addrs,
 		Policy:      policy,
 		Addr:        "127.0.0.1:0",
-		Estimator:   estKind,
-	})
+		ReportAddr:  "127.0.0.1:0",
+	}
+	edit(&cfg)
+	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,8 +422,7 @@ func waitDone(wg *sync.WaitGroup) <-chan struct{} {
 
 func TestReportJoinDrainVerbs(t *testing.T) {
 	srv, state := smallServer(t, "RR")
-	rl := startReportListener(t, srv)
-	addr := rl.Addr().String()
+	addr := srv.ReportAddr().String()
 
 	resp := sendReports(t, addr, "JOIN 10.1.0.200 500")
 	if resp[0] != "OK 3\n" {
@@ -657,13 +665,10 @@ func TestCheckpointCrossKindRefused(t *testing.T) {
 }
 
 func TestCheckpointerPeriodicAndFinal(t *testing.T) {
-	srv, _ := smallServer(t, "RR")
 	path := filepath.Join(t.TempDir(), "state.json")
-
-	c, err := NewCheckpointer(srv, path, 20*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv, _ := smallServerCfg(t, "RR", true, func(cfg *Config) {
+		cfg.CheckpointPath, cfg.CheckpointInterval = path, 20*time.Millisecond
+	})
 	deadline := time.After(2 * time.Second)
 	for srv.CheckpointSaves() == 0 {
 		select {
@@ -672,19 +677,26 @@ func TestCheckpointerPeriodicAndFinal(t *testing.T) {
 		case <-time.After(5 * time.Millisecond):
 		}
 	}
-	saves := srv.CheckpointSaves()
-	if err := c.Close(); err != nil {
+	// The periodic saver stops with the server, and the stop writes one
+	// final checkpoint, once.
+	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if srv.CheckpointSaves() <= saves {
-		t.Error("Close did not flush a final checkpoint")
-	}
-	if _, err := os.Stat(path); err != nil {
+	saves := srv.CheckpointSaves()
+	if err := os.Remove(path); err != nil {
 		t.Fatalf("checkpoint file missing: %v", err)
 	}
-	// Close is idempotent.
-	if err := c.Close(); err != nil {
+	time.Sleep(60 * time.Millisecond)
+	if err := srv.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if srv.CheckpointSaves() != saves {
+		t.Error("checkpoints written after Close returned")
+	}
+	// Without an interval there is nothing to run the saver on.
+	if _, err := New(Config{Zone: "x", ServerAddrs: srv.cfg.ServerAddrs, Policy: srv.cfg.Policy, CheckpointPath: path}); err == nil ||
+		!strings.Contains(err.Error(), "CheckpointInterval") {
+		t.Errorf("a checkpoint path without an interval: %v", err)
 	}
 }
 

@@ -9,11 +9,12 @@ import (
 	"dnslb/internal/replication"
 )
 
-// Multi-replica wiring: StartReplication attaches a replication.Node
-// to the server's engine and launches a Replicator that gossips deltas
-// to the peer replicas' report sockets. Incoming deltas arrive on this
-// server's own report socket as REPL lines (see report.go) and are
-// merged through the node's fencing/LWW adjudication.
+// Multi-replica wiring (Config.Replication): New attaches a
+// replication.Node to the server's engine and builds the Replicator that
+// gossips its deltas to the peer replicas' report sockets; Start launches
+// the links and Shutdown stops them. Incoming deltas arrive on this
+// server's own report socket as REPL lines (see report.go) and are merged
+// through the node's fencing/LWW adjudication.
 //
 // Replication is strictly additive to scheduling: with zero peers
 // reachable the server keeps answering from local state — the
@@ -23,10 +24,10 @@ import (
 // ReplicationConfig configures a server's replication endpoint.
 type ReplicationConfig struct {
 	// ReplicaID uniquely names this replica in the set (-replica-id).
-	// Required.
+	// Required with Peers.
 	ReplicaID string
 	// Peers are the other replicas' report-socket addresses (-peers).
-	// Required.
+	// None means a lone server: replication is off.
 	Peers []string
 	// Interval is the gossip cadence (-replication-interval). Zero
 	// defaults to 1s.
@@ -37,18 +38,10 @@ type ReplicationConfig struct {
 	Epoch int64
 }
 
-// StartReplication builds the node, announces any pre-start soft state
-// (e.g. a restored checkpoint) for the first flush, starts the peer
-// links, and registers the dnslb_repl_* metric series. Call at most
-// once, before heavy query load (the node attaches to the engine's
-// decision tap atomically, so earlier decisions are simply not
-// observed — the first full sync covers them).
-func (s *Server) StartReplication(cfg ReplicationConfig) error {
-	s.replMu.Lock()
-	defer s.replMu.Unlock()
-	if s.replicator != nil {
-		return errors.New("dnsserver: replication already started")
-	}
+// newReplication builds the node and its replicator. The node sees every
+// decision from the first query on; what was restored before the links
+// start is announced with their first flush (see Start).
+func (s *Server) newReplication(cfg ReplicationConfig) error {
 	epoch := cfg.Epoch
 	if epoch == 0 {
 		epoch = time.Now().UnixNano()
@@ -86,45 +79,17 @@ func (s *Server) StartReplication(cfg ReplicationConfig) error {
 	if err != nil {
 		return err
 	}
-	s.replNode.Store(node)
-	node.NoteLedger() // ship anything restored before start with the first flush
+	s.replNode, s.replicator = node, repl
 	if s.registry != nil {
 		registerReplicationMetrics(s.registry, cfg.ReplicaID, node, repl)
 	}
-	repl.Start()
-	s.replicator = repl
-	s.logger.Info("replication started",
-		"replica_id", cfg.ReplicaID, "peers", repl.Peers(), "epoch", epoch)
 	return nil
 }
 
-// StopReplication stops the peer links (idempotent). The node stays
-// attached so late REPL lines still merge; it simply stops gossiping.
-func (s *Server) StopReplication() {
-	s.replMu.Lock()
-	repl := s.replicator
-	s.replicator = nil
-	s.replMu.Unlock()
-	if repl != nil {
-		repl.Stop()
-	}
-}
-
-// Replicator returns the live replicator, or nil when replication is
-// not started (tests and health surfaces).
-func (s *Server) Replicator() *replication.Replicator {
-	s.replMu.Lock()
-	defer s.replMu.Unlock()
-	return s.replicator
-}
-
 // mergeReplLine handles one REPL report-socket line: parse, fence,
-// merge. Replication does not need to be *started* for merges to apply
-// — a replica configured without outbound peers can still be fed — but
-// a node must exist, so lines arriving before StartReplication are
-// rejected.
+// merge. A server that is not a replica has no node and rejects it.
 func (s *Server) mergeReplLine(payload string) error {
-	n := s.replNode.Load()
+	n := s.replNode
 	if n == nil {
 		return errors.New("replication not enabled")
 	}

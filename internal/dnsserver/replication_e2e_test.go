@@ -17,29 +17,37 @@ import (
 // chaosProxy is a cuttable TCP forwarder standing in for the network
 // between two replicas: Cut severs live connections and refuses new
 // ones, Heal restores forwarding — the partition injector for the e2e
-// test.
+// test. It listens before it has a target: a replica's peers are part of
+// its configuration, so the links exist before the replicas they lead to,
+// and until setTarget every connection is dropped.
 type chaosProxy struct {
-	ln     net.Listener
-	target string
+	ln net.Listener
 
-	mu    sync.Mutex
-	cut   bool
-	conns map[net.Conn]struct{}
+	mu     sync.Mutex
+	target string
+	cut    bool
+	conns  map[net.Conn]struct{}
 }
 
-func newChaosProxy(t *testing.T, target string) *chaosProxy {
+func newChaosProxy(t *testing.T) *chaosProxy {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &chaosProxy{ln: ln, target: target, conns: make(map[net.Conn]struct{})}
+	p := &chaosProxy{ln: ln, conns: make(map[net.Conn]struct{})}
 	go p.acceptLoop()
 	t.Cleanup(func() { _ = ln.Close(); p.Cut() })
 	return p
 }
 
 func (p *chaosProxy) addr() string { return p.ln.Addr().String() }
+
+func (p *chaosProxy) setTarget(target string) {
+	p.mu.Lock()
+	p.target = target
+	p.mu.Unlock()
+}
 
 func (p *chaosProxy) acceptLoop() {
 	for {
@@ -48,13 +56,14 @@ func (p *chaosProxy) acceptLoop() {
 			return
 		}
 		p.mu.Lock()
-		if p.cut {
+		target := p.target
+		if p.cut || target == "" {
 			p.mu.Unlock()
 			_ = conn.Close()
 			continue
 		}
 		p.mu.Unlock()
-		up, err := net.DialTimeout("tcp", p.target, time.Second)
+		up, err := net.DialTimeout("tcp", target, time.Second)
 		if err != nil {
 			_ = conn.Close()
 			continue
@@ -102,8 +111,9 @@ func (p *chaosProxy) Heal() {
 	p.mu.Unlock()
 }
 
-// testReplicaServer builds one of two identically configured replicas.
-func testReplicaServer(t *testing.T, seed uint64) *Server {
+// testReplicaServer builds one of two identically configured replicas,
+// gossiping to the one peer.
+func testReplicaServer(t *testing.T, seed uint64, id, peer string) *Server {
 	t.Helper()
 	cluster, err := core.ScaledCluster(5, 50, 500)
 	if err != nil {
@@ -133,6 +143,8 @@ func testReplicaServer(t *testing.T, seed uint64) *Server {
 		Policy:      policy,
 		Mapper:      func(netip.Addr) int { return 0 },
 		Addr:        "127.0.0.1:0",
+		ReportAddr:  "127.0.0.1:0",
+		Replication: ReplicationConfig{ReplicaID: id, Peers: []string{peer}, Interval: 20 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -163,30 +175,13 @@ func waitUntil(t *testing.T, what string, timeout time.Duration, cond func() boo
 // anti-entropy round of healing, settling conflicting split-brain
 // writes by last-writer-wins.
 func TestReplicationPartitionHealE2E(t *testing.T) {
-	a := testReplicaServer(t, 1)
-	b := testReplicaServer(t, 2)
-	rlA := startReportListener(t, a)
-	rlB := startReportListener(t, b)
-
-	linkAtoB := newChaosProxy(t, rlB.Addr().String())
-	linkBtoA := newChaosProxy(t, rlA.Addr().String())
-
-	if err := a.StartReplication(ReplicationConfig{
-		ReplicaID: "replica-a",
-		Peers:     []string{linkAtoB.addr()},
-		Interval:  20 * time.Millisecond,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.StartReplication(ReplicationConfig{
-		ReplicaID: "replica-b",
-		Peers:     []string{linkBtoA.addr()},
-		Interval:  20 * time.Millisecond,
-	}); err != nil {
-		t.Fatal(err)
-	}
+	linkAtoB, linkBtoA := newChaosProxy(t), newChaosProxy(t)
+	a := testReplicaServer(t, 1, "replica-a", linkAtoB.addr())
+	b := testReplicaServer(t, 2, "replica-b", linkBtoA.addr())
+	linkAtoB.setTarget(b.ReportAddr().String())
+	linkBtoA.setTarget(a.ReportAddr().String())
 	waitUntil(t, "initial peering", 5*time.Second, func() bool {
-		return a.Replicator().ConnectedPeers() == 1 && b.Replicator().ConnectedPeers() == 1
+		return a.replicator.ConnectedPeers() == 1 && b.replicator.ConnectedPeers() == 1
 	})
 
 	// Connected phase: a decision on A must surface in B's ledger.
@@ -208,20 +203,20 @@ func TestReplicationPartitionHealE2E(t *testing.T) {
 	linkAtoB.Cut()
 	linkBtoA.Cut()
 	waitUntil(t, "both replicas degraded", 5*time.Second, func() bool {
-		return a.Replicator().Degraded() && b.Replicator().Degraded()
+		return a.replicator.Degraded() && b.replicator.Degraded()
 	})
 
 	// Split-brain writes: A alarms server 1; for server 3 both write,
 	// B later (LWW must settle on B's clear).
-	if got := sendReports(t, rlA.Addr().String(), "ALARM 1 1", "ALARM 3 1"); got[0] != "OK\n" || got[1] != "OK\n" {
+	if got := sendReports(t, a.ReportAddr().String(), "ALARM 1 1", "ALARM 3 1"); got[0] != "OK\n" || got[1] != "OK\n" {
 		t.Fatalf("reports to a: %q", got)
 	}
 	time.Sleep(50 * time.Millisecond) // order the wall-clock stamps
-	if got := sendReports(t, rlB.Addr().String(), "ALARM 3 1"); got[0] != "OK\n" {
+	if got := sendReports(t, b.ReportAddr().String(), "ALARM 3 1"); got[0] != "OK\n" {
 		t.Fatalf("report to b: %q", got)
 	}
 	time.Sleep(50 * time.Millisecond)
-	if got := sendReports(t, rlB.Addr().String(), "ALARM 3 0"); got[0] != "OK\n" {
+	if got := sendReports(t, b.ReportAddr().String(), "ALARM 3 0"); got[0] != "OK\n" {
 		t.Fatalf("report to b: %q", got)
 	}
 
@@ -257,7 +252,7 @@ func TestReplicationPartitionHealE2E(t *testing.T) {
 	// is written, which can trail the receiver applying it: wait for the
 	// counters instead of reading them the instant convergence shows.
 	waitUntil(t, "FullSyncs ≥ 2 on both peers (initial + post-heal)", 5*time.Second, func() bool {
-		for _, h := range append(a.Replicator().Health(), b.Replicator().Health()...) {
+		for _, h := range append(a.replicator.Health(), b.replicator.Health()...) {
 			if h.FullSyncs < 2 {
 				return false
 			}

@@ -8,13 +8,12 @@ import (
 	"net/netip"
 	"strconv"
 	"strings"
-	"sync"
 )
 
-// ReportListener accepts plain-text load reports from Web servers and
-// feeds them into a Server's alarm, liveness, and estimation
-// machinery — the asynchronous feedback channel of the paper, realized
-// as a trivial line protocol:
+// The report socket (Config.ReportAddr) accepts plain-text load reports
+// from Web servers and feeds them into the server's alarm, liveness, and
+// estimation machinery — the asynchronous feedback channel of the paper,
+// realized as a trivial line protocol:
 //
 //	ALIVE <serverIndex>\n              heartbeat (proof of life)
 //	ALARM <serverIndex> <0|1>\n        alarm / normal signal
@@ -25,115 +24,56 @@ import (
 //	REPL <delta-json>\n                merge a peer replica's soft-state delta
 //
 // Each accepted line is answered with "OK\n" ("OK <index>\n" for JOIN),
-// errors with "ERR <msg>\n". ALIVE and ALARM also feed the server's
-// liveness monitor when one is attached (see LivenessMonitor). JOIN and
+// errors with "ERR <msg>\n". ALIVE, ALARM and JOIN also feed the liveness
+// monitor when one is configured (see livenessMonitor). JOIN and
 // DRAIN are the dynamic-membership verbs: a backend can admit itself on
 // startup and retire itself on shutdown without an operator config
 // reload. REPL is the replication transport (internal/replication):
 // peer replicas reuse this socket so link health, metrics, and
 // hardening are shared with the backend report path.
-type ReportListener struct {
-	srv *Server
-	ln  net.Listener
+//
+// The socket is the server's third stream listener: acceptLoop gives it
+// the connection cap, the accept backoff and the stop path of
+// DNS-over-TCP and DoH (serve.go). What it does not share is their idle
+// timeout: a backend that reports once a minute keeps its connection.
 
-	connsMu sync.Mutex
-	conns   map[net.Conn]struct{}
-
-	wg     sync.WaitGroup
-	closed chan struct{}
-}
-
-// NewReportListener starts a report listener for srv on addr
-// (e.g. "127.0.0.1:0").
-func NewReportListener(srv *Server, addr string) (*ReportListener, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("dnsserver: report listen: %w", err)
-	}
-	rl := &ReportListener{
-		srv:    srv,
-		ln:     ln,
-		conns:  make(map[net.Conn]struct{}),
-		closed: make(chan struct{}),
-	}
-	rl.wg.Add(1)
-	go rl.acceptLoop()
-	return rl, nil
-}
-
-// Addr returns the bound address.
-func (rl *ReportListener) Addr() net.Addr { return rl.ln.Addr() }
-
-// Close stops accepting, closes every live connection, and waits for
-// the handlers to exit. A client holding its socket open cannot block
-// shutdown: closing the connection unblocks its handler's read.
-func (rl *ReportListener) Close() error {
-	select {
-	case <-rl.closed:
+// ReportAddr returns the bound report-socket address, or nil when none is
+// configured (valid after Start).
+func (s *Server) ReportAddr() net.Addr {
+	if s.reportLn == nil {
 		return nil
-	default:
 	}
-	close(rl.closed)
-	err := rl.ln.Close()
-	rl.connsMu.Lock()
-	for c := range rl.conns {
-		_ = c.Close()
-	}
-	rl.connsMu.Unlock()
-	rl.wg.Wait()
-	return err
+	return s.reportLn.Addr()
 }
 
-func (rl *ReportListener) acceptLoop() {
-	defer rl.wg.Done()
-	for {
-		conn, err := rl.ln.Accept()
-		if err != nil {
-			select {
-			case <-rl.closed:
-				return
-			default:
-				continue
-			}
-		}
-		rl.connsMu.Lock()
-		rl.conns[conn] = struct{}{}
-		rl.connsMu.Unlock()
-		if m := rl.srv.metrics; m != nil {
-			m.reportConnOpened.Inc()
-		}
-		rl.wg.Add(1)
-		go func() {
-			defer rl.wg.Done()
-			defer func() {
-				_ = conn.Close()
-				rl.connsMu.Lock()
-				delete(rl.conns, conn)
-				rl.connsMu.Unlock()
-				if m := rl.srv.metrics; m != nil {
-					m.reportConnClosed.Inc()
-				}
-			}()
-			rl.serve(conn)
-		}()
+// serveReport serves one report connection: one reply per line, flushed
+// per line. Shutdown ends it between lines, by the read deadline when it
+// is waiting for one.
+func (s *Server) serveReport(conn net.Conn) {
+	m := s.metrics // nil when uninstrumented
+	if m != nil {
+		m.reportConnOpened.Inc()
+		defer m.reportConnClosed.Inc()
 	}
-}
-
-func (rl *ReportListener) serve(conn net.Conn) {
 	sc := bufio.NewScanner(conn)
 	w := bufio.NewWriter(conn)
 	for sc.Scan() {
+		select {
+		case <-s.closed:
+			return
+		default:
+		}
 		line := strings.TrimSpace(sc.Text())
 		if line == "" {
 			continue
 		}
-		if reply, err := rl.apply(line); err != nil {
-			if m := rl.srv.metrics; m != nil {
+		if reply, err := s.applyReport(line); err != nil {
+			if m != nil {
 				m.reportErr.Inc()
 			}
 			fmt.Fprintf(w, "ERR %v\n", err)
 		} else {
-			if m := rl.srv.metrics; m != nil {
+			if m != nil {
 				m.reportOK.Inc()
 			}
 			if reply == "" {
@@ -143,14 +83,19 @@ func (rl *ReportListener) serve(conn net.Conn) {
 			}
 		}
 		if err := w.Flush(); err != nil {
-			if m := rl.srv.metrics; m != nil {
+			if m != nil {
 				m.reportConnErrors.Inc()
 			}
 			return
 		}
 	}
+	select {
+	case <-s.closed:
+		return // what ended the scan is Shutdown's read deadline
+	default:
+	}
 	if err := sc.Err(); err != nil {
-		if m := rl.srv.metrics; m != nil {
+		if m != nil {
 			m.reportConnErrors.Inc()
 		}
 		// An oversized line exceeds the scanner's token limit; tell the
@@ -162,9 +107,9 @@ func (rl *ReportListener) serve(conn net.Conn) {
 	}
 }
 
-// apply parses and executes one report line, returning the reply
+// applyReport parses and executes one report line, returning the reply
 // payload to append after "OK" (usually empty).
-func (rl *ReportListener) apply(line string) (string, error) {
+func (s *Server) applyReport(line string) (string, error) {
 	fields := strings.Fields(line)
 	cmd := strings.ToUpper(fields[0])
 	switch cmd {
@@ -176,10 +121,10 @@ func (rl *ReportListener) apply(line string) (string, error) {
 		if err != nil {
 			return "", fmt.Errorf("bad server index %q", fields[1])
 		}
-		if server < 0 || server >= rl.srv.Servers() {
-			return "", fmt.Errorf("server index %d out of range [0,%d)", server, rl.srv.Servers())
+		if server < 0 || server >= s.Servers() {
+			return "", fmt.Errorf("server index %d out of range [0,%d)", server, s.Servers())
 		}
-		rl.srv.touchLiveness(server)
+		s.touchLiveness(server)
 		return "", nil
 	case "ALARM":
 		if len(fields) != 3 {
@@ -193,10 +138,10 @@ func (rl *ReportListener) apply(line string) (string, error) {
 		if err != nil || (on != 0 && on != 1) {
 			return "", fmt.Errorf("bad alarm flag %q", fields[2])
 		}
-		if err := rl.srv.SetAlarm(server, on == 1); err != nil {
+		if err := s.SetAlarm(server, on == 1); err != nil {
 			return "", err
 		}
-		rl.srv.touchLiveness(server)
+		s.touchLiveness(server)
 		return "", nil
 	case "HITS":
 		if len(fields) != 3 {
@@ -210,7 +155,7 @@ func (rl *ReportListener) apply(line string) (string, error) {
 		if err != nil || count < 0 {
 			return "", fmt.Errorf("bad hit count %q", fields[2])
 		}
-		rl.srv.RecordHits(domain, count)
+		s.RecordHits(domain, count)
 		return "", nil
 	case "ROLL":
 		if len(fields) != 2 {
@@ -220,7 +165,7 @@ func (rl *ReportListener) apply(line string) (string, error) {
 		if err != nil || interval <= 0 {
 			return "", fmt.Errorf("bad interval %q", fields[1])
 		}
-		return "", rl.srv.RollEstimates(interval)
+		return "", s.RollEstimates(interval)
 	case "JOIN":
 		if len(fields) != 3 {
 			return "", fmt.Errorf("JOIN wants 2 args, got %d", len(fields)-1)
@@ -233,11 +178,11 @@ func (rl *ReportListener) apply(line string) (string, error) {
 		if err != nil {
 			return "", fmt.Errorf("bad capacity %q", fields[2])
 		}
-		idx, err := rl.srv.Join(addr, capacity)
+		idx, err := s.Join(addr, capacity)
 		if err != nil {
 			return "", err
 		}
-		rl.srv.touchLiveness(idx)
+		s.touchLiveness(idx)
 		return strconv.Itoa(idx), nil
 	case "DRAIN":
 		if len(fields) != 2 {
@@ -247,7 +192,7 @@ func (rl *ReportListener) apply(line string) (string, error) {
 		if err != nil {
 			return "", fmt.Errorf("bad server index %q", fields[1])
 		}
-		if _, err := rl.srv.Drain(server); err != nil {
+		if _, err := s.Drain(server); err != nil {
 			return "", err
 		}
 		return "", nil
@@ -257,7 +202,7 @@ func (rl *ReportListener) apply(line string) (string, error) {
 		if !ok || strings.TrimSpace(payload) == "" {
 			return "", errors.New("REPL wants a delta payload")
 		}
-		return "", rl.srv.mergeReplLine(strings.TrimSpace(payload))
+		return "", s.mergeReplLine(strings.TrimSpace(payload))
 	default:
 		return "", fmt.Errorf("unknown command %q", cmd)
 	}

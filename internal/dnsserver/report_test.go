@@ -12,16 +12,6 @@ import (
 	"dnslb/internal/dnsclient"
 )
 
-func startReportListener(t *testing.T, srv *Server) *ReportListener {
-	t.Helper()
-	rl, err := NewReportListener(srv, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = rl.Close() })
-	return rl
-}
-
 // sendReports writes lines and returns each response line.
 func sendReports(t *testing.T, addr string, lines ...string) []string {
 	t.Helper()
@@ -48,16 +38,15 @@ func sendReports(t *testing.T, addr string, lines ...string) []string {
 
 func TestReportAlarmProtocol(t *testing.T) {
 	srv, _ := testServer(t, "RR", nil)
-	rl := startReportListener(t, srv)
 
-	resp := sendReports(t, rl.Addr().String(), "ALARM 2 1")
+	resp := sendReports(t, srv.ReportAddr().String(), "ALARM 2 1")
 	if resp[0] != "OK\n" {
 		t.Fatalf("response = %q", resp[0])
 	}
 	if !srv.Alarmed(2) {
 		t.Error("alarm not applied")
 	}
-	resp = sendReports(t, rl.Addr().String(), "ALARM 2 0")
+	resp = sendReports(t, srv.ReportAddr().String(), "ALARM 2 0")
 	if resp[0] != "OK\n" || srv.Alarmed(2) {
 		t.Error("alarm not cleared")
 	}
@@ -65,7 +54,6 @@ func TestReportAlarmProtocol(t *testing.T) {
 
 func TestReportHitsAndRoll(t *testing.T) {
 	srv, _ := testServer(t, "RR", nil)
-	rl := startReportListener(t, srv)
 
 	lines := []string{"HITS 7 900"}
 	for j := 0; j < 20; j++ {
@@ -74,7 +62,7 @@ func TestReportHitsAndRoll(t *testing.T) {
 		}
 	}
 	lines = append(lines, "ROLL 60")
-	for i, resp := range sendReports(t, rl.Addr().String(), lines...) {
+	for i, resp := range sendReports(t, srv.ReportAddr().String(), lines...) {
 		if resp != "OK\n" {
 			t.Fatalf("line %d response = %q", i, resp)
 		}
@@ -87,8 +75,7 @@ func TestReportHitsAndRoll(t *testing.T) {
 
 func TestReportErrors(t *testing.T) {
 	srv, _ := testServer(t, "RR", nil)
-	rl := startReportListener(t, srv)
-	resps := sendReports(t, rl.Addr().String(),
+	resps := sendReports(t, srv.ReportAddr().String(),
 		"BOGUS 1 2",
 		"ALARM x 1",
 		"ALARM 1 7",
@@ -108,8 +95,7 @@ func TestReportErrors(t *testing.T) {
 func TestReportDrivenSchedulingEndToEnd(t *testing.T) {
 	// Alarm a server over the report socket; DNS answers must avoid it.
 	srv, _ := testServer(t, "RR", nil)
-	rl := startReportListener(t, srv)
-	sendReports(t, rl.Addr().String(), "ALARM 0 1")
+	sendReports(t, srv.ReportAddr().String(), "ALARM 0 1")
 
 	r := &dnsclient.Resolver{Server: srv.Addr().String(), Timeout: 2 * time.Second}
 	excluded := netip.AddrFrom4([4]byte{10, 0, 0, 1})
@@ -121,46 +107,6 @@ func TestReportDrivenSchedulingEndToEnd(t *testing.T) {
 		if answers[0].Addr == excluded {
 			t.Fatal("alarmed server still answered")
 		}
-	}
-}
-
-func TestReportListenerCloseIdempotent(t *testing.T) {
-	srv, _ := testServer(t, "RR", nil)
-	rl := startReportListener(t, srv)
-	if err := rl.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := rl.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestReportListenerCloseWithOpenConn(t *testing.T) {
-	// Regression: Close used to wait on the handler WaitGroup without
-	// closing accepted connections, so a client holding its socket open
-	// hung shutdown forever.
-	srv, _ := testServer(t, "RR", nil)
-	rl := startReportListener(t, srv)
-
-	conn, err := net.Dial("tcp", rl.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	// Prove the connection is accepted and served before closing.
-	if resp := roundTrip(t, conn, "ALARM 1 1"); resp != "OK\n" {
-		t.Fatalf("response = %q", resp)
-	}
-
-	done := make(chan error, 1)
-	go func() { done <- rl.Close() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Close hangs while a report connection is open")
 	}
 }
 
@@ -181,8 +127,7 @@ func TestReportAlarmOutOfRange(t *testing.T) {
 	// An out-of-range server index must come back as ERR over the wire,
 	// not be silently swallowed.
 	srv, _ := testServer(t, "RR", nil)
-	rl := startReportListener(t, srv)
-	resps := sendReports(t, rl.Addr().String(), "ALARM 99 1", "ALARM -1 0")
+	resps := sendReports(t, srv.ReportAddr().String(), "ALARM 99 1", "ALARM -1 0")
 	for i, resp := range resps {
 		if len(resp) < 3 || resp[:3] != "ERR" {
 			t.Errorf("line %d: response %q, want ERR", i, resp)
@@ -192,8 +137,7 @@ func TestReportAlarmOutOfRange(t *testing.T) {
 
 func TestReportAliveProtocol(t *testing.T) {
 	srv, _ := testServer(t, "RR", nil)
-	rl := startReportListener(t, srv)
-	resps := sendReports(t, rl.Addr().String(),
+	resps := sendReports(t, srv.ReportAddr().String(),
 		"ALIVE 3",
 		"ALIVE 99",
 		"ALIVE x",
@@ -214,9 +158,8 @@ func TestReportOversizedLine(t *testing.T) {
 	// client disconnected with an error, and the listener must keep
 	// serving new connections afterwards.
 	srv, _ := testServer(t, "RR", nil)
-	rl := startReportListener(t, srv)
 
-	conn, err := net.Dial("tcp", rl.Addr().String())
+	conn, err := net.Dial("tcp", srv.ReportAddr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +186,7 @@ func TestReportOversizedLine(t *testing.T) {
 		t.Error("connection still open after oversized line")
 	}
 	// Fresh connections still work.
-	if resp := sendReports(t, rl.Addr().String(), "ALARM 1 1"); resp[0] != "OK\n" {
+	if resp := sendReports(t, srv.ReportAddr().String(), "ALARM 1 1"); resp[0] != "OK\n" {
 		t.Errorf("post-violation response = %q", resp[0])
 	}
 }
@@ -252,9 +195,8 @@ func TestReportTruncatedWrite(t *testing.T) {
 	// A client that dies mid-line must not wedge the listener or apply
 	// the partial command.
 	srv, _ := testServer(t, "RR", nil)
-	rl := startReportListener(t, srv)
 
-	conn, err := net.Dial("tcp", rl.Addr().String())
+	conn, err := net.Dial("tcp", srv.ReportAddr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +214,7 @@ func TestReportTruncatedWrite(t *testing.T) {
 	if srv.Alarmed(2) {
 		t.Error("truncated ALARM line was applied")
 	}
-	if resp := sendReports(t, rl.Addr().String(), "ALARM 2 1"); resp[0] != "OK\n" {
+	if resp := sendReports(t, srv.ReportAddr().String(), "ALARM 2 1"); resp[0] != "OK\n" {
 		t.Errorf("response after truncated client = %q", resp[0])
 	}
 }
@@ -282,7 +224,6 @@ func TestReportConcurrentBackends(t *testing.T) {
 	// is answered and the listener state stays consistent (run with
 	// -race to check for data races).
 	srv, _ := testServer(t, "RR", nil)
-	rl := startReportListener(t, srv)
 
 	const backends = 8
 	var wg sync.WaitGroup
@@ -291,7 +232,7 @@ func TestReportConcurrentBackends(t *testing.T) {
 		wg.Add(1)
 		go func(b int) {
 			defer wg.Done()
-			conn, err := net.Dial("tcp", rl.Addr().String())
+			conn, err := net.Dial("tcp", srv.ReportAddr().String())
 			if err != nil {
 				errc <- err
 				return

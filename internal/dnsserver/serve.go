@@ -17,14 +17,96 @@ import (
 	"dnslb/internal/engine"
 )
 
-// Serve loops and lifecycle: socket binding, the parallel UDP
-// reader/responder workers, the accept loop and the buffered
-// per-connection loop the two stream listeners share (DNS-over-TCP, and
-// DoH when configured, each with its own framer), and the stop path
-// (graceful Shutdown; Close is Shutdown without the patience).
+// Serve loops and lifecycle: Start and Shutdown, which own every
+// component's launch and stop in one written order; socket binding; the
+// parallel UDP reader/responder workers; the accept loop of the three
+// stream listeners (DNS-over-TCP, DoH, the report socket) and the
+// buffered per-connection loop the first two share, each with its own
+// framer; and the one helper every periodic task runs on.
 
-// Start binds the UDP socket and TCP listener and begins serving with
-// the configured number of parallel UDP workers.
+// Start brings up everything the configuration describes, in the one
+// order that is safe (DESIGN.md "Lifecycle"):
+//
+//  1. The checkpoint is restored, before a query or a report can race
+//     it. The liveness monitor exists since New, so a restored down flag
+//     has a monitor that the backend's next report clears it in.
+//  2. The sockets are bound: the DNS UDP/TCP pair, DoH, the report
+//     socket. Nothing after this step can fail and nothing before it
+//     runs, so a Start that fails leaves nothing bound and no goroutine
+//     behind.
+//  3. The serve loops — UDP workers, one accept loop per stream
+//     listener — and the liveness and overload samplers.
+//  4. Active probing.
+//  5. Replication, after the restore so that its first flush announces
+//     the restored state to the peers.
+//  6. The periodic checkpoint.
+func (s *Server) Start() error {
+	if s.cfg.CheckpointPath != "" {
+		s.restoreCheckpoint()
+	}
+	if err := s.bind(); err != nil {
+		s.cancelDrainTimers() // a restored drain must not complete in a server that never ran
+		return err
+	}
+	s.wg.Add(s.udpWorkers)
+	for i := 0; i < s.udpWorkers; i++ {
+		go s.serveUDP(i)
+	}
+	for _, l := range []struct {
+		ln    net.Listener
+		serve func(net.Conn)
+	}{
+		{s.tcp, s.serveTCPConn},
+		{s.httpLn, func(c net.Conn) { s.serveStream(c, dohFramer) }},
+		{s.reportLn, s.serveReport},
+	} {
+		if l.ln != nil {
+			s.wg.Add(1)
+			go s.acceptLoop(l.ln, l.serve)
+		}
+	}
+	if m := s.liveness; m != nil {
+		s.every(m.interval, func() { m.check(time.Now()) })
+	}
+	if s.over != nil {
+		s.every(s.over.cfg.Tick, s.over.sample)
+	}
+	if s.prober != nil {
+		s.prober.Start()
+	}
+	if s.replicator != nil {
+		s.replNode.NoteLedger()
+		s.replicator.Start()
+		s.logger.Info("replication started", "replica_id", s.cfg.Replication.ReplicaID, "peers", s.replicator.Peers())
+	}
+	if s.cfg.CheckpointPath != "" {
+		s.every(s.cfg.CheckpointInterval, s.saveCheckpoint)
+	}
+	return nil
+}
+
+// every runs fn once every d, on a goroutine counted in s.wg, until the
+// server stops — the one loop behind the liveness check, the overload
+// sampler and the periodic checkpoint.
+func (s *Server) every(d time.Duration, fn func()) {
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		t := time.NewTicker(d)
+		defer t.Stop()
+		for {
+			select {
+			case <-s.closed:
+				return
+			case <-t.C:
+				fn()
+			}
+		}
+	}()
+}
+
+// bind opens every configured socket, or none: on an error it closes
+// what it had opened.
 //
 // DNS needs the same port on both transports. With an explicit port
 // that either binds or fails; with an ephemeral port (":0") the kernel
@@ -32,54 +114,50 @@ import (
 // paired TCP bind can collide with an unrelated TCP socket (commonly
 // one in TIME_WAIT) — in that case a fresh UDP port is drawn and the
 // pair is retried.
-func (s *Server) Start() error {
-	uaddr, err := net.ResolveUDPAddr("udp", s.addrOrDefault())
+func (s *Server) bind() error {
+	addr := s.cfg.Addr
+	if addr == "" {
+		addr = "127.0.0.1:0"
+	}
+	uaddr, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
 		return fmt.Errorf("dnsserver: resolve: %w", err)
 	}
 	const pairAttempts = 16
 	for attempt := 0; ; attempt++ {
-		s.udp, err = net.ListenUDP("udp", uaddr)
+		udp, err := net.ListenUDP("udp", uaddr)
 		if err != nil {
 			return fmt.Errorf("dnsserver: listen udp: %w", err)
 		}
-		s.tcp, err = net.Listen("tcp", s.udp.LocalAddr().String())
+		tcp, err := net.Listen("tcp", udp.LocalAddr().String())
 		if err == nil {
+			s.udp, s.tcp = udp, tcp
 			break
 		}
-		_ = s.udp.Close()
+		_ = udp.Close()
 		if uaddr.Port != 0 || attempt == pairAttempts-1 {
 			return fmt.Errorf("dnsserver: listen tcp: %w", err)
 		}
 	}
-	if s.httpAddr != "" {
-		ln, err := net.Listen("tcp", s.httpAddr)
-		if err != nil {
-			_ = s.udp.Close()
-			_ = s.tcp.Close()
-			return fmt.Errorf("dnsserver: listen http: %w", err)
+	if s.cfg.HTTPAddr != "" {
+		if s.httpLn, err = net.Listen("tcp", s.cfg.HTTPAddr); err != nil {
+			err = fmt.Errorf("dnsserver: listen http: %w", err)
 		}
-		s.httpLn = ln
-		s.wg.Add(1)
-		go s.acceptLoop(ln, func(c net.Conn) { s.serveStream(c, dohFramer) })
 	}
-	if s.overCfg.Enabled() && s.over == nil {
-		s.over = newOverloadController(s, s.overCfg)
+	if err == nil && s.cfg.ReportAddr != "" {
+		if s.reportLn, err = net.Listen("tcp", s.cfg.ReportAddr); err != nil {
+			err = fmt.Errorf("dnsserver: listen report: %w", err)
+		}
 	}
-	s.wg.Add(s.udpWorkers + 1)
-	for i := 0; i < s.udpWorkers; i++ {
-		go s.serveUDP(i)
+	if err != nil {
+		_ = s.udp.Close()
+		_ = s.tcp.Close()
+		if s.httpLn != nil {
+			_ = s.httpLn.Close()
+		}
+		s.udp, s.tcp, s.httpLn = nil, nil, nil
 	}
-	go s.acceptLoop(s.tcp, s.serveTCPConn)
-	return nil
-}
-
-// configured listen address; stored via Config at New time.
-func (s *Server) addrOrDefault() string {
-	if s.listenAddr == "" {
-		return "127.0.0.1:0"
-	}
-	return s.listenAddr
+	return err
 }
 
 // Addr returns the bound UDP address (valid after Start).
@@ -106,14 +184,18 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// Shutdown stops the server gracefully: new work is refused, but
-// queries already read from the sockets are answered before the serve
-// loops exit. The UDP socket stays open (writable) until every worker
-// has finished its in-flight response; the stream listeners (TCP, DoH)
-// stop accepting at once, a connection idle between exchanges ends at
-// once and one in the middle of an exchange completes it. When ctx
-// expires first, what remains is cut off, every connection closed, and
-// ctx's error is returned.
+// Shutdown stops the server gracefully, in the reverse of Start's order.
+// Everything that feeds the engine stops at once: closing s.closed ends
+// the samplers and the periodic checkpoint and lets no report connection
+// take another line, then gossip and probing stop. New queries are
+// refused, but those already read from the sockets are answered before
+// the serve loops exit: the UDP socket stays open (writable) until every
+// worker has finished its in-flight response; the stream listeners (TCP,
+// DoH, report) stop accepting at once, a connection idle between
+// exchanges ends at once and one in the middle of an exchange completes
+// it. When ctx expires first, what remains is cut off, every connection
+// closed, and ctx's error is returned. The final checkpoint is written
+// last of all, so that it records what the drained server knew.
 func (s *Server) Shutdown(ctx context.Context) error {
 	select {
 	case <-s.closed:
@@ -122,9 +204,12 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	close(s.closed)
 	s.cancelDrainTimers()
-	s.StopReplication()
-	s.stopProbing()
-	s.stopOverload()
+	if s.replicator != nil {
+		s.replicator.Stop()
+	}
+	if s.prober != nil {
+		_ = s.prober.Close()
+	}
 	// Unblock the UDP readers without closing the socket: a worker
 	// blocked in read observes the deadline error, sees closed, and
 	// exits; a worker mid-response can still write it.
@@ -132,17 +217,17 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		_ = s.udp.SetReadDeadline(time.Now())
 	}
 	var first error
-	for _, ln := range []net.Listener{s.tcp, s.httpLn} {
+	for _, ln := range []net.Listener{s.tcp, s.httpLn, s.reportLn} {
 		if ln != nil {
 			if err := ln.Close(); err != nil && first == nil {
 				first = err
 			}
 		}
 	}
-	// The same for the stream connections, TCP and DoH alike: one blocked
-	// reading its next request wakes and exits, one handling a request
-	// still writes the response (the write deadline is its own) and exits
-	// when it comes back to read.
+	// The same for the stream connections, TCP, DoH and report alike: one
+	// blocked reading its next request wakes and exits, one handling a
+	// request still writes the response (the write deadline is its own)
+	// and exits when it comes back to read.
 	s.connsMu.Lock()
 	for c := range s.conns {
 		_ = c.SetReadDeadline(time.Now())
@@ -171,6 +256,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		_ = s.udp.Close()
 	}
 	<-done
+	// Only a server that ran has anything to record: one whose Start never
+	// got its sockets would write its cold state over a good file.
+	if s.udp != nil && s.cfg.CheckpointPath != "" {
+		s.saveCheckpoint()
+	}
 	return first
 }
 
@@ -283,10 +373,10 @@ const DefaultMaxTCPConns = 512
 // served (the dnslb_dns_tcp_conns gauge).
 func (s *Server) TCPConns() int64 { return s.tcpConns.Load() }
 
-// acceptLoop is the accept side of a stream listener, DNS-over-TCP or
-// DoH: it hands each accepted connection to serve on a goroutine of its
-// own, tracked in s.conns so that Shutdown can reach it, and holds the
-// listener to its own maxTCPConns connections at a time.
+// acceptLoop is the accept side of a stream listener — DNS-over-TCP, DoH
+// or the report socket: it hands each accepted connection to serve on a
+// goroutine of its own, tracked in s.conns so that Shutdown can reach it,
+// and holds the listener to its own maxTCPConns connections at a time.
 func (s *Server) acceptLoop(ln net.Listener, serve func(net.Conn)) {
 	defer s.wg.Done()
 	limit := s.maxTCPConns
@@ -326,6 +416,13 @@ func (s *Server) acceptLoop(ln net.Listener, serve func(net.Conn)) {
 		s.connsMu.Lock()
 		s.conns[conn] = struct{}{}
 		s.connsMu.Unlock()
+		// Shutdown closes s.closed and then sets every tracked connection's
+		// read deadline to now; one tracked too late for that gets it here.
+		select {
+		case <-s.closed:
+			_ = conn.SetReadDeadline(time.Now())
+		default:
+		}
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()

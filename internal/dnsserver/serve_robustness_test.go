@@ -1,60 +1,27 @@
 package dnsserver
 
 import (
+	"bufio"
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
 	"io"
+	"log/slog"
 	"net"
-	"net/netip"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"dnslb/internal/core"
 	"dnslb/internal/dnswire"
-	"dnslb/internal/simcore"
 )
 
-// testServerMaxTCP builds and starts a server with a tiny TCP
-// connection cap.
+// testServerMaxTCP builds and starts a server with a tiny connection cap
+// on each stream listener.
 func testServerMaxTCP(t *testing.T, maxConns int) *Server {
 	t.Helper()
-	cluster, err := core.ScaledCluster(7, 50, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	state, err := core.NewState(cluster, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := state.SetWeights(simcore.ZipfWeights(20, 1)); err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	policy, err := core.NewPolicy(core.PolicyConfig{
-		Name:  "RR",
-		State: state,
-		Rand:  simcore.NewStream(1, "server"),
-		Now:   func() float64 { return time.Since(start).Seconds() },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addrs := make([]netip.Addr, 7)
-	for i := range addrs {
-		addrs[i] = netip.AddrFrom4([4]byte{10, 0, 0, byte(i + 1)})
-	}
-	srv, err := New(Config{
-		Zone:        "www.site.example",
-		ServerAddrs: addrs,
-		Policy:      policy,
-		Addr:        "127.0.0.1:0",
-		MaxTCPConns: maxConns,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = srv.Close() })
+	srv, _ := testServerCfg(t, "RR", func(cfg *Config) { cfg.MaxTCPConns = maxConns })
 	return srv
 }
 
@@ -142,55 +109,150 @@ func TestTCPRejectsBadLengthPrefix(t *testing.T) {
 	}
 }
 
-// TestTCPConnCap: with the cap filled by idle connections the accept
-// loop pauses — a third client's query sits unanswered until a slot
-// frees, then is served (never refused).
+// TestTCPConnCap: with a stream listener's cap filled the accept loop
+// pauses — a third client's request sits unanswered until a slot frees,
+// then is served (never refused). The cap is each listener's own: the
+// report socket at its cap leaves DNS-over-TCP unaffected.
 func TestTCPConnCap(t *testing.T) {
-	srv := testServerMaxTCP(t, 2)
-	addr := srv.Addr().String()
-
-	// Two idle connections occupy both slots.
-	var held [2]net.Conn
-	for i := range held {
-		conn, err := net.Dial("tcp", addr)
+	tcpReply := func(conn net.Conn) error {
+		resp, err := readTCPResponse(conn)
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
-		defer conn.Close()
-		held[i] = conn
+		msg, err := dnswire.Unpack(resp)
+		if err == nil && msg.Header.RCode != dnswire.RCodeNoError {
+			err = fmt.Errorf("rcode = %v, want NOERROR", msg.Header.RCode)
+		}
+		return err
 	}
-	waitCond(t, 2*time.Second, func() bool { return srv.TCPConns() == 2 }, "cap never filled")
+	for _, in := range []struct {
+		name  string
+		addr  func(*Server) net.Addr
+		ask   []byte
+		reply func(net.Conn) error // reads one reply
+	}{
+		{"tcp", (*Server).Addr, frameTCP(testQueryWire(t)), tcpReply},
+		{"report", (*Server).ReportAddr, []byte("ALIVE 0\n"), func(conn net.Conn) error {
+			line, err := bufio.NewReader(conn).ReadString('\n')
+			if err == nil && line != "OK\n" {
+				err = fmt.Errorf("reply = %q, want OK", line)
+			}
+			return err
+		}},
+	} {
+		t.Run(in.name, func(t *testing.T) {
+			srv := testServerMaxTCP(t, 2)
+			dial := func(addr net.Addr) net.Conn {
+				t.Helper()
+				conn, err := net.Dial("tcp", addr.String())
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { _ = conn.Close() })
+				return conn
+			}
+			replyWithin := func(conn net.Conn, d time.Duration, reply func(net.Conn) error) error {
+				_ = conn.SetReadDeadline(time.Now().Add(d))
+				return reply(conn)
+			}
 
-	// The third connection completes its handshake in the kernel's
-	// backlog but is not accepted; its query goes unanswered.
-	conn3, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn3.Close()
-	if _, err := conn3.Write(frameTCP(testQueryWire(t))); err != nil {
-		t.Fatal(err)
-	}
-	_ = conn3.SetReadDeadline(time.Now().Add(300 * time.Millisecond))
-	if _, err := readTCPResponse(conn3); err == nil {
-		t.Fatal("query served while the connection cap was full")
-	}
-	if got := srv.TCPConns(); got != 2 {
-		t.Fatalf("TCPConns = %d over the cap of 2", got)
-	}
+			// Two served connections occupy both slots.
+			var held [2]net.Conn
+			for i := range held {
+				held[i] = dial(in.addr(srv))
+				if _, err := held[i].Write(in.ask); err != nil {
+					t.Fatal(err)
+				}
+				if err := replyWithin(held[i], 2*time.Second, in.reply); err != nil {
+					t.Fatalf("connection %d under the cap not served: %v", i, err)
+				}
+			}
 
-	// Freeing one slot lets the queued connection through.
-	held[0].Close()
-	_ = conn3.SetReadDeadline(time.Now().Add(3 * time.Second))
-	resp, err := readTCPResponse(conn3)
-	if err != nil {
-		t.Fatalf("queued connection never served after a slot freed: %v", err)
+			// The third connection completes its handshake in the kernel's
+			// backlog but is not accepted; its request goes unanswered.
+			conn3 := dial(in.addr(srv))
+			if _, err := conn3.Write(in.ask); err != nil {
+				t.Fatal(err)
+			}
+			if err := replyWithin(conn3, 300*time.Millisecond, in.reply); err == nil {
+				t.Fatal("request served while the connection cap was full")
+			}
+			if in.name == "tcp" {
+				if got := srv.TCPConns(); got != 2 {
+					t.Fatalf("TCPConns = %d over the cap of 2", got)
+				}
+			} else {
+				other := dial(srv.Addr())
+				if _, err := other.Write(frameTCP(testQueryWire(t))); err != nil {
+					t.Fatal(err)
+				}
+				if err := replyWithin(other, 2*time.Second, tcpReply); err != nil {
+					t.Fatalf("DNS-over-TCP held up by the report socket's cap: %v", err)
+				}
+			}
+
+			// Freeing one slot lets the queued connection through.
+			held[0].Close()
+			if err := replyWithin(conn3, 3*time.Second, in.reply); err != nil {
+				t.Fatalf("queued connection never served after a slot freed: %v", err)
+			}
+		})
 	}
-	msg, err := dnswire.Unpack(resp)
+}
+
+// stubListener is a listener whose Accept fails a set number of times and
+// then blocks until Close.
+type stubListener struct {
+	fails  atomic.Int32 // Accept calls still to fail; negative once one blocks
+	closed chan struct{}
+}
+
+func (l *stubListener) Accept() (net.Conn, error) {
+	if l.fails.Add(-1) >= 0 {
+		return nil, errors.New("accept: too many open files")
+	}
+	<-l.closed
+	return nil, net.ErrClosed
+}
+func (l *stubListener) Close() error   { close(l.closed); return nil }
+func (l *stubListener) Addr() net.Addr { return &net.TCPAddr{} }
+
+// TestAcceptLoopBacksOff: a persistent accept error (EMFILE) is logged
+// and slept on, nextBackoff's schedule, instead of spun on; and the loop
+// still ends with Shutdown. One loop serves TCP, DoH and the report
+// socket, so this holds for all three.
+func TestAcceptLoopBacksOff(t *testing.T) {
+	const fails = 5
+	var want time.Duration
+	for i, backoff := 0, time.Duration(0); i < fails; i++ {
+		var sleep time.Duration
+		sleep, backoff = nextBackoff(backoff)
+		want += sleep
+	}
+	var log bytes.Buffer // written by the accept loop only, read after it ended
+	base, _ := testServerNoStart(t, "RR")
+	cfg := base.cfg
+	cfg.Logger = slog.New(slog.NewTextHandler(&log, nil))
+	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if msg.Header.RCode != dnswire.RCodeNoError {
-		t.Fatalf("rcode = %v, want NOERROR", msg.Header.RCode)
+	ln := &stubListener{closed: make(chan struct{})}
+	ln.fails.Store(fails)
+	srv.reportLn = ln // where Shutdown finds it
+	srv.wg.Add(1)
+	start := time.Now()
+	go srv.acceptLoop(ln, func(net.Conn) {})
+	waitCond(t, 5*time.Second, func() bool { return ln.fails.Load() < 0 }, "accept loop never got past the failures")
+	if got := time.Since(start); got < want {
+		t.Errorf("%d failed accepts took %v, want at least the backoff's %v", fails, got, want)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown with the loop blocked in Accept: %v", err)
+	}
+	if got := strings.Count(log.String(), "accept failed"); got != fails {
+		t.Errorf("%d failures logged, want %d:\n%s", got, fails, log.String())
 	}
 }

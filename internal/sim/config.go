@@ -148,9 +148,6 @@ type Config struct {
 	// (by the synthetic ring geography) instead of the discipline's
 	// choice. 0 disables the extension (the paper's behaviour).
 	GeoPreference float64
-	// GeoBaseMS and GeoSpanMS shape the synthetic ring latency matrix
-	// (defaults 20 ms base, 160 ms span when GeoPreference > 0).
-	GeoBaseMS, GeoSpanMS float64
 
 	// DecisionTap, when non-nil, observes every scheduler decision in
 	// scheduling order — the engine's OnDecision seam, which the
@@ -343,8 +340,6 @@ func (c Config) Validate() error {
 		return errors.New("sim: Warmup must be non-negative")
 	case c.GeoPreference < 0 || c.GeoPreference > 1:
 		return errors.New("sim: GeoPreference must be within [0,1]")
-	case c.GeoBaseMS < 0 || c.GeoSpanMS < 0:
-		return errors.New("sim: geo latencies must be non-negative")
 	case c.ReportLossProb < 0 || c.ReportLossProb > 1:
 		return errors.New("sim: ReportLossProb must be within [0,1]")
 	}

@@ -221,7 +221,7 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	sc := simcore.New(cfg.Seed)
-	prox, err := core.RingProximityConfig(cfg.Workload.Domains, cfg.Servers, cfg.GeoPreference, cfg.GeoBaseMS, cfg.GeoSpanMS)
+	prox, err := core.RingProximityConfig(cfg.Workload.Domains, cfg.Servers, cfg.GeoPreference)
 	if err != nil {
 		return nil, err
 	}

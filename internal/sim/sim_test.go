@@ -382,9 +382,4 @@ func TestGeoConfigValidation(t *testing.T) {
 	if _, err := Run(cfg); err == nil {
 		t.Error("GeoPreference > 1 should error")
 	}
-	cfg = quickCfg("RR")
-	cfg.GeoBaseMS = -1
-	if _, err := Run(cfg); err == nil {
-		t.Error("negative geo base should error")
-	}
 }
