@@ -142,7 +142,6 @@ func TestReloadConfigValidation(t *testing.T) {
 		{"bad servers", "servers not-an-ip"},
 		// What start-up would refuse is refused whole, by the same rule
 		// under the same name, though the file's server set is fine.
-		{"-estimator-alpha", "servers 10.6.0.1,10.6.0.3\nestimator-alpha 7"},
 		{"-checkpoint-interval", "servers 10.6.0.1,10.6.0.3\ncheckpoint x\ncheckpoint-interval 0"},
 	} {
 		write(tc.content)

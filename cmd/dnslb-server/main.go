@@ -98,7 +98,6 @@ func configure(args []string) (*settings, error) {
 		servers     = fs.String("servers", "", "comma-separated Web server IPv4 addresses (required)")
 		capacities  = fs.String("capacities", "", "comma-separated capacities in hits/s (default: equal)")
 		domains     = fs.Int("domains", 20, "connected domains for source classification")
-		estAlpha    = fs.Float64("estimator-alpha", dnslb.DefaultEstimatorAlpha, "EWMA weight of the newest hidden-load collection interval, in (0,1]")
 		estKind     = fs.String("estimator", dnslb.EstimatorReactive, "hidden-load estimator kind: reactive or predictive")
 		geoPref     = fs.Float64("geo-preference", 0, "probability of answering with the nearest server instead of the policy's choice (0 = disabled)")
 		qps         = fs.Float64("qps", 0, "per-source query rate limit (0 = unlimited)")
@@ -109,13 +108,10 @@ func configure(args []string) (*settings, error) {
 		probeAddrs  = fs.String("probe-targets", "", "comma-separated probe endpoints, one per -servers entry in order; empty entries skip a slot (required with -probe)")
 		overQPS     = fs.Float64("overload-qps", 0, "aggregate query rate ceiling; above it the server degrades to static weighted answers (0 = disabled)")
 		overTTL     = fs.Float64("overload-ttl", 5, "TTL in seconds for degraded-mode answers")
-		overStale   = fs.Int("overload-stale-rolls", 0, "degrade when replication is down and the estimator missed this many roll intervals (0 = disabled)")
 		maxTCP      = fs.Int("max-tcp-conns", 0, "concurrent connection cap of each stream listener (TCP, the report socket, and DoH under -http-addr); accepts pause at the cap (0 = default 512, negative = unlimited)")
 		udpWorkers  = fs.Int("udp-workers", 0, "parallel UDP serve goroutines (0 = GOMAXPROCS)")
 		httpAddr    = fs.String("http-addr", "", "DNS-over-HTTP listen address: RFC 8484 wire on /dns-query, JSON on /resolve (empty = disabled)")
 		ecsMode     = fs.String("ecs-mode", "", "EDNS-Client-Subnet handling: passthrough (default), add, or override")
-		ecsV4       = fs.Int("ecs-v4-prefix", 0, "IPv4 ECS source-prefix granularity for clamping and synthesis (0 = /24)")
-		ecsV6       = fs.Int("ecs-v6-prefix", 0, "IPv6 ECS source-prefix granularity for clamping and synthesis (0 = /56)")
 		pprofAddr   = fs.String("pprof", "", "serve net/http/pprof on this address (empty = disabled)")
 		metricsAddr = fs.String("metrics-addr", "", "serve Prometheus /metrics on this address (empty = disabled)")
 		configPath  = fs.String("config", "", "flag-per-line configuration file; SIGHUP re-reads it and applies server-set changes")
@@ -143,10 +139,9 @@ func configure(args []string) (*settings, error) {
 	if err != nil {
 		return nil, err
 	}
-	// A zero -estimator-alpha is a value to refuse, where a zero in the
-	// Config means the default: core is asked here, under the flags' names.
-	if _, err := core.NewLoadEstimator(*estKind, 1, *estAlpha); err != nil {
-		return nil, fmt.Errorf("-estimator, -estimator-alpha: %w", err)
+	// The kind is core's to judge: asked here, so that the error names the flag.
+	if _, err := core.NewLoadEstimator(*estKind, 1, core.DefaultEstimatorAlpha); err != nil {
+		return nil, fmt.Errorf("-estimator: %w", err)
 	}
 	ecs, err := dnslb.ParseECSMode(*ecsMode)
 	if err != nil {
@@ -204,10 +199,9 @@ func configure(args []string) (*settings, error) {
 			ReportAddr:         *reportAddr,
 			UDPWorkers:         *udpWorkers,
 			MaxTCPConns:        *maxTCP,
-			ECS:                dnslb.ECSConfig{Mode: ecs, V4Prefix: *ecsV4, V6Prefix: *ecsV6},
-			EstimatorAlpha:     *estAlpha,
+			ECS:                dnslb.ECSConfig{Mode: ecs},
 			Estimator:          *estKind,
-			Overload:           dnslb.OverloadConfig{QPSCeiling: *overQPS, DegradedTTL: *overTTL, StaleRolls: *overStale},
+			Overload:           dnslb.OverloadConfig{QPSCeiling: *overQPS, DegradedTTL: *overTTL},
 			LivenessK:          *livenessK,
 			LivenessInterval:   *livenessIv,
 			Probe:              probeCfg,

@@ -51,7 +51,6 @@ func run(args []string, out io.Writer) error {
 		errPct    = fs.Float64("error", 0, "hidden-load estimation error in percent")
 		uniform   = fs.Bool("uniform", false, "uniform client distribution (ideal case)")
 		estimator = fs.String("estimator", "", "dynamic hidden-load estimator kind instead of oracle weights: reactive or predictive")
-		estAlpha  = fs.Float64("estimator-alpha", dnslb.DefaultEstimatorAlpha, "EWMA weight of the newest hidden-load collection interval, in (0,1]")
 		flash     = fs.String("flash", "", "comma-separated flash crowds, each domain@start+duration:clientsxresolvers (e.g. 0@1800+600:300x40)")
 		curve     = fs.Bool("curve", false, "print the cumulative-frequency curve")
 		jsonOut   = fs.Bool("json", false, "emit a JSON summary instead of text")
@@ -91,14 +90,13 @@ func run(args []string, out io.Writer) error {
 	cfg.Warmup = *warmup
 	cfg.Seed = *seed
 	cfg.MinNSTTL = *minTTL
-	// Both estimator flags are core's to judge, here rather than deep
-	// inside the run so that the error names them (an empty kind, which
-	// means oracle weights, has the alpha checked against the default one).
-	if _, err := core.NewLoadEstimator(*estimator, 1, *estAlpha); err != nil {
-		return fmt.Errorf("-estimator, -estimator-alpha: %w", err)
+	// The kind is core's to judge, here rather than deep inside the run so
+	// that the error names the flag (an empty kind means oracle weights).
+	if _, err := core.NewLoadEstimator(*estimator, 1, core.DefaultEstimatorAlpha); err != nil {
+		return fmt.Errorf("-estimator: %w", err)
 	}
 	cfg.OracleWeights = *estimator == ""
-	cfg.Estimator, cfg.EstimatorAlpha = *estimator, *estAlpha
+	cfg.Estimator = *estimator
 	cfg.ReportLossProb = *lossProb
 	flashes, err := parseFlashCrowds(*flash)
 	if err != nil {

@@ -55,12 +55,6 @@ type PolicyConfig = core.PolicyConfig
 // DefaultConstantTTL is the paper's 240-second baseline TTL.
 const DefaultConstantTTL = core.DefaultConstantTTL
 
-// DefaultEstimatorAlpha is the hidden-load estimator's default EWMA
-// weight for the newest collection interval — shared by the simulator
-// configuration and the live DNS server so both paths smooth
-// identically unless explicitly tuned.
-const DefaultEstimatorAlpha = core.DefaultEstimatorAlpha
-
 // Estimator kind tags (SimConfig.Estimator, DNSServerConfig.Estimator
 // and the -estimator flags).
 const (

@@ -3,14 +3,16 @@ package dnsserver
 import (
 	"bytes"
 	"encoding/base64"
-	"encoding/json"
+	"encoding/hex"
 	"io"
 	"math"
 	"net/netip"
-	"net/url"
 	"strconv"
 	"strings"
 	"time"
+	"unicode"
+	"unicode/utf8"
+	"unsafe"
 
 	"dnslb/internal/dnswire"
 	"dnslb/internal/engine"
@@ -32,6 +34,18 @@ import (
 //     value the wire responses are encoded from. The subnet parameter
 //     builds a real ECS option into the synthesized query, so the
 //     JSON endpoint exercises the identical classification path.
+//
+// No request allocates; both endpoints parse, synthesise and render by
+// append into the connection's buffers. (1) scanParams reads the query
+// string: split on '&', cut on '=', a component copied to the scratch only
+// to decode a percent-escape or '+', ?dns='s base64 decoded behind it. What
+// url.ParseQuery refuses — a malformed escape, a ';' — is a 400 "bad query
+// string", not an answer to a question the request did not ask.
+// (2) appendResolveQuery writes the /resolve query, byte for byte the
+// dnswire.Message.Pack of the parameters; it goes through answer and the
+// one decoder like any transport's. (3) appendJSON writes the body from
+// the reply and the decoded query, byte for byte encoding/json's for a
+// struct of those fields. doh_oracle_test.go holds each to its oracle.
 //
 // The front end is HTTP/1.1 in the clear: TLS and HTTP/2 terminate ahead
 // of the process. It runs on the stream loop DNS-over-TCP runs on
@@ -256,16 +270,75 @@ func (s *Server) exchangeDoH(b *streamBufs, buf []byte) int {
 	return n
 }
 
+// The parameters the endpoints read, in the order of scanParams' result.
+const paramName, paramType, paramSubnet, paramDNS = 0, 1, 2, 3
+
+var paramKeys = [...]string{"name", "type", "edns_client_subnet", "dns"}
+
+// scanParams reads a query string the way url.ParseQuery does and returns
+// the first value of each of paramKeys, empty for an absent one. A ';' or
+// a malformed percent-escape anywhere makes the whole string bad, whatever
+// key it stands beside. A component without an escape is a slice of
+// query; one with an escape is decoded onto scratch, returned as grown.
+func scanParams(query, scratch []byte) (vals [len(paramKeys)][]byte, _ []byte, ok bool) {
+	var seen [len(paramKeys)]bool
+	for len(query) > 0 {
+		var k, v []byte
+		k, query, _ = bytes.Cut(query, []byte{'&'})
+		k, v, _ = bytes.Cut(k, []byte{'='})
+		if k, scratch, ok = unescape(k, scratch); !ok {
+			return vals, scratch, false
+		}
+		if v, scratch, ok = unescape(v, scratch); !ok {
+			return vals, scratch, false
+		}
+		for i, key := range paramKeys {
+			if !seen[i] && string(k) == key {
+				seen[i], vals[i] = true, v
+			}
+		}
+	}
+	return vals, scratch, true
+}
+
+// unescape decodes one component of a query string as url.QueryUnescape
+// does: "%XX" is that byte, '+' a space, and a ';' is refused.
+func unescape(s, scratch []byte) (_, _ []byte, ok bool) {
+	if !bytes.ContainsAny(s, "%+;") {
+		return s, scratch, true
+	}
+	mark := len(scratch)
+	for i := 0; i < len(s); i++ {
+		scratch = append(scratch, s[i])
+		switch last := scratch[len(scratch)-1:]; s[i] {
+		case '+':
+			last[0] = ' '
+		case '%':
+			if n, _ := hex.Decode(last, s[i+1:min(i+3, len(s))]); n != 1 {
+				return nil, scratch, false
+			}
+			i += 2
+		case ';':
+			return nil, scratch, false
+		}
+	}
+	return scratch[mark:], scratch, true
+}
+
 // serveDoHWire serves RFC 8484 wire-format exchanges.
 func (s *Server) serveDoHWire(b *streamBufs, r *httpRequest, wire []byte) {
 	switch string(r.method) {
 	case "GET":
+		p, scratch, ok := scanParams(r.query, b.scratch[:0])
+		if !ok {
+			s.badRequest(b, r, "400 Bad Request", "", "bad query string")
+			return
+		}
 		// RFC 8484 requires unpadded base64url; accept padded as a
 		// courtesy (curl users add it). A missing parameter decodes to
 		// the empty message, refused below.
-		params, _ := url.ParseQuery(string(r.query))
-		var err error
-		wire, err = base64.RawURLEncoding.DecodeString(strings.TrimRight(params.Get("dns"), "="))
+		dec, err := base64.RawURLEncoding.AppendDecode(scratch, bytes.TrimRight(p[paramDNS], "="))
+		b.scratch, wire = dec[:0], dec[len(scratch):]
 		if err != nil {
 			wire = nil
 		}
@@ -284,75 +357,111 @@ func (s *Server) serveDoHWire(b *streamBufs, r *httpRequest, wire []byte) {
 	}
 	// HTTP has no 512-byte constraint: DoH gets the TCP budget, and no
 	// response is truncated.
-	resp := s.handle(wire, b.from, engine.TransportDoH, math.MaxUint16, b.resp[:0])
-	if resp == nil {
+	s.respond(b, r, "application/dns-message", s.handle(wire, b.from, engine.TransportDoH, math.MaxUint16, b.resp[:0]))
+}
+
+// respond writes an endpoint's answer to a query: the body under a 200,
+// or, for a query that was dropped (nil), a 500.
+func (s *Server) respond(b *streamBufs, r *httpRequest, ctype string, body []byte) {
+	if body == nil {
 		s.dohDropped.Add(1)
 		b.httpError("500 Internal Server Error", "", "query dropped", r.close)
 		return
 	}
 	s.dohOK.Add(1)
-	b.appendHTTPHead("200 OK", "application/dns-message", "", len(resp), r.close)
-	_, _ = b.bw.Write(resp)
-}
-
-// dohJSONAnswer is one answer record in the /resolve rendering,
-// following the de-facto dns-json field names.
-type dohJSONAnswer struct {
-	Name string `json:"name"`
-	Type uint16 `json:"type"`
-	TTL  uint32 `json:"TTL"`
-	Data string `json:"data"`
-}
-
-// dohJSONResponse is the /resolve response body.
-type dohJSONResponse struct {
-	Status   uint16          `json:"Status"`
-	TC       bool            `json:"TC"`
-	Question []dohJSONQ      `json:"Question"`
-	Answer   []dohJSONAnswer `json:"Answer,omitempty"`
-	Subnet   string          `json:"edns_client_subnet,omitempty"`
-}
-
-type dohJSONQ struct {
-	Name string `json:"name"`
-	Type uint16 `json:"type"`
+	b.appendHTTPHead("200 OK", ctype, "", len(body), r.close)
+	_, _ = b.bw.Write(body)
 }
 
 // parseDoHType maps a ?type= parameter (mnemonic or numeric) to a
 // record type; empty means A.
-func parseDoHType(s string) (dnswire.Type, bool) {
-	switch strings.ToUpper(s) {
-	case "", "A":
+func parseDoHType(v []byte) (dnswire.Type, bool) {
+	switch {
+	case len(v) == 0, bytes.EqualFold(v, []byte("A")):
 		return dnswire.TypeA, true
-	case "AAAA":
+	case bytes.EqualFold(v, []byte("AAAA")):
 		return dnswire.TypeAAAA, true
-	case "TXT":
+	case bytes.EqualFold(v, []byte("TXT")):
 		return dnswire.TypeTXT, true
-	case "ANY", "*":
+	case bytes.EqualFold(v, []byte("ANY")), string(v) == "*":
 		return dnswire.TypeANY, true
 	}
-	if n, err := strconv.ParseUint(s, 10, 16); err == nil {
-		return dnswire.Type(n), true
+	n := 0
+	for _, c := range v {
+		if c < '0' || c > '9' || n > math.MaxUint16 {
+			return 0, false
+		}
+		n = n*10 + int(c-'0')
 	}
-	return 0, false
+	return dnswire.Type(n), n <= math.MaxUint16
 }
 
 // parseDoHSubnet parses an ?edns_client_subnet= parameter: an address
 // with an optional /bits suffix (defaulting to a full-length prefix,
-// as dns-json does).
-func parseDoHSubnet(s string) (netip.Prefix, bool) {
-	if strings.Contains(s, "/") {
-		p, err := netip.ParsePrefix(s)
-		if err != nil {
-			return netip.Prefix{}, false
-		}
-		return p.Masked(), true
-	}
-	a, err := netip.ParseAddr(s)
-	if err != nil {
+// as dns-json does). netip parses strings only, and converting v would be
+// the request's one allocation, so its string shares v's bytes. That is
+// sound because netip keeps its input only in an error, dropped here, and
+// as an address's zone, which a client subnet has not: refused unparsed.
+func parseDoHSubnet(v []byte) (netip.Prefix, bool) {
+	s := unsafe.String(unsafe.SliceData(v), len(v))
+	if strings.Contains(s, "%") {
 		return netip.Prefix{}, false
+	} else if !strings.Contains(s, "/") {
+		a, err := netip.ParseAddr(s)
+		return netip.PrefixFrom(a, a.BitLen()), err == nil
 	}
-	return netip.PrefixFrom(a, a.BitLen()), true
+	p, err := netip.ParsePrefix(s)
+	return p.Masked(), err == nil
+}
+
+// appendResolveQuery appends the wire query a /resolve request stands
+// for — byte for byte the dnswire.Message.Pack of its question (name,
+// type, class IN) and, given a subnet, of SetClientSubnet's OPT record —
+// or says what is wrong with the request.
+func appendResolveQuery(dst, name, qtype, subnet []byte) (_ []byte, msg string) {
+	if len(name) == 0 {
+		return dst, "missing name parameter"
+	}
+	t, ok := parseDoHType(qtype)
+	if !ok {
+		return dst, "bad type parameter"
+	}
+	var ecs netip.Prefix
+	if len(subnet) > 0 {
+		if ecs, ok = parseDoHSubnet(subnet); !ok {
+			return dst, "bad edns_client_subnet parameter"
+		}
+	}
+	start := len(dst)
+	dst = dnswire.AppendHeader(dst, dnswire.Header{OpCode: dnswire.OpQuery}, 1, 0, 0, 0)
+	// The name as Pack writes it: its last dot optional, in lower case —
+	// Unicode's, which is strings.ToLower's — and refused for an empty
+	// label, a label over 63 bytes or 255 bytes in all.
+	name = bytes.TrimSuffix(name, []byte{'.'})
+	for more := len(name) > 0; more; {
+		var label []byte
+		label, name, more = bytes.Cut(name, []byte{'.'})
+		at := len(dst)
+		dst = append(dst, 0)
+		for len(label) > 0 {
+			r, n := utf8.DecodeRune(label)
+			dst, label = utf8.AppendRune(dst, unicode.ToLower(r)), label[n:]
+		}
+		n := len(dst) - at - 1
+		if n == 0 || n > 63 {
+			return dst, "bad query"
+		}
+		dst[at] = byte(n)
+	}
+	dst = append(dst, 0, byte(t>>8), byte(t), 0, byte(dnswire.ClassIN))
+	if len(dst)-start-12-4 > 255 {
+		return dst, "bad query"
+	}
+	if ecs.IsValid() {
+		dst[start+11] = 1
+		dst = appendSubnetOPT(dst, dnswire.ClientSubnet{Prefix: ecs})
+	}
+	return dst, ""
 }
 
 // serveDoHJSON serves the dns-json style /resolve endpoint. It acts as
@@ -367,81 +476,99 @@ func (s *Server) serveDoHJSON(b *streamBufs, r *httpRequest) {
 		s.badRequest(b, r, "405 Method Not Allowed", "Allow: GET\r\n", "method not allowed")
 		return
 	}
-	params, _ := url.ParseQuery(string(r.query))
-	name := params.Get("name")
-	if name == "" {
-		s.badRequest(b, r, "400 Bad Request", "", "missing name parameter")
+	p, scratch, ok := scanParams(r.query, b.scratch[:0])
+	wire, msg := scratch, "bad query string"
+	if ok {
+		wire, msg = appendResolveQuery(scratch, p[paramName], p[paramType], p[paramSubnet])
+	}
+	b.scratch = wire[:0]
+	if msg != "" {
+		s.badRequest(b, r, "400 Bad Request", "", msg)
 		return
 	}
-	if !strings.HasSuffix(name, ".") {
-		name += "."
-	}
-	qtype, ok := parseDoHType(params.Get("type"))
-	if !ok {
-		s.badRequest(b, r, "400 Bad Request", "", "bad type parameter")
-		return
-	}
-	q := &dnswire.Message{
-		Header:    dnswire.Header{OpCode: dnswire.OpQuery},
-		Questions: []dnswire.Question{{Name: strings.ToLower(name), Type: qtype, Class: dnswire.ClassIN}},
-	}
-	if sn := params.Get("edns_client_subnet"); sn != "" {
-		p, ok := parseDoHSubnet(sn)
-		if !ok || q.SetClientSubnet(dnswire.ClientSubnet{Prefix: p}, dnswire.MaxUDPPayload) != nil {
-			s.badRequest(b, r, "400 Bad Request", "", "bad edns_client_subnet parameter")
-			return
-		}
-	}
-	wire, err := q.Pack()
-	if err != nil {
-		s.badRequest(b, r, "400 Bad Request", "", "bad query")
-		return
-	}
-	out, ok := s.answerJSON(wire, b.from)
-	if !ok {
-		s.dohDropped.Add(1)
-		b.httpError("500 Internal Server Error", "", "query dropped", r.close)
-		return
-	}
-	s.dohOK.Add(1)
-	// The connection's own buffer and encoder, not a pair made for each
-	// request. Encode cannot fail on this value: strings and numbers.
-	if b.enc == nil {
-		b.enc = json.NewEncoder(&b.json)
-	}
-	b.json.Reset()
-	_ = b.enc.Encode(out)
-	b.appendHTTPHead("200 OK", "application/json", "", b.json.Len(), r.close)
-	_, _ = b.bw.Write(b.json.Bytes())
+	s.respond(b, r, "application/json", s.answerJSON(wire[len(scratch):], b.from, b.resp[:0]))
 }
 
 // answerJSON is handle with the JSON renderer in appendReply's place:
-// decode and answer behind the same panic recovery (ok is false when the
-// query is dropped), then the /resolve body for the reply — field for
-// field what decoding the wire response gives. The authority section has
-// no place in the body: a negative answer is its status.
-func (s *Server) answerJSON(wire []byte, from netip.Addr) (out dohJSONResponse, ok bool) {
+// decode, answer and render behind the same panic recovery.
+func (s *Server) answerJSON(wire []byte, from netip.Addr, dst []byte) (body []byte) {
 	defer func() {
 		if s.recovered(recover(), from, engine.TransportDoH) {
-			ok = false
+			body = nil
 		}
 	}()
 	q := dnswire.GetQuery()
 	defer dnswire.PutQuery(q)
 	r, _ := s.answer(q, wire, from, engine.TransportDoH)
-	out.Status = uint16(r.hdr.RCode)
-	if r.shape >= shapeQuestion {
-		out.Question = []dohJSONQ{{Name: string(q.Name), Type: uint16(q.Type)}}
+	return s.appendJSON(dst, q, &r)
+}
+
+// appendJSON is the JSON renderer: the /resolve body for a reply (nil for
+// shapeDrop), in the de-facto dns-json field names, field for field what
+// decoding the wire response gives and byte for byte what encoding/json
+// writes for a struct of those fields. The authority section has no place
+// in the body: a negative answer is its status.
+func (s *Server) appendJSON(dst []byte, q *dnswire.Query, r *reply) []byte {
+	if r.shape == shapeDrop {
+		return nil
 	}
-	switch r.shape {
-	case shapeA:
-		out.Answer = []dohJSONAnswer{{Name: s.zone, Type: uint16(dnswire.TypeA), TTL: r.ttl, Data: r.addr.String()}}
-		if q.HasECS {
-			out.Subnet = q.ECS.Prefix.String() + "/" + strconv.Itoa(int(r.scope))
+	dst = strconv.AppendUint(append(dst, `{"Status":`...), uint64(r.hdr.RCode), 10)
+	dst = append(dst, `,"TC":false,"Question":`...)
+	if r.shape < shapeQuestion {
+		dst = append(dst, "null"...)
+	} else {
+		dst = appendJSONEscaped(append(dst, `[{"name":"`...), q.Name)
+		dst = strconv.AppendUint(append(dst, `","type":`...), uint64(q.Type), 10)
+		dst = append(dst, "}]"...)
+	}
+	if r.shape == shapeA || r.shape == shapeTXT { // one record, the zone's
+		t, ttl := dnswire.TypeA, r.ttl
+		if r.shape == shapeTXT {
+			t, ttl = dnswire.TypeTXT, 0
 		}
-	case shapeTXT:
-		out.Answer = []dohJSONAnswer{{Name: s.zone, Type: uint16(dnswire.TypeTXT),
-			Data: "policy=" + s.policy.Name() + " decisions=" + strconv.FormatUint(s.policy.Decisions(), 10)}}
+		dst = appendJSONEscaped(append(dst, `,"Answer":[{"name":"`...), s.zone)
+		dst = strconv.AppendUint(append(dst, `","type":`...), uint64(t), 10)
+		dst = strconv.AppendUint(append(dst, `,"TTL":`...), uint64(ttl), 10)
+		dst = append(dst, `,"data":"`...)
+		if r.shape == shapeA {
+			dst = r.addr.AppendTo(dst)
+		} else {
+			dst = appendJSONEscaped(append(dst, "policy="...), s.policy.Name())
+			dst = strconv.AppendUint(append(dst, " decisions="...), s.policy.Decisions(), 10)
+		}
+		dst = append(dst, `"}]`...)
 	}
-	return out, r.shape != shapeDrop
+	if r.shape == shapeA && q.HasECS {
+		dst = q.ECS.Prefix.AppendTo(append(dst, `,"edns_client_subnet":"`...))
+		dst = strconv.AppendUint(append(dst, '/'), uint64(r.scope), 10)
+		dst = append(dst, '"')
+	}
+	return append(dst, "}\n"...)
+}
+
+// appendJSONEscaped appends s as the inside of a JSON string, escaped as
+// encoding/json escapes one, HTML characters, U+2028/9 and each byte
+// that is not UTF-8 included: a name is whatever bytes the wire held.
+func appendJSONEscaped[S []byte | string](dst []byte, s S) []byte {
+	const hex, short = "0123456789abcdef", "\b\f\n\r\t"
+	for i := 0; i < len(s); {
+		r, n := rune(s[i]), 1
+		if r >= utf8.RuneSelf {
+			r, n = utf8.DecodeRuneInString(string(s[i:min(i+utf8.UTFMax, len(s))]))
+		}
+		switch {
+		case r == '"' || r == '\\':
+			dst = append(dst, '\\', byte(r))
+		case r < ' ' && strings.IndexRune(short, r) >= 0:
+			dst = append(dst, '\\', "bfnrt"[strings.IndexRune(short, r)])
+		case r < ' ' || r == '<' || r == '>' || r == '&' || r == '\u2028' || r == '\u2029':
+			dst = append(dst, '\\', 'u', hex[r>>12], hex[r>>8&0xF], hex[r>>4&0xF], hex[r&0xF])
+		case r == utf8.RuneError && n == 1:
+			dst = append(dst, `\ufffd`...)
+		default:
+			dst = append(dst, s[i:i+n]...)
+		}
+		i += n
+	}
+	return dst
 }

@@ -656,18 +656,40 @@ func (d *dohDirect) exchange(t testing.TB, req []byte) dohReply {
 }
 
 // TestDoHWirePathZeroAlloc extends TestHandleHotPathZeroAlloc through
-// the framer: parsing the workload's POST, answering it and writing the
-// response head and body allocates nothing, with or without a client
-// subnet. /resolve still builds its query and its JSON out of strings;
-// its count is reported, and held to what it was measured at.
+// the framer, to every request the endpoints answer: parsing the head and
+// the parameters, building the /resolve query, answering it and writing
+// the response head and body allocates nothing — for the workload's POST
+// and GET, and for the other question shapes and spellings.
 func TestDoHWirePathZeroAlloc(t *testing.T) {
-	for _, c := range hotPathQueries {
+	ecs := zoneQuery(t, netip.MustParsePrefix("10.4.7.0/24"))
+	padded := base64.URLEncoding.EncodeToString(ecs)
+	if !strings.HasSuffix(padded, "=") {
+		t.Fatalf("%q has no padding; the test exercises nothing", padded)
+	}
+	cases := []struct {
+		name  string
+		req   []byte
+		ctype string
+	}{
+		{"plain", dohPost(zoneQuery(t, netip.Prefix{})), "application/dns-message"},
+		{"ecs", dohPost(ecs), "application/dns-message"},
+		{"GET dns unpadded", dohGet("/dns-query?dns=" + strings.TrimRight(padded, "=")), "application/dns-message"},
+		{"GET dns padded", dohGet("/dns-query?dns=" + padded), "application/dns-message"},
+		{"resolve A", dohGet("/resolve?name=www.site.example"), "application/json"},
+		{"resolve", dohGet(dohResolve), "application/json"},
+		{"resolve ecs v6", dohGet("/resolve?name=www.site.example&type=A&edns_client_subnet=2001:db8:4:5600::/56"), "application/json"},
+		{"resolve TXT", dohGet("/resolve?name=www.site.example&type=TXT"), "application/json"},
+		{"resolve NXDOMAIN", dohGet("/resolve?name=ftp.site.example&type=A"), "application/json"},
+		// The largest body: it must fit the response buffer like the rest.
+		{"resolve longest", dohGet("/resolve?name=" + strings.Repeat(strings.Repeat("<", 63)+".", 3) + strings.Repeat("<", 61)), "application/json"},
+		{"resolve escaped", dohGet("/resolve?name=WWW%2Esite%2eexample%2E&type=%61&edns%5Fclient_subnet=10.4.7.0%2F24"), "application/json"},
+	}
+	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			srv, _ := testServerNoStart(t, "DRR2-TTL/S_K")
 			d := newDoHDirect(srv)
-			req := dohPost(zoneQuery(t, c.ecs))
 			ask := func() {
-				resp := d.raw(t, req)
+				resp := d.raw(t, c.req)
 				if !bytes.HasPrefix(resp, []byte("HTTP/1.1 200 OK\r\n")) {
 					t.Fatalf("response %q", resp)
 				}
@@ -675,22 +697,14 @@ func TestDoHWirePathZeroAlloc(t *testing.T) {
 			for i := 0; i < 64; i++ {
 				ask()
 			}
-			wantAnswer(t, d.exchange(t, req), 7)
+			if r := d.exchange(t, c.req); r.status != http.StatusOK || r.header.Get("Content-Type") != c.ctype {
+				t.Fatalf("status %d, content type %q", r.status, r.header.Get("Content-Type"))
+			}
 			if allocs := testing.AllocsPerRun(500, ask); allocs != 0 {
-				t.Errorf("POST /dns-query allocates %.1f times per request, want 0", allocs)
+				t.Errorf("%s allocates %.1f times per request, want 0", c.req[:bytes.IndexByte(c.req, '\r')], allocs)
 			}
 		})
 	}
-	t.Run("resolve", func(t *testing.T) {
-		srv, _ := testServerNoStart(t, "DRR2-TTL/S_K")
-		d := newDoHDirect(srv)
-		req := dohGet(dohResolve)
-		allocs := testing.AllocsPerRun(500, func() { d.raw(t, req) })
-		t.Logf("GET /resolve allocates %.1f times per request", allocs)
-		if allocs > 32 {
-			t.Errorf("GET /resolve allocates %.1f times per request, want ≤ 32", allocs)
-		}
-	})
 }
 
 // FuzzHTTPFramer holds the framer to net/http, differentially. Arbitrary

@@ -146,6 +146,12 @@ func TestDoHWireRejections(t *testing.T) {
 	if got := status(client.Get(base + "/dns-query?dns=!!!not-base64!!!")); got != http.StatusBadRequest {
 		t.Errorf("bad base64: %d, want 400", got)
 	}
+	if got := status(client.Get(base + "/dns-query?dns=" + base64.RawURLEncoding.EncodeToString(testQueryWire(t)) + "&pad=%zz")); got != http.StatusBadRequest {
+		t.Errorf("malformed parameter beside a good dns: %d, want 400", got)
+	}
+	if got := status(client.Get(base + "/dns-query?dns=" + base64.RawURLEncoding.EncodeToString(testQueryWire(t)) + ";x=1")); got != http.StatusBadRequest {
+		t.Errorf("semicolon separator: %d, want 400", got)
+	}
 	if got := status(client.Post(base+"/dns-query", "text/plain", strings.NewReader("hi"))); got != http.StatusUnsupportedMediaType {
 		t.Errorf("wrong content type: %d, want 415", got)
 	}
@@ -171,8 +177,8 @@ func TestDoHWireRejections(t *testing.T) {
 	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if got := seriesValue(t, buf.String(), `dnslb_doh_requests_total{outcome="bad_request"}`); got < 5 {
-		t.Errorf("bad_request outcome counter = %v, want >= 5", got)
+	if got := seriesValue(t, buf.String(), `dnslb_doh_requests_total{outcome="bad_request"}`); got < 7 {
+		t.Errorf("bad_request outcome counter = %v, want >= 7", got)
 	}
 }
 
@@ -223,6 +229,10 @@ func TestDoHJSONResolve(t *testing.T) {
 		"/resolve",
 		"/resolve?name=www.site.example&type=BOGUS",
 		"/resolve?name=www.site.example&edns_client_subnet=not-an-addr",
+		// A malformed pair refuses the request; it used to be dropped, and
+		// the first of these answered as the A query it does not ask for.
+		"/resolve?name=www.site.example&type=%zz",
+		"/resolve?name=www.site.example;type=TXT",
 	} {
 		hr, err := client.Get(base + q)
 		if err != nil {
@@ -724,7 +734,7 @@ func TestResolveJSONMatchesWire(t *testing.T) {
 		_ = client.SetDeadline(time.Now().Add(10 * time.Second))
 		replies := bufio.NewReader(client)
 		for _, c := range queries {
-			qtype, _ := parseDoHType(c.qtype)
+			qtype, _ := parseDoHType([]byte(c.qtype))
 			m := &dnswire.Message{Questions: []dnswire.Question{{Name: c.name, Type: qtype, Class: dnswire.ClassIN}}}
 			target := "/resolve?name=" + c.name + "&type=" + c.qtype
 			if c.subnet != "" {

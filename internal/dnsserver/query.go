@@ -274,15 +274,21 @@ func appendA(dst []byte, q *dnswire.Query, r *reply) []byte {
 	if !q.HasECS {
 		return dst
 	}
-	// OPT: root owner, CLASS = the 512-byte payload this server accepts,
-	// TTL (extended RCODE, version, flags) zero, one option.
 	dst[11] = 1
+	return appendSubnetOPT(dst, dnswire.EchoClientSubnet(q.ECS, r.scope))
+}
+
+// appendSubnetOPT appends an OPT record whose one option is the client
+// subnet cs, which must be valid: root owner, CLASS = the 512-byte payload
+// this server accepts, TTL (extended RCODE, version, flags) zero. The
+// caller counts it into ARCOUNT.
+func appendSubnetOPT(dst []byte, cs dnswire.ClientSubnet) []byte {
 	dst = append(dst, 0, 0, byte(dnswire.TypeOPT), dnswire.MaxUDPPayload>>8, dnswire.MaxUDPPayload&0xFF, 0, 0, 0, 0)
 	rdlenAt := len(dst)
 	dst = append(dst, 0, 0, 0, byte(dnswire.OptionClientSubnet), 0, 0)
-	dst, err := dnswire.EchoClientSubnet(q.ECS, r.scope).AppendPack(dst)
+	dst, err := cs.AppendPack(dst)
 	if err != nil {
-		return nil // unreachable: HasECS means the option parsed
+		return nil // unreachable: the prefix parsed, from an option or from text
 	}
 	optLen := len(dst) - rdlenAt - 6
 	dst[rdlenAt+1] = byte(optLen + 4)

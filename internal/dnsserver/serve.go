@@ -2,9 +2,7 @@ package dnsserver
 
 import (
 	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -279,7 +277,9 @@ func (s *Server) cancelDrainTimers() {
 // worker, a stream connection — hands handle to encode into, over and
 // over, so encoding allocates nothing. No response outgrows it: the
 // largest is 564 bytes, the NXDOMAIN for a name of the maximum length
-// beside a zone of the maximum length (maxZoneWire).
+// beside a zone of the maximum length (maxZoneWire), and the largest
+// /resolve body, which is rendered into it too, under 1600: a question
+// name of 254 bytes that each take a six-byte JSON escape.
 const respBufSize = 2048
 
 // Read/accept error backoff: persistent socket errors (ENOBUFS, EMFILE)
@@ -462,12 +462,14 @@ type streamBufs struct {
 	br   *bufio.Reader
 	bw   *bufio.Writer
 	resp []byte
-	// DoH only: the Date header's value, formatted once a second, and the
-	// buffer and encoder the /resolve body is rendered through.
+	// DoH only: the Date header's value, formatted once a second, and what
+	// a GET's parameters are decoded into — percent-escapes, ?dns='s base64
+	// — and the /resolve query built in, grown to what the connection's
+	// requests needed: tens of bytes, a message's size at most, and one
+	// that a request made of escapes grew past that is not pooled.
 	date    []byte
 	dateSec int64
-	json    bytes.Buffer
-	enc     *json.Encoder
+	scratch []byte
 }
 
 // Write is what bw flushes through: every write to the socket, whether
@@ -544,6 +546,9 @@ func (s *Server) serveStream(conn net.Conn, f *framer) {
 		br.Reset(nil)
 		bw.Reset(nil)
 		b.conn = nil
+		if cap(b.scratch) > maxDoHRequest {
+			b.scratch = nil
+		}
 		f.pool.Put(b)
 	}()
 	// armed is the read timeout running for the request at the head of
