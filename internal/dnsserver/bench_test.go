@@ -145,6 +145,39 @@ func BenchmarkServerUDPThroughput(b *testing.B) {
 	})
 }
 
+// BenchmarkServerUDPWindow is BenchmarkServerTCPPipelined for UDP: one
+// client socket keeps 32 queries in flight, so a worker finds several
+// datagrams queued when it reads — the traffic a batch is for.
+func BenchmarkServerUDPWindow(b *testing.B) {
+	srv := benchServer(b, "DRR2-TTL/S_K", "127.0.0.1:0")
+	conn, err := net.Dial("udp", srv.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer conn.Close()
+	const window = 32
+	query := zoneQuery(b, netip.Prefix{})
+	resp := make([]byte, dnswire.MaxUDPPayload)
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	sent := 0
+	for done := 0; done < b.N; done++ {
+		for ; sent < b.N && sent < done+window; sent++ {
+			if _, err := conn.Write(query); err != nil {
+				b.Fatal(err)
+			}
+		}
+		n, err := conn.Read(resp)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if n < 12 || resp[0] != query[0] || resp[1] != query[1] {
+			b.Fatal("malformed response")
+		}
+	}
+}
+
 // BenchmarkServerTCPPipelined measures query round-trips over one
 // loopback TCP connection with 16 queries kept in flight — the serve
 // loop's framing, batching and socket cost on top of the handler. The

@@ -48,7 +48,7 @@ func (s *Server) Start() error {
 	}
 	s.wg.Add(s.udpWorkers)
 	for i := 0; i < s.udpWorkers; i++ {
-		go s.serveUDP(i)
+		go s.serveUDP(i, newUDPBatch(s.udp))
 	}
 	for _, l := range []struct {
 		ln    net.Listener
@@ -188,7 +188,7 @@ func (s *Server) Close() error {
 // take another line, then gossip and probing stop. New queries are
 // refused, but those already read from the sockets are answered before
 // the serve loops exit: the UDP socket stays open (writable) until every
-// worker has finished its in-flight response; the stream listeners (TCP,
+// worker has sent its in-flight batch; the stream listeners (TCP,
 // DoH, report) stop accepting at once, a connection idle between
 // exchanges ends at once and one in the middle of an exchange completes
 // it. When ctx expires first, what remains is cut off, every connection
@@ -316,21 +316,23 @@ func (s *Server) sleepOrClosed(d time.Duration) bool {
 	}
 }
 
-// serveUDP is one of UDPWorkers identical reader/responder loops over
-// the shared socket. The kernel distributes datagrams across blocked
-// readers; each worker owns its read buffer, so the loops never touch
-// shared mutable server state. When instrumented, each worker times
-// its own queries and accumulates the latency histogram sum on its own
-// shard (the worker index is the hint), keeping the measurement as
-// contention-free as the serving.
-func (s *Server) serveUDP(worker int) {
+// serveUDP is one of UDPWorkers identical loops over the shared socket:
+// it receives what the socket holds, up to udpBatchSize datagrams in one
+// call, answers each into a response slot of its own and sends every
+// response in one call (udp_linux.go; one datagram a call elsewhere,
+// udp_other.go). Each worker owns its batch, so the loops share no
+// mutable server state and allocate nothing. A datagram over maxTCPQuery
+// bytes is answered FORMERR from its ID alone: handle sees its first two
+// bytes, which no decoder accepts. When instrumented, a worker times each
+// query's handle — the end of one is the start of the next — on its own
+// histogram shard (the worker index is the hint).
+func (s *Server) serveUDP(worker int, b *udpBatch) {
 	defer s.wg.Done()
-	buf, out := make([]byte, 65535), make([]byte, 0, respBufSize)
 	m := s.metrics
 	hint := uint32(worker)
 	var backoff time.Duration
 	for {
-		n, raddr, err := s.udp.ReadFromUDPAddrPort(buf)
+		n, err := b.recv()
 		if err != nil {
 			select {
 			case <-s.closed:
@@ -350,14 +352,35 @@ func (s *Server) serveUDP(worker int) {
 		if m != nil {
 			start = time.Now()
 		}
-		resp := s.handle(buf[:n], raddr.Addr(), engine.TransportUDP, dnswire.MaxUDPPayload, out)
-		if resp != nil {
-			if _, err := s.udp.WriteToUDPAddrPort(resp, raddr); err != nil {
-				s.logger.Warn("udp write failed", "err", err, "worker", worker, "raddr", raddr)
+		k := 0
+		for i := 0; i < n; i++ {
+			wire, from, oversized := b.query(i)
+			if oversized {
+				wire = wire[:2]
+			}
+			if resp := s.handle(wire, from, engine.TransportUDP, dnswire.MaxUDPPayload, b.resp[k][:0]); resp != nil {
+				b.stage(k, i, resp)
+				k++
+			}
+			if m != nil {
+				end := time.Now()
+				m.latency.ObserveHint(hint, end.Sub(start).Seconds())
+				start = end
 			}
 		}
-		if m != nil {
-			m.latency.ObserveHint(hint, time.Since(start).Seconds())
+		s.sendUDP(b, k, worker)
+	}
+}
+
+// sendUDP sends the k responses b has staged. A send call stops at a
+// message it cannot send; that one is logged and skipped, and the call
+// is repeated for the rest.
+func (s *Server) sendUDP(b *udpBatch, k, worker int) {
+	for off := 0; off < k; {
+		sent, err := b.send(off, k)
+		if off += sent; err != nil {
+			s.logger.Warn("udp write failed", "err", err, "worker", worker, "raddr", b.dest(off))
+			off++
 		}
 	}
 }
@@ -442,10 +465,11 @@ func (s *Server) acceptLoop(ln net.Listener, serve func(net.Conn)) {
 // requests, so idle or slowloris connections cannot pin goroutines.
 const tcpIdleTimeout = 30 * time.Second
 
-// maxTCPQuery bounds the accepted TCP query size. Legitimate queries
-// are tiny (name + fixed sections + EDNS options); anything beyond 4
-// KiB is either garbage or an attempt to make the server allocate —
-// either way the connection is cut before reading the payload.
+// maxTCPQuery bounds the query size on every transport. Legitimate
+// queries are tiny (name + fixed sections + EDNS options); anything
+// beyond 4 KiB is either garbage or an attempt to make the server
+// allocate: TCP cuts the connection before reading it, DoH answers 400,
+// UDP FORMERR.
 const maxTCPQuery = 4096
 
 // streamBufs is what one stream connection reads, encodes and writes
