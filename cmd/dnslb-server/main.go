@@ -199,7 +199,7 @@ func configure(args []string) (*settings, error) {
 			ReportAddr:         *reportAddr,
 			UDPWorkers:         *udpWorkers,
 			MaxTCPConns:        *maxTCP,
-			ECS:                dnslb.ECSConfig{Mode: ecs},
+			ECS:                ecs,
 			Estimator:          *estKind,
 			Overload:           dnslb.OverloadConfig{QPSCeiling: *overQPS, DegradedTTL: *overTTL},
 			LivenessK:          *livenessK,

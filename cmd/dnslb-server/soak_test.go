@@ -97,7 +97,7 @@ func TestChaosSoak(t *testing.T) {
 	targets := ""
 	for i := range backends {
 		backends[i] = healthEndpoint(t)
-		p, err := chaos.NewTCPProxy("127.0.0.1:0", backends[i].Addr().String(), uint64(i+1))
+		p, err := chaos.NewTCPProxy("127.0.0.1:0", backends[i].Addr().String())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -84,13 +84,10 @@ var (
 	RingProximityConfig = core.RingProximityConfig
 )
 
-// ECSConfig parameterizes the RFC 7871 client-subnet handling of the
-// scheduling engine (internal/engine) the simulator and the live DNS
-// server share (DNSServerConfig.ECS).
-type ECSConfig = engine.ECSConfig
-
 // ParseECSMode parses the -ecs-mode flag spellings (passthrough, add,
-// override; empty = passthrough) into an ECSConfig.Mode.
+// override; empty = passthrough) into the RFC 7871 client-subnet mode
+// of the scheduling engine (internal/engine) the live DNS server runs
+// (DNSServerConfig.ECS).
 var ParseECSMode = engine.ParseECSMode
 
 // Simulation types.

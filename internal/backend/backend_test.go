@@ -283,7 +283,7 @@ func TestAgentSurvivesReportOutage(t *testing.T) {
 	srv, report, _ := startDNSState(t, func(cfg *dnsserver.Config) {
 		cfg.LivenessInterval, cfg.LivenessK = 40*time.Millisecond, 2
 	})
-	link, err := chaos.NewTCPProxy("127.0.0.1:0", report, 1)
+	link, err := chaos.NewTCPProxy("127.0.0.1:0", report)
 	if err != nil {
 		t.Fatal(err)
 	}

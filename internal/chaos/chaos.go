@@ -1,17 +1,14 @@
-// Package chaos provides seeded, reusable network fault injection for
-// tests and soak harnesses. It generalizes the ad-hoc cuttable TCP
-// forwarders used by the replication end-to-end tests into two proxy
-// types — UDPProxy for datagram traffic (DNS queries) and TCPProxy for
-// stream traffic (report/replication sockets, probe targets) — that
-// apply a configurable Fault to everything flowing through them:
-// probabilistic drop, duplication, reordering, byte corruption, fixed
-// delay plus uniform jitter, and a hard link cut.
+// Package chaos provides seeded network fault injection for tests and
+// soak harnesses, as two proxies. UDPProxy carries datagram traffic (DNS
+// queries) and applies a Fault to every datagram in both directions:
+// probabilistic drop and duplication, and a fixed delay plus uniform
+// jitter. TCPProxy carries stream traffic (report and replication
+// sockets, probe targets) and has one fault, a hard link cut: Cut kills
+// its connections and refuses new ones until Heal.
 //
-// Proxies are seeded so a failing soak run can be replayed with the
-// same fault decisions (modulo goroutine scheduling). Faults are
-// swapped atomically with SetFault, so a test can cut a link, heal it,
-// and ramp loss rates mid-run; Schedule/ParseSchedule give that a
-// declarative form.
+// UDPProxy is seeded so a failing soak run can be replayed with the same
+// fault decisions (modulo goroutine scheduling), and SetFault swaps its
+// fault atomically, so a test can ramp loss rates mid-run.
 package chaos
 
 import (
@@ -26,29 +23,21 @@ import (
 	"time"
 )
 
-// Fault describes what a proxy does to traffic. The zero value is a
-// transparent proxy. Probabilities are per-datagram (UDP) or per-chunk
-// (TCP) and must lie in [0, 1].
+// Fault describes what a UDPProxy does to datagrams. The zero value is a
+// transparent proxy. Probabilities are per datagram and must lie in
+// [0, 1].
 type Fault struct {
-	Drop    float64       // probability a datagram is silently dropped
-	Dup     float64       // probability a datagram is delivered twice
-	Reorder float64       // probability a datagram is held and released after its successor
-	Corrupt float64       // probability one random byte is flipped
-	Delay   time.Duration // fixed latency added to every delivery
-	Jitter  time.Duration // extra uniform latency in [0, Jitter)
-	Cut     bool          // sever the link: drop all datagrams, refuse/kill TCP conns
-}
-
-// IsZero reports whether the fault is fully transparent.
-func (f Fault) IsZero() bool {
-	return f == Fault{}
+	Drop   float64       // probability a datagram is silently dropped
+	Dup    float64       // probability a datagram is delivered twice
+	Delay  time.Duration // fixed latency added to every delivery
+	Jitter time.Duration // extra uniform latency in [0, Jitter)
 }
 
 func (f Fault) validate() error {
 	for _, p := range []struct {
 		name string
 		v    float64
-	}{{"drop", f.Drop}, {"dup", f.Dup}, {"reorder", f.Reorder}, {"corrupt", f.Corrupt}} {
+	}{{"drop", f.Drop}, {"dup", f.Dup}} {
 		if p.v < 0 || p.v > 1 {
 			return fmt.Errorf("chaos: %s probability %v outside [0,1]", p.name, p.v)
 		}
@@ -62,11 +51,9 @@ func (f Fault) validate() error {
 // Stats counts what a proxy did to traffic. Retrieved atomically via
 // the proxy's Stats method.
 type Stats struct {
-	Forwarded uint64 // datagrams/chunks delivered (duplicates counted)
-	Dropped   uint64 // datagrams discarded by Drop or Cut
+	Forwarded uint64 // datagrams delivered (duplicates counted)
+	Dropped   uint64 // datagrams discarded by Drop
 	Dupped    uint64 // extra copies delivered by Dup
-	Reordered uint64 // datagrams delivered out of order
-	Corrupted uint64 // datagrams/chunks with a flipped byte
 	Refused   uint64 // TCP connections refused or killed by Cut
 }
 
@@ -74,8 +61,6 @@ type counters struct {
 	forwarded atomic.Uint64
 	dropped   atomic.Uint64
 	dupped    atomic.Uint64
-	reordered atomic.Uint64
-	corrupted atomic.Uint64
 	refused   atomic.Uint64
 }
 
@@ -84,8 +69,6 @@ func (c *counters) snapshot() Stats {
 		Forwarded: c.forwarded.Load(),
 		Dropped:   c.dropped.Load(),
 		Dupped:    c.dupped.Load(),
-		Reordered: c.reordered.Load(),
-		Corrupted: c.corrupted.Load(),
 		Refused:   c.refused.Load(),
 	}
 }
@@ -107,39 +90,6 @@ func (g *rng) float64() float64 {
 	return v
 }
 
-func (g *rng) intN(n int) int {
-	g.mu.Lock()
-	v := g.r.IntN(n)
-	g.mu.Unlock()
-	return v
-}
-
-// faultState holds the active fault behind an atomic pointer so the
-// datapath never takes a lock to read it.
-type faultState struct {
-	p atomic.Pointer[Fault]
-}
-
-func (s *faultState) store(f Fault) { s.p.Store(&f) }
-func (s *faultState) load() Fault   { return *s.p.Load() }
-
-// delayFor draws the total delivery delay for one datagram.
-func delayFor(f Fault, g *rng) time.Duration {
-	d := f.Delay
-	if f.Jitter > 0 {
-		d += time.Duration(g.float64() * float64(f.Jitter))
-	}
-	return d
-}
-
-// corruptInPlace flips one random byte of b.
-func corruptInPlace(b []byte, g *rng) {
-	if len(b) == 0 {
-		return
-	}
-	b[g.intN(len(b))] ^= 1 << uint(g.intN(8))
-}
-
 // ---------------------------------------------------------------------------
 // UDPProxy
 
@@ -150,22 +100,16 @@ func corruptInPlace(b []byte, g *rng) {
 type UDPProxy struct {
 	ln     *net.UDPConn
 	target string
-	fault  faultState
+	fault  atomic.Pointer[Fault] // read lock-free on the datapath
 	rng    *rng
 	stats  counters
 
 	mu       sync.Mutex
 	sessions map[netip.AddrPort]*udpSession
-	held     map[bool][]heldPacket // per-direction reorder slots (toUpstream key)
 	closed   bool
 
 	done chan struct{}
 	wg   sync.WaitGroup
-}
-
-type heldPacket struct {
-	payload []byte
-	send    func([]byte)
 }
 
 type udpSession struct {
@@ -190,10 +134,9 @@ func NewUDPProxy(listenAddr, target string, seed uint64) (*UDPProxy, error) {
 		target:   target,
 		rng:      newRNG(seed),
 		sessions: make(map[netip.AddrPort]*udpSession),
-		held:     map[bool][]heldPacket{},
 		done:     make(chan struct{}),
 	}
-	p.fault.store(Fault{})
+	p.fault.Store(&Fault{})
 	p.wg.Add(1)
 	go p.readClients()
 	return p, nil
@@ -208,12 +151,9 @@ func (p *UDPProxy) SetFault(f Fault) error {
 	if err := f.validate(); err != nil {
 		return err
 	}
-	p.fault.store(f)
+	p.fault.Store(&f)
 	return nil
 }
-
-// Fault returns the active fault.
-func (p *UDPProxy) Fault() Fault { return p.fault.load() }
 
 // Stats returns a snapshot of the proxy's traffic counters.
 func (p *UDPProxy) Stats() Stats { return p.stats.snapshot() }
@@ -229,7 +169,6 @@ func (p *UDPProxy) Close() error {
 	close(p.done)
 	sessions := p.sessions
 	p.sessions = map[netip.AddrPort]*udpSession{}
-	p.held = map[bool][]heldPacket{}
 	p.mu.Unlock()
 
 	p.ln.Close()
@@ -261,7 +200,7 @@ func (p *UDPProxy) readClients() {
 			continue
 		}
 		pkt := append([]byte(nil), buf[:n]...)
-		p.deliver(pkt, true, func(b []byte) {
+		p.deliver(pkt, func(b []byte) {
 			sess.up.Write(b) //nolint:errcheck // lossy by design
 		})
 	}
@@ -302,7 +241,7 @@ func (p *UDPProxy) readUpstream(s *udpSession) {
 			return
 		}
 		pkt := append([]byte(nil), buf[:n]...)
-		p.deliver(pkt, false, func(b []byte) {
+		p.deliver(pkt, func(b []byte) {
 			p.ln.WriteToUDPAddrPort(b, s.client) //nolint:errcheck // lossy by design
 		})
 	}
@@ -310,35 +249,24 @@ func (p *UDPProxy) readUpstream(s *udpSession) {
 
 // deliver applies the active fault to one datagram and hands surviving
 // copies to send, possibly from a timer goroutine when delayed.
-func (p *UDPProxy) deliver(pkt []byte, toUpstream bool, send func([]byte)) {
-	f := p.fault.load()
-	if f.Cut || (f.Drop > 0 && p.rng.float64() < f.Drop) {
+func (p *UDPProxy) deliver(pkt []byte, send func([]byte)) {
+	f := *p.fault.Load()
+	if f.Drop > 0 && p.rng.float64() < f.Drop {
 		p.stats.dropped.Add(1)
 		return
 	}
-	if f.Corrupt > 0 && p.rng.float64() < f.Corrupt {
-		corruptInPlace(pkt, p.rng)
-		p.stats.corrupted.Add(1)
-	}
-
-	// Reordering: hold this datagram; it is released right after the
-	// next one in the same direction goes out (or by a safety timer if
-	// no successor arrives).
-	if f.Reorder > 0 && p.rng.float64() < f.Reorder {
-		p.hold(pkt, toUpstream, send)
-		return
-	}
-
 	p.send(pkt, f, send)
 	if f.Dup > 0 && p.rng.float64() < f.Dup {
 		p.stats.dupped.Add(1)
 		p.send(append([]byte(nil), pkt...), f, send)
 	}
-	p.releaseHeld(toUpstream)
 }
 
 func (p *UDPProxy) send(pkt []byte, f Fault, send func([]byte)) {
-	d := delayFor(f, p.rng)
+	d := f.Delay
+	if f.Jitter > 0 {
+		d += time.Duration(p.rng.float64() * float64(f.Jitter))
+	}
 	p.stats.forwarded.Add(1)
 	if d <= 0 {
 		send(pkt)
@@ -353,48 +281,21 @@ func (p *UDPProxy) send(pkt []byte, f Fault, send func([]byte)) {
 	})
 }
 
-func (p *UDPProxy) hold(pkt []byte, toUpstream bool, send func([]byte)) {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return
-	}
-	p.held[toUpstream] = append(p.held[toUpstream], heldPacket{payload: pkt, send: send})
-	p.mu.Unlock()
-	// Safety valve: a held datagram with no successor would be lost
-	// forever, which turns "reorder" into "drop" on quiet links.
-	time.AfterFunc(100*time.Millisecond, func() { p.releaseHeld(toUpstream) })
-}
-
-func (p *UDPProxy) releaseHeld(toUpstream bool) {
-	p.mu.Lock()
-	held := p.held[toUpstream]
-	p.held[toUpstream] = nil
-	p.mu.Unlock()
-	f := p.fault.load()
-	for _, h := range held {
-		p.stats.reordered.Add(1)
-		p.send(h.payload, f, h.send)
-	}
-}
-
 // ---------------------------------------------------------------------------
 // TCPProxy
 
-// TCPProxy forwards byte streams between clients and a single upstream
-// target. Cut kills existing connections and refuses new ones; Heal
-// (SetFault with Cut=false) restores service for new connections.
-// Delay/Jitter throttle each copied chunk; Corrupt flips a byte per
-// chunk with the given probability. Drop/Dup/Reorder do not apply to
-// streams and are ignored.
+// TCPProxy forwards byte streams between clients and an upstream target.
+// Cut kills existing connections and refuses new ones; Heal restores
+// service for new connections. The target may be set, or changed, after
+// the proxy listens (SetTarget); while it is empty every connection is
+// refused.
 type TCPProxy struct {
-	ln     net.Listener
-	target string
-	fault  faultState
-	rng    *rng
-	stats  counters
+	ln    net.Listener
+	stats counters
 
 	mu     sync.Mutex
+	target string
+	cut    bool
 	conns  map[net.Conn]struct{}
 	closed bool
 
@@ -403,7 +304,7 @@ type TCPProxy struct {
 }
 
 // NewTCPProxy listens on listenAddr and forwards connections to target.
-func NewTCPProxy(listenAddr, target string, seed uint64) (*TCPProxy, error) {
+func NewTCPProxy(listenAddr, target string) (*TCPProxy, error) {
 	ln, err := net.Listen("tcp", listenAddr)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: listen: %w", err)
@@ -411,11 +312,9 @@ func NewTCPProxy(listenAddr, target string, seed uint64) (*TCPProxy, error) {
 	p := &TCPProxy{
 		ln:     ln,
 		target: target,
-		rng:    newRNG(seed),
 		conns:  make(map[net.Conn]struct{}),
 		done:   make(chan struct{}),
 	}
-	p.fault.store(Fault{})
 	p.wg.Add(1)
 	go p.acceptLoop()
 	return p, nil
@@ -424,34 +323,28 @@ func NewTCPProxy(listenAddr, target string, seed uint64) (*TCPProxy, error) {
 // Addr returns the proxy's listen address.
 func (p *TCPProxy) Addr() string { return p.ln.Addr().String() }
 
-// SetFault atomically replaces the active fault. Setting Cut also
-// severs all established connections.
-func (p *TCPProxy) SetFault(f Fault) error {
-	if err := f.validate(); err != nil {
-		return err
-	}
-	p.fault.store(f)
-	if f.Cut {
-		p.killConns()
-	}
-	return nil
+// SetTarget points new connections at target; established ones keep
+// their upstream. An empty target refuses every new connection.
+func (p *TCPProxy) SetTarget(target string) {
+	p.mu.Lock()
+	p.target = target
+	p.mu.Unlock()
 }
 
-// Fault returns the active fault.
-func (p *TCPProxy) Fault() Fault { return p.fault.load() }
-
-// Cut severs the link, preserving the other fault fields.
+// Cut severs the link: established connections die and new ones are
+// refused until Heal.
 func (p *TCPProxy) Cut() {
-	f := p.fault.load()
-	f.Cut = true
-	p.SetFault(f) //nolint:errcheck // fields already validated
+	p.mu.Lock()
+	p.cut = true
+	p.mu.Unlock()
+	p.killConns()
 }
 
-// Heal restores the link, preserving the other fault fields.
+// Heal restores the link for new connections.
 func (p *TCPProxy) Heal() {
-	f := p.fault.load()
-	f.Cut = false
-	p.SetFault(f) //nolint:errcheck // fields already validated
+	p.mu.Lock()
+	p.cut = false
+	p.mu.Unlock()
 }
 
 // Stats returns a snapshot of the proxy's traffic counters.
@@ -483,13 +376,16 @@ func (p *TCPProxy) killConns() {
 	p.mu.Unlock()
 }
 
-func (p *TCPProxy) track(c net.Conn) bool {
+// track registers a forwarded pair, unless the proxy was cut or closed
+// while the upstream was being dialled.
+func (p *TCPProxy) track(client, up net.Conn) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed {
+	if p.closed || p.cut {
 		return false
 	}
-	p.conns[c] = struct{}{}
+	p.conns[client] = struct{}{}
+	p.conns[up] = struct{}{}
 	return true
 }
 
@@ -514,21 +410,25 @@ func (p *TCPProxy) acceptLoop() {
 			}
 			return
 		}
-		if p.fault.load().Cut {
+		p.mu.Lock()
+		target, cut := p.target, p.cut
+		p.mu.Unlock()
+		if cut || target == "" {
 			p.stats.refused.Add(1)
 			client.Close()
 			continue
 		}
-		up, err := net.DialTimeout("tcp", p.target, 5*time.Second)
+		up, err := net.DialTimeout("tcp", target, 5*time.Second)
 		if err != nil {
 			p.stats.refused.Add(1)
 			client.Close()
 			continue
 		}
-		if !p.track(client) || !p.track(up) {
+		if !p.track(client, up) {
+			p.stats.refused.Add(1)
 			client.Close()
 			up.Close()
-			return
+			continue
 		}
 		p.wg.Add(2)
 		go p.pipe(client, up)
@@ -538,44 +438,11 @@ func (p *TCPProxy) acceptLoop() {
 
 func (p *TCPProxy) pipe(dst, src net.Conn) {
 	defer p.wg.Done()
-	defer func() {
-		dst.Close()
-		src.Close()
-		p.untrack(dst)
-		p.untrack(src)
-	}()
-	buf := make([]byte, 4096)
-	for {
-		n, err := src.Read(buf)
-		if n > 0 {
-			f := p.fault.load()
-			if f.Cut {
-				return
-			}
-			chunk := buf[:n]
-			if f.Corrupt > 0 && p.rng.float64() < f.Corrupt {
-				corruptInPlace(chunk, p.rng)
-				p.stats.corrupted.Add(1)
-			}
-			if d := delayFor(f, p.rng); d > 0 {
-				select {
-				case <-time.After(d):
-				case <-p.done:
-					return
-				}
-			}
-			if _, err := dst.Write(chunk); err != nil {
-				return
-			}
-			p.stats.forwarded.Add(1)
-		}
-		if err != nil {
-			if err != io.EOF {
-				return
-			}
-			return
-		}
-	}
+	io.Copy(dst, src) //nolint:errcheck // either side closing ends the pair
+	dst.Close()
+	src.Close()
+	p.untrack(dst)
+	p.untrack(src)
 }
 
 func isTemporary(err error) bool {

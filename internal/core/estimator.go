@@ -24,9 +24,8 @@ type Estimator struct {
 }
 
 // DefaultEstimatorAlpha is the default EWMA weight of the newest
-// estimation interval, shared by the simulator's configuration
-// defaults and the live DNS server so both paths smooth hidden-load
-// reports identically unless explicitly tuned.
+// estimation interval, the one the simulator and the live DNS server
+// both use, so both paths smooth hidden-load reports identically.
 const DefaultEstimatorAlpha = 0.5
 
 // NewEstimator creates an estimator for the given number of domains.

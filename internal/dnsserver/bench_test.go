@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"dnslb/internal/core"
 	"dnslb/internal/dnswire"
@@ -365,7 +364,7 @@ func TestHandleHotPathZeroAlloc(t *testing.T) {
 	}
 	t.Run("degraded", func(t *testing.T) {
 		srv, _ := testServerNoStart(t, "DRR2-TTL/S_K")
-		srv.over = newOverloadController(srv, OverloadConfig{QPSCeiling: 1e12, Tick: time.Hour, DegradedTTL: 5})
+		srv.over = newOverloadController(srv, OverloadConfig{QPSCeiling: 1e12, DegradedTTL: 5})
 		srv.over.degraded.Store(true)
 		zeroAlloc(t, srv, queries["A+ECS v4"], dnswire.RCodeNoError)
 		if got := srv.Degraded().Answers; got == 0 {

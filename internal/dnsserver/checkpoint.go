@@ -224,12 +224,6 @@ func (s *Server) RestoreCheckpoint(cp *Checkpoint, maxAge time.Duration) error {
 			// the backend's next report withdraws the vote and re-admits it
 			// only if the active prober (when running) also agrees.
 			_ = s.voteDown(detectorPassive, i, true)
-			// Mirror the flag into the liveness monitor so the backend's
-			// next report clears it (Touch only re-admits backends the
-			// monitor itself marked down).
-			if s.liveness != nil {
-				s.liveness.noteRestoredDown(i)
-			}
 		}
 		if scp.Draining {
 			// Resume the drain with the persisted hidden-load window:
@@ -277,6 +271,5 @@ func (s *Server) saveCheckpoint() {
 }
 
 // CheckpointSaves returns how many checkpoints were written
-// successfully; CheckpointErrors how many writes failed.
-func (s *Server) CheckpointSaves() uint64  { return s.ckptSaves.Load() }
-func (s *Server) CheckpointErrors() uint64 { return s.ckptErrs.Load() }
+// successfully.
+func (s *Server) CheckpointSaves() uint64 { return s.ckptSaves.Load() }

@@ -110,9 +110,9 @@ func (s *Server) newProber(cfg probe.Config) error {
 	return nil
 }
 
-// ProbeDown reports the active prober's standing for a server slot
+// probeDown reports the active prober's standing for a server slot
 // (false when probing is not configured or the slot is unprobed).
-func (s *Server) ProbeDown(server int) bool {
+func (s *Server) probeDown(server int) bool {
 	return s.prober != nil && s.prober.Down(server)
 }
 

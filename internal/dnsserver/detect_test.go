@@ -127,8 +127,8 @@ func TestStartProbingDetectsCrashAndRevives(t *testing.T) {
 	addr := listeners[1].Addr().String()
 	listeners[1].Close()
 	waitCond(t, 2*time.Second, func() bool { return srv.Down(1) }, "crashed backend never excluded")
-	if !srv.ProbeDown(1) {
-		t.Fatal("ProbeDown(1) should report the active detector's vote")
+	if !srv.probeDown(1) {
+		t.Fatal("probeDown(1) should report the active detector's vote")
 	}
 	if srv.Down(0) {
 		t.Fatal("healthy backend excluded")
@@ -186,7 +186,7 @@ func TestProbeReviveWaitsForPassiveAgreement(t *testing.T) {
 	// Passive detector (simulated) votes down, then the backend "dies".
 	_ = srv.voteDown(detectorPassive, 0, true)
 	ln.Close()
-	waitCond(t, 2*time.Second, func() bool { return srv.ProbeDown(0) }, "probe never failed")
+	waitCond(t, 2*time.Second, func() bool { return srv.probeDown(0) }, "probe never failed")
 	if !srv.Down(0) {
 		t.Fatal("server should be down")
 	}
@@ -206,7 +206,7 @@ func TestProbeReviveWaitsForPassiveAgreement(t *testing.T) {
 			c.Close()
 		}
 	}()
-	waitCond(t, 3*time.Second, func() bool { return !srv.ProbeDown(0) }, "probe never recovered")
+	waitCond(t, 3*time.Second, func() bool { return !srv.probeDown(0) }, "probe never recovered")
 	if !srv.Down(0) {
 		t.Fatal("probe recovery alone re-admitted the server despite the passive vote")
 	}
@@ -236,7 +236,7 @@ func TestStartProbingValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if srv.ProbeDown(0) {
+	if srv.probeDown(0) {
 		t.Fatal("all-empty targets should never be down")
 	}
 }

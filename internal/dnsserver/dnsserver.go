@@ -73,10 +73,9 @@ type Config struct {
 	// in the clear and closes on anything else: TLS and HTTP/2 terminate
 	// ahead of the process.
 	HTTPAddr string
-	// ECS selects the engine's RFC 7871 client-subnet handling
-	// (passthrough/add/override plus source-prefix clamps); the zero
-	// value is passthrough with the RFC-recommended granularity.
-	ECS engine.ECSConfig
+	// ECS selects the engine's RFC 7871 client-subnet mode
+	// (passthrough/add/override); the zero value is passthrough.
+	ECS engine.ECSMode
 	// Logger receives structured serve-loop diagnostics; nil discards
 	// them.
 	Logger *slog.Logger
@@ -87,13 +86,8 @@ type Config struct {
 	// goroutines over the one shared socket. Zero or negative defaults
 	// to runtime.GOMAXPROCS(0).
 	UDPWorkers int
-	// EstimatorAlpha is the EWMA weight the hidden-load estimator
-	// gives the newest collection interval, in (0,1]. Zero defaults to
-	// core.DefaultEstimatorAlpha — the same default the simulator's
-	// configuration uses, so both paths smooth identically unless
-	// explicitly tuned.
-	EstimatorAlpha float64
-	// Estimator selects the hidden-load estimator kind:
+	// Estimator selects the hidden-load estimator kind, smoothing with
+	// core.DefaultEstimatorAlpha as the simulator does:
 	// core.EstimatorReactive (the paper's EWMA over reports, default
 	// when empty) or core.EstimatorPredictive (the NS-cache
 	// forecasting model fed by every TTL the server hands out). A
@@ -101,8 +95,7 @@ type Config struct {
 	// other.
 	Estimator string
 	// Overload configures graceful degradation under aggregate overload
-	// or stale soft state (see overload.go). The zero value disables
-	// the admission layer.
+	// (see overload.go). The zero value disables the admission layer.
 	Overload OverloadConfig
 	// MaxTCPConns bounds the number of concurrently served connections
 	// of each stream listener — DNS-over-TCP, DoH and the report socket;
@@ -196,7 +189,7 @@ type Server struct {
 	// configured. Start launches them and Shutdown stops them (serve.go).
 	//
 	// liveness and prober are the passive and the active failure detector
-	// and votes combines them (detect.go). over is the overload/staleness
+	// and votes combines them (detect.go). over is the overload
 	// admission controller (overload.go): while it is nil the query path
 	// pays one nil check. replNode is the replica's protocol endpoint,
 	// fed by the engine's decision tap, and replicator its gossip links
@@ -214,21 +207,15 @@ type Server struct {
 	reconfigMu  sync.Mutex
 	drainTimers map[int]*time.Timer
 
-	// Reconfiguration and robustness counters; exported as metric
-	// series when instrumented but always maintained, so uninstrumented
-	// servers (and tests) can observe them too.
-	// lastRoll (unix nanos) and lastRollInterval (float64 bits, seconds)
-	// record the most recent estimator roll — the overload controller's
-	// staleness signal.
-	lastRoll         atomic.Int64
-	lastRollInterval atomic.Uint64
-
 	// maxTCPConns caps the concurrent connections of each stream listener
 	// (0 = unlimited after New applied the default); tcpConns is the live
 	// count on the TCP one.
 	maxTCPConns int
 	tcpConns    atomic.Int64
 
+	// Reconfiguration and robustness counters; exported as metric
+	// series when instrumented but always maintained, so uninstrumented
+	// servers (and tests) can observe them too.
 	panics     atomic.Uint64
 	joins      atomic.Uint64
 	drains     atomic.Uint64
@@ -291,9 +278,9 @@ type transportShard struct {
 // (none/udp/tcp/doh).
 const numTransports = 4
 
-// TransportQueries returns how many queries arrived through the given
+// transportQueries returns how many queries arrived through the given
 // transport, summed across the shards.
-func (s *Server) TransportQueries(tr engine.Transport) uint64 {
+func (s *Server) transportQueries(tr engine.Transport) uint64 {
 	if int(tr) >= numTransports {
 		return 0
 	}
@@ -371,11 +358,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = logging.Discard()
 	}
-	alpha := cfg.EstimatorAlpha
-	if alpha == 0 {
-		alpha = core.DefaultEstimatorAlpha
-	}
-	est, err := core.NewLoadEstimator(cfg.Estimator, cfg.Policy.State().Domains(), alpha)
+	est, err := core.NewLoadEstimator(cfg.Estimator, cfg.Policy.State().Domains(), core.DefaultEstimatorAlpha)
 	if err != nil {
 		return nil, err
 	}
@@ -458,10 +441,6 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Engine returns the server's scheduling engine — the same decision
-// lifecycle the simulator drives under virtual time.
-func (s *Server) Engine() *engine.Engine { return s.eng }
-
 // serverAddrs returns the current immutable address table.
 func (s *Server) serverAddrs() []netip.Addr { return *s.addrs.Load() }
 
@@ -513,10 +492,6 @@ func (s *Server) UDPWorkers() int { return s.udpWorkers }
 // Servers returns the number of server slots (including retired ones;
 // see the policy state's Member for slot standing).
 func (s *Server) Servers() int { return len(s.serverAddrs()) }
-
-// Panics returns how many query-handler panics were recovered since
-// start; each one is also logged and counted in dnslb_dns_panics_total.
-func (s *Server) Panics() uint64 { return s.panics.Load() }
 
 // SetAlarm relays a Web server's alarm/normal signal to the scheduler.
 // An out-of-range index is reported back, so remote reporters learn
@@ -576,15 +551,8 @@ func (s *Server) RecordHits(domain int, hits float64) {
 
 // RollEstimates closes an estimation interval of the given length and
 // installs the resulting hidden-load weights into the scheduler state.
-// The roll instant and interval are recorded for the overload
-// controller's soft-state staleness trigger.
 func (s *Server) RollEstimates(intervalSeconds float64) error {
-	if err := s.eng.RollEstimates(intervalSeconds); err != nil {
-		return err
-	}
-	s.lastRoll.Store(time.Now().UnixNano())
-	s.lastRollInterval.Store(floatBits(intervalSeconds))
-	return nil
+	return s.eng.RollEstimates(intervalSeconds)
 }
 
 // PrefixHashMapper maps a querying address to a domain index by

@@ -605,7 +605,7 @@ func TestDoHConnCap(t *testing.T) {
 	if _, err := readTCPResponse(tconn); err != nil {
 		t.Fatalf("DNS-over-TCP while DoH is at its cap: %v", err)
 	}
-	if got := srv.TCPConns(); got != 1 {
+	if got := srv.tcpConns.Load(); got != 1 {
 		t.Errorf("TCPConns = %d, want 1: DoH connections are not TCP's", got)
 	}
 
@@ -879,7 +879,7 @@ func BenchmarkServerDoH(b *testing.B) {
 			read(clients[i])
 		}
 	}
-	if got := srv.TransportQueries(engine.TransportDoH); got != uint64(b.N) {
+	if got := srv.transportQueries(engine.TransportDoH); got != uint64(b.N) {
 		b.Fatalf("%d DoH queries counted for %d requests", got, b.N)
 	}
 }

@@ -781,7 +781,7 @@ func TestResolveJSONMatchesWire(t *testing.T) {
 		if st := srv.Stats(); st.Queries != 2*n || st.Answered != answered {
 			t.Errorf("stats %+v, want %d queries, %d answered", st, 2*n, answered)
 		}
-		if got := srv.TransportQueries(engine.TransportDoH); got != 2*n {
+		if got := srv.transportQueries(engine.TransportDoH); got != 2*n {
 			t.Errorf("%d queries counted on the DoH transport, want %d", got, 2*n)
 		}
 		if ok := srv.dohOK.Load(); ok != 2*n {
@@ -795,7 +795,7 @@ func TestResolveJSONMatchesWire(t *testing.T) {
 	})
 	t.Run("degraded", func(t *testing.T) {
 		srv, _ := testServerNoStart(t, "DRR2-TTL/S_K")
-		srv.over = newOverloadController(srv, OverloadConfig{QPSCeiling: 1e12, Tick: time.Hour, DegradedTTL: 5})
+		srv.over = newOverloadController(srv, OverloadConfig{QPSCeiling: 1e12, DegradedTTL: 5})
 		srv.over.degraded.Store(true)
 		check(t, srv, 0, 8)
 		if got := srv.Degraded().Answers; got != 4 {

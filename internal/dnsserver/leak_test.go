@@ -66,7 +66,7 @@ func TestLifecycleEveryComponent(t *testing.T) {
 			cfg.Probe.Targets[6].Addr = "127.0.0.1:1"
 			cfg.Replication = ReplicationConfig{ReplicaID: "lifecycle", Peers: []string{"127.0.0.1:1"}, Interval: tick}
 			cfg.CheckpointPath, cfg.CheckpointInterval = ckpt, tick
-			cfg.Overload = OverloadConfig{QPSCeiling: 1e9, Tick: tick}
+			cfg.Overload = OverloadConfig{QPSCeiling: 1e9}
 		})
 		if _, err := resolverFor(t, srv).LookupA(context.Background(), "www.site.example"); err != nil {
 			t.Fatal(err)
@@ -84,7 +84,7 @@ func TestLifecycleEveryComponent(t *testing.T) {
 		if resp := roundTrip(t, idle[0], "ALARM 1 1"); resp != "OK\n" {
 			t.Fatalf("response = %q", resp)
 		}
-		waitCond(t, 2*time.Second, func() bool { return srv.ProbeDown(6) && srv.CheckpointSaves() > 0 },
+		waitCond(t, 2*time.Second, func() bool { return srv.probeDown(6) && srv.CheckpointSaves() > 0 },
 			"the prober or the periodic checkpoint never ran")
 		saves := srv.CheckpointSaves()
 

@@ -14,7 +14,8 @@ import (
 // a backend that stays silent for k consecutive report intervals is
 // marked down in the scheduler — it receives no new mappings until it
 // reports again. Recovery is immediate: the next line from a down backend
-// re-admits it.
+// re-admits it. The monitor's down standing is its detectorPassive vote
+// in the server's downVotes (detect.go), and nothing else.
 //
 // New builds the monitor empty and grows it over the slots, which opens
 // every backend's grace period of k intervals to deliver its first
@@ -26,7 +27,6 @@ type livenessMonitor struct {
 
 	mu       sync.Mutex
 	lastSeen []time.Time
-	down     []bool
 
 	// exclusions holds the per-server exclusion counters (nil elements
 	// when uninstrumented); read under mu, grown by Grow.
@@ -44,19 +44,14 @@ type livenessMonitor struct {
 // validates and reports them before they reach the monitor).
 func (m *livenessMonitor) Touch(server int) {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	if server < 0 || server >= len(m.lastSeen) {
-		m.mu.Unlock()
 		return
 	}
 	m.lastSeen[server] = time.Now()
-	wasDown := m.down[server]
-	m.down[server] = false
-	m.mu.Unlock()
-	if wasDown {
-		// Withdraw the passive down vote; the scheduler re-admits the
-		// backend only when the active prober (if any) agrees it is up.
-		_ = m.srv.voteDown(detectorPassive, server, false)
-	}
+	// Withdraw the passive down vote, if cast; the scheduler re-admits the
+	// backend only when the active prober (if any) agrees it is up.
+	_ = m.srv.voteDown(detectorPassive, server, false)
 }
 
 // Grow extends the monitor to cover n backends, giving each new slot a
@@ -106,7 +101,6 @@ func (m *livenessMonitor) Grow(n int) {
 	m.mu.Lock()
 	for i := start; i < n; i++ {
 		m.lastSeen = append(m.lastSeen, now)
-		m.down = append(m.down, false)
 	}
 	if counters != nil {
 		// Instrumented: keep exclusions index-aligned with lastSeen.
@@ -115,50 +109,20 @@ func (m *livenessMonitor) Grow(n int) {
 	m.mu.Unlock()
 }
 
-// noteRestoredDown marks server i down in the monitor's own view, used
-// when a checkpoint restore re-applies a down flag: Touch clears the
-// scheduler's down flag only when the monitor itself considers the
-// backend down, so without this the restored exclusion would outlive
-// the backend's recovery.
-func (m *livenessMonitor) noteRestoredDown(server int) {
-	m.mu.Lock()
-	if server >= 0 && server < len(m.down) {
-		m.down[server] = true
-	}
-	m.mu.Unlock()
-}
-
-// Down reports whether the monitor currently considers the backend
-// failed.
-func (m *livenessMonitor) Down(server int) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if server < 0 || server >= len(m.down) {
-		return false
-	}
-	return m.down[server]
-}
-
 // check marks every backend silent for more than k intervals as down.
+// It votes under mu, as Touch withdraws, so a report that lands while a
+// backend is being excluded cannot be overtaken by the exclusion.
 func (m *livenessMonitor) check(now time.Time) {
 	deadline := time.Duration(m.k) * m.interval
-	var newlyDown []int
-	var counters []*metrics.Counter
 	m.mu.Lock()
-	for i := range m.lastSeen {
-		if !m.down[i] && now.Sub(m.lastSeen[i]) > deadline {
-			m.down[i] = true
-			newlyDown = append(newlyDown, i)
-			if i < len(m.exclusions) && m.exclusions[i] != nil {
-				counters = append(counters, m.exclusions[i])
-			}
+	defer m.mu.Unlock()
+	for i, seen := range m.lastSeen {
+		if now.Sub(seen) <= deadline || m.srv.votes.holds(detectorPassive, i) {
+			continue
 		}
-	}
-	m.mu.Unlock()
-	for _, c := range counters {
-		c.Inc()
-	}
-	for _, i := range newlyDown {
+		if i < len(m.exclusions) && m.exclusions[i] != nil {
+			m.exclusions[i].Inc()
+		}
 		_ = m.srv.voteDown(detectorPassive, i, true)
 	}
 }

@@ -45,7 +45,6 @@ func TestLivenessDetectsSilentBackend(t *testing.T) {
 	// Backends 0..6 exist; only backend 0 keeps reporting. After the
 	// grace period the silent ones are marked down, the reporter stays.
 	srv := testServerLiveness(t, 20*time.Millisecond, 2)
-	m := srv.liveness
 
 	stop := make(chan struct{})
 	defer close(stop)
@@ -73,8 +72,8 @@ func TestLivenessDetectsSilentBackend(t *testing.T) {
 	if srv.Down(0) {
 		t.Error("reporting backend 0 marked down")
 	}
-	if !m.Down(3) || m.Down(0) {
-		t.Error("monitor view disagrees with scheduler")
+	if !srv.votes.holds(detectorPassive, 3) || srv.votes.holds(detectorPassive, 0) {
+		t.Error("passive vote disagrees with scheduler")
 	}
 }
 
@@ -89,5 +88,41 @@ func TestLivenessRecoveryOnReport(t *testing.T) {
 	sendReports(t, srv.ReportAddr().String(), "ALIVE 2", "ALARM 5 0")
 	if srv.Down(2) || srv.Down(5) {
 		t.Error("reporting backends not re-admitted immediately")
+	}
+}
+
+// TestRestoredDownBackend: a checkpoint restores a down backend as the
+// passive detector's vote. Its next report withdraws that vote and
+// re-admits it — unless the prober also votes it down, in which case it
+// stays down until the prober agrees it is up.
+func TestRestoredDownBackend(t *testing.T) {
+	srv, _ := testServerNoStart(t, "RR")
+	cp := srv.Checkpoint()
+	cp.Servers[1].Down, cp.Servers[2].Down = true, true
+	cfg := srv.cfg
+	cfg.LivenessK, cfg.LivenessInterval = 3, time.Hour
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.RestoreCheckpoint(cp, time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if !srv.Down(1) || !srv.Down(2) {
+		t.Fatal("restored down standing not applied")
+	}
+	_ = srv.voteDown(detectorActive, 2, true)
+
+	srv.touchLiveness(1)
+	srv.touchLiveness(2)
+	if srv.Down(1) {
+		t.Error("restored backend not re-admitted by its report")
+	}
+	if !srv.Down(2) {
+		t.Fatal("a report re-admitted a backend the prober votes down")
+	}
+	_ = srv.voteDown(detectorActive, 2, false)
+	if srv.Down(2) {
+		t.Error("backend still down with every vote withdrawn")
 	}
 }

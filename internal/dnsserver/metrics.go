@@ -75,7 +75,7 @@ func newServerMetrics(reg *metrics.Registry, s *Server) *serverMetrics {
 		reg.NewCounterFunc("dnslb_dns_queries_total",
 			"DNS queries received, before any classification.",
 			metrics.Labels{"transport", tr.String()},
-			func() uint64 { return s.TransportQueries(tr) })
+			func() uint64 { return s.transportQueries(tr) })
 	}
 	for _, oc := range []struct {
 		name string
@@ -127,7 +127,7 @@ func newServerMetrics(reg *metrics.Registry, s *Server) *serverMetrics {
 	// connection count next to the configured cap.
 	reg.NewGaugeFunc("dnslb_dns_tcp_conns",
 		"TCP connections currently being served.",
-		nil, func() float64 { return float64(s.TCPConns()) })
+		nil, func() float64 { return float64(s.tcpConns.Load()) })
 	reg.NewGaugeFunc("dnslb_dns_tcp_conns_max",
 		"Configured concurrent TCP connection cap (0 = unlimited).",
 		nil, func() float64 { return float64(s.maxTCPConns) })
@@ -137,7 +137,7 @@ func newServerMetrics(reg *metrics.Registry, s *Server) *serverMetrics {
 	// conditional scrape config.
 	reg.NewGaugeFunc("dnslb_dns_degraded_mode",
 		"1 while the overload controller has the server serving the static degraded ladder.",
-		nil, func() float64 { return boolGauge(s.DegradedMode()) })
+		nil, func() float64 { return boolGauge(s.Degraded().Degraded) })
 	reg.NewCounterFunc("dnslb_dns_degraded_transitions_total",
 		"Degraded-mode transitions (enter and leave each count once).",
 		nil, func() uint64 { return s.Degraded().Transitions })

@@ -10,13 +10,9 @@ import (
 // Overload graceful degradation: a global admission layer distinct
 // from the per-source rate limiter. The per-source limiter protects
 // the server from one abusive resolver; this layer decides what to do
-// when the server as a whole can no longer afford — or no longer
-// trust — the full decision lifecycle:
-//
-//   - aggregate query rate above a configured ceiling, or
-//   - soft state gone stale: replication degraded (no connected peers)
-//     while the hidden-load estimator has not rolled for StaleRolls
-//     intervals.
+// when the aggregate query rate rises above a configured ceiling and
+// the server as a whole can no longer afford the full decision
+// lifecycle.
 //
 // In degraded mode the zone's A queries are answered by the engine's
 // static capacity-weighted round-robin ladder (engine.DecideFallback)
@@ -26,65 +22,36 @@ import (
 // always on" posture, with short TTLs pulling clients back to the
 // adaptive policy quickly after recovery.
 //
-// Mode transitions carry hysteresis in both directions (EnterTicks
-// consecutive over-ceiling samples to enter, ExitTicks consecutive
-// samples below ExitRatio×ceiling to leave) so a load level hovering
-// at the ceiling cannot flap the mode per sample.
+// The rate is sampled once an overloadTick, over the interval measured
+// since the previous sample. Mode transitions carry hysteresis in both
+// directions (overloadEnterTicks consecutive over-ceiling samples to
+// enter, overloadExitTicks consecutive samples below
+// overloadExitRatio×ceiling to leave) so a load level hovering at the
+// ceiling cannot flap the mode per sample.
+const (
+	overloadTick       = time.Second
+	overloadExitRatio  = 0.8
+	overloadEnterTicks = 2
+	overloadExitTicks  = 5
+)
 
 // OverloadConfig configures the degradation controller. The zero value
 // disables it entirely.
 type OverloadConfig struct {
 	// QPSCeiling is the aggregate queries/second above which the server
-	// degrades. Zero disables the rate trigger.
+	// degrades. Zero disables the controller.
 	QPSCeiling float64
-	// ExitRatio is the fraction of QPSCeiling the rate must fall below
-	// to arm mode exit, in (0,1]. Zero defaults to 0.8.
-	ExitRatio float64
-	// EnterTicks and ExitTicks are the consecutive sample counts
-	// required to enter and leave degraded mode. Zero defaults to 2
-	// and 5 respectively.
-	EnterTicks int
-	ExitTicks  int
-	// Tick is the sampling period. Zero defaults to 1s.
-	Tick time.Duration
 	// DegradedTTL is the TTL (seconds) handed out with degraded-mode
 	// answers. Zero defaults to 5.
 	DegradedTTL float64
-	// StaleRolls arms the staleness trigger: the server degrades when
-	// replication is degraded AND the estimator has not rolled for
-	// StaleRolls times its last roll interval. Zero disables the
-	// staleness trigger. A server that never rolled is cold, not stale.
-	StaleRolls int
 }
 
-// Enabled reports whether any trigger is configured.
-func (c OverloadConfig) Enabled() bool { return c.QPSCeiling > 0 || c.StaleRolls > 0 }
-
-func (c OverloadConfig) withDefaults() OverloadConfig {
-	if c.ExitRatio <= 0 || c.ExitRatio > 1 {
-		c.ExitRatio = 0.8
-	}
-	if c.EnterTicks <= 0 {
-		c.EnterTicks = 2
-	}
-	if c.ExitTicks <= 0 {
-		c.ExitTicks = 5
-	}
-	if c.Tick <= 0 {
-		c.Tick = time.Second
-	}
-	if c.DegradedTTL <= 0 {
-		c.DegradedTTL = 5
-	}
-	return c
-}
+// Enabled reports whether the controller is configured.
+func (c OverloadConfig) Enabled() bool { return c.QPSCeiling > 0 }
 
 func (c OverloadConfig) validate() error {
 	if c.QPSCeiling < 0 {
 		return fmt.Errorf("dnsserver: overload ceiling %v must be >= 0", c.QPSCeiling)
-	}
-	if c.StaleRolls < 0 {
-		return fmt.Errorf("dnsserver: overload stale rolls %d must be >= 0", c.StaleRolls)
 	}
 	if c.DegradedTTL < 0 {
 		return fmt.Errorf("dnsserver: degraded TTL %v must be >= 0", c.DegradedTTL)
@@ -93,7 +60,7 @@ func (c OverloadConfig) validate() error {
 }
 
 // overloadController drives the degraded-mode flag: Start has sample
-// take the aggregate query rate and the soft state's health once a Tick.
+// take the aggregate query rate once an overloadTick.
 type overloadController struct {
 	srv *Server
 	cfg OverloadConfig
@@ -103,10 +70,12 @@ type overloadController struct {
 	lastRate    atomic.Uint64 // float64 bits of the last sampled qps
 	shed        [statsShards]paddedCounter
 
-	// hysteresis counters, owned by the sampling goroutine
+	// hysteresis counters and the previous sample, owned by the sampling
+	// goroutine
 	overStreak  int
 	clearStreak int
 	lastQueries uint64
+	lastSample  time.Time
 }
 
 // paddedCounter is an atomic counter on its own cache line, so the
@@ -118,7 +87,10 @@ type paddedCounter struct {
 }
 
 func newOverloadController(s *Server, cfg OverloadConfig) *overloadController {
-	return &overloadController{srv: s, cfg: cfg.withDefaults(), lastQueries: s.Stats().Queries}
+	if cfg.DegradedTTL == 0 {
+		cfg.DegradedTTL = 5
+	}
+	return &overloadController{srv: s, cfg: cfg, lastQueries: s.Stats().Queries, lastSample: time.Now()}
 }
 
 // active is the query path's gate: one atomic load.
@@ -138,89 +110,56 @@ func (c *overloadController) degradedAnswers() uint64 {
 	return t
 }
 
-// sample takes one rate measurement, evaluates the triggers, and
-// applies the hysteresis rules.
-func (c *overloadController) sample() {
+// sample takes one rate measurement at now and applies the hysteresis
+// rules. The rate is over the time since the previous sample, not over
+// overloadTick: a ticker drops ticks for a slow receiver, which is the
+// overloaded case, and a late sample then spans more than one tick.
+func (c *overloadController) sample(now time.Time) {
 	queries := c.srv.Stats().Queries
-	rate := float64(queries-c.lastQueries) / c.cfg.Tick.Seconds()
-	c.lastQueries = queries
-	c.lastRate.Store(floatBits(rate))
-
-	overRate := c.cfg.QPSCeiling > 0 && rate > c.cfg.QPSCeiling
-	stale := c.stale()
+	rate := float64(queries-c.lastQueries) / now.Sub(c.lastSample).Seconds()
+	c.lastQueries, c.lastSample = queries, now
+	c.lastRate.Store(math.Float64bits(rate))
 
 	if c.degraded.Load() {
-		// Exit requires every trigger clear, with the rate holding below
-		// the exit threshold for ExitTicks consecutive samples.
-		calm := !stale && (c.cfg.QPSCeiling == 0 || rate < c.cfg.ExitRatio*c.cfg.QPSCeiling)
-		if calm {
+		// Exit requires the rate to hold below the exit threshold for
+		// overloadExitTicks consecutive samples.
+		if rate < overloadExitRatio*c.cfg.QPSCeiling {
 			c.clearStreak++
-			if c.clearStreak >= c.cfg.ExitTicks {
-				c.setDegraded(false, rate, stale)
+			if c.clearStreak >= overloadExitTicks {
+				c.setDegraded(false, rate)
 			}
 		} else {
 			c.clearStreak = 0
 		}
 		return
 	}
-	// Staleness is slow-moving by construction (it took StaleRolls
-	// intervals to arise), so it enters immediately; the rate trigger
-	// needs EnterTicks consecutive over-ceiling samples.
-	if stale {
-		c.setDegraded(true, rate, stale)
-		return
-	}
-	if overRate {
+	if rate > c.cfg.QPSCeiling {
 		c.overStreak++
-		if c.overStreak >= c.cfg.EnterTicks {
-			c.setDegraded(true, rate, stale)
+		if c.overStreak >= overloadEnterTicks {
+			c.setDegraded(true, rate)
 		}
 	} else {
 		c.overStreak = 0
 	}
 }
 
-func (c *overloadController) setDegraded(on bool, rate float64, stale bool) {
+func (c *overloadController) setDegraded(on bool, rate float64) {
 	c.degraded.Store(on)
 	c.transitions.Add(1)
 	c.overStreak = 0
 	c.clearStreak = 0
 	if on {
 		c.srv.logger.Warn("entering degraded mode",
-			"rate_qps", rate, "ceiling_qps", c.cfg.QPSCeiling, "stale", stale,
-			"degraded_ttl", c.cfg.DegradedTTL)
+			"rate_qps", rate, "ceiling_qps", c.cfg.QPSCeiling, "degraded_ttl", c.cfg.DegradedTTL)
 	} else {
 		c.srv.logger.Info("leaving degraded mode", "rate_qps", rate)
 	}
 }
 
-// stale reports the soft-state staleness trigger: replication degraded
-// while the estimator's last roll is older than StaleRolls of its own
-// intervals.
-func (c *overloadController) stale() bool {
-	if c.cfg.StaleRolls == 0 {
-		return false
-	}
-	if repl := c.srv.replicator; repl == nil || !repl.Degraded() {
-		return false
-	}
-	lastRoll := c.srv.lastRoll.Load()
-	interval := floatFromBits(c.srv.lastRollInterval.Load())
-	if lastRoll == 0 || interval <= 0 {
-		return false // never rolled: cold, not stale
-	}
-	age := time.Since(time.Unix(0, lastRoll)).Seconds()
-	return age > float64(c.cfg.StaleRolls)*interval
-}
-
-// Rate returns the last sampled aggregate query rate in qps.
-func (c *overloadController) rate() float64 { return floatFromBits(c.lastRate.Load()) }
+// rate returns the last sampled aggregate query rate in qps.
+func (c *overloadController) rate() float64 { return math.Float64frombits(c.lastRate.Load()) }
 
 // --- Server surface -------------------------------------------------------
-
-// DegradedMode reports whether the overload controller currently has
-// the server in degraded mode (always false when not configured).
-func (s *Server) DegradedMode() bool { return s.over != nil && s.over.active() }
 
 // DegradedStats reports the degradation controller's counters: answers
 // served by the static ladder and mode transitions (enter and leave
@@ -244,7 +183,3 @@ func (s *Server) Degraded() DegradedStats {
 		LastRateQPS: s.over.rate(),
 	}
 }
-
-func floatBits(f float64) uint64 { return math.Float64bits(f) }
-
-func floatFromBits(b uint64) float64 { return math.Float64frombits(b) }

@@ -13,7 +13,6 @@ import (
 func TestOverloadConfigValidation(t *testing.T) {
 	for _, cfg := range []OverloadConfig{
 		{QPSCeiling: -1},
-		{StaleRolls: -1},
 		{QPSCeiling: 100, DegradedTTL: -1},
 	} {
 		if err := cfg.validate(); err == nil {
@@ -23,127 +22,107 @@ func TestOverloadConfigValidation(t *testing.T) {
 	if (OverloadConfig{}).Enabled() {
 		t.Error("zero config must be disabled")
 	}
-	if !(OverloadConfig{QPSCeiling: 10}).Enabled() || !(OverloadConfig{StaleRolls: 3}).Enabled() {
-		t.Error("configured triggers must report enabled")
+	if !(OverloadConfig{QPSCeiling: 10}).Enabled() {
+		t.Error("a ceiling must report enabled")
 	}
 }
 
-// TestOverloadRateHysteresis drives the controller's sample() directly
-// by crediting the query counter between samples. Tick is an hour so
-// the background loop never interferes: each manual sample sees
-// rate = delta/3600.
+// handSampler drives a controller's sample by hand: each step credits
+// qps×seconds queries to the counter and samples that many seconds
+// after the previous sample.
+func handSampler(srv *Server, c *overloadController) func(qps, seconds float64) {
+	at := c.lastSample
+	return func(qps, seconds float64) {
+		srv.stats[0].queries.Add(uint64(qps * seconds))
+		at = at.Add(time.Duration(seconds * float64(time.Second)))
+		c.sample(at)
+	}
+}
+
+// TestOverloadRateHysteresis drives the controller's sample() by hand,
+// one second apart, against the constant hysteresis: overloadEnterTicks
+// (2) samples over the ceiling enter, overloadExitTicks (5) samples
+// under overloadExitRatio (0.8) of it leave.
 func TestOverloadRateHysteresis(t *testing.T) {
 	srv, _ := testServerNoStart(t, "RR")
-	c := newOverloadController(srv, OverloadConfig{
-		QPSCeiling: 1,
-		ExitRatio:  0.5,
-		EnterTicks: 2,
-		ExitTicks:  2,
-		Tick:       time.Hour,
-	})
+	c := newOverloadController(srv, OverloadConfig{QPSCeiling: 100})
+	step := handSampler(srv, c)
+	tick := func(qps float64) { step(qps, 1) }
 
-	tick := func(qps float64) {
-		srv.stats[0].queries.Add(uint64(qps * time.Hour.Seconds()))
-		c.sample()
-	}
-
-	// One over-ceiling sample is not enough (EnterTicks = 2)...
-	tick(2)
+	// One over-ceiling sample is not enough...
+	tick(200)
 	if c.active() {
 		t.Fatal("degraded after a single over-ceiling sample")
 	}
 	// ...and a calm sample resets the streak.
 	tick(0)
-	tick(2)
+	tick(200)
 	if c.active() {
 		t.Fatal("degraded after a broken streak")
 	}
 	// Two consecutive over-ceiling samples enter degraded mode.
-	tick(2)
+	tick(200)
 	if !c.active() {
-		t.Fatal("not degraded after EnterTicks over-ceiling samples")
+		t.Fatal("not degraded after overloadEnterTicks over-ceiling samples")
 	}
 	if got := c.transitions.Load(); got != 1 {
 		t.Fatalf("transitions = %d, want 1", got)
 	}
-	if got := c.rate(); got != 2 {
-		t.Fatalf("sampled rate = %v, want 2", got)
+	if got := c.rate(); got != 200 {
+		t.Fatalf("sampled rate = %v, want 200", got)
 	}
 
-	// Below ceiling but above ExitRatio*ceiling: still pinned degraded.
-	tick(0.7)
-	tick(0.7)
-	tick(0.7)
+	// Below ceiling but above the exit ratio: still pinned degraded.
+	for i := 0; i < 2*overloadExitTicks; i++ {
+		tick(90)
+	}
 	if !c.active() {
 		t.Fatal("left degraded mode in the hysteresis band")
 	}
-	// A single calm sample does not exit (ExitTicks = 2)...
-	tick(0.2)
-	if !c.active() {
-		t.Fatal("left degraded mode after one calm sample")
+	// Fewer calm samples than overloadExitTicks do not exit, and an
+	// intervening hot sample resets the exit streak.
+	for i := 0; i < overloadExitTicks-1; i++ {
+		tick(50)
 	}
-	// ...and an intervening hot sample resets the exit streak.
-	tick(0.7)
-	tick(0.2)
+	tick(90)
+	for i := 0; i < overloadExitTicks-1; i++ {
+		tick(50)
+	}
 	if !c.active() {
 		t.Fatal("exit streak survived a hot sample")
 	}
-	tick(0.2)
+	tick(50)
 	if c.active() {
-		t.Fatal("still degraded after ExitTicks calm samples")
+		t.Fatal("still degraded after overloadExitTicks calm samples")
 	}
 	if got := c.transitions.Load(); got != 2 {
 		t.Fatalf("transitions = %d, want 2", got)
 	}
 }
 
-// TestOverloadStaleTrigger: replication degraded (no reachable peers)
-// plus an estimator roll older than StaleRolls intervals enters
-// degraded mode immediately; a fresh roll plus ExitTicks calm samples
-// leaves it.
-func TestOverloadStaleTrigger(t *testing.T) {
-	srv, _ := testServerCfg(t, "RR", func(cfg *Config) {
-		cfg.Replication = ReplicationConfig{
-			ReplicaID: "stale-test",
-			Peers:     []string{"127.0.0.1:1"}, // unreachable: Degraded() holds
-			Interval:  20 * time.Millisecond,
+// TestOverloadRateOverMeasuredInterval: a ticker drops ticks for a slow
+// receiver, so a sample can land two seconds after the previous one.
+// Two seconds of queries at 0.75× the ceiling are then 0.75× over the
+// measured interval, not 1.5× over one tick: the controller never
+// degrades.
+func TestOverloadRateOverMeasuredInterval(t *testing.T) {
+	srv, _ := testServerNoStart(t, "RR")
+	c := newOverloadController(srv, OverloadConfig{QPSCeiling: 100})
+	step := handSampler(srv, c)
+	for i := 0; i < 2*overloadEnterTicks; i++ {
+		step(75, 2)
+		if c.active() {
+			t.Fatalf("degraded at 0.75× the ceiling after %d late samples (rate %v)", i+1, c.rate())
 		}
-	})
-	c := newOverloadController(srv, OverloadConfig{
-		StaleRolls: 2,
-		ExitTicks:  2,
-		Tick:       time.Hour,
-	})
-
-	// Never rolled: cold, not stale.
-	c.sample()
-	if c.active() {
-		t.Fatal("cold server treated as stale")
 	}
-
-	// Last roll 1s ago with a 100ms interval: 10 intervals > StaleRolls.
-	srv.lastRoll.Store(time.Now().Add(-time.Second).UnixNano())
-	srv.lastRollInterval.Store(floatBits(0.1))
-	c.sample()
-	if !c.active() {
-		t.Fatal("stale soft state did not enter degraded mode")
-	}
-
-	// A fresh roll clears staleness; ExitTicks calm samples leave.
-	srv.lastRoll.Store(time.Now().UnixNano())
-	c.sample()
-	c.sample()
-	if c.active() {
-		t.Fatal("still degraded after the estimator recovered")
-	}
-	if got := c.transitions.Load(); got != 2 {
-		t.Fatalf("transitions = %d, want 2", got)
+	if got := c.rate(); got != 75 {
+		t.Fatalf("sampled rate = %v, want 75", got)
 	}
 }
 
 // testServerOverload builds and starts a server with the overload
-// controller configured (huge ceiling, long tick: mode only changes
-// when the test forces it).
+// controller configured (huge ceiling: mode only changes when the test
+// forces it, or overloadExitTicks seconds after that).
 func testServerOverload(t *testing.T, degradedTTL float64) *Server {
 	t.Helper()
 	cluster, err := core.ScaledCluster(7, 50, 500)
@@ -178,7 +157,6 @@ func testServerOverload(t *testing.T, degradedTTL float64) *Server {
 		Addr:        "127.0.0.1:0",
 		Overload: OverloadConfig{
 			QPSCeiling:  1e12,
-			Tick:        time.Hour,
 			DegradedTTL: degradedTTL,
 		},
 	})
@@ -254,7 +232,7 @@ func TestDegradedQueryPath(t *testing.T) {
 	if ans[0].TTL != healthyTTL {
 		t.Logf("note: healthy TTL changed %v -> %v (policy-dependent, not fatal)", healthyTTL, ans[0].TTL)
 	}
-	if srv.DegradedMode() {
-		t.Fatal("DegradedMode still true")
+	if srv.Degraded().Degraded {
+		t.Fatal("Degraded().Degraded still true")
 	}
 }

@@ -754,8 +754,8 @@ func TestPanicRecoveryInHandler(t *testing.T) {
 	if !answered {
 		t.Fatal("server never recovered after handler panics")
 	}
-	if srv.Panics() == 0 {
-		t.Error("Panics() = 0, want > 0")
+	if srv.panics.Load() == 0 {
+		t.Error("panics = 0, want > 0")
 	}
 }
 
@@ -804,7 +804,7 @@ func TestShutdownEndsIdleTCPConn(t *testing.T) {
 	if took := time.Since(start); took > time.Second {
 		t.Errorf("Shutdown waited %v for an idle TCP connection", took)
 	}
-	if n := srv.TCPConns(); n != 0 {
+	if n := srv.tcpConns.Load(); n != 0 {
 		t.Errorf("%d TCP connections still served after Shutdown", n)
 	}
 }

@@ -2,113 +2,29 @@ package dnsserver
 
 import (
 	"context"
-	"io"
 	"math"
-	"net"
 	"net/netip"
-	"sync"
 	"testing"
 	"time"
 
+	"dnslb/internal/chaos"
 	"dnslb/internal/core"
 	"dnslb/internal/simcore"
 )
 
-// chaosProxy is a cuttable TCP forwarder standing in for the network
-// between two replicas: Cut severs live connections and refuses new
-// ones, Heal restores forwarding — the partition injector for the e2e
-// test. It listens before it has a target: a replica's peers are part of
-// its configuration, so the links exist before the replicas they lead to,
-// and until setTarget every connection is dropped.
-type chaosProxy struct {
-	ln net.Listener
-
-	mu     sync.Mutex
-	target string
-	cut    bool
-	conns  map[net.Conn]struct{}
-}
-
-func newChaosProxy(t *testing.T) *chaosProxy {
+// newLink is the cuttable network between two replicas, the partition
+// injector for the e2e test. It listens before it has a target: a
+// replica's peers are part of its configuration, so the links exist
+// before the replicas they lead to, and until SetTarget every connection
+// is refused.
+func newLink(t *testing.T) *chaos.TCPProxy {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	p, err := chaos.NewTCPProxy("127.0.0.1:0", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &chaosProxy{ln: ln, conns: make(map[net.Conn]struct{})}
-	go p.acceptLoop()
-	t.Cleanup(func() { _ = ln.Close(); p.Cut() })
+	t.Cleanup(func() { _ = p.Close() })
 	return p
-}
-
-func (p *chaosProxy) addr() string { return p.ln.Addr().String() }
-
-func (p *chaosProxy) setTarget(target string) {
-	p.mu.Lock()
-	p.target = target
-	p.mu.Unlock()
-}
-
-func (p *chaosProxy) acceptLoop() {
-	for {
-		conn, err := p.ln.Accept()
-		if err != nil {
-			return
-		}
-		p.mu.Lock()
-		target := p.target
-		if p.cut || target == "" {
-			p.mu.Unlock()
-			_ = conn.Close()
-			continue
-		}
-		p.mu.Unlock()
-		up, err := net.DialTimeout("tcp", target, time.Second)
-		if err != nil {
-			_ = conn.Close()
-			continue
-		}
-		p.mu.Lock()
-		if p.cut {
-			p.mu.Unlock()
-			_ = conn.Close()
-			_ = up.Close()
-			continue
-		}
-		p.conns[conn] = struct{}{}
-		p.conns[up] = struct{}{}
-		p.mu.Unlock()
-		go p.pipe(conn, up)
-		go p.pipe(up, conn)
-	}
-}
-
-func (p *chaosProxy) pipe(dst, src net.Conn) {
-	_, _ = io.Copy(dst, src)
-	_ = dst.Close()
-	_ = src.Close()
-	p.mu.Lock()
-	delete(p.conns, dst)
-	delete(p.conns, src)
-	p.mu.Unlock()
-}
-
-// Cut severs the link: live connections die, new ones are refused.
-func (p *chaosProxy) Cut() {
-	p.mu.Lock()
-	p.cut = true
-	for c := range p.conns {
-		_ = c.Close()
-	}
-	p.conns = make(map[net.Conn]struct{})
-	p.mu.Unlock()
-}
-
-// Heal restores forwarding for new connections.
-func (p *chaosProxy) Heal() {
-	p.mu.Lock()
-	p.cut = false
-	p.mu.Unlock()
 }
 
 // testReplicaServer builds one of two identically configured replicas,
@@ -175,11 +91,11 @@ func waitUntil(t *testing.T, what string, timeout time.Duration, cond func() boo
 // anti-entropy round of healing, settling conflicting split-brain
 // writes by last-writer-wins.
 func TestReplicationPartitionHealE2E(t *testing.T) {
-	linkAtoB, linkBtoA := newChaosProxy(t), newChaosProxy(t)
-	a := testReplicaServer(t, 1, "replica-a", linkAtoB.addr())
-	b := testReplicaServer(t, 2, "replica-b", linkBtoA.addr())
-	linkAtoB.setTarget(b.ReportAddr().String())
-	linkBtoA.setTarget(a.ReportAddr().String())
+	linkAtoB, linkBtoA := newLink(t), newLink(t)
+	a := testReplicaServer(t, 1, "replica-a", linkAtoB.Addr())
+	b := testReplicaServer(t, 2, "replica-b", linkBtoA.Addr())
+	linkAtoB.SetTarget(b.ReportAddr().String())
+	linkBtoA.SetTarget(a.ReportAddr().String())
 	waitUntil(t, "initial peering", 5*time.Second, func() bool {
 		return a.replicator.ConnectedPeers() == 1 && b.replicator.ConnectedPeers() == 1
 	})

@@ -66,8 +66,8 @@ func (s *Server) Start() error {
 	if m := s.liveness; m != nil {
 		s.every(m.interval, func() { m.check(time.Now()) })
 	}
-	if s.over != nil {
-		s.every(s.over.cfg.Tick, s.over.sample)
+	if c := s.over; c != nil {
+		s.every(overloadTick, func() { c.sample(time.Now()) })
 	}
 	if s.prober != nil {
 		s.prober.Start()
@@ -391,10 +391,6 @@ func (s *Server) sendUDP(b *udpBatch, k, worker int) {
 // covers legitimate TCP retry traffic (truncated UDP responses) while
 // bounding a flood.
 const DefaultMaxTCPConns = 512
-
-// TCPConns returns the number of TCP connections currently being
-// served (the dnslb_dns_tcp_conns gauge).
-func (s *Server) TCPConns() int64 { return s.tcpConns.Load() }
 
 // acceptLoop is the accept side of a stream listener — DNS-over-TCP, DoH
 // or the report socket: it hands each accepted connection to serve on a

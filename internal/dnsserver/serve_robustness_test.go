@@ -178,7 +178,7 @@ func TestTCPConnCap(t *testing.T) {
 				t.Fatal("request served while the connection cap was full")
 			}
 			if in.name == "tcp" {
-				if got := srv.TCPConns(); got != 2 {
+				if got := srv.tcpConns.Load(); got != 2 {
 					t.Fatalf("TCPConns = %d over the cap of 2", got)
 				}
 			} else {

@@ -28,6 +28,7 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"net/netip"
 	"sync"
 	"sync/atomic"
@@ -76,10 +77,9 @@ type Config struct {
 	// DecideQuery, unused by Decide. It is called concurrently from the
 	// query path and must be pure and lock-free.
 	Mapper func(addr netip.Addr) int
-	// ECS selects the RFC 7871 client-subnet handling DecideQuery
-	// applies (see ECSConfig); the zero value is passthrough with the
-	// RFC-recommended source-prefix granularity.
-	ECS ECSConfig
+	// ECS selects the RFC 7871 client-subnet mode DecideQuery applies
+	// (see ECSMode); the zero value is passthrough.
+	ECS ECSMode
 }
 
 // Engine is the unified decision lifecycle.
@@ -90,7 +90,7 @@ type Engine struct {
 	est         *lockedEstimator // nil when feedback is disabled
 	onDecision  func(domain int, d core.Decision)
 	mapper      func(addr netip.Addr) int // nil: DecideQuery unavailable
-	ecs         ECSConfig
+	ecs         ECSMode
 	estRejected atomic.Uint64 // hit reports the estimator refused
 
 	// fallback is the degraded-ladder smooth-WRR accumulator; see
@@ -106,8 +106,8 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Clock == nil {
 		return nil, errors.New("engine: Clock is required")
 	}
-	if err := cfg.ECS.validate(); err != nil {
-		return nil, err
+	if cfg.ECS > ECSOverride {
+		return nil, fmt.Errorf("engine: unknown ECS mode %d", cfg.ECS)
 	}
 	e := &Engine{
 		policy:     cfg.Policy,

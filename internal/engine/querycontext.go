@@ -107,61 +107,22 @@ func ParseECSMode(s string) (ECSMode, error) {
 	}
 }
 
-// Default source-prefix lengths for synthesized and clamped subnets —
-// RFC 7871 §11's recommended privacy-preserving granularity.
+// Source-prefix lengths for clamped and synthesized subnets — RFC 7871
+// §11's recommended privacy-preserving granularity. A forwarded subnet
+// more specific than its family's length is clamped to it (and the
+// clamp echoed as the answer scope); a subnet synthesized in
+// add/override mode has exactly that length.
 const (
-	DefaultECSv4Prefix = 24
-	DefaultECSv6Prefix = 56
+	ecsV4Prefix = 24
+	ecsV6Prefix = 56
 )
 
-// ECSConfig parameterizes the engine's client-subnet handling. The
-// zero value is passthrough with the RFC-recommended /24 (IPv4) and
-// /56 (IPv6) source prefixes.
-type ECSConfig struct {
-	// Mode is the RFC 7871 deployment mode.
-	Mode ECSMode
-	// V4Prefix and V6Prefix bound the source-prefix granularity per
-	// family: forwarded subnets more specific than this are clamped
-	// (and the clamp echoed as the answer scope), and subnets
-	// synthesized in add/override mode use exactly this length. Zero
-	// means the RFC-recommended default.
-	V4Prefix int
-	V6Prefix int
-}
-
-func (c ECSConfig) v4() int {
-	if c.V4Prefix == 0 {
-		return DefaultECSv4Prefix
-	}
-	return c.V4Prefix
-}
-
-func (c ECSConfig) v6() int {
-	if c.V6Prefix == 0 {
-		return DefaultECSv6Prefix
-	}
-	return c.V6Prefix
-}
-
-func (c ECSConfig) validate() error {
-	if c.Mode > ECSOverride {
-		return fmt.Errorf("engine: unknown ECS mode %d", c.Mode)
-	}
-	if c.V4Prefix < 0 || c.V4Prefix > 32 {
-		return fmt.Errorf("engine: ECS v4 prefix %d out of [0,32]", c.V4Prefix)
-	}
-	if c.V6Prefix < 0 || c.V6Prefix > 128 {
-		return fmt.Errorf("engine: ECS v6 prefix %d out of [0,128]", c.V6Prefix)
-	}
-	return nil
-}
-
-// maxBits returns the family-appropriate source-prefix clamp.
-func (c ECSConfig) maxBits(addr netip.Addr) int {
+// ecsMaxBits returns the family-appropriate source-prefix clamp.
+func ecsMaxBits(addr netip.Addr) int {
 	if addr.Is6() && !addr.Is4In6() {
-		return c.v6()
+		return ecsV6Prefix
 	}
-	return c.v4()
+	return ecsV4Prefix
 }
 
 // QueryContext is the decision input a front end assembles per query.
@@ -232,18 +193,17 @@ func (e *Engine) DecideQuery(qc QueryContext) (QueryDecision, error) {
 // whether that subnet is the client's own (scoped) rather than
 // synthesized from the resolver.
 func (e *Engine) classifySubnet(qc QueryContext) (netip.Prefix, bool) {
-	if e.ecs.Mode != ECSOverride && qc.ClientSubnet.IsValid() {
-		return clampPrefix(qc.ClientSubnet, e.ecs.maxBits(qc.ClientSubnet.Addr())), true
+	if e.ecs != ECSOverride && qc.ClientSubnet.IsValid() {
+		return clampPrefix(qc.ClientSubnet, ecsMaxBits(qc.ClientSubnet.Addr())), true
 	}
-	if e.ecs.Mode == ECSAdd || e.ecs.Mode == ECSOverride {
+	if e.ecs == ECSAdd || e.ecs == ECSOverride {
 		return e.synthSubnet(qc.Resolver), false
 	}
 	return netip.Prefix{}, false
 }
 
-// clampPrefix bounds a forwarded subnet to the configured source
-// granularity: /32 host prefixes become /24 under the default clamp,
-// which is the privacy posture RFC 7871 recommends.
+// clampPrefix bounds a forwarded subnet to the source granularity: /32
+// host prefixes become /24, the privacy posture RFC 7871 recommends.
 func clampPrefix(p netip.Prefix, maxBits int) netip.Prefix {
 	if p.Bits() <= maxBits {
 		return p.Masked()
@@ -263,7 +223,7 @@ func (e *Engine) synthSubnet(resolver netip.Addr) netip.Prefix {
 	if !resolver.IsValid() {
 		return netip.Prefix{}
 	}
-	p, err := resolver.Prefix(e.ecs.maxBits(resolver))
+	p, err := resolver.Prefix(ecsMaxBits(resolver))
 	if err != nil {
 		return netip.Prefix{}
 	}

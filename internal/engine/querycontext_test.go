@@ -8,7 +8,7 @@ import (
 	"dnslb/internal/simcore"
 )
 
-func queryTestEngine(t *testing.T, ecs ECSConfig) *Engine {
+func queryTestEngine(t *testing.T, ecs ECSMode) *Engine {
 	t.Helper()
 	clock := &ManualClock{}
 	clock.Set(1)
@@ -74,20 +74,19 @@ func TestClassifySubnetModes(t *testing.T) {
 
 	cases := []struct {
 		name       string
-		ecs        ECSConfig
+		ecs        ECSMode
 		qc         QueryContext
 		wantSubnet string // "" = invalid (classify by resolver)
 		wantScoped bool
 	}{
-		{"passthrough no ECS", ECSConfig{}, QueryContext{Resolver: resolver}, "", false},
-		{"passthrough /24", ECSConfig{}, QueryContext{Resolver: resolver, ClientSubnet: client24}, "10.0.5.0/24", true},
-		{"passthrough clamps /32", ECSConfig{}, QueryContext{Resolver: resolver, ClientSubnet: client32}, "10.0.5.0/24", true},
-		{"passthrough clamps v6 to /56", ECSConfig{}, QueryContext{Resolver: resolver, ClientSubnet: v6Client}, "2001:db8:0:0::/56", true},
-		{"custom clamp /16", ECSConfig{V4Prefix: 16}, QueryContext{Resolver: resolver, ClientSubnet: client24}, "10.0.0.0/16", true},
-		{"add synthesizes from resolver", ECSConfig{Mode: ECSAdd}, QueryContext{Resolver: resolver}, "10.0.3.0/24", false},
-		{"add keeps forwarded subnet", ECSConfig{Mode: ECSAdd}, QueryContext{Resolver: resolver, ClientSubnet: client24}, "10.0.5.0/24", true},
-		{"override ignores forwarded subnet", ECSConfig{Mode: ECSOverride}, QueryContext{Resolver: resolver, ClientSubnet: client24}, "10.0.3.0/24", false},
-		{"override invalid resolver", ECSConfig{Mode: ECSOverride}, QueryContext{}, "", false},
+		{"passthrough no ECS", ECSPassthrough, QueryContext{Resolver: resolver}, "", false},
+		{"passthrough /24", ECSPassthrough, QueryContext{Resolver: resolver, ClientSubnet: client24}, "10.0.5.0/24", true},
+		{"passthrough clamps /32", ECSPassthrough, QueryContext{Resolver: resolver, ClientSubnet: client32}, "10.0.5.0/24", true},
+		{"passthrough clamps v6 to /56", ECSPassthrough, QueryContext{Resolver: resolver, ClientSubnet: v6Client}, "2001:db8:0:0::/56", true},
+		{"add synthesizes from resolver", ECSAdd, QueryContext{Resolver: resolver}, "10.0.3.0/24", false},
+		{"add keeps forwarded subnet", ECSAdd, QueryContext{Resolver: resolver, ClientSubnet: client24}, "10.0.5.0/24", true},
+		{"override ignores forwarded subnet", ECSOverride, QueryContext{Resolver: resolver, ClientSubnet: client24}, "10.0.3.0/24", false},
+		{"override invalid resolver", ECSOverride, QueryContext{}, "", false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -110,7 +109,7 @@ func TestClassifySubnetModes(t *testing.T) {
 func TestDecideQueryScopeEcho(t *testing.T) {
 	// Scoped decisions echo the honoured (post-clamp) source length;
 	// unscoped ones echo 0 per RFC 7871 ("not tailored to your subnet").
-	eng := queryTestEngine(t, ECSConfig{})
+	eng := queryTestEngine(t, ECSPassthrough)
 	qd, err := eng.DecideQuery(QueryContext{
 		Resolver:     confQueryAddr(1),
 		ClientSubnet: netip.MustParsePrefix("10.0.2.9/32"),
@@ -125,7 +124,7 @@ func TestDecideQueryScopeEcho(t *testing.T) {
 		t.Fatalf("classified domain %d, want 2 (by subnet, not resolver)", qd.Domain)
 	}
 
-	over := queryTestEngine(t, ECSConfig{Mode: ECSOverride})
+	over := queryTestEngine(t, ECSOverride)
 	qd, err = over.DecideQuery(QueryContext{
 		Resolver:     confQueryAddr(1),
 		ClientSubnet: netip.MustParsePrefix("10.0.2.0/24"),
@@ -142,18 +141,9 @@ func TestDecideQueryScopeEcho(t *testing.T) {
 }
 
 func TestECSConfigValidation(t *testing.T) {
-	for _, bad := range []ECSConfig{
-		{V4Prefix: -1},
-		{V4Prefix: 33},
-		{V6Prefix: 129},
-		{Mode: ECSOverride + 1},
-	} {
-		if err := bad.validate(); err == nil {
-			t.Errorf("ECSConfig %+v should fail validation", bad)
-		}
-	}
-	if err := (ECSConfig{Mode: ECSAdd, V4Prefix: 20, V6Prefix: 48}).validate(); err != nil {
-		t.Errorf("valid config rejected: %v", err)
+	eng := queryTestEngine(t, ECSPassthrough)
+	if _, err := New(Config{Policy: eng.Policy(), Clock: eng.Clock(), ECS: ECSOverride + 1}); err == nil {
+		t.Error("an unknown ECS mode should fail validation")
 	}
 }
 

@@ -67,8 +67,6 @@ type Config struct {
 	// EstimatorInterval is the collection period of the dynamic
 	// estimator in seconds (used when OracleWeights is false).
 	EstimatorInterval float64
-	// EstimatorAlpha is the EWMA weight of the newest interval.
-	EstimatorAlpha float64
 	// Estimator selects the hidden-load estimator kind when
 	// OracleWeights is false: core.EstimatorReactive (the paper's EWMA
 	// over reports, default when empty) or core.EstimatorPredictive
@@ -296,7 +294,6 @@ func DefaultConfig(policy string) Config {
 		MetricWindow:        32,
 		OracleWeights:       true,
 		EstimatorInterval:   60,
-		EstimatorAlpha:      core.DefaultEstimatorAlpha,
 		Duration:            5 * 3600,
 		Warmup:              600,
 		Seed:                1,

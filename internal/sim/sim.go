@@ -280,7 +280,7 @@ func Run(cfg Config) (*Result, error) {
 		// a typed-nil concrete pointer in the interface would make the
 		// engine believe an estimator exists.
 		if !cfg.OracleWeights {
-			engCfg.Estimator, err = core.NewLoadEstimator(cfg.Estimator, cfg.Workload.Domains, cfg.EstimatorAlpha)
+			engCfg.Estimator, err = core.NewLoadEstimator(cfg.Estimator, cfg.Workload.Domains, core.DefaultEstimatorAlpha)
 			if err != nil {
 				return nil, err
 			}
