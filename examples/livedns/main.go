@@ -19,6 +19,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"fmt"
 	"io"
@@ -26,6 +27,7 @@ import (
 	"net"
 	"net/http"
 	"net/netip"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -241,8 +243,10 @@ func report(addr, line string) error {
 	if _, err := fmt.Fprintln(conn, line); err != nil {
 		return err
 	}
-	buf := make([]byte, 16)
-	_, err = conn.Read(buf)
+	reply, err := bufio.NewReader(conn).ReadString('\n')
+	if err == nil && !strings.HasPrefix(reply, "OK") {
+		err = fmt.Errorf("report %q: %s", line, strings.TrimSpace(reply))
+	}
 	return err
 }
 

@@ -6,30 +6,29 @@
 // ALARM / HITS / ROLL lines to the DNS load-report socket, closing the
 // paper's asynchronous feedback loop over real sockets.
 //
-// With AdvertiseAddr set, the backend also manages its own cluster
-// membership: it announces itself to the DNS with a JOIN line every
-// time the report socket connects (learning its slot index from the
-// reply), and with RetireOnClose it sends a DRAIN on shutdown so the
-// DNS drains it gracefully instead of waiting for the liveness timeout.
+// The agent reports through one reportlink.Link. Each new connection
+// opens with the agent's hello: with AdvertiseAddr set, a JOIN that
+// (re)registers the backend and learns its slot index, then an ALARM
+// resyncing the alarm state. With RetireOnClose the backend sends a
+// DRAIN on shutdown so the DNS drains it gracefully instead of waiting
+// for the liveness timeout.
 package backend
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"log/slog"
-	"math/rand/v2"
 	"net"
 	"net/http"
 	"net/netip"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"dnslb/internal/logging"
 	"dnslb/internal/metrics"
+	"dnslb/internal/reportlink"
 )
 
 // Config configures a backend server.
@@ -70,13 +69,6 @@ type Config struct {
 	// identical; only the client-visible latency differs. Useful for
 	// fast demos and tests.
 	Simulate bool
-	// ReconnectBackoffMin/Max bound the exponential backoff between
-	// dial attempts when the report socket is unreachable (defaults
-	// 500 ms and 30 s). Each failed dial doubles the delay up to Max,
-	// with a 0.5–1.5x jitter factor so a restarted DNS server is not
-	// hit by every backend at once.
-	ReconnectBackoffMin time.Duration
-	ReconnectBackoffMax time.Duration
 	// Logger receives structured agent diagnostics; nil discards.
 	Logger *slog.Logger
 	// Metrics optionally registers the agent's observability series
@@ -115,10 +107,7 @@ type Server struct {
 	done     chan struct{}
 	logger   *slog.Logger
 
-	reportMu    sync.Mutex
-	reportC     net.Conn
-	dialBackoff time.Duration
-	nextDial    time.Time
+	link *reportlink.Link
 
 	metrics *agentMetrics // nil when uninstrumented
 }
@@ -127,7 +116,6 @@ type Server struct {
 type agentMetrics struct {
 	reportsOK  *metrics.Counter
 	reportsErr *metrics.Counter
-	redials    *metrics.Counter
 	resyncs    *metrics.Counter
 }
 
@@ -148,16 +136,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.AlarmThreshold < 0 || cfg.AlarmThreshold > 1 {
 		return nil, fmt.Errorf("backend: alarm threshold %v out of [0,1]", cfg.AlarmThreshold)
 	}
-	if cfg.ReconnectBackoffMin <= 0 {
-		cfg.ReconnectBackoffMin = 500 * time.Millisecond
-	}
-	if cfg.ReconnectBackoffMax <= 0 {
-		cfg.ReconnectBackoffMax = 30 * time.Second
-	}
-	if cfg.ReconnectBackoffMax < cfg.ReconnectBackoffMin {
-		return nil, fmt.Errorf("backend: reconnect backoff max %v below min %v",
-			cfg.ReconnectBackoffMax, cfg.ReconnectBackoffMin)
-	}
 	if cfg.AdvertiseAddr != "" {
 		a, err := netip.ParseAddr(cfg.AdvertiseAddr)
 		if err != nil || !a.Is4() {
@@ -175,6 +153,7 @@ func New(cfg Config) (*Server, error) {
 		done:       make(chan struct{}),
 		logger:     logger,
 	}
+	s.link = reportlink.New(cfg.ReportAddr, s.hello)
 	if cfg.AdvertiseAddr != "" {
 		s.idx.Store(-1)
 	} else {
@@ -186,11 +165,11 @@ func New(cfg Config) (*Server, error) {
 				"Report cycles by result.", metrics.Labels{"status", "ok"}),
 			reportsErr: reg.NewCounter("dnslb_backend_reports_total",
 				"Report cycles by result.", metrics.Labels{"status", "error"}),
-			redials: reg.NewCounter("dnslb_backend_report_redials_total",
-				"Report-socket dial failures and send failures (each schedules a backoff retry).", nil),
 			resyncs: reg.NewCounter("dnslb_backend_report_resyncs_total",
-				"Alarm-state resyncs prepended after the report socket reconnected.", nil),
+				"Alarm-state resyncs sent after the report socket reconnected.", nil),
 		}
+		reg.NewCounterFunc("dnslb_backend_report_redials_total",
+			"Report-socket dial failures and send failures (each schedules a backoff retry).", nil, s.link.Errors)
 		reg.NewGaugeFunc("dnslb_backend_utilization",
 			"Busy fraction of the current measurement window.", nil, s.Utilization)
 		reg.NewGaugeFunc("dnslb_backend_alarmed",
@@ -253,12 +232,7 @@ func (s *Server) Close() error {
 	if s.cfg.RetireOnClose && s.cfg.ReportAddr != "" {
 		s.retire()
 	}
-	s.reportMu.Lock()
-	if s.reportC != nil {
-		_ = s.reportC.Close()
-		s.reportC = nil
-	}
-	s.reportMu.Unlock()
+	s.link.Close()
 	return err
 }
 
@@ -267,27 +241,15 @@ func (s *Server) Close() error {
 // is set (-1 before the first successful JOIN).
 func (s *Server) ServerIndex() int { return int(s.idx.Load()) }
 
-// retire asks the DNS to drain this backend's slot, reusing the live
-// report connection or dialing one last time. Failures only log: the
-// liveness monitor is the fallback when the graceful path is gone.
+// retire asks the DNS to drain this backend's slot over the report
+// link. Failures only log: the liveness monitor is the fallback when the
+// graceful path is gone.
 func (s *Server) retire() {
 	idx := s.ServerIndex()
 	if idx < 0 {
 		return // never joined; nothing to drain
 	}
-	s.reportMu.Lock()
-	defer s.reportMu.Unlock()
-	conn := s.reportC
-	if conn == nil {
-		c, err := net.DialTimeout("tcp", s.cfg.ReportAddr, 2*time.Second)
-		if err != nil {
-			s.logger.Warn("retire dial failed; relying on liveness timeout", "err", err, "server", idx)
-			return
-		}
-		s.reportC = c
-		conn = c
-	}
-	if err := sendLines(conn, []string{fmt.Sprintf("DRAIN %d", idx)}); err != nil {
+	if _, err := s.link.Exchange(fmt.Sprintf("DRAIN %d", idx)); err != nil {
 		s.logger.Warn("retire failed; relying on liveness timeout", "err", err, "server", idx)
 		return
 	}
@@ -296,10 +258,7 @@ func (s *Server) retire() {
 
 // handle serves one request, charging its service time to the queue.
 func (s *Server) handle(w http.ResponseWriter, r *http.Request) {
-	hits := intParam(r, "X-Hits", "hits", 1)
-	if hits < 1 {
-		hits = 1
-	}
+	hits := max(1, intParam(r, "X-Hits", "hits", 1))
 	domain := intParam(r, "X-Domain", "domain", 0)
 	service := time.Duration(float64(hits) / s.cfg.Capacity * float64(time.Second))
 
@@ -360,25 +319,23 @@ func (s *Server) advanceLocked(now time.Time) {
 	s.creditTo = now
 }
 
-// Utilization returns the busy fraction since the last agent window
-// closed (a live reading, not a closed window).
-func (s *Server) Utilization() float64 {
-	now := time.Now()
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// utilLocked returns the busy fraction of the window open since
+// winStart, credited up to now; callers hold mu.
+func (s *Server) utilLocked(now time.Time) float64 {
 	s.advanceLocked(now)
 	window := now.Sub(s.winStart)
 	if window <= 0 {
 		return 0
 	}
-	u := float64(s.credited-s.winCredit) / float64(window)
-	if u < 0 {
-		u = 0
-	}
-	if u > 1 {
-		u = 1
-	}
-	return u
+	return max(0, min(1, float64(s.credited-s.winCredit)/float64(window)))
+}
+
+// Utilization returns the busy fraction since the last agent window
+// closed (a live reading, not a closed window).
+func (s *Server) Utilization() float64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.utilLocked(time.Now())
 }
 
 // TotalHits returns the hits served since Start.
@@ -395,35 +352,19 @@ func (s *Server) Alarmed() bool {
 	return s.alarmed
 }
 
-// closeWindow closes one utilization window and returns the busy
-// fraction, per-domain hits, and whether the alarm state flipped.
-func (s *Server) closeWindow(now time.Time) (util float64, hits []float64, flipped bool) {
+// closeWindow closes one utilization window and returns its per-domain
+// hits and whether the alarm state flipped.
+func (s *Server) closeWindow(now time.Time) (hits []float64, flipped bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.advanceLocked(now)
-	window := now.Sub(s.winStart)
-	if window > 0 {
-		util = float64(s.credited-s.winCredit) / float64(window)
-	}
-	if util > 1 {
-		util = 1
-	}
-	if util < 0 {
-		util = 0
-	}
+	over := s.utilLocked(now) > s.cfg.AlarmThreshold
 	s.winStart = now
 	s.winCredit = s.credited
-	hits = make([]float64, len(s.domainHits))
-	copy(hits, s.domainHits)
-	for i := range s.domainHits {
-		s.domainHits[i] = 0
-	}
-	over := util > s.cfg.AlarmThreshold
-	if over != s.alarmed {
-		s.alarmed = over
-		flipped = true
-	}
-	return util, hits, flipped
+	hits = s.domainHits
+	s.domainHits = make([]float64, len(hits))
+	flipped = over != s.alarmed
+	s.alarmed = over
+	return hits, flipped
 }
 
 // agentLoop measures utilization every interval and pushes reports.
@@ -436,7 +377,7 @@ func (s *Server) agentLoop() {
 		case <-s.stop:
 			return
 		case now := <-ticker.C:
-			_, hits, flipped := s.closeWindow(now)
+			hits, flipped := s.closeWindow(now)
 			if s.cfg.ReportAddr == "" {
 				continue
 			}
@@ -449,11 +390,7 @@ func (s *Server) agentLoop() {
 			if idx := s.ServerIndex(); idx >= 0 {
 				lines = append(lines, fmt.Sprintf("ALIVE %d", idx))
 				if flipped {
-					flag := 0
-					if s.Alarmed() {
-						flag = 1
-					}
-					lines = append(lines, fmt.Sprintf("ALARM %d %d", idx, flag))
+					lines = append(lines, s.alarmLine(idx))
 				}
 			}
 			for d, h := range hits {
@@ -474,128 +411,56 @@ func (s *Server) agentLoop() {
 	}
 }
 
-// report sends lines over a persistent connection to the report
-// socket. A broken connection is redialed under bounded exponential
-// backoff with jitter: the cycle's report is lost while the socket is
-// down (matching the lossy feedback channel the paper assumes), but
-// the agent keeps trying and resynchronizes once the DNS side is back.
+// report sends one cycle's lines over the report link. While the socket
+// is down the cycle's report is lost (matching the lossy feedback
+// channel the paper assumes); the link keeps redialing under backoff,
+// and its hello resynchronizes once the DNS side is back.
 func (s *Server) report(lines []string) error {
-	s.reportMu.Lock()
-	defer s.reportMu.Unlock()
-	for attempt := 0; attempt < 2; attempt++ {
-		if s.reportC == nil {
-			if wait := time.Until(s.nextDial); wait > 0 {
-				return fmt.Errorf("backend: report socket down, next dial in %v", wait.Round(time.Millisecond))
-			}
-			conn, err := net.DialTimeout("tcp", s.cfg.ReportAddr, 2*time.Second)
-			if err != nil {
-				s.bumpBackoffLocked()
-				return err
-			}
-			// Self-registration rides every (re)connect: idempotent on
-			// the DNS side, it re-admits this backend after a drain or a
-			// DNS restart and keeps the slot index current.
-			if s.cfg.AdvertiseAddr != "" {
-				idx, err := joinOver(conn, s.cfg.AdvertiseAddr, s.cfg.Capacity)
-				if err != nil {
-					_ = conn.Close()
-					s.bumpBackoffLocked()
-					return fmt.Errorf("backend: join: %w", err)
-				}
-				s.idx.Store(int64(idx))
-				s.logger.Info("joined DNS membership", "server", idx, "addr", s.cfg.AdvertiseAddr)
-			}
-			s.reportC = conn
-			s.dialBackoff = 0
-			s.nextDial = time.Time{}
-			// Resync: the DNS side may have missed an alarm transition
-			// (or marked us down) while the socket was broken.
-			if idx := s.ServerIndex(); idx >= 0 {
-				flag := 0
-				if s.Alarmed() {
-					flag = 1
-				}
-				lines = append([]string{fmt.Sprintf("ALARM %d %d", idx, flag)}, lines...)
-				if s.metrics != nil {
-					s.metrics.resyncs.Inc()
-				}
-				s.logger.Info("report socket connected, alarm state resynced",
-					"server", idx, "alarmed", flag == 1)
-			}
-		}
-		if err := sendLines(s.reportC, lines); err != nil {
-			_ = s.reportC.Close()
-			s.reportC = nil
-			continue
-		}
-		// Any successful write proves the path healthy: clear the backoff
-		// so the next failure starts the ladder from the minimum again,
-		// instead of inheriting a stale ceiling from an old outage.
-		s.dialBackoff = 0
-		s.nextDial = time.Time{}
-		return nil
-	}
-	s.bumpBackoffLocked()
-	return errors.New("backend: report failed after reconnect")
-}
-
-// bumpBackoffLocked doubles the reconnect delay up to the configured
-// maximum and schedules the next allowed dial with 0.5–1.5x jitter.
-// Callers hold reportMu.
-func (s *Server) bumpBackoffLocked() {
-	if s.metrics != nil {
-		s.metrics.redials.Inc()
-	}
-	if s.dialBackoff == 0 {
-		s.dialBackoff = s.cfg.ReconnectBackoffMin
-	} else if s.dialBackoff < s.cfg.ReconnectBackoffMax {
-		s.dialBackoff *= 2
-		if s.dialBackoff > s.cfg.ReconnectBackoffMax {
-			s.dialBackoff = s.cfg.ReconnectBackoffMax
-		}
-	}
-	jittered := time.Duration(float64(s.dialBackoff) * (0.5 + rand.Float64()))
-	s.nextDial = time.Now().Add(jittered)
-}
-
-// joinOver registers the backend over an already-dialed report
-// connection and returns the slot index from the "OK <index>" reply.
-// At most one reply is ever in flight on the report protocol, so the
-// transient reader here cannot swallow bytes meant for a later read.
-func joinOver(conn net.Conn, addr string, capacity float64) (int, error) {
-	_ = conn.SetDeadline(time.Now().Add(2 * time.Second))
-	if _, err := fmt.Fprintf(conn, "JOIN %s %g\n", addr, capacity); err != nil {
-		return 0, err
-	}
-	resp, err := bufio.NewReader(conn).ReadString('\n')
-	if err != nil {
-		return 0, err
-	}
-	fields := strings.Fields(resp)
-	if len(fields) != 2 || fields[0] != "OK" {
-		return 0, fmt.Errorf("join rejected: %q", strings.TrimSpace(resp))
-	}
-	idx, err := strconv.Atoi(fields[1])
-	if err != nil || idx < 0 {
-		return 0, fmt.Errorf("join reply has bad index: %q", strings.TrimSpace(resp))
-	}
-	return idx, nil
-}
-
-func sendLines(conn net.Conn, lines []string) error {
-	_ = conn.SetDeadline(time.Now().Add(2 * time.Second))
-	r := bufio.NewReader(conn)
 	for _, line := range lines {
-		if _, err := fmt.Fprintln(conn, line); err != nil {
+		if _, err := s.link.Exchange(line); err != nil {
 			return err
-		}
-		resp, err := r.ReadString('\n')
-		if err != nil {
-			return err
-		}
-		if len(resp) < 2 || resp[:2] != "OK" {
-			return fmt.Errorf("report rejected: %q (line %q)", resp, line)
 		}
 	}
 	return nil
+}
+
+// hello opens every new report connection. Self-registration rides it:
+// idempotent on the DNS side, a JOIN re-admits this backend after a
+// drain or a DNS restart and keeps the slot index current. Then the
+// alarm state is resynced, since the DNS side may have missed an alarm
+// transition (or marked us down) while the socket was broken.
+func (s *Server) hello(exchange func(string) (string, error)) error {
+	if s.cfg.AdvertiseAddr != "" {
+		reply, err := exchange(fmt.Sprintf("JOIN %s %g", s.cfg.AdvertiseAddr, s.cfg.Capacity))
+		if err != nil {
+			return fmt.Errorf("backend: join: %w", err)
+		}
+		idx, err := strconv.Atoi(reply)
+		if err != nil || idx < 0 {
+			return fmt.Errorf("backend: join reply has bad index: %q", reply)
+		}
+		s.idx.Store(int64(idx))
+		s.logger.Info("joined DNS membership", "server", idx, "addr", s.cfg.AdvertiseAddr)
+	}
+	idx := s.ServerIndex()
+	if idx < 0 {
+		return nil
+	}
+	if _, err := exchange(s.alarmLine(idx)); err != nil {
+		return err
+	}
+	if s.metrics != nil {
+		s.metrics.resyncs.Inc()
+	}
+	s.logger.Info("report socket connected, alarm state resynced", "server", idx, "alarmed", s.Alarmed())
+	return nil
+}
+
+// alarmLine reports slot idx's current alarm state.
+func (s *Server) alarmLine(idx int) string {
+	flag := 0
+	if s.Alarmed() {
+		flag = 1
+	}
+	return fmt.Sprintf("ALARM %d %d", idx, flag)
 }

@@ -3,10 +3,8 @@ package backend
 import (
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/netip"
-	"strings"
 	"testing"
 	"time"
 
@@ -218,63 +216,6 @@ func TestAgentFeedsHiddenLoadEstimates(t *testing.T) {
 	}
 }
 
-func TestBackoffValidation(t *testing.T) {
-	_, err := New(Config{Capacity: 10, Domains: 1,
-		ReconnectBackoffMin: time.Second, ReconnectBackoffMax: time.Millisecond})
-	if err == nil {
-		t.Error("backoff max below min should error")
-	}
-}
-
-func TestReportBackoffGatesDialing(t *testing.T) {
-	// Point the agent at a dead address: the first report fails with a
-	// dial error, and the next one is refused locally while the backoff
-	// window is open — no second dial attempt.
-	dead, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := dead.Addr().String()
-	_ = dead.Close()
-
-	s, err := New(Config{Capacity: 10, Domains: 1, ReportAddr: addr,
-		ReconnectBackoffMin: time.Hour, ReconnectBackoffMax: 2 * time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.report([]string{"ROLL 8"}); err == nil {
-		t.Fatal("report to a dead address should fail")
-	}
-	if s.nextDial.IsZero() {
-		t.Fatal("failed dial did not arm the backoff")
-	}
-	err = s.report([]string{"ROLL 8"})
-	if err == nil || !strings.Contains(err.Error(), "next dial") {
-		t.Errorf("in-backoff report error = %v, want local backoff refusal", err)
-	}
-}
-
-func TestBackoffDoublesAndJitters(t *testing.T) {
-	s, err := New(Config{Capacity: 10, Domains: 1,
-		ReconnectBackoffMin: 100 * time.Millisecond, ReconnectBackoffMax: 400 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []time.Duration{100, 200, 400, 400, 400} // ms, capped at max
-	for i, w := range want {
-		s.bumpBackoffLocked()
-		if s.dialBackoff != w*time.Millisecond {
-			t.Fatalf("bump %d: backoff = %v, want %v", i, s.dialBackoff, w*time.Millisecond)
-		}
-		delay := time.Until(s.nextDial)
-		lo := time.Duration(float64(s.dialBackoff) * 0.4) // slack for elapsed time
-		hi := time.Duration(float64(s.dialBackoff) * 1.5)
-		if delay < lo || delay > hi {
-			t.Fatalf("bump %d: jittered delay %v outside [%v,%v]", i, delay, lo, hi)
-		}
-	}
-}
-
 func TestAgentSurvivesReportOutage(t *testing.T) {
 	// Acceptance path for the live failure model: cut the path to the
 	// report socket, watch the liveness monitor exclude the backend, heal
@@ -298,8 +239,6 @@ func TestAgentSurvivesReportOutage(t *testing.T) {
 		ReportAddr:          addr,
 		UtilizationInterval: 25 * time.Millisecond,
 		AlarmThreshold:      0.5,
-		ReconnectBackoffMin: 10 * time.Millisecond,
-		ReconnectBackoffMax: 40 * time.Millisecond,
 	})
 
 	waitFor := func(what string, cond func() bool) {
@@ -399,40 +338,5 @@ func TestCloseBeforeStart(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close before Start should be a no-op, got %v", err)
-	}
-}
-
-func TestSuccessfulWriteResetsBackoff(t *testing.T) {
-	// A successful write on the established connection — not just a
-	// successful reconnect — must clear the dial backoff, so the next
-	// outage starts the ladder from the minimum instead of inheriting
-	// a stale ceiling.
-	_, rl := startDNS(t)
-	s, err := New(Config{Capacity: 10, Domains: 1, ReportAddr: rl,
-		ReconnectBackoffMin: 10 * time.Millisecond, ReconnectBackoffMax: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.report([]string{"ROLL 8"}); err != nil {
-		t.Fatal(err) // establishes the persistent connection
-	}
-	s.reportMu.Lock()
-	if s.reportC == nil {
-		s.reportMu.Unlock()
-		t.Fatal("report left no persistent connection")
-	}
-	// Simulate an old outage whose backoff never got cleared.
-	s.dialBackoff = time.Hour
-	s.nextDial = time.Time{}
-	s.reportMu.Unlock()
-
-	if err := s.report([]string{"ROLL 8"}); err != nil {
-		t.Fatal(err) // write path only: connection already up, no dial
-	}
-	s.reportMu.Lock()
-	defer s.reportMu.Unlock()
-	if s.dialBackoff != 0 || !s.nextDial.IsZero() {
-		t.Errorf("successful write left backoff %v / nextDial %v, want cleared",
-			s.dialBackoff, s.nextDial)
 	}
 }

@@ -52,21 +52,39 @@ func (e *Estimator) Kind() string { return EstimatorReactive }
 // Record accumulates hits observed from a domain since the last Roll.
 // Servers call this (directly in the simulator, via load reports in
 // the real DNS server). It reports whether the observation was
-// accepted: out-of-range domains and negative hit counts are rejected
-// so callers can count malformed reports instead of losing them
-// silently.
+// accepted: out-of-range domains, negative or non-finite hit counts,
+// and counts that would overflow the pending sum are rejected so
+// callers can count malformed reports instead of losing them silently.
 func (e *Estimator) Record(domain int, hits float64) bool {
-	if domain < 0 || domain >= e.domains || hits < 0 {
+	if domain < 0 || domain >= e.domains || !validHits(e.counts[domain], hits) {
 		return false
 	}
 	e.counts[domain] += hits
 	return true
 }
 
+// validHits reports whether hits may join the pending count c: it must
+// be non-negative and the sum finite (NaN fails every comparison).
+func validHits(c, hits float64) bool { return hits >= 0 && c+hits <= math.MaxFloat64 }
+
+// validInterval reports whether counts may be closed over an interval
+// of the given length: it must be positive and finite, and so must
+// every resulting rate. A rate that is NaN or infinite once would stay
+// so in every later EWMA step.
+func validInterval(counts []float64, intervalSeconds float64) bool {
+	for _, c := range counts {
+		if !(c/intervalSeconds <= math.MaxFloat64) {
+			return false
+		}
+	}
+	return intervalSeconds > 0 && intervalSeconds <= math.MaxFloat64
+}
+
 // Roll closes the current collection interval of the given length in
-// seconds and folds its per-domain rates into the EWMA estimates.
+// seconds and folds its per-domain rates into the EWMA estimates. An
+// interval validInterval refuses is a no-op.
 func (e *Estimator) Roll(intervalSeconds float64) {
-	if intervalSeconds <= 0 {
+	if !validInterval(e.counts, intervalSeconds) {
 		return
 	}
 	for j := range e.counts {

@@ -123,9 +123,10 @@ func NewPredictiveEstimator(domains int, alpha float64) (*PredictiveEstimator, e
 func (e *PredictiveEstimator) Kind() string { return EstimatorPredictive }
 
 // Record accumulates hits observed from a domain since the last Roll,
-// reporting whether the observation was accepted.
+// reporting whether the observation was accepted (Estimator.Record's
+// rules).
 func (e *PredictiveEstimator) Record(domain int, hits float64) bool {
-	if domain < 0 || domain >= e.domains || hits < 0 {
+	if domain < 0 || domain >= e.domains || !validHits(e.counts[domain], hits) {
 		return false
 	}
 	e.counts[domain] += hits
@@ -235,9 +236,10 @@ func (e *PredictiveEstimator) prune(dc int) {
 // the reactive EWMA exactly like the reactive estimator, then
 // attributes the interval's hits to the mappings that were active
 // during it to learn the per-mapping rates, and scores the forecast it
-// made at the previous roll against what the reports said.
+// made at the previous roll against what the reports said. An interval
+// validInterval refuses is a no-op.
 func (e *PredictiveEstimator) Roll(intervalSeconds float64) {
-	if intervalSeconds <= 0 {
+	if !validInterval(e.counts, intervalSeconds) {
 		return
 	}
 	rollNow := e.lastNow
@@ -249,7 +251,9 @@ func (e *PredictiveEstimator) Roll(intervalSeconds float64) {
 		for j := 0; j < e.domains; j++ {
 			absErr += math.Abs(e.prevForecast[j] - e.counts[j]/intervalSeconds)
 		}
-		e.forecastErr.fold(absErr/float64(e.domains), e.alpha)
+		if absErr <= math.MaxFloat64 { // finite errors can sum past it
+			e.forecastErr.fold(absErr/float64(e.domains), e.alpha)
+		}
 	}
 
 	for j := 0; j < e.domains; j++ {

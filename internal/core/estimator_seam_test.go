@@ -65,9 +65,29 @@ func TestPredictiveMatchesReactiveWithoutDecisions(t *testing.T) {
 	}
 }
 
+// TestEstimatorsRefuseOverflow: a pending count or a rate that
+// overflows to +Inf would stay infinite in every later EWMA step and
+// make the state unwritable as JSON, so both kinds refuse it.
+func TestEstimatorsRefuseOverflow(t *testing.T) {
+	for _, kind := range EstimatorKinds() {
+		e, _ := NewLoadEstimator(kind, 2, 0.5)
+		if !e.Record(0, math.MaxFloat64) || e.Record(0, math.MaxFloat64) {
+			t.Errorf("%s: a record overflowing the pending count must be refused", kind)
+		}
+		e.Roll(0.5) // MaxFloat64/0.5 overflows
+		if e.Rolls() != 0 {
+			t.Errorf("%s: a roll whose rate overflows must be a no-op", kind)
+		}
+		e.Roll(1)
+		if _, err := json.Marshal(e.State()); e.Rolls() != 1 || err != nil {
+			t.Errorf("%s: after a finite roll: Rolls = %d, marshal error %v", kind, e.Rolls(), err)
+		}
+	}
+}
+
 func TestPredictiveRecordRejections(t *testing.T) {
 	e, _ := NewPredictiveEstimator(2, 0.5)
-	if e.Record(-1, 1) || e.Record(2, 1) || e.Record(0, -1) {
+	if e.Record(-1, 1) || e.Record(2, 1) || e.Record(0, -1) || e.Record(0, math.NaN()) || e.Record(0, math.Inf(1)) {
 		t.Error("invalid observations must be rejected")
 	}
 	if !e.Record(1, 5) {

@@ -206,7 +206,7 @@ func TestEstimator(t *testing.T) {
 	for _, bad := range []struct {
 		domain int
 		hits   float64
-	}{{-1, 10}, {3, 10}, {0, -5}} {
+	}{{-1, 10}, {3, 10}, {0, -5}, {0, math.NaN()}, {0, math.Inf(1)}} {
 		if e.Record(bad.domain, bad.hits) {
 			t.Errorf("Record(%d, %v) should be rejected", bad.domain, bad.hits)
 		}
@@ -214,9 +214,11 @@ func TestEstimator(t *testing.T) {
 	if !e.Record(0, 1) {
 		t.Error("valid Record should be accepted")
 	}
-	e.Roll(0) // no-op
-	if e.Rolls() != 1 {
-		t.Error("Roll(0) should be a no-op")
+	for _, bad := range []float64{0, math.NaN(), math.Inf(1)} {
+		e.Roll(bad)
+		if e.Rolls() != 1 {
+			t.Errorf("Roll(%v) should be a no-op", bad)
+		}
 	}
 }
 

@@ -159,7 +159,7 @@ func registerReplicationMetrics(reg *metrics.Registry, replicaID string, node *r
 			func() uint64 { return health().Sent })
 		reg.NewCounterFunc("dnslb_repl_peer_errors_total",
 			"Send or dial failures on this peer link.", peerLbl,
-			func() uint64 { h := health(); return h.SendErrors + h.DialErrors })
+			func() uint64 { return health().SendErrors })
 		reg.NewCounterFunc("dnslb_repl_peer_dropped_total",
 			"Outbound deltas dropped on queue overflow (superseded by the next full sync).",
 			peerLbl, func() uint64 { return health().Drops })

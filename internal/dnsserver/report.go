@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"net/netip"
 	"strconv"
@@ -151,8 +152,11 @@ func (s *Server) applyReport(line string) (string, error) {
 		if err != nil {
 			return "", fmt.Errorf("bad domain index %q", fields[1])
 		}
+		if n := s.policy.State().Domains(); domain < 0 || domain >= n {
+			return "", fmt.Errorf("domain index %d out of range [0,%d)", domain, n)
+		}
 		count, err := strconv.ParseFloat(fields[2], 64)
-		if err != nil || count < 0 {
+		if err != nil || !(count >= 0) || math.IsInf(count, 1) {
 			return "", fmt.Errorf("bad hit count %q", fields[2])
 		}
 		s.RecordHits(domain, count)
@@ -162,7 +166,7 @@ func (s *Server) applyReport(line string) (string, error) {
 			return "", fmt.Errorf("ROLL wants 1 arg, got %d", len(fields)-1)
 		}
 		interval, err := strconv.ParseFloat(fields[1], 64)
-		if err != nil || interval <= 0 {
+		if err != nil || !(interval > 0) || math.IsInf(interval, 1) {
 			return "", fmt.Errorf("bad interval %q", fields[1])
 		}
 		return "", s.RollEstimates(interval)

@@ -2,14 +2,20 @@ package dnsserver
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
+	"math"
 	"net"
 	"net/netip"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"dnslb/internal/core"
 	"dnslb/internal/dnsclient"
+	"dnslb/internal/simcore"
 )
 
 // sendReports writes lines and returns each response line.
@@ -84,12 +90,121 @@ func TestReportErrors(t *testing.T) {
 		"HITS 1",
 		"ROLL 0",
 		"ROLL",
+		"HITS 0 NaN",
+		"HITS 0 Inf",
+		"ROLL NaN",
+		"HITS 20 10", // the test server has 20 domains
+		"HITS -1 10",
 	)
 	for i, resp := range resps {
 		if len(resp) < 3 || resp[:3] != "ERR" {
 			t.Errorf("line %d: response %q, want ERR", i, resp)
 		}
 	}
+}
+
+// TestReportNaNCannotPoisonEstimator: one non-finite hit count used to
+// turn the EWMA rate NaN for good, so that every later ROLL failed (the
+// weights froze) and every checkpoint failed (JSON has no NaN). The
+// report parser refuses the line, and the estimator refuses the value
+// when it arrives some other way.
+func TestReportNaNCannotPoisonEstimator(t *testing.T) {
+	srv, _ := testServer(t, "RR", nil)
+	addr := srv.ReportAddr().String()
+	sendReports(t, addr, "HITS 0 NaN")
+	rejected := srv.eng.EstimatorRejected()
+	srv.RecordHits(0, math.NaN())
+	if srv.eng.EstimatorRejected() != rejected+1 {
+		t.Error("estimator accepted a NaN hit count")
+	}
+	if resp := sendReports(t, addr, "HITS 1 50", "ROLL 8"); resp[1] != "OK\n" {
+		t.Fatalf("ROLL after a NaN report answered %q", resp[1])
+	}
+	for j := 0; j < 20; j++ {
+		if w := srv.DomainWeight(j); math.IsNaN(w) || math.IsInf(w, 0) {
+			t.Fatalf("domain %d weight %v", j, w)
+		}
+	}
+	if err := srv.WriteCheckpoint(filepath.Join(t.TempDir(), "ckpt.json")); err != nil {
+		t.Fatalf("checkpoint after a NaN report: %v", err)
+	}
+}
+
+// FuzzReportLines fuzzes the report-line parser, the one parser that
+// faces unauthenticated input: up to eight lines go through applyReport
+// on a fresh server (New binds nothing), under either estimator kind.
+// Each line must be answered OK or ERR on one line without a panic, and
+// no sequence may leave a weight non-finite or the state unwritable as
+// a checkpoint.
+func FuzzReportLines(f *testing.F) {
+	for _, seed := range []string{
+		"ALIVE 0\nALARM 1 1\nALARM 1 0",
+		"HITS 3 120\nHITS 7 4.5\nROLL 8",
+		"HITS 0 NaN\nROLL 8",
+		"HITS 0 1e300\nROLL NaN\nROLL 1e-300",
+		"HITS 0 1e308\nHITS 1 1e308\nROLL 1\nROLL 1", // forecast errors sum past MaxFloat64
+		"JOIN 10.0.0.99 120\nDRAIN 7",
+		"REPL {}",
+		"HITS 20 10\nHITS -1 10\nROLL Inf",
+		"BOGUS 1 2\nALARM x 1",
+	} {
+		f.Add(seed, false)
+		f.Add(seed, true)
+	}
+	f.Fuzz(func(t *testing.T, input string, predictive bool) {
+		srv := fuzzReportServer(t, predictive)
+		defer srv.Close()
+		lines := strings.Split(input, "\n")
+		for _, line := range lines[:min(len(lines), 8)] {
+			if line = strings.TrimSpace(line); line == "" {
+				continue // serveReport skips blank lines
+			}
+			reply, err := srv.applyReport(line)
+			if err != nil {
+				reply = err.Error()
+			}
+			if strings.ContainsAny(reply, "\r\n") {
+				t.Fatalf("line %q: reply %q breaks the one-line framing", line, reply)
+			}
+		}
+		for j := 0; j < srv.policy.State().Domains(); j++ {
+			if w := srv.DomainWeight(j); math.IsNaN(w) || math.IsInf(w, 0) {
+				t.Fatalf("domain %d weight %v after %q", j, w, input)
+			}
+		}
+		if _, err := json.Marshal(srv.Checkpoint()); err != nil {
+			t.Fatalf("checkpoint after %q: %v", input, err)
+		}
+	})
+}
+
+// fuzzReportServer is a 7-server, 20-domain server that binds nothing.
+func fuzzReportServer(t *testing.T, predictive bool) *Server {
+	cluster, err := core.ScaledCluster(7, 50, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	state, err := core.NewState(cluster, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	policy, err := core.NewPolicy(core.PolicyConfig{Name: "DRR2-TTL/S_K", State: state, Rand: simcore.NewStream(1, "report")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs := make([]netip.Addr, 7)
+	for i := range addrs {
+		addrs[i] = netip.AddrFrom4([4]byte{10, 0, 0, byte(i + 1)})
+	}
+	cfg := Config{Zone: "www.site.example", ServerAddrs: addrs, Policy: policy}
+	if predictive {
+		cfg.Estimator = core.EstimatorPredictive
+	}
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv
 }
 
 func TestReportDrivenSchedulingEndToEnd(t *testing.T) {

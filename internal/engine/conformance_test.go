@@ -256,7 +256,7 @@ func TestReplicaPairConformance(t *testing.T) {
 			for _, ev := range events {
 				clock.Set(ev.time)
 				applyConfEvent(t, a, ev, &out)
-				if err := b.MergeRemote(a.SnapshotDelta()); err != nil {
+				if err := b.MergeRemote(snapshotDelta(a)); err != nil {
 					t.Fatalf("MergeRemote at t=%v: %v", ev.time, err)
 				}
 			}
@@ -284,7 +284,7 @@ func TestReplicaPairConformance(t *testing.T) {
 				}
 			}
 
-			if err := a.MergeRemote(b.SnapshotDelta()); err != nil {
+			if err := a.MergeRemote(snapshotDelta(b)); err != nil {
 				t.Fatalf("back-merge B into A: %v", err)
 			}
 			for i, after := range ledgerExpiries(a) {
@@ -294,6 +294,25 @@ func TestReplicaPairConformance(t *testing.T) {
 			}
 		})
 	}
+}
+
+// snapshotDelta is e's full mergeable soft state as one RemoteDelta:
+// every non-zero ledger window and every member slot's standing, the
+// engine-level content of replication.Node.Snapshot.
+func snapshotDelta(e *Engine) RemoteDelta {
+	sn := e.State().Snapshot()
+	var d RemoteDelta
+	for i := 0; i < sn.Cluster().N(); i++ {
+		if exp := e.MappingExpiry(i); exp > 0 {
+			d.Mappings = append(d.Mappings, RemoteMapping{Server: i, Expiry: exp})
+		}
+		if sn.Member(i) {
+			d.Standing = append(d.Standing, RemoteStanding{
+				Server: i, Alarmed: sn.Alarmed(i), Down: sn.Down(i), Draining: sn.Draining(i),
+			})
+		}
+	}
+	return d
 }
 
 // TestConformanceStreamExercisesOutcomes guards the stream itself: it

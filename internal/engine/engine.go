@@ -237,8 +237,8 @@ func (e *Engine) RecordHits(domain int, hits float64) {
 }
 
 // EstimatorRejected returns how many hit observations the estimator
-// refused (out-of-range domains or negative counts) — malformed or
-// stale reports that would otherwise vanish silently.
+// refused (out-of-range domains, negative or non-finite counts) —
+// malformed or stale reports that would otherwise vanish silently.
 func (e *Engine) EstimatorRejected() uint64 { return e.estRejected.Load() }
 
 // RollEstimates closes an estimation interval of the given length in

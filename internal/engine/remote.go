@@ -121,29 +121,3 @@ func (e *Engine) MergeRemote(d RemoteDelta) error {
 	}
 	return firstErr
 }
-
-// SnapshotDelta captures the engine's full mergeable soft state — every
-// non-zero ledger window and every member slot's standing — as a
-// RemoteDelta in this engine's clock seconds. It is the anti-entropy
-// unit: merging a snapshot into a peer that missed arbitrarily many
-// deltas converges its ledger and standing in one round. Hit counts are
-// interval-scoped, not state, so a snapshot never carries them.
-func (e *Engine) SnapshotDelta() RemoteDelta {
-	sn := e.policy.State().Snapshot()
-	n := sn.Cluster().N()
-	var d RemoteDelta
-	for i := 0; i < n; i++ {
-		if exp := e.ledger.Expiry(i); exp > 0 {
-			d.Mappings = append(d.Mappings, RemoteMapping{Server: i, Expiry: exp})
-		}
-		if sn.Member(i) {
-			d.Standing = append(d.Standing, RemoteStanding{
-				Server:   i,
-				Alarmed:  sn.Alarmed(i),
-				Down:     sn.Down(i),
-				Draining: sn.Draining(i),
-			})
-		}
-	}
-	return d
-}

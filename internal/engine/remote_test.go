@@ -196,84 +196,3 @@ func TestMergeRemoteHitsFeedEstimator(t *testing.T) {
 		t.Errorf("merged hits did not skew weights: %v", w)
 	}
 }
-
-// TestSnapshotDeltaExcludesEstimatorState pins the replication
-// contract: deltas carry interval-scoped hit counts only, never the
-// estimator's rolled soft state (rates, rolls, learned per-mapping
-// models). A peer that merges another replica's full snapshot must see
-// its own estimator completely untouched — each replica smooths the
-// hidden load it observes, and anti-entropy must not overwrite local
-// learning with a remote replica's view.
-func TestSnapshotDeltaExcludesEstimatorState(t *testing.T) {
-	a := remoteTestEngine(t, 3)
-	b := remoteTestEngine(t, 3)
-
-	// Both replicas learn different hidden-load profiles.
-	a.RecordHits(0, 900)
-	if err := a.RollEstimates(30); err != nil {
-		t.Fatal(err)
-	}
-	b.RecordHits(1, 60)
-	if err := b.RollEstimates(30); err != nil {
-		t.Fatal(err)
-	}
-	before, ok := b.EstimatorState()
-	if !ok {
-		t.Fatal("test engine should have an estimator")
-	}
-
-	d := a.SnapshotDelta()
-	if len(d.Hits) != 0 {
-		t.Fatalf("snapshot delta carries %d hit entries; snapshots must never carry estimator input", len(d.Hits))
-	}
-	if err := b.MergeRemote(d); err != nil {
-		t.Fatal(err)
-	}
-
-	after, _ := b.EstimatorState()
-	if after.Rolls != before.Rolls {
-		t.Errorf("merge changed estimator rolls: %d → %d", before.Rolls, after.Rolls)
-	}
-	for j := range before.Rates {
-		if math.Float64bits(after.Rates[j]) != math.Float64bits(before.Rates[j]) {
-			t.Errorf("merge changed rolled rate[%d]: %v → %v", j, before.Rates[j], after.Rates[j])
-		}
-	}
-	for j := range before.Counts {
-		if after.Counts[j] != before.Counts[j] {
-			t.Errorf("merge changed pending count[%d]: %v → %v", j, before.Counts[j], after.Counts[j])
-		}
-	}
-}
-
-func TestSnapshotDeltaRoundTrip(t *testing.T) {
-	a := remoteTestEngine(t, 4)
-	b := remoteTestEngine(t, 4)
-	a.NoteMapping(0, 33)
-	a.NoteMapping(2, 77)
-	if err := a.SetAlarm(1, true); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.SetDown(3, true); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.State().DrainServer(2); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.MergeRemote(a.SnapshotDelta()); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if ae, be := a.MappingExpiry(i), b.MappingExpiry(i); math.Float64bits(ae) != math.Float64bits(be) {
-			t.Errorf("slot %d expiry: a=%v b=%v", i, ae, be)
-		}
-	}
-	asn, bsn := a.State().Snapshot(), b.State().Snapshot()
-	for i := 0; i < 4; i++ {
-		if asn.Alarmed(i) != bsn.Alarmed(i) || asn.Down(i) != bsn.Down(i) || asn.Draining(i) != bsn.Draining(i) {
-			t.Errorf("slot %d standing: a=(%v,%v,%v) b=(%v,%v,%v)", i,
-				asn.Alarmed(i), asn.Down(i), asn.Draining(i),
-				bsn.Alarmed(i), bsn.Down(i), bsn.Draining(i))
-		}
-	}
-}

@@ -3,7 +3,8 @@
 // gossips versioned deltas of its engine soft state — hidden-load
 // ledger windows, per-server standing (alarm/down/draining), and
 // estimator hit reports — over the existing report-socket transport
-// (one `REPL <json>` line per delta, answered `OK`).
+// (one `REPL <json>` line per delta, answered `OK`), through the same
+// client link as a backend's report agent (internal/reportlink).
 //
 // Convergence is CRDT-style, never consensus:
 //
@@ -13,7 +14,7 @@
 //     epoch, so its pre-crash writes can never override post-crash
 //     state;
 //   - hit reports are increments, deduplicated by the per-origin
-//     sequence number every delta carries.
+//     sequence number every delta but a heartbeat carries.
 //
 // Robustness is the design center: a replica that loses every peer
 // keeps scheduling from local state (it never refuses queries), and a

@@ -203,6 +203,9 @@ func TestPartitionHealsInOneRound(t *testing.T) {
 	if err := b.eng.SetDown(3, true); err != nil {
 		t.Fatal(err)
 	}
+	if err := a.eng.State().DrainServer(4); err != nil {
+		t.Fatal(err)
+	}
 	a.node.Flush()
 	b.node.Flush()
 
@@ -216,9 +219,68 @@ func TestPartitionHealsInOneRound(t *testing.T) {
 	if !a.eng.State().Down(3) {
 		t.Error("partitioned down write did not reach a")
 	}
+	if !b.eng.State().Draining(4) {
+		t.Error("partitioned drain did not reach b")
+	}
 	st := a.node.Stats()
 	if st.FullSyncsIn == 0 || st.FullSyncsOut == 0 {
 		t.Errorf("full syncs not counted: %+v", st)
+	}
+}
+
+// TestSnapshotExcludesEstimatorState pins the replication contract:
+// deltas carry interval-scoped hit counts only, never the estimator's
+// rolled soft state (rates, rolls, learned per-mapping models). A
+// snapshot carries no hits at all, and a peer that merges another
+// replica's full snapshot keeps its own estimator byte-identical — each
+// replica smooths the hidden load it observes, and anti-entropy must
+// not overwrite local learning with a remote replica's view.
+func TestSnapshotExcludesEstimatorState(t *testing.T) {
+	a := newTestReplica(t, "a", 1, 3, 4)
+	b := newTestReplica(t, "b", 1, 3, 4)
+
+	// Both replicas learn different hidden-load profiles; a also has
+	// hits pending for its next flush and a ledger window to snapshot.
+	a.eng.RecordHits(0, 900)
+	a.node.AddHits(0, 900)
+	if err := a.eng.RollEstimates(30); err != nil {
+		t.Fatal(err)
+	}
+	a.node.AddHits(1, 40)
+	a.clock.Set(5)
+	if _, err := a.eng.Decide(0); err != nil {
+		t.Fatal(err)
+	}
+	b.eng.RecordHits(1, 60)
+	if err := b.eng.RollEstimates(30); err != nil {
+		t.Fatal(err)
+	}
+	before, ok := b.eng.EstimatorState()
+	if !ok {
+		t.Fatal("test engine should have an estimator")
+	}
+
+	snap := a.node.Snapshot()
+	for _, d := range snap {
+		if len(d.Hits) != 0 {
+			t.Fatalf("snapshot delta carries %d hit entries; snapshots must never carry estimator input", len(d.Hits))
+		}
+	}
+	mergeAll(t, b.node, snap)
+
+	after, _ := b.eng.EstimatorState()
+	if after.Rolls != before.Rolls {
+		t.Errorf("merge changed estimator rolls: %d → %d", before.Rolls, after.Rolls)
+	}
+	for j := range before.Rates {
+		if math.Float64bits(after.Rates[j]) != math.Float64bits(before.Rates[j]) {
+			t.Errorf("merge changed rolled rate[%d]: %v → %v", j, before.Rates[j], after.Rates[j])
+		}
+	}
+	for j := range before.Counts {
+		if after.Counts[j] != before.Counts[j] {
+			t.Errorf("merge changed pending count[%d]: %v → %v", j, before.Counts[j], after.Counts[j])
+		}
 	}
 }
 

@@ -1,19 +1,20 @@
 package replication
 
 import (
-	"bufio"
 	"errors"
-	"fmt"
 	"log/slog"
-	"math/rand"
-	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"dnslb/internal/logging"
+	"dnslb/internal/reportlink"
 )
+
+// queueLen bounds each peer's outbound delta queue; overflow drops the
+// oldest delta and schedules a full-state resync.
+const queueLen = 64
 
 // ReplicatorConfig assembles a live Replicator.
 type ReplicatorConfig struct {
@@ -25,28 +26,17 @@ type ReplicatorConfig struct {
 	Peers []string
 	// Interval is the flush/gossip cadence. Default 1s.
 	Interval time.Duration
-	// DialTimeout bounds one connection attempt. Default 3s.
-	DialTimeout time.Duration
-	// IOTimeout bounds one delta round trip (write + OK). Default 3s.
-	IOTimeout time.Duration
-	// BackoffMin/BackoffMax bound the per-peer reconnect backoff.
-	// Defaults 200ms / 30s.
-	BackoffMin time.Duration
-	BackoffMax time.Duration
-	// QueueLen bounds each peer's outbound delta queue; overflow drops
-	// the oldest delta and schedules a full-state resync. Default 64.
-	QueueLen int
 	// Logger receives link state transitions; nil discards.
 	Logger *slog.Logger
 }
 
 // Replicator ships a Node's deltas to a fixed peer set over the report
-// socket protocol and keeps each link healthy: bounded exponential
-// backoff with jitter on dial failures, per-delta IO deadlines, and a
-// full-state anti-entropy snapshot whenever a link (re)connects or
-// overflowed its queue. Losing every peer only degrades gossip — the
-// local engine keeps scheduling from its own state, so queries are
-// never refused on account of replication.
+// socket protocol, one reportlink.Link per peer (which owns the dial,
+// the redial backoff and the deadlines), and sends a full-state
+// anti-entropy snapshot whenever a link (re)connects or overflowed its
+// queue. Losing every peer only degrades gossip — the local engine
+// keeps scheduling from its own state, so queries are never refused on
+// account of replication.
 type Replicator struct {
 	node     *Node
 	peers    []*peerLink
@@ -60,29 +50,14 @@ type Replicator struct {
 
 // peerLink is one outbound replication link.
 type peerLink struct {
-	addr  string
+	link  *reportlink.Link
 	queue chan *Delta
 
-	dialTimeout time.Duration
-	ioTimeout   time.Duration
-	backoffMin  time.Duration
-	backoffMax  time.Duration
-
-	// Owned by the link's goroutine.
-	conn     net.Conn
-	rd       *bufio.Reader
-	backoff  time.Duration
-	nextDial time.Time
-
 	needsFull atomic.Bool
-	connected atomic.Bool
 
-	sent       atomic.Uint64
-	sendErrors atomic.Uint64
-	dials      atomic.Uint64
-	dialErrors atomic.Uint64
-	drops      atomic.Uint64
-	fullSyncs  atomic.Uint64
+	sent      atomic.Uint64
+	drops     atomic.Uint64
+	fullSyncs atomic.Uint64
 }
 
 // NewReplicator builds a replicator; Start launches it.
@@ -95,24 +70,6 @@ func NewReplicator(cfg ReplicatorConfig) (*Replicator, error) {
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = time.Second
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 3 * time.Second
-	}
-	if cfg.IOTimeout <= 0 {
-		cfg.IOTimeout = 3 * time.Second
-	}
-	if cfg.BackoffMin <= 0 {
-		cfg.BackoffMin = 200 * time.Millisecond
-	}
-	if cfg.BackoffMax <= 0 {
-		cfg.BackoffMax = 30 * time.Second
-	}
-	if cfg.BackoffMax < cfg.BackoffMin {
-		return nil, fmt.Errorf("replication: BackoffMax %v < BackoffMin %v", cfg.BackoffMax, cfg.BackoffMin)
-	}
-	if cfg.QueueLen <= 0 {
-		cfg.QueueLen = 64
 	}
 	log := cfg.Logger
 	if log == nil {
@@ -129,14 +86,7 @@ func NewReplicator(cfg ReplicatorConfig) (*Replicator, error) {
 		if addr == "" {
 			continue
 		}
-		p := &peerLink{
-			addr:        addr,
-			queue:       make(chan *Delta, cfg.QueueLen),
-			dialTimeout: cfg.DialTimeout,
-			ioTimeout:   cfg.IOTimeout,
-			backoffMin:  cfg.BackoffMin,
-			backoffMax:  cfg.BackoffMax,
-		}
+		p := &peerLink{link: reportlink.New(addr, nil), queue: make(chan *Delta, queueLen)}
 		p.needsFull.Store(true) // first contact always starts with a snapshot
 		r.peers = append(r.peers, p)
 	}
@@ -210,7 +160,7 @@ func (r *Replicator) runPeer(p *peerLink) {
 	for {
 		select {
 		case <-r.stop:
-			p.closeConn()
+			p.link.Close()
 			return
 		case d := <-p.queue:
 			r.deliver(p, d)
@@ -221,127 +171,58 @@ func (r *Replicator) runPeer(p *peerLink) {
 }
 
 // deliver pushes one delta (nil for a pure maintenance tick) down the
-// link, dialing and full-syncing as needed. While the link is down,
+// link, connecting and full-syncing as needed. While the link is down,
 // incremental deltas are dropped — by design: the full-state snapshot
 // sent on reconnect supersedes every dropped ledger/standing change,
 // and dropped hit increments age out of the estimator within an
 // interval (same failure model as a lost backend report).
 func (r *Replicator) deliver(p *peerLink, d *Delta) {
-	if p.conn == nil {
-		if d != nil {
-			p.needsFull.Store(true)
-		}
-		if time.Now().Before(p.nextDial) {
-			return
-		}
-		p.dials.Add(1)
-		conn, err := net.DialTimeout("tcp", p.addr, p.dialTimeout)
-		if err != nil {
-			p.dialErrors.Add(1)
-			p.bumpBackoff()
-			r.log.Debug("replication dial failed", "peer", p.addr, "err", err, "retry_in", p.backoff)
-			return
-		}
-		p.conn = conn
-		p.rd = bufio.NewReader(conn)
-		p.backoff = 0
-		p.nextDial = time.Time{}
-		p.connected.Store(true)
-		r.log.Info("replication peer connected", "peer", p.addr)
+	if p.link.Connect() != nil {
+		return // needsFull is set: the link starts down, and goes down only in send
 	}
 	if p.needsFull.Load() {
 		for _, s := range r.node.Snapshot() {
-			if err := p.send(s); err != nil {
-				r.fail(p, err)
+			if !r.send(p, s) {
 				return
 			}
 		}
 		p.needsFull.Store(false)
 		p.fullSyncs.Add(1)
-		r.log.Info("replication full sync sent", "peer", p.addr)
+		r.log.Info("replication full sync sent", "peer", p.link.Addr())
 	}
 	if d == nil {
 		// Maintenance tick with nothing queued: probe the link with an
 		// empty heartbeat delta so a dead peer is noticed within one
 		// interval even when no state is changing.
-		if err := p.send(r.node.Heartbeat()); err != nil {
-			r.fail(p, err)
-		}
-		return
+		d = r.node.Heartbeat()
 	}
-	if err := p.send(d); err != nil {
-		r.fail(p, err)
-	}
+	r.send(p, d)
 }
 
-// fail tears the link down after an IO error; the next tick redials
-// under backoff and resyncs with a snapshot.
-func (r *Replicator) fail(p *peerLink, err error) {
-	p.sendErrors.Add(1)
-	p.needsFull.Store(true)
-	p.closeConn()
-	p.bumpBackoff()
-	r.log.Warn("replication peer lost", "peer", p.addr, "err", err, "retry_in", p.backoff)
-}
-
-// send writes one REPL line and waits for the peer's OK under the IO
-// deadline.
-func (p *peerLink) send(d *Delta) error {
+// send exchanges one REPL line with the peer. A failure has dropped the
+// connection, so the next delivery after the link's backoff redials and
+// resyncs with a snapshot.
+func (r *Replicator) send(p *peerLink, d *Delta) bool {
 	enc, err := d.Encode()
+	if err == nil {
+		_, err = p.link.Exchange("REPL " + string(enc))
+	}
 	if err != nil {
-		return err
-	}
-	if err := p.conn.SetDeadline(time.Now().Add(p.ioTimeout)); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(p.conn, "REPL %s\n", enc); err != nil {
-		return err
-	}
-	reply, err := p.rd.ReadString('\n')
-	if err != nil {
-		return err
-	}
-	if reply = strings.TrimSpace(reply); reply != "OK" {
-		return fmt.Errorf("replication: peer rejected delta: %q", reply)
+		p.needsFull.Store(true)
+		r.log.Warn("replication peer lost", "peer", p.link.Addr(), "err", err)
+		return false
 	}
 	p.sent.Add(1)
-	return nil
+	return true
 }
 
-// bumpBackoff doubles the link's reconnect delay (bounded, jittered
-// ±50% so a replica fleet restarting together does not dial in
-// lockstep).
-func (p *peerLink) bumpBackoff() {
-	if p.backoff == 0 {
-		p.backoff = p.backoffMin
-	} else {
-		p.backoff *= 2
-		if p.backoff > p.backoffMax {
-			p.backoff = p.backoffMax
-		}
-	}
-	jitter := 0.5 + rand.Float64() // 0.5–1.5×
-	p.nextDial = time.Now().Add(time.Duration(float64(p.backoff) * jitter))
-}
-
-// closeConn drops the link's connection state.
-func (p *peerLink) closeConn() {
-	if p.conn != nil {
-		_ = p.conn.Close()
-		p.conn = nil
-		p.rd = nil
-	}
-	p.connected.Store(false)
-}
-
-// PeerHealth is one link's scrape-time state.
+// PeerHealth is one link's scrape-time state. SendErrors counts every
+// failed dial and every failed exchange on the link.
 type PeerHealth struct {
 	Addr       string
 	Connected  bool
 	Sent       uint64
 	SendErrors uint64
-	Dials      uint64
-	DialErrors uint64
 	Drops      uint64
 	FullSyncs  uint64
 }
@@ -351,12 +232,10 @@ func (r *Replicator) Health() []PeerHealth {
 	out := make([]PeerHealth, len(r.peers))
 	for i, p := range r.peers {
 		out[i] = PeerHealth{
-			Addr:       p.addr,
-			Connected:  p.connected.Load(),
+			Addr:       p.link.Addr(),
+			Connected:  p.link.Up(),
 			Sent:       p.sent.Load(),
-			SendErrors: p.sendErrors.Load(),
-			Dials:      p.dials.Load(),
-			DialErrors: p.dialErrors.Load(),
+			SendErrors: p.link.Errors(),
 			Drops:      p.drops.Load(),
 			FullSyncs:  p.fullSyncs.Load(),
 		}
@@ -368,7 +247,7 @@ func (r *Replicator) Health() []PeerHealth {
 func (r *Replicator) ConnectedPeers() int {
 	n := 0
 	for _, p := range r.peers {
-		if p.connected.Load() {
+		if p.link.Up() {
 			n++
 		}
 	}
@@ -383,7 +262,7 @@ func (r *Replicator) Degraded() bool { return r.ConnectedPeers() == 0 }
 func (r *Replicator) Peers() []string {
 	out := make([]string, len(r.peers))
 	for i, p := range r.peers {
-		out[i] = p.addr
+		out[i] = p.link.Addr()
 	}
 	return out
 }

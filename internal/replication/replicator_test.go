@@ -153,11 +153,9 @@ func TestReplicatorSurvivesPeerLossAndResyncs(t *testing.T) {
 	peer := newFakePeer(t)
 	a := newTestReplica(t, "a", 1, 3, 4)
 	r, err := NewReplicator(ReplicatorConfig{
-		Node:       a.node,
-		Peers:      []string{peer.addr()},
-		Interval:   10 * time.Millisecond,
-		BackoffMin: 5 * time.Millisecond,
-		BackoffMax: 50 * time.Millisecond,
+		Node:     a.node,
+		Peers:    []string{peer.addr()},
+		Interval: 10 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -197,13 +195,12 @@ func TestReplicatorSurvivesPeerLossAndResyncs(t *testing.T) {
 		}
 		return false
 	})
-	h := r.Health()[0]
-	if h.SendErrors == 0 {
+	if h := r.Health()[0]; h.SendErrors == 0 {
 		t.Error("outage produced no send errors")
 	}
-	if h.FullSyncs < 2 {
-		t.Errorf("FullSyncs = %d, want ≥2 (initial + post-heal)", h.FullSyncs)
-	}
+	// The link counts a full sync only after the peer has answered its
+	// last delta, which can trail the peer recording it.
+	waitFor(t, "FullSyncs ≥ 2 (initial + post-heal)", func() bool { return r.Health()[0].FullSyncs >= 2 })
 }
 
 func TestReplicatorRejectedDeltaTearsLinkDown(t *testing.T) {
@@ -213,11 +210,9 @@ func TestReplicatorRejectedDeltaTearsLinkDown(t *testing.T) {
 	peer.mu.Unlock()
 	a := newTestReplica(t, "a", 1, 2, 4)
 	r, err := NewReplicator(ReplicatorConfig{
-		Node:       a.node,
-		Peers:      []string{peer.addr()},
-		Interval:   10 * time.Millisecond,
-		BackoffMin: 5 * time.Millisecond,
-		BackoffMax: 20 * time.Millisecond,
+		Node:     a.node,
+		Peers:    []string{peer.addr()},
+		Interval: 10 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -250,11 +245,5 @@ func TestNewReplicatorValidation(t *testing.T) {
 	}
 	if _, err := NewReplicator(ReplicatorConfig{Node: a.node, Peers: []string{" ", ""}}); err == nil {
 		t.Error("blank peer list accepted")
-	}
-	if _, err := NewReplicator(ReplicatorConfig{
-		Node: a.node, Peers: []string{"x"},
-		BackoffMin: time.Second, BackoffMax: time.Millisecond,
-	}); err == nil {
-		t.Error("inverted backoff bounds accepted")
 	}
 }
