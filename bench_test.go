@@ -13,99 +13,26 @@ import (
 	"dnslb/internal/simcore"
 )
 
-// benchOptions are the per-iteration experiment settings used by the
-// figure benchmarks: one simulated hour, one replication. Regenerating
-// the paper's full 5-hour/3-replication data is `dnslb-bench -exp all`.
-func benchOptions() experiments.Options {
-	o := experiments.QuickOptions()
-	o.CurvePoints = 11
-	return o
-}
-
-func benchFigure(b *testing.B, runner experiments.Runner) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		o := benchOptions()
-		o.Seed = uint64(i) + 1
-		fig, err := runner(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(fig.Series) == 0 {
-			b.Fatal("figure produced no series")
-		}
+// BenchmarkExperiments regenerates every registered table and figure,
+// one sub-benchmark per experiment ID (paper figures, Table 2 and the
+// extensions), at one simulated hour and one replication per point.
+// Regenerating the paper's full 5-hour/3-replication data is
+// `dnslb-bench -exp all`.
+func BenchmarkExperiments(b *testing.B) {
+	for _, id := range experiments.IDs() {
+		b.Run(id, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				fig, err := experiments.Registry[id](experiments.Options{Duration: 3600, Reps: 1, Seed: uint64(i) + 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(fig.Series) == 0 {
+					b.Fatal("figure produced no series")
+				}
+			}
+		})
 	}
 }
-
-// BenchmarkTable2Vectors regenerates the paper's Table 2 capacity
-// vectors (the construction is cheap; this benchmark pins its cost and
-// doubles as its regeneration target).
-func BenchmarkTable2Vectors(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig, err := experiments.Table2()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(fig.Series) != 4 {
-			b.Fatal("table 2 must have four heterogeneity levels")
-		}
-	}
-}
-
-// BenchmarkFigure1 regenerates Figure 1: the cumulative frequency of
-// the maximum utilization for the deterministic algorithms at 20%
-// heterogeneity.
-func BenchmarkFigure1(b *testing.B) { benchFigure(b, experiments.Figure1) }
-
-// BenchmarkFigure2 regenerates Figure 2: the probabilistic algorithms
-// at 35% heterogeneity.
-func BenchmarkFigure2(b *testing.B) { benchFigure(b, experiments.Figure2) }
-
-// BenchmarkFigure3 regenerates Figure 3: sensitivity to system
-// heterogeneity (20-65%), including the DAL baseline.
-func BenchmarkFigure3(b *testing.B) { benchFigure(b, experiments.Figure3) }
-
-// BenchmarkFigure4 regenerates Figure 4: sensitivity to the minimum
-// TTL imposed by non-cooperative name servers at 20% heterogeneity.
-func BenchmarkFigure4(b *testing.B) { benchFigure(b, experiments.Figure4) }
-
-// BenchmarkFigure5 regenerates Figure 5: minimum-TTL sensitivity at
-// 50% heterogeneity.
-func BenchmarkFigure5(b *testing.B) { benchFigure(b, experiments.Figure5) }
-
-// BenchmarkFigure6 regenerates Figure 6: sensitivity to hidden-load
-// estimation error at 20% heterogeneity.
-func BenchmarkFigure6(b *testing.B) { benchFigure(b, experiments.Figure6) }
-
-// BenchmarkFigure7 regenerates Figure 7: estimation-error sensitivity
-// at 50% heterogeneity.
-func BenchmarkFigure7(b *testing.B) { benchFigure(b, experiments.Figure7) }
-
-// Extension experiments (beyond the paper; see DESIGN.md).
-
-// BenchmarkExtDomains regenerates the connected-domain sweep K=10–100.
-func BenchmarkExtDomains(b *testing.B) { benchFigure(b, experiments.ExtDomains) }
-
-// BenchmarkExtServers regenerates the cluster-size sweep N=5–17.
-func BenchmarkExtServers(b *testing.B) { benchFigure(b, experiments.ExtServers) }
-
-// BenchmarkExtLoad regenerates the offered-load (think time) sweep.
-func BenchmarkExtLoad(b *testing.B) { benchFigure(b, experiments.ExtLoad) }
-
-// BenchmarkExtClasses regenerates the TTL/i class-count ablation.
-func BenchmarkExtClasses(b *testing.B) { benchFigure(b, experiments.ExtClasses) }
-
-// BenchmarkExtAlarm regenerates the alarm-threshold ablation.
-func BenchmarkExtAlarm(b *testing.B) { benchFigure(b, experiments.ExtAlarm) }
-
-// BenchmarkExtWindow regenerates the metric-window ablation.
-func BenchmarkExtWindow(b *testing.B) { benchFigure(b, experiments.ExtWindow) }
-
-// BenchmarkExtEstimator regenerates the oracle-vs-estimator study.
-func BenchmarkExtEstimator(b *testing.B) { benchFigure(b, experiments.ExtEstimator) }
-
-// BenchmarkExtBaselines regenerates the DAL/MRL baseline comparison.
-func BenchmarkExtBaselines(b *testing.B) { benchFigure(b, experiments.ExtBaselines) }
 
 // BenchmarkSimulation5h measures one full paper-scale run (5 simulated
 // hours, ~620k events) of the best-performing policy.

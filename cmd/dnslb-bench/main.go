@@ -4,12 +4,13 @@
 //
 // Examples:
 //
-//	dnslb-bench -exp all -quick
-//	dnslb-bench -exp fig3
+//	dnslb-bench -exp all -out results/
+//	dnslb-bench -exp fig3 -duration 3600 -reps 1
 //	dnslb-bench -exp fig1 -csv -out results/
 package main
 
 import (
+	"encoding/csv"
 	"flag"
 	"fmt"
 	"io"
@@ -32,7 +33,6 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("dnslb-bench", flag.ContinueOnError)
 	var (
 		exp      = fs.String("exp", "all", "experiment id: table1, table2, fig1..fig7, ext-*, verify, or all")
-		quick    = fs.Bool("quick", false, "1 simulated hour, 1 replication (default: 5 h, 3 reps)")
 		reps     = fs.Int("reps", 0, "override replications")
 		duration = fs.Float64("duration", 0, "override measured virtual seconds")
 		seed     = fs.Uint64("seed", 1, "base random seed")
@@ -46,9 +46,6 @@ func run(args []string, out io.Writer) error {
 	}
 
 	opts := dnslb.DefaultExperimentOptions()
-	if *quick {
-		opts = dnslb.QuickExperimentOptions()
-	}
 	if *reps > 0 {
 		opts.Reps = *reps
 	}
@@ -82,8 +79,8 @@ func run(args []string, out io.Writer) error {
 
 func runOne(id string, opts dnslb.ExperimentOptions, csv, plot bool, outDir string, out io.Writer) error {
 	if id == "table1" {
-		return writeBoth(id, outDir, out, csv, func(w io.Writer, _ bool) error {
-			return printTable1(w, opts)
+		return writeBoth(id, outDir, out, csv, func(w io.Writer, asCSV bool) error {
+			return printTable1(w, opts, asCSV)
 		})
 	}
 	runner, ok := dnslb.Experiments[id]
@@ -145,10 +142,11 @@ func writeBoth(id, outDir string, out io.Writer, csv bool, render func(io.Writer
 }
 
 // printTable1 echoes the model parameters (paper Table 1) alongside
-// this reproduction's effective settings.
-func printTable1(w io.Writer, opts dnslb.ExperimentOptions) error {
+// this reproduction's effective settings, as an aligned text table or
+// as CSV with a Parameter,Value header.
+func printTable1(w io.Writer, opts dnslb.ExperimentOptions, asCSV bool) error {
 	cfg := dnslb.DefaultSimConfig("DRR2-TTL/S_K")
-	rows := [][2]string{
+	rows := [][]string{
 		{"Connected domains K", fmt.Sprintf("%d (sweep 10-100)", cfg.Workload.Domains)},
 		{"Clients per domain", "pure Zipf"},
 		{"Total clients", fmt.Sprintf("%d", cfg.Workload.Clients)},
@@ -164,7 +162,11 @@ func printTable1(w io.Writer, opts dnslb.ExperimentOptions) error {
 		{"Alarm threshold theta", fmt.Sprintf("%.2f", cfg.AlarmThreshold)},
 		{"Class threshold beta", "1/K"},
 		{"Constant TTL", fmt.Sprintf("%.0f s", cfg.ConstantTTL)},
-		{"Simulation length", fmt.Sprintf("%.0f s measured + %.0f s warm-up, %d rep(s)", opts.Duration, opts.Warmup, opts.Reps)},
+		// Every experiment keeps the simulator's default warm-up.
+		{"Simulation length", fmt.Sprintf("%.0f s measured + %.0f s warm-up, %d rep(s)", opts.Duration, cfg.Warmup, opts.Reps)},
+	}
+	if asCSV {
+		return csv.NewWriter(w).WriteAll(append([][]string{{"Parameter", "Value"}}, rows...))
 	}
 	fmt.Fprintln(w, "# table1 — Parameters of the system model")
 	for _, r := range rows {

@@ -42,7 +42,7 @@ func TestRunTable2(t *testing.T) {
 
 func TestRunFigureQuick(t *testing.T) {
 	var buf bytes.Buffer
-	err := run([]string{"-exp", "fig3", "-quick", "-duration", "600", "-reps", "1"}, &buf)
+	err := run([]string{"-exp", "fig3", "-duration", "600", "-reps", "1"}, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,29 +55,34 @@ func TestRunFigureQuick(t *testing.T) {
 }
 
 func TestRunCSVAndOutDir(t *testing.T) {
-	dir := t.TempDir()
-	var buf bytes.Buffer
-	err := run([]string{"-exp", "table2", "-csv", "-out", dir}, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "Server,20%,35%,50%,65%") {
-		t.Errorf("csv header missing:\n%s", buf.String())
-	}
-	for _, name := range []string{"table2.txt", "table2.csv"} {
-		data, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+	for _, tc := range []struct{ id, header, row string }{
+		// The simulation-length value carries a comma, so it is quoted.
+		{"table1", "Parameter,Value\n", "Simulation length,\"18000 s measured + 600 s warm-up, 3 rep(s)\"\n"},
+		{"table2", "Server,20%,35%,50%,65%\n", "1,1.000000,1.000000,1.000000,1.000000\n"},
+	} {
+		dir := t.TempDir()
+		var buf bytes.Buffer
+		if err := run([]string{"-exp", tc.id, "-csv", "-out", dir}, &buf); err != nil {
+			t.Fatal(err)
 		}
-		if len(data) == 0 {
-			t.Errorf("%s is empty", name)
+		if out := buf.String(); !strings.HasPrefix(out, tc.header) || !strings.Contains(out, tc.row) {
+			t.Errorf("%s: csv wants header %q and row %q:\n%s", tc.id, tc.header, tc.row, out)
+		}
+		for _, ext := range []string{".txt", ".csv"} {
+			data, err := os.ReadFile(filepath.Join(dir, tc.id+ext))
+			if err != nil {
+				t.Fatalf("%s%s: %v", tc.id, ext, err)
+			}
+			if isCSV := strings.HasPrefix(string(data), tc.header); len(data) == 0 || isCSV != (ext == ".csv") {
+				t.Errorf("%s%s starts %q", tc.id, ext, strings.SplitN(string(data), "\n", 2)[0])
+			}
 		}
 	}
 }
 
 func TestRunExtensionExperiment(t *testing.T) {
 	var buf bytes.Buffer
-	err := run([]string{"-exp", "ext-window", "-quick", "-duration", "600"}, &buf)
+	err := run([]string{"-exp", "ext-window", "-duration", "600", "-reps", "1"}, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +119,7 @@ func TestRunBadFlag(t *testing.T) {
 
 func TestRunVerify(t *testing.T) {
 	var buf bytes.Buffer
-	err := run([]string{"-exp", "verify", "-quick", "-duration", "1800"}, &buf)
+	err := run([]string{"-exp", "verify", "-duration", "1800"}, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -155,8 +155,6 @@ var (
 	ExperimentIDs = experiments.IDs
 	// DefaultExperimentOptions reproduces the paper's 5-hour setup.
 	DefaultExperimentOptions = experiments.DefaultOptions
-	// QuickExperimentOptions trades precision for speed.
-	QuickExperimentOptions = experiments.QuickOptions
 	// VerifyReproduction checks every qualitative claim of the paper
 	// against fresh simulations and reports PASS/FAIL per claim.
 	VerifyReproduction = experiments.Verify

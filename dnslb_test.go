@@ -53,7 +53,7 @@ func TestFacadeExperimentRegistry(t *testing.T) {
 	if len(ids) < 8 {
 		t.Fatalf("experiments = %v", ids)
 	}
-	fig, err := dnslb.Experiments["table2"](dnslb.QuickExperimentOptions())
+	fig, err := dnslb.Experiments["table2"](dnslb.DefaultExperimentOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

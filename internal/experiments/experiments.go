@@ -8,7 +8,6 @@ package experiments
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 
 	"dnslb/internal/sim"
@@ -20,44 +19,30 @@ type Options struct {
 	// Duration is the virtual measurement time per run in seconds
 	// (paper: 5 h).
 	Duration float64
-	// Warmup is discarded virtual time before measurement.
-	Warmup float64
 	// Reps is the number of independent replications per point; the
 	// reported value is their mean.
 	Reps int
 	// Seed is the base random seed.
 	Seed uint64
-	// CurvePoints is the number of x samples for CDF figures.
-	CurvePoints int
 	// Workers bounds how many independent simulation runs execute
-	// concurrently while producing a figure (policy × point fan-out).
+	// concurrently while producing a figure (line × point fan-out).
 	// 0 or 1 keeps the fully sequential path. Parallel execution
 	// yields identical numbers: every run is independently seeded and
 	// results are assembled in deterministic order.
 	Workers int
 }
 
+// curvePoints is the number of max-utilization levels the CDF figures
+// sample.
+const curvePoints = 21
+
 // DefaultOptions reproduces the paper's setup: five simulated hours,
 // three replications.
 func DefaultOptions() Options {
 	return Options{
-		Duration:    5 * 3600,
-		Warmup:      600,
-		Reps:        3,
-		Seed:        1,
-		CurvePoints: 21,
-	}
-}
-
-// QuickOptions trades precision for speed: one simulated hour, one
-// replication. Useful for smoke runs and CI.
-func QuickOptions() Options {
-	return Options{
-		Duration:    3600,
-		Warmup:      600,
-		Reps:        1,
-		Seed:        1,
-		CurvePoints: 21,
+		Duration: 5 * 3600,
+		Reps:     3,
+		Seed:     1,
 	}
 }
 
@@ -65,12 +50,8 @@ func (o Options) validate() error {
 	switch {
 	case o.Duration <= 0:
 		return errors.New("experiments: Duration must be positive")
-	case o.Warmup < 0:
-		return errors.New("experiments: Warmup must be non-negative")
 	case o.Reps <= 0:
 		return errors.New("experiments: Reps must be positive")
-	case o.CurvePoints < 2:
-		return errors.New("experiments: CurvePoints must be at least 2")
 	}
 	return nil
 }
@@ -78,10 +59,11 @@ func (o Options) validate() error {
 // Series is one labelled curve of a figure.
 type Series struct {
 	Name string
-	// Values aligns with the figure's XValues.
+	// Values aligns with the figure's XVals.
 	Values []float64
-	// HalfWidths are the 95% confidence half-widths when Reps > 1
-	// (nil otherwise), aligned with Values.
+	// HalfWidths are a sweep's 95% confidence half-widths, aligned
+	// with Values: zero when Reps < 2, nil for the CDF figures and
+	// Table 2.
 	HalfWidths []float64
 }
 
@@ -95,32 +77,10 @@ type Figure struct {
 	Series []Series
 }
 
-// seriesAt returns the named series, for tests and report generation.
-func (f *Figure) seriesAt(name string) (Series, bool) {
-	for _, s := range f.Series {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	return Series{}, false
-}
-
-// Value returns the y value of the named series at the x index.
-func (f *Figure) Value(name string, i int) (float64, error) {
-	s, ok := f.seriesAt(name)
-	if !ok {
-		return 0, fmt.Errorf("experiments: figure %s has no series %q", f.ID, name)
-	}
-	if i < 0 || i >= len(s.Values) {
-		return 0, fmt.Errorf("experiments: index %d out of range", i)
-	}
-	return s.Values[i], nil
-}
-
-// applyOptions copies the experiment options onto a sim config.
+// applyOptions copies the experiment options onto a sim config; the
+// warm-up stays the simulator's default, which Table 1 reports.
 func applyOptions(cfg *sim.Config, o Options) {
 	cfg.Duration = o.Duration
-	cfg.Warmup = o.Warmup
 	cfg.Seed = o.Seed
 }
 
@@ -132,22 +92,6 @@ func runReps(cfg sim.Config, o Options) ([]*sim.Result, error) {
 		return sim.RunReplicationsParallel(cfg, o.Reps, o.Workers)
 	}
 	return sim.RunReplications(cfg, o.Reps)
-}
-
-// runProb returns the mean and CI half-width of Prob(MaxUtil < level)
-// over o.Reps replications of cfg.
-func runProb(cfg sim.Config, o Options, level float64) (float64, float64, error) {
-	applyOptions(&cfg, o)
-	results, err := runReps(cfg, o)
-	if err != nil {
-		return 0, 0, err
-	}
-	iv := sim.ProbMaxUnderCI(results, level, 0.95)
-	hw := iv.HalfWide
-	if o.Reps < 2 {
-		hw = 0
-	}
-	return iv.Mean, hw, nil
 }
 
 // runCurve returns the mean cumulative-frequency curve of the maximum
@@ -211,10 +155,10 @@ func forEachLimit(n, workers int, f func(i int) error) error {
 }
 
 // utilizationLevels returns the x axis of the CDF figures.
-func utilizationLevels(points int) []float64 {
+func utilizationLevels() []float64 {
 	const lo, hi = 0.5, 1.0
-	out := make([]float64, points)
-	step := (hi - lo) / float64(points-1)
+	out := make([]float64, curvePoints)
+	step := (hi - lo) / float64(curvePoints-1)
 	for i := range out {
 		out[i] = lo + float64(i)*step
 	}

@@ -1,12 +1,12 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
 	"dnslb/internal/core"
 	"dnslb/internal/sim"
-	"dnslb/internal/stats"
 )
 
 // This file defines experiments beyond the paper's figures: the
@@ -21,36 +21,39 @@ import (
 // load units, which helps every policy; the adaptive schemes keep
 // their lead throughout.
 func ExtDomains(o Options) (*Figure, error) {
-	return sweepFigure("ext-domains", "Sensitivity to the number of connected domains",
-		"Connected domains K",
-		[]float64{10, 20, 50, 100},
-		[]string{"DRR2-TTL/S_K", "PRR2-TTL/K", "PRR2-TTL/2", "RR"},
-		o,
-		func(cfg *sim.Config, x float64) { cfg.Workload.Domains = int(x) })
+	return sweep{
+		id: "ext-domains", title: "Sensitivity to the number of connected domains",
+		xlabel: "Connected domains K",
+		xs:     []float64{10, 20, 50, 100},
+		lines: policyLines(func(cfg *sim.Config, x float64) { cfg.Workload.Domains = int(x) },
+			"DRR2-TTL/S_K", "PRR2-TTL/K", "PRR2-TTL/2", "RR"),
+	}.run(o)
 }
 
 // ExtServers sweeps the cluster size N over the paper's stated range
 // 5–17 (Table 1) at constant total capacity: more servers mean smaller
 // per-server capacity, so a single hot-domain mapping hurts more.
 func ExtServers(o Options) (*Figure, error) {
-	return sweepFigure("ext-servers", "Sensitivity to the number of Web servers",
-		"Web servers N",
-		[]float64{5, 7, 11, 17},
-		[]string{"DRR2-TTL/S_K", "PRR2-TTL/K", "PRR2-TTL/2", "RR"},
-		o,
-		func(cfg *sim.Config, x float64) { cfg.Servers = int(x) })
+	return sweep{
+		id: "ext-servers", title: "Sensitivity to the number of Web servers",
+		xlabel: "Web servers N",
+		xs:     []float64{5, 7, 11, 17},
+		lines: policyLines(func(cfg *sim.Config, x float64) { cfg.Servers = int(x) },
+			"DRR2-TTL/S_K", "PRR2-TTL/K", "PRR2-TTL/2", "RR"),
+	}.run(o)
 }
 
 // ExtLoad sweeps the offered load by varying the mean think time
 // (Table 1 range 0–30 s): think 12 s ≈ 83% average utilization,
 // think 30 s ≈ 33%.
 func ExtLoad(o Options) (*Figure, error) {
-	return sweepFigure("ext-load", "Sensitivity to offered load (mean think time)",
-		"Mean think time (s)",
-		[]float64{12, 15, 20, 30},
-		[]string{"DRR2-TTL/S_K", "PRR2-TTL/K", "RR"},
-		o,
-		func(cfg *sim.Config, x float64) { cfg.Workload.MeanThinkTime = x })
+	return sweep{
+		id: "ext-load", title: "Sensitivity to offered load (mean think time)",
+		xlabel: "Mean think time (s)",
+		xs:     []float64{12, 15, 20, 30},
+		lines: policyLines(func(cfg *sim.Config, x float64) { cfg.Workload.MeanThinkTime = x },
+			"DRR2-TTL/S_K", "PRR2-TTL/K", "RR"),
+	}.run(o)
 }
 
 // ExtClasses ablates the TTL/i meta-algorithm's class count at 35%
@@ -58,100 +61,66 @@ func ExtLoad(o Options) (*Figure, error) {
 // per-domain limit. The paper evaluates only i ∈ {1, 2, K}; this sweep
 // fills in the middle and shows where the returns diminish.
 func ExtClasses(o Options) (*Figure, error) {
-	if err := o.validate(); err != nil {
-		return nil, err
-	}
-	counts := []float64{1, 2, 3, 4, 6, 8, 20}
-	fig := &Figure{
-		ID:     "ext-classes",
-		Title:  "TTL/i class-count ablation (Het. 35%)",
-		XLabel: "TTL classes i (20 = per-domain)",
-		YLabel: "Prob(MaxUtilization < 0.98)",
-		XVals:  counts,
-	}
-	families := []struct {
-		label   string
-		pattern string
-	}{
-		{label: "DRR2-TTL/S_i", pattern: "DRR2-TTL/S_%d"},
-		{label: "PRR2-TTL/i", pattern: "PRR2-TTL/%d"},
-	}
-	for _, family := range families {
-		s := Series{Name: family.label, Values: make([]float64, len(counts)), HalfWidths: make([]float64, len(counts))}
-		for idx, c := range counts {
-			cfg := sim.DefaultConfig(fmt.Sprintf(family.pattern, int(c)))
+	family := func(name, pattern string) line {
+		return line{name, func(cfg *sim.Config, x float64) {
+			cfg.Policy = fmt.Sprintf(pattern, int(x))
 			cfg.HeterogeneityPct = 35
-			mean, hw, err := runProb(cfg, o, metricLevel)
-			if err != nil {
-				return nil, fmt.Errorf("ext-classes/%s i=%v: %w", family.label, c, err)
-			}
-			s.Values[idx] = mean
-			s.HalfWidths[idx] = hw
-		}
-		fig.Series = append(fig.Series, s)
+		}}
 	}
-	return fig, nil
+	return sweep{
+		id: "ext-classes", title: "TTL/i class-count ablation (Het. 35%)",
+		xlabel: "TTL classes i (20 = per-domain)",
+		xs:     []float64{1, 2, 3, 4, 6, 8, 20},
+		lines:  []line{family("DRR2-TTL/S_i", "DRR2-TTL/S_%d"), family("PRR2-TTL/i", "PRR2-TTL/%d")},
+	}.run(o)
 }
 
 // ExtAlarm ablates the asynchronous alarm feedback: threshold 0
 // disables it entirely; lower thresholds exclude servers earlier.
 // The paper assumes θ = 0.9 for every algorithm.
 func ExtAlarm(o Options) (*Figure, error) {
-	return sweepFigure("ext-alarm", "Alarm-threshold ablation (Het. 35%)",
-		"Alarm threshold θ (0 = no feedback)",
-		[]float64{0, 0.7, 0.8, 0.9, 0.95},
-		[]string{"DRR2-TTL/S_K", "PRR2-TTL/2", "RR"},
-		o,
-		func(cfg *sim.Config, x float64) {
+	return sweep{
+		id: "ext-alarm", title: "Alarm-threshold ablation (Het. 35%)",
+		xlabel: "Alarm threshold θ (0 = no feedback)",
+		xs:     []float64{0, 0.7, 0.8, 0.9, 0.95},
+		lines: policyLines(func(cfg *sim.Config, x float64) {
 			cfg.HeterogeneityPct = 35
 			cfg.AlarmThreshold = x
-		})
+		}, "DRR2-TTL/S_K", "PRR2-TTL/2", "RR"),
+	}.run(o)
 }
 
 // ExtWindow ablates the metric observation window, the one parameter
 // this reproduction chose itself (DESIGN.md §7): the policy ordering
 // must be window-invariant even though absolute levels shift.
 func ExtWindow(o Options) (*Figure, error) {
-	return sweepFigure("ext-window", "Metric-window ablation (Het. 20%)",
-		"Metric window (s)",
-		[]float64{8, 16, 32, 64, 128},
-		[]string{"Ideal", "DRR2-TTL/S_K", "PRR2-TTL/2", "RR"},
-		o,
-		func(cfg *sim.Config, x float64) { cfg.MetricWindow = x })
+	return sweep{
+		id: "ext-window", title: "Metric-window ablation (Het. 20%)",
+		xlabel: "Metric window (s)",
+		xs:     []float64{8, 16, 32, 64, 128},
+		lines: policyLines(func(cfg *sim.Config, x float64) { cfg.MetricWindow = x },
+			"Ideal", "DRR2-TTL/S_K", "PRR2-TTL/2", "RR"),
+	}.run(o)
 }
 
 // ExtEstimator compares the paper's oracle hidden-load weights against
 // the dynamic estimator at several collection intervals. Short
 // intervals are noisy, long intervals stale; both bracket the oracle.
 func ExtEstimator(o Options) (*Figure, error) {
-	if err := o.validate(); err != nil {
-		return nil, err
-	}
-	intervals := []float64{15, 30, 60, 120, 240}
-	fig := &Figure{
-		ID:     "ext-estimator",
-		Title:  "Dynamic hidden-load estimation vs oracle (Het. 35%)",
-		XLabel: "Estimator collection interval (s)",
-		YLabel: "Prob(MaxUtilization < 0.98)",
-		XVals:  intervals,
-	}
-	for _, mode := range []string{"oracle", "estimator"} {
-		s := Series{Name: "DRR2-TTL/S_K " + mode, Values: make([]float64, len(intervals)), HalfWidths: make([]float64, len(intervals))}
-		for idx, iv := range intervals {
-			cfg := sim.DefaultConfig("DRR2-TTL/S_K")
+	mode := func(name string, oracle bool) line {
+		return line{"DRR2-TTL/S_K " + name, func(cfg *sim.Config, x float64) {
+			cfg.Policy = "DRR2-TTL/S_K"
 			cfg.HeterogeneityPct = 35
-			cfg.OracleWeights = mode == "oracle"
-			cfg.EstimatorInterval = iv
-			mean, hw, err := runProb(cfg, o, metricLevel)
-			if err != nil {
-				return nil, fmt.Errorf("ext-estimator/%s iv=%v: %w", mode, iv, err)
-			}
-			s.Values[idx] = mean
-			s.HalfWidths[idx] = hw
-		}
-		fig.Series = append(fig.Series, s)
+			cfg.OracleWeights = oracle
+			cfg.EstimatorInterval = x
+		}}
 	}
-	return fig, nil
+	return sweep{
+		id: "ext-estimator", title: "Dynamic hidden-load estimation vs oracle (Het. 35%)",
+		xlabel: "Estimator collection interval (s)",
+		xs:     []float64{15, 30, 60, 120, 240},
+		lines:  []line{mode("oracle", true), mode("estimator", false)},
+	}.run(o)
 }
 
 // ExtForecast compares the two hidden-load estimator kinds on flash
@@ -166,61 +135,42 @@ func ExtEstimator(o Options) (*Figure, error) {
 // lead without costing balance — both kinds schedule through the same
 // rolled weights.
 func ExtForecast(o Options) (*Figure, error) {
-	if err := o.validate(); err != nil {
-		return nil, err
-	}
-	sizes := []float64{250, 350, 450, 600}
-	kinds := []string{core.EstimatorReactive, core.EstimatorPredictive}
-	fig := &Figure{
-		ID:     "ext-forecast",
-		Title:  "Forecast-driven early alarm on flash crowds (Het. 20%)",
-		XLabel: "Flash-crowd size (clients)",
-		YLabel: "Alarm delay after onset (collection intervals) / Prob(MaxUtilization < 0.98)",
-		XVals:  sizes,
-	}
-	fig.Series = make([]Series, 2*len(kinds))
-	for k, kind := range kinds {
-		fig.Series[k] = Series{Name: kind + " alarm delay", Values: make([]float64, len(sizes)), HalfWidths: make([]float64, len(sizes))}
-		fig.Series[len(kinds)+k] = Series{Name: kind + " balance", Values: make([]float64, len(sizes)), HalfWidths: make([]float64, len(sizes))}
-	}
-	err := forEachLimit(len(kinds)*len(sizes), o.Workers, func(u int) error {
-		k, i := u/len(sizes), u%len(sizes)
-		cfg := sim.DefaultConfig("DRR2-TTL/S_K")
-		cfg.OracleWeights = false
-		cfg.Estimator = kinds[k]
-		applyOptions(&cfg, o)
-		// The crowd arrives well after the caches are warm, early enough
-		// that short measurement runs still cover the whole episode.
-		onset := cfg.Warmup + math.Min(1200, cfg.Duration/2)
-		cfg.FlashCrowds = []sim.FlashEvent{{
-			Time: onset, Domain: 0, Clients: int(sizes[i]), Resolvers: 40, Duration: 900,
+	estimator := func(kind string) line {
+		return line{kind, func(cfg *sim.Config, x float64) {
+			cfg.Policy = "DRR2-TTL/S_K"
+			cfg.OracleWeights = false
+			cfg.Estimator = kind
+			// The crowd arrives well after the caches are warm, early enough
+			// that short measurement runs still cover the whole episode.
+			onset := cfg.Warmup + math.Min(1200, cfg.Duration/2)
+			cfg.FlashCrowds = []sim.FlashEvent{{
+				Time: onset, Domain: 0, Clients: int(x), Resolvers: 40, Duration: 900,
+			}}
 		}}
-		results, err := runReps(cfg, o)
-		if err != nil {
-			return fmt.Errorf("ext-forecast/%s clients=%v: %w", kinds[k], sizes[i], err)
-		}
-		delays := make([]float64, len(results))
-		for r, res := range results {
-			if res.EstimatorAlarmTime == 0 {
-				return fmt.Errorf("ext-forecast/%s clients=%v rep %d: demand never crossed the alarm line",
-					kinds[k], sizes[i], r)
-			}
-			delays[r] = (res.EstimatorAlarmTime - onset) / cfg.EstimatorInterval
-		}
-		div := stats.MeanCI(delays, 0.95)
-		biv := sim.ProbMaxUnderCI(results, metricLevel, 0.95)
-		fig.Series[k].Values[i] = div.Mean
-		fig.Series[len(kinds)+k].Values[i] = biv.Mean
-		if o.Reps > 1 {
-			fig.Series[k].HalfWidths[i] = div.HalfWide
-			fig.Series[len(kinds)+k].HalfWidths[i] = biv.HalfWide
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	return fig, nil
+	return sweep{
+		id: "ext-forecast", title: "Forecast-driven early alarm on flash crowds (Het. 20%)",
+		xlabel: "Flash-crowd size (clients)",
+		ylabel: "Alarm delay after onset (collection intervals) / Prob(MaxUtilization < 0.98)",
+		xs:     []float64{250, 350, 450, 600},
+		lines:  []line{estimator(core.EstimatorReactive), estimator(core.EstimatorPredictive)},
+		reads:  []reading{{"alarm delay", alarmDelay}, {"balance", maxUtilUnder}},
+	}.run(o)
+}
+
+// alarmDelay reads how long after the flash onset the estimator's
+// demand view crossed the alarm line, in collection intervals. An alarm
+// before the onset is not a delay, so it is refused like no alarm.
+func alarmDelay(cfg *sim.Config, r *sim.Result) (float64, error) {
+	onset := cfg.FlashCrowds[0].Time
+	switch {
+	case r.EstimatorAlarmTime == 0:
+		return 0, errors.New("demand never crossed the alarm line")
+	case r.EstimatorAlarmTime < onset:
+		return 0, fmt.Errorf("demand crossed the alarm line at %.0f s, before the flash onset at %.0f s",
+			r.EstimatorAlarmTime, onset)
+	}
+	return (r.EstimatorAlarmTime - onset) / cfg.EstimatorInterval, nil
 }
 
 // ExtGeo sweeps the GeoDNS-style proximity preference (extension):
@@ -230,45 +180,24 @@ func ExtForecast(o Options) (*Figure, error) {
 // metric and the mean client-server distance, normalized so both fit
 // the probability axis.
 func ExtGeo(o Options) (*Figure, error) {
-	if err := o.validate(); err != nil {
-		return nil, err
-	}
-	prefs := []float64{0, 0.25, 0.5, 0.75, 1}
-	fig := &Figure{
-		ID:     "ext-geo",
-		Title:  "Proximity preference tradeoff (Het. 35%, ring geography)",
-		XLabel: "Nearest-server preference p",
-		YLabel: "Prob(MaxUtil < 0.98) / normalized mean latency",
-		XVals:  prefs,
-	}
-	balance := Series{Name: "Prob(MaxUtil<0.98)", Values: make([]float64, len(prefs)), HalfWidths: make([]float64, len(prefs))}
-	latency := Series{Name: "mean latency / 200ms", Values: make([]float64, len(prefs))}
-	for i, p := range prefs {
-		cfg := sim.DefaultConfig("DRR2-TTL/S_K")
-		cfg.HeterogeneityPct = 35
-		cfg.GeoPreference = p
-		if p == 0 {
-			// Still build the matrix so latency is measured at p=0.
-			cfg.GeoPreference = 1e-9
-		}
-		applyOptions(&cfg, o)
-		results, err := sim.RunReplications(cfg, o.Reps)
-		if err != nil {
-			return nil, fmt.Errorf("ext-geo p=%v: %w", p, err)
-		}
-		iv := sim.ProbMaxUnderCI(results, metricLevel, 0.95)
-		balance.Values[i] = iv.Mean
-		if o.Reps > 1 {
-			balance.HalfWidths[i] = iv.HalfWide
-		}
-		var lat float64
-		for _, r := range results {
-			lat += r.MeanLatencyMS
-		}
-		latency.Values[i] = lat / float64(len(results)) / 200
-	}
-	fig.Series = append(fig.Series, balance, latency)
-	return fig, nil
+	return sweep{
+		id: "ext-geo", title: "Proximity preference tradeoff (Het. 35%, ring geography)",
+		xlabel: "Nearest-server preference p",
+		ylabel: "Prob(MaxUtil < 0.98) / normalized mean latency",
+		xs:     []float64{0, 0.25, 0.5, 0.75, 1},
+		lines: []line{{"", func(cfg *sim.Config, p float64) {
+			cfg.Policy = "DRR2-TTL/S_K"
+			cfg.HeterogeneityPct = 35
+			// At p = 0 still build the matrix, so latency is measured there.
+			cfg.GeoPreference = math.Max(p, 1e-9)
+		}}},
+		reads: []reading{
+			{"Prob(MaxUtil<0.98)", maxUtilUnder},
+			{"mean latency / 200ms", func(_ *sim.Config, r *sim.Result) (float64, error) {
+				return r.MeanLatencyMS / 200, nil
+			}},
+		},
+	}.run(o)
 }
 
 // ExtReplication sweeps the inter-replica delivery lag of the
@@ -284,47 +213,29 @@ func ExtGeo(o Options) (*Figure, error) {
 // learns the rest through gossip, so replication staleness feeds
 // straight into the weight estimates the disciplines schedule by.
 func ExtReplication(o Options) (*Figure, error) {
-	if err := o.validate(); err != nil {
-		return nil, err
-	}
-	lags := []float64{0, 1, 5, 15, 60}
-	fig := &Figure{
-		ID:     "ext-replication",
-		Title:  "Two-replica DNS: staleness vs balance (Het. 35%)",
-		XLabel: "Inter-replica delivery lag (s)",
-		YLabel: "Prob(MaxUtilization < 0.98)",
-		XVals:  lags,
-	}
-	variants := []struct {
-		label     string
-		partition bool
-	}{
-		{label: "DRR2-TTL/S_K, 2 replicas", partition: false},
-		{label: "DRR2-TTL/S_K, 2 replicas + 30s partition", partition: true},
-	}
-	for _, v := range variants {
-		s := Series{Name: v.label, Values: make([]float64, len(lags)), HalfWidths: make([]float64, len(lags))}
-		for i, lag := range lags {
-			cfg := sim.DefaultConfig("DRR2-TTL/S_K")
+	variant := func(name string, partition bool) line {
+		return line{name, func(cfg *sim.Config, lag float64) {
+			cfg.Policy = "DRR2-TTL/S_K"
 			cfg.HeterogeneityPct = 35
 			cfg.OracleWeights = false
 			cfg.Replicas = 2
 			cfg.ReplicationInterval = 8
 			cfg.ReplicaLag = lag
-			if v.partition {
+			if partition {
 				// Cut every link for 30 s once the caches are warm.
-				cfg.Partitions = []sim.PartitionEvent{{Start: o.Warmup + 600, End: o.Warmup + 630}}
+				cfg.Partitions = []sim.PartitionEvent{{Start: cfg.Warmup + 600, End: cfg.Warmup + 630}}
 			}
-			mean, hw, err := runProb(cfg, o, metricLevel)
-			if err != nil {
-				return nil, fmt.Errorf("ext-replication/%s lag=%v: %w", v.label, lag, err)
-			}
-			s.Values[i] = mean
-			s.HalfWidths[i] = hw
-		}
-		fig.Series = append(fig.Series, s)
+		}}
 	}
-	return fig, nil
+	return sweep{
+		id: "ext-replication", title: "Two-replica DNS: staleness vs balance (Het. 35%)",
+		xlabel: "Inter-replica delivery lag (s)",
+		xs:     []float64{0, 1, 5, 15, 60},
+		lines: []line{
+			variant("DRR2-TTL/S_K, 2 replicas", false),
+			variant("DRR2-TTL/S_K, 2 replicas + 30s partition", true),
+		},
+	}.run(o)
 }
 
 // ExtFailures measures the cost of a server crash under address
@@ -339,48 +250,30 @@ func ExtReplication(o Options) (*Figure, error) {
 // load — the calibration that equalizes mean DNS request rates also
 // roughly equalizes pinned loss.
 func ExtFailures(o Options) (*Figure, error) {
-	if err := o.validate(); err != nil {
-		return nil, err
-	}
-	durations := []float64{300, 600, 1200, 2400}
-	fig := &Figure{
-		ID:     "ext-failures",
-		Title:  "Pinned-load loss under a server crash (Het. 35%)",
-		XLabel: "Outage duration of the most capable server (s)",
-		YLabel: "Lost pages / total pages",
-		XVals:  durations,
-	}
-	policies := []struct{ name, label string }{
-		{"DRR2-TTL/S_K", "DRR2-TTL/S_K (adaptive TTL)"},
-		{"RR2", "RR2 (constant TTL)"},
-	}
-	for _, pol := range policies {
-		s := Series{Name: pol.label, Values: make([]float64, len(durations)), HalfWidths: make([]float64, len(durations))}
-		for i, d := range durations {
-			cfg := sim.DefaultConfig(pol.name)
+	crash := func(name, policy string) line {
+		return line{name, func(cfg *sim.Config, d float64) {
+			cfg.Policy = policy
 			cfg.HeterogeneityPct = 35
-			applyOptions(&cfg, o)
 			// Crash after the caches are fully populated.
-			cfg.Faults = sim.Outage(0, o.Warmup+300, d)
-			results, err := sim.RunReplications(cfg, o.Reps)
-			if err != nil {
-				return nil, fmt.Errorf("ext-failures/%s d=%v: %w", pol.name, d, err)
-			}
-			obs := make([]float64, len(results))
-			for r, res := range results {
-				if total := res.DeadServerHits + res.TotalHits; total > 0 {
-					obs[r] = float64(res.DeadServerHits) / float64(total)
-				}
-			}
-			iv := stats.MeanCI(obs, 0.95)
-			s.Values[i] = iv.Mean
-			if o.Reps > 1 {
-				s.HalfWidths[i] = iv.HalfWide
-			}
-		}
-		fig.Series = append(fig.Series, s)
+			cfg.Faults = sim.Outage(0, cfg.Warmup+300, d)
+		}}
 	}
-	return fig, nil
+	return sweep{
+		id: "ext-failures", title: "Pinned-load loss under a server crash (Het. 35%)",
+		xlabel: "Outage duration of the most capable server (s)",
+		ylabel: "Lost pages / total pages",
+		xs:     []float64{300, 600, 1200, 2400},
+		lines: []line{
+			crash("DRR2-TTL/S_K (adaptive TTL)", "DRR2-TTL/S_K"),
+			crash("RR2 (constant TTL)", "RR2"),
+		},
+		reads: []reading{{"", func(_ *sim.Config, r *sim.Result) (float64, error) {
+			if total := r.DeadServerHits + r.TotalHits; total > 0 {
+				return float64(r.DeadServerHits) / float64(total), nil
+			}
+			return 0, nil
+		}}},
+	}.run(o)
 }
 
 // ExtBaselines compares the homogeneous-system baselines (DAL with
@@ -390,12 +283,13 @@ func ExtFailures(o Options) (*Figure, error) {
 // adaptive TTL schemes, because the bottleneck is the hidden load
 // behind each cached mapping, not the instantaneous rotation.
 func ExtBaselines(o Options) (*Figure, error) {
-	return sweepFigure("ext-baselines", "Homogeneous-system baselines under heterogeneity",
-		"Heterogeneity (max difference among server capacities %)",
-		[]float64{20, 35, 50, 65},
-		[]string{"DRR2-TTL/S_K", "WRR", "DAL", "MRL", "RR2", "RR"},
-		o,
-		func(cfg *sim.Config, x float64) { cfg.HeterogeneityPct = int(x) })
+	return sweep{
+		id: "ext-baselines", title: "Homogeneous-system baselines under heterogeneity",
+		xlabel: "Heterogeneity (max difference among server capacities %)",
+		xs:     []float64{20, 35, 50, 65},
+		lines: policyLines(func(cfg *sim.Config, x float64) { cfg.HeterogeneityPct = int(x) },
+			"DRR2-TTL/S_K", "WRR", "DAL", "MRL", "RR2", "RR"),
+	}.run(o)
 }
 
 // ExtProbes compares crash-detection latency between active probing
@@ -410,53 +304,35 @@ func ExtBaselines(o Options) (*Figure, error) {
 // detection latency by an order of magnitude at equal hysteresis
 // depth, which is the operational argument for running both.
 func ExtProbes(o Options) (*Figure, error) {
-	if err := o.validate(); err != nil {
-		return nil, err
-	}
-	intervals := []float64{2, 5, 10, 30, 60}
-	fig := &Figure{
-		ID:     "ext-probes",
-		Title:  "Crash detection latency: active probes vs missed reports",
-		XLabel: "Probe interval (s)",
-		YLabel: "Mean crash-to-exclusion delay (s)",
-		XVals:  intervals,
-	}
 	const outageStart, outageLen = 300, 900
-	detectors := []struct {
-		label string
-		det   func(x float64) sim.DetectionConfig
-	}{
-		{"active probes (fail-3)", func(x float64) sim.DetectionConfig {
-			return sim.DetectionConfig{Kind: sim.DetectProbe, Interval: x, FailN: 3, RiseM: 2}
-		}},
-		{"missed reports (k=3, 60 s interval)", func(float64) sim.DetectionConfig {
-			return sim.DetectionConfig{Kind: sim.DetectReport, Interval: 60, K: 3}
-		}},
-	}
-	for _, dc := range detectors {
-		s := Series{Name: dc.label, Values: make([]float64, len(intervals)), HalfWidths: make([]float64, len(intervals))}
-		for i, x := range intervals {
-			cfg := sim.DefaultConfig("DRR2-TTL/S_K")
+	detector := func(name string, det func(x float64) sim.DetectionConfig) line {
+		return line{name, func(cfg *sim.Config, x float64) {
+			cfg.Policy = "DRR2-TTL/S_K"
 			cfg.HeterogeneityPct = 35
-			applyOptions(&cfg, o)
-			cfg.Faults = sim.Outage(0, o.Warmup+outageStart, outageLen)
-			det := dc.det(x)
-			cfg.Detection = &det
-			results, err := runReps(cfg, o)
-			if err != nil {
-				return nil, fmt.Errorf("ext-probes/%s interval=%v: %w", dc.label, x, err)
-			}
-			obs := make([]float64, len(results))
-			for r, res := range results {
-				obs[r] = res.MeanDetectionDelay
-			}
-			iv := stats.MeanCI(obs, 0.95)
-			s.Values[i] = iv.Mean
-			if o.Reps > 1 {
-				s.HalfWidths[i] = iv.HalfWide
-			}
-		}
-		fig.Series = append(fig.Series, s)
+			cfg.Faults = sim.Outage(0, cfg.Warmup+outageStart, outageLen)
+			d := det(x)
+			cfg.Detection = &d
+		}}
 	}
-	return fig, nil
+	return sweep{
+		id: "ext-probes", title: "Crash detection latency: active probes vs missed reports",
+		xlabel: "Probe interval (s)",
+		ylabel: "Mean crash-to-exclusion delay (s)",
+		xs:     []float64{2, 5, 10, 30, 60},
+		lines: []line{
+			detector("active probes (fail-3)", func(x float64) sim.DetectionConfig {
+				return sim.DetectionConfig{Kind: sim.DetectProbe, Interval: x, FailN: 3, RiseM: 2}
+			}),
+			detector("missed reports (k=3, 60 s interval)", func(float64) sim.DetectionConfig {
+				return sim.DetectionConfig{Kind: sim.DetectReport, Interval: 60, K: 3}
+			}),
+		},
+		reads: []reading{{"", func(_ *sim.Config, r *sim.Result) (float64, error) {
+			// A zero mean would read as instant knowledge.
+			if r.DetectedCrashes == 0 {
+				return 0, errors.New("the crash was not detected before the run ended")
+			}
+			return r.MeanDetectionDelay, nil
+		}}},
+	}.run(o)
 }

@@ -3,9 +3,11 @@ package experiments
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"dnslb/internal/core"
 	"dnslb/internal/sim"
+	"dnslb/internal/stats"
 )
 
 // The metric level of Figures 3–7: Prob(MaxUtilization < 0.98),
@@ -18,7 +20,7 @@ func cdfFigure(id, title string, hetPct int, policies []string, o Options) (*Fig
 	if err := o.validate(); err != nil {
 		return nil, err
 	}
-	levels := utilizationLevels(o.CurvePoints)
+	levels := utilizationLevels()
 	fig := &Figure{
 		ID:     id,
 		Title:  title,
@@ -76,41 +78,102 @@ func Figure2(o Options) (*Figure, error) {
 		}, o)
 }
 
-// sweepFigure runs one Prob(MaxUtil < 0.98) sweep figure: for each x
-// value, mutate derives a sim config per policy.
-func sweepFigure(id, title, xlabel string, xs []float64, policies []string,
-	o Options, mutate func(cfg *sim.Config, x float64)) (*Figure, error) {
+// A sweep declares one figure whose x axis is a configuration: its
+// labels, its x values, its lines, and the readings taken off each
+// point's replications.
+type sweep struct {
+	id, title, xlabel string
+	ylabel            string // empty: Prob(MaxUtilization < 0.98)
+	xs                []float64
+	lines             []line
+	reads             []reading // nil: one Prob(MaxUtil < 0.98) series per line
+}
+
+// A line is one configuration family of a sweep: set turns a config
+// that carries the options (duration, warm-up, seed) into the run at
+// x, so it may place events relative to cfg.Warmup and cfg.Duration.
+type line struct {
+	name string
+	set  func(cfg *sim.Config, x float64)
+}
+
+// A reading turns every replication of a point into one observation;
+// the point's value is their mean with a 95% confidence half-width.
+// Its series is named after the line, then the reading.
+type reading struct {
+	name string
+	of   func(cfg *sim.Config, r *sim.Result) (float64, error)
+}
+
+// maxUtilUnder reads the paper's metric, Prob(MaxUtil < 0.98).
+func maxUtilUnder(_ *sim.Config, r *sim.Result) (float64, error) {
+	return r.ProbMaxUnder(metricLevel), nil
+}
+
+// policyLines declares one line per policy, each configured at x by
+// set; "Ideal" runs on the uniform workload that defines it.
+func policyLines(set func(cfg *sim.Config, x float64), policies ...string) []line {
+	lines := make([]line, len(policies))
+	for i, pol := range policies {
+		lines[i] = line{name: pol, set: func(cfg *sim.Config, x float64) {
+			cfg.Policy = pol
+			cfg.Workload.Uniform = pol == "Ideal"
+			set(cfg, x)
+		}}
+	}
+	return lines
+}
+
+// run simulates every (line, x) point once, o.Reps replications each,
+// and fills one series per (reading, line), reading-major: several
+// readings share a point's runs, so no simulation runs twice.
+func (s sweep) run(o Options) (*Figure, error) {
 	if err := o.validate(); err != nil {
 		return nil, err
 	}
-	fig := &Figure{
-		ID:     id,
-		Title:  title,
-		XLabel: xlabel,
-		YLabel: "Prob(MaxUtilization < 0.98)",
-		XVals:  xs,
+	fig := &Figure{ID: s.id, Title: s.title, XLabel: s.xlabel, YLabel: s.ylabel, XVals: s.xs}
+	if fig.YLabel == "" {
+		fig.YLabel = "Prob(MaxUtilization < 0.98)"
 	}
-	fig.Series = make([]Series, len(policies))
-	for p, pol := range policies {
-		fig.Series[p] = Series{Name: pol, Values: make([]float64, len(xs)), HalfWidths: make([]float64, len(xs))}
+	reads := s.reads
+	if reads == nil {
+		reads = []reading{{of: maxUtilUnder}}
 	}
-	// Fan the independent (policy × point) simulations across the
-	// worker budget; each unit writes its own slot, so assembly order
-	// is deterministic regardless of completion order.
-	err := forEachLimit(len(policies)*len(xs), o.Workers, func(u int) error {
-		p, i := u/len(xs), u%len(xs)
-		pol, x := policies[p], xs[i]
-		cfg := sim.DefaultConfig(pol)
-		if pol == "Ideal" {
-			cfg.Workload.Uniform = true
+	for _, rd := range reads {
+		for _, l := range s.lines {
+			fig.Series = append(fig.Series, Series{
+				Name:       strings.TrimSpace(l.name + " " + rd.name),
+				Values:     make([]float64, len(s.xs)),
+				HalfWidths: make([]float64, len(s.xs)),
+			})
 		}
-		mutate(&cfg, x)
-		mean, hw, err := runProb(cfg, o, metricLevel)
+	}
+	// Fan the independent points across the worker budget; each point
+	// writes only its own slots, so assembly order is deterministic
+	// regardless of completion order.
+	err := forEachLimit(len(s.lines)*len(s.xs), o.Workers, func(u int) error {
+		l, i := u/len(s.xs), u%len(s.xs)
+		cfg := sim.DefaultConfig("")
+		applyOptions(&cfg, o)
+		s.lines[l].set(&cfg, s.xs[i])
+		results, err := runReps(cfg, o)
 		if err != nil {
-			return fmt.Errorf("%s/%s x=%v: %w", id, pol, x, err)
+			return fmt.Errorf("%s/%s x=%v: %w", s.id, s.lines[l].name, s.xs[i], err)
 		}
-		fig.Series[p].Values[i] = mean
-		fig.Series[p].HalfWidths[i] = hw
+		obs := make([]float64, len(results))
+		for r, rd := range reads {
+			for k, res := range results {
+				if obs[k], err = rd.of(&cfg, res); err != nil {
+					return fmt.Errorf("%s/%s x=%v rep %d: %w", s.id, s.lines[l].name, s.xs[i], k, err)
+				}
+			}
+			iv := stats.MeanCI(obs, 0.95)
+			series := fig.Series[r*len(s.lines)+l]
+			series.Values[i] = iv.Mean
+			if o.Reps > 1 {
+				series.HalfWidths[i] = iv.HalfWide
+			}
+		}
 		return nil
 	})
 	if err != nil {
@@ -124,78 +187,63 @@ func sweepFigure(id, title, xlabel string, xs []float64, policies []string,
 // including the capacity-aware DAL baseline that demonstrates
 // homogeneous-system policies do not transfer.
 func Figure3(o Options) (*Figure, error) {
-	return sweepFigure("fig3", "Sensitivity to system heterogeneity",
-		"Heterogeneity (max difference among server capacities %)",
-		[]float64{20, 35, 50, 65},
-		[]string{"DRR2-TTL/S_K", "DRR2-TTL/S_2", "PRR2-TTL/K", "PRR2-TTL/2", "DAL", "RR"},
-		o,
-		func(cfg *sim.Config, x float64) { cfg.HeterogeneityPct = int(x) })
+	return sweep{
+		id: "fig3", title: "Sensitivity to system heterogeneity",
+		xlabel: "Heterogeneity (max difference among server capacities %)",
+		xs:     []float64{20, 35, 50, 65},
+		lines: policyLines(func(cfg *sim.Config, x float64) { cfg.HeterogeneityPct = int(x) },
+			"DRR2-TTL/S_K", "DRR2-TTL/S_2", "PRR2-TTL/K", "PRR2-TTL/2", "DAL", "RR"),
+	}.run(o)
 }
 
-// minTTLXs is the sweep over the minimum TTL imposed by
-// non-cooperative name servers, in seconds.
-var minTTLXs = []float64{0, 60, 120, 180, 240, 300}
-
-// minTTLPolicies are the adaptive schemes compared in Figures 4 and 5.
-var minTTLPolicies = []string{
-	"DRR2-TTL/S_K", "DRR-TTL/S_K", "PRR2-TTL/K", "PRR-TTL/K", "PRR2-TTL/2",
+// minTTLFigure sweeps the minimum TTL imposed by non-cooperative name
+// servers, in seconds, over the adaptive schemes compared in Figures 4
+// and 5.
+func minTTLFigure(id string, het int, o Options) (*Figure, error) {
+	return sweep{
+		id: id, title: fmt.Sprintf("Sensitivity to minimum TTL (Het. %d%%)", het),
+		xlabel: "Minimum TTL (sec)",
+		xs:     []float64{0, 60, 120, 180, 240, 300},
+		lines: policyLines(func(cfg *sim.Config, x float64) {
+			cfg.HeterogeneityPct = het
+			cfg.MinNSTTL = x
+		}, "DRR2-TTL/S_K", "DRR-TTL/S_K", "PRR2-TTL/K", "PRR-TTL/K", "PRR2-TTL/2"),
+	}.run(o)
 }
 
 // Figure4 reproduces "Sensitivity to minimum TTL (Het. 20%)": the
 // worst-case scenario where every NS raises any proposed TTL below the
 // x-axis threshold.
-func Figure4(o Options) (*Figure, error) {
-	return sweepFigure("fig4", "Sensitivity to minimum TTL (Het. 20%)",
-		"Minimum TTL (sec)", minTTLXs, minTTLPolicies, o,
-		func(cfg *sim.Config, x float64) {
-			cfg.HeterogeneityPct = 20
-			cfg.MinNSTTL = x
-		})
-}
+func Figure4(o Options) (*Figure, error) { return minTTLFigure("fig4", 20, o) }
 
 // Figure5 reproduces "Sensitivity to minimum TTL (Het. 50%)".
-func Figure5(o Options) (*Figure, error) {
-	return sweepFigure("fig5", "Sensitivity to minimum TTL (Het. 50%)",
-		"Minimum TTL (sec)", minTTLXs, minTTLPolicies, o,
-		func(cfg *sim.Config, x float64) {
-			cfg.HeterogeneityPct = 50
-			cfg.MinNSTTL = x
-		})
-}
+func Figure5(o Options) (*Figure, error) { return minTTLFigure("fig5", 50, o) }
 
-// errorXs is the sweep over the maximum error in estimating the domain
-// hidden load weight, in percent.
-var errorXs = []float64{0, 10, 20, 30, 40, 50}
-
-// errorPolicies are the eight adaptive schemes compared in Figures 6–7.
-var errorPolicies = []string{
-	"DRR2-TTL/S_K", "DRR-TTL/S_K", "PRR2-TTL/K", "PRR-TTL/K",
-	"DRR2-TTL/S_2", "DRR-TTL/S_2", "PRR2-TTL/2", "PRR-TTL/2",
+// errorFigure sweeps the maximum error in estimating the domain hidden
+// load weight, in percent, over the eight adaptive schemes compared in
+// Figures 6–7.
+func errorFigure(id string, het int, o Options) (*Figure, error) {
+	return sweep{
+		id: id, title: fmt.Sprintf("Sensitivity to estimation error (Het. %d%%)", het),
+		xlabel: "Estimation Error %",
+		xs:     []float64{0, 10, 20, 30, 40, 50},
+		lines: policyLines(func(cfg *sim.Config, x float64) {
+			cfg.HeterogeneityPct = het
+			cfg.Workload.PerturbationPct = x
+		}, "DRR2-TTL/S_K", "DRR-TTL/S_K", "PRR2-TTL/K", "PRR-TTL/K",
+			"DRR2-TTL/S_2", "DRR-TTL/S_2", "PRR2-TTL/2", "PRR-TTL/2"),
+	}.run(o)
 }
 
 // Figure6 reproduces "Sensitivity to error in estimating the domain
 // hidden load weight (Het. 20%)": the busiest domain's actual rate is
 // inflated by the x-axis percentage while the DNS keeps stale
 // estimates.
-func Figure6(o Options) (*Figure, error) {
-	return sweepFigure("fig6", "Sensitivity to estimation error (Het. 20%)",
-		"Estimation Error %", errorXs, errorPolicies, o,
-		func(cfg *sim.Config, x float64) {
-			cfg.HeterogeneityPct = 20
-			cfg.Workload.PerturbationPct = x
-		})
-}
+func Figure6(o Options) (*Figure, error) { return errorFigure("fig6", 20, o) }
 
 // Figure7 reproduces the same sensitivity at 50% heterogeneity, where
 // the two-class schemes degrade substantially.
-func Figure7(o Options) (*Figure, error) {
-	return sweepFigure("fig7", "Sensitivity to estimation error (Het. 50%)",
-		"Estimation Error %", errorXs, errorPolicies, o,
-		func(cfg *sim.Config, x float64) {
-			cfg.HeterogeneityPct = 50
-			cfg.Workload.PerturbationPct = x
-		})
-}
+func Figure7(o Options) (*Figure, error) { return errorFigure("fig7", 50, o) }
 
 // Table2 reproduces the paper's Table 2: the relative server
 // capacities of the four heterogeneity levels.
@@ -247,21 +295,6 @@ var Registry = map[string]Runner{
 	"ext-baselines":   ExtBaselines,
 	"ext-probes":      ExtProbes,
 	"ext-replication": ExtReplication,
-}
-
-// PaperIDs returns the experiment IDs that reproduce the paper's own
-// evaluation, in figure order.
-func PaperIDs() []string {
-	return []string{"fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "table2"}
-}
-
-// ExtensionIDs returns the experiment IDs that go beyond the paper.
-func ExtensionIDs() []string {
-	return []string{
-		"ext-alarm", "ext-baselines", "ext-classes", "ext-domains",
-		"ext-estimator", "ext-failures", "ext-forecast", "ext-geo",
-		"ext-load", "ext-probes", "ext-replication", "ext-servers", "ext-window",
-	}
 }
 
 // IDs returns the registered experiment IDs in order.

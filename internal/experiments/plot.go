@@ -58,7 +58,7 @@ func (f *Figure) RenderPlot(w io.Writer, width, height int) error {
 		for i := 1; i < len(s.Values) && i < len(f.XVals); i++ {
 			c0, r0 := col(f.XVals[i-1]), row(s.Values[i-1])
 			c1, r1 := col(f.XVals[i]), row(s.Values[i])
-			steps := maxInt(absInt(c1-c0), absInt(r1-r0))
+			steps := max(absInt(c1-c0), absInt(r1-r0))
 			for st := 0; st <= steps; st++ {
 				t := 0.0
 				if steps > 0 {
@@ -109,13 +109,7 @@ func (f *Figure) RenderPlot(w io.Writer, width, height int) error {
 }
 
 func clampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
+	return min(max(v, lo), hi)
 }
 
 func absInt(v int) int {
@@ -123,11 +117,4 @@ func absInt(v int) int {
 		return -v
 	}
 	return v
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -29,7 +29,7 @@ func TestVerifyQuick(t *testing.T) {
 	}
 	// Shortened runs: the claims must be robust enough to hold even on
 	// 30 simulated minutes.
-	o := Options{Duration: 1800, Warmup: 600, Reps: 1, Seed: 1, CurvePoints: 2}
+	o := Options{Duration: 1800, Reps: 1, Seed: 1}
 	var buf bytes.Buffer
 	failed, err := Verify(o, &buf)
 	if err != nil {
