@@ -44,6 +44,7 @@ import (
 	"net/netip"
 	"os"
 	"os/signal"
+	"runtime"
 	"strconv"
 	"strings"
 	"syscall"
@@ -109,7 +110,6 @@ func configure(args []string) (*settings, error) {
 		overQPS     = fs.Float64("overload-qps", 0, "aggregate query rate ceiling; above it the server degrades to static weighted answers (0 = disabled)")
 		overTTL     = fs.Float64("overload-ttl", 5, "TTL in seconds for degraded-mode answers")
 		maxTCP      = fs.Int("max-tcp-conns", 0, "concurrent connection cap of each stream listener (TCP, the report socket, and DoH under -http-addr); accepts pause at the cap (0 = default 512, negative = unlimited)")
-		udpWorkers  = fs.Int("udp-workers", 0, "parallel UDP serve goroutines (0 = GOMAXPROCS)")
 		httpAddr    = fs.String("http-addr", "", "DNS-over-HTTP listen address: RFC 8484 wire on /dns-query, JSON on /resolve (empty = disabled)")
 		ecsMode     = fs.String("ecs-mode", "", "EDNS-Client-Subnet handling: passthrough (default), add, or override")
 		pprofAddr   = fs.String("pprof", "", "serve net/http/pprof on this address (empty = disabled)")
@@ -197,7 +197,6 @@ func configure(args []string) (*settings, error) {
 			Addr:               *addr,
 			HTTPAddr:           *httpAddr,
 			ReportAddr:         *reportAddr,
-			UDPWorkers:         *udpWorkers,
 			MaxTCPConns:        *maxTCP,
 			ECS:                ecs,
 			Estimator:          *estKind,
@@ -288,7 +287,7 @@ func run(args []string, stop <-chan struct{}, started func(boundAddrs)) error {
 	bound := boundAddrs{DNS: srv.Addr().String(), Report: srv.ReportAddr().String()}
 	logger.Info("serving", "zone", s.server.Zone, "addr", bound.DNS, "report", bound.Report,
 		"http", s.server.HTTPAddr, "policy", s.server.Policy.Name(),
-		"servers", len(s.server.ServerAddrs), "udp_workers", srv.UDPWorkers())
+		"servers", len(s.server.ServerAddrs), "udp_workers", runtime.GOMAXPROCS(0))
 
 	if s.pprofAddr != "" {
 		// net/http/pprof registers its handlers on DefaultServeMux at

@@ -155,11 +155,11 @@ func run() error {
 		return err
 	}
 
+	sn := state.Snapshot()
 	for i, b := range backends {
-		fmt.Printf("  S%d utilization %.2f, alarmed=%v, hits=%d\n",
-			i+1, b.Utilization(), b.Alarmed(), b.TotalHits())
+		fmt.Printf("  S%d utilization %.2f, alarmed=%v (DNS sees %v), hits=%d\n",
+			i+1, b.Utilization(), b.Alarmed(), sn.Alarmed(i), b.TotalHits())
 	}
-	fmt.Printf("  DNS sees alarms: S1=%v S2=%v\n\n", state.Alarmed(0), state.Alarmed(1))
 
 	// Phase 2: force a fresh mapping; if the loaded backend alarmed,
 	// the DNS must steer us to the other one.
@@ -168,7 +168,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("phase 2: fresh mapping goes to %v\n", newIP)
+	fmt.Printf("\nphase 2: fresh mapping goes to %v\n", newIP)
 	switch {
 	case target.Alarmed() && newTarget == target:
 		return fmt.Errorf("DNS kept handing out an alarmed backend")

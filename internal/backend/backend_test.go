@@ -113,16 +113,16 @@ func TestUtilizationTracksLoad(t *testing.T) {
 	}
 }
 
-// startDNS builds a DNS server with a report socket, whose address it
-// also returns, for integration.
-func startDNS(t *testing.T) (*dnsserver.Server, string) {
-	srv, report, _ := startDNSState(t, func(*dnsserver.Config) {})
-	return srv, report
+// startDNS builds a DNS server with a report socket, for integration,
+// and returns the socket's address and the scheduler state behind the
+// DNS.
+func startDNS(t *testing.T) (string, *core.State) {
+	return startDNSState(t, func(*dnsserver.Config) {})
 }
 
-// startDNSState also exposes the scheduler state behind the DNS, and the
-// configuration to edits before the server is built.
-func startDNSState(t *testing.T, edit func(*dnsserver.Config)) (*dnsserver.Server, string, *core.State) {
+// startDNSState also exposes the configuration to edits before the
+// server is built.
+func startDNSState(t *testing.T, edit func(*dnsserver.Config)) (string, *core.State) {
 	t.Helper()
 	cluster, err := core.NewCluster([]float64{100, 50})
 	if err != nil {
@@ -159,11 +159,11 @@ func startDNSState(t *testing.T, edit func(*dnsserver.Config)) (*dnsserver.Serve
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = srv.Close() })
-	return srv, srv.ReportAddr().String(), state
+	return srv.ReportAddr().String(), state
 }
 
 func TestAgentReportsAlarmToDNS(t *testing.T) {
-	srv, rl := startDNS(t)
+	rl, state := startDNS(t)
 	s := startBackend(t, Config{
 		Capacity:            50,
 		Domains:             4,
@@ -178,18 +178,18 @@ func TestAgentReportsAlarmToDNS(t *testing.T) {
 
 	deadline := time.Now().Add(3 * time.Second)
 	for time.Now().Before(deadline) {
-		if srv.Alarmed(1) {
+		if state.Snapshot().Alarmed(1) {
 			break
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	if !srv.Alarmed(1) {
+	if !state.Snapshot().Alarmed(1) {
 		t.Fatal("backend alarm never reached the DNS scheduler state")
 	}
 }
 
 func TestAgentFeedsHiddenLoadEstimates(t *testing.T) {
-	srv, rl := startDNS(t)
+	rl, state := startDNS(t)
 	s := startBackend(t, Config{
 		Capacity:            10000,
 		Domains:             4,
@@ -206,12 +206,12 @@ func TestAgentFeedsHiddenLoadEstimates(t *testing.T) {
 
 	deadline := time.Now().Add(3 * time.Second)
 	for time.Now().Before(deadline) {
-		if srv.DomainWeight(2) > 0.5 {
+		if state.Snapshot().Weight(2) > 0.5 {
 			break
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	if w := srv.DomainWeight(2); w <= 0.5 {
+	if w := state.Snapshot().Weight(2); w <= 0.5 {
 		t.Fatalf("estimated weight of domain 2 = %v, want dominant", w)
 	}
 }
@@ -221,7 +221,7 @@ func TestAgentSurvivesReportOutage(t *testing.T) {
 	// report socket, watch the liveness monitor exclude the backend, heal
 	// it, and watch the agent's backoff redial re-admit it — including
 	// the alarm transition that happened while disconnected.
-	srv, report, _ := startDNSState(t, func(cfg *dnsserver.Config) {
+	report, state := startDNSState(t, func(cfg *dnsserver.Config) {
 		cfg.LivenessInterval, cfg.LivenessK = 40*time.Millisecond, 2
 	})
 	link, err := chaos.NewTCPProxy("127.0.0.1:0", report)
@@ -253,11 +253,11 @@ func TestAgentSurvivesReportOutage(t *testing.T) {
 	}
 
 	waitFor("backend never marked live by its own heartbeats", func() bool {
-		return !srv.Down(1)
+		return !state.Snapshot().Down(1)
 	})
 	link.Cut()
 	waitFor("silent backend never excluded after the report path was cut", func() bool {
-		return srv.Down(1)
+		return state.Snapshot().Down(1)
 	})
 
 	// Alarm flips while the feedback channel is down: that transition
@@ -268,15 +268,15 @@ func TestAgentSurvivesReportOutage(t *testing.T) {
 
 	link.Heal()
 	waitFor("backend never re-admitted after the report path healed", func() bool {
-		return !srv.Down(1)
+		return !state.Snapshot().Down(1)
 	})
 	waitFor("alarm state not resynced after reconnect", func() bool {
-		return srv.Alarmed(1)
+		return state.Snapshot().Alarmed(1)
 	})
 }
 
 func TestSelfRegistrationAndRetire(t *testing.T) {
-	_, rl, state := startDNSState(t, func(*dnsserver.Config) {})
+	rl, state := startDNS(t)
 
 	s := startBackend(t, Config{
 		Capacity:            500,
@@ -299,7 +299,7 @@ func TestSelfRegistrationAndRetire(t *testing.T) {
 	if idx != 2 {
 		t.Fatalf("joined index = %d, want fresh slot 2", idx)
 	}
-	if !state.Member(idx) {
+	if !state.Snapshot().Member(idx) {
 		t.Fatal("joined backend not a cluster member")
 	}
 
@@ -307,7 +307,7 @@ func TestSelfRegistrationAndRetire(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if !state.Draining(idx) && state.Member(idx) {
+	if sn := state.Snapshot(); !sn.Draining(idx) && sn.Member(idx) {
 		t.Error("closed backend neither draining nor removed")
 	}
 }

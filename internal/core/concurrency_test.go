@@ -54,7 +54,7 @@ func TestScheduleConcurrentWithMutators(t *testing.T) {
 			stop := make(chan struct{})
 			var wg, mutWG sync.WaitGroup
 
-			// Mutator: weights, beta, alarms and downs churn the
+			// Mutator: weights, drains, alarms and downs churn the
 			// published snapshot. It runs until the schedulers finish
 			// (its own WaitGroup — waiting on it before closing stop
 			// would deadlock), yielding each round so the schedulers
@@ -63,7 +63,7 @@ func TestScheduleConcurrentWithMutators(t *testing.T) {
 			go func() {
 				defer mutWG.Done()
 				r := rand.New(rand.NewPCG(3, 4))
-				w := make([]float64, st.Domains())
+				w := make([]float64, st.Snapshot().Domains())
 				for i := 0; ; i++ {
 					select {
 					case <-stop:
@@ -81,7 +81,11 @@ func TestScheduleConcurrentWithMutators(t *testing.T) {
 							return
 						}
 					case 1:
-						st.SetBeta(0.05 + r.Float64()/4)
+						if i%8 == 1 {
+							_ = st.DrainServer(2)
+						} else {
+							_ = st.ReinstateServer(2, cluster.Capacity(2))
+						}
 					case 2:
 						_ = st.SetAlarm(i%cluster.N(), i%8 == 2)
 					case 3:
@@ -97,7 +101,7 @@ func TestScheduleConcurrentWithMutators(t *testing.T) {
 				go func(g int) {
 					defer wg.Done()
 					for i := 0; i < perWorker; i++ {
-						d, err := pol.Schedule((g*perWorker + i) % st.Domains())
+						d, err := pol.Schedule((g*perWorker + i) % st.Snapshot().Domains())
 						if err != nil {
 							t.Errorf("schedule: %v", err)
 							return

@@ -35,7 +35,7 @@ func TestSnapshotAlphaRhoMatchStaticCluster(t *testing.T) {
 
 func TestAddServer(t *testing.T) {
 	st := newMembershipState(t, []float64{100, 50}, 4)
-	v0 := st.Version()
+	v0 := st.Snapshot().Version()
 	i, err := st.AddServer(200)
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +61,7 @@ func TestAddServer(t *testing.T) {
 	if got := sn.Rho(); got != 4 {
 		t.Errorf("Rho = %v, want 4", got)
 	}
-	if st.Version() == v0 {
+	if st.Snapshot().Version() == v0 {
 		t.Error("AddServer should bump the version for TTL recalibration")
 	}
 	// The new server is immediately schedulable.
@@ -79,7 +79,7 @@ func TestAddServer(t *testing.T) {
 
 func TestSetCapacity(t *testing.T) {
 	st := newMembershipState(t, []float64{100, 50}, 4)
-	v0 := st.Version()
+	v0 := st.Snapshot().Version()
 	if err := st.SetCapacity(1, 100); err != nil {
 		t.Fatal(err)
 	}
@@ -90,14 +90,14 @@ func TestSetCapacity(t *testing.T) {
 	if got := sn.Alpha(1); got != 1 {
 		t.Errorf("Alpha(1) = %v, want 1", got)
 	}
-	if st.Version() == v0 {
+	if st.Snapshot().Version() == v0 {
 		t.Error("capacity change should bump version")
 	}
-	v1 := st.Version()
+	v1 := st.Snapshot().Version()
 	if err := st.SetCapacity(1, 100); err != nil {
 		t.Fatal(err)
 	}
-	if st.Version() != v1 {
+	if st.Snapshot().Version() != v1 {
 		t.Error("no-op capacity change should not bump version")
 	}
 	if err := st.SetCapacity(5, 100); err == nil {
@@ -149,10 +149,10 @@ func TestDrainRemoveReinstateLifecycle(t *testing.T) {
 	if err := st.RemoveServer(1); err == nil {
 		t.Error("removing a retired slot should error")
 	}
-	if err := st.SetAlarm(1, true); err != nil || st.Alarmed(1) {
+	if err := st.SetAlarm(1, true); err != nil || st.Snapshot().Alarmed(1) {
 		t.Error("alarm for retired slot should be silently ignored")
 	}
-	if err := st.SetDown(1, true); err != nil || st.Down(1) {
+	if err := st.SetDown(1, true); err != nil || st.Snapshot().Down(1) {
 		t.Error("liveness for retired slot should be silently ignored")
 	}
 
@@ -300,7 +300,7 @@ func TestAllDownOverMembers(t *testing.T) {
 	if err := st.SetDown(1, true); err != nil {
 		t.Fatal(err)
 	}
-	if !st.AllDown() {
+	if !st.Snapshot().AllDown() {
 		t.Error("every member down: AllDown should hold even with a retired slot")
 	}
 	pol, err := NewPolicy(PolicyConfig{Name: "DRR-TTL/S_1", State: st})

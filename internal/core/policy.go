@@ -21,13 +21,14 @@ type Decision struct {
 // TTL policy, evaluated against shared scheduler state.
 //
 // Concurrency contract: Schedule is safe for concurrent callers and
-// may race freely with the State mutators (SetWeights, SetBeta,
-// SetAlarm, SetDown) — each decision is made against one immutable
-// state snapshot. The decision counters are atomics, so every
-// scheduled decision is counted exactly once; a Stats call concurrent
-// with in-flight Schedules may observe a decision whose counters are
-// only partially applied, but once the callers quiesce the totals are
-// exact (Decisions == ΣPerServer == ΣPerClass).
+// may race freely with the State mutators (SetWeights, SetAlarm,
+// SetDown and the membership mutators) — each decision is made
+// against one immutable state snapshot. The decision counters are
+// atomics, so every scheduled decision is counted exactly once; a
+// Stats call concurrent with in-flight Schedules may observe a
+// decision whose counters are only partially applied, but once the
+// callers quiesce the totals are exact (Decisions == ΣPerServer ==
+// ΣPerClass).
 type Policy struct {
 	name     string
 	selector Selector
@@ -78,7 +79,7 @@ func NewPolicyFromParts(name string, sel Selector, ttl *TTLPolicy, st *State) (*
 		ttl:      ttl,
 		state:    st,
 	}
-	per := make([]*atomic.Uint64, st.Cluster().N())
+	per := make([]*atomic.Uint64, st.Snapshot().Cluster().N())
 	for i := range per {
 		per[i] = new(atomic.Uint64)
 	}
@@ -114,9 +115,6 @@ func (p *Policy) Name() string { return p.name }
 
 // State returns the scheduler state the policy reads.
 func (p *Policy) State() *State { return p.state }
-
-// TTLVariant returns the policy's TTL variant.
-func (p *Policy) TTLVariant() TTLVariant { return p.ttl.Variant() }
 
 // Schedule answers one address request from the given domain. When
 // every server is down it returns ErrNoServers; the decision counters

@@ -50,7 +50,7 @@ func TestNewPolicyAllNames(t *testing.T) {
 			t.Errorf("%s: Schedule error: %v", name, err)
 			continue
 		}
-		if d.Server < 0 || d.Server >= st.Cluster().N() {
+		if d.Server < 0 || d.Server >= st.Snapshot().Cluster().N() {
 			t.Errorf("%s: server %d out of range", name, d.Server)
 		}
 		if d.TTL <= 0 {
@@ -134,9 +134,9 @@ func TestTTLVariantExposed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := p.TTLVariant()
+	v := p.ttl.variant
 	if v.Classes != TwoClasses || !v.ServerAware {
-		t.Errorf("TTLVariant = %v, want TTL/S_2", v)
+		t.Errorf("TTL variant = %v, want TTL/S_2", v)
 	}
 	if p.State() != st {
 		t.Error("State() should return the shared state")
@@ -273,10 +273,10 @@ func TestEstimatorDrivesState(t *testing.T) {
 	if err := st.SetWeights(e.Weights()); err != nil {
 		t.Fatal(err)
 	}
-	if st.Class(7) != ClassHot {
+	if st.Snapshot().Class(7) != ClassHot {
 		t.Error("domain 7 should be classified hot from estimated weights")
 	}
-	if st.HotDomains() != 1 {
-		t.Errorf("HotDomains = %d, want 1", st.HotDomains())
+	if st.Snapshot().HotDomains() != 1 {
+		t.Errorf("HotDomains = %d, want 1", st.Snapshot().HotDomains())
 	}
 }

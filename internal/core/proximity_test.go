@@ -54,7 +54,7 @@ func TestRingLatencies(t *testing.T) {
 
 func TestProximitySelectorPureGeo(t *testing.T) {
 	st := zipfState(t, 35, 8)
-	m, err := RingLatencies(8, st.Cluster().N(), 20, 160)
+	m, err := RingLatencies(8, st.Snapshot().Cluster().N(), 20, 160)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestProximitySelectorPureGeo(t *testing.T) {
 	for domain := 0; domain < 8; domain++ {
 		got := sel.Select(st.Snapshot(), domain)
 		best := 0
-		for i := 1; i < st.Cluster().N(); i++ {
+		for i := 1; i < st.Snapshot().Cluster().N(); i++ {
 			if m.Latency(domain, i) < m.Latency(domain, best) {
 				best = i
 			}
@@ -82,7 +82,7 @@ func TestProximitySelectorPureGeo(t *testing.T) {
 
 func TestProximitySelectorZeroPrefIsInner(t *testing.T) {
 	st := zipfState(t, 35, 8)
-	m, err := RingLatencies(8, st.Cluster().N(), 20, 160)
+	m, err := RingLatencies(8, st.Snapshot().Cluster().N(), 20, 160)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestProximitySelectorZeroPrefIsInner(t *testing.T) {
 
 func TestProximitySelectorRespectsAlarms(t *testing.T) {
 	st := zipfState(t, 35, 8)
-	m, err := RingLatencies(8, st.Cluster().N(), 20, 160)
+	m, err := RingLatencies(8, st.Snapshot().Cluster().N(), 20, 160)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestProximitySelectorRespectsAlarms(t *testing.T) {
 
 func TestProximitySelectorMixedPreference(t *testing.T) {
 	st := zipfState(t, 35, 8)
-	m, err := RingLatencies(8, st.Cluster().N(), 20, 160)
+	m, err := RingLatencies(8, st.Snapshot().Cluster().N(), 20, 160)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestProximitySelectorMixedPreference(t *testing.T) {
 		t.Fatal(err)
 	}
 	nearest := 0
-	for i := 1; i < st.Cluster().N(); i++ {
+	for i := 1; i < st.Snapshot().Cluster().N(); i++ {
 		if m.Latency(0, i) < m.Latency(0, nearest) {
 			nearest = i
 		}
@@ -188,7 +188,7 @@ func TestMeanLatency(t *testing.T) {
 
 func TestProximityPolicyEndToEnd(t *testing.T) {
 	st := zipfState(t, 35, 8)
-	m, err := RingLatencies(8, st.Cluster().N(), 20, 160)
+	m, err := RingLatencies(8, st.Snapshot().Cluster().N(), 20, 160)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func TestRRCycles(t *testing.T) {
 	if sel.Name() != "RR" {
 		t.Errorf("Name = %q", sel.Name())
 	}
-	n := st.Cluster().N()
+	n := st.Snapshot().Cluster().N()
 	for round := 0; round < 3; round++ {
 		for want := 0; want < n; want++ {
 			if got := sel.Select(st.Snapshot(), round%20); got != want {
@@ -55,15 +55,15 @@ func TestRRSkipsAlarmed(t *testing.T) {
 		}
 	}
 	// All alarmed: falls back to plain cycling.
-	for i := 0; i < st.Cluster().N(); i++ {
+	for i := 0; i < st.Snapshot().Cluster().N(); i++ {
 		st.SetAlarm(i, true)
 	}
 	seen := make(map[int]bool)
-	for i := 0; i < st.Cluster().N(); i++ {
+	for i := 0; i < st.Snapshot().Cluster().N(); i++ {
 		seen[sel.Select(st.Snapshot(), 0)] = true
 	}
-	if len(seen) != st.Cluster().N() {
-		t.Errorf("all-alarmed fallback cycled over %d servers, want %d", len(seen), st.Cluster().N())
+	if len(seen) != st.Snapshot().Cluster().N() {
+		t.Errorf("all-alarmed fallback cycled over %d servers, want %d", len(seen), st.Snapshot().Cluster().N())
 	}
 }
 
@@ -98,7 +98,7 @@ func TestPRRCapacityProportionalAssignment(t *testing.T) {
 	if sel.Name() != "PRR" {
 		t.Errorf("Name = %q", sel.Name())
 	}
-	n := st.Cluster().N()
+	n := st.Snapshot().Cluster().N()
 	counts := make([]float64, n)
 	const trials = 140000
 	for i := 0; i < trials; i++ {
@@ -106,11 +106,11 @@ func TestPRRCapacityProportionalAssignment(t *testing.T) {
 	}
 	var alphaSum float64
 	for i := 0; i < n; i++ {
-		alphaSum += st.Cluster().Alpha(i)
+		alphaSum += st.Snapshot().Cluster().Alpha(i)
 	}
 	for i := 0; i < n; i++ {
 		got := counts[i] / trials
-		want := st.Cluster().Alpha(i) / alphaSum
+		want := st.Snapshot().Cluster().Alpha(i) / alphaSum
 		if math.Abs(got-want) > 0.01 {
 			t.Errorf("server %d assignment share = %.4f, want ≈ %.4f (∝ capacity)", i, got, want)
 		}
@@ -125,7 +125,7 @@ func TestPRR2ClassSeparation(t *testing.T) {
 		t.Errorf("Name = %q", sel.Name())
 	}
 	// Both classes should produce capacity-proportional assignment.
-	n := st.Cluster().N()
+	n := st.Snapshot().Cluster().N()
 	hot := make([]float64, n)
 	norm := make([]float64, n)
 	const trials = 70000
@@ -135,10 +135,10 @@ func TestPRR2ClassSeparation(t *testing.T) {
 	}
 	var alphaSum float64
 	for i := 0; i < n; i++ {
-		alphaSum += st.Cluster().Alpha(i)
+		alphaSum += st.Snapshot().Cluster().Alpha(i)
 	}
 	for i := 0; i < n; i++ {
-		want := st.Cluster().Alpha(i) / alphaSum
+		want := st.Snapshot().Cluster().Alpha(i) / alphaSum
 		if math.Abs(hot[i]/trials-want) > 0.012 {
 			t.Errorf("hot class share server %d = %.4f, want ≈ %.4f", i, hot[i]/trials, want)
 		}
@@ -234,7 +234,7 @@ func TestSelectorsAlwaysInRange(t *testing.T) {
 		NewRR(), NewRR2(), NewPRR(rng), NewPRR2(rng),
 		NewDAL(func() float64 { now += 1; return now }, 240),
 	}
-	n := st.Cluster().N()
+	n := st.Snapshot().Cluster().N()
 	for _, sel := range selectors {
 		for i := 0; i < 2000; i++ {
 			if i == 500 {
@@ -287,7 +287,7 @@ func TestSelectorsReturnNoServerWhenAllDown(t *testing.T) {
 	}
 	for _, sel := range selectors {
 		st := zipfState(t, 20, 20)
-		n := st.Cluster().N()
+		n := st.Snapshot().Cluster().N()
 		for i := 0; i < n; i++ {
 			if err := st.SetDown(i, true); err != nil {
 				t.Fatal(err)
@@ -312,7 +312,7 @@ func TestScheduleErrNoServers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := st.Cluster().N()
+	n := st.Snapshot().Cluster().N()
 	for i := 0; i < n; i++ {
 		if err := st.SetDown(i, true); err != nil {
 			t.Fatal(err)

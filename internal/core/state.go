@@ -38,6 +38,11 @@ func (c DomainClass) String() string {
 // the live path).
 var ErrNoServers = errors.New("core: no server available")
 
+// ErrLastSchedulable is returned by DrainServer for the only server a
+// selector may still pick (member, not down, not draining): draining it
+// would leave every query to ErrNoServers.
+var ErrLastSchedulable = errors.New("core: last schedulable server")
+
 // State is the information the DNS scheduler works from: the server
 // cluster, the current estimate of each domain's hidden load weight,
 // the two-tier class partition derived from those weights, the
@@ -58,6 +63,8 @@ var ErrNoServers = errors.New("core: no server available")
 // on an internal mutex, rebuild the snapshot copy-on-write, and
 // publish it atomically. A reader holding a Snapshot sees one frozen,
 // internally consistent state; it does not observe later mutations.
+// State therefore has no read accessors: a reader takes one Snapshot
+// per decision and reads everything from it.
 //
 // Alarms and liveness are distinct: an alarmed server is overloaded
 // but serving (it is skipped unless every eligible server is alarmed),
@@ -113,25 +120,6 @@ func NewState(cluster *Cluster, domains int) (*State, error) {
 // concurrent use and is the unit the query hot path works from.
 func (s *State) Snapshot() *Snapshot { return s.snap.Load() }
 
-// Cluster returns the server cluster.
-func (s *State) Cluster() *Cluster { return s.Snapshot().Cluster() }
-
-// Domains returns the number of connected domains.
-func (s *State) Domains() int { return s.Snapshot().Domains() }
-
-// Beta returns the class threshold β.
-func (s *State) Beta() float64 { return s.Snapshot().Beta() }
-
-// SetBeta overrides the class threshold and recomputes the partition.
-func (s *State) SetBeta(beta float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	next := s.snap.Load().clone()
-	next.beta = beta
-	next.reclassify()
-	s.snap.Store(next)
-}
-
 // SetWeights installs new relative hidden load weight estimates. The
 // weights are normalized to sum to one; the two-tier class partition
 // and class means are recomputed. The number of domains must not
@@ -161,31 +149,6 @@ func (s *State) SetWeights(w []float64) error {
 	s.snap.Store(next)
 	return nil
 }
-
-// Version returns a counter that increments whenever the weights, the
-// class threshold, or cluster membership change.
-func (s *State) Version() uint64 { return s.Snapshot().Version() }
-
-// Weight returns the relative hidden load weight of domain j.
-func (s *State) Weight(j int) float64 { return s.Snapshot().Weight(j) }
-
-// Weights returns a copy of the relative hidden load weight vector.
-func (s *State) Weights() []float64 { return s.Snapshot().Weights() }
-
-// MaxWeight returns γ_max, the weight of the most popular domain.
-func (s *State) MaxWeight() float64 { return s.Snapshot().MaxWeight() }
-
-// Class returns the two-tier class of domain j.
-func (s *State) Class(j int) DomainClass { return s.Snapshot().Class(j) }
-
-// ClassMeanWeight returns the mean hidden load weight of a class,
-// used by the two-class TTL policies.
-func (s *State) ClassMeanWeight(c DomainClass) float64 {
-	return s.Snapshot().ClassMeanWeight(c)
-}
-
-// HotDomains returns how many domains are currently in the hot class.
-func (s *State) HotDomains() int { return s.Snapshot().HotDomains() }
 
 // SetAlarm records an alarm (overloaded) or normal signal from server
 // i. An out-of-range index is an error: it means a misconfigured or
@@ -218,15 +181,6 @@ func (s *State) AlarmTransitions() uint64 { return s.alarmFlips.Load() }
 // liveness since creation (repeated identical signals do not count).
 func (s *State) DownTransitions() uint64 { return s.downFlips.Load() }
 
-// Alarmed reports whether server i has declared itself critically
-// loaded.
-func (s *State) Alarmed(i int) bool { return s.Snapshot().Alarmed(i) }
-
-// AllAlarmed reports whether every member server is currently alarmed,
-// in which case selectors ignore alarms (there is no better
-// candidate).
-func (s *State) AllAlarmed() bool { return s.Snapshot().AllAlarmed() }
-
 // SetDown marks server i as failed (down=true) or recovered. A down
 // server is excluded from every selector regardless of alarms; a
 // membership change bumps the state version so TTL policies
@@ -250,25 +204,6 @@ func (s *State) SetDown(i int, down bool) error {
 	s.downFlips.Add(1)
 	return nil
 }
-
-// Down reports whether server i is currently marked failed.
-func (s *State) Down(i int) bool { return s.Snapshot().Down(i) }
-
-// AllDown reports whether no member server is live; Schedule then
-// returns ErrNoServers.
-func (s *State) AllDown() bool { return s.Snapshot().AllDown() }
-
-// LiveServers returns the number of member servers not marked down.
-func (s *State) LiveServers() int { return s.Snapshot().LiveServers() }
-
-// Member reports whether slot i is currently a cluster member.
-func (s *State) Member(i int) bool { return s.Snapshot().Member(i) }
-
-// Draining reports whether server i is draining.
-func (s *State) Draining(i int) bool { return s.Snapshot().Draining(i) }
-
-// MemberServers returns the number of non-retired slots.
-func (s *State) MemberServers() int { return s.Snapshot().MemberServers() }
 
 // AddServer appends a new server slot with the given capacity and
 // returns its index. The new server is an active member immediately:
@@ -323,7 +258,9 @@ func (s *State) SetCapacity(i int, capacity float64) error {
 // member (and should stay resolvable / serving) until the hidden-load
 // window of its outstanding TTLs has expired, at which point the
 // caller retires it with RemoveServer. Draining an already-draining
-// server is a no-op.
+// server is a no-op. Draining the only eligible server is refused with
+// ErrLastSchedulable; a down server may always drain, since it takes
+// no mappings either way.
 func (s *State) DrainServer(i int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -333,6 +270,9 @@ func (s *State) DrainServer(i int) error {
 	}
 	if cur.draining[i] {
 		return nil
+	}
+	if !cur.down[i] && cur.nEligible <= 1 {
+		return fmt.Errorf("core: refusing to drain server %d: %w", i, ErrLastSchedulable)
 	}
 	next := cur.clone()
 	next.draining[i] = true
@@ -395,7 +335,3 @@ func (s *State) RemoveServer(i int) error {
 	s.snap.Store(next)
 	return nil
 }
-
-// available reports whether server i should be considered by a
-// selector under the current snapshot; see Snapshot.available.
-func (s *State) available(i int) bool { return s.Snapshot().available(i) }

@@ -32,19 +32,19 @@ func TestNewStateValidation(t *testing.T) {
 
 func TestStateDefaults(t *testing.T) {
 	st := testState(t, 20)
-	if st.Domains() != 20 {
-		t.Errorf("Domains = %d", st.Domains())
+	if st.Snapshot().Domains() != 20 {
+		t.Errorf("Domains = %d", st.Snapshot().Domains())
 	}
-	if math.Abs(st.Beta()-0.05) > 1e-12 {
-		t.Errorf("Beta = %v, want 1/K = 0.05", st.Beta())
+	if math.Abs(st.Snapshot().Beta()-0.05) > 1e-12 {
+		t.Errorf("Beta = %v, want 1/K = 0.05", st.Snapshot().Beta())
 	}
 	// Uniform initial weights: no domain exceeds β, so all normal.
-	if st.HotDomains() != 0 {
-		t.Errorf("HotDomains = %d with uniform weights, want 0", st.HotDomains())
+	if st.Snapshot().HotDomains() != 0 {
+		t.Errorf("HotDomains = %d with uniform weights, want 0", st.Snapshot().HotDomains())
 	}
 	for j := 0; j < 20; j++ {
-		if math.Abs(st.Weight(j)-0.05) > 1e-12 {
-			t.Errorf("Weight(%d) = %v, want 0.05", j, st.Weight(j))
+		if math.Abs(st.Snapshot().Weight(j)-0.05) > 1e-12 {
+			t.Errorf("Weight(%d) = %v, want 0.05", j, st.Snapshot().Weight(j))
 		}
 	}
 }
@@ -56,23 +56,24 @@ func TestZipfClassPartition(t *testing.T) {
 	if err := st.SetWeights(simcore.ZipfWeights(20, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if got := st.HotDomains(); got != 5 {
+	if got := st.Snapshot().HotDomains(); got != 5 {
 		t.Errorf("HotDomains = %d, want 5 for pure Zipf with K=20", got)
 	}
 	for j := 0; j < 5; j++ {
-		if st.Class(j) != ClassHot {
+		if st.Snapshot().Class(j) != ClassHot {
 			t.Errorf("domain %d should be hot", j)
 		}
 	}
 	for j := 5; j < 20; j++ {
-		if st.Class(j) != ClassNormal {
+		if st.Snapshot().Class(j) != ClassNormal {
 			t.Errorf("domain %d should be normal", j)
 		}
 	}
-	if math.Abs(st.MaxWeight()-st.Weight(0)) > 1e-15 {
-		t.Errorf("MaxWeight = %v, want weight of domain 0 = %v", st.MaxWeight(), st.Weight(0))
+	sn := st.Snapshot()
+	if math.Abs(sn.MaxWeight()-sn.Weight(0)) > 1e-15 {
+		t.Errorf("MaxWeight = %v, want weight of domain 0 = %v", sn.MaxWeight(), sn.Weight(0))
 	}
-	if st.ClassMeanWeight(ClassHot) <= st.ClassMeanWeight(ClassNormal) {
+	if sn.ClassMeanWeight(ClassHot) <= sn.ClassMeanWeight(ClassNormal) {
 		t.Error("hot class mean weight should exceed normal class mean weight")
 	}
 }
@@ -83,8 +84,8 @@ func TestSetWeightsNormalizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for j := 0; j < 4; j++ {
-		if math.Abs(st.Weight(j)-0.25) > 1e-12 {
-			t.Errorf("Weight(%d) = %v, want normalized 0.25", j, st.Weight(j))
+		if math.Abs(st.Snapshot().Weight(j)-0.25) > 1e-12 {
+			t.Errorf("Weight(%d) = %v, want normalized 0.25", j, st.Snapshot().Weight(j))
 		}
 	}
 }
@@ -107,17 +108,12 @@ func TestSetWeightsValidation(t *testing.T) {
 
 func TestVersionBumpsOnChange(t *testing.T) {
 	st := testState(t, 4)
-	v0 := st.Version()
+	v0 := st.Snapshot().Version()
 	if err := st.SetWeights([]float64{4, 3, 2, 1}); err != nil {
 		t.Fatal(err)
 	}
-	if st.Version() == v0 {
+	if st.Snapshot().Version() == v0 {
 		t.Error("SetWeights should bump version")
-	}
-	v1 := st.Version()
-	st.SetBeta(0.3)
-	if st.Version() == v1 {
-		t.Error("SetBeta should bump version")
 	}
 }
 
@@ -128,49 +124,49 @@ func TestDegenerateClassPartitions(t *testing.T) {
 	if err := st.SetWeights([]float64{1, 1, 1, 1}); err != nil {
 		t.Fatal(err)
 	}
-	if st.HotDomains() != 0 {
-		t.Errorf("HotDomains = %d, want 0", st.HotDomains())
+	if st.Snapshot().HotDomains() != 0 {
+		t.Errorf("HotDomains = %d, want 0", st.Snapshot().HotDomains())
 	}
-	if got := st.ClassMeanWeight(ClassHot); math.Abs(got-0.25) > 1e-12 {
+	if got := st.Snapshot().ClassMeanWeight(ClassHot); math.Abs(got-0.25) > 1e-12 {
 		t.Errorf("hot class mean fallback = %v, want overall mean 0.25", got)
 	}
 	// One dominant domain: hot class of size 1.
 	if err := st.SetWeights([]float64{97, 1, 1, 1}); err != nil {
 		t.Fatal(err)
 	}
-	if st.HotDomains() != 1 {
-		t.Errorf("HotDomains = %d, want 1", st.HotDomains())
+	if st.Snapshot().HotDomains() != 1 {
+		t.Errorf("HotDomains = %d, want 1", st.Snapshot().HotDomains())
 	}
 }
 
 func TestAlarms(t *testing.T) {
 	st := testState(t, 5)
-	n := st.Cluster().N()
-	if st.AllAlarmed() {
+	n := st.Snapshot().Cluster().N()
+	if st.Snapshot().AllAlarmed() {
 		t.Error("no alarms initially")
 	}
 	st.SetAlarm(2, true)
-	if !st.Alarmed(2) {
+	if !st.Snapshot().Alarmed(2) {
 		t.Error("alarm not recorded")
 	}
-	if st.available(2) {
+	if st.Snapshot().available(2) {
 		t.Error("alarmed server should be unavailable while others are fine")
 	}
 	// Idempotent set.
 	st.SetAlarm(2, true)
 	st.SetAlarm(2, false)
-	if st.Alarmed(2) {
+	if st.Snapshot().Alarmed(2) {
 		t.Error("alarm not cleared")
 	}
 	// All alarmed: availability is restored (no better candidate).
 	for i := 0; i < n; i++ {
 		st.SetAlarm(i, true)
 	}
-	if !st.AllAlarmed() {
+	if !st.Snapshot().AllAlarmed() {
 		t.Error("AllAlarmed should be true")
 	}
 	for i := 0; i < n; i++ {
-		if !st.available(i) {
+		if !st.Snapshot().available(i) {
 			t.Errorf("server %d should be available when all are alarmed", i)
 		}
 	}
@@ -185,31 +181,31 @@ func TestAlarms(t *testing.T) {
 
 func TestLiveness(t *testing.T) {
 	st := testState(t, 5)
-	n := st.Cluster().N()
-	if st.LiveServers() != n {
-		t.Errorf("LiveServers = %d, want %d", st.LiveServers(), n)
+	n := st.Snapshot().Cluster().N()
+	if st.Snapshot().LiveServers() != n {
+		t.Errorf("LiveServers = %d, want %d", st.Snapshot().LiveServers(), n)
 	}
 	if err := st.SetDown(3, true); err != nil {
 		t.Fatal(err)
 	}
-	if !st.Down(3) || st.available(3) {
+	if sn := st.Snapshot(); !sn.Down(3) || sn.available(3) {
 		t.Error("down server must be recorded and unavailable")
 	}
-	if st.LiveServers() != n-1 {
-		t.Errorf("LiveServers = %d, want %d", st.LiveServers(), n-1)
+	if st.Snapshot().LiveServers() != n-1 {
+		t.Errorf("LiveServers = %d, want %d", st.Snapshot().LiveServers(), n-1)
 	}
 	// Idempotent: repeating the same transition changes nothing.
-	v := st.Version()
+	v := st.Snapshot().Version()
 	if err := st.SetDown(3, true); err != nil {
 		t.Fatal(err)
 	}
-	if st.Version() != v {
+	if st.Snapshot().Version() != v {
 		t.Error("repeated SetDown must not bump version")
 	}
 	if err := st.SetDown(3, false); err != nil {
 		t.Fatal(err)
 	}
-	if st.Down(3) || st.Version() == v {
+	if sn := st.Snapshot(); sn.Down(3) || sn.Version() == v {
 		t.Error("recovery must clear the flag and bump version")
 	}
 	// Out-of-range liveness is reported.
@@ -223,11 +219,11 @@ func TestLiveness(t *testing.T) {
 
 func TestLivenessVersionBump(t *testing.T) {
 	st := testState(t, 4)
-	v0 := st.Version()
+	v0 := st.Snapshot().Version()
 	if err := st.SetDown(0, true); err != nil {
 		t.Fatal(err)
 	}
-	if st.Version() == v0 {
+	if st.Snapshot().Version() == v0 {
 		t.Error("membership change should bump version for TTL recalibration")
 	}
 }
@@ -236,7 +232,7 @@ func TestAlarmsAmongLiveServersOnly(t *testing.T) {
 	// With server 0 down, alarming all *live* servers must re-admit the
 	// live ones (no better candidate) while 0 stays excluded.
 	st := testState(t, 5)
-	n := st.Cluster().N()
+	n := st.Snapshot().Cluster().N()
 	if err := st.SetDown(0, true); err != nil {
 		t.Fatal(err)
 	}
@@ -245,11 +241,11 @@ func TestAlarmsAmongLiveServersOnly(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st.available(0) {
+	if st.Snapshot().available(0) {
 		t.Error("down server must stay excluded even when all live servers are alarmed")
 	}
 	for i := 1; i < n; i++ {
-		if !st.available(i) {
+		if !st.Snapshot().available(i) {
 			t.Errorf("server %d should be available when every live server is alarmed", i)
 		}
 	}
@@ -258,28 +254,28 @@ func TestAlarmsAmongLiveServersOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i < n; i++ {
-		if st.available(i) {
+		if st.Snapshot().available(i) {
 			t.Errorf("server %d should be excluded again once a non-alarmed server is live", i)
 		}
 	}
-	if !st.available(0) {
+	if !st.Snapshot().available(0) {
 		t.Error("recovered server should be available")
 	}
 }
 
 func TestAllDown(t *testing.T) {
 	st := testState(t, 5)
-	n := st.Cluster().N()
+	n := st.Snapshot().Cluster().N()
 	for i := 0; i < n; i++ {
 		if err := st.SetDown(i, true); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !st.AllDown() || st.LiveServers() != 0 {
+	if sn := st.Snapshot(); !sn.AllDown() || sn.LiveServers() != 0 {
 		t.Error("AllDown should hold with every server down")
 	}
 	for i := 0; i < n; i++ {
-		if st.available(i) {
+		if st.Snapshot().available(i) {
 			t.Errorf("server %d available with the whole cluster down", i)
 		}
 	}

@@ -118,9 +118,6 @@ func NewTTLPolicy(variant TTLVariant, constTTL float64) (*TTLPolicy, error) {
 	return &TTLPolicy{variant: variant, constTTL: constTTL}, nil
 }
 
-// Variant returns the policy's variant.
-func (p *TTLPolicy) Variant() TTLVariant { return p.variant }
-
 // DomainFactors returns d_j for every domain j: the domain component
 // of the TTL is base / d_j, so the hottest domain (or class) with
 // d = 1 receives the minimum TTL.
@@ -259,7 +256,7 @@ func (p *TTLPolicy) recalibrate(sn *Snapshot) *ttlCalib {
 	return c
 }
 
-// CalibrateBase computes the TTL_min that makes the variant's mean
+// calibrateBase computes the TTL_min that makes the variant's mean
 // address-request rate equal to the constant-TTL baseline's.
 //
 // A domain cached for TTL_j issues NS cache misses at rate ≈ 1/TTL_j
@@ -269,10 +266,6 @@ func (p *TTLPolicy) recalibrate(sn *Snapshot) *ttlCalib {
 // setting the two equal gives
 //
 //	base = constTTL · (Σ_j d_j) · E_i[1/s_i] / K.
-func CalibrateBase(sn *Snapshot, variant TTLVariant, constTTL float64) float64 {
-	return calibrateBase(sn, variant, DomainFactors(sn, variant.Classes), constTTL)
-}
-
 func calibrateBase(sn *Snapshot, variant TTLVariant, factors []float64, constTTL float64) float64 {
 	k := float64(sn.Domains())
 	var sumD float64

@@ -58,7 +58,7 @@ func TestConstantTTLIsConstant(t *testing.T) {
 		t.Fatal(err)
 	}
 	for j := 0; j < 20; j++ {
-		for i := 0; i < st.Cluster().N(); i++ {
+		for i := 0; i < st.Snapshot().Cluster().N(); i++ {
 			if got := p.TTL(st.Snapshot(), j, i); math.Abs(got-240) > 1e-9 {
 				t.Fatalf("TTL/1(%d,%d) = %v, want 240", j, i, got)
 			}
@@ -127,8 +127,8 @@ func TestTTLSKServerScaling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rho := st.Cluster().Rho()
-	n := st.Cluster().N()
+	rho := st.Snapshot().Cluster().Rho()
+	n := st.Snapshot().Cluster().N()
 	base := p.Base(st.Snapshot())
 	if got := p.TTL(st.Snapshot(), 0, n-1); math.Abs(got-base) > 1e-6 {
 		t.Errorf("hottest domain on slowest server TTL = %v, want base %v", got, base)
@@ -138,7 +138,7 @@ func TestTTLSKServerScaling(t *testing.T) {
 	}
 	// TTLs across servers for one domain scale with capacity.
 	for i := 0; i < n; i++ {
-		want := base * st.Cluster().Alpha(i) * rho
+		want := base * st.Snapshot().Cluster().Alpha(i) * rho
 		if got := p.TTL(st.Snapshot(), 0, i); math.Abs(got-want) > 1e-6 {
 			t.Errorf("server %d TTL = %v, want %v", i, got, want)
 		}
@@ -151,7 +151,7 @@ func TestTTLS1IgnoresDomain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < st.Cluster().N(); i++ {
+	for i := 0; i < st.Snapshot().Cluster().N(); i++ {
 		a := p.TTL(st.Snapshot(), 0, i)
 		b := p.TTL(st.Snapshot(), 19, i)
 		if math.Abs(a-b) > 1e-9 {
@@ -182,7 +182,7 @@ func TestCalibrationEqualizesAddressRate(t *testing.T) {
 				t.Fatal(err)
 			}
 			var rate float64
-			n := st.Cluster().N()
+			n := st.Snapshot().Cluster().N()
 			for j := 0; j < 20; j++ {
 				for i := 0; i < n; i++ {
 					rate += 1 / p.TTL(st.Snapshot(), j, i) / float64(n)

@@ -121,7 +121,7 @@ func TestEqualLoadPartitionBalance(t *testing.T) {
 	classTotal := make(map[float64]float64)
 	classSize := make(map[float64]int)
 	for j, m := range means {
-		classTotal[m] += st.Weight(j)
+		classTotal[m] += st.Snapshot().Weight(j)
 		classSize[m]++
 	}
 	var sum float64
@@ -190,7 +190,7 @@ func TestTTLiCalibrationHolds(t *testing.T) {
 				t.Fatal(err)
 			}
 			var rate float64
-			n := st.Cluster().N()
+			n := st.Snapshot().Cluster().N()
 			for j := 0; j < 20; j++ {
 				for s := 0; s < n; s++ {
 					rate += 1 / p.TTL(st.Snapshot(), j, s) / float64(n)
@@ -387,7 +387,7 @@ func TestWRRSmoothProportionalRotation(t *testing.T) {
 func TestWRRCapacityShares(t *testing.T) {
 	st := zipfState(t, 50, 20)
 	sel := NewWRR()
-	n := st.Cluster().N()
+	n := st.Snapshot().Cluster().N()
 	counts := make([]float64, n)
 	const picks = 62000
 	for i := 0; i < picks; i++ {
@@ -395,11 +395,11 @@ func TestWRRCapacityShares(t *testing.T) {
 	}
 	var alphaSum float64
 	for i := 0; i < n; i++ {
-		alphaSum += st.Cluster().Alpha(i)
+		alphaSum += st.Snapshot().Cluster().Alpha(i)
 	}
 	for i := 0; i < n; i++ {
 		got := counts[i] / picks
-		want := st.Cluster().Alpha(i) / alphaSum
+		want := st.Snapshot().Cluster().Alpha(i) / alphaSum
 		if math.Abs(got-want) > 0.005 {
 			t.Errorf("server %d share = %.4f, want %.4f", i, got, want)
 		}

@@ -6,7 +6,6 @@ import (
 	"io"
 	"net"
 	"net/netip"
-	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -55,7 +54,6 @@ func benchServer(b *testing.B, policyName, addr string, edits ...func(*Config)) 
 		ServerAddrs: addrs,
 		Policy:      policy,
 		Addr:        addr,
-		UDPWorkers:  runtime.GOMAXPROCS(0),
 		Metrics:     metrics.NewRegistry(),
 	}
 	for _, edit := range edits {

@@ -164,8 +164,8 @@ func (s *Server) RestoreCheckpoint(cp *Checkpoint, maxAge time.Duration) error {
 		return fmt.Errorf("dnsserver: checkpoint for policy %q, running %q", cp.Policy, s.policy.Name())
 	}
 	st := s.policy.State()
-	if cp.Domains != st.Domains() {
-		return fmt.Errorf("dnsserver: checkpoint has %d domains, state has %d", cp.Domains, st.Domains())
+	if n := st.Snapshot().Domains(); cp.Domains != n {
+		return fmt.Errorf("dnsserver: checkpoint has %d domains, state has %d", cp.Domains, n)
 	}
 	if maxAge > 0 {
 		age := time.Since(cp.SavedAt)
@@ -199,6 +199,7 @@ func (s *Server) RestoreCheckpoint(cp *Checkpoint, maxAge time.Duration) error {
 	}
 	s.reconfigMu.Lock()
 	defer s.reconfigMu.Unlock()
+	sn := st.Snapshot()
 	for _, scp := range cp.Servers {
 		addr, err := netip.ParseAddr(scp.Addr)
 		if err != nil {
@@ -206,7 +207,7 @@ func (s *Server) RestoreCheckpoint(cp *Checkpoint, maxAge time.Duration) error {
 			continue
 		}
 		i, ok := byAddr[addr]
-		if !ok || !st.Member(i) {
+		if !ok || !sn.Member(i) {
 			if scp.Member {
 				s.logger.Info("checkpoint server not in current config; starting cold", "addr", scp.Addr)
 			}

@@ -45,10 +45,10 @@ func TestConcurrentQueries(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
-			srv.SetAlarm(i%7, i%2 == 0)
+			srv.eng.SetAlarm(i%7, i%2 == 0)
 			srv.RecordHits(i%20, 10)
 		}
-		if err := srv.RollEstimates(8); err != nil {
+		if err := srv.eng.RollEstimates(8); err != nil {
 			errs <- err
 		}
 	}()
@@ -71,7 +71,7 @@ func TestConcurrentQueries(t *testing.T) {
 }
 
 // TestConcurrentClientsCountersExact fires many clients at a server
-// running several parallel UDP workers and checks the books balance:
+// running its GOMAXPROCS UDP workers and checks the books balance:
 // every query is answered, the sharded serve counters sum to the
 // number of queries sent, the policy's per-server decision counts sum
 // to its decision total, and the A records the clients actually
@@ -106,7 +106,6 @@ func TestConcurrentClientsCountersExact(t *testing.T) {
 		ServerAddrs: addrs,
 		Policy:      policy,
 		Addr:        "127.0.0.1:0",
-		UDPWorkers:  4,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -32,34 +32,34 @@ func TestVoteCombination(t *testing.T) {
 	if err := srv.voteDown(detectorPassive, 1, true); err != nil {
 		t.Fatal(err)
 	}
-	if !srv.Down(1) {
+	if !srv.policy.State().Snapshot().Down(1) {
 		t.Fatal("passive vote alone should mark down")
 	}
 	if err := srv.voteDown(detectorPassive, 1, false); err != nil {
 		t.Fatal(err)
 	}
-	if srv.Down(1) {
+	if srv.policy.State().Snapshot().Down(1) {
 		t.Fatal("withdrawn passive vote should re-admit")
 	}
 
 	// Two detectors: either marks down, both must agree to revive.
 	_ = srv.voteDown(detectorPassive, 2, true)
-	if !srv.Down(2) {
+	if !srv.policy.State().Snapshot().Down(2) {
 		t.Fatal("passive vote should mark down")
 	}
 	_ = srv.voteDown(detectorActive, 2, true)
-	if !srv.Down(2) {
+	if !srv.policy.State().Snapshot().Down(2) {
 		t.Fatal("both votes should keep down")
 	}
 	_ = srv.voteDown(detectorPassive, 2, false)
-	if !srv.Down(2) {
+	if !srv.policy.State().Snapshot().Down(2) {
 		t.Fatal("active vote still held: server must stay down")
 	}
 	if !srv.votes.holds(detectorActive, 2) || srv.votes.holds(detectorPassive, 2) {
 		t.Fatal("vote ledger inconsistent")
 	}
 	_ = srv.voteDown(detectorActive, 2, false)
-	if srv.Down(2) {
+	if srv.policy.State().Snapshot().Down(2) {
 		t.Fatal("all votes withdrawn: server must be up")
 	}
 
@@ -118,7 +118,7 @@ func TestStartProbingDetectsCrashAndRevives(t *testing.T) {
 	})
 	waitCond(t, 2*time.Second, func() bool { return srv.prober.Stats()[0].Probes >= 3 }, "probes not running")
 	for i := 0; i < srv.Servers(); i++ {
-		if srv.Down(i) {
+		if srv.policy.State().Snapshot().Down(i) {
 			t.Fatalf("server %d down with healthy backends", i)
 		}
 	}
@@ -126,11 +126,11 @@ func TestStartProbingDetectsCrashAndRevives(t *testing.T) {
 	// Crash backend 1.
 	addr := listeners[1].Addr().String()
 	listeners[1].Close()
-	waitCond(t, 2*time.Second, func() bool { return srv.Down(1) }, "crashed backend never excluded")
+	waitCond(t, 2*time.Second, func() bool { return srv.policy.State().Snapshot().Down(1) }, "crashed backend never excluded")
 	if !srv.probeDown(1) {
 		t.Fatal("probeDown(1) should report the active detector's vote")
 	}
-	if srv.Down(0) {
+	if srv.policy.State().Snapshot().Down(0) {
 		t.Fatal("healthy backend excluded")
 	}
 
@@ -149,7 +149,7 @@ func TestStartProbingDetectsCrashAndRevives(t *testing.T) {
 			c.Close()
 		}
 	}()
-	waitCond(t, 3*time.Second, func() bool { return !srv.Down(1) }, "restored backend never re-admitted")
+	waitCond(t, 3*time.Second, func() bool { return !srv.policy.State().Snapshot().Down(1) }, "restored backend never re-admitted")
 }
 
 // TestProbeReviveWaitsForPassiveAgreement: with both detectors voting
@@ -187,7 +187,7 @@ func TestProbeReviveWaitsForPassiveAgreement(t *testing.T) {
 	_ = srv.voteDown(detectorPassive, 0, true)
 	ln.Close()
 	waitCond(t, 2*time.Second, func() bool { return srv.probeDown(0) }, "probe never failed")
-	if !srv.Down(0) {
+	if !srv.policy.State().Snapshot().Down(0) {
 		t.Fatal("server should be down")
 	}
 
@@ -207,13 +207,13 @@ func TestProbeReviveWaitsForPassiveAgreement(t *testing.T) {
 		}
 	}()
 	waitCond(t, 3*time.Second, func() bool { return !srv.probeDown(0) }, "probe never recovered")
-	if !srv.Down(0) {
+	if !srv.policy.State().Snapshot().Down(0) {
 		t.Fatal("probe recovery alone re-admitted the server despite the passive vote")
 	}
 
 	// Passive agreement (a report arriving) completes the revival.
 	_ = srv.voteDown(detectorPassive, 0, false)
-	if srv.Down(0) {
+	if srv.policy.State().Snapshot().Down(0) {
 		t.Fatal("both detectors agree up; server still down")
 	}
 }

@@ -14,8 +14,8 @@
 // The source "domain" of a query is derived from the querying name
 // server's address through a pluggable DomainMapper, defaulting to a
 // stable hash of the address prefix. Web servers feed the alarm and
-// hidden-load machinery through RecordHits/SetAlarm, or remotely over
-// the plain-text load-report socket (see report.go).
+// hidden-load machinery over the plain-text load-report socket (see
+// report.go).
 //
 // The query path is lock-free: core.Policy and core.State are safe for
 // concurrent use (see core's concurrency contract), so the server runs
@@ -82,10 +82,6 @@ type Config struct {
 	// RateLimit optionally bounds queries per second per source
 	// address; excess queries are answered REFUSED.
 	RateLimit *RateLimiter
-	// UDPWorkers is the number of parallel UDP reader/responder
-	// goroutines over the one shared socket. Zero or negative defaults
-	// to runtime.GOMAXPROCS(0).
-	UDPWorkers int
 	// Estimator selects the hidden-load estimator kind, smoothing with
 	// core.DefaultEstimatorAlpha as the simulator does:
 	// core.EstimatorReactive (the paper's EWMA over reports, default
@@ -159,9 +155,11 @@ type Server struct {
 
 	// cfg is the configuration New accepted: what Start binds, restores
 	// and launches, read-only from New on.
-	cfg        Config
-	logger     *slog.Logger
-	limiter    *RateLimiter
+	cfg     Config
+	logger  *slog.Logger
+	limiter *RateLimiter
+	// udpWorkers is the number of parallel UDP reader/responder
+	// goroutines over the one shared socket: GOMAXPROCS at New.
 	udpWorkers int
 
 	registry *metrics.Registry // nil when uninstrumented
@@ -323,7 +321,7 @@ func (c Config) Validate() error {
 	case c.Policy == nil:
 		return errors.New("dnsserver: Policy is required")
 	}
-	n := c.Policy.State().Cluster().N()
+	n := c.Policy.State().Snapshot().Cluster().N()
 	if len(c.ServerAddrs) != n {
 		return fmt.Errorf("dnsserver: %d server addresses for %d servers", len(c.ServerAddrs), n)
 	}
@@ -352,19 +350,16 @@ func New(cfg Config) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	domains := cfg.Policy.State().Snapshot().Domains()
 	if cfg.Mapper == nil {
-		cfg.Mapper = PrefixHashMapper(cfg.Policy.State().Domains())
+		cfg.Mapper = PrefixHashMapper(domains)
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = logging.Discard()
 	}
-	est, err := core.NewLoadEstimator(cfg.Estimator, cfg.Policy.State().Domains(), core.DefaultEstimatorAlpha)
+	est, err := core.NewLoadEstimator(cfg.Estimator, domains, core.DefaultEstimatorAlpha)
 	if err != nil {
 		return nil, err
-	}
-	workers := cfg.UDPWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 	maxTCP := cfg.MaxTCPConns
 	switch {
@@ -389,7 +384,7 @@ func New(cfg Config) (*Server, error) {
 		policy:      cfg.Policy,
 		logger:      cfg.Logger,
 		limiter:     cfg.RateLimit,
-		udpWorkers:  workers,
+		udpWorkers:  runtime.GOMAXPROCS(0),
 		maxTCPConns: maxTCP,
 		registry:    cfg.Metrics,
 		conns:       make(map[net.Conn]struct{}),
@@ -486,33 +481,9 @@ func (s *Server) Stats() ServerStats {
 	return out
 }
 
-// UDPWorkers returns the number of UDP serve workers the server runs.
-func (s *Server) UDPWorkers() int { return s.udpWorkers }
-
 // Servers returns the number of server slots (including retired ones;
-// see the policy state's Member for slot standing).
+// see the state snapshot's Member for slot standing).
 func (s *Server) Servers() int { return len(s.serverAddrs()) }
-
-// SetAlarm relays a Web server's alarm/normal signal to the scheduler.
-// An out-of-range index is reported back, so remote reporters learn
-// about their misconfiguration instead of being silently ignored.
-// core.State synchronizes its own mutations; no server lock is taken.
-func (s *Server) SetAlarm(server int, alarmed bool) error {
-	return s.eng.SetAlarm(server, alarmed)
-}
-
-// SetDown marks a Web server failed (down=true) or recovered in the
-// scheduler state: down servers receive no new mappings, and queries
-// are answered SERVFAIL only when every server is down.
-func (s *Server) SetDown(server int, down bool) error {
-	return s.eng.SetDown(server, down)
-}
-
-// Down reports whether the scheduler currently considers server i
-// failed.
-func (s *Server) Down(server int) bool {
-	return s.policy.State().Down(server)
-}
 
 // touchLiveness records proof of life for a backend, if liveness is
 // configured.
@@ -520,17 +491,6 @@ func (s *Server) touchLiveness(server int) {
 	if s.liveness != nil {
 		s.liveness.Touch(server)
 	}
-}
-
-// Alarmed reports whether the scheduler currently excludes server i.
-func (s *Server) Alarmed(server int) bool {
-	return s.policy.State().Alarmed(server)
-}
-
-// DomainWeight returns the scheduler's current hidden-load weight
-// estimate for a domain.
-func (s *Server) DomainWeight(domain int) float64 {
-	return s.policy.State().Weight(domain)
 }
 
 // RecordHits feeds per-domain hit counts into the hidden-load
@@ -547,12 +507,6 @@ func (s *Server) RecordHits(domain int, hits float64) {
 	if s.replNode != nil {
 		s.replNode.AddHits(domain, hits)
 	}
-}
-
-// RollEstimates closes an estimation interval of the given length and
-// installs the resulting hidden-load weights into the scheduler state.
-func (s *Server) RollEstimates(intervalSeconds float64) error {
-	return s.eng.RollEstimates(intervalSeconds)
 }
 
 // PrefixHashMapper maps a querying address to a domain index by

@@ -263,7 +263,7 @@ func TestAlarmExcludesServer(t *testing.T) {
 	r := resolverFor(t, srv)
 	ctx := context.Background()
 	excluded := netip.AddrFrom4([4]byte{10, 0, 0, 1})
-	srv.SetAlarm(0, true)
+	srv.eng.SetAlarm(0, true)
 	for i := 0; i < 14; i++ {
 		answers, err := r.LookupA(ctx, "www.site.example")
 		if err != nil {
@@ -273,7 +273,7 @@ func TestAlarmExcludesServer(t *testing.T) {
 			t.Fatal("alarmed server 0 still selected")
 		}
 	}
-	srv.SetAlarm(0, false)
+	srv.eng.SetAlarm(0, false)
 	seen := false
 	for i := 0; i < 14; i++ {
 		answers, err := r.LookupA(ctx, "www.site.example")

@@ -113,8 +113,8 @@ func TestLifecycleEveryComponent(t *testing.T) {
 		srv.reconfigMu.Lock()
 		timers := len(srv.drainTimers)
 		srv.reconfigMu.Unlock()
-		if timers != 0 || state.Draining(2) {
-			t.Errorf("after Shutdown: %d drain timers armed, server 2 draining = %v", timers, state.Draining(2))
+		if timers != 0 || state.Snapshot().Draining(2) {
+			t.Errorf("after Shutdown: %d drain timers armed, server 2 draining = %v", timers, state.Snapshot().Draining(2))
 		}
 	})
 
@@ -126,8 +126,8 @@ func TestLifecycleEveryComponent(t *testing.T) {
 	if err := fresh.RestoreCheckpoint(cp, time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	if !fresh.Alarmed(1) || !fresh.Down(6) {
-		t.Errorf("restored: alarmed(1) = %v, down(6) = %v; want what the stopped server knew", fresh.Alarmed(1), fresh.Down(6))
+	if sn := fresh.policy.State().Snapshot(); !sn.Alarmed(1) || !sn.Down(6) {
+		t.Errorf("restored: alarmed(1) = %v, down(6) = %v; want what the stopped server knew", sn.Alarmed(1), sn.Down(6))
 	}
 }
 

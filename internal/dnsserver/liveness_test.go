@@ -66,10 +66,10 @@ func TestLivenessDetectsSilentBackend(t *testing.T) {
 		}
 	}()
 
-	if !waitFor(t, 2*time.Second, func() bool { return srv.Down(3) }) {
+	if !waitFor(t, 2*time.Second, func() bool { return srv.policy.State().Snapshot().Down(3) }) {
 		t.Fatal("silent backend 3 never marked down")
 	}
-	if srv.Down(0) {
+	if srv.policy.State().Snapshot().Down(0) {
 		t.Error("reporting backend 0 marked down")
 	}
 	if !srv.votes.holds(detectorPassive, 3) || srv.votes.holds(detectorPassive, 0) {
@@ -82,11 +82,11 @@ func TestLivenessRecoveryOnReport(t *testing.T) {
 	// ALIVE and ALARM both count as proof of life.
 	srv := testServerLiveness(t, 15*time.Millisecond, 2)
 
-	if !waitFor(t, 2*time.Second, func() bool { return srv.Down(2) && srv.Down(5) }) {
+	if !waitFor(t, 2*time.Second, func() bool { sn := srv.policy.State().Snapshot(); return sn.Down(2) && sn.Down(5) }) {
 		t.Fatal("backends never marked down")
 	}
 	sendReports(t, srv.ReportAddr().String(), "ALIVE 2", "ALARM 5 0")
-	if srv.Down(2) || srv.Down(5) {
+	if sn := srv.policy.State().Snapshot(); sn.Down(2) || sn.Down(5) {
 		t.Error("reporting backends not re-admitted immediately")
 	}
 }
@@ -108,21 +108,21 @@ func TestRestoredDownBackend(t *testing.T) {
 	if err := srv.RestoreCheckpoint(cp, time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	if !srv.Down(1) || !srv.Down(2) {
+	if sn := srv.policy.State().Snapshot(); !sn.Down(1) || !sn.Down(2) {
 		t.Fatal("restored down standing not applied")
 	}
 	_ = srv.voteDown(detectorActive, 2, true)
 
 	srv.touchLiveness(1)
 	srv.touchLiveness(2)
-	if srv.Down(1) {
+	if srv.policy.State().Snapshot().Down(1) {
 		t.Error("restored backend not re-admitted by its report")
 	}
-	if !srv.Down(2) {
+	if !srv.policy.State().Snapshot().Down(2) {
 		t.Fatal("a report re-admitted a backend the prober votes down")
 	}
 	_ = srv.voteDown(detectorActive, 2, false)
-	if srv.Down(2) {
+	if srv.policy.State().Snapshot().Down(2) {
 		t.Error("backend still down with every vote withdrawn")
 	}
 }

@@ -175,10 +175,10 @@ func newServerMetrics(reg *metrics.Registry, s *Server) *serverMetrics {
 		nil, st.DownTransitions)
 	reg.NewGaugeFunc("dnslb_state_live_servers",
 		"Servers currently eligible for new mappings.",
-		nil, func() float64 { return float64(st.LiveServers()) })
+		nil, func() float64 { return float64(st.Snapshot().LiveServers()) })
 	reg.NewGaugeFunc("dnslb_state_hot_domains",
 		"Domains currently classified hot (weight above beta).",
-		nil, func() float64 { return float64(st.HotDomains()) })
+		nil, func() float64 { return float64(st.Snapshot().HotDomains()) })
 
 	// Membership reconfiguration and checkpointing.
 	reg.NewCounterFunc("dnslb_reconfig_joins_total",
@@ -198,7 +198,7 @@ func newServerMetrics(reg *metrics.Registry, s *Server) *serverMetrics {
 		nil, s.reloadErrs.Load)
 	reg.NewGaugeFunc("dnslb_reconfig_member_servers",
 		"Server slots currently in membership (active or draining).",
-		nil, func() float64 { return float64(st.MemberServers()) })
+		nil, func() float64 { return float64(st.Snapshot().MemberServers()) })
 	reg.NewCounterFunc("dnslb_checkpoint_saves_total",
 		"State checkpoints written successfully.",
 		nil, s.ckptSaves.Load)
@@ -288,13 +288,13 @@ func (m *serverMetrics) ensureServerSeries(n int) {
 		lbl := metrics.Labels{"server", strconv.Itoa(i)}
 		m.reg.NewGaugeFunc("dnslb_state_server_alarmed",
 			"1 while the server's alarm is raised.", lbl,
-			func() float64 { return boolGauge(st.Alarmed(i)) })
+			func() float64 { return boolGauge(st.Snapshot().Alarmed(i)) })
 		m.reg.NewGaugeFunc("dnslb_state_server_down",
 			"1 while the server is excluded as failed.", lbl,
-			func() float64 { return boolGauge(st.Down(i)) })
+			func() float64 { return boolGauge(st.Snapshot().Down(i)) })
 		m.reg.NewGaugeFunc("dnslb_state_server_draining",
 			"1 while the server is draining (no new mappings, hidden-load window still open).", lbl,
-			func() float64 { return boolGauge(st.Draining(i)) })
+			func() float64 { return boolGauge(st.Snapshot().Draining(i)) })
 	}
 	m.serverSlots = n
 }

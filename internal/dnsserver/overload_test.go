@@ -186,7 +186,7 @@ func TestDegradedQueryPath(t *testing.T) {
 		healthyTTL = ans[0].TTL
 	}
 
-	if err := srv.SetDown(3, true); err != nil {
+	if err := srv.eng.SetDown(3, true); err != nil {
 		t.Fatal(err)
 	}
 	srv.over.degraded.Store(true)

@@ -16,10 +16,12 @@ import (
 //
 // Graceful drain follows the paper's hidden-load model: every mapping
 // the DNS hands out pins load to its server for the TTL, so a server
-// cannot simply vanish — the policy stops scheduling it immediately
-// (core.State.DrainServer), but the slot stays resolvable and serving
-// until the largest outstanding TTL it was handed has expired
-// (MappingExpiry), and only then is it removed from membership.
+// cannot simply vanish — the policy stops scheduling it immediately,
+// but the slot stays resolvable and serving until the largest
+// outstanding TTL it was handed has expired, and only then is it
+// removed from membership. The engine owns that rule (Engine.Drain and
+// Engine.Retire, as in the simulator); this file adds the wall-clock
+// timer that calls Retire.
 
 // Join adds a Web server with the given IPv4 address and capacity to
 // the cluster, returning its slot index. Join is idempotent and
@@ -42,12 +44,13 @@ func (s *Server) Join(addr netip.Addr, capacity float64) (int, error) {
 
 func (s *Server) joinLocked(addr netip.Addr, capacity float64) (int, error) {
 	st := s.policy.State()
+	sn := st.Snapshot()
 	cur := s.serverAddrs()
 	for i, a := range cur {
 		if a != addr {
 			continue
 		}
-		if st.Member(i) && !st.Draining(i) {
+		if sn.Member(i) && !sn.Draining(i) {
 			if err := st.SetCapacity(i, capacity); err != nil {
 				return 0, err
 			}
@@ -65,16 +68,15 @@ func (s *Server) joinLocked(addr netip.Addr, capacity float64) (int, error) {
 		s.logger.Info("server rejoined", "server", i, "addr", addr, "capacity", capacity)
 		return i, nil
 	}
-	// Fresh slot. Publish the address table and the ledger slot first:
-	// the instant AddServer publishes membership, a concurrent Decide
-	// may pick the new index, and the query path must find its address.
+	// Fresh slot. Publish the address table first: the instant AddServer
+	// publishes membership, a concurrent Decide may pick the new index,
+	// and the query path must find its address.
 	idx := len(cur)
 	next := make([]netip.Addr, idx+1)
 	copy(next, cur)
 	next[idx] = addr
 	s.addrs.Store(&next)
-	s.eng.Ledger().Grow(idx + 1)
-	got, err := st.AddServer(capacity)
+	got, err := s.eng.AddServer(capacity)
 	if err != nil {
 		s.addrs.Store(&cur)
 		return 0, err
@@ -108,7 +110,7 @@ func (s *Server) noteJoin(i int) {
 // when the hidden-load window of its outstanding TTLs has run out. The
 // returned time is the earliest instant the removal can happen.
 // Draining a server that is already draining just returns the pending
-// deadline. The last remaining active server cannot be drained.
+// deadline. The last schedulable server cannot be drained.
 func (s *Server) Drain(i int) (time.Time, error) {
 	s.reconfigMu.Lock()
 	defer s.reconfigMu.Unlock()
@@ -116,34 +118,20 @@ func (s *Server) Drain(i int) (time.Time, error) {
 }
 
 func (s *Server) drainLocked(i int) (time.Time, error) {
-	st := s.policy.State()
-	if i < 0 || i >= s.Servers() || !st.Member(i) {
-		return time.Time{}, fmt.Errorf("dnsserver: drain of non-member server %d", i)
-	}
-	if st.Draining(i) {
-		return s.drainDeadline(i), nil
-	}
-	if !st.Down(i) && st.Snapshot().EligibleServers() <= 1 {
-		return time.Time{}, fmt.Errorf("dnsserver: refusing to drain server %d: it is the last schedulable server", i)
-	}
-	if err := st.DrainServer(i); err != nil {
+	started := !s.policy.State().Snapshot().Draining(i)
+	sec, err := s.eng.Drain(i)
+	if err != nil {
 		return time.Time{}, err
 	}
-	s.drains.Add(1)
-	deadline := s.drainDeadline(i)
+	deadline := s.clock.Time(sec)
+	// Re-arming a pending drain is harmless, and it gives a drain that
+	// arrived by gossip, which has no timer, one.
 	s.armDrainTimer(i, deadline)
-	s.logger.Info("server draining", "server", i, "until", deadline)
-	return deadline, nil
-}
-
-// drainDeadline computes when server i's hidden-load window closes:
-// the largest outstanding mapping expiry, but never before now.
-func (s *Server) drainDeadline(i int) time.Time {
-	now := time.Now()
-	if exp := s.MappingExpiry(i); exp.After(now) {
-		return exp
+	if started {
+		s.drains.Add(1)
+		s.logger.Info("server draining", "server", i, "until", deadline)
 	}
-	return now
+	return deadline, nil
 }
 
 // armDrainTimer (re)schedules the drain-completion check for server i.
@@ -162,10 +150,9 @@ func (s *Server) armDrainTimer(i int, deadline time.Time) {
 	s.drainTimers[i] = time.AfterFunc(time.Until(deadline), func() { s.completeDrain(i) })
 }
 
-// completeDrain retires server i once its drain window has closed. A
-// decision in flight when the drain started may have extended the
-// window after the deadline was computed; in that case the timer is
-// re-armed instead of removing a still-referenced server.
+// completeDrain retires server i through Engine.Retire, or re-arms the
+// timer at the later deadline Retire names when a decision in flight
+// at the drain's start moved the window.
 func (s *Server) completeDrain(i int) {
 	s.reconfigMu.Lock()
 	defer s.reconfigMu.Unlock()
@@ -174,17 +161,17 @@ func (s *Server) completeDrain(i int) {
 		return
 	default:
 	}
-	st := s.policy.State()
-	if !st.Member(i) || !st.Draining(i) {
+	if !s.policy.State().Snapshot().Draining(i) {
 		delete(s.drainTimers, i) // reinstated or already gone
 		return
 	}
-	if exp := s.MappingExpiry(i); exp.After(time.Now()) {
-		s.armDrainTimer(i, exp)
+	later, err := s.eng.Retire(i)
+	if err == nil && later > 0 {
+		s.armDrainTimer(i, s.clock.Time(later))
 		return
 	}
 	delete(s.drainTimers, i)
-	if err := st.RemoveServer(i); err != nil {
+	if err != nil {
 		s.logger.Warn("drain completion could not remove server", "server", i, "err", err)
 		return
 	}
@@ -226,9 +213,9 @@ func (s *Server) Reconfigure(addrs []netip.Addr, capacities []float64) error {
 			return fmt.Errorf("dnsserver: reconfigure join %v: %w", a, err)
 		}
 	}
-	st := s.policy.State()
+	sn := s.policy.State().Snapshot()
 	for i, a := range s.serverAddrs() {
-		if desired[a] || !st.Member(i) || st.Draining(i) {
+		if desired[a] || !sn.Member(i) || sn.Draining(i) {
 			continue
 		}
 		if _, err := s.drainLocked(i); err != nil {

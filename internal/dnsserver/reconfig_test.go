@@ -96,7 +96,7 @@ func TestJoinAddsSchedulableServer(t *testing.T) {
 	if srv.Servers() != 4 {
 		t.Fatalf("Servers() = %d, want 4", srv.Servers())
 	}
-	if !state.Member(3) {
+	if !state.Snapshot().Member(3) {
 		t.Error("joined server not a member")
 	}
 
@@ -145,7 +145,7 @@ func TestDuplicateJoinUpdatesCapacity(t *testing.T) {
 	if srv.Servers() != 3 {
 		t.Fatalf("duplicate join grew the table to %d slots", srv.Servers())
 	}
-	if got := state.Cluster().Capacity(1); got != 750 {
+	if got := state.Snapshot().Cluster().Capacity(1); got != 750 {
 		t.Fatalf("capacity after duplicate join = %v, want 750", got)
 	}
 }
@@ -199,7 +199,7 @@ func TestDrainStopsNewMappingsAndRemoves(t *testing.T) {
 	if want := srv.MappingExpiry(1); !deadline.Equal(want) {
 		t.Errorf("drain deadline = %v, want mapping expiry %v", deadline, want)
 	}
-	if !state.Draining(1) {
+	if !state.Snapshot().Draining(1) {
 		t.Error("server 1 not draining")
 	}
 
@@ -224,21 +224,21 @@ func TestDrainStopsNewMappingsAndRemoves(t *testing.T) {
 			t.Fatal("draining server received a new mapping")
 		}
 	}
-	if !state.Member(1) {
+	if !state.Snapshot().Member(1) {
 		t.Error("draining server removed before its hidden-load window closed")
 	}
 
 	// After the window closes the drain timer retires the slot.
 	wait := time.Until(deadline) + 2*time.Second
 	deadlineCh := time.After(wait)
-	for state.Member(1) {
+	for state.Snapshot().Member(1) {
 		select {
 		case <-deadlineCh:
 			t.Fatalf("server 1 still a member %v after its drain window", wait)
 		case <-time.After(10 * time.Millisecond):
 		}
 	}
-	if state.Draining(1) {
+	if state.Snapshot().Draining(1) {
 		t.Error("removed server still flagged draining")
 	}
 }
@@ -252,7 +252,7 @@ func TestRejoinCancelsDrain(t *testing.T) {
 	if _, err := srv.Drain(1); err != nil {
 		t.Fatal(err)
 	}
-	if !state.Draining(1) {
+	if !state.Snapshot().Draining(1) {
 		t.Fatal("server 1 not draining")
 	}
 	idx, err := srv.Join(netip.AddrFrom4([4]byte{10, 1, 0, 2}), 500)
@@ -262,7 +262,7 @@ func TestRejoinCancelsDrain(t *testing.T) {
 	if idx != 1 {
 		t.Fatalf("re-join index = %d, want 1", idx)
 	}
-	if state.Draining(1) || !state.Member(1) {
+	if sn := state.Snapshot(); sn.Draining(1) || !sn.Member(1) {
 		t.Error("re-join did not cancel the drain")
 	}
 	srv.reconfigMu.Lock()
@@ -289,13 +289,13 @@ func TestReconfigureSwapsServerSet(t *testing.T) {
 	if srv.Reloads() != 1 {
 		t.Errorf("Reloads() = %d, want 1", srv.Reloads())
 	}
-	if !state.Draining(1) && state.Member(1) {
+	if sn := state.Snapshot(); !sn.Draining(1) && sn.Member(1) {
 		t.Error("dropped server neither draining nor removed")
 	}
-	if srv.Servers() != 4 || !state.Member(3) {
+	if srv.Servers() != 4 || !state.Snapshot().Member(3) {
 		t.Error("added server not admitted")
 	}
-	if got := state.Cluster().Capacity(3); got != 250 {
+	if got := state.Snapshot().Cluster().Capacity(3); got != 250 {
 		t.Errorf("added server capacity = %v, want 250", got)
 	}
 
@@ -428,7 +428,7 @@ func TestReportJoinDrainVerbs(t *testing.T) {
 	if resp[0] != "OK 3\n" {
 		t.Fatalf("JOIN response = %q, want \"OK 3\\n\"", resp[0])
 	}
-	if !state.Member(3) {
+	if !state.Snapshot().Member(3) {
 		t.Error("JOIN did not admit the server")
 	}
 
@@ -438,7 +438,7 @@ func TestReportJoinDrainVerbs(t *testing.T) {
 	if resp[0] != "OK\n" {
 		t.Fatalf("DRAIN response = %q", resp[0])
 	}
-	if !state.Draining(3) {
+	if !state.Snapshot().Draining(3) {
 		t.Error("DRAIN did not start draining")
 	}
 
@@ -471,10 +471,10 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	// an open window.
 	srv.RecordHits(2, 900)
 	srv.RecordHits(0, 100)
-	if err := srv.RollEstimates(8); err != nil {
+	if err := srv.eng.RollEstimates(8); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.SetAlarm(0, true); err != nil {
+	if err := srv.eng.SetAlarm(0, true); err != nil {
 		t.Fatal(err)
 	}
 	srv.noteMapping(1, 3600)
@@ -487,7 +487,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if srv.CheckpointSaves() != 1 {
 		t.Errorf("CheckpointSaves() = %d, want 1", srv.CheckpointSaves())
 	}
-	wantWeights := state.Weights()
+	wantWeights := state.Snapshot().Weights()
 	wantExpiry := srv.MappingExpiry(1)
 
 	// A fresh server with the same shape restores everything.
@@ -499,15 +499,15 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err := srv2.RestoreCheckpoint(cp, time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	for j, w := range state2.Weights() {
+	for j, w := range state2.Snapshot().Weights() {
 		if diff := w - wantWeights[j]; diff > 1e-12 || diff < -1e-12 {
 			t.Errorf("restored weight[%d] = %v, want %v", j, w, wantWeights[j])
 		}
 	}
-	if !state2.Alarmed(0) {
+	if !state2.Snapshot().Alarmed(0) {
 		t.Error("alarm not restored")
 	}
-	if !state2.Draining(1) {
+	if !state2.Snapshot().Draining(1) {
 		t.Error("drain not resumed")
 	}
 	if got := srv2.MappingExpiry(1); !got.Equal(wantExpiry) {
@@ -571,13 +571,13 @@ func TestCheckpointRoundTripPredictive(t *testing.T) {
 
 	srv.RecordHits(2, 900)
 	srv.RecordHits(0, 100)
-	if err := srv.RollEstimates(8); err != nil {
+	if err := srv.eng.RollEstimates(8); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.WriteCheckpoint(path); err != nil {
 		t.Fatal(err)
 	}
-	wantWeights := state.Weights()
+	wantWeights := state.Snapshot().Weights()
 
 	cp, err := LoadCheckpoint(path)
 	if err != nil {
@@ -591,7 +591,7 @@ func TestCheckpointRoundTripPredictive(t *testing.T) {
 	if err := srv2.RestoreCheckpoint(cp, time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	for j, w := range state2.Weights() {
+	for j, w := range state2.Snapshot().Weights() {
 		if diff := w - wantWeights[j]; diff > 1e-12 || diff < -1e-12 {
 			t.Errorf("restored weight[%d] = %v, want %v", j, w, wantWeights[j])
 		}
@@ -609,7 +609,7 @@ func TestCheckpointCrossKindRefused(t *testing.T) {
 
 	rPath := filepath.Join(dir, "reactive.json")
 	reactive.RecordHits(1, 500)
-	if err := reactive.RollEstimates(8); err != nil {
+	if err := reactive.eng.RollEstimates(8); err != nil {
 		t.Fatal(err)
 	}
 	if err := reactive.WriteCheckpoint(rPath); err != nil {
@@ -617,7 +617,7 @@ func TestCheckpointCrossKindRefused(t *testing.T) {
 	}
 	pPath := filepath.Join(dir, "predictive.json")
 	predictive.RecordHits(1, 500)
-	if err := predictive.RollEstimates(8); err != nil {
+	if err := predictive.eng.RollEstimates(8); err != nil {
 		t.Fatal(err)
 	}
 	if err := predictive.WriteCheckpoint(pPath); err != nil {
@@ -639,7 +639,7 @@ func TestCheckpointCrossKindRefused(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "reactive") {
 		t.Errorf("refusal should name the checkpoint's kind: %v", err)
 	}
-	for j, w := range victimState.Weights() {
+	for j, w := range victimState.Snapshot().Weights() {
 		if w != 1.0/4 {
 			t.Errorf("refused restore moved weight[%d] to %v; state must stay cold", j, w)
 		}
@@ -651,7 +651,7 @@ func TestCheckpointCrossKindRefused(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "predictive") {
 		t.Errorf("refusal should name the checkpoint's kind: %v", err)
 	}
-	for j, w := range victim2State.Weights() {
+	for j, w := range victim2State.Snapshot().Weights() {
 		if w != 1.0/4 {
 			t.Errorf("refused restore moved weight[%d] to %v; state must stay cold", j, w)
 		}
@@ -832,7 +832,7 @@ func TestCheckpointRevivedSlotStartsClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.After(5 * time.Second)
-	for state2.Member(2) {
+	for state2.Snapshot().Member(2) {
 		select {
 		case <-deadline:
 			t.Fatal("drained slot 2 was not removed within 5s")

@@ -150,7 +150,7 @@ func TestReplicationPartitionHealE2E(t *testing.T) {
 	if a.Stats().ServFail != failsBeforeA || b.Stats().ServFail != failsBeforeB {
 		t.Error("partition caused SERVFAILs")
 	}
-	if b.Alarmed(1) {
+	if b.policy.State().Snapshot().Alarmed(1) {
 		t.Error("alarm crossed a cut link")
 	}
 
@@ -160,7 +160,8 @@ func TestReplicationPartitionHealE2E(t *testing.T) {
 	linkAtoB.Heal()
 	linkBtoA.Heal()
 	waitUntil(t, "post-heal convergence", 10*time.Second, func() bool {
-		return b.Alarmed(1) && !a.Alarmed(3) && !b.Alarmed(3)
+		asn, bsn := a.policy.State().Snapshot(), b.policy.State().Snapshot()
+		return bsn.Alarmed(1) && !asn.Alarmed(3) && !bsn.Alarmed(3)
 	})
 	t.Logf("converged %v after heal", time.Since(healedAt).Round(time.Millisecond))
 

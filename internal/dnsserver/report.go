@@ -139,7 +139,7 @@ func (s *Server) applyReport(line string) (string, error) {
 		if err != nil || (on != 0 && on != 1) {
 			return "", fmt.Errorf("bad alarm flag %q", fields[2])
 		}
-		if err := s.SetAlarm(server, on == 1); err != nil {
+		if err := s.eng.SetAlarm(server, on == 1); err != nil {
 			return "", err
 		}
 		s.touchLiveness(server)
@@ -152,7 +152,7 @@ func (s *Server) applyReport(line string) (string, error) {
 		if err != nil {
 			return "", fmt.Errorf("bad domain index %q", fields[1])
 		}
-		if n := s.policy.State().Domains(); domain < 0 || domain >= n {
+		if n := s.policy.State().Snapshot().Domains(); domain < 0 || domain >= n {
 			return "", fmt.Errorf("domain index %d out of range [0,%d)", domain, n)
 		}
 		count, err := strconv.ParseFloat(fields[2], 64)
@@ -169,7 +169,7 @@ func (s *Server) applyReport(line string) (string, error) {
 		if err != nil || !(interval > 0) || math.IsInf(interval, 1) {
 			return "", fmt.Errorf("bad interval %q", fields[1])
 		}
-		return "", s.RollEstimates(interval)
+		return "", s.eng.RollEstimates(interval)
 	case "JOIN":
 		if len(fields) != 3 {
 			return "", fmt.Errorf("JOIN wants 2 args, got %d", len(fields)-1)

@@ -49,11 +49,11 @@ func TestReportAlarmProtocol(t *testing.T) {
 	if resp[0] != "OK\n" {
 		t.Fatalf("response = %q", resp[0])
 	}
-	if !srv.Alarmed(2) {
+	if !srv.policy.State().Snapshot().Alarmed(2) {
 		t.Error("alarm not applied")
 	}
 	resp = sendReports(t, srv.ReportAddr().String(), "ALARM 2 0")
-	if resp[0] != "OK\n" || srv.Alarmed(2) {
+	if resp[0] != "OK\n" || srv.policy.State().Snapshot().Alarmed(2) {
 		t.Error("alarm not cleared")
 	}
 }
@@ -74,8 +74,8 @@ func TestReportHitsAndRoll(t *testing.T) {
 		}
 	}
 	// Weights now reflect the reported skew: domain 7 dominates.
-	if srv.DomainWeight(7) < 0.5 {
-		t.Errorf("estimated weight of domain 7 = %v, want dominant", srv.DomainWeight(7))
+	if srv.policy.State().Snapshot().Weight(7) < 0.5 {
+		t.Errorf("estimated weight of domain 7 = %v, want dominant", srv.policy.State().Snapshot().Weight(7))
 	}
 }
 
@@ -121,7 +121,7 @@ func TestReportNaNCannotPoisonEstimator(t *testing.T) {
 		t.Fatalf("ROLL after a NaN report answered %q", resp[1])
 	}
 	for j := 0; j < 20; j++ {
-		if w := srv.DomainWeight(j); math.IsNaN(w) || math.IsInf(w, 0) {
+		if w := srv.policy.State().Snapshot().Weight(j); math.IsNaN(w) || math.IsInf(w, 0) {
 			t.Fatalf("domain %d weight %v", j, w)
 		}
 	}
@@ -167,8 +167,8 @@ func FuzzReportLines(f *testing.F) {
 				t.Fatalf("line %q: reply %q breaks the one-line framing", line, reply)
 			}
 		}
-		for j := 0; j < srv.policy.State().Domains(); j++ {
-			if w := srv.DomainWeight(j); math.IsNaN(w) || math.IsInf(w, 0) {
+		for j := 0; j < srv.policy.State().Snapshot().Domains(); j++ {
+			if w := srv.policy.State().Snapshot().Weight(j); math.IsNaN(w) || math.IsInf(w, 0) {
 				t.Fatalf("domain %d weight %v after %q", j, w, input)
 			}
 		}
@@ -323,10 +323,10 @@ func TestReportTruncatedWrite(t *testing.T) {
 	// The listener still answers other clients, and the torn line was
 	// parsed as an (incomplete) command, not applied as an alarm.
 	deadline := time.Now().Add(2 * time.Second)
-	for srv.Alarmed(2) && time.Now().Before(deadline) {
+	for srv.policy.State().Snapshot().Alarmed(2) && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if srv.Alarmed(2) {
+	if srv.policy.State().Snapshot().Alarmed(2) {
 		t.Error("truncated ALARM line was applied")
 	}
 	if resp := sendReports(t, srv.ReportAddr().String(), "ALARM 2 1"); resp[0] != "OK\n" {

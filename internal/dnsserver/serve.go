@@ -316,7 +316,7 @@ func (s *Server) sleepOrClosed(d time.Duration) bool {
 	}
 }
 
-// serveUDP is one of UDPWorkers identical loops over the shared socket:
+// serveUDP is one of GOMAXPROCS identical loops over the shared socket:
 // it receives what the socket holds, up to udpBatchSize datagrams in one
 // call, answers each into a response slot of its own and sends every
 // response in one call (udp_linux.go; one datagram a call elsewhere,

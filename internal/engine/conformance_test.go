@@ -11,8 +11,9 @@ import (
 
 // Conformance suite: the tentpole guarantee of the unified engine. One
 // recorded request stream — queries interleaved with alarm, liveness,
-// drain and hidden-load-report events at fixed instants — is applied
-// to two engines built exactly as the two production paths build them:
+// drain, retirement and hidden-load-report events at fixed instants —
+// is applied to two engines built exactly as the two production paths
+// build them:
 //
 //   - the "sim" engine runs under simcore virtual time, events fired
 //     by the discrete-event loop, the policy stream drawn from the
@@ -22,7 +23,8 @@ import (
 //     entropy seed).
 //
 // For every catalog policy the two must yield bit-identical
-// (server, TTL) decision sequences and final mapping-ledger windows.
+// (server, TTL) decision sequences, final mapping-ledger windows and
+// final membership.
 // Any divergence means the lifecycle leaked an environment dependency
 // beyond the two declared seams (Clock and the policy's Rand stream).
 
@@ -34,7 +36,7 @@ const (
 
 type confEvent struct {
 	time   float64
-	kind   string // "query", "alarm", "down", "drain", "report"
+	kind   string // "query", "alarm", "down", "drain", "retire", "report"
 	domain int
 	server int
 	on     bool
@@ -44,7 +46,9 @@ type confEvent struct {
 // rotating domain every half second, with control events woven in —
 // an alarm episode on server 1, a crash/recovery of server 2, a
 // graceful drain of server 4, and two hidden-load report/roll rounds
-// that move the weight estimates mid-stream.
+// that move the weight estimates mid-stream. Server 4 retires once its
+// window has closed (retireAt is past every policy's longest TTL), and
+// a last run of queries schedules over the shrunken cluster.
 func conformanceEvents() []confEvent {
 	var evs []confEvent
 	for i := 0; i < 300; i++ {
@@ -67,8 +71,15 @@ func conformanceEvents() []confEvent {
 		}
 		evs = append(evs, confEvent{time: t, kind: "query", domain: i % confDomains})
 	}
+	evs = append(evs, confEvent{time: retireAt, kind: "retire", server: 4})
+	for i := 0; i < 30; i++ {
+		evs = append(evs, confEvent{time: retireAt + 0.5*float64(i+1), kind: "query", domain: i % confDomains})
+	}
 	return evs
 }
+
+// retireAt is when the conformance stream retires its drained server.
+const retireAt = 3600
 
 // confDecision is one recorded lifecycle outcome. TTLs compare as raw
 // float64 bits: conformance is bit-identity, not tolerance.
@@ -145,8 +156,12 @@ func applyConfEvent(t *testing.T, eng *Engine, ev confEvent, out *[]confDecision
 			t.Fatalf("SetDown(%d, %v): %v", ev.server, ev.on, err)
 		}
 	case "drain":
-		if err := eng.State().DrainServer(ev.server); err != nil {
-			t.Fatalf("DrainServer(%d): %v", ev.server, err)
+		if _, err := eng.Drain(ev.server); err != nil {
+			t.Fatalf("Drain(%d): %v", ev.server, err)
+		}
+	case "retire":
+		if later, err := eng.Retire(ev.server); err != nil || later != 0 {
+			t.Fatalf("Retire(%d) = %v, %v; want the window closed", ev.server, later, err)
 		}
 	case "report":
 		for j := 0; j < confDomains; j++ {
@@ -162,7 +177,7 @@ func applyConfEvent(t *testing.T, eng *Engine, ev confEvent, out *[]confDecision
 
 // runSimPath drives the stream through a sim-built engine: virtual
 // clock, events fired by the discrete-event loop.
-func runSimPath(t *testing.T, policyName, estKind string, events []confEvent) ([]confDecision, []float64) {
+func runSimPath(t *testing.T, policyName, estKind string, events []confEvent) ([]confDecision, *Engine) {
 	t.Helper()
 	sc := simcore.New(confSeed)
 	eng := conformanceEngine(t, policyName, estKind, sc.Stream("policy"), sc.Now, ClockFunc(sc.Now))
@@ -176,13 +191,13 @@ func runSimPath(t *testing.T, policyName, estKind string, events []confEvent) ([
 		}
 	}
 	sc.Run(horizon + 1)
-	return out, ledgerExpiries(eng)
+	return out, eng
 }
 
 // runLivePath drives the same stream through a live-built engine:
 // manual wall-style clock stepped to each event's instant, standalone
 // named policy stream.
-func runLivePath(t *testing.T, policyName, estKind string, events []confEvent) ([]confDecision, []float64) {
+func runLivePath(t *testing.T, policyName, estKind string, events []confEvent) ([]confDecision, *Engine) {
 	t.Helper()
 	clock := &ManualClock{}
 	eng := conformanceEngine(t, policyName, estKind, simcore.NewStream(confSeed, "policy"), clock.Now, clock)
@@ -191,7 +206,7 @@ func runLivePath(t *testing.T, policyName, estKind string, events []confEvent) (
 		clock.Set(ev.time)
 		applyConfEvent(t, eng, ev, &out)
 	}
-	return out, ledgerExpiries(eng)
+	return out, eng
 }
 
 func ledgerExpiries(eng *Engine) []float64 {
@@ -211,8 +226,8 @@ func TestSimLiveConformance(t *testing.T) {
 		for _, policyName := range core.PolicyNames() {
 			estKind, policyName := estKind, policyName
 			t.Run(estKind+"/"+policyName, func(t *testing.T) {
-				simDecisions, simLedger := runSimPath(t, policyName, estKind, events)
-				liveDecisions, liveLedger := runLivePath(t, policyName, estKind, events)
+				simDecisions, simEng := runSimPath(t, policyName, estKind, events)
+				liveDecisions, liveEng := runLivePath(t, policyName, estKind, events)
 				if len(simDecisions) != len(liveDecisions) {
 					t.Fatalf("decision counts diverge: sim %d, live %d", len(simDecisions), len(liveDecisions))
 				}
@@ -225,9 +240,14 @@ func TestSimLiveConformance(t *testing.T) {
 							l.domain, l.server, math.Float64frombits(l.ttlBits), l.failed)
 					}
 				}
+				simLedger, liveLedger := ledgerExpiries(simEng), ledgerExpiries(liveEng)
+				simSn, liveSn := simEng.State().Snapshot(), liveEng.State().Snapshot()
 				for i := range simLedger {
 					if math.Float64bits(simLedger[i]) != math.Float64bits(liveLedger[i]) {
 						t.Errorf("ledger slot %d diverges: sim %v, live %v", i, simLedger[i], liveLedger[i])
+					}
+					if simSn.Member(i) != liveSn.Member(i) {
+						t.Errorf("membership of slot %d diverges: sim %v, live %v", i, simSn.Member(i), liveSn.Member(i))
 					}
 				}
 			})
@@ -242,12 +262,15 @@ func TestSimLiveConformance(t *testing.T) {
 // bit-identical to A's, which in turn must match the single-engine
 // reference — replication at lag 0 is invisible. A final B→A
 // back-merge must change nothing (merge idempotence/commutativity).
+// Membership is not gossiped (each replica's operator owns it), so the
+// retire event runs on B as well.
 func TestReplicaPairConformance(t *testing.T) {
 	events := conformanceEvents()
 	for _, policyName := range core.PolicyNames() {
 		policyName := policyName
 		t.Run(policyName, func(t *testing.T) {
-			_, singleLedger := runLivePath(t, policyName, core.EstimatorReactive, events)
+			_, single := runLivePath(t, policyName, core.EstimatorReactive, events)
+			singleLedger := ledgerExpiries(single)
 
 			clock := &ManualClock{}
 			a := conformanceEngine(t, policyName, core.EstimatorReactive, simcore.NewStream(confSeed, "policy"), clock.Now, clock)
@@ -258,6 +281,9 @@ func TestReplicaPairConformance(t *testing.T) {
 				applyConfEvent(t, a, ev, &out)
 				if err := b.MergeRemote(snapshotDelta(a)); err != nil {
 					t.Fatalf("MergeRemote at t=%v: %v", ev.time, err)
+				}
+				if ev.kind == "retire" {
+					applyConfEvent(t, b, ev, nil)
 				}
 			}
 
@@ -316,12 +342,13 @@ func snapshotDelta(e *Engine) RemoteDelta {
 }
 
 // TestConformanceStreamExercisesOutcomes guards the stream itself: it
-// must produce at least one decision for every live server and keep
-// scheduling away from the drained slot afterwards, or the suite
-// would silently conform on a trivial stream.
+// must produce at least one decision for every live server and retire
+// the drained slot, or the suite would silently conform on a trivial
+// stream.
 func TestConformanceStreamExercisesOutcomes(t *testing.T) {
 	events := conformanceEvents()
-	decisions, ledger := runSimPath(t, "PRR2-TTL/K", core.EstimatorReactive, events)
+	decisions, eng := runSimPath(t, "PRR2-TTL/K", core.EstimatorReactive, events)
+	ledger := ledgerExpiries(eng)
 	seen := make(map[int]int)
 	for _, d := range decisions {
 		if !d.failed {
@@ -336,13 +363,16 @@ func TestConformanceStreamExercisesOutcomes(t *testing.T) {
 			t.Errorf("server %d ledger never extended", i)
 		}
 	}
-	drainAt := -1.0
+	retired := -1
 	for _, ev := range events {
-		if ev.kind == "drain" {
-			drainAt = ev.time
+		if ev.kind == "retire" {
+			retired = ev.server
 		}
 	}
-	if drainAt < 0 {
-		t.Fatal("stream has no drain event")
+	if retired < 0 {
+		t.Fatal("stream has no retire event")
+	}
+	if eng.State().Snapshot().Member(retired) {
+		t.Errorf("server %d is still a member after its retire event", retired)
 	}
 }

@@ -112,7 +112,7 @@ func New(cfg Config) (*Engine, error) {
 	e := &Engine{
 		policy:     cfg.Policy,
 		clock:      cfg.Clock,
-		ledger:     NewLedger(cfg.Policy.State().Cluster().N()),
+		ledger:     NewLedger(cfg.Policy.State().Snapshot().Cluster().N()),
 		onDecision: cfg.OnDecision,
 		mapper:     cfg.Mapper,
 		ecs:        cfg.ECS,
@@ -185,13 +185,53 @@ func (e *Engine) NoteMapping(server int, expiry float64) { e.ledger.Extend(serve
 func (e *Engine) MappingExpiry(server int) float64 { return e.ledger.Expiry(server) }
 
 // DrainDeadline returns when server i's hidden-load window closes:
-// its largest outstanding mapping expiry, but never before now.
+// its largest outstanding mapping expiry, but never before now. It is
+// the one drain rule: Drain and Retire, and through them the live
+// server and the simulator, wait for it.
 func (e *Engine) DrainDeadline(server int) float64 {
 	now := e.clock.Now()
 	if exp := e.ledger.Expiry(server); exp > now {
 		return exp
 	}
 	return now
+}
+
+// AddServer admits a new server slot with the given capacity and
+// returns its index. The ledger grows before the slot is published, so
+// the first decision that picks the new server does not pay the
+// ledger's copy-on-write growth.
+func (e *Engine) AddServer(capacity float64) (int, error) {
+	st := e.policy.State()
+	e.ledger.Grow(st.Snapshot().Cluster().N() + 1)
+	return st.AddServer(capacity)
+}
+
+// Drain starts a graceful retirement of server i: selectors stop
+// handing it new mappings at once, and the returned DrainDeadline is
+// the earliest instant Retire can remove it. For a server already
+// draining it returns that server's deadline. The only schedulable
+// server is refused (core.ErrLastSchedulable).
+func (e *Engine) Drain(server int) (deadline float64, err error) {
+	if err := e.policy.State().DrainServer(server); err != nil {
+		return 0, err
+	}
+	return e.DrainDeadline(server), nil
+}
+
+// Retire removes draining server i from membership once its
+// hidden-load window has closed, and then returns 0. A decision in
+// flight when the drain started may have moved the window past now;
+// Retire then keeps the slot and returns the later deadline to retry
+// at. A server that is not draining is an error.
+func (e *Engine) Retire(server int) (later float64, err error) {
+	st := e.policy.State()
+	if !st.Snapshot().Draining(server) {
+		return 0, fmt.Errorf("engine: retire of server %d, which is not draining", server)
+	}
+	if deadline := e.DrainDeadline(server); deadline > e.clock.Now() {
+		return deadline, nil
+	}
+	return 0, st.RemoveServer(server)
 }
 
 // SetAlarm relays a server's alarm/normal signal into the scheduler

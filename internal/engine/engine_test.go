@@ -111,6 +111,43 @@ func TestDrainDeadline(t *testing.T) {
 	}
 }
 
+// TestRetireWaitsForMovedWindow: a decision in flight when the drain
+// started can extend the window after Drain computed its deadline.
+// Retire at the old deadline must keep the slot and name the new one,
+// and retire it there.
+func TestRetireWaitsForMovedWindow(t *testing.T) {
+	clock := &ManualClock{}
+	clock.Set(10)
+	eng := testEngine(t, "RR", nil, clock)
+	eng.NoteMapping(2, 100)
+	deadline, err := eng.Drain(2)
+	if err != nil || deadline != 100 {
+		t.Fatalf("Drain = %v, %v; want 100, nil", deadline, err)
+	}
+	if again, err := eng.Drain(2); err != nil || again != 100 {
+		t.Errorf("re-Drain = %v, %v; want the pending deadline 100", again, err)
+	}
+	eng.NoteMapping(2, 160) // the in-flight decision lands
+	clock.Set(deadline)
+	later, err := eng.Retire(2)
+	if err != nil || later != 160 {
+		t.Fatalf("Retire at the old deadline = %v, %v; want 160, nil", later, err)
+	}
+	if !eng.State().Snapshot().Member(2) {
+		t.Fatal("Retire removed a server whose window is still open")
+	}
+	clock.Set(later)
+	if later, err := eng.Retire(2); err != nil || later != 0 {
+		t.Fatalf("Retire at the moved deadline = %v, %v; want 0, nil", later, err)
+	}
+	if eng.State().Snapshot().Member(2) {
+		t.Error("Retire kept a server whose window has closed")
+	}
+	if _, err := eng.Retire(2); err == nil {
+		t.Error("retiring a server that is not draining must fail")
+	}
+}
+
 func TestEstimatorFeedback(t *testing.T) {
 	est, err := core.NewEstimator(4, 1)
 	if err != nil {
@@ -125,8 +162,8 @@ func TestEstimatorFeedback(t *testing.T) {
 	if err := eng.RollEstimates(10); err != nil {
 		t.Fatal(err)
 	}
-	st := eng.State()
-	if w0, w1 := st.Weight(0), st.Weight(1); math.Abs(w0-0.75) > 1e-12 || math.Abs(w1-0.25) > 1e-12 {
+	sn := eng.State().Snapshot()
+	if w0, w1 := sn.Weight(0), sn.Weight(1); math.Abs(w0-0.75) > 1e-12 || math.Abs(w1-0.25) > 1e-12 {
 		t.Errorf("weights after roll = %v, %v, want 0.75, 0.25", w0, w1)
 	}
 	snap, ok := eng.EstimatorState()

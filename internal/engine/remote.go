@@ -1,8 +1,11 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"math"
+
+	"dnslb/internal/core"
 )
 
 // Multi-replica soft-state merging: when N engines schedule the same
@@ -57,9 +60,10 @@ type RemoteDelta struct {
 //   - standing flags are assigned, with two safety rails: entries for
 //     slots this engine does not consider members are skipped (each
 //     replica's operator config is authoritative for its membership),
-//     and a remote down=true that would take out the last live server
-//     is refused — a partitioned peer's poisoned view must never make
-//     this replica refuse queries (graceful-degradation invariant);
+//     and a remote down=true that would take out the last live server,
+//     or a remote drain core.State refuses as the last schedulable one,
+//     is skipped whole — a partitioned peer's poisoned view must never
+//     make this replica refuse queries (graceful-degradation invariant);
 //   - hit counts accumulate into the estimator (a no-op without one).
 //
 // Out-of-range and non-finite entries are skipped, not errors: a peer
@@ -88,29 +92,31 @@ func (e *Engine) MergeRemote(d RemoteDelta) error {
 			// server is live again.
 			continue
 		}
-		if err := st.SetAlarm(rs.Server, rs.Alarmed); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("engine: merge alarm for server %d: %w", rs.Server, err)
-		}
-		if err := st.SetDown(rs.Server, rs.Down); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("engine: merge liveness for server %d: %w", rs.Server, err)
-		}
 		switch {
 		case rs.Draining && !sn.Draining(rs.Server):
-			if err := st.DrainServer(rs.Server); err != nil && firstErr == nil {
+			err := st.DrainServer(rs.Server)
+			if errors.Is(err, core.ErrLastSchedulable) {
+				continue // the same rail as a refused down, for the same reason
+			}
+			if err != nil && firstErr == nil {
 				firstErr = fmt.Errorf("engine: merge drain for server %d: %w", rs.Server, err)
 			}
 		case !rs.Draining && sn.Draining(rs.Server):
-			// A peer observed the drain cancelled (re-JOIN). Reinstate at
-			// the locally known capacity, then re-assert the entry's
-			// alarm/down flags (ReinstateServer clears both).
+			// A peer observed the drain cancelled (re-JOIN): reinstate at
+			// the locally known capacity. ReinstateServer clears the
+			// alarm/down flags the entry then sets.
 			if err := st.ReinstateServer(rs.Server, sn.Cluster().Capacity(rs.Server)); err != nil {
 				if firstErr == nil {
 					firstErr = fmt.Errorf("engine: merge reinstate for server %d: %w", rs.Server, err)
 				}
 				continue
 			}
-			_ = st.SetAlarm(rs.Server, rs.Alarmed)
-			_ = st.SetDown(rs.Server, rs.Down)
+		}
+		if err := st.SetAlarm(rs.Server, rs.Alarmed); err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("engine: merge alarm for server %d: %w", rs.Server, err)
+		}
+		if err := st.SetDown(rs.Server, rs.Down); err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("engine: merge liveness for server %d: %w", rs.Server, err)
 		}
 	}
 	for _, h := range d.Hits {

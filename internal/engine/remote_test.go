@@ -89,7 +89,7 @@ func TestMergeRemoteSkipsGarbage(t *testing.T) {
 	if got := e.MappingExpiry(0); got != 0 {
 		t.Errorf("slot 0 expiry = %v, want 0", got)
 	}
-	if e.State().Alarmed(0) || e.State().Down(0) || e.State().Down(1) {
+	if sn := e.State().Snapshot(); sn.Alarmed(0) || sn.Down(0) || sn.Down(1) {
 		t.Error("garbage standing entries mutated state")
 	}
 }
@@ -104,9 +104,9 @@ func TestMergeRemoteStanding(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := e.State()
-	if !st.Alarmed(0) || !st.Down(1) || !st.Draining(2) {
+	if sn := st.Snapshot(); !sn.Alarmed(0) || !sn.Down(1) || !sn.Draining(2) {
 		t.Fatalf("standing not applied: alarm0=%v down1=%v drain2=%v",
-			st.Alarmed(0), st.Down(1), st.Draining(2))
+			sn.Alarmed(0), sn.Down(1), sn.Draining(2))
 	}
 	// Clearing propagates too.
 	if err := e.MergeRemote(RemoteDelta{Standing: []RemoteStanding{
@@ -115,8 +115,8 @@ func TestMergeRemoteStanding(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	if st.Alarmed(0) || st.Down(1) {
-		t.Errorf("standing not cleared: alarm0=%v down1=%v", st.Alarmed(0), st.Down(1))
+	if sn := st.Snapshot(); sn.Alarmed(0) || sn.Down(1) {
+		t.Errorf("standing not cleared: alarm0=%v down1=%v", sn.Alarmed(0), sn.Down(1))
 	}
 }
 
@@ -135,7 +135,7 @@ func TestMergeRemoteLastLiveGuard(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	if e.State().Down(2) {
+	if e.State().Snapshot().Down(2) {
 		t.Fatal("remote delta took down the last live server")
 	}
 	if _, err := e.Decide(0); err != nil {
@@ -150,8 +150,41 @@ func TestMergeRemoteLastLiveGuard(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	if !e.State().Down(2) {
+	if !e.State().Snapshot().Down(2) {
 		t.Error("re-gossiped down entry did not apply after recovery")
+	}
+}
+
+// TestMergeRemoteLastSchedulableDrainGuard is the same invariant for
+// drains: with servers 0 and 1 down, a gossiped drain of server 2 would
+// leave nothing to schedule, so the merge skips it without an error
+// (an error would answer the peer's REPL line ERR and back its link
+// off). Once server 0 is back, the re-gossiped drain applies.
+func TestMergeRemoteLastSchedulableDrainGuard(t *testing.T) {
+	e := remoteTestEngine(t, 3)
+	for i := 0; i < 2; i++ {
+		if err := e.SetDown(i, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drain := RemoteDelta{Standing: []RemoteStanding{{Server: 2, Draining: true}}}
+	if err := e.MergeRemote(drain); err != nil {
+		t.Fatalf("refused drain must be skipped, not an error: %v", err)
+	}
+	if e.State().Snapshot().Draining(2) {
+		t.Fatal("remote delta drained the last schedulable server")
+	}
+	if _, err := e.Decide(0); err != nil {
+		t.Fatalf("replica must keep answering after poisoned merge: %v", err)
+	}
+	if err := e.SetDown(0, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.MergeRemote(drain); err != nil {
+		t.Fatal(err)
+	}
+	if !e.State().Snapshot().Draining(2) {
+		t.Error("re-gossiped drain entry did not apply after recovery")
 	}
 }
 
@@ -168,14 +201,14 @@ func TestMergeRemoteUndrainReinstates(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	st := e.State()
-	if st.Draining(1) {
+	sn := e.State().Snapshot()
+	if sn.Draining(1) {
 		t.Error("remote un-drain did not cancel the drain")
 	}
-	if !st.Member(1) {
+	if !sn.Member(1) {
 		t.Error("reinstated server lost membership")
 	}
-	if !st.Alarmed(1) {
+	if !sn.Alarmed(1) {
 		t.Error("reinstate dropped the entry's alarm flag")
 	}
 }
@@ -191,7 +224,7 @@ func TestMergeRemoteHitsFeedEstimator(t *testing.T) {
 	if err := e.RollEstimates(30); err != nil {
 		t.Fatal(err)
 	}
-	w := e.State().Weights()
+	w := e.State().Snapshot().Weights()
 	if w[0] <= w[1] {
 		t.Errorf("merged hits did not skew weights: %v", w)
 	}

@@ -501,9 +501,9 @@ func (n *Node) Merge(d *Delta) (MergeStats, error) {
 	err := n.eng.MergeRemote(rd)
 
 	// Record provenance only for entries the engine verifiably applied:
-	// a write refused by a safety rail (last-live-server guard) keeps
-	// its old provenance so the peer's re-gossip can win later, and the
-	// refusal is never re-stamped as a local write of ours.
+	// a write refused by a safety rail (last-live or last-schedulable
+	// guard) keeps its old provenance so the peer's re-gossip can win
+	// later, and the refusal is never re-stamped as a local write of ours.
 	after := n.eng.State().Snapshot()
 	n.mu.Lock()
 	for _, w := range won {

@@ -160,10 +160,10 @@ func TestLagZeroPairConverges(t *testing.T) {
 		mergeAll(t, a.node, b.node.Flush())
 	}
 	assertConverged(t, a, b, servers)
-	if !b.eng.State().Alarmed(1) {
+	if !b.eng.State().Snapshot().Alarmed(1) {
 		t.Error("alarm did not replicate a→b")
 	}
-	if !a.eng.State().Down(2) {
+	if !a.eng.State().Snapshot().Down(2) {
 		t.Error("down did not replicate b→a")
 	}
 }
@@ -216,10 +216,10 @@ func TestPartitionHealsInOneRound(t *testing.T) {
 	mergeAll(t, a.node, b.node.Snapshot())
 
 	assertConverged(t, a, b, servers)
-	if !a.eng.State().Down(3) {
+	if !a.eng.State().Snapshot().Down(3) {
 		t.Error("partitioned down write did not reach a")
 	}
-	if !b.eng.State().Draining(4) {
+	if !b.eng.State().Snapshot().Draining(4) {
 		t.Error("partitioned drain did not reach b")
 	}
 	st := a.node.Stats()
@@ -318,7 +318,7 @@ func TestEpochFencing(t *testing.T) {
 			t.Fatalf("stale-epoch delta not fenced: %+v", st)
 		}
 	}
-	if b.eng.State().Alarmed(0) {
+	if b.eng.State().Snapshot().Alarmed(0) {
 		t.Error("pre-restart write overrode post-restart state")
 	}
 	if got := b.node.Stats().DroppedEpoch; got == 0 {
@@ -383,7 +383,7 @@ func TestMergedStandingNotReclaimed(t *testing.T) {
 		t.Fatal(err)
 	}
 	mergeAll(t, b.node, a.node.Flush())
-	if !b.eng.State().Alarmed(1) {
+	if !b.eng.State().Snapshot().Alarmed(1) {
 		t.Fatal("alarm did not replicate")
 	}
 	// b's incremental flush must not re-announce the merged alarm...
@@ -418,7 +418,7 @@ func TestRefusedWriteKeepsProvenance(t *testing.T) {
 		t.Fatal(err)
 	}
 	mergeAll(t, a.node, b.node.Flush())
-	if !a.eng.State().Down(0) {
+	if !a.eng.State().Snapshot().Down(0) {
 		t.Fatal("first down did not replicate")
 	}
 	// Now b's view would take out a's last live server: refused.
@@ -427,7 +427,7 @@ func TestRefusedWriteKeepsProvenance(t *testing.T) {
 		t.Fatal(err)
 	}
 	mergeAll(t, a.node, b.node.Flush())
-	if a.eng.State().Down(1) {
+	if a.eng.State().Snapshot().Down(1) {
 		t.Fatal("guard failed: last live server went down")
 	}
 	if _, err := a.eng.Decide(0); err != nil {
@@ -448,7 +448,7 @@ func TestRefusedWriteKeepsProvenance(t *testing.T) {
 		t.Fatal(err)
 	}
 	mergeAll(t, a.node, b.node.Snapshot())
-	if !a.eng.State().Down(1) {
+	if !a.eng.State().Snapshot().Down(1) {
 		t.Error("re-gossiped down did not apply after recovery")
 	}
 }

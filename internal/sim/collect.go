@@ -56,7 +56,8 @@ func (u *utilizationCollector) sample() {
 	for i, sv := range u.servers {
 		util := sv.CloseWindow(now)
 		rep := authority(u.replicas, i)
-		if rep.state.Down(i) || !rep.state.Member(i) {
+		sn := rep.state.Snapshot()
+		if sn.Down(i) || !sn.Member(i) {
 			// A dead or retired server serves nothing and signals
 			// nothing; its residual backlog drain is not a utilization
 			// observation (the metric window averages it as zero).
@@ -64,7 +65,7 @@ func (u *utilizationCollector) sample() {
 		}
 		if u.cfg.AlarmThreshold > 0 {
 			over := util > u.cfg.AlarmThreshold
-			if over != rep.state.Alarmed(i) {
+			if over != sn.Alarmed(i) {
 				if err := rep.eng.SetAlarm(i, over); err != nil {
 					u.fail(err)
 				}
@@ -121,7 +122,7 @@ func (c *estimatorCollector) collect() {
 	for i, sv := range c.servers {
 		hits := sv.TakeDomainHits()
 		rep := authority(c.replicas, i)
-		if rep.state.Down(i) || !rep.state.Member(i) {
+		if sn := rep.state.Snapshot(); sn.Down(i) || !sn.Member(i) {
 			// Dead and retired servers report nothing (draining ones
 			// still do — they are alive and serving).
 			continue

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"fmt"
-
 	"dnslb/internal/engine"
 	"dnslb/internal/simcore"
 )
@@ -42,18 +40,17 @@ func (f *faultInjector) install(events []FaultEvent) {
 		f.installDetected(events)
 		return
 	}
-	st := f.eng.State()
 	for _, ev := range events {
-		ev := ev
 		f.sim.ScheduleAt(ev.Time, func() {
-			if st.Down(ev.Server) == ev.Down {
+			sn := f.eng.State().Snapshot()
+			if sn.Down(ev.Server) == ev.Down {
 				return
 			}
 			if err := f.eng.SetDown(ev.Server, ev.Down); err != nil {
 				f.fail(err)
 			}
 			if ev.Down {
-				if st.Alarmed(ev.Server) {
+				if sn.Alarmed(ev.Server) {
 					if err := f.eng.SetAlarm(ev.Server, false); err != nil {
 						f.fail(err)
 					}
@@ -69,9 +66,7 @@ func (f *faultInjector) install(events []FaultEvent) {
 // installDetected is the detection-model variant: ground truth flips at
 // the event time, the scheduler follows after the detector delay.
 func (f *faultInjector) installDetected(events []FaultEvent) {
-	st := f.eng.State()
 	for _, ev := range events {
-		ev := ev
 		f.sim.ScheduleAt(ev.Time, func() {
 			if f.actual.down[ev.Server] == ev.Down {
 				return
@@ -98,7 +93,8 @@ func (f *faultInjector) installDetected(events []FaultEvent) {
 				if f.gen[ev.Server] != gen {
 					return // superseded by a newer fault event
 				}
-				if st.Down(ev.Server) == ev.Down {
+				sn := f.eng.State().Snapshot()
+				if sn.Down(ev.Server) == ev.Down {
 					return
 				}
 				if err := f.eng.SetDown(ev.Server, ev.Down); err != nil {
@@ -106,7 +102,7 @@ func (f *faultInjector) installDetected(events []FaultEvent) {
 					return
 				}
 				if ev.Down {
-					if st.Alarmed(ev.Server) {
+					if sn.Alarmed(ev.Server) {
 						if err := f.eng.SetAlarm(ev.Server, false); err != nil {
 							f.fail(err)
 						}
@@ -131,10 +127,10 @@ type groundTruth struct {
 // drainInjector schedules graceful server retirements: at its event
 // time the server leaves the scheduler's eligible set but stays a
 // member — its pre-drain cached mappings keep sending traffic until
-// the largest outstanding TTL in the engine's mapping ledger expires
-// (frozen once the drain starts because no new mappings reach a
-// draining server). Only then does the slot leave membership. Mirrors
-// the live DRAIN path (internal/dnsserver).
+// the engine's drain deadline. Only then does the slot leave
+// membership. The engine's Drain and Retire own the rule; the live
+// DRAIN path (internal/dnsserver) runs the same two calls on a wall
+// clock.
 type drainInjector struct {
 	sim  *simcore.Simulator
 	eng  *engine.Engine
@@ -142,26 +138,29 @@ type drainInjector struct {
 }
 
 func (dr *drainInjector) install(events []DrainEvent) {
-	st := dr.eng.State()
 	for _, ev := range events {
-		ev := ev
 		dr.sim.ScheduleAt(ev.Time, func() {
-			if st.Draining(ev.Server) || !st.Member(ev.Server) {
+			if sn := dr.eng.State().Snapshot(); sn.Draining(ev.Server) || !sn.Member(ev.Server) {
 				return
 			}
-			if err := st.DrainServer(ev.Server); err != nil {
-				dr.fail(fmt.Errorf("drain server %d: %w", ev.Server, err))
+			deadline, err := dr.eng.Drain(ev.Server)
+			if err != nil {
+				dr.fail(err)
 				return
 			}
-			wait := dr.eng.MappingExpiry(ev.Server) - dr.sim.Now()
-			if wait < 0 {
-				wait = 0
-			}
-			dr.sim.Schedule(wait, func() {
-				if err := st.RemoveServer(ev.Server); err != nil {
-					dr.fail(fmt.Errorf("remove server %d: %w", ev.Server, err))
-				}
-			})
+			dr.retireAt(ev.Server, deadline)
 		})
 	}
+}
+
+// retireAt retires server i at the given deadline, or again at the
+// later one Retire names when a mapping moved the window.
+func (dr *drainInjector) retireAt(i int, deadline float64) {
+	dr.sim.ScheduleAt(deadline, func() {
+		if later, err := dr.eng.Retire(i); err != nil {
+			dr.fail(err)
+		} else if later > 0 {
+			dr.retireAt(i, later)
+		}
+	})
 }

@@ -91,7 +91,7 @@ func collectReplStats(replicas []*replica, res *Result) {
 	}
 	for a := 0; a < len(replicas); a++ {
 		for b := a + 1; b < len(replicas); b++ {
-			wa, wb := replicas[a].state.Weights(), replicas[b].state.Weights()
+			wa, wb := replicas[a].state.Snapshot().Weights(), replicas[b].state.Snapshot().Weights()
 			for j := range wa {
 				if d := math.Abs(wa[j] - wb[j]); d > res.ReplMaxWeightDiff {
 					res.ReplMaxWeightDiff = d
