@@ -40,13 +40,22 @@ func newFakeDNS(t *testing.T) *fakeDNS {
 	if err != nil {
 		t.Fatal(err)
 	}
-	udp, err := net.ListenUDP("udp", uaddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tcp, err := net.Listen("tcp", udp.LocalAddr().String())
-	if err != nil {
-		t.Fatal(err)
+	// The TCP listener shares the UDP listener's ephemeral port, which an
+	// unrelated TCP socket may already hold: retry with a fresh UDP port.
+	const pairAttempts = 16
+	var udp *net.UDPConn
+	var tcp net.Listener
+	for attempt := 0; ; attempt++ {
+		if udp, err = net.ListenUDP("udp", uaddr); err != nil {
+			t.Fatal(err)
+		}
+		if tcp, err = net.Listen("tcp", udp.LocalAddr().String()); err == nil {
+			break
+		}
+		_ = udp.Close()
+		if attempt == pairAttempts-1 {
+			t.Fatal(err)
+		}
 	}
 	f := &fakeDNS{t: t, udp: udp, tcp: tcp}
 	go f.serveUDP()

@@ -114,9 +114,13 @@ func TestProberFailNRiseM(t *testing.T) {
 		t.Fatalf("down with only %d failures, want >= FailN=3", st[0].Failures)
 	}
 
-	// Revive: up after RiseM consecutive successes.
+	// Revive: up after RiseM consecutive successes. probeOnce stores
+	// down=false before it counts and reports the flip, so wait for the
+	// report too before reading the log and the counter.
 	d.setFail("10.0.0.1:80", false)
-	waitFor(t, 2*time.Second, func() bool { return !p.Down(0) }, "target 0 never revived")
+	waitFor(t, 2*time.Second, func() bool {
+		return !p.Down(0) && len(snapshot()) >= 2 && p.Stats()[0].Transitions >= 2
+	}, "target 0 never revived")
 
 	got := snapshot()
 	if len(got) != 2 || got[0] != (transition{0, true}) || got[1] != (transition{0, false}) {

@@ -7,20 +7,28 @@
 // three primitives exposed here: Now, Schedule, and Run.
 package simcore
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // event is one entry of the future-event list. Events are values: the
 // list hands out no handle, so nothing outside this file can hold one.
 type event struct {
-	time float64
-	seq  uint64 // schedule order; breaks ties so runs are deterministic
-	fn   func()
+	key uint64 // math.Float64bits of the firing time
+	seq uint64 // schedule order; breaks ties so runs are deterministic
+	fn  func()
 }
 
-// before reports whether e fires before o. (time, seq) is a total
+// before returns 1 if e fires before o, else 0. (time, seq) is a total
 // order, so the firing sequence does not depend on the heap's shape.
-func (e *event) before(o *event) bool {
-	return e.time < o.time || (e.time == o.time && e.seq < o.seq)
+// Stored times are never negative or −0, whose bit patterns sort like
+// the floats, so the order is the borrow out of the 128-bit (key, seq)
+// subtraction e−o: no branch on the data.
+func (e *event) before(o *event) uint64 {
+	_, b := bits.Sub64(e.seq, o.seq, 0)
+	_, b = bits.Sub64(e.key, o.key, b)
+	return b
 }
 
 // Simulator owns the virtual clock and the future-event list.
@@ -32,6 +40,9 @@ type Simulator struct {
 	queue []event // binary min-heap by (time, seq)
 	seed  uint64
 	fired uint64
+	// firing: a handler runs and queue[0] still holds its event, whose
+	// slot the handler's first schedule takes (one sift, not pop + push).
+	firing bool
 }
 
 // New returns a simulator whose random streams all derive from seed.
@@ -47,34 +58,43 @@ func (s *Simulator) Now() float64 { return s.now }
 // progress and performance counter.
 func (s *Simulator) EventsFired() uint64 { return s.fired }
 
-// Pending returns the number of events currently scheduled.
-func (s *Simulator) Pending() int { return len(s.queue) }
+// Pending returns the number of events scheduled and not yet fired.
+func (s *Simulator) Pending() int {
+	if s.firing {
+		return len(s.queue) - 1
+	}
+	return len(s.queue)
+}
 
 // Schedule registers fn to run delay seconds from now. A negative or
 // NaN delay is treated as zero.
 func (s *Simulator) Schedule(delay float64, fn func()) {
-	if delay < 0 || math.IsNaN(delay) {
-		delay = 0
-	}
 	s.ScheduleAt(s.now+delay, fn)
 }
 
 // ScheduleAt registers fn to run at absolute virtual time t. Times in
 // the past are clamped to the current time.
 func (s *Simulator) ScheduleAt(t float64, fn func()) {
-	if t < s.now || math.IsNaN(t) {
-		t = s.now
+	if !(t > s.now) {
+		t = s.now // the past, NaN, and −0 at time +0 alike
 	}
-	ev := event{time: t, seq: s.seq, fn: fn}
+	ev := event{key: math.Float64bits(t), seq: s.seq, fn: fn}
 	s.seq++
-	// Sift up: move the hole at the tail towards the root, pulling
-	// later parents down into it, then drop the new event in.
+	if s.firing {
+		s.firing = false
+		s.fill(ev)
+		return
+	}
 	s.queue = append(s.queue, event{})
+	s.up(len(s.queue)-1, ev)
+}
+
+// up fills the hole at i with ev, first pulling down each later parent.
+func (s *Simulator) up(i int, ev event) {
 	q := s.queue
-	i := len(q) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !ev.before(&q[parent]) {
+		if ev.before(&q[parent]) == 0 {
 			break
 		}
 		q[i] = q[parent]
@@ -83,39 +103,52 @@ func (s *Simulator) ScheduleAt(t float64, fn func()) {
 	q[i] = ev
 }
 
-// Step executes the single next event. It returns false when the event
-// list is empty.
-func (s *Simulator) Step() bool {
+// fill puts ev into the hole at the root. The hole walks to a leaf,
+// pulling up the earlier child with no branch on the data, and ev sifts
+// up from there; a successor is usually late, so it seldom climbs far.
+func (s *Simulator) fill(ev event) {
 	q := s.queue
-	if len(q) == 0 {
-		return false
-	}
-	ev := q[0]
-	// Sift down: the root is a hole; pull the earlier child up into it
-	// until the former tail event fits. The vacated tail slot is zeroed
-	// so no closure stays reachable from beyond the live heap.
-	n := len(q) - 1
-	last := q[n]
-	q[n] = event{}
-	q = q[:n]
-	s.queue = q
+	n := len(q)
 	i := 0
 	for child := 1; child < n; child = 2*i + 1 {
-		if r := child + 1; r < n && q[r].before(&q[child]) {
-			child = r
-		}
-		if !q[child].before(&last) {
-			break
+		if r := child + 1; r < n {
+			child += int(q[r].before(&q[child]))
 		}
 		q[i] = q[child]
 		i = child
 	}
-	if n > 0 {
-		q[i] = last
+	s.up(i, ev)
+}
+
+// settle pops an event whose handler scheduled nothing, zeroing the
+// vacated tail slot so no closure stays reachable beyond the live heap.
+func (s *Simulator) settle() {
+	if !s.firing {
+		return
 	}
-	s.now = ev.time
+	s.firing = false
+	n := len(s.queue) - 1
+	last := s.queue[n]
+	s.queue[n] = event{}
+	s.queue = s.queue[:n]
+	if n > 0 {
+		s.fill(last)
+	}
+}
+
+// Step executes the single next event. It returns false when the event
+// list is empty. Called from a handler, it first removes the event
+// that handler belongs to.
+func (s *Simulator) Step() bool {
+	s.settle()
+	if len(s.queue) == 0 {
+		return false
+	}
+	s.now = math.Float64frombits(s.queue[0].key)
 	s.fired++
-	ev.fn()
+	s.firing = true
+	s.queue[0].fn() // fn is read before the handler can overwrite the slot
+	s.settle()
 	return true
 }
 
@@ -124,7 +157,8 @@ func (s *Simulator) Step() bool {
 // The clock finishes at `until` when it was reached, so a subsequent
 // Run continues from there.
 func (s *Simulator) Run(until float64) {
-	for len(s.queue) > 0 && s.queue[0].time <= until {
+	s.settle()
+	for len(s.queue) > 0 && math.Float64frombits(s.queue[0].key) <= until {
 		s.Step()
 	}
 	if s.now < until {

@@ -150,6 +150,124 @@ func TestFiredEventSlotCleared(t *testing.T) {
 	}
 }
 
+// −0 compares equal to +0, but its bit pattern is the largest key of
+// all: unless ScheduleAt maps it to +0 it would fire after every other
+// event instead of in schedule order.
+func TestNegativeZeroFiresInScheduleOrder(t *testing.T) {
+	s := New(1)
+	var got []string
+	s.ScheduleAt(0, func() { got = append(got, "a") })
+	s.ScheduleAt(math.Copysign(0, -1), func() { got = append(got, "b") })
+	s.Schedule(math.Copysign(0, -1), func() { got = append(got, "c") })
+	s.ScheduleAt(0, func() { got = append(got, "d") })
+	s.ScheduleAt(1, func() { got = append(got, "e") })
+	for s.Step() {
+		if s.Now() == 0 && math.Signbit(s.Now()) {
+			t.Fatalf("clock reads −0 after firing %s", got[len(got)-1])
+		}
+	}
+	if want := []string{"a", "b", "c", "d", "e"}; !slices.Equal(got, want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+}
+
+// An event at +Inf stays pending under every finite horizon.
+func TestInfiniteTimeNeverFiresUnderFiniteRun(t *testing.T) {
+	s := New(1)
+	fired := 0
+	s.ScheduleAt(math.Inf(1), func() { fired++ })
+	s.Schedule(1, func() {})
+	s.Run(math.MaxFloat64)
+	if fired != 0 || s.Pending() != 1 {
+		t.Fatalf("after Run(MaxFloat64): fired = %d, Pending = %d; want 0 and 1", fired, s.Pending())
+	}
+	s.Run(math.Inf(1))
+	if fired != 1 || s.Pending() != 0 || !math.IsInf(s.Now(), 1) {
+		t.Fatalf("after Run(+Inf): fired = %d, Pending = %d, Now = %v; want 1, 0, +Inf", fired, s.Pending(), s.Now())
+	}
+}
+
+// Pending read inside a handler excludes the event that is firing, and
+// counts each successor the handler arms, whether it took the firing
+// event's slot (the first) or was pushed (the rest).
+func TestPendingInsideHandler(t *testing.T) {
+	for _, arms := range []int{0, 1, 3} {
+		s := New(1)
+		s.Schedule(10, func() {})
+		s.Schedule(10, func() {})
+		s.Schedule(1, func() {
+			if got := s.Pending(); got != 2 {
+				t.Errorf("arms=%d: Pending on entry = %d, want 2", arms, got)
+			}
+			for i := 1; i <= arms; i++ {
+				s.Schedule(float64(i), func() {})
+				if got := s.Pending(); got != 2+i {
+					t.Errorf("arms=%d: Pending after arming %d = %d, want %d", arms, i, got, 2+i)
+				}
+			}
+		})
+		s.Step()
+		if got := s.Pending(); got != 2+arms {
+			t.Errorf("arms=%d: Pending after Step = %d, want %d", arms, got, 2+arms)
+		}
+		s.Run(100)
+		if got := s.EventsFired(); got != uint64(3+arms) {
+			t.Errorf("arms=%d: EventsFired = %d, want %d", arms, got, 3+arms)
+		}
+	}
+}
+
+// A handler that calls Step fires the next event in (time, seq) order,
+// whether or not the handler armed a successor first, and its own event
+// never fires twice.
+func TestStepFromHandler(t *testing.T) {
+	s := New(1)
+	var got []string
+	rec := func(name string) func() { return func() { got = append(got, name) } }
+	s.Schedule(1, func() {
+		got = append(got, "a")
+		s.Schedule(4, rec("z")) // takes a's slot, due at 5
+		s.Step()                // fires b, not z
+		if p := s.Pending(); p != 3 {
+			t.Errorf("Pending after a nested Step = %d, want 3 (c, d, z)", p)
+		}
+	})
+	s.Schedule(2, rec("b"))
+	s.Schedule(2, rec("c"))
+	s.Schedule(3, func() {
+		got = append(got, "d")
+		s.Step() // nothing armed: removes d, fires z
+		s.Schedule(0, rec("y"))
+		s.Step() // fires y
+		if s.Step() {
+			t.Error("Step on a drained list from a handler fired an event")
+		}
+	})
+	s.Run(10)
+	if want := []string{"a", "b", "c", "d", "z", "y"}; !slices.Equal(got, want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+	if s.EventsFired() != 6 || s.Pending() != 0 {
+		t.Fatalf("EventsFired = %d, Pending = %d; want 6 and 0", s.EventsFired(), s.Pending())
+	}
+}
+
+// A handler that calls Run fires only what is due by until; the event
+// it belongs to is not the next one any more.
+func TestRunFromHandler(t *testing.T) {
+	s := New(1)
+	var got []string
+	s.Schedule(1, func() {
+		got = append(got, "a")
+		s.Run(2)
+	})
+	s.Schedule(3, func() { got = append(got, "b") })
+	s.Step()
+	if !slices.Equal(got, []string{"a"}) || s.Now() != 2 || s.Pending() != 1 {
+		t.Fatalf("after a handler's Run(2): fired %v, Now = %v, Pending = %d; want [a], 2, 1", got, s.Now(), s.Pending())
+	}
+}
+
 // eventList is what the oracle script drives: the real Simulator and
 // the reference list below.
 type eventList interface {
@@ -216,8 +334,9 @@ func (r *refList) Run(until float64) {
 	}
 }
 
-// oracleRecord is one line of a script's log: a firing (id ≥ 0) or the
-// state after a top-level operation (id = -1).
+// oracleRecord is one line of a script's log: a firing (id ≥ 0), the
+// state after a top-level operation (id = -1), or the state inside a
+// handler after it armed a child or called Step (id = -2).
 type oracleRecord struct {
 	id      int
 	now     float64
@@ -234,22 +353,36 @@ func runOracleScript(l eventList, seed int64, ops int) []oracleRecord {
 	var log []oracleRecord
 	nextID := 0
 	grid := func(h uint64) float64 { return float64(h%321) / 8 } // 0–40 s
+	state := func(id int) oracleRecord {
+		return oracleRecord{id: id, now: l.Now(), fired: l.EventsFired(), pending: l.Pending()}
+	}
 	// arm schedules one event in the manner picked by h; its handler
 	// logs the firing and arms 0–3 children chosen by its own id, so a
 	// wrong firing order shows up as a diverging log, not as a crash.
+	// One handler in eight then calls Step itself.
 	var arm func(h uint64)
 	arm = func(h uint64) {
 		id := nextID
 		nextID++
 		fn := func() {
-			log = append(log, oracleRecord{id: id, now: l.Now()})
+			log = append(log, state(id))
 			c := splitmix64(uint64(seed) ^ uint64(id)<<20)
+			nested := (c>>40)%8 == 0
 			for n := [...]int{0, 0, 0, 0, 0, 1, 1, 1, 2, 3}[c%10]; n > 0; n-- {
 				c = splitmix64(c)
 				arm(c)
+				log = append(log, state(-2))
+			}
+			if nested {
+				l.Step()
+				log = append(log, state(-2))
 			}
 		}
-		switch (h >> 8) % 12 {
+		switch (h >> 8) % 14 {
+		case 12:
+			l.ScheduleAt(math.Copysign(0, -1), fn) // −0 ties +0 while Now is 0
+		case 13:
+			l.Schedule(math.Copysign(0, -1), fn)
 		case 0:
 			l.Schedule(0, fn)
 		case 1:
@@ -279,7 +412,7 @@ func runOracleScript(l eventList, seed int64, ops int) []oracleRecord {
 		default:
 			l.Run(l.Now() - 1) // already passed: fires nothing, clock stays
 		}
-		log = append(log, oracleRecord{id: -1, now: l.Now(), fired: l.EventsFired(), pending: l.Pending()})
+		log = append(log, state(-1))
 	}
 	return log
 }
@@ -287,7 +420,8 @@ func runOracleScript(l eventList, seed int64, ops int) []oracleRecord {
 // TestEventListMatchesOracle replays one seeded script of Schedule,
 // ScheduleAt, Step and Run against the Simulator and the reference
 // list and requires the same firing sequence (id and clock at firing)
-// and the same EventsFired, Pending and Now after every operation.
+// and the same EventsFired, Pending and Now after every operation, at
+// every firing and inside handlers.
 func TestEventListMatchesOracle(t *testing.T) {
 	const ops = 20000
 	for _, seed := range []int64{1, 2, 3} {
@@ -335,8 +469,9 @@ func TestScheduleStepZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkSimcoreHold is the classic hold operation — pop the next
-// event, push its successor — on a list of 500 pending events.
+// BenchmarkSimcoreHold is the classic hold operation — fire the next
+// event, whose handler arms its successor — on a list of 500 pending
+// events.
 func BenchmarkSimcoreHold(b *testing.B) {
 	s := newHold(500)
 	b.ReportAllocs()
