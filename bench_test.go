@@ -62,9 +62,25 @@ func benchSimulation5h(b *testing.B, replicas int) {
 
 // BenchmarkSchedulerDecision measures a single DNS scheduling decision
 // for each policy family — the per-address-request cost a real
-// deployment pays.
+// deployment pays. Together the cases run every selector path: the
+// one- and two-tier rotation, deterministic and probabilistic, the
+// three ledger selectors, and the proximity step in front of a
+// rotation ("+geo0.5": nearest-server preference 0.5 on the ring
+// geography). The clock advances a second per decision, so DAL and MRL
+// reach their steady 240 pending mappings within the first 240
+// decisions and each op costs the same at any b.N.
 func BenchmarkSchedulerDecision(b *testing.B) {
-	for _, name := range []string{"RR", "RR2", "PRR2-TTL/K", "DRR2-TTL/S_K", "DAL"} {
+	for _, c := range []struct {
+		policy string
+		geo    float64
+	}{
+		{"RR", 0}, {"RR2", 0}, {"PRR-TTL/1", 0}, {"PRR2-TTL/K", 0}, {"DRR2-TTL/S_K", 0},
+		{"DAL", 0}, {"MRL", 0}, {"WRR", 0}, {"DRR2-TTL/S_K", 0.5},
+	} {
+		name := c.policy
+		if c.geo > 0 {
+			name += fmt.Sprintf("+geo%g", c.geo)
+		}
 		b.Run(name, func(b *testing.B) {
 			cluster, err := core.ScaledCluster(7, 35, 500)
 			if err != nil {
@@ -77,12 +93,17 @@ func BenchmarkSchedulerDecision(b *testing.B) {
 			if err := state.SetWeights(simcore.ZipfWeights(20, 1)); err != nil {
 				b.Fatal(err)
 			}
+			geo, err := core.RingProximityConfig(20, cluster.N(), c.geo)
+			if err != nil {
+				b.Fatal(err)
+			}
 			now := 0.0
 			policy, err := core.NewPolicy(core.PolicyConfig{
-				Name:  name,
-				State: state,
-				Rand:  simcore.NewStream(1, "bench"),
-				Now:   func() float64 { now += 0.01; return now },
+				Name:      c.policy,
+				State:     state,
+				Rand:      simcore.NewStream(1, "bench"),
+				Now:       func() float64 { now++; return now },
+				Proximity: geo,
 			})
 			if err != nil {
 				b.Fatal(err)

@@ -427,7 +427,7 @@ func TestDALHeapMatchesContainerHeap(t *testing.T) {
 func TestDALSelectZeroAlloc(t *testing.T) {
 	st := zipfState(t, 50, 20)
 	sn := st.Snapshot()
-	for _, newSelector := range []func(func() float64, float64) Selector{NewDAL, NewMRL} {
+	for name, newSelector := range map[string]func(func() float64, float64) Selector{"DAL": NewDAL, "MRL": NewMRL} {
 		now := 0.0
 		sel := newSelector(func() float64 { now++; return now }, 240)
 		for i := 0; i < 1000; i++ { // reach the steady 240 pending mappings
@@ -435,7 +435,7 @@ func TestDALSelectZeroAlloc(t *testing.T) {
 		}
 		i := 0
 		if n := testing.AllocsPerRun(1000, func() { sel.Select(sn, i%20); i++ }); n != 0 {
-			t.Errorf("%s Select allocates %v times per decision, want 0", sel.Name(), n)
+			t.Errorf("%s Select allocates %v times per decision, want 0", name, n)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
@@ -313,12 +314,29 @@ func TestAllDownOverMembers(t *testing.T) {
 }
 
 func TestCursorsRoundTrip(t *testing.T) {
-	for _, name := range []string{"RR", "RR2", "PRR-TTL/1", "PRR2-TTL/2"} {
-		st := newMembershipState(t, []float64{100, 80, 50}, 4)
-		pol, err := NewPolicy(PolicyConfig{Name: name, State: st, Rand: rand.New(rand.NewPCG(1, 2))})
-		if err != nil {
-			t.Fatal(err)
+	geo, err := RingProximityConfig(4, 3, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		geo  *ProximityConfig
+	}{
+		{"RR", nil}, {"RR2", nil}, {"PRR-TTL/1", nil}, {"PRR2-TTL/2", nil},
+		{"DRR-TTL/S_K", nil}, {"DRR2-TTL/S_K", nil},
+		// The proximity step must not hide the selector's cursors.
+		{"DRR2-TTL/S_K", geo},
+	} {
+		name := c.name
+		build := func() *Policy {
+			st := newMembershipState(t, []float64{100, 80, 50}, 4)
+			pol, err := NewPolicy(PolicyConfig{Name: name, State: st, Rand: rand.New(rand.NewPCG(1, 2)), Proximity: c.geo})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return pol
 		}
+		pol := build()
 		for k := 0; k < 7; k++ {
 			if _, err := pol.Schedule(k % 4); err != nil {
 				t.Fatal(err)
@@ -328,11 +346,7 @@ func TestCursorsRoundTrip(t *testing.T) {
 		if cur == nil {
 			t.Fatalf("%s: no cursors", name)
 		}
-		st2 := newMembershipState(t, []float64{100, 80, 50}, 4)
-		pol2, err := NewPolicy(PolicyConfig{Name: name, State: st2, Rand: rand.New(rand.NewPCG(1, 2))})
-		if err != nil {
-			t.Fatal(err)
-		}
+		pol2 := build()
 		if !pol2.RestoreCursors(cur) {
 			t.Fatalf("%s: restore refused", name)
 		}
@@ -342,8 +356,34 @@ func TestCursorsRoundTrip(t *testing.T) {
 				t.Errorf("%s: cursor %d = %d, want %d", name, i, got[i], cur[i])
 			}
 		}
-		if pol2.RestoreCursors(append(cur, 99)) {
-			t.Errorf("%s: wrong-shape cursor vector accepted", name)
+		// Refused: a wrong length, and any cursor outside [-1, N) — it
+		// would index outside the cluster on the next decision. A refused
+		// vector leaves the cursors as they were.
+		bad := [][]int64{append(cur, 99)}
+		for _, v := range []int64{-5, -2, 3, math.MaxInt64} {
+			out := append([]int64(nil), cur...)
+			out[len(out)-1] = v
+			bad = append(bad, out)
+		}
+		for _, b := range bad {
+			if pol2.RestoreCursors(b) {
+				t.Errorf("%s: cursor vector %v accepted", name, b)
+			}
+		}
+		if got := pol2.Cursors(); !slices.Equal(got, cur) {
+			t.Errorf("%s: refused restore moved the cursors to %v", name, got)
+		}
+		fresh := make([]int64, len(cur))
+		for i := range fresh {
+			fresh[i] = -1
+		}
+		if !pol2.RestoreCursors(fresh) {
+			t.Errorf("%s: a fresh rotation's cursors %v refused", name, fresh)
+		}
+		for k := 0; k < 4; k++ {
+			if _, err := pol2.Schedule(k); err != nil {
+				t.Fatalf("%s: schedule after restore: %v", name, err)
+			}
 		}
 	}
 	// Ledger selectors carry no cursors.

@@ -31,8 +31,6 @@ func NewMRL(now func() float64, ttl float64) Selector {
 	return &mrlSelector{now: now, ttl: ttl}
 }
 
-func (m *mrlSelector) Name() string { return "MRL" }
-
 func (m *mrlSelector) Select(sn *Snapshot, domain int) int {
 	n := sn.Cluster().N()
 	t := m.now()
@@ -50,17 +48,7 @@ func (m *mrlSelector) Select(sn *Snapshot, domain int) int {
 		// Linear decay: full weight at assignment, zero at expiry.
 		residual[e.server] += e.load * (e.expire - t) / m.ttl
 	}
-	best := -1
-	bestScore := 0.0
-	for i := 0; i < n; i++ {
-		if !sn.available(i) {
-			continue
-		}
-		score := residual[i] / sn.Alpha(i)
-		if best == -1 || score < bestScore {
-			best, bestScore = i, score
-		}
-	}
+	best := leastLoaded(sn, residual)
 	if best == -1 {
 		return -1
 	}

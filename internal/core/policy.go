@@ -18,7 +18,8 @@ type Decision struct {
 }
 
 // Policy is a complete DNS scheduling policy: a server selector plus a
-// TTL policy, evaluated against shared scheduler state.
+// TTL policy, evaluated against shared scheduler state, with an
+// optional proximity step in front of the selector.
 //
 // Concurrency contract: Schedule is safe for concurrent callers and
 // may race freely with the State mutators (SetWeights, SetAlarm,
@@ -32,6 +33,8 @@ type Decision struct {
 type Policy struct {
 	name     string
 	selector Selector
+	geo      ProximityConfig
+	rng      Rand // draws the proximity step; shared with the selector
 	ttl      *TTLPolicy
 	state    *State
 
@@ -65,28 +68,6 @@ func addFloat(bits *atomic.Uint64, v float64) {
 			return
 		}
 	}
-}
-
-// NewPolicyFromParts assembles a policy from an explicit selector and
-// TTL policy. Most callers use NewPolicy with a catalog name instead.
-func NewPolicyFromParts(name string, sel Selector, ttl *TTLPolicy, st *State) (*Policy, error) {
-	if sel == nil || ttl == nil || st == nil {
-		return nil, errors.New("core: selector, ttl policy and state are all required")
-	}
-	p := &Policy{
-		name:     name,
-		selector: sel,
-		ttl:      ttl,
-		state:    st,
-	}
-	per := make([]*atomic.Uint64, st.Snapshot().Cluster().N())
-	for i := range per {
-		per[i] = new(atomic.Uint64)
-	}
-	p.perServer.Store(&per)
-	p.minTTL.Store(math.Float64bits(math.Inf(1)))
-	p.maxTTL.Store(math.Float64bits(math.Inf(-1)))
-	return p, nil
 }
 
 // serverCounter returns the decision counter for server i, growing the
@@ -128,7 +109,13 @@ func (p *Policy) Schedule(domain int) (Decision, error) {
 	if domain < 0 || domain >= sn.Domains() {
 		return Decision{}, fmt.Errorf("core: domain %d out of range [0,%d)", domain, sn.Domains())
 	}
-	server := p.selector.Select(sn, domain)
+	server := -1
+	if p.geo.Preference > 0 {
+		server = p.nearest(sn, domain)
+	}
+	if server < 0 {
+		server = p.selector.Select(sn, domain)
+	}
 	if server < 0 {
 		p.noServers.Add(1)
 		return Decision{}, ErrNoServers
@@ -151,6 +138,17 @@ func (p *Policy) Schedule(domain int) (Decision, error) {
 		}
 	}
 	return Decision{Server: server, TTL: ttl}, nil
+}
+
+// nearest is the proximity step (extension — not in the paper), run
+// when the preference is positive: with probability Preference it
+// answers with the nearest available server, which the selector never
+// sees. It returns -1 to defer to the selector.
+func (p *Policy) nearest(sn *Snapshot, domain int) int {
+	if p.geo.Preference < 1 && p.rng.Float64() >= p.geo.Preference {
+		return -1
+	}
+	return p.geo.Matrix.nearest(sn, domain)
 }
 
 // Decisions returns the total number of scheduling decisions made, as
@@ -176,32 +174,24 @@ func (p *Policy) ClassDecisions(c DomainClass) uint64 {
 	return p.perClass[c-ClassNormal].Load()
 }
 
-// cursorCarrier is implemented by selectors whose only state is a set
-// of round-robin rotation cursors; it lets a checkpoint capture and
-// restore scheduling position across a DNS restart. Ledger selectors
-// (DAL, MRL, WRR) intentionally do not implement it: their accumulated
-// loads are time-coupled and rebuild naturally within one TTL window.
-type cursorCarrier interface {
-	cursors() []int64
-	restoreCursors([]int64) bool
-}
-
-// Cursors returns the selector's rotation cursors for checkpointing,
-// or nil when the selector carries no restorable cursor state.
+// Cursors returns the rotation cursors for checkpointing, or nil for a
+// selector without them: the ledger selectors (WRR, DAL, MRL) keep
+// time-coupled loads that rebuild within one TTL window.
 func (p *Policy) Cursors() []int64 {
-	if c, ok := p.selector.(cursorCarrier); ok {
-		return c.cursors()
+	if r, ok := p.selector.(*rotation); ok {
+		return r.cursors()
 	}
 	return nil
 }
 
-// RestoreCursors reinstates rotation cursors captured by Cursors. It
-// reports whether the selector accepted them; a selector without
-// cursor state, or a cursor vector of the wrong shape, is refused
-// (the selector then simply starts its rotation fresh).
+// RestoreCursors reinstates rotation cursors captured by Cursors and
+// reports whether they were accepted. A selector without cursors
+// refuses, and so does a vector of the wrong length or one holding a
+// cursor outside [-1, N) for the current N server slots; the rotation
+// then simply starts fresh.
 func (p *Policy) RestoreCursors(cursors []int64) bool {
-	c, ok := p.selector.(cursorCarrier)
-	return ok && c.restoreCursors(cursors)
+	r, ok := p.selector.(*rotation)
+	return ok && r.restoreCursors(cursors, p.state.Snapshot().Cluster().N())
 }
 
 // NoServerErrors returns how many Schedule calls failed with
@@ -273,8 +263,8 @@ type PolicyConfig struct {
 	// mean address-request rate is calibrated against. Zero means the
 	// paper's 240 s.
 	ConstantTTL float64
-	// Proximity optionally wraps the server selector with GeoDNS-style
-	// nearest-server preference (extension; see proximity.go).
+	// Proximity optionally puts a GeoDNS-style nearest-server step in
+	// front of the selector (extension; see Policy.nearest).
 	Proximity *ProximityConfig
 }
 
@@ -388,51 +378,51 @@ func NewPolicy(cfg PolicyConfig) (*Policy, error) {
 		constTTL = DefaultConstantTTL
 	}
 	// One locked generator shared by the selector and the proximity
-	// wrapper: concurrent Schedule callers then serialize draws on a
-	// single lock, and single-threaded callers see the exact draw
-	// sequence the unlocked generator would produce.
-	rng := LockRand(cfg.Rand)
-	var sel Selector
+	// step: concurrent Schedule callers then serialize draws on a single
+	// lock, and single-threaded callers see the exact draw sequence the
+	// unlocked generator would produce.
+	p := &Policy{name: cfg.Name, rng: LockRand(cfg.Rand), state: cfg.State}
 	switch spec.selector {
-	case "RR":
-		sel = NewRR()
-	case "RR2":
-		sel = NewRR2()
+	case "RR", "RR2":
+		p.selector = newRotation(spec.selector == "RR2", nil)
+	case "PRR", "PRR2":
+		if p.rng == nil {
+			return nil, fmt.Errorf("core: policy %q needs PolicyConfig.Rand", cfg.Name)
+		}
+		p.selector = newRotation(spec.selector == "PRR2", p.rng)
 	case "WRR":
-		sel = NewWRR()
-	case "PRR":
-		if rng == nil {
-			return nil, fmt.Errorf("core: policy %q needs PolicyConfig.Rand", cfg.Name)
-		}
-		sel = NewPRR(rng)
-	case "PRR2":
-		if rng == nil {
-			return nil, fmt.Errorf("core: policy %q needs PolicyConfig.Rand", cfg.Name)
-		}
-		sel = NewPRR2(rng)
-	case "DAL":
+		p.selector = NewWRR()
+	case "DAL", "MRL":
 		if cfg.Now == nil {
 			return nil, fmt.Errorf("core: policy %q needs PolicyConfig.Now", cfg.Name)
 		}
-		sel = NewDAL(cfg.Now, constTTL)
-	case "MRL":
-		if cfg.Now == nil {
-			return nil, fmt.Errorf("core: policy %q needs PolicyConfig.Now", cfg.Name)
+		if spec.selector == "DAL" {
+			p.selector = NewDAL(cfg.Now, constTTL)
+		} else {
+			p.selector = NewMRL(cfg.Now, constTTL)
 		}
-		sel = NewMRL(cfg.Now, constTTL)
-	default:
-		return nil, fmt.Errorf("core: catalog bug: selector %q", spec.selector)
 	}
-	if cfg.Proximity != nil {
-		wrapped, err := NewProximitySelector(sel, cfg.Proximity.Matrix, cfg.Proximity.Preference, rng)
-		if err != nil {
-			return nil, err
+	if pc := cfg.Proximity; pc != nil {
+		switch {
+		case pc.Matrix == nil:
+			return nil, errors.New("core: proximity needs a latency matrix")
+		case pc.Preference < 0 || pc.Preference > 1:
+			return nil, fmt.Errorf("core: proximity preference %v out of [0,1]", pc.Preference)
+		case pc.Preference > 0 && pc.Preference < 1 && p.rng == nil:
+			return nil, errors.New("core: proximity needs PolicyConfig.Rand for preference in (0,1)")
 		}
-		sel = wrapped
+		p.geo = *pc
 	}
-	ttl, err := NewTTLPolicy(spec.variant, constTTL)
-	if err != nil {
+	var err error
+	if p.ttl, err = NewTTLPolicy(spec.variant, constTTL); err != nil {
 		return nil, err
 	}
-	return NewPolicyFromParts(cfg.Name, sel, ttl, cfg.State)
+	per := make([]*atomic.Uint64, cfg.State.Snapshot().Cluster().N())
+	for i := range per {
+		per[i] = new(atomic.Uint64)
+	}
+	p.perServer.Store(&per)
+	p.minTTL.Store(math.Float64bits(math.Inf(1)))
+	p.maxTTL.Store(math.Float64bits(math.Inf(-1)))
+	return p, nil
 }

@@ -75,9 +75,6 @@ func TestNewPolicyErrors(t *testing.T) {
 	if _, err := NewPolicy(PolicyConfig{Name: "DAL", State: st}); err == nil {
 		t.Error("DAL without Now should error")
 	}
-	if _, err := NewPolicyFromParts("x", nil, nil, nil); err == nil {
-		t.Error("nil parts should error")
-	}
 }
 
 func TestScheduleDomainValidation(t *testing.T) {

@@ -10,17 +10,17 @@ import (
 // The paper's site is geographically distributed but its policies
 // optimize load alone. Modern GeoDNS deployments also weigh network
 // proximity: answering with a nearby server cuts client latency but
-// concentrates load on whatever is close to the hot domains. The
-// ProximitySelector composes both: it prefers the nearest available
-// server as long as that server is not "too loaded" relative to the
-// scheduling discipline's own choice, and otherwise defers to the
-// inner selector. The latency matrix is supplied per (domain, server);
-// the sim's geo extension sweeps the preference strength.
+// concentrates load on whatever is close to the hot domains. A policy
+// built with a ProximityConfig composes both: Policy.Schedule first
+// draws against the preference and, on a hit, answers with the nearest
+// available server (an alarmed one is not available); otherwise, or
+// when none is, the policy's own selector decides. The latency matrix
+// is supplied per (domain, server); the sim's geo extension sweeps the
+// preference strength.
 
 // LatencyMatrix holds the network distance in milliseconds from each
 // connected domain to each Web server.
 type LatencyMatrix struct {
-	domains int
 	servers int
 	ms      []float64 // row-major [domain][server]
 }
@@ -40,7 +40,7 @@ func NewLatencyMatrix(domains, servers int, ms []float64) (*LatencyMatrix, error
 	}
 	out := make([]float64, len(ms))
 	copy(out, ms)
-	return &LatencyMatrix{domains: domains, servers: servers, ms: out}, nil
+	return &LatencyMatrix{servers: servers, ms: out}, nil
 }
 
 // Latency returns the distance from domain j to server i in ms.
@@ -48,9 +48,9 @@ func (m *LatencyMatrix) Latency(domain, server int) float64 {
 	return m.ms[domain*m.servers+server]
 }
 
-// Nearest returns the closest available server for a domain, or -1 if
-// none is available (cannot happen: availability admits all servers
-// when every one is alarmed).
+// nearest returns the closest available server for a domain, or -1 when
+// none is (every server down, draining or retired: availability admits
+// alarmed servers once every one is alarmed).
 func (m *LatencyMatrix) nearest(sn *Snapshot, domain int) int {
 	best := -1
 	bestMS := 0.0
@@ -119,74 +119,4 @@ func RingProximityConfig(domains, servers int, preference float64) (*ProximityCo
 		return nil, err
 	}
 	return &ProximityConfig{Matrix: m, Preference: preference}, nil
-}
-
-// proximitySelector prefers the nearest server with probability
-// preference, deferring to the inner discipline otherwise — and always
-// defers when the nearest server is alarmed.
-type proximitySelector struct {
-	inner      Selector
-	matrix     *LatencyMatrix
-	preference float64
-	rng        Rand
-}
-
-// NewProximitySelector wraps a selector with GeoDNS-style proximity
-// preference in [0,1]: 0 behaves exactly like the inner selector, 1
-// always picks the nearest available server (pure GeoDNS). The
-// generator is wrapped with LockRand for concurrent callers; pass the
-// same (already locked) Rand as the inner selector's so both share one
-// lock.
-func NewProximitySelector(inner Selector, matrix *LatencyMatrix, preference float64, rng Rand) (Selector, error) {
-	if inner == nil || matrix == nil {
-		return nil, errors.New("core: proximity selector needs an inner selector and a matrix")
-	}
-	if preference < 0 || preference > 1 {
-		return nil, fmt.Errorf("core: proximity preference %v out of [0,1]", preference)
-	}
-	if preference > 0 && preference < 1 && rng == nil {
-		return nil, errors.New("core: proximity selector needs Rand for preference in (0,1)")
-	}
-	return &proximitySelector{inner: inner, matrix: matrix, preference: preference, rng: LockRand(rng)}, nil
-}
-
-func (p *proximitySelector) Name() string {
-	return fmt.Sprintf("Geo(%s,%.2f)", p.inner.Name(), p.preference)
-}
-
-func (p *proximitySelector) cursors() []int64 {
-	if c, ok := p.inner.(cursorCarrier); ok {
-		return c.cursors()
-	}
-	return nil
-}
-
-func (p *proximitySelector) restoreCursors(cs []int64) bool {
-	c, ok := p.inner.(cursorCarrier)
-	return ok && c.restoreCursors(cs)
-}
-
-func (p *proximitySelector) Select(sn *Snapshot, domain int) int {
-	usePref := p.preference >= 1
-	if !usePref && p.preference > 0 {
-		usePref = p.rng.Float64() < p.preference
-	}
-	if usePref {
-		if i := p.matrix.nearest(sn, domain); i >= 0 {
-			return i
-		}
-	}
-	return p.inner.Select(sn, domain)
-}
-
-// MeanLatency returns the expected client-to-server latency of an
-// assignment distribution: Σ_j weight_j · latency(j, assign(j)). The
-// sim's geo extension uses it to quantify the proximity half of the
-// tradeoff.
-func (m *LatencyMatrix) MeanLatency(weights []float64, assign func(domain int) int) float64 {
-	var sum float64
-	for j := 0; j < m.domains && j < len(weights); j++ {
-		sum += weights[j] * m.Latency(j, assign(j))
-	}
-	return sum
 }

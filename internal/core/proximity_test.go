@@ -52,19 +52,37 @@ func TestRingLatencies(t *testing.T) {
 	}
 }
 
-func TestProximitySelectorPureGeo(t *testing.T) {
-	st := zipfState(t, 35, 8)
+// geoPolicy builds policy name over st with the proximity step at the
+// given preference on an 8-domain ring geography.
+func geoPolicy(t *testing.T, st *State, name string, pref float64, rng Rand) (*Policy, *LatencyMatrix) {
+	t.Helper()
 	m, err := RingLatencies(8, st.Snapshot().Cluster().N(), 20, 160)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel, err := NewProximitySelector(NewRR(), m, 1, nil)
+	p, err := NewPolicy(PolicyConfig{Name: name, State: st, Rand: rng,
+		Proximity: &ProximityConfig{Matrix: m, Preference: pref}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return p, m
+}
+
+func schedule(t *testing.T, p *Policy, domain int) int {
+	t.Helper()
+	d, err := p.Schedule(domain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d.Server
+}
+
+func TestProximitySelectorPureGeo(t *testing.T) {
+	st := zipfState(t, 35, 8)
+	p, m := geoPolicy(t, st, "RR", 1, nil)
 	// Pure geo always picks the nearest available server.
 	for domain := 0; domain < 8; domain++ {
-		got := sel.Select(st.Snapshot(), domain)
+		got := schedule(t, p, domain)
 		best := 0
 		for i := 1; i < st.Snapshot().Cluster().N(); i++ {
 			if m.Latency(domain, i) < m.Latency(domain, best) {
@@ -75,44 +93,29 @@ func TestProximitySelectorPureGeo(t *testing.T) {
 			t.Errorf("domain %d routed to %d, nearest is %d", domain, got, best)
 		}
 	}
-	if sel.Name() != "Geo(RR,1.00)" {
-		t.Errorf("Name = %q", sel.Name())
-	}
 }
 
 func TestProximitySelectorZeroPrefIsInner(t *testing.T) {
 	st := zipfState(t, 35, 8)
-	m, err := RingLatencies(8, st.Snapshot().Cluster().N(), 20, 160)
+	p, _ := geoPolicy(t, st, "RR", 0, nil)
+	ref, err := NewPolicy(PolicyConfig{Name: "RR", State: st})
 	if err != nil {
 		t.Fatal(err)
 	}
-	inner := NewRR()
-	sel, err := NewProximitySelector(inner, m, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := NewRR()
 	for i := 0; i < 30; i++ {
-		if got, want := sel.Select(st.Snapshot(), i%8), ref.Select(st.Snapshot(), i%8); got != want {
-			t.Fatalf("p=0 selector diverged from inner at %d: %d vs %d", i, got, want)
+		if got, want := schedule(t, p, i%8), schedule(t, ref, i%8); got != want {
+			t.Fatalf("p=0 policy diverged from plain RR at %d: %d vs %d", i, got, want)
 		}
 	}
 }
 
 func TestProximitySelectorRespectsAlarms(t *testing.T) {
 	st := zipfState(t, 35, 8)
-	m, err := RingLatencies(8, st.Snapshot().Cluster().N(), 20, 160)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sel, err := NewProximitySelector(NewRR(), m, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nearest := sel.Select(st.Snapshot(), 0)
+	p, _ := geoPolicy(t, st, "RR", 1, nil)
+	nearest := schedule(t, p, 0)
 	st.SetAlarm(nearest, true)
 	for i := 0; i < 20; i++ {
-		if got := sel.Select(st.Snapshot(), 0); got == nearest {
+		if got := schedule(t, p, 0); got == nearest {
 			t.Fatal("alarmed nearest server still selected")
 		}
 	}
@@ -120,15 +123,7 @@ func TestProximitySelectorRespectsAlarms(t *testing.T) {
 
 func TestProximitySelectorMixedPreference(t *testing.T) {
 	st := zipfState(t, 35, 8)
-	m, err := RingLatencies(8, st.Snapshot().Cluster().N(), 20, 160)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := simcore.NewStream(11, "geo")
-	sel, err := NewProximitySelector(NewRR(), m, 0.5, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p, m := geoPolicy(t, st, "RR", 0.5, simcore.NewStream(11, "geo"))
 	nearest := 0
 	for i := 1; i < st.Snapshot().Cluster().N(); i++ {
 		if m.Latency(0, i) < m.Latency(0, nearest) {
@@ -138,7 +133,7 @@ func TestProximitySelectorMixedPreference(t *testing.T) {
 	hits := 0
 	const trials = 2000
 	for i := 0; i < trials; i++ {
-		if sel.Select(st.Snapshot(), 0) == nearest {
+		if schedule(t, p, 0) == nearest {
 			hits++
 		}
 	}
@@ -150,39 +145,34 @@ func TestProximitySelectorMixedPreference(t *testing.T) {
 	}
 }
 
-func TestNewProximitySelectorValidation(t *testing.T) {
+// NewPolicy refuses every proximity configuration the step could not
+// run: no matrix, a preference outside [0,1], and a fractional
+// preference with nothing to draw it.
+func TestNewPolicyProximityValidation(t *testing.T) {
+	st := zipfState(t, 35, 4)
 	m, err := RingLatencies(4, 4, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewProximitySelector(nil, m, 0.5, nil); err == nil {
-		t.Error("nil inner should error")
+	rng := simcore.NewStream(1, "geo-validation")
+	for _, c := range []struct {
+		what string
+		pc   ProximityConfig
+		rng  Rand
+	}{
+		{"nil matrix", ProximityConfig{Preference: 0.5}, rng},
+		{"preference > 1", ProximityConfig{Matrix: m, Preference: 1.5}, rng},
+		{"preference < 0", ProximityConfig{Matrix: m, Preference: -0.5}, rng},
+		{"fractional preference without Rand", ProximityConfig{Matrix: m, Preference: 0.5}, nil},
+	} {
+		if _, err := NewPolicy(PolicyConfig{Name: "RR", State: st, Rand: c.rng, Proximity: &c.pc}); err == nil {
+			t.Errorf("%s should error", c.what)
+		}
 	}
-	if _, err := NewProximitySelector(NewRR(), nil, 0.5, nil); err == nil {
-		t.Error("nil matrix should error")
-	}
-	if _, err := NewProximitySelector(NewRR(), m, 1.5, nil); err == nil {
-		t.Error("preference > 1 should error")
-	}
-	if _, err := NewProximitySelector(NewRR(), m, 0.5, nil); err == nil {
-		t.Error("fractional preference without Rand should error")
-	}
-}
-
-func TestMeanLatency(t *testing.T) {
-	m, err := NewLatencyMatrix(2, 2, []float64{10, 50, 50, 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Both domains assigned to their near server: mean = 10.
-	got := m.MeanLatency([]float64{0.5, 0.5}, func(d int) int { return d })
-	if math.Abs(got-10) > 1e-9 {
-		t.Errorf("MeanLatency = %v, want 10", got)
-	}
-	// Crossed assignment: mean = 50.
-	got = m.MeanLatency([]float64{0.5, 0.5}, func(d int) int { return 1 - d })
-	if math.Abs(got-50) > 1e-9 {
-		t.Errorf("MeanLatency = %v, want 50", got)
+	for _, pref := range []float64{0, 1} {
+		if _, err := NewPolicy(PolicyConfig{Name: "RR", State: st, Proximity: &ProximityConfig{Matrix: m, Preference: pref}}); err != nil {
+			t.Errorf("preference %v needs no Rand: %v", pref, err)
+		}
 	}
 }
 

@@ -28,8 +28,8 @@ func (l *lockedRand) Float64() float64 {
 
 // LockRand wraps a Rand with a mutex so it can be shared by concurrent
 // callers. It is idempotent: an already-locked Rand is returned as is,
-// so components that share one generator (a selector and its proximity
-// wrapper) also share one lock. A nil Rand stays nil.
+// so components that share one generator (a policy's selector and its
+// proximity step) also share one lock. A nil Rand stays nil.
 func LockRand(r Rand) Rand {
 	if r == nil {
 		return nil

@@ -6,215 +6,116 @@ import (
 )
 
 // Selector chooses the Web server for an address request against one
-// immutable state snapshot.
+// immutable state snapshot. Select returns the index of the chosen
+// server for a request from the given domain, or -1 when no server is
+// available (every server is marked down).
 //
-// Selectors are stateful (round-robin pointers, accumulated loads) but
-// safe for concurrent use: the rotation pointers are atomics and the
+// Selectors are stateful (rotation cursors, accumulated loads) but safe
+// for concurrent use: the rotation cursors are atomics and the
 // accounting selectors (WRR, DAL, MRL) take a small internal lock.
 // Under concurrent callers the round-robin rotation is approximate —
 // two simultaneous requests may pick the same server — while
 // single-threaded call sequences reproduce the paper's behavior
 // exactly, which keeps the simulator deterministic.
 type Selector interface {
-	// Select returns the index of the chosen server for an address
-	// request originating from the given domain, or -1 when no server
-	// is available (every server is marked down).
 	Select(sn *Snapshot, domain int) int
-	// Name returns the selector's name as used in the paper (RR, RR2,
-	// PRR, PRR2, DAL).
-	Name() string
 }
 
-// rrSelector implements the conventional round-robin policy used by
-// the NCSA multi-server prototype: servers are assigned cyclically,
-// skipping servers that declared themselves critically loaded. The
-// rotation pointer is a lock-free atomic.
-type rrSelector struct {
-	last atomic.Int64
+// rotation is the paper's round-robin family — RR, RR2, PRR and PRR2 —
+// as one scan with two switches. Starting after the class's cursor it
+// skips unavailable servers (alarmed ones unless every eligible server
+// is alarmed, and always down, draining and retired ones):
+//
+//   - twoTier gives each domain class, hot and normal, its own cursor
+//     (the "2" variants), so consecutive requests from hot domains are
+//     not funnelled to the same server;
+//   - a non-nil rng makes the scan probabilistic (PRR): an available
+//     candidate i is accepted with probability α_i, its relative
+//     capacity, over at most two cycles. Because α_1 = 1 a cycle almost
+//     always accepts; only extreme rounding of α reaches the
+//     deterministic pass that follows.
+//
+// The deterministic pass — the whole of RR — takes the next available
+// server. The cursors are lock-free atomics.
+type rotation struct {
+	last    [2]atomic.Int64 // indexed by class - ClassNormal; [0] alone unless twoTier
+	twoTier bool
+	rng     Rand
 }
 
-// NewRR returns the round-robin selector, the paper's lower-bound
-// baseline.
-func NewRR() Selector {
-	r := &rrSelector{}
-	r.last.Store(-1)
-	return r
-}
-
-func (r *rrSelector) Name() string { return "RR" }
-
-func (r *rrSelector) Select(sn *Snapshot, _ int) int {
-	n := sn.Cluster().N()
-	last := int(r.last.Load())
-	for k := 1; k <= n; k++ {
-		i := (last + k) % n
-		if sn.available(i) {
-			r.last.Store(int64(i))
-			return i
-		}
-	}
-	// Every server is down: availability only rejects the whole cluster
-	// on liveness, never on alarms alone.
-	return -1
-}
-
-func (r *rrSelector) cursors() []int64 { return []int64{r.last.Load()} }
-
-func (r *rrSelector) restoreCursors(c []int64) bool {
-	if len(c) != 1 {
-		return false
-	}
-	r.last.Store(c[0])
-	return true
-}
-
-// rr2Selector implements the two-tier round-robin policy (RR2): the
-// domains are partitioned into a normal and a hot class, and each
-// class round-robins independently so that consecutive requests from
-// hot domains are not funnelled to the same server.
-type rr2Selector struct {
-	last [2]atomic.Int64 // indexed by class - ClassNormal
-}
-
-// NewRR2 returns the two-tier round-robin selector.
-func NewRR2() Selector {
-	r := &rr2Selector{}
+func newRotation(twoTier bool, rng Rand) *rotation {
+	r := &rotation{twoTier: twoTier, rng: rng}
 	r.last[0].Store(-1)
 	r.last[1].Store(-1)
 	return r
 }
 
-func (r *rr2Selector) Name() string { return "RR2" }
-
-func (r *rr2Selector) Select(sn *Snapshot, domain int) int {
-	p := &r.last[sn.Class(domain)-ClassNormal]
+func (r *rotation) Select(sn *Snapshot, domain int) int {
+	cursor := &r.last[0]
+	if r.twoTier {
+		cursor = &r.last[sn.Class(domain)-ClassNormal]
+	}
 	n := sn.Cluster().N()
-	last := int(p.Load())
+	last := int(cursor.Load())
+	if r.rng != nil {
+		for k := 1; k <= 2*n; k++ {
+			if i := (last + k) % n; sn.available(i) && r.rng.Float64() <= sn.Alpha(i) {
+				cursor.Store(int64(i))
+				return i
+			}
+		}
+	}
 	for k := 1; k <= n; k++ {
-		i := (last + k) % n
-		if sn.available(i) {
-			p.Store(int64(i))
+		if i := (last + k) % n; sn.available(i) {
+			cursor.Store(int64(i))
 			return i
 		}
 	}
 	return -1
 }
 
-func (r *rr2Selector) cursors() []int64 {
-	return []int64{r.last[0].Load(), r.last[1].Load()}
+// cursors returns the rotation position: one cursor, or [normal, hot]
+// for the two-tier variants.
+func (r *rotation) cursors() []int64 {
+	if r.twoTier {
+		return []int64{r.last[0].Load(), r.last[1].Load()}
+	}
+	return []int64{r.last[0].Load()}
 }
 
-func (r *rr2Selector) restoreCursors(c []int64) bool {
-	if len(c) != 2 {
+// restoreCursors reinstates a vector captured by cursors. It refuses a
+// vector of the wrong length, or one holding a cursor outside [-1, n)
+// for n server slots, which would index outside the cluster.
+func (r *rotation) restoreCursors(c []int64, n int) bool {
+	if len(c) != len(r.cursors()) {
 		return false
 	}
-	r.last[0].Store(c[0])
-	r.last[1].Store(c[1])
+	for _, v := range c {
+		if v < -1 || v >= int64(n) {
+			return false
+		}
+	}
+	for k, v := range c {
+		r.last[k].Store(v)
+	}
 	return true
 }
 
-// prrSelector implements probabilistic round robin (PRR): starting
-// from the successor of the last chosen server, candidate S_i is
-// accepted with probability α_i (its relative capacity), otherwise the
-// scan moves on. Because α_1 = 1, a full cycle always terminates.
-type prrSelector struct {
-	last atomic.Int64
-	rng  Rand
-}
-
-// NewPRR returns the probabilistic round-robin selector, which extends
-// RR to heterogeneous servers by capacity-proportional skipping. The
-// generator is wrapped with LockRand for concurrent callers.
-func NewPRR(rng Rand) Selector {
-	p := &prrSelector{rng: LockRand(rng)}
-	p.last.Store(-1)
-	return p
-}
-
-func (p *prrSelector) Name() string { return "PRR" }
-
-func (p *prrSelector) Select(sn *Snapshot, _ int) int {
-	i := probScan(sn, int(p.last.Load()), p.rng)
-	if i >= 0 {
-		p.last.Store(int64(i))
-	}
-	return i
-}
-
-func (p *prrSelector) cursors() []int64 { return []int64{p.last.Load()} }
-
-func (p *prrSelector) restoreCursors(c []int64) bool {
-	if len(c) != 1 {
-		return false
-	}
-	p.last.Store(c[0])
-	return true
-}
-
-// prr2Selector is PRR with the RR2 two-tier class structure: one
-// probabilistic round-robin pointer per domain class.
-type prr2Selector struct {
-	last [2]atomic.Int64 // indexed by class - ClassNormal
-	rng  Rand
-}
-
-// NewPRR2 returns the two-tier probabilistic round-robin selector. The
-// generator is wrapped with LockRand for concurrent callers.
-func NewPRR2(rng Rand) Selector {
-	p := &prr2Selector{rng: LockRand(rng)}
-	p.last[0].Store(-1)
-	p.last[1].Store(-1)
-	return p
-}
-
-func (p *prr2Selector) Name() string { return "PRR2" }
-
-func (p *prr2Selector) Select(sn *Snapshot, domain int) int {
-	ptr := &p.last[sn.Class(domain)-ClassNormal]
-	i := probScan(sn, int(ptr.Load()), p.rng)
-	if i >= 0 {
-		ptr.Store(int64(i))
-	}
-	return i
-}
-
-func (p *prr2Selector) cursors() []int64 {
-	return []int64{p.last[0].Load(), p.last[1].Load()}
-}
-
-func (p *prr2Selector) restoreCursors(c []int64) bool {
-	if len(c) != 2 {
-		return false
-	}
-	p.last[0].Store(c[0])
-	p.last[1].Store(c[1])
-	return true
-}
-
-// probScan performs the paper's probabilistic scan: starting after
-// `last`, accept server i with probability α_i; skip alarmed and down
-// servers outright. The scan is bounded: after two full unavailing
-// cycles it falls back to the next available server deterministically
-// (this can only happen through extreme rounding of α, not in
-// practice). When every server is down it returns -1.
-func probScan(sn *Snapshot, last int, rng Rand) int {
-	n := sn.Cluster().N()
-	for k := 1; k <= 2*n; k++ {
-		i := (last + k) % n
+// leastLoaded returns the available server with the smallest load per
+// unit of relative capacity, the lowest index on a tie, or -1 when no
+// server is available. It is the choice rule of DAL and MRL, which
+// differ only in how they account the load.
+func leastLoaded(sn *Snapshot, load []float64) int {
+	best, bestScore := -1, 0.0
+	for i, l := range load {
 		if !sn.available(i) {
 			continue
 		}
-		if rng.Float64() <= sn.Alpha(i) {
-			return i
+		if score := l / sn.Alpha(i); best == -1 || score < bestScore {
+			best, bestScore = i, score
 		}
 	}
-	for k := 1; k <= n; k++ {
-		i := (last + k) % n
-		if sn.available(i) {
-			return i
-		}
-	}
-	return -1
+	return best
 }
 
 // dalEntry is one outstanding address mapping tracked by the DAL
@@ -281,15 +182,15 @@ func NewDAL(now func() float64, ttl float64) Selector {
 	return &dalSelector{now: now, ttl: ttl}
 }
 
-func (d *dalSelector) Name() string { return "DAL" }
-
 func (d *dalSelector) Select(sn *Snapshot, domain int) int {
 	n := sn.Cluster().N()
 	t := d.now()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if len(d.load) != n {
-		d.load = make([]float64, n)
+	// Slots are never renumbered, so a joined server extends the ledger
+	// and every pending entry keeps its server's load.
+	if grow := n - len(d.load); grow > 0 {
+		d.load = append(d.load, make([]float64, grow)...)
 	}
 	for len(d.pending) > 0 && d.pending[0].expire <= t {
 		e := d.pending.pop()
@@ -298,16 +199,7 @@ func (d *dalSelector) Select(sn *Snapshot, domain int) int {
 			d.load[e.server] = 0
 		}
 	}
-	best, bestScore := -1, 0.0
-	for i := 0; i < n; i++ {
-		if !sn.available(i) {
-			continue
-		}
-		score := d.load[i] / sn.Alpha(i)
-		if best == -1 || score < bestScore {
-			best, bestScore = i, score
-		}
-	}
+	best := leastLoaded(sn, d.load[:n])
 	if best == -1 {
 		return -1
 	}

@@ -23,12 +23,19 @@ func zipfState(t *testing.T, level int, k int) *State {
 	return st
 }
 
+// allSelectors returns one of every selector: the four rotation
+// variants and the three ledger selectors.
+func allSelectors(rng Rand, now func() float64) map[string]Selector {
+	return map[string]Selector{
+		"RR": newRotation(false, nil), "RR2": newRotation(true, nil),
+		"PRR": newRotation(false, rng), "PRR2": newRotation(true, rng),
+		"WRR": NewWRR(), "DAL": NewDAL(now, 240), "MRL": NewMRL(now, 240),
+	}
+}
+
 func TestRRCycles(t *testing.T) {
 	st := zipfState(t, 20, 20)
-	sel := NewRR()
-	if sel.Name() != "RR" {
-		t.Errorf("Name = %q", sel.Name())
-	}
+	sel := newRotation(false, nil)
 	n := st.Snapshot().Cluster().N()
 	for round := 0; round < 3; round++ {
 		for want := 0; want < n; want++ {
@@ -41,7 +48,7 @@ func TestRRCycles(t *testing.T) {
 
 func TestRRSkipsAlarmed(t *testing.T) {
 	st := zipfState(t, 20, 20)
-	sel := NewRR()
+	sel := newRotation(false, nil)
 	st.SetAlarm(1, true)
 	st.SetAlarm(2, true)
 	var got []int
@@ -69,10 +76,7 @@ func TestRRSkipsAlarmed(t *testing.T) {
 
 func TestRR2IndependentPointersPerClass(t *testing.T) {
 	st := zipfState(t, 20, 20)
-	sel := NewRR2()
-	if sel.Name() != "RR2" {
-		t.Errorf("Name = %q", sel.Name())
-	}
+	sel := newRotation(true, nil)
 	// Domain 0 is hot, domain 19 is normal: each class starts its own
 	// cycle at server 0.
 	if got := sel.Select(st.Snapshot(), 0); got != 0 {
@@ -94,10 +98,7 @@ func TestPRRCapacityProportionalAssignment(t *testing.T) {
 	// address requests roughly proportionally to α.
 	st := zipfState(t, 50, 20)
 	rng := simcore.NewStream(42, "prr")
-	sel := NewPRR(rng)
-	if sel.Name() != "PRR" {
-		t.Errorf("Name = %q", sel.Name())
-	}
+	sel := newRotation(false, rng)
 	n := st.Snapshot().Cluster().N()
 	counts := make([]float64, n)
 	const trials = 140000
@@ -120,10 +121,7 @@ func TestPRRCapacityProportionalAssignment(t *testing.T) {
 func TestPRR2ClassSeparation(t *testing.T) {
 	st := zipfState(t, 35, 20)
 	rng := simcore.NewStream(7, "prr2")
-	sel := NewPRR2(rng)
-	if sel.Name() != "PRR2" {
-		t.Errorf("Name = %q", sel.Name())
-	}
+	sel := newRotation(true, rng)
 	// Both classes should produce capacity-proportional assignment.
 	n := st.Snapshot().Cluster().N()
 	hot := make([]float64, n)
@@ -151,7 +149,7 @@ func TestPRR2ClassSeparation(t *testing.T) {
 func TestPRRSkipsAlarmed(t *testing.T) {
 	st := zipfState(t, 50, 20)
 	rng := simcore.NewStream(3, "prr-alarm")
-	sel := NewPRR(rng)
+	sel := newRotation(false, rng)
 	st.SetAlarm(0, true)
 	st.SetAlarm(1, true)
 	for i := 0; i < 1000; i++ {
@@ -166,9 +164,6 @@ func TestDALPrefersLeastLoadedPerCapacity(t *testing.T) {
 	st := zipfState(t, 50, 20)
 	now := 0.0
 	sel := NewDAL(func() float64 { return now }, 240)
-	if sel.Name() != "DAL" {
-		t.Errorf("Name = %q", sel.Name())
-	}
 	// First request (hot domain 0) goes to some empty server; repeat
 	// requests from the hottest domain must spread because accumulated
 	// load penalizes the previous choice.
@@ -226,16 +221,46 @@ func TestDALRespectsAlarms(t *testing.T) {
 	}
 }
 
+// A server that joins starts empty while the others keep the load
+// their outstanding mappings pin, so DAL sends it the next request.
+func TestDALKeepsLoadAcrossJoin(t *testing.T) {
+	st, err := NewState(MustCluster([]float64{100, 100}), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol, err := NewPolicy(PolicyConfig{Name: "DAL", State: st, Now: func() float64 { return 0 }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := 0; j < 2; j++ {
+		if _, err := pol.Schedule(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	joined, err := st.AddServer(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := pol.Schedule(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Server != joined {
+		t.Errorf("first pick after the join = server %d, want the empty new server %d", d.Server, joined)
+	}
+}
+
 func TestSelectorsAlwaysInRange(t *testing.T) {
 	st := zipfState(t, 65, 20)
 	rng := simcore.NewStream(9, "range")
 	now := 0.0
-	selectors := []Selector{
-		NewRR(), NewRR2(), NewPRR(rng), NewPRR2(rng),
-		NewDAL(func() float64 { now += 1; return now }, 240),
+	selectors := map[string]Selector{
+		"RR": newRotation(false, nil), "RR2": newRotation(true, nil),
+		"PRR": newRotation(false, rng), "PRR2": newRotation(true, rng),
+		"DAL": NewDAL(func() float64 { now += 1; return now }, 240),
 	}
 	n := st.Snapshot().Cluster().N()
-	for _, sel := range selectors {
+	for name, sel := range selectors {
 		for i := 0; i < 2000; i++ {
 			if i == 500 {
 				st.SetAlarm(i%n, true)
@@ -245,7 +270,7 @@ func TestSelectorsAlwaysInRange(t *testing.T) {
 			}
 			got := sel.Select(st.Snapshot(), i%20)
 			if got < 0 || got >= n {
-				t.Fatalf("%s returned out-of-range server %d", sel.Name(), got)
+				t.Fatalf("%s returned out-of-range server %d", name, got)
 			}
 		}
 	}
@@ -254,11 +279,7 @@ func TestSelectorsAlwaysInRange(t *testing.T) {
 func TestSelectorsSkipDownServers(t *testing.T) {
 	rng := simcore.NewStream(7, "down")
 	now := func() float64 { return 0 }
-	selectors := []Selector{
-		NewRR(), NewRR2(), NewPRR(rng), NewPRR2(rng), NewWRR(),
-		NewDAL(now, 240), NewMRL(now, 240),
-	}
-	for _, sel := range selectors {
+	for name, sel := range allSelectors(rng, now) {
 		st := zipfState(t, 20, 20)
 		if err := st.SetDown(0, true); err != nil {
 			t.Fatal(err)
@@ -269,10 +290,10 @@ func TestSelectorsSkipDownServers(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			got := sel.Select(st.Snapshot(), i%20)
 			if got == 0 || got == 4 {
-				t.Errorf("%s: selected down server %d", sel.Name(), got)
+				t.Errorf("%s: selected down server %d", name, got)
 			}
 			if got < 0 {
-				t.Errorf("%s: no-server answer with live servers remaining", sel.Name())
+				t.Errorf("%s: no-server answer with live servers remaining", name)
 			}
 		}
 	}
@@ -281,11 +302,7 @@ func TestSelectorsSkipDownServers(t *testing.T) {
 func TestSelectorsReturnNoServerWhenAllDown(t *testing.T) {
 	rng := simcore.NewStream(7, "alldown")
 	now := func() float64 { return 0 }
-	selectors := []Selector{
-		NewRR(), NewRR2(), NewPRR(rng), NewPRR2(rng), NewWRR(),
-		NewDAL(now, 240), NewMRL(now, 240),
-	}
-	for _, sel := range selectors {
+	for name, sel := range allSelectors(rng, now) {
 		st := zipfState(t, 20, 20)
 		n := st.Snapshot().Cluster().N()
 		for i := 0; i < n; i++ {
@@ -294,14 +311,14 @@ func TestSelectorsReturnNoServerWhenAllDown(t *testing.T) {
 			}
 		}
 		if got := sel.Select(st.Snapshot(), 0); got != -1 {
-			t.Errorf("%s: Select = %d with all servers down, want -1", sel.Name(), got)
+			t.Errorf("%s: Select = %d with all servers down, want -1", name, got)
 		}
 		// Recovery restores selection.
 		if err := st.SetDown(2, false); err != nil {
 			t.Fatal(err)
 		}
 		if got := sel.Select(st.Snapshot(), 0); got != 2 {
-			t.Errorf("%s: Select = %d after recovery of server 2", sel.Name(), got)
+			t.Errorf("%s: Select = %d after recovery of server 2", name, got)
 		}
 	}
 }

@@ -64,12 +64,6 @@ func (v TTLVariant) String() string {
 	return fmt.Sprintf("TTL/S_%d", int(v.Classes))
 }
 
-// Adaptive reports whether the variant adapts the TTL at all: TTL/1 is
-// the constant-TTL degenerate case.
-func (v TTLVariant) Adaptive() bool {
-	return v.Classes != OneClass || v.ServerAware
-}
-
 const (
 	// maxTTL caps any adaptive TTL at one day; it only binds for
 	// degenerate weight estimates (a domain that was never observed).

@@ -25,15 +25,6 @@ func TestTTLVariantString(t *testing.T) {
 			t.Errorf("String() = %q, want %q", got, tt.want)
 		}
 	}
-	if (TTLVariant{Classes: OneClass}).Adaptive() {
-		t.Error("TTL/1 is not adaptive")
-	}
-	if !(TTLVariant{Classes: PerDomain}).Adaptive() {
-		t.Error("TTL/K is adaptive")
-	}
-	if !(TTLVariant{Classes: OneClass, ServerAware: true}).Adaptive() {
-		t.Error("TTL/S_1 is adaptive")
-	}
 }
 
 func TestNewTTLPolicyValidation(t *testing.T) {

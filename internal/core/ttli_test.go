@@ -279,9 +279,6 @@ func TestMRLSelector(t *testing.T) {
 	st := zipfState(t, 50, 20)
 	now := 0.0
 	sel := NewMRL(func() float64 { return now }, 240)
-	if sel.Name() != "MRL" {
-		t.Errorf("Name = %q", sel.Name())
-	}
 	// Consecutive hot-domain requests spread like DAL.
 	a := sel.Select(st.Snapshot(), 0)
 	b := sel.Select(st.Snapshot(), 0)
@@ -362,9 +359,6 @@ func TestWRRSmoothProportionalRotation(t *testing.T) {
 		t.Fatal(err)
 	}
 	sel := NewWRR()
-	if sel.Name() != "WRR" {
-		t.Errorf("Name = %q", sel.Name())
-	}
 	counts := make([]int, 2)
 	streak := 0
 	for i := 0; i < 300; i++ {

@@ -2,7 +2,7 @@ package core
 
 import "sync"
 
-// wrrSelector implements smooth weighted round robin (extension — the
+// smoothWRR implements smooth weighted round robin (extension — the
 // deterministic capacity-proportional rotation used by modern load
 // balancers such as nginx and weighted DNS services). It is the
 // natural present-day baseline next to the paper's probabilistic PRR:
@@ -16,18 +16,16 @@ import "sync"
 // sequence avoids bursts on the heavy server. The running values need
 // a consistent read-modify-write across all servers, so the selector
 // takes a local mutex (held for one O(N) pass).
-type wrrSelector struct {
+type smoothWRR struct {
 	mu      sync.Mutex
 	current []float64
 }
 
 // NewWRR returns the smooth weighted round-robin selector; weights are
 // the cluster's relative capacities.
-func NewWRR() Selector { return &wrrSelector{} }
+func NewWRR() Selector { return &smoothWRR{} }
 
-func (w *wrrSelector) Name() string { return "WRR" }
-
-func (w *wrrSelector) Select(sn *Snapshot, _ int) int {
+func (w *smoothWRR) Select(sn *Snapshot, _ int) int {
 	n := sn.Cluster().N()
 	w.mu.Lock()
 	defer w.mu.Unlock()

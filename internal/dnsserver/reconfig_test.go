@@ -3,10 +3,12 @@ package dnsserver
 import (
 	"context"
 	"fmt"
+	"math"
 	"net"
 	"net/netip"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -562,6 +564,33 @@ func TestCheckpointRejection(t *testing.T) {
 	cp.Estimator.Rates = cp.Estimator.Rates[:1]
 	if err := srv.RestoreCheckpoint(cp, 0); err == nil {
 		t.Error("malformed estimator state accepted")
+	}
+}
+
+// A checkpoint whose rotation cursors lie outside the cluster is
+// restored without them: the rotation starts fresh and the next A query
+// is answered, instead of every query panicking in the selector.
+func TestCheckpointOutOfRangeCursors(t *testing.T) {
+	for _, c := range []struct {
+		policy  string
+		cursors []int64
+	}{
+		{"RR2", []int64{-5, -5}},
+		{"RR", []int64{math.MaxInt64}},
+		{"PRR-TTL/1", []int64{7}},
+	} {
+		srv, _ := testServerNoStart(t, c.policy)
+		cp := srv.Checkpoint()
+		cp.Cursors = c.cursors
+		if err := srv.RestoreCheckpoint(cp, 0); err != nil {
+			t.Fatalf("%s: %v", c.policy, err)
+		}
+		if got := srv.policy.Cursors(); slices.Equal(got, c.cursors) {
+			t.Errorf("%s: out-of-range cursors %v restored", c.policy, got)
+		}
+		if i := answerServer(t, askA(t, srv)); i < 0 || i >= 7 {
+			t.Errorf("%s: answered server %d of 7", c.policy, i)
+		}
 	}
 }
 

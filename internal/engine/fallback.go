@@ -25,9 +25,9 @@ import (
 // and the estimator's decision feed.
 
 // fallbackState is the smooth-WRR accumulator for DecideFallback,
-// lazily sized. Same algorithm as core's WRR selector: add each
-// eligible server's weight to its running value, pick the largest,
-// subtract the total from the winner.
+// lazily sized: core's WRR algorithm (add each eligible weight, pick the
+// largest, subtract the total from it), kept a copy because it ignores
+// alarms, which a shared loop would have to branch on.
 type fallbackState struct {
 	mu      sync.Mutex
 	current []float64

@@ -214,13 +214,27 @@ func TestSweepFigureStructure(t *testing.T) {
 // Options.Workers fans a figure's runs (forEachLimit) and each point's
 // replications (sim.RunReplicationsParallel) across goroutines; both
 // promise the numbers of the sequential loop, bit for bit, for every
-// registered experiment.
+// registered experiment. One sweep per reading kind and one CDF figure
+// run at tinyOptions with two replications; every other experiment
+// runs the same comparison on a shortened config, which crosses the
+// same parallel path at a fraction of the cost.
 func TestWorkersDoNotChangeFigures(t *testing.T) {
-	o := tinyOptions()
-	o.Reps = 2
+	full := map[string]bool{
+		"ext-load":     true, // Prob(maxUtil < 0.98), the default reading
+		"ext-forecast": true, // alarm delay
+		"ext-failures": true, // lost-page share
+		"ext-probes":   true, // detection delay
+		"ext-geo":      true, // mean latency
+		"fig1":         true, // cdfFigure
+	}
 	for _, id := range IDs() {
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
+			o := Options{Duration: 60, Reps: 1, Seed: 1}
+			if full[id] {
+				o = tinyOptions()
+				o.Reps = 2
+			}
 			seq, par := o, o
 			seq.Workers, par.Workers = 1, 4
 			want, err := Registry[id](seq)
