@@ -76,7 +76,7 @@ func runGen(args []string, out io.Writer) error {
 	wl.Clients = *clients
 	wl.PerturbationPct = *errPct
 	wl.Uniform = *uniform
-	records, err := trace.Generate(wl, *duration, *seed)
+	records, err := dnslb.GenerateTrace(wl, *duration, *seed)
 	if err != nil {
 		return err
 	}

@@ -44,7 +44,6 @@ import (
 	"dnslb/internal/metrics"
 	"dnslb/internal/probe"
 	"dnslb/internal/sim"
-	"dnslb/internal/trace"
 	"dnslb/internal/workload"
 )
 
@@ -138,7 +137,7 @@ var (
 	DefaultWorkload = workload.Default
 	// GenerateTrace synthesizes a workload trace that replays exactly
 	// like a live simulation with the same seed.
-	GenerateTrace = trace.Generate
+	GenerateTrace = sim.GenerateTrace
 	// Outage builds the crash+recover fault pair for one server.
 	Outage = sim.Outage
 )

@@ -1,10 +1,12 @@
 // Package backend provides a capacity-limited HTTP Web server with a
 // self-reporting load agent: the real-network counterpart of the
-// simulator's webserver model. Requests consume service time from a
-// single work queue sized by the server's capacity in hits/second;
-// the agent measures busy-time utilization per interval and pushes
-// ALARM / HITS / ROLL lines to the DNS load-report socket, closing the
-// paper's asynchronous feedback loop over real sockets.
+// simulator's Web servers, running the same queue model
+// (internal/webserver) on a wall clock. Requests consume service time
+// from a single FIFO queue sized by the server's capacity in
+// hits/second; the agent closes one busy-time utilization window per
+// interval and pushes ALARM / HITS / ROLL lines to the DNS load-report
+// socket, closing the paper's asynchronous feedback loop over real
+// sockets.
 //
 // The agent reports through one reportlink.Link. Each new connection
 // opens with the agent's hello: with AdvertiseAddr set, a JOIN that
@@ -15,7 +17,6 @@
 package backend
 
 import (
-	"errors"
 	"fmt"
 	"log/slog"
 	"net"
@@ -29,6 +30,7 @@ import (
 	"dnslb/internal/logging"
 	"dnslb/internal/metrics"
 	"dnslb/internal/reportlink"
+	"dnslb/internal/webserver"
 )
 
 // Config configures a backend server.
@@ -86,15 +88,13 @@ type Config struct {
 type Server struct {
 	cfg Config
 
-	mu         sync.Mutex
-	busyUntil  time.Time
-	creditTo   time.Time
-	credited   time.Duration // cumulative busy time
-	winStart   time.Time
-	winCredit  time.Duration
-	domainHits []float64
-	totalHits  uint64
-	alarmed    bool
+	// mu guards the queue, its clock origin and the alarm state. The
+	// queue runs in seconds since start, read under mu so it never sees
+	// time go backwards.
+	mu      sync.Mutex
+	queue   *webserver.Server
+	start   time.Time
+	alarmed bool
 
 	// idx is the slot index used in index-bearing report lines: the
 	// configured ServerIndex, or (with AdvertiseAddr) the index the DNS
@@ -121,11 +121,9 @@ type agentMetrics struct {
 
 // New creates a backend server; call Start.
 func New(cfg Config) (*Server, error) {
-	if cfg.Capacity <= 0 {
-		return nil, fmt.Errorf("backend: capacity %v must be positive", cfg.Capacity)
-	}
-	if cfg.Domains <= 0 {
-		return nil, errors.New("backend: Domains must be positive")
+	queue, err := webserver.New(cfg.Capacity, cfg.Domains)
+	if err != nil {
+		return nil, fmt.Errorf("backend: %w", err)
 	}
 	if cfg.UtilizationInterval <= 0 {
 		cfg.UtilizationInterval = 8 * time.Second
@@ -147,11 +145,11 @@ func New(cfg Config) (*Server, error) {
 		logger = logging.Discard()
 	}
 	s := &Server{
-		cfg:        cfg,
-		domainHits: make([]float64, cfg.Domains),
-		stop:       make(chan struct{}),
-		done:       make(chan struct{}),
-		logger:     logger,
+		cfg:    cfg,
+		queue:  queue,
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
+		logger: logger,
 	}
 	s.link = reportlink.New(cfg.ReportAddr, s.hello)
 	if cfg.AdvertiseAddr != "" {
@@ -197,9 +195,8 @@ func (s *Server) Start() error {
 		return fmt.Errorf("backend: listen: %w", err)
 	}
 	s.listener = ln
-	now := time.Now()
 	s.mu.Lock()
-	s.busyUntil, s.creditTo, s.winStart = now, now, now
+	s.start = time.Now()
 	s.mu.Unlock()
 
 	mux := http.NewServeMux()
@@ -260,26 +257,17 @@ func (s *Server) retire() {
 func (s *Server) handle(w http.ResponseWriter, r *http.Request) {
 	hits := max(1, intParam(r, "X-Hits", "hits", 1))
 	domain := intParam(r, "X-Domain", "domain", 0)
-	service := time.Duration(float64(hits) / s.cfg.Capacity * float64(time.Second))
 
-	now := time.Now()
 	s.mu.Lock()
-	s.advanceLocked(now)
-	if s.busyUntil.Before(now) {
-		s.busyUntil = now
-	}
-	s.busyUntil = s.busyUntil.Add(service)
-	finish := s.busyUntil
-	s.totalHits += uint64(hits)
-	if domain >= 0 && domain < len(s.domainHits) {
-		s.domainHits[domain] += float64(hits)
-	}
+	now := s.nowLocked()
+	s.queue.Arrive(now, domain, hits)
+	backlog := s.queue.Backlog(now)
 	s.mu.Unlock()
 
 	if !s.cfg.Simulate {
 		// The response leaves when the queued work completes, so
 		// clients observe real queueing latency.
-		if wait := time.Until(finish); wait > 0 {
+		if wait := time.Duration(backlog * float64(time.Second)); wait > 0 {
 			select {
 			case <-time.After(wait):
 			case <-s.stop:
@@ -304,30 +292,13 @@ func intParam(r *http.Request, header, query string, def int) int {
 	return def
 }
 
-// advanceLocked credits busy time up to now; callers hold mu.
-func (s *Server) advanceLocked(now time.Time) {
-	if !now.After(s.creditTo) {
-		return
-	}
-	busyEnd := s.busyUntil
-	if busyEnd.After(now) {
-		busyEnd = now
-	}
-	if busyEnd.After(s.creditTo) {
-		s.credited += busyEnd.Sub(s.creditTo)
-	}
-	s.creditTo = now
-}
-
-// utilLocked returns the busy fraction of the window open since
-// winStart, credited up to now; callers hold mu.
-func (s *Server) utilLocked(now time.Time) float64 {
-	s.advanceLocked(now)
-	window := now.Sub(s.winStart)
-	if window <= 0 {
+// nowLocked returns the queue's clock: seconds since Start, and 0
+// before it; callers hold mu.
+func (s *Server) nowLocked() float64 {
+	if s.start.IsZero() {
 		return 0
 	}
-	return max(0, min(1, float64(s.credited-s.winCredit)/float64(window)))
+	return time.Since(s.start).Seconds()
 }
 
 // Utilization returns the busy fraction since the last agent window
@@ -335,14 +306,14 @@ func (s *Server) utilLocked(now time.Time) float64 {
 func (s *Server) Utilization() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.utilLocked(time.Now())
+	return s.queue.Utilization(s.nowLocked())
 }
 
 // TotalHits returns the hits served since Start.
 func (s *Server) TotalHits() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.totalHits
+	return s.queue.TotalHits()
 }
 
 // Alarmed reports whether the last closed window exceeded θ.
@@ -354,14 +325,11 @@ func (s *Server) Alarmed() bool {
 
 // closeWindow closes one utilization window and returns its per-domain
 // hits and whether the alarm state flipped.
-func (s *Server) closeWindow(now time.Time) (hits []float64, flipped bool) {
+func (s *Server) closeWindow() (hits []float64, flipped bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	over := s.utilLocked(now) > s.cfg.AlarmThreshold
-	s.winStart = now
-	s.winCredit = s.credited
-	hits = s.domainHits
-	s.domainHits = make([]float64, len(hits))
+	over := s.queue.CloseWindow(s.nowLocked()) > s.cfg.AlarmThreshold
+	hits = s.queue.TakeDomainHits()
 	flipped = over != s.alarmed
 	s.alarmed = over
 	return hits, flipped
@@ -376,8 +344,8 @@ func (s *Server) agentLoop() {
 		select {
 		case <-s.stop:
 			return
-		case now := <-ticker.C:
-			hits, flipped := s.closeWindow(now)
+		case <-ticker.C:
+			hits, flipped := s.closeWindow()
 			if s.cfg.ReportAddr == "" {
 				continue
 			}

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/netip"
+	"sync"
 	"testing"
 	"time"
 
@@ -110,6 +111,51 @@ func TestUtilizationTracksLoad(t *testing.T) {
 	u = s.Utilization()
 	if u > 0.8 {
 		t.Errorf("post-drain utilization = %v, want decaying", u)
+	}
+}
+
+// TestConcurrentRequestsShareOneQueue drives the one queue from several
+// request goroutines while the agent closes windows and a reader polls
+// the live gauge: no hit is lost and every reading stays in [0, 1].
+func TestConcurrentRequestsShareOneQueue(t *testing.T) {
+	s := startBackend(t, Config{Capacity: 1000, Domains: 2, Simulate: true,
+		UtilizationInterval: 5 * time.Millisecond})
+	const senders, requests = 4, 25
+	stop := make(chan struct{})
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if u := s.Utilization(); u < 0 || u > 1 {
+				t.Errorf("live utilization %v outside [0, 1]", u)
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	wg.Add(senders)
+	for g := range senders {
+		go func() {
+			defer wg.Done()
+			for range requests {
+				resp, err := http.Get(fmt.Sprintf("http://%s/?hits=2&domain=%d", s.Addr(), g%2))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				resp.Body.Close()
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-readerDone
+	if got, want := s.TotalHits(), uint64(senders*requests*2); got != want {
+		t.Errorf("TotalHits = %d, want %d", got, want)
 	}
 }
 

@@ -31,9 +31,6 @@ func New(minTTL float64) (*Cache, error) {
 	return &Cache{minTTL: minTTL}, nil
 }
 
-// MinTTL returns the cache's minimum accepted TTL.
-func (c *Cache) MinTTL() float64 { return c.minTTL }
-
 // Lookup returns the cached server if the mapping is still valid at
 // time now. ok is false on a cache miss (expired or never stored); the
 // caller must then ask the site's DNS and Store the answer.
@@ -66,13 +63,6 @@ func (c *Cache) Store(now float64, server int, ttl float64) float64 {
 	c.valid = true
 	return effective
 }
-
-// Invalidate drops the cached mapping.
-func (c *Cache) Invalidate() { c.valid = false }
-
-// Expiry returns the virtual time the current mapping lapses; it is
-// meaningful only while a Lookup would succeed.
-func (c *Cache) Expiry() float64 { return c.expire }
 
 // Stats reports cache effectiveness counters.
 type Stats struct {

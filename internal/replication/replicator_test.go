@@ -162,7 +162,10 @@ func TestReplicatorSurvivesPeerLossAndResyncs(t *testing.T) {
 	}
 	r.Start()
 	defer r.Stop()
-	waitFor(t, "connect", func() bool { return r.ConnectedPeers() == 1 })
+	// The link reports itself up before it ships the initial snapshot,
+	// so wait for that first full sync to be counted: cutting the peer
+	// earlier can kill it, leaving only the post-heal one.
+	waitFor(t, "initial full sync", func() bool { return r.Health()[0].FullSyncs >= 1 })
 
 	// Peer goes away: the replica degrades to local-only but keeps
 	// scheduling.

@@ -216,26 +216,22 @@ func (d *DetectionConfig) validate() error {
 	return nil
 }
 
-// downDelay returns the crash-to-exclusion delay for one fault, with
-// the detector phase drawn from phase ∈ [0,1). A probe detector fires
-// on its FailN-th consecutive failed probe; a report detector fires
-// when the K-th expected report fails to arrive.
-func (d *DetectionConfig) downDelay(phase float64) float64 {
-	switch d.Kind {
-	case DetectProbe:
-		return (phase + float64(d.FailN-1)) * d.Interval
-	default: // DetectReport
-		return (phase + float64(d.K-1)) * d.Interval
+// delay returns the detector's lag behind one fault, with the detector
+// phase drawn from phase ∈ [0,1). A crash is caught on a probe
+// detector's FailN-th consecutive failed probe, or when a report
+// detector's K-th expected report fails to arrive; a recovery after
+// RiseM successful probes, or with the first report after restart.
+func (d *DetectionConfig) delay(down bool, phase float64) float64 {
+	rounds := 1
+	switch {
+	case d.Kind == DetectProbe && down:
+		rounds = d.FailN
+	case d.Kind == DetectProbe:
+		rounds = d.RiseM
+	case down:
+		rounds = d.K
 	}
-}
-
-// upDelay returns the recovery-to-readmission delay: RiseM successful
-// probes, or the first report after restart.
-func (d *DetectionConfig) upDelay(phase float64) float64 {
-	if d.Kind == DetectProbe {
-		return (phase + float64(d.RiseM-1)) * d.Interval
-	}
-	return phase * d.Interval
+	return (phase + float64(rounds-1)) * d.Interval
 }
 
 // FaultEvent is one liveness transition of one server at a fixed

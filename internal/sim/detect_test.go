@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"testing"
 )
 
@@ -129,5 +131,41 @@ func TestDetectionDeterminism(t *testing.T) {
 		t.Errorf("same seed diverged: %+v vs %+v",
 			[3]float64{float64(a.DeadServerHits), a.MeanDetectionDelay, a.MeanReviveDelay},
 			[3]float64{float64(b.DeadServerHits), b.MeanDetectionDelay, b.MeanReviveDelay})
+	}
+}
+
+// Golden fingerprints of one run per detection kind, recorded before
+// the fault injector's two install paths shared one apply step: the
+// detector's phase draw, the supersede check and the alarm retraction
+// all move these hashes. The runs crash server 0 for 240 s, server 3
+// for 3 s (below both detection floors, so superseded) and server 5
+// for 120 s.
+const (
+	goldenDetectProbe  = "07ccf98e3ee6cc57f4760d947b36e6445954ac514763db8eef4cc42c6ed468a9"
+	goldenDetectReport = "b026d89735bab9f4764a0f4ca8c1347b840ffefe487a8806a19f1dd9d9fd04b5"
+)
+
+func TestDetectionGolden(t *testing.T) {
+	for _, tc := range []struct {
+		det  DetectionConfig
+		want string
+	}{
+		{DetectionConfig{Kind: DetectProbe, Interval: 5, FailN: 3, RiseM: 2}, goldenDetectProbe},
+		{DetectionConfig{Kind: DetectReport, Interval: 8, K: 3}, goldenDetectReport},
+	} {
+		cfg := goldenConfig("PRR2-TTL/K")
+		cfg.Faults = append(Outage(0, 300, 240), Outage(3, 400, 3)...)
+		cfg.Faults = append(cfg.Faults, Outage(5, 500, 120)...)
+		cfg.Detection = &tc.det
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.det.Kind, err)
+		}
+		h := sha256.New()
+		fmt.Fprintf(h, "%s %d %d %d %v %v\n", fingerprint(res), res.DeadServerHits, res.LostPages,
+			res.DetectedCrashes, res.MeanDetectionDelay, res.MeanReviveDelay)
+		if got := fmt.Sprintf("%x", h.Sum(nil)); got != tc.want {
+			t.Errorf("%s: output drifted from golden\n got %s\nwant %s", tc.det.Kind, got, tc.want)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package sim
 import (
 	"math"
 
-	"dnslb/internal/nameserver"
 	"dnslb/internal/simcore"
 )
 
@@ -13,87 +12,45 @@ import (
 // from replaying a million same-instant wakes.
 const flashRampSeconds = 10.0
 
-// flashInjector installs flash-crowd events: at each FlashEvent's time
-// a burst of new clients joins one domain for its duration, resolving
-// through fresh name-server caches. From the DNS's viewpoint this is a
-// new resolver population: the shared per-domain cache of the normal
-// tier would absorb the whole crowd behind one cached mapping, but
-// fresh resolvers miss immediately — the decision burst that the
-// predictive estimator's NS-cache model forecasts from, and that the
-// reactive estimator cannot see until the hits arrive in a report.
+// scheduleFlashCrowds installs the flash crowds: at each FlashEvent's
+// time a burst of new clients joins one domain for its duration,
+// resolving through fresh name-server caches that join the cache tier.
+// From the DNS's viewpoint this is a new resolver population: the
+// shared per-domain cache would absorb the whole crowd behind one
+// cached mapping, but fresh resolvers miss immediately — the decision
+// burst that the predictive estimator's NS-cache model forecasts from,
+// and that the reactive estimator cannot see until the hits arrive in
+// a report.
 //
-// With no flash crowds configured the injector must schedule nothing
-// and draw from no stream: either would shift every other run's
-// seeded output.
-type flashInjector struct {
-	cfg     Config
-	sim     *simcore.Simulator
-	tier    *cacheTier
-	deliver func(domain, server, hits int)
-	fail    func(error)
-
-	caches []*nameserver.Cache
-}
-
-func (f *flashInjector) install() {
-	if len(f.cfg.FlashCrowds) == 0 {
-		return
+// With no flash crowds configured nothing is scheduled and no stream
+// is drawn from: either would shift every other run's seeded output.
+func scheduleFlashCrowds(cfg Config, sim *simcore.Simulator, tier *cacheTier, page pageStep) error {
+	if len(cfg.FlashCrowds) == 0 {
+		return nil
 	}
-	think := f.sim.Stream("flash-think")
-	hitsStream := f.sim.Stream("flash-hits")
-	pages := f.sim.Stream("flash-pages")
-	ramp := f.sim.Stream("flash-ramp")
-	thinks := f.cfg.Workload.ThinkTimes()
-	for _, ev := range f.cfg.FlashCrowds {
-		ev := ev
+	crowds := newPopulation(sim, cfg.Workload, "flash-", page)
+	ramp := sim.Stream("flash-ramp")
+	thinks := cfg.Workload.ThinkTimes()
+	for _, ev := range cfg.FlashCrowds {
 		// A flash crowd is external traffic: even a domain the
 		// perturbed workload starved can flash. Fall back to the
 		// nominal mean think time for it.
 		meanThink := thinks[ev.Domain]
 		if math.IsInf(meanThink, 1) {
-			meanThink = f.cfg.Workload.MeanThinkTime
+			meanThink = cfg.Workload.MeanThinkTime
 		}
-		resolvers := make([]*nameserver.Cache, ev.Resolvers)
-		for r := range resolvers {
-			c, err := nameserver.New(f.cfg.MinNSTTL)
-			if err != nil {
-				f.fail(err)
-				return
-			}
-			resolvers[r] = c
+		resolvers, err := tier.addCaches(ev.Resolvers)
+		if err != nil {
+			return err
 		}
-		f.caches = append(f.caches, resolvers...)
-		end := ev.Time + ev.Duration
-		for c := 0; c < ev.Clients; c++ {
-			cache := resolvers[c%ev.Resolvers]
-			cl := &client{domain: ev.Domain}
-			var wake func()
-			wake = func() {
-				now := f.sim.Now()
-				if now >= end {
-					return // the crowd dissolved
-				}
-				if cl.pagesLeft == 0 {
-					cl.server = f.tier.resolveVia(cache, cl.domain)
-					cl.pagesLeft = pages.Geometric(f.cfg.Workload.PagesPerSession)
-				}
-				hits := hitsStream.UniformInt(f.cfg.Workload.HitsMin, f.cfg.Workload.HitsMax)
-				f.deliver(cl.domain, cl.server, hits)
-				cl.pagesLeft--
-				f.sim.Schedule(think.Exp(meanThink), wake)
-			}
+		// Each crowd is a population of its own, dissolving at its end.
+		pop := *crowds
+		pop.end = ev.Time + ev.Duration
+		for c := range ev.Clients {
+			cl := pop.newClient(c, ev.Domain, meanThink, resolvers[c%ev.Resolvers])
 			stagger := ramp.Float64() * math.Min(flashRampSeconds, ev.Duration)
-			f.sim.ScheduleAt(ev.Time+stagger, wake)
+			sim.ScheduleAt(ev.Time+stagger, cl.wake)
 		}
 	}
-}
-
-// collect folds the flash resolvers' cache counters into the result,
-// like the normal tier's.
-func (f *flashInjector) collect(res *Result) {
-	for _, c := range f.caches {
-		st := c.Stats()
-		res.CacheHits += st.Hits
-		res.ClampedTTLs += st.Clamped
-	}
+	return nil
 }

@@ -25,7 +25,7 @@ type faultInjector struct {
 
 	// Detection-model state; all nil/unused under instant knowledge.
 	detect *DetectionConfig
-	actual *groundTruth
+	actual []bool // which servers are really down, shared with the sink
 	stream *simcore.Stream
 	gen    []uint64
 
@@ -36,92 +36,67 @@ type faultInjector struct {
 }
 
 func (f *faultInjector) install(events []FaultEvent) {
-	if f.detect != nil {
-		f.installDetected(events)
-		return
-	}
 	for _, ev := range events {
-		f.sim.ScheduleAt(ev.Time, func() {
-			sn := f.eng.State().Snapshot()
-			if sn.Down(ev.Server) == ev.Down {
-				return
-			}
-			if err := f.eng.SetDown(ev.Server, ev.Down); err != nil {
-				f.fail(err)
-			}
-			if ev.Down {
-				if sn.Alarmed(ev.Server) {
-					if err := f.eng.SetAlarm(ev.Server, false); err != nil {
-						f.fail(err)
-					}
-				}
-				f.recov.crashed(ev.Server)
-			} else {
-				f.recov.recovered(ev.Server, f.sim.Now())
-			}
-		})
+		f.sim.ScheduleAt(ev.Time, func() { f.fire(ev) })
 	}
 }
 
-// installDetected is the detection-model variant: ground truth flips at
-// the event time, the scheduler follows after the detector delay.
-func (f *faultInjector) installDetected(events []FaultEvent) {
-	for _, ev := range events {
-		f.sim.ScheduleAt(ev.Time, func() {
-			if f.actual.down[ev.Server] == ev.Down {
-				return
+// fire handles one fault event at its time. Under instant knowledge
+// the scheduler's view flips at once. Under the detection model ground
+// truth flips now and the scheduler follows after the detector delay,
+// one phase draw per event. Time-to-drain follows the first flip:
+// traffic can return to a recovered server through cached mappings
+// before the scheduler re-admits it.
+func (f *faultInjector) fire(ev FaultEvent) {
+	if f.detect == nil {
+		if !f.apply(ev) {
+			return
+		}
+	} else {
+		if f.actual[ev.Server] == ev.Down {
+			return
+		}
+		f.actual[ev.Server] = ev.Down
+		f.gen[ev.Server]++
+		gen := f.gen[ev.Server]
+		delay := f.detect.delay(ev.Down, f.stream.Float64())
+		f.sim.Schedule(delay, func() {
+			if f.gen[ev.Server] != gen || !f.apply(ev) {
+				return // superseded by a newer fault event, or already applied
 			}
-			f.actual.down[ev.Server] = ev.Down
-			f.gen[ev.Server]++
-			gen := f.gen[ev.Server]
-			// Time-to-drain tracks ground truth: traffic can return to a
-			// recovered server through cached mappings before the
-			// scheduler re-admits it.
 			if ev.Down {
-				f.recov.crashed(ev.Server)
+				f.downDelaySum += delay
+				f.downDetects++
 			} else {
-				f.recov.recovered(ev.Server, f.sim.Now())
+				f.upDelaySum += delay
+				f.upDetects++
 			}
-			var delay float64
-			phase := f.stream.Float64()
-			if ev.Down {
-				delay = f.detect.downDelay(phase)
-			} else {
-				delay = f.detect.upDelay(phase)
-			}
-			f.sim.Schedule(delay, func() {
-				if f.gen[ev.Server] != gen {
-					return // superseded by a newer fault event
-				}
-				sn := f.eng.State().Snapshot()
-				if sn.Down(ev.Server) == ev.Down {
-					return
-				}
-				if err := f.eng.SetDown(ev.Server, ev.Down); err != nil {
-					f.fail(err)
-					return
-				}
-				if ev.Down {
-					if sn.Alarmed(ev.Server) {
-						if err := f.eng.SetAlarm(ev.Server, false); err != nil {
-							f.fail(err)
-						}
-					}
-					f.downDelaySum += delay
-					f.downDetects++
-				} else {
-					f.upDelaySum += delay
-					f.upDetects++
-				}
-			})
 		})
+	}
+	if ev.Down {
+		f.recov.crashed(ev.Server)
+	} else {
+		f.recov.recovered(ev.Server, f.sim.Now())
 	}
 }
 
-// groundTruth is the servers' actual liveness under the detection
-// model, as opposed to the scheduler's (possibly stale) view.
-type groundTruth struct {
-	down []bool
+// apply flips the scheduler's view of the event's server, retracting
+// the alarm of a crashed one, and reports whether the view changed.
+func (f *faultInjector) apply(ev FaultEvent) bool {
+	sn := f.eng.State().Snapshot()
+	if sn.Down(ev.Server) == ev.Down {
+		return false
+	}
+	if err := f.eng.SetDown(ev.Server, ev.Down); err != nil {
+		f.fail(err)
+		return false
+	}
+	if ev.Down && sn.Alarmed(ev.Server) {
+		if err := f.eng.SetAlarm(ev.Server, false); err != nil {
+			f.fail(err)
+		}
+	}
+	return true
 }
 
 // drainInjector schedules graceful server retirements: at its event

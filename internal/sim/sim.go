@@ -199,7 +199,8 @@ func (f *failSlot) fail(err error) {
 //     event. In a larger set, domain d resolves through replica d mod R,
 //     server i signals alarms and reports hits to replica i mod R, and
 //     the replica exchange (replica.go) gossips the rest;
-//   - the traffic source (live client processes or trace playback),
+//   - the traffic source (the client population or trace playback,
+//     plus any flash crowds), every page through one page step,
 //   - the NS cache tier resolving sessions through the engines,
 //   - the traffic sink routing page bursts to the Web servers,
 //   - the fault and drain injectors,
@@ -336,15 +337,24 @@ func Run(cfg Config) (*Result, error) {
 	}
 	tier.ecs = ecs
 
+	// Every kind of traffic — the workload's clients, trace playback and
+	// flash crowds — sends its pages through this one step.
+	page := func(cl *client, newSession bool, hits int) {
+		if newSession {
+			cl.server = tier.resolve(cl.cache, cl.domain)
+		}
+		sink.deliver(cl.domain, cl.server, hits)
+	}
 	if len(cfg.Trace) > 0 {
-		if err := scheduleTrace(cfg, sc, sink.deliver, tier.resolve); err != nil {
+		if err := scheduleTrace(cfg, sc, tier.caches, page); err != nil {
 			return nil, err
 		}
 	} else {
-		scheduleClients(cfg, sc, sink.deliver, tier.resolve)
+		newPopulation(sc, cfg.Workload, "", page).spawn(tier.caches)
 	}
-	flash := &flashInjector{cfg: cfg, sim: sc, tier: tier, deliver: sink.deliver, fail: fail}
-	flash.install()
+	if err := scheduleFlashCrowds(cfg, sc, tier, page); err != nil {
+		return nil, err
+	}
 	if len(replicas) > 1 {
 		(&replicaExchange{sim: sc, cfg: cfg, replicas: replicas, fail: fail, horizon: horizon}).install()
 	}
@@ -352,7 +362,7 @@ func Run(cfg Config) (*Result, error) {
 	util.install()
 	faults := &faultInjector{sim: sc, eng: eng, recov: recov, fail: fail}
 	if cfg.Detection != nil {
-		actual := &groundTruth{down: make([]bool, cfg.Servers)}
+		actual := make([]bool, cfg.Servers)
 		sink.actual = actual
 		faults.detect = cfg.Detection
 		faults.actual = actual
@@ -396,7 +406,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 	res.DetectedCrashes = faults.downDetects
 	tier.collect(res)
-	flash.collect(res)
 	if ecs != nil {
 		ecs.collect(res)
 	}

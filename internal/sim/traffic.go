@@ -2,8 +2,6 @@ package sim
 
 import (
 	"errors"
-	"fmt"
-	"math"
 
 	"dnslb/internal/core"
 	"dnslb/internal/engine"
@@ -11,14 +9,6 @@ import (
 	"dnslb/internal/simcore"
 	"dnslb/internal/webserver"
 )
-
-// client is one Web client: it belongs to a domain, holds the
-// session's server mapping, and cycles think → page burst.
-type client struct {
-	domain    int
-	server    int
-	pagesLeft int
-}
 
 // drainTracker measures the time-to-drain metric: how long stale
 // cached mappings and pointer state keep a recovered server idle. The
@@ -80,11 +70,12 @@ type trafficSink struct {
 	recov   *drainTracker
 	res     *Result
 
-	// actual, when non-nil, is the detection model's ground truth: a
-	// page is lost when its server is actually down, regardless of what
-	// the scheduler believes (Config.Detection). Nil means the
-	// scheduler's view IS reality (the instant-knowledge bound).
-	actual *groundTruth
+	// actual, when non-nil, is the detection model's ground truth,
+	// true for each server that is really down: a page is lost when its
+	// server is, regardless of what the scheduler believes
+	// (Config.Detection). Nil means the scheduler's view IS reality
+	// (the instant-knowledge bound).
+	actual []bool
 
 	latSum  float64
 	latHits float64
@@ -106,7 +97,7 @@ func (t *trafficSink) deliver(domain, server, hits int) {
 	}
 	down := sn.Down(server)
 	if t.actual != nil {
-		down = t.actual.down[server]
+		down = t.actual[server]
 	}
 	if down {
 		// The server is dead — whether a cached mapping pinned this
@@ -137,17 +128,20 @@ func (t *trafficSink) meanLatencyMS() float64 {
 	return t.latSum / t.latHits
 }
 
-// cacheTier is the per-domain name-server cache layer between the
-// clients and the scheduling engines: lookups hit the domain's cache
-// first; misses go to the domain's authority replica (d mod R) for a
-// fresh decision, whose TTL the cache then applies (after any
-// non-cooperative clamp).
+// cacheTier is the name-server cache layer between the clients and the
+// scheduling engines: lookups hit the client's cache first (its
+// domain's, or a flash crowd resolver's); misses go to the domain's
+// authority replica (d mod R) for a fresh decision, whose TTL the cache
+// then applies (after any non-cooperative clamp).
 type cacheTier struct {
 	sim      *simcore.Simulator
 	replicas []*replica
-	caches   []*nameserver.Cache
-	res      *Result
-	fail     func(error)
+	// caches holds domain j's shared cache at index j, then every
+	// flash crowd's resolvers.
+	caches []*nameserver.Cache
+	minTTL float64
+	res    *Result
+	fail   func(error)
 
 	// ecs, when non-nil, routes cache misses through the resolver
 	// population model (DecideQuery with resolver address and optional
@@ -157,28 +151,30 @@ type cacheTier struct {
 }
 
 func newCacheTier(cfg Config, sim *simcore.Simulator, replicas []*replica, res *Result, fail func(error)) (*cacheTier, error) {
-	caches := make([]*nameserver.Cache, cfg.Workload.Domains)
-	for j := range caches {
-		c, err := nameserver.New(cfg.MinNSTTL)
+	ct := &cacheTier{sim: sim, replicas: replicas, minTTL: cfg.MinNSTTL, res: res, fail: fail}
+	if _, err := ct.addCaches(cfg.Workload.Domains); err != nil {
+		return nil, err
+	}
+	return ct, nil
+}
+
+// addCaches adds n fresh name-server caches to the tier and returns
+// them.
+func (ct *cacheTier) addCaches(n int) ([]*nameserver.Cache, error) {
+	for range n {
+		c, err := nameserver.New(ct.minTTL)
 		if err != nil {
 			return nil, err
 		}
-		caches[j] = c
+		ct.caches = append(ct.caches, c)
 	}
-	return &cacheTier{sim: sim, replicas: replicas, caches: caches, res: res, fail: fail}, nil
+	return ct.caches[len(ct.caches)-n:], nil
 }
 
 // resolve returns the server for a new session of the given domain,
-// consulting the domain's NS cache first; -1 when the whole cluster
-// is down.
-func (ct *cacheTier) resolve(domain int) int {
-	return ct.resolveVia(ct.caches[domain], domain)
-}
-
-// resolveVia resolves a session for domain through the given NS cache —
-// the domain's shared cache on the normal path, a flash crowd's fresh
-// resolver cache on the flash path.
-func (ct *cacheTier) resolveVia(cache *nameserver.Cache, domain int) int {
+// consulting the client's NS cache first — the domain's shared cache,
+// or a flash crowd's fresh resolver; -1 when the whole cluster is down.
+func (ct *cacheTier) resolve(cache *nameserver.Cache, domain int) int {
 	now := ct.sim.Now()
 	if server, ok := cache.Lookup(now); ok {
 		return server
@@ -220,68 +216,12 @@ func (ct *cacheTier) resolveVia(cache *nameserver.Cache, domain int) int {
 	return d.Server
 }
 
-// collect folds the tier's cache counters into the result.
+// collect folds the tier's cache counters — the domains' and every
+// flash crowd resolver's — into the result.
 func (ct *cacheTier) collect(res *Result) {
 	for _, c := range ct.caches {
 		st := c.Stats()
 		res.CacheHits += st.Hits
 		res.ClampedTTLs += st.Clamped
 	}
-}
-
-// scheduleClients installs the live client processes: each client
-// cycles think → page burst, resolving the site name at each session
-// start.
-func scheduleClients(cfg Config, sim *simcore.Simulator, deliver func(domain, server, hits int), resolve func(int) int) {
-	thinkStream := sim.Stream("think")
-	hitsStream := sim.Stream("hits")
-	pagesStream := sim.Stream("pages")
-	thinks := cfg.Workload.ThinkTimes()
-	counts := cfg.Workload.Partition()
-	for domain := 0; domain < cfg.Workload.Domains; domain++ {
-		if math.IsInf(thinks[domain], 1) {
-			continue // perturbation starved this domain entirely
-		}
-		for c := 0; c < counts[domain]; c++ {
-			cl := &client{domain: domain}
-			var wake func()
-			wake = func() {
-				if cl.pagesLeft == 0 {
-					cl.server = resolve(cl.domain)
-					cl.pagesLeft = pagesStream.Geometric(cfg.Workload.PagesPerSession)
-				}
-				hits := hitsStream.UniformInt(cfg.Workload.HitsMin, cfg.Workload.HitsMax)
-				deliver(cl.domain, cl.server, hits)
-				cl.pagesLeft--
-				sim.Schedule(thinkStream.Exp(thinks[cl.domain]), wake)
-			}
-			sim.Schedule(thinkStream.Exp(thinks[domain]), wake)
-		}
-	}
-}
-
-// scheduleTrace installs trace playback: every record becomes one
-// arrival event; new-session records re-resolve the client's mapping.
-func scheduleTrace(cfg Config, sim *simcore.Simulator, deliver func(domain, server, hits int), resolve func(int) int) error {
-	clientServer := make(map[int]int)
-	for i := range cfg.Trace {
-		rec := cfg.Trace[i]
-		if rec.Domain >= cfg.Workload.Domains {
-			return fmt.Errorf("sim: trace record %d references domain %d, workload has %d",
-				i, rec.Domain, cfg.Workload.Domains)
-		}
-		sim.ScheduleAt(rec.Time, func() {
-			if rec.NewSession {
-				clientServer[rec.Client] = resolve(rec.Domain)
-			}
-			server, ok := clientServer[rec.Client]
-			if !ok {
-				// Tolerate traces that start mid-session.
-				server = resolve(rec.Domain)
-				clientServer[rec.Client] = server
-			}
-			deliver(rec.Domain, server, rec.Hits)
-		})
-	}
-	return nil
 }

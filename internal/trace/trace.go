@@ -5,8 +5,11 @@
 // A trace makes the workload a first-class artifact: the same trace
 // can drive every scheduling policy (paired comparison with identical
 // arrivals), be archived alongside results, or be synthesized from a
-// real server log. Generate produces a trace that replays *exactly*
-// like a live simulation with the same seed — verified by test.
+// real server log. This package holds the file formats only: the
+// plain-text trace (Read, Write), the Common Log Format bridge and
+// Summarize. The simulator generates traces from its own client
+// population (sim.GenerateTrace), so a generated trace replays exactly
+// like a live simulation with the same seed.
 package trace
 
 import (
@@ -15,12 +18,8 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
-
-	"dnslb/internal/simcore"
-	"dnslb/internal/workload"
 )
 
 // Record is one page request of the trace.
@@ -77,7 +76,7 @@ func Read(r io.Reader) ([]Record, error) {
 			return nil, fmt.Errorf("trace: line %d: %d fields, want 5", lineNo, len(fields))
 		}
 		t, err := strconv.ParseFloat(fields[0], 64)
-		if err != nil || math.IsNaN(t) || t < 0 {
+		if err != nil || math.IsNaN(t) || math.IsInf(t, 0) || t < 0 {
 			return nil, fmt.Errorf("trace: line %d: bad time %q", lineNo, fields[0])
 		}
 		domain, err := strconv.Atoi(fields[1])
@@ -109,66 +108,6 @@ func Read(r io.Reader) ([]Record, error) {
 		return nil, errors.New("trace: no records")
 	}
 	return out, nil
-}
-
-// Generate synthesizes a trace from the workload model over the given
-// horizon in virtual seconds. It replicates the simulator's client
-// processes exactly — same stream names, same draw order — so a replay
-// with the same seed reproduces a live simulation bit for bit.
-func Generate(wl workload.Config, horizon float64, seed uint64) ([]Record, error) {
-	if err := wl.Validate(); err != nil {
-		return nil, err
-	}
-	if horizon <= 0 {
-		return nil, errors.New("trace: horizon must be positive")
-	}
-	engine := simcore.New(seed)
-	thinkStream := engine.Stream("think")
-	hitsStream := engine.Stream("hits")
-	pagesStream := engine.Stream("pages")
-	thinks := wl.ThinkTimes()
-	counts := wl.Partition()
-
-	var records []Record
-	clientID := 0
-	for domain := 0; domain < wl.Domains; domain++ {
-		if math.IsInf(thinks[domain], 1) {
-			clientID += counts[domain]
-			continue
-		}
-		for c := 0; c < counts[domain]; c++ {
-			id := clientID
-			d := domain
-			pagesLeft := 0
-			var wake func()
-			wake = func() {
-				newSession := false
-				if pagesLeft == 0 {
-					newSession = true
-					pagesLeft = pagesStream.Geometric(wl.PagesPerSession)
-				}
-				hits := hitsStream.UniformInt(wl.HitsMin, wl.HitsMax)
-				records = append(records, Record{
-					Time:       engine.Now(),
-					Domain:     d,
-					Client:     id,
-					Hits:       hits,
-					NewSession: newSession,
-				})
-				pagesLeft--
-				engine.Schedule(thinkStream.Exp(thinks[d]), wake)
-			}
-			engine.Schedule(thinkStream.Exp(thinks[domain]), wake)
-			clientID++
-		}
-	}
-	engine.Run(horizon)
-	// Events fire in time order, so records are already sorted; assert
-	// rather than trust.
-	if !sort.SliceIsSorted(records, func(a, b int) bool { return records[a].Time < records[b].Time }) {
-		return nil, errors.New("trace: generator produced unsorted records")
-	}
-	return records, nil
 }
 
 // Summary aggregates a trace for quick inspection.

@@ -8,6 +8,9 @@
 // the same server: a page is a single job of service time hits/C, so
 // no completion events are needed. Busy time is credited lazily from
 // the "busy until" horizon, which is exact for a FIFO queue.
+//
+// The simulator and the live backend (internal/backend) both run this
+// one queue, so they measure utilization with the same code.
 package webserver
 
 import (
@@ -15,9 +18,10 @@ import (
 	"fmt"
 )
 
-// Server is a single Web server. It is driven by the simulator's
-// virtual clock: all methods take the current time, which must be
-// non-decreasing across calls.
+// Server is a single Web server. It is driven by a clock in seconds —
+// the simulator's virtual time, or the backend's seconds since start:
+// all methods take the current time, which must be non-decreasing
+// across calls. A Server is not safe for concurrent use.
 type Server struct {
 	capacity float64 // hits per second
 
@@ -93,25 +97,26 @@ func (s *Server) advance(now float64) {
 	s.creditTo = now
 }
 
-// CloseWindow ends the utilization window that started at the previous
-// CloseWindow (or at time zero) and returns the busy-time fraction of
-// that window, the paper's server utilization. Utilization is in
-// [0, 1]: a saturated server reports 1 while its backlog grows.
-func (s *Server) CloseWindow(now float64) float64 {
+// Utilization returns the busy-time fraction of the window open since
+// the previous CloseWindow (or time zero), credited up to now, without
+// closing it: a live reading of the quantity CloseWindow reports. It
+// is in [0, 1]; an empty window reads 0.
+func (s *Server) Utilization(now float64) float64 {
 	s.advance(now)
 	length := now - s.windowStart
 	if length <= 0 {
 		return 0
 	}
-	util := (s.credited - s.windowCredits) / length
-	s.windowStart = now
-	s.windowCredits = s.credited
-	if util < 0 {
-		util = 0
-	}
-	if util > 1 {
-		util = 1
-	}
+	return max(0, min(1, (s.credited-s.windowCredits)/length))
+}
+
+// CloseWindow ends the utilization window that started at the previous
+// CloseWindow (or at time zero) and returns the busy-time fraction of
+// that window, the paper's server utilization. Utilization is in
+// [0, 1]: a saturated server reports 1 while its backlog grows.
+func (s *Server) CloseWindow(now float64) float64 {
+	util := s.Utilization(now)
+	s.windowStart, s.windowCredits = now, s.credited
 	return util
 }
 
@@ -123,10 +128,6 @@ func (s *Server) Backlog(now float64) float64 {
 	}
 	return s.busyUntil - now
 }
-
-// BusySeconds returns the cumulative busy time up to the latest
-// arrival/window event.
-func (s *Server) BusySeconds() float64 { return s.credited }
 
 // MeanUtilization returns cumulative busy time divided by elapsed
 // virtual time at now.

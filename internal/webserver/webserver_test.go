@@ -44,6 +44,31 @@ func TestUtilizationPartialWindow(t *testing.T) {
 	}
 }
 
+// TestUtilizationLiveReading: Utilization reads the open window without
+// closing it, and CloseWindow then reports the same window.
+func TestUtilizationLiveReading(t *testing.T) {
+	s, err := New(100, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Utilization(0); got != 0 {
+		t.Errorf("empty window reads %v, want 0", got)
+	}
+	s.Arrive(0, 0, 200) // 2 s of work
+	if got := s.Utilization(1); got != 1 {
+		t.Errorf("reading at 1 s = %v, want 1 (busy throughout)", got)
+	}
+	if got := s.Utilization(4); math.Abs(got-0.5) > 1e-12 {
+		t.Errorf("reading at 4 s = %v, want 0.5", got)
+	}
+	if got := s.CloseWindow(8); math.Abs(got-0.25) > 1e-12 {
+		t.Errorf("closed window = %v, want 0.25: a reading must not close it", got)
+	}
+	if got := s.Utilization(12); got != 0 {
+		t.Errorf("reading in the next, idle window = %v, want 0", got)
+	}
+}
+
 func TestUtilizationSaturated(t *testing.T) {
 	s, err := New(100, 1)
 	if err != nil {
