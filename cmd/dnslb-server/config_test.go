@@ -21,6 +21,7 @@ import (
 
 	"dnslb"
 	"dnslb/internal/logging"
+	"dnslb/internal/metrics"
 )
 
 func TestParseConfigFile(t *testing.T) {
@@ -128,7 +129,7 @@ func TestReloadConfigValidation(t *testing.T) {
 	}
 	var log bytes.Buffer
 	logger := slog.New(slog.NewTextHandler(&log, nil))
-	srv := newTestServer(t)
+	srv, reg := newTestServer(t)
 
 	if err := reloadConfig([]string{"-config", filepath.Join(dir, "missing")}, running.flags, srv, logger); err == nil {
 		t.Error("missing file: reloadConfig accepted it")
@@ -152,8 +153,13 @@ func TestReloadConfigValidation(t *testing.T) {
 			t.Errorf("reload refused with %q, want the flag %s named", err, tc.name)
 		}
 	}
-	if srv.Servers() != 2 || srv.Reloads() != 0 {
-		t.Errorf("refused reloads changed membership: %d slots, %d reloads", srv.Servers(), srv.Reloads())
+	var exposition strings.Builder
+	if err := reg.WritePrometheus(&exposition); err != nil {
+		t.Fatal(err)
+	}
+	reloads, ok := findSample(exposition.String(), "dnslb_reconfig_reloads_total")
+	if srv.Servers() != 2 || !ok || reloads != 0 {
+		t.Errorf("refused reloads changed membership: %d slots, %v reloads", srv.Servers(), reloads)
 	}
 
 	// A restart-only setting is compared by value, not by spelling.
@@ -174,7 +180,9 @@ func TestReloadConfigValidation(t *testing.T) {
 }
 
 // newTestServer builds a minimal unstarted DNS server for reload tests.
-func newTestServer(t *testing.T) *dnslb.DNSServer {
+// newTestServer returns an unstarted server over 10.6.0.1 and 10.6.0.2
+// and the registry its metrics series are in.
+func newTestServer(t *testing.T) (*dnslb.DNSServer, *metrics.Registry) {
 	t.Helper()
 	cluster, err := dnslb.NewCluster([]float64{100, 100})
 	if err != nil {
@@ -192,18 +200,20 @@ func newTestServer(t *testing.T) *dnslb.DNSServer {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := metrics.NewRegistry()
 	srv, err := dnslb.NewDNSServer(dnslb.DNSServerConfig{
 		Zone:        "www.x.test",
 		ServerAddrs: addrs,
 		Policy:      pol,
 		Addr:        "127.0.0.1:0",
 		Logger:      logging.Discard(),
+		Metrics:     reg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = srv.Close() })
-	return srv
+	return srv, reg
 }
 
 func FuzzParseConfigFile(f *testing.F) {

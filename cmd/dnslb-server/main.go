@@ -213,7 +213,7 @@ func configure(args []string) (*settings, error) {
 	if s.server.ReportAddr == "" {
 		s.server.ReportAddr = nextPort(*addr)
 	}
-	if *qps > 0 {
+	if !(*qps <= 0) { // NaN too, for the server to refuse
 		s.server.RateLimit = dnslb.NewRateLimiter(*qps, *burst)
 	}
 	if *peers != "" {
@@ -227,7 +227,8 @@ func configure(args []string) (*settings, error) {
 var flagNames = strings.NewReplacer(
 	"Replication.ReplicaID", "-replica-id", "Replication.Peers", "-peers",
 	"Probe.Targets", "-probe-targets", "LivenessInterval", "-liveness-interval",
-	"CheckpointInterval", "-checkpoint-interval")
+	"CheckpointInterval", "-checkpoint-interval",
+	"RateLimit rate", "-qps", "RateLimit burst", "-burst")
 
 // newServer assembles the server cfg describes. dnslb.NewDNSServer holds
 // every rule of a valid configuration and binds, reads and starts nothing,

@@ -244,6 +244,15 @@ func TestRunValidation(t *testing.T) {
 		"-overload-ttl", "-1"}, stop, nil); err == nil {
 		t.Error("negative -overload-ttl should fail validation")
 	}
+	// NaN passes every ordered comparison; a NaN burst would let every
+	// query through.
+	if err := run([]string{"-servers", "10.0.0.1", "-qps", "1", "-burst", "NaN"}, stop, nil); err == nil ||
+		!strings.Contains(err.Error(), "-burst") {
+		t.Errorf("-burst NaN should fail validation naming the flag, got %v", err)
+	}
+	if err := run([]string{"-servers", "10.0.0.1", "-geo-preference", "NaN"}, stop, nil); err == nil {
+		t.Error("-geo-preference NaN should fail validation")
+	}
 }
 
 // scrapeValue fetches a /metrics exposition and returns the named

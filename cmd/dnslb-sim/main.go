@@ -122,7 +122,7 @@ func run(args []string, out io.Writer) error {
 	}
 	cfg.Partitions = partitions
 	cfg.GeoPreference = *geoPref
-	if *misalign >= 0 {
+	if !(*misalign < 0) { // NaN too, for the run to refuse
 		cfg.ECSMisalign = &dnslb.ECSMisalignConfig{
 			Fraction: *misalign,
 			Shift:    *ecsShift,

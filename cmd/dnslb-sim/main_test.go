@@ -138,6 +138,9 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-duration", "-5"}, &buf); err == nil {
 		t.Error("negative duration should error")
 	}
+	if err := run([]string{"-duration", "NaN"}, &buf); err == nil {
+		t.Error("NaN duration should error")
+	}
 	if err := run([]string{"-badflag"}, &buf); err == nil {
 		t.Error("unknown flag should error")
 	}

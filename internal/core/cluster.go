@@ -48,16 +48,6 @@ func NewCluster(capacities []float64) (*Cluster, error) {
 	return &Cluster{capacities: cs}, nil
 }
 
-// MustCluster is NewCluster for statically known capacity vectors;
-// it panics on invalid input.
-func MustCluster(capacities []float64) *Cluster {
-	c, err := NewCluster(capacities)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // withCapacity returns a new cluster with the capacity of slot i
 // changed, or with a new slot appended when i is -1. It bypasses the
 // sorted-order validation of NewCluster: dynamic membership changes
@@ -81,46 +71,6 @@ func (c *Cluster) N() int { return len(c.capacities) }
 
 // Capacity returns the absolute capacity of server i in hits/second.
 func (c *Cluster) Capacity(i int) float64 { return c.capacities[i] }
-
-// Capacities returns a copy of the absolute capacity vector.
-func (c *Cluster) Capacities() []float64 {
-	out := make([]float64, len(c.capacities))
-	copy(out, c.capacities)
-	return out
-}
-
-// Alpha returns the relative capacity α_i = C_i / C_1 of server i.
-func (c *Cluster) Alpha(i int) float64 { return c.capacities[i] / c.capacities[0] }
-
-// Alphas returns the vector of relative capacities.
-func (c *Cluster) Alphas() []float64 {
-	out := make([]float64, len(c.capacities))
-	for i := range out {
-		out[i] = c.Alpha(i)
-	}
-	return out
-}
-
-// Rho returns the processor power ratio ρ = C_1 / C_N, the paper's
-// measure of the degree of heterogeneity.
-func (c *Cluster) Rho() float64 {
-	return c.capacities[0] / c.capacities[len(c.capacities)-1]
-}
-
-// Total returns the aggregate capacity ΣC_i in hits/second.
-func (c *Cluster) Total() float64 {
-	var sum float64
-	for _, v := range c.capacities {
-		sum += v
-	}
-	return sum
-}
-
-// Heterogeneity returns the maximum difference among relative server
-// capacities, the paper's heterogeneity level (e.g. 0.35 for 35%).
-func (c *Cluster) Heterogeneity() float64 {
-	return 1 - c.Alpha(len(c.capacities)-1)
-}
 
 // table2 holds the paper's Table 2: relative server capacities for the
 // four heterogeneity levels with N = 7.

@@ -5,6 +5,29 @@ import (
 	"testing"
 )
 
+// MustCluster is NewCluster for statically known capacity vectors;
+// it panics on invalid input.
+func MustCluster(capacities []float64) *Cluster {
+	c, err := NewCluster(capacities)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
+// clusterTotal returns the aggregate capacity ΣC_i in hits/second.
+func clusterTotal(c *Cluster) float64 {
+	var sum float64
+	for i := 0; i < c.N(); i++ {
+		sum += c.Capacity(i)
+	}
+	return sum
+}
+
+// heterogeneity returns the paper's heterogeneity level 1 - C_N/C_1 of
+// a statically built (sorted) cluster.
+func heterogeneity(c *Cluster) float64 { return 1 - c.Capacity(c.N()-1)/c.Capacity(0) }
+
 func TestNewClusterValidation(t *testing.T) {
 	tests := []struct {
 		name    string
@@ -38,26 +61,19 @@ func TestClusterDerivedQuantities(t *testing.T) {
 	if c.Capacity(1) != 80 {
 		t.Errorf("Capacity(1) = %v", c.Capacity(1))
 	}
-	if got := c.Alpha(2); math.Abs(got-0.5) > 1e-12 {
+	s, err := NewState(c, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sn := s.Snapshot()
+	if got := sn.Alpha(2); math.Abs(got-0.5) > 1e-12 {
 		t.Errorf("Alpha(2) = %v, want 0.5", got)
 	}
-	if got := c.Rho(); math.Abs(got-2) > 1e-12 {
+	if sn.Alpha(0) != 1 {
+		t.Errorf("Alpha(0) = %v, want 1", sn.Alpha(0))
+	}
+	if got := sn.Rho(); math.Abs(got-2) > 1e-12 {
 		t.Errorf("Rho = %v, want 2", got)
-	}
-	if got := c.Total(); math.Abs(got-230) > 1e-12 {
-		t.Errorf("Total = %v, want 230", got)
-	}
-	if got := c.Heterogeneity(); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("Heterogeneity = %v, want 0.5", got)
-	}
-	alphas := c.Alphas()
-	if len(alphas) != 3 || alphas[0] != 1 {
-		t.Errorf("Alphas = %v", alphas)
-	}
-	caps := c.Capacities()
-	caps[0] = -1
-	if c.Capacity(0) != 100 {
-		t.Error("Capacities() must return a copy")
 	}
 }
 
@@ -148,11 +164,11 @@ func TestScaledCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(c.Total()-500) > 1e-9 {
-		t.Errorf("Total = %v, want the paper's constant 500 hits/s", c.Total())
+	if math.Abs(clusterTotal(c)-500) > 1e-9 {
+		t.Errorf("Total = %v, want the paper's constant 500 hits/s", clusterTotal(c))
 	}
-	if math.Abs(c.Heterogeneity()-0.2) > 1e-12 {
-		t.Errorf("Heterogeneity = %v, want 0.2", c.Heterogeneity())
+	if math.Abs(heterogeneity(c)-0.2) > 1e-12 {
+		t.Errorf("Heterogeneity = %v, want 0.2", heterogeneity(c))
 	}
 	// All four paper levels keep total capacity constant.
 	for _, level := range []int{20, 35, 50, 65} {
@@ -160,8 +176,8 @@ func TestScaledCluster(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(c.Total()-500) > 1e-9 {
-			t.Errorf("level %d: Total = %v, want 500", level, c.Total())
+		if math.Abs(clusterTotal(c)-500) > 1e-9 {
+			t.Errorf("level %d: Total = %v, want 500", level, clusterTotal(c))
 		}
 	}
 	if _, err := ScaledCluster(7, 20, 0); err == nil {

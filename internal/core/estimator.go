@@ -99,9 +99,6 @@ func (e *Estimator) Roll(intervalSeconds float64) {
 	e.rolls++
 }
 
-// Rolls returns how many collection intervals have completed.
-func (e *Estimator) Rolls() int { return e.rolls }
-
 // Weights returns the current relative hidden load weight estimates
 // (normalized to sum to one). Before the first Roll, or if no traffic
 // was ever observed, it returns a uniform vector.
@@ -145,28 +142,19 @@ func (e *Estimator) State() EstimatorState {
 
 // Restore replaces the estimator's internal state with a checkpointed
 // one. The checkpoint must carry a matching kind tag (empty means
-// reactive, for checkpoints written before kinds existed), match the
-// estimator's domain count, and contain only finite non-negative
-// values; on error the estimator is left unchanged (cold-start
-// behavior).
+// reactive, for checkpoints written before kinds existed), pass
+// ValidateEstimatorState and match the estimator's domain count; on
+// error the estimator is left unchanged (cold-start behavior).
 func (e *Estimator) Restore(st EstimatorState) error {
 	if st.Kind != "" && st.Kind != EstimatorReactive {
 		return fmt.Errorf("core: cannot restore %q estimator state into the reactive estimator; rerun with -estimator=%s or discard the checkpoint",
 			st.Kind, st.Kind)
 	}
-	if len(st.Counts) != e.domains || len(st.Rates) != e.domains {
-		return fmt.Errorf("core: estimator state has %d/%d domains, want %d",
-			len(st.Counts), len(st.Rates), e.domains)
+	if err := ValidateEstimatorState(st); err != nil {
+		return err
 	}
-	if st.Rolls < 0 {
-		return fmt.Errorf("core: estimator state has negative roll count %d", st.Rolls)
-	}
-	for j := 0; j < e.domains; j++ {
-		for _, v := range [2]float64{st.Counts[j], st.Rates[j]} {
-			if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("core: estimator state domain %d is %v, want non-negative finite", j, v)
-			}
-		}
+	if len(st.Counts) != e.domains {
+		return fmt.Errorf("core: estimator state has %d domains, want %d", len(st.Counts), e.domains)
 	}
 	copy(e.counts, st.Counts)
 	copy(e.rates, st.Rates)

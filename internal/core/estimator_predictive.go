@@ -311,9 +311,6 @@ func (e *PredictiveEstimator) Roll(intervalSeconds float64) {
 	e.haveForecast = true
 }
 
-// Rolls returns how many collection intervals have completed.
-func (e *PredictiveEstimator) Rolls() int { return e.rolls }
-
 // perMappingRate returns the learned hits/s per active mapping for
 // (domain, class), falling back from the class estimate to the domain
 // estimate to the global one when a level has no data yet.

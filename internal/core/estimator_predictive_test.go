@@ -262,8 +262,8 @@ func TestPredictiveMatchesLinearScanReference(t *testing.T) {
 					seed, dc, decisions[dc], replaced[dc], dropped[dc], prunedFull[dc], rebuilt[dc])
 			}
 		}
-		if got.Rolls() < 100 {
-			t.Errorf("seed %d: only %d rolls", seed, got.Rolls())
+		if got.State().Rolls < 100 {
+			t.Errorf("seed %d: only %d rolls", seed, got.State().Rolls)
 		}
 	}
 }

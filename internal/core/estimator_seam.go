@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 )
@@ -42,8 +41,6 @@ type LoadEstimator interface {
 	// Roll closes the current collection interval of the given length
 	// in seconds and folds it into the estimates.
 	Roll(intervalSeconds float64)
-	// Rolls returns how many collection intervals have completed.
-	Rolls() int
 	// Weights returns the current relative hidden-load weight
 	// estimates, normalized to sum to one (uniform before the first
 	// Roll).
@@ -121,21 +118,6 @@ type EstimatorState struct {
 	GlobalRolls int       `json:"global_rolls,omitempty"`
 	MeanTTL     float64   `json:"mean_ttl,omitempty"`
 	ForecastErr float64   `json:"forecast_err,omitempty"`
-}
-
-// ParseEstimatorState decodes and validates a serialized
-// EstimatorState. It is the shared entry point for checkpoint restore
-// and the fuzz target: arbitrary input must either yield a
-// structurally valid state or a descriptive error, never a panic.
-func ParseEstimatorState(data []byte) (EstimatorState, error) {
-	var st EstimatorState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return EstimatorState{}, fmt.Errorf("core: estimator state: %w", err)
-	}
-	if err := ValidateEstimatorState(st); err != nil {
-		return EstimatorState{}, err
-	}
-	return st, nil
 }
 
 // ValidateEstimatorState checks the structural invariants every

@@ -75,12 +75,12 @@ func TestEstimatorsRefuseOverflow(t *testing.T) {
 			t.Errorf("%s: a record overflowing the pending count must be refused", kind)
 		}
 		e.Roll(0.5) // MaxFloat64/0.5 overflows
-		if e.Rolls() != 0 {
+		if e.State().Rolls != 0 {
 			t.Errorf("%s: a roll whose rate overflows must be a no-op", kind)
 		}
 		e.Roll(1)
-		if _, err := json.Marshal(e.State()); e.Rolls() != 1 || err != nil {
-			t.Errorf("%s: after a finite roll: Rolls = %d, marshal error %v", kind, e.Rolls(), err)
+		if _, err := json.Marshal(e.State()); e.State().Rolls != 1 || err != nil {
+			t.Errorf("%s: after a finite roll: Rolls = %d, marshal error %v", kind, e.State().Rolls, err)
 		}
 	}
 }
@@ -203,8 +203,8 @@ func TestPredictiveStateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parsed, err := ParseEstimatorState(data)
-	if err != nil {
+	var parsed EstimatorState
+	if err := json.Unmarshal(data, &parsed); err != nil {
 		t.Fatal(err)
 	}
 
@@ -212,8 +212,8 @@ func TestPredictiveStateRoundTrip(t *testing.T) {
 	if err := e2.Restore(parsed); err != nil {
 		t.Fatal(err)
 	}
-	if e2.Rolls() != e.Rolls() {
-		t.Errorf("rolls = %d, want %d", e2.Rolls(), e.Rolls())
+	if e2.State().Rolls != e.State().Rolls {
+		t.Errorf("rolls = %d, want %d", e2.State().Rolls, e.State().Rolls)
 	}
 	// The reactive base and learned rates survive; the windows do not
 	// (engine seconds do not survive a restart), so the restored view
@@ -249,21 +249,8 @@ func TestPredictiveStateRoundTrip(t *testing.T) {
 	}
 }
 
-func TestParseEstimatorState(t *testing.T) {
-	re, _ := NewEstimator(2, 0.5)
-	re.Record(0, 10)
-	re.Roll(5)
-	data, _ := json.Marshal(re.State())
-	st, err := ParseEstimatorState(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Kind != EstimatorReactive || st.Rolls != 1 {
-		t.Errorf("parsed state = %+v", st)
-	}
-
+func TestRestoreRefusesMalformedState(t *testing.T) {
 	for name, bad := range map[string]string{
-		"not json":          `{`,
 		"unknown kind":      `{"kind":"quantum","alpha":0.5,"counts":[0],"rates":[0],"rolls":0}`,
 		"alpha zero":        `{"alpha":0,"counts":[0],"rates":[0],"rolls":0}`,
 		"alpha above one":   `{"alpha":2,"counts":[0],"rates":[0],"rolls":0}`,
@@ -273,47 +260,23 @@ func TestParseEstimatorState(t *testing.T) {
 		"reactive with map": `{"kind":"reactive","alpha":0.5,"counts":[0],"rates":[0],"rolls":0,"map_rates":[1,1]}`,
 		"predictive short":  `{"kind":"predictive","alpha":0.5,"counts":[0],"rates":[0],"rolls":0,"map_rates":[1]}`,
 	} {
-		if _, err := ParseEstimatorState([]byte(bad)); err == nil {
-			t.Errorf("%s: ParseEstimatorState should fail", name)
+		var st EstimatorState
+		if err := json.Unmarshal([]byte(bad), &st); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := ValidateEstimatorState(st); err == nil {
+			t.Errorf("%s: ValidateEstimatorState should fail", name)
+		}
+		// Both kinds validate through ValidateEstimatorState, so each
+		// refuses the state whatever its kind tag, and stays cold.
+		for _, kind := range EstimatorKinds() {
+			e, _ := NewLoadEstimator(kind, 1, 0.5)
+			if err := e.Restore(st); err == nil {
+				t.Errorf("%s: %s estimator restored it", name, kind)
+			}
+			if got := e.State(); got.Rolls != 0 || got.Rates[0] != 0 {
+				t.Errorf("%s: %s estimator not cold after a refused restore: %+v", name, kind, got)
+			}
 		}
 	}
-}
-
-// FuzzParseEstimatorState asserts the checkpoint-restore entry point
-// never panics and that every state it accepts is restorable-or-
-// refusable without corrupting an estimator.
-func FuzzParseEstimatorState(f *testing.F) {
-	re, _ := NewEstimator(2, 0.5)
-	re.Record(0, 42)
-	re.Roll(8)
-	seed1, _ := json.Marshal(re.State())
-	pe, _ := NewPredictiveEstimator(2, 0.5)
-	pe.ObserveDecision(0, 1, 60)
-	pe.Record(0, 10)
-	pe.Roll(8)
-	seed2, _ := json.Marshal(pe.State())
-	f.Add(seed1)
-	f.Add(seed2)
-	f.Add([]byte(`{"kind":"predictive","alpha":1,"counts":[],"rates":[],"rolls":0}`))
-	f.Add([]byte(`{"alpha":0.5,"counts":[1e308,1e308],"rates":[0,0],"rolls":3}`))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		st, err := ParseEstimatorState(data)
-		if err != nil {
-			return
-		}
-		// An accepted state must re-validate after a marshal round trip…
-		again, err := json.Marshal(st)
-		if err != nil {
-			t.Fatalf("accepted state does not re-marshal: %v", err)
-		}
-		if _, err := ParseEstimatorState(again); err != nil {
-			t.Fatalf("accepted state does not re-parse: %v", err)
-		}
-		// …and restoring it (into either kind) must either succeed or
-		// refuse cleanly; never panic.
-		r, _ := NewEstimator(2, 0.5)
-		_ = r.Restore(st)
-		p, _ := NewPredictiveEstimator(2, 0.5)
-		_ = p.Restore(st)
-	})
 }

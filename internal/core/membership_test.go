@@ -25,12 +25,12 @@ func TestSnapshotAlphaRhoMatchStaticCluster(t *testing.T) {
 	sn := st.Snapshot()
 	cl := sn.Cluster()
 	for i := 0; i < cl.N(); i++ {
-		if sn.Alpha(i) != cl.Alpha(i) {
-			t.Errorf("Alpha(%d): snapshot %v != cluster %v", i, sn.Alpha(i), cl.Alpha(i))
+		if want := cl.Capacity(i) / cl.Capacity(0); sn.Alpha(i) != want {
+			t.Errorf("Alpha(%d): snapshot %v != C_i/C_1 %v", i, sn.Alpha(i), want)
 		}
 	}
-	if sn.Rho() != cl.Rho() {
-		t.Errorf("Rho: snapshot %v != cluster %v", sn.Rho(), cl.Rho())
+	if want := cl.Capacity(0) / cl.Capacity(cl.N()-1); sn.Rho() != want {
+		t.Errorf("Rho: snapshot %v != C_1/C_N %v", sn.Rho(), want)
 	}
 }
 
@@ -121,8 +121,8 @@ func TestDrainRemoveReinstateLifecycle(t *testing.T) {
 	if sn.available(1) {
 		t.Error("draining server must not be schedulable")
 	}
-	if sn.EligibleServers() != 2 {
-		t.Errorf("eligible = %d, want 2", sn.EligibleServers())
+	if sn.nEligible != 2 {
+		t.Errorf("eligible = %d, want 2", sn.nEligible)
 	}
 	// Idempotent drain.
 	if err := st.DrainServer(1); err != nil {
@@ -301,8 +301,8 @@ func TestAllDownOverMembers(t *testing.T) {
 	if err := st.SetDown(1, true); err != nil {
 		t.Fatal(err)
 	}
-	if !st.Snapshot().AllDown() {
-		t.Error("every member down: AllDown should hold even with a retired slot")
+	if st.Snapshot().LiveServers() != 0 {
+		t.Error("every member down: no server should be live, even with a retired slot")
 	}
 	pol, err := NewPolicy(PolicyConfig{Name: "DRR-TTL/S_1", State: st})
 	if err != nil {
@@ -418,8 +418,8 @@ func TestEstimatorStateRoundTrip(t *testing.T) {
 	if err := e2.Restore(st); err != nil {
 		t.Fatal(err)
 	}
-	if e2.Rolls() != e.Rolls() {
-		t.Errorf("rolls = %d, want %d", e2.Rolls(), e.Rolls())
+	if e2.State().Rolls != e.State().Rolls {
+		t.Errorf("rolls = %d, want %d", e2.State().Rolls, e.State().Rolls)
 	}
 	w1, w2 := e.Weights(), e2.Weights()
 	for j := range w1 {
@@ -449,7 +449,7 @@ func TestEstimatorStateRoundTrip(t *testing.T) {
 			t.Errorf("state %+v should be refused", s)
 		}
 	}
-	if bad.Rolls() != 0 {
+	if bad.State().Rolls != 0 {
 		t.Error("failed restore mutated the estimator")
 	}
 }
@@ -460,13 +460,13 @@ func TestDrainVersionBumpRecalibratesTTL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base0 := ttl.Base(st.Snapshot())
+	base0 := ttl.recalibrate(st.Snapshot()).base
 	// Draining the slow server leaves only α=1 servers; the calibrated
 	// base must change to keep the mean request rate constant.
 	if err := st.DrainServer(1); err != nil {
 		t.Fatal(err)
 	}
-	base1 := ttl.Base(st.Snapshot())
+	base1 := ttl.recalibrate(st.Snapshot()).base
 	if base0 == base1 {
 		t.Errorf("TTL base did not recalibrate across drain: %v", base0)
 	}

@@ -196,8 +196,8 @@ func TestEstimator(t *testing.T) {
 	if math.Abs(rates[0]-30) > 1e-12 {
 		t.Errorf("rate[0] = %v, want 30 hits/s", rates[0])
 	}
-	if e.Rolls() != 1 {
-		t.Errorf("Rolls = %d, want 1", e.Rolls())
+	if e.State().Rolls != 1 {
+		t.Errorf("Rolls = %d, want 1", e.State().Rolls)
 	}
 	// Invalid records are rejected — and the caller is told so.
 	for _, bad := range []struct {
@@ -213,7 +213,7 @@ func TestEstimator(t *testing.T) {
 	}
 	for _, bad := range []float64{0, math.NaN(), math.Inf(1)} {
 		e.Roll(bad)
-		if e.Rolls() != 1 {
+		if e.State().Rolls != 1 {
 			t.Errorf("Roll(%v) should be a no-op", bad)
 		}
 	}

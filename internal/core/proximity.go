@@ -111,7 +111,7 @@ func RingProximityConfig(domains, servers int, preference float64) (*ProximityCo
 	if preference == 0 {
 		return nil, nil
 	}
-	if preference < 0 || preference > 1 {
+	if !(preference >= 0 && preference <= 1) {
 		return nil, fmt.Errorf("core: proximity preference %v out of [0,1]", preference)
 	}
 	m, err := RingLatencies(domains, servers, DefaultGeoBaseMS, DefaultGeoSpanMS)

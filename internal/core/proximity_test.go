@@ -212,6 +212,9 @@ func TestRingProximityConfig(t *testing.T) {
 	if _, err := RingProximityConfig(8, 4, 1.5); err == nil {
 		t.Error("preference > 1 must be rejected")
 	}
+	if _, err := RingProximityConfig(8, 4, math.NaN()); err == nil {
+		t.Error("NaN preference must be rejected")
+	}
 	if _, err := RingProximityConfig(0, 4, 0.5); err == nil {
 		t.Error("zero domains must be rejected")
 	}

@@ -107,11 +107,11 @@ func TestPRRCapacityProportionalAssignment(t *testing.T) {
 	}
 	var alphaSum float64
 	for i := 0; i < n; i++ {
-		alphaSum += st.Snapshot().Cluster().Alpha(i)
+		alphaSum += st.Snapshot().Alpha(i)
 	}
 	for i := 0; i < n; i++ {
 		got := counts[i] / trials
-		want := st.Snapshot().Cluster().Alpha(i) / alphaSum
+		want := st.Snapshot().Alpha(i) / alphaSum
 		if math.Abs(got-want) > 0.01 {
 			t.Errorf("server %d assignment share = %.4f, want ≈ %.4f (∝ capacity)", i, got, want)
 		}
@@ -133,10 +133,10 @@ func TestPRR2ClassSeparation(t *testing.T) {
 	}
 	var alphaSum float64
 	for i := 0; i < n; i++ {
-		alphaSum += st.Snapshot().Cluster().Alpha(i)
+		alphaSum += st.Snapshot().Alpha(i)
 	}
 	for i := 0; i < n; i++ {
-		want := st.Snapshot().Cluster().Alpha(i) / alphaSum
+		want := st.Snapshot().Alpha(i) / alphaSum
 		if math.Abs(hot[i]/trials-want) > 0.012 {
 			t.Errorf("hot class share server %d = %.4f, want ≈ %.4f", i, hot[i]/trials, want)
 		}
@@ -361,18 +361,18 @@ func TestTTLRecalibratesOnMembershipChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := ttl.Base(st.Snapshot())
+	before := ttl.recalibrate(st.Snapshot()).base
 	if err := st.SetDown(0, true); err != nil { // server 0 is the most capable
 		t.Fatal(err)
 	}
-	after := ttl.Base(st.Snapshot())
+	after := ttl.recalibrate(st.Snapshot()).base
 	if before == after {
 		t.Errorf("base unchanged (%v) after losing the most capable server", before)
 	}
 	if err := st.SetDown(0, false); err != nil {
 		t.Fatal(err)
 	}
-	if got := ttl.Base(st.Snapshot()); math.Abs(got-before) > 1e-12 {
+	if got := ttl.recalibrate(st.Snapshot()).base; math.Abs(got-before) > 1e-12 {
 		t.Errorf("base = %v after recovery, want %v restored", got, before)
 	}
 }

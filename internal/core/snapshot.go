@@ -39,7 +39,6 @@ type Snapshot struct {
 
 	// Derived membership counts, recomputed by recount() on every
 	// flag mutation (control-plane rate, never on the query path).
-	nAlarmed  int // alarmed members
 	nDown     int // down members
 	nMember   int
 	nEligible int // member && !down && !draining
@@ -47,8 +46,8 @@ type Snapshot struct {
 
 	// cMax/cMin are the extreme member capacities, the normalization
 	// for the relative capacities α_i and the power ratio ρ. For a
-	// statically built (sorted) cluster they equal C_1 and C_N, so
-	// Snapshot.Alpha/Rho match Cluster.Alpha/Rho exactly.
+	// statically built (sorted) cluster they equal C_1 and C_N, the
+	// paper's α_i = C_i / C_1 and ρ = C_1 / C_N.
 	cMax, cMin float64
 
 	// version increments whenever weights, β, or cluster membership
@@ -116,7 +115,7 @@ func (sn *Snapshot) reclassify() {
 // changing any alarm/down/member/draining flag or the cluster; it is
 // O(N) but runs only at control-plane rate.
 func (sn *Snapshot) recount() {
-	sn.nAlarmed, sn.nDown, sn.nMember, sn.nEligible, sn.nAlarmedE = 0, 0, 0, 0, 0
+	sn.nDown, sn.nMember, sn.nEligible, sn.nAlarmedE = 0, 0, 0, 0
 	sn.cMax, sn.cMin = 0, 0
 	for i := range sn.member {
 		if !sn.member[i] {
@@ -129,9 +128,6 @@ func (sn *Snapshot) recount() {
 		}
 		if sn.cMin == 0 || c < sn.cMin {
 			sn.cMin = c
-		}
-		if sn.alarmed[i] {
-			sn.nAlarmed++
 		}
 		if sn.down[i] {
 			sn.nDown++
@@ -151,9 +147,6 @@ func (sn *Snapshot) Cluster() *Cluster { return sn.cluster }
 
 // Domains returns the number of connected domains.
 func (sn *Snapshot) Domains() int { return len(sn.weights) }
-
-// Beta returns the class threshold β.
-func (sn *Snapshot) Beta() float64 { return sn.beta }
 
 // Version returns the state version this snapshot was built at; it
 // increments whenever the weights, the class threshold, or cluster
@@ -190,7 +183,7 @@ func (sn *Snapshot) HotDomains() int { return sn.hotN }
 // Alpha returns the relative capacity α_i = C_i / C_max of server i,
 // normalized over the member servers so that dynamically added
 // capacity re-scales the whole vector. For a statically built cluster
-// it equals Cluster.Alpha.
+// it equals the paper's C_i / C_1.
 func (sn *Snapshot) Alpha(i int) float64 {
 	if sn.cMax <= 0 {
 		return 1
@@ -211,17 +204,8 @@ func (sn *Snapshot) Rho() float64 {
 // loaded.
 func (sn *Snapshot) Alarmed(i int) bool { return sn.alarmed[i] }
 
-// AllAlarmed reports whether every member server is currently alarmed,
-// in which case selectors ignore alarms (there is no better
-// candidate).
-func (sn *Snapshot) AllAlarmed() bool { return sn.nAlarmed == sn.nMember }
-
 // Down reports whether server i is currently marked failed.
 func (sn *Snapshot) Down(i int) bool { return sn.down[i] }
-
-// AllDown reports whether no member server is live; Schedule then
-// returns ErrNoServers.
-func (sn *Snapshot) AllDown() bool { return sn.nDown == sn.nMember }
 
 // LiveServers returns the number of member servers not marked down.
 func (sn *Snapshot) LiveServers() int { return sn.nMember - sn.nDown }
@@ -242,10 +226,6 @@ func (sn *Snapshot) Draining(i int) bool {
 
 // MemberServers returns the number of non-retired slots.
 func (sn *Snapshot) MemberServers() int { return sn.nMember }
-
-// EligibleServers returns the number of servers a selector may pick
-// from before alarms are considered: member, not down, not draining.
-func (sn *Snapshot) EligibleServers() int { return sn.nEligible }
 
 // available reports whether server i should be considered by a
 // selector: a member, live, not draining, and not alarmed — unless

@@ -35,8 +35,8 @@ func TestStateDefaults(t *testing.T) {
 	if st.Snapshot().Domains() != 20 {
 		t.Errorf("Domains = %d", st.Snapshot().Domains())
 	}
-	if math.Abs(st.Snapshot().Beta()-0.05) > 1e-12 {
-		t.Errorf("Beta = %v, want 1/K = 0.05", st.Snapshot().Beta())
+	if math.Abs(st.Snapshot().beta-0.05) > 1e-12 {
+		t.Errorf("Beta = %v, want 1/K = 0.05", st.Snapshot().beta)
 	}
 	// Uniform initial weights: no domain exceeds β, so all normal.
 	if st.Snapshot().HotDomains() != 0 {
@@ -142,7 +142,7 @@ func TestDegenerateClassPartitions(t *testing.T) {
 func TestAlarms(t *testing.T) {
 	st := testState(t, 5)
 	n := st.Snapshot().Cluster().N()
-	if st.Snapshot().AllAlarmed() {
+	if sn := st.Snapshot(); sn.nAlarmedE == sn.nEligible {
 		t.Error("no alarms initially")
 	}
 	st.SetAlarm(2, true)
@@ -162,8 +162,8 @@ func TestAlarms(t *testing.T) {
 	for i := 0; i < n; i++ {
 		st.SetAlarm(i, true)
 	}
-	if !st.Snapshot().AllAlarmed() {
-		t.Error("AllAlarmed should be true")
+	if sn := st.Snapshot(); sn.nAlarmedE != sn.nEligible {
+		t.Error("every eligible server should count as alarmed")
 	}
 	for i := 0; i < n; i++ {
 		if !st.Snapshot().available(i) {
@@ -271,8 +271,8 @@ func TestAllDown(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if sn := st.Snapshot(); !sn.AllDown() || sn.LiveServers() != 0 {
-		t.Error("AllDown should hold with every server down")
+	if sn := st.Snapshot(); sn.LiveServers() != 0 {
+		t.Error("no server should be live with every server down")
 	}
 	for i := 0; i < n; i++ {
 		if st.Snapshot().available(i) {

@@ -229,11 +229,6 @@ func (p *TTLPolicy) TTL(sn *Snapshot, domain, server int) float64 {
 	return ttl
 }
 
-// Base returns the calibrated TTL_min for the given snapshot.
-func (p *TTLPolicy) Base(sn *Snapshot) float64 {
-	return p.recalibrate(sn).base
-}
-
 // recalibrate returns the calibration for the snapshot's version,
 // computing and publishing it when the cached one is stale.
 func (p *TTLPolicy) recalibrate(sn *Snapshot) *ttlCalib {

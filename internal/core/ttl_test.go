@@ -64,7 +64,7 @@ func TestTTLKPerDomainScaling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := p.Base(st.Snapshot())
+	base := p.recalibrate(st.Snapshot()).base
 	for j := 0; j < 20; j++ {
 		want := base * float64(j+1)
 		if got := p.TTL(st.Snapshot(), j, 0); math.Abs(got-want) > 1e-6 {
@@ -118,9 +118,9 @@ func TestTTLSKServerScaling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rho := st.Snapshot().Cluster().Rho()
+	rho := st.Snapshot().Rho()
 	n := st.Snapshot().Cluster().N()
-	base := p.Base(st.Snapshot())
+	base := p.recalibrate(st.Snapshot()).base
 	if got := p.TTL(st.Snapshot(), 0, n-1); math.Abs(got-base) > 1e-6 {
 		t.Errorf("hottest domain on slowest server TTL = %v, want base %v", got, base)
 	}
@@ -129,7 +129,7 @@ func TestTTLSKServerScaling(t *testing.T) {
 	}
 	// TTLs across servers for one domain scale with capacity.
 	for i := 0; i < n; i++ {
-		want := base * st.Snapshot().Cluster().Alpha(i) * rho
+		want := base * st.Snapshot().Alpha(i) * rho
 		if got := p.TTL(st.Snapshot(), 0, i); math.Abs(got-want) > 1e-6 {
 			t.Errorf("server %d TTL = %v, want %v", i, got, want)
 		}
@@ -247,8 +247,8 @@ func TestTTLRecalibratesOnWeightChange(t *testing.T) {
 	if math.Abs(before-after) < 1e-9 {
 		t.Error("TTL did not adapt to new weights")
 	}
-	if got := p.TTL(st.Snapshot(), 19, 0); math.Abs(got-p.Base(st.Snapshot())) > 1e-6 {
-		t.Errorf("new hottest domain TTL = %v, want base %v", got, p.Base(st.Snapshot()))
+	if got := p.TTL(st.Snapshot(), 19, 0); math.Abs(got-p.recalibrate(st.Snapshot()).base) > 1e-6 {
+		t.Errorf("new hottest domain TTL = %v, want base %v", got, p.recalibrate(st.Snapshot()).base)
 	}
 }
 

@@ -389,11 +389,11 @@ func TestWRRCapacityShares(t *testing.T) {
 	}
 	var alphaSum float64
 	for i := 0; i < n; i++ {
-		alphaSum += st.Snapshot().Cluster().Alpha(i)
+		alphaSum += st.Snapshot().Alpha(i)
 	}
 	for i := 0; i < n; i++ {
 		got := counts[i] / picks
-		want := st.Snapshot().Cluster().Alpha(i) / alphaSum
+		want := st.Snapshot().Alpha(i) / alphaSum
 		if math.Abs(got-want) > 0.005 {
 			t.Errorf("server %d share = %.4f, want %.4f", i, got, want)
 		}

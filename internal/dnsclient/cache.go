@@ -61,13 +61,6 @@ func NewCachingNS(resolver *Resolver, minTTL time.Duration) *CachingNS {
 	}
 }
 
-// SetClock overrides the cache's time source, for tests.
-func (c *CachingNS) SetClock(now func() time.Time) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now = now
-}
-
 // Stats returns a snapshot of the counters.
 func (c *CachingNS) Stats() CacheStats {
 	c.mu.Lock()

@@ -240,7 +240,7 @@ func TestCachingNSHitsWithinTTL(t *testing.T) {
 	ns := NewCachingNS(r, 0)
 
 	now := time.Unix(1000, 0)
-	ns.SetClock(func() time.Time { return now })
+	ns.now = func() time.Time { return now }
 
 	ctx := context.Background()
 	_, fromCache, err := ns.LookupA(ctx, "web.example")
@@ -277,7 +277,7 @@ func TestCachingNSMinTTLClamp(t *testing.T) {
 	r := &Resolver{Server: f.addr(), Timeout: time.Second}
 	ns := NewCachingNS(r, 120*time.Second) // non-cooperative
 	now := time.Unix(5000, 0)
-	ns.SetClock(func() time.Time { return now })
+	ns.now = func() time.Time { return now }
 	ctx := context.Background()
 	if _, _, err := ns.LookupA(ctx, "web.example"); err != nil {
 		t.Fatal(err)
@@ -307,7 +307,7 @@ func TestCachingNSUsesMinimumAnswerTTL(t *testing.T) {
 	r := &Resolver{Server: f.addr(), Timeout: time.Second}
 	ns := NewCachingNS(r, 0)
 	now := time.Unix(9000, 0)
-	ns.SetClock(func() time.Time { return now })
+	ns.now = func() time.Time { return now }
 	ctx := context.Background()
 	if _, _, err := ns.LookupA(ctx, "web.example"); err != nil {
 		t.Fatal(err)
@@ -360,7 +360,7 @@ func TestNegativeCachingNXDomain(t *testing.T) {
 	r := &Resolver{Server: f.addr(), Timeout: time.Second}
 	ns := NewCachingNS(r, 0)
 	now := time.Unix(100, 0)
-	ns.SetClock(func() time.Time { return now })
+	ns.now = func() time.Time { return now }
 	ctx := context.Background()
 
 	_, fromCache, err := ns.LookupA(ctx, "ghost.example")
@@ -403,7 +403,7 @@ func TestNegativeCachingNoData(t *testing.T) {
 	r := &Resolver{Server: f.addr(), Timeout: time.Second}
 	ns := NewCachingNS(r, 0)
 	now := time.Unix(100, 0)
-	ns.SetClock(func() time.Time { return now })
+	ns.now = func() time.Time { return now }
 	ctx := context.Background()
 	if _, _, err := ns.LookupA(ctx, "data.example"); !errors.Is(err, ErrNoAnswer) {
 		t.Fatalf("err = %v", err)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/netip"
 	"os"
 	"path/filepath"
@@ -126,9 +127,19 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
+	cp, err := decodeCheckpoint(data)
+	if err != nil {
+		return nil, fmt.Errorf("dnsserver: corrupt checkpoint %s: %w", path, err)
+	}
+	return cp, nil
+}
+
+// decodeCheckpoint decodes a checkpoint file's bytes; RestoreCheckpoint
+// validates what it decodes.
+func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 	var cp Checkpoint
 	if err := json.Unmarshal(data, &cp); err != nil {
-		return nil, fmt.Errorf("dnsserver: corrupt checkpoint %s: %w", path, err)
+		return nil, err
 	}
 	return &cp, nil
 }
@@ -140,13 +151,15 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 //   - the format version must match;
 //   - zone, policy name, and domain count must match the running
 //     configuration;
-//   - the checkpoint must be younger than maxAge (0 disables the check).
+//   - the checkpoint must be younger than maxAge (0 disables the check);
+//   - the weights must be non-negative and finite, with a positive
+//     finite sum, and the estimator state must restore.
 //
-// Server standing is matched by address: slots whose address appears
-// in the current table get their alarm/down flags and (for a slot that
-// was draining) a resumed drain with the persisted hidden-load window;
-// checkpointed servers unknown to the current config are skipped with
-// a log line (the config is authoritative for membership).
+// Server standing is matched by address: member slots whose address
+// appears in the current table get their persisted hidden-load window,
+// their alarm/down flags and (for a slot that was draining) a resumed
+// drain; checkpointed servers unknown to the current config are
+// skipped with a log line (the config is authoritative for membership).
 //
 // Start does this for Config.CheckpointPath, at the one point of its
 // order where it is safe; a direct call belongs before Start.
@@ -178,6 +191,16 @@ func (s *Server) RestoreCheckpoint(cp *Checkpoint, maxAge time.Duration) error {
 	}
 	if len(cp.Weights) != cp.Domains {
 		return fmt.Errorf("dnsserver: checkpoint has %d weights for %d domains", len(cp.Weights), cp.Domains)
+	}
+	var sum float64
+	for _, w := range cp.Weights {
+		if !(w >= 0 && w <= math.MaxFloat64) {
+			return fmt.Errorf("dnsserver: checkpoint weight %v, want non-negative finite", w)
+		}
+		sum += w
+	}
+	if !(sum > 0 && sum <= math.MaxFloat64) {
+		return fmt.Errorf("dnsserver: checkpoint weights sum to %v", sum)
 	}
 
 	// Validation done — apply. Estimator first (it re-derives weights on
@@ -216,6 +239,13 @@ func (s *Server) RestoreCheckpoint(cp *Checkpoint, maxAge time.Duration) error {
 		if !scp.Member {
 			continue // was retired at save time; current config revived it
 		}
+		// Mappings handed out before the restart are still cached
+		// downstream until ExpiresAt, so a drain after the restart must
+		// wait for them (NoteMapping is a CAS-max, so a shorter persisted
+		// window never shrinks a live one).
+		if exp := scp.ExpiresAt; exp.After(time.Now()) {
+			s.eng.NoteMapping(i, s.clock.Seconds(exp))
+		}
 		if scp.Alarmed {
 			_ = st.SetAlarm(i, true)
 		}
@@ -227,13 +257,6 @@ func (s *Server) RestoreCheckpoint(cp *Checkpoint, maxAge time.Duration) error {
 			_ = s.voteDown(detectorPassive, i, true)
 		}
 		if scp.Draining {
-			// Resume the drain with the persisted hidden-load window:
-			// mappings handed out before the restart are still cached
-			// downstream until ExpiresAt (NoteMapping is a CAS-max, so a
-			// shorter persisted window never shrinks a live one).
-			if exp := scp.ExpiresAt; exp.After(time.Now()) {
-				s.eng.NoteMapping(i, s.clock.Seconds(exp))
-			}
 			if _, err := s.drainLocked(i); err != nil {
 				s.logger.Warn("checkpoint drain not resumable", "server", i, "err", err)
 			}
@@ -270,7 +293,3 @@ func (s *Server) saveCheckpoint() {
 		s.logger.Warn("checkpoint not written", "path", s.cfg.CheckpointPath, "err", err)
 	}
 }
-
-// CheckpointSaves returns how many checkpoints were written
-// successfully.
-func (s *Server) CheckpointSaves() uint64 { return s.ckptSaves.Load() }

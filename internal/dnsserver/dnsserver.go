@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"net"
 	"net/netip"
 	"runtime"
@@ -227,10 +228,6 @@ type Server struct {
 	closed chan struct{}
 
 	stats [statsShards]statsShard
-	// tquery counts received queries per transport, sharded like stats
-	// so the per-transport label costs the hot path one more sharded
-	// increment and no new contention.
-	tquery [statsShards]transportShard
 }
 
 // ServerStats counts served queries by outcome.
@@ -250,41 +247,45 @@ type ServerStats struct {
 // goroutines don't bounce one counter line between cores.
 const statsShards = 16
 
-// statsShard mirrors ServerStats with atomic counters. Eight 8-byte
-// atomics fill exactly one 64-byte cache line, so adjacent shards
-// never share a line.
-type statsShard struct {
-	queries     atomic.Uint64
-	answered    atomic.Uint64
-	nxdomain    atomic.Uint64
-	formerr     atomic.Uint64
-	notimp      atomic.Uint64
-	servfail    atomic.Uint64
-	truncated   atomic.Uint64
-	ratelimited atomic.Uint64
-}
+// statsCounter names one of the serve counters a statsShard holds:
+// ServerStats' eight, the answers the degraded ladder served, and the
+// queries received per transport.
+type statsCounter int
 
-// transportShard counts queries per transport on one stats shard.
-// Four 8-byte atomics plus padding fill one 64-byte cache line, so
-// adjacent shards never share a line (mirroring statsShard).
-type transportShard struct {
-	counts [numTransports]atomic.Uint64
-	_      [64 - 8*numTransports]byte
-}
+const (
+	cQueries statsCounter = iota
+	cAnswered
+	cNXDomain
+	cFormErr
+	cNotImp
+	cServFail
+	cTruncated
+	cRateLimited
+	cDegraded
+	// cTransport is the first of numTransports per-transport query
+	// counts, indexed by engine.Transport.
+	cTransport
+	numCounters = cTransport + numTransports
+)
 
 // numTransports mirrors the engine's Transport value range
 // (none/udp/tcp/doh).
 const numTransports = 4
 
-// transportQueries returns how many queries arrived through the given
-// transport, summed across the shards.
-func (s *Server) transportQueries(tr engine.Transport) uint64 {
-	if int(tr) >= numTransports {
-		return 0
-	}
+// statsShard is one shard of the serve counters, padded to whole
+// 64-byte cache lines so adjacent shards never share a line.
+type statsShard struct {
+	c [numCounters]atomic.Uint64
+	_ [(64 - numCounters*8%64) % 64]byte
+}
+
+// statsTotal sums one counter across the stats shards. Counters may be
+// mid-update while summing; each total is individually consistent
+// (monotone), which is all the callers need.
+func (s *Server) statsTotal(c statsCounter) uint64 {
 	var t uint64
-	for i := range s.tquery {
-		t += s.tquery[i].counts[tr].Load()
+	for i := range s.stats {
+		t += s.stats[i].c[c].Load()
 	}
 	return t
 }
@@ -296,12 +297,20 @@ func (s *Server) statsIndex(addr netip.Addr) uint32 {
 	if !addr.IsValid() {
 		return 0
 	}
+	return addrHash(addr) & (statsShards - 1)
+}
+
+// addrHash is FNV-1a over the address's 16-byte form, the source hash
+// both the stats shards and the rate limiter's shards are indexed by.
+// IPv4 addresses hash in their 4-in-6 form, so the low bytes still vary
+// and spread adjacent sources across shards.
+func addrHash(addr netip.Addr) uint32 {
 	b := addr.As16()
 	h := uint32(2166136261)
 	for _, c := range b {
 		h = (h ^ uint32(c)) * 16777619
 	}
-	return h & (statsShards - 1)
+	return h
 }
 
 // maxZoneWire is the longest zone name, in wire bytes, whose SOA names
@@ -339,6 +348,10 @@ func (c Config) Validate() error {
 		return errors.New("dnsserver: Replication.Peers need a Replication.ReplicaID")
 	case c.CheckpointPath != "" && c.CheckpointInterval <= 0:
 		return fmt.Errorf("dnsserver: CheckpointInterval %v must be positive", c.CheckpointInterval)
+	case c.RateLimit != nil && !(c.RateLimit.rate <= math.MaxFloat64):
+		return fmt.Errorf("dnsserver: RateLimit rate %v must be finite", c.RateLimit.rate)
+	case c.RateLimit != nil && !(c.RateLimit.burst <= math.MaxFloat64):
+		return fmt.Errorf("dnsserver: RateLimit burst %v must be finite", c.RateLimit.burst)
 	}
 	return c.Overload.validate()
 }
@@ -463,22 +476,18 @@ func (s *Server) MappingExpiry(i int) time.Time {
 }
 
 // Stats returns a snapshot of the serve counters, summed across the
-// shards. Counters may be mid-update while summing; each total is
-// individually consistent (monotone), which is all the callers need.
+// shards.
 func (s *Server) Stats() ServerStats {
-	var out ServerStats
-	for i := range s.stats {
-		sh := &s.stats[i]
-		out.Queries += sh.queries.Load()
-		out.Answered += sh.answered.Load()
-		out.NXDomain += sh.nxdomain.Load()
-		out.FormErr += sh.formerr.Load()
-		out.NotImp += sh.notimp.Load()
-		out.ServFail += sh.servfail.Load()
-		out.Truncated += sh.truncated.Load()
-		out.RateLimited += sh.ratelimited.Load()
+	return ServerStats{
+		Queries:     s.statsTotal(cQueries),
+		Answered:    s.statsTotal(cAnswered),
+		NXDomain:    s.statsTotal(cNXDomain),
+		FormErr:     s.statsTotal(cFormErr),
+		NotImp:      s.statsTotal(cNotImp),
+		ServFail:    s.statsTotal(cServFail),
+		Truncated:   s.statsTotal(cTruncated),
+		RateLimited: s.statsTotal(cRateLimited),
 	}
-	return out
 }
 
 // Servers returns the number of server slots (including retired ones;

@@ -104,6 +104,18 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Zone: longSOAZone + "d", ServerAddrs: addrs, Policy: policy}); err == nil {
 		t.Errorf("a %d-byte zone leaves no room for hostmaster.<zone> and should error", maxZoneWire+1)
 	}
+	// A NaN burst would allow every query; a NaN or infinite rate has no
+	// meaning as a per-source limit.
+	for _, l := range []*RateLimiter{
+		NewRateLimiter(1, math.NaN()),
+		NewRateLimiter(1, math.Inf(1)),
+		NewRateLimiter(math.NaN(), 10),
+		NewRateLimiter(math.Inf(1), 10),
+	} {
+		if _, err := New(Config{Zone: "x", ServerAddrs: addrs, Policy: policy, RateLimit: l}); err == nil {
+			t.Errorf("rate limit %v qps, burst %v should error", l.rate, l.burst)
+		}
+	}
 }
 
 func TestUDPQueryAnswersWithAdaptiveTTL(t *testing.T) {

@@ -488,7 +488,7 @@ func TestDoHFramerShutdownAnswersBuffered(t *testing.T) {
 // for (TestShutdownEndsIdleTCPConn, for the other stream listener).
 func TestShutdownEndsIdleDoHConn(t *testing.T) {
 	srv, _ := dohServer(t)
-	conn, err := net.Dial("tcp", srv.HTTPAddr().String())
+	conn, err := net.Dial("tcp", srv.httpLn.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -569,7 +569,7 @@ func TestDoHConnCap(t *testing.T) {
 	}
 	var held [2]net.Conn
 	for i := range held {
-		conn, err := net.Dial("tcp", srv.HTTPAddr().String())
+		conn, err := net.Dial("tcp", srv.httpLn.Addr().String())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -583,7 +583,7 @@ func TestDoHConnCap(t *testing.T) {
 
 	// The third connection completes its handshake in the kernel's
 	// backlog but is not accepted; its request goes unanswered.
-	third, err := net.Dial("tcp", srv.HTTPAddr().String())
+	third, err := net.Dial("tcp", srv.httpLn.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -833,7 +833,7 @@ func BenchmarkServerDoH(b *testing.B) {
 	var clients [conns]*bufio.Reader
 	var socks [conns]net.Conn
 	for i := range socks {
-		conn, err := net.Dial("tcp", srv.HTTPAddr().String())
+		conn, err := net.Dial("tcp", srv.httpLn.Addr().String())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -879,7 +879,7 @@ func BenchmarkServerDoH(b *testing.B) {
 			read(clients[i])
 		}
 	}
-	if got := srv.transportQueries(engine.TransportDoH); got != uint64(b.N) {
+	if got := srv.statsTotal(cTransport + statsCounter(engine.TransportDoH)); got != uint64(b.N) {
 		b.Fatalf("%d DoH queries counted for %d requests", got, b.N)
 	}
 }

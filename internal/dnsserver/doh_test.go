@@ -81,7 +81,7 @@ func dohServer(t *testing.T) (*Server, *metrics.Registry) {
 
 func dohBase(t *testing.T, srv *Server) string {
 	t.Helper()
-	ha := srv.HTTPAddr()
+	ha := srv.httpLn.Addr()
 	if ha == nil {
 		t.Fatal("HTTP front end not bound")
 	}
@@ -590,7 +590,7 @@ func TestMixedCaseQuestionEchoed(t *testing.T) {
 func TestDoHResolverTransport(t *testing.T) {
 	srv, _ := dohServer(t)
 	r := &dnsclient.Resolver{
-		Server:    srv.HTTPAddr().String(),
+		Server:    srv.httpLn.Addr().String(),
 		Transport: "doh",
 		Timeout:   2 * time.Second,
 	}
@@ -781,7 +781,7 @@ func TestResolveJSONMatchesWire(t *testing.T) {
 		if st := srv.Stats(); st.Queries != 2*n || st.Answered != answered {
 			t.Errorf("stats %+v, want %d queries, %d answered", st, 2*n, answered)
 		}
-		if got := srv.transportQueries(engine.TransportDoH); got != 2*n {
+		if got := srv.statsTotal(cTransport + statsCounter(engine.TransportDoH)); got != 2*n {
 			t.Errorf("%d queries counted on the DoH transport, want %d", got, 2*n)
 		}
 		if ok := srv.dohOK.Load(); ok != 2*n {

@@ -76,7 +76,7 @@ func TestLifecycleEveryComponent(t *testing.T) {
 			t.Fatal(err)
 		}
 		var idle [3]net.Conn // report, TCP, DoH
-		for i, addr := range []net.Addr{srv.ReportAddr(), srv.Addr(), srv.HTTPAddr()} {
+		for i, addr := range []net.Addr{srv.ReportAddr(), srv.Addr(), srv.httpLn.Addr()} {
 			conn, err := net.Dial("tcp", addr.String())
 			if err != nil {
 				t.Fatal(err)
@@ -89,7 +89,7 @@ func TestLifecycleEveryComponent(t *testing.T) {
 			t.Fatalf("response = %q", resp)
 		}
 		waitCond(t, 2*time.Second, func() bool { return srv.probeDown(6) }, "the prober never ran")
-		if n := srv.CheckpointSaves(); n != 0 {
+		if n := srv.ckptSaves.Load(); n != 0 {
 			t.Fatalf("%d checkpoints written before Shutdown", n)
 		}
 
@@ -102,7 +102,7 @@ func TestLifecycleEveryComponent(t *testing.T) {
 		if elapsed := time.Since(start); elapsed > 2*time.Second {
 			t.Errorf("Shutdown took %v with three idle connections open", elapsed)
 		}
-		if n := srv.CheckpointSaves(); n != 1 {
+		if n := srv.ckptSaves.Load(); n != 1 {
 			t.Errorf("%d checkpoints written by Shutdown, want the final one", n)
 		}
 		if err := srv.Shutdown(ctx); err != nil {

@@ -69,29 +69,28 @@ func newServerMetrics(reg *metrics.Registry, s *Server) *serverMetrics {
 	// serve counters the handlers already maintain.
 	reg.NewCounterFunc("dnslb_dns_queries_total",
 		"DNS queries received, before any classification.",
-		nil, s.statsTotal(func(sh *statsShard) uint64 { return sh.queries.Load() }))
+		nil, func() uint64 { return s.statsTotal(cQueries) })
 	for _, tr := range []engine.Transport{engine.TransportUDP, engine.TransportTCP, engine.TransportDoH} {
-		tr := tr
 		reg.NewCounterFunc("dnslb_dns_queries_total",
 			"DNS queries received, before any classification.",
 			metrics.Labels{"transport", tr.String()},
-			func() uint64 { return s.transportQueries(tr) })
+			func() uint64 { return s.statsTotal(cTransport + statsCounter(tr)) })
 	}
 	for _, oc := range []struct {
 		name string
-		load func(*statsShard) uint64
+		c    statsCounter
 	}{
-		{"answered", func(sh *statsShard) uint64 { return sh.answered.Load() }},
-		{"nxdomain", func(sh *statsShard) uint64 { return sh.nxdomain.Load() }},
-		{"formerr", func(sh *statsShard) uint64 { return sh.formerr.Load() }},
-		{"notimp", func(sh *statsShard) uint64 { return sh.notimp.Load() }},
-		{"servfail", func(sh *statsShard) uint64 { return sh.servfail.Load() }},
-		{"truncated", func(sh *statsShard) uint64 { return sh.truncated.Load() }},
-		{"ratelimited", func(sh *statsShard) uint64 { return sh.ratelimited.Load() }},
+		{"answered", cAnswered},
+		{"nxdomain", cNXDomain},
+		{"formerr", cFormErr},
+		{"notimp", cNotImp},
+		{"servfail", cServFail},
+		{"truncated", cTruncated},
+		{"ratelimited", cRateLimited},
 	} {
 		reg.NewCounterFunc("dnslb_dns_responses_total",
 			"DNS responses by outcome (formerr counts malformed packets, ratelimited counts rate-limit drops).",
-			metrics.Labels{"outcome", oc.name}, s.statsTotal(oc.load))
+			metrics.Labels{"outcome", oc.name}, func() uint64 { return s.statsTotal(oc.c) })
 	}
 	m.latency = reg.NewHistogram("dnslb_dns_query_duration_seconds",
 		"Per-query serve latency (decode, schedule, encode), measured in each UDP worker.",
@@ -297,18 +296,6 @@ func (m *serverMetrics) ensureServerSeries(n int) {
 			func() float64 { return boolGauge(st.Snapshot().Draining(i)) })
 	}
 	m.serverSlots = n
-}
-
-// statsTotal returns a scrape-time reader summing one counter across
-// the stats shards.
-func (s *Server) statsTotal(load func(*statsShard) uint64) func() uint64 {
-	return func() uint64 {
-		var t uint64
-		for i := range s.stats {
-			t += load(&s.stats[i])
-		}
-		return t
-	}
 }
 
 func boolGauge(b bool) float64 {

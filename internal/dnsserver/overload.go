@@ -50,11 +50,11 @@ type OverloadConfig struct {
 func (c OverloadConfig) Enabled() bool { return c.QPSCeiling > 0 }
 
 func (c OverloadConfig) validate() error {
-	if c.QPSCeiling < 0 {
-		return fmt.Errorf("dnsserver: overload ceiling %v must be >= 0", c.QPSCeiling)
+	if !(c.QPSCeiling >= 0 && c.QPSCeiling <= math.MaxFloat64) {
+		return fmt.Errorf("dnsserver: overload ceiling %v must be >= 0 and finite", c.QPSCeiling)
 	}
-	if c.DegradedTTL < 0 {
-		return fmt.Errorf("dnsserver: degraded TTL %v must be >= 0", c.DegradedTTL)
+	if !(c.DegradedTTL >= 0 && c.DegradedTTL <= math.MaxFloat64) {
+		return fmt.Errorf("dnsserver: degraded TTL %v must be >= 0 and finite", c.DegradedTTL)
 	}
 	return nil
 }
@@ -68,7 +68,6 @@ type overloadController struct {
 	degraded    atomic.Bool
 	transitions atomic.Uint64
 	lastRate    atomic.Uint64 // float64 bits of the last sampled qps
-	shed        [statsShards]paddedCounter
 
 	// hysteresis counters and the previous sample, owned by the sampling
 	// goroutine
@@ -78,44 +77,22 @@ type overloadController struct {
 	lastSample  time.Time
 }
 
-// paddedCounter is an atomic counter on its own cache line, so the
-// degraded hot path (which is by definition under heavy load) shards
-// its answer count like the serve counters do.
-type paddedCounter struct {
-	n atomic.Uint64
-	_ [56]byte
-}
-
 func newOverloadController(s *Server, cfg OverloadConfig) *overloadController {
 	if cfg.DegradedTTL == 0 {
 		cfg.DegradedTTL = 5
 	}
-	return &overloadController{srv: s, cfg: cfg, lastQueries: s.Stats().Queries, lastSample: time.Now()}
+	return &overloadController{srv: s, cfg: cfg, lastQueries: s.statsTotal(cQueries), lastSample: time.Now()}
 }
 
 // active is the query path's gate: one atomic load.
 func (c *overloadController) active() bool { return c.degraded.Load() }
-
-// noteDegradedAnswer counts one answer served by the degraded ladder.
-func (c *overloadController) noteDegradedAnswer(shard uint32) {
-	c.shed[shard&(statsShards-1)].n.Add(1)
-}
-
-// DegradedAnswers sums the degraded-mode answer counter.
-func (c *overloadController) degradedAnswers() uint64 {
-	var t uint64
-	for i := range c.shed {
-		t += c.shed[i].n.Load()
-	}
-	return t
-}
 
 // sample takes one rate measurement at now and applies the hysteresis
 // rules. The rate is over the time since the previous sample, not over
 // overloadTick: a ticker drops ticks for a slow receiver, which is the
 // overloaded case, and a late sample then spans more than one tick.
 func (c *overloadController) sample(now time.Time) {
-	queries := c.srv.Stats().Queries
+	queries := c.srv.statsTotal(cQueries)
 	rate := float64(queries-c.lastQueries) / now.Sub(c.lastSample).Seconds()
 	c.lastQueries, c.lastSample = queries, now
 	c.lastRate.Store(math.Float64bits(rate))
@@ -177,7 +154,7 @@ func (s *Server) Degraded() DegradedStats {
 		return DegradedStats{}
 	}
 	return DegradedStats{
-		Answers:     s.over.degradedAnswers(),
+		Answers:     s.statsTotal(cDegraded),
 		Transitions: s.over.transitions.Load(),
 		Degraded:    s.over.active(),
 		LastRateQPS: s.over.rate(),

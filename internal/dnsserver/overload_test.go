@@ -2,6 +2,7 @@ package dnsserver
 
 import (
 	"context"
+	"math"
 	"net/netip"
 	"testing"
 	"time"
@@ -14,6 +15,10 @@ func TestOverloadConfigValidation(t *testing.T) {
 	for _, cfg := range []OverloadConfig{
 		{QPSCeiling: -1},
 		{QPSCeiling: 100, DegradedTTL: -1},
+		{QPSCeiling: math.NaN()},
+		{QPSCeiling: math.Inf(1)},
+		{QPSCeiling: 100, DegradedTTL: math.NaN()},
+		{QPSCeiling: 100, DegradedTTL: math.Inf(1)},
 	} {
 		if err := cfg.validate(); err == nil {
 			t.Errorf("config %+v accepted", cfg)
@@ -33,7 +38,7 @@ func TestOverloadConfigValidation(t *testing.T) {
 func handSampler(srv *Server, c *overloadController) func(qps, seconds float64) {
 	at := c.lastSample
 	return func(qps, seconds float64) {
-		srv.stats[0].queries.Add(uint64(qps * seconds))
+		srv.stats[0].c[cQueries].Add(uint64(qps * seconds))
 		at = at.Add(time.Duration(seconds * float64(time.Second)))
 		c.sample(at)
 	}

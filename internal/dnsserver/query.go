@@ -103,12 +103,12 @@ func (s *Server) answer(q *dnswire.Query, wire []byte, from netip.Addr, tr engin
 	from = from.Unmap()
 	idx := s.statsIndex(from)
 	st = &s.stats[idx]
-	st.queries.Add(1)
+	st.c[cQueries].Add(1)
 	if int(tr) < numTransports {
-		s.tquery[idx].counts[tr].Add(1)
+		st.c[cTransport+statsCounter(tr)].Add(1)
 	}
 	if err := q.UnpackQuery(wire); err != nil || q.QDCount == 0 {
-		st.formerr.Add(1)
+		st.c[cFormErr].Add(1)
 		if len(wire) >= 2 { // or it cannot even echo an ID
 			r.shape = shapeHeader
 			r.hdr = dnswire.Header{ID: binary.BigEndian.Uint16(wire), Response: true, RCode: dnswire.RCodeFormErr}
@@ -121,7 +121,7 @@ func (s *Server) answer(q *dnswire.Query, wire []byte, from netip.Addr, tr engin
 	r.shape = shapeHeader
 	r.hdr = dnswire.Header{ID: q.Header.ID, Response: true, OpCode: q.Header.OpCode}
 	if s.limiter != nil && !s.limiter.Allow(from) {
-		st.ratelimited.Add(1)
+		st.c[cRateLimited].Add(1)
 		r.hdr.RCode = dnswire.RCodeRefused
 		return r, st
 	}
@@ -131,21 +131,21 @@ func (s *Server) answer(q *dnswire.Query, wire []byte, from netip.Addr, tr engin
 	switch {
 	case q.Header.OpCode != dnswire.OpQuery:
 		r.hdr.RCode = dnswire.RCodeNotImp
-		st.notimp.Add(1)
+		st.c[cNotImp].Add(1)
 	// string(q.Name) in a comparison does not allocate; the name is
 	// already canonical (lower-case, trailing dot).
 	case string(q.Name) != s.zone:
 		r.hdr.RCode = dnswire.RCodeNXDomain
 		r.shape = shapeSOA
-		st.nxdomain.Add(1)
+		st.c[cNXDomain].Add(1)
 	case q.Type == dnswire.TypeA || q.Type == dnswire.TypeANY:
 		s.decideAddress(&r, q, from, tr, idx, st)
 	case q.Type == dnswire.TypeTXT:
 		r.shape = shapeTXT // debug visibility: the policy name and decision counter
-		st.answered.Add(1)
+		st.c[cAnswered].Add(1)
 	default:
 		r.shape = shapeSOA // the name exists but has no data of this type: NOERROR + SOA
-		st.answered.Add(1)
+		st.c[cAnswered].Add(1)
 	}
 	return r, st
 }
@@ -180,7 +180,7 @@ func (s *Server) decideAddress(r *reply, q *dnswire.Query, from netip.Addr, tr e
 		d, scope = qd.Decision, qd.Scope
 	}
 	if err != nil {
-		st.servfail.Add(1)
+		st.c[cServFail].Add(1)
 		r.hdr.RCode = dnswire.RCodeServFail
 		return
 	}
@@ -190,9 +190,9 @@ func (s *Server) decideAddress(r *reply, q *dnswire.Query, from netip.Addr, tr e
 			s.metrics.ecsScope.ObserveHint(idx, float64(scope))
 		}
 	}
-	st.answered.Add(1)
+	st.c[cAnswered].Add(1)
 	if degraded {
-		s.over.noteDegradedAnswer(idx)
+		st.c[cDegraded].Add(1)
 	}
 	r.shape, r.addr, r.ttl, r.scope = shapeA, s.serverAddrs()[d.Server], wireTTL(d.TTL), scope
 }
@@ -254,7 +254,7 @@ func (s *Server) appendReply(dst []byte, q *dnswire.Query, r *reply, maxSize int
 		dst = s.appendSOA(dst)
 	}
 	if len(dst) > maxSize && r.shape > shapeQuestion {
-		st.truncated.Add(1)
+		st.c[cTruncated].Add(1)
 		r.hdr.Truncated, r.shape = true, shapeQuestion
 		return s.appendReply(dst[:0], q, r, maxSize, st)
 	}

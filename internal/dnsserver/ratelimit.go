@@ -3,7 +3,6 @@ package dnsserver
 import (
 	"net/netip"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -26,11 +25,9 @@ type RateLimiter struct {
 	// maxSources bounds tracked addresses across all shards; each
 	// shard evicts at its share (maxSources/rateShards, at least 1).
 	maxSources int
-	now        atomic.Pointer[clockFunc]
+	now        func() time.Time
 	shards     [rateShards]rateShard
 }
-
-type clockFunc func() time.Time
 
 type rateShard struct {
 	mu      sync.Mutex
@@ -57,31 +54,17 @@ func NewRateLimiter(rate, burst float64) *RateLimiter {
 		rate:       rate,
 		burst:      burst,
 		maxSources: 4096,
+		now:        time.Now,
 	}
-	clock := clockFunc(time.Now)
-	l.now.Store(&clock)
 	for i := range l.shards {
 		l.shards[i].buckets = make(map[netip.Addr]*tokenBucket)
 	}
 	return l
 }
 
-// SetClock overrides the limiter's time source, for tests.
-func (l *RateLimiter) SetClock(now func() time.Time) {
-	clock := clockFunc(now)
-	l.now.Store(&clock)
-}
-
-// shardFor hashes the address (FNV-1a over the 16-byte form) to a
-// shard. IPv4 addresses map to their 4-in-6 form, so the low bytes
-// still vary and spread adjacent sources across shards.
+// shardFor picks the address's shard by addrHash.
 func (l *RateLimiter) shardFor(addr netip.Addr) *rateShard {
-	b := addr.As16()
-	h := uint32(2166136261)
-	for _, c := range b {
-		h = (h ^ uint32(c)) * 16777619
-	}
-	return &l.shards[h&(rateShards-1)]
+	return &l.shards[addrHash(addr)&(rateShards-1)]
 }
 
 // shardCap is each shard's share of the source budget.
@@ -100,7 +83,7 @@ func (l *RateLimiter) Allow(addr netip.Addr) bool {
 	if !addr.IsValid() {
 		return true
 	}
-	now := (*l.now.Load())()
+	now := l.now()
 	s := l.shardFor(addr)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -141,17 +124,4 @@ func (l *RateLimiter) evictLocked(s *rateShard, now time.Time) {
 	if len(s.buckets) >= l.shardCap() {
 		s.buckets = make(map[netip.Addr]*tokenBucket)
 	}
-}
-
-// Sources returns the number of tracked source addresses across all
-// shards.
-func (l *RateLimiter) Sources() int {
-	var n int
-	for i := range l.shards {
-		s := &l.shards[i]
-		s.mu.Lock()
-		n += len(s.buckets)
-		s.mu.Unlock()
-	}
-	return n
 }

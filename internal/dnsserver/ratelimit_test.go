@@ -14,7 +14,7 @@ import (
 func TestRateLimiterBasics(t *testing.T) {
 	l := NewRateLimiter(10, 3)
 	now := time.Unix(1000, 0)
-	l.SetClock(func() time.Time { return now })
+	l.now = func() time.Time { return now }
 	src := netip.MustParseAddr("192.0.2.1")
 
 	// Burst of 3 allowed, 4th refused.
@@ -43,7 +43,7 @@ func TestRateLimiterBasics(t *testing.T) {
 func TestRateLimiterTokensCapAtBurst(t *testing.T) {
 	l := NewRateLimiter(100, 2)
 	now := time.Unix(0, 0)
-	l.SetClock(func() time.Time { return now })
+	l.now = func() time.Time { return now }
 	src := netip.MustParseAddr("10.1.1.1")
 	if !l.Allow(src) {
 		t.Fatal("first refused")
@@ -73,7 +73,7 @@ func TestRateLimiterInvalidAddrAlwaysAllowed(t *testing.T) {
 func TestRateLimiterEviction(t *testing.T) {
 	l := NewRateLimiter(1000, 1)
 	now := time.Unix(0, 0)
-	l.SetClock(func() time.Time { return now })
+	l.now = func() time.Time { return now }
 	// One source slot per shard: every shard must evict on each new
 	// address, so the tracked set stays bounded no matter how many
 	// distinct sources probe the limiter.
@@ -83,7 +83,7 @@ func TestRateLimiterEviction(t *testing.T) {
 		l.Allow(addr)
 		now = now.Add(time.Second) // older entries refill and become evictable
 	}
-	if got := l.Sources(); got > rateShards {
+	if got := trackedSources(l); got > rateShards {
 		t.Errorf("tracked sources = %d, want bounded by maxSources %d", got, rateShards)
 	}
 }
@@ -161,15 +161,15 @@ func TestServerRefusesOverLimit(t *testing.T) {
 func TestRateLimiterMaxSourcesUnderChurn(t *testing.T) {
 	l := NewRateLimiter(10, 1)
 	now := time.Unix(0, 0)
-	l.SetClock(func() time.Time { return now })
+	l.now = func() time.Time { return now }
 	for i := 0; i < 100_000; i++ {
 		addr := netip.AddrFrom4([4]byte{10, byte(i >> 16), byte(i >> 8), byte(i)})
 		l.Allow(addr)
 	}
-	if got := l.Sources(); got > l.maxSources {
+	if got := trackedSources(l); got > l.maxSources {
 		t.Errorf("tracked sources = %d, want <= %d", got, l.maxSources)
 	}
-	if got := l.Sources(); got == 0 {
+	if got := trackedSources(l); got == 0 {
 		t.Error("limiter forgot every source")
 	}
 }
@@ -180,7 +180,7 @@ func TestRateLimiterMaxSourcesUnderChurn(t *testing.T) {
 func TestRateLimiterHotSourceSurvivesEviction(t *testing.T) {
 	l := NewRateLimiter(1, 2)
 	now := time.Unix(0, 0)
-	l.SetClock(func() time.Time { return now })
+	l.now = func() time.Time { return now }
 	hot := netip.MustParseAddr("192.0.2.99")
 	hotShard := l.shardFor(hot)
 	l.maxSources = rateShards // shard cap 1: every insert evicts
@@ -217,7 +217,7 @@ func TestRateLimiterHotSourceSurvivesEviction(t *testing.T) {
 func TestRateLimiterClockBackward(t *testing.T) {
 	l := NewRateLimiter(1, 1)
 	now := time.Unix(10_000, 0)
-	l.SetClock(func() time.Time { return now })
+	l.now = func() time.Time { return now }
 	src := netip.MustParseAddr("198.51.100.7")
 
 	if !l.Allow(src) {
@@ -240,7 +240,7 @@ func TestRateLimiterClockBackward(t *testing.T) {
 	for i := 0; i < 5*rateShards; i++ {
 		l.Allow(netip.AddrFrom4([4]byte{203, 0, byte(i >> 8), byte(i)}))
 	}
-	if got := l.Sources(); got > l.maxSources {
+	if got := trackedSources(l); got > l.maxSources {
 		t.Errorf("tracked sources = %d under backward clock, want <= %d", got, l.maxSources)
 	}
 	// Once the clock moves forward past the original timestamp the
@@ -249,4 +249,17 @@ func TestRateLimiterClockBackward(t *testing.T) {
 	if !l.Allow(src) {
 		t.Fatal("recovered clock did not refill")
 	}
+}
+
+// trackedSources sums the shard maps: the number of source addresses
+// the limiter tracks.
+func trackedSources(l *RateLimiter) int {
+	var n int
+	for i := range l.shards {
+		s := &l.shards[i]
+		s.mu.Lock()
+		n += len(s.buckets)
+		s.mu.Unlock()
+	}
+	return n
 }

@@ -226,6 +226,3 @@ func (s *Server) Reconfigure(addrs []netip.Addr, capacities []float64) error {
 	s.reloads.Add(1)
 	return nil
 }
-
-// Reloads returns how many Reconfigure calls completed successfully.
-func (s *Server) Reloads() uint64 { return s.reloads.Load() }

@@ -288,8 +288,8 @@ func TestReconfigureSwapsServerSet(t *testing.T) {
 	if err := srv.Reconfigure(desired, []float64{500, 500, 250}); err != nil {
 		t.Fatal(err)
 	}
-	if srv.Reloads() != 1 {
-		t.Errorf("Reloads() = %d, want 1", srv.Reloads())
+	if srv.reloads.Load() != 1 {
+		t.Errorf("reloads = %d, want 1", srv.reloads.Load())
 	}
 	if sn := state.Snapshot(); !sn.Draining(1) && sn.Member(1) {
 		t.Error("dropped server neither draining nor removed")
@@ -486,8 +486,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err := srv.WriteCheckpoint(path); err != nil {
 		t.Fatal(err)
 	}
-	if srv.CheckpointSaves() != 1 {
-		t.Errorf("CheckpointSaves() = %d, want 1", srv.CheckpointSaves())
+	if srv.ckptSaves.Load() != 1 {
+		t.Errorf("checkpoint saves = %d, want 1", srv.ckptSaves.Load())
 	}
 	wantWeights := state.Snapshot().Weights()
 	wantExpiry := srv.MappingExpiry(1)
@@ -699,7 +699,7 @@ func TestCheckpointerPeriodicAndFinal(t *testing.T) {
 		cfg.CheckpointPath, cfg.CheckpointInterval = path, 20*time.Millisecond
 	})
 	deadline := time.After(2 * time.Second)
-	for srv.CheckpointSaves() == 0 {
+	for srv.ckptSaves.Load() == 0 {
 		select {
 		case <-deadline:
 			t.Fatal("no periodic checkpoint within 2s")
@@ -711,7 +711,7 @@ func TestCheckpointerPeriodicAndFinal(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	saves := srv.CheckpointSaves()
+	saves := srv.ckptSaves.Load()
 	if err := os.Remove(path); err != nil {
 		t.Fatalf("checkpoint file missing: %v", err)
 	}
@@ -719,7 +719,7 @@ func TestCheckpointerPeriodicAndFinal(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if srv.CheckpointSaves() != saves {
+	if srv.ckptSaves.Load() != saves {
 		t.Error("checkpoints written after Close returned")
 	}
 	// Without an interval there is nothing to run the saver on.
@@ -835,6 +835,36 @@ func TestShutdownEndsIdleTCPConn(t *testing.T) {
 	}
 	if n := srv.tcpConns.Load(); n != 0 {
 		t.Errorf("%d TCP connections still served after Shutdown", n)
+	}
+}
+
+// TestRestoreKeepsHiddenLoadWindow: a member that was not draining at
+// save time keeps its hidden-load window across a restart, so a drain
+// issued right after the restore still waits for every TTL handed out
+// before it.
+func TestRestoreKeepsHiddenLoadWindow(t *testing.T) {
+	srv, _ := smallServerKind(t, "RR", "", false)
+	srv.noteMapping(1, 600)
+	cp := srv.Checkpoint()
+	want := cp.Servers[1].ExpiresAt
+	if cp.Servers[1].Draining || !want.After(time.Now().Add(590*time.Second)) {
+		t.Fatalf("checkpointed slot 1: draining=%v window ends %v, want a 600 s window",
+			cp.Servers[1].Draining, want)
+	}
+
+	srv2, _ := smallServerKind(t, "RR", "", false)
+	if err := srv2.RestoreCheckpoint(cp, time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if got := srv2.MappingExpiry(1); got.Before(want.Add(-time.Millisecond)) {
+		t.Errorf("restored hidden-load window ends %v, want %v", got, want)
+	}
+	deadline, err := srv2.Drain(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if deadline.Before(want.Add(-time.Millisecond)) {
+		t.Errorf("drain after restore ends %v, before the saved window %v", deadline, want)
 	}
 }
 

@@ -179,7 +179,7 @@ func FuzzReportLines(f *testing.F) {
 }
 
 // fuzzReportServer is a 7-server, 20-domain server that binds nothing.
-func fuzzReportServer(t *testing.T, predictive bool) *Server {
+func fuzzReportServer(t testing.TB, predictive bool) *Server {
 	cluster, err := core.ScaledCluster(7, 50, 500)
 	if err != nil {
 		t.Fatal(err)

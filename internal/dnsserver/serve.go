@@ -161,15 +161,6 @@ func (s *Server) bind() error {
 // Addr returns the bound UDP address (valid after Start).
 func (s *Server) Addr() net.Addr { return s.udp.LocalAddr() }
 
-// HTTPAddr returns the bound DoH listener address, or nil when no HTTP
-// front end is configured (valid after Start).
-func (s *Server) HTTPAddr() net.Addr {
-	if s.httpLn == nil {
-		return nil
-	}
-	return s.httpLn.Addr()
-}
-
 // Close stops serving immediately and waits for the serve loops to
 // exit; in-flight exchanges may be cut off. It is Shutdown with no
 // patience: the context it passes has expired already.

@@ -131,9 +131,6 @@ func (e *Engine) Policy() *core.Policy { return e.policy }
 // State returns the scheduler state the engine reads and mutates.
 func (e *Engine) State() *core.State { return e.policy.State() }
 
-// Clock returns the engine's time source.
-func (e *Engine) Clock() Clock { return e.clock }
-
 // Now returns the current engine time in seconds.
 func (e *Engine) Now() float64 { return e.clock.Now() }
 

@@ -194,16 +194,16 @@ func TestEstimatorDisabled(t *testing.T) {
 
 func TestLedgerGrowAndConcurrentExtend(t *testing.T) {
 	l := NewLedger(2)
-	if l.Len() != 2 {
-		t.Fatalf("len = %d", l.Len())
+	if len(*l.slots.Load()) != 2 {
+		t.Fatalf("len = %d", len(*l.slots.Load()))
 	}
 	l.Grow(8)
-	if l.Len() != 8 {
-		t.Fatalf("len after grow = %d", l.Len())
+	if len(*l.slots.Load()) != 8 {
+		t.Fatalf("len after grow = %d", len(*l.slots.Load()))
 	}
 	l.Grow(4) // never shrinks
-	if l.Len() != 8 {
-		t.Fatalf("len after smaller grow = %d", l.Len())
+	if len(*l.slots.Load()) != 8 {
+		t.Fatalf("len after smaller grow = %d", len(*l.slots.Load()))
 	}
 	// Concurrent CAS-max across growth: the final value per slot is the
 	// maximum ever written, regardless of interleaving.

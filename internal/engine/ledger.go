@@ -65,9 +65,6 @@ func (l *Ledger) Grow(n int) {
 	}
 }
 
-// Len returns the number of allocated slots.
-func (l *Ledger) Len() int { return len(*l.slots.Load()) }
-
 // Extend records that a mapping for server i can stay cached until
 // expiry (engine-clock seconds): the slot becomes max(current, expiry).
 // Lock-free; safe for concurrent callers.

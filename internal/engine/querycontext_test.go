@@ -142,7 +142,7 @@ func TestDecideQueryScopeEcho(t *testing.T) {
 
 func TestECSConfigValidation(t *testing.T) {
 	eng := queryTestEngine(t, ECSPassthrough)
-	if _, err := New(Config{Policy: eng.Policy(), Clock: eng.Clock(), ECS: ECSOverride + 1}); err == nil {
+	if _, err := New(Config{Policy: eng.Policy(), Clock: eng.clock, ECS: ECSOverride + 1}); err == nil {
 		t.Error("an unknown ECS mode should fail validation")
 	}
 }

@@ -1,15 +1,16 @@
 // Package metrics is a dependency-free metrics layer for the live
-// serving path: counters, gauges, and fixed-bucket histograms backed by
-// atomics, collected in a Registry that renders the Prometheus text
-// exposition format (version 0.0.4).
+// serving path: counters and fixed-bucket histograms backed by atomics,
+// plus gauges and counters evaluated at exposition time, collected in a
+// Registry that renders the Prometheus text exposition format (version
+// 0.0.4).
 //
-// The update paths are allocation-free and lock-free. Counters and
-// histogram sums are sharded across cache-line-padded slots (the same
-// pattern as core.Policy's TTL accumulator) so parallel writers on the
-// query hot path do not bounce a single cache line between cores; hot
-// callers that already know a cheap shard hint (a worker index, a
-// source-address hash) pass it through the *Hint variants, everything
-// else uses the plain methods on shard 0.
+// The update paths are allocation-free and lock-free. A Counter is one
+// atomic word for cold-path events; the per-query counts live in the
+// DNS server's own sharded counters and reach the Registry as
+// functions. A histogram's sum is sharded across cache-line-padded
+// slots (the same pattern as core.Policy's TTL accumulator) so the UDP
+// workers, which pass their worker index through ObserveHint, do not
+// bounce a single cache line between cores.
 //
 // Reads (Value, Registry.WritePrometheus) sum the shards; a read
 // concurrent with writers may miss in-flight updates but every total is
@@ -22,8 +23,8 @@ import (
 	"sync/atomic"
 )
 
-// shards is the number of independently updated slots per sharded
-// metric. Eight 64-byte-padded slots cover the worker counts the serve
+// shards is the number of independently updated slots of a
+// histogram's sum. Eight 64-byte-padded slots cover the worker counts the serve
 // path runs with while keeping per-metric footprint small.
 const shards = 8
 
@@ -44,49 +45,16 @@ func addFloatBits(bits *atomic.Uint64, v float64) {
 	}
 }
 
-// Counter is a monotonically increasing counter.
+// Counter is a monotonically increasing counter of cold-path events.
 type Counter struct {
-	shards [shards]pad64
+	v atomic.Uint64
 }
 
-// Add increments the counter by delta on shard 0.
-func (c *Counter) Add(delta uint64) { c.shards[0].v.Add(delta) }
+// Inc increments the counter by one.
+func (c *Counter) Inc() { c.v.Add(1) }
 
-// Inc increments the counter by one on shard 0.
-func (c *Counter) Inc() { c.Add(1) }
-
-// AddHint increments the counter by delta on the shard selected by
-// hint — callers on parallel hot paths pass a per-worker or per-source
-// hint so concurrent increments land on distinct cache lines.
-func (c *Counter) AddHint(hint uint32, delta uint64) {
-	c.shards[hint%shards].v.Add(delta)
-}
-
-// IncHint increments the counter by one on the shard selected by hint.
-func (c *Counter) IncHint(hint uint32) { c.AddHint(hint, 1) }
-
-// Value returns the counter total across shards.
-func (c *Counter) Value() uint64 {
-	var t uint64
-	for i := range c.shards {
-		t += c.shards[i].v.Load()
-	}
-	return t
-}
-
-// Gauge is a value that can go up and down, stored as float64 bits.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add accumulates delta (which may be negative).
-func (g *Gauge) Add(delta float64) { addFloatBits(&g.bits, delta) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
+// Value returns the counter total.
+func (c *Counter) Value() uint64 { return c.v.Load() }
 
 // Histogram is a fixed-bucket histogram: observations are counted into
 // the first bucket whose upper bound is >= the value, with an implicit
@@ -110,9 +78,6 @@ func newHistogram(bounds []float64) *Histogram {
 	}
 }
 
-// Observe records one observation on shard 0.
-func (h *Histogram) Observe(v float64) { h.ObserveHint(0, v) }
-
 // ObserveHint records one observation, accumulating the sum on the
 // shard selected by hint. The bucket scan is linear: exposition-grade
 // histograms have ~10 buckets, where the scan beats binary search and
@@ -126,15 +91,6 @@ func (h *Histogram) ObserveHint(hint uint32, v float64) {
 	addFloatBits(&h.sum[hint%shards].v, v)
 }
 
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 {
-	var t uint64
-	for i := range h.buckets {
-		t += h.buckets[i].Load()
-	}
-	return t
-}
-
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 {
 	var t float64
@@ -146,8 +102,8 @@ func (h *Histogram) Sum() float64 {
 
 // Buckets returns the per-bucket upper bounds and cumulative counts,
 // Prometheus-style: counts[i] is the number of observations <=
-// bounds[i], with the final element the +Inf bucket (== Count up to
-// in-flight updates).
+// bounds[i], with the final element the +Inf bucket (the total count
+// up to in-flight updates).
 func (h *Histogram) Buckets() (bounds []float64, cumulative []uint64) {
 	bounds = append([]float64(nil), h.bounds...)
 	cumulative = make([]uint64, len(h.buckets))

@@ -10,7 +10,7 @@ import (
 )
 
 // TestCounterConcurrentExact hammers one counter from many goroutines
-// (mixing plain and hinted adds) and requires the total to be exact —
+// and requires the total to be exact —
 // the same counter-exactness contract the scheduler's decision counters
 // keep.
 func TestCounterConcurrentExact(t *testing.T) {
@@ -22,16 +22,12 @@ func TestCounterConcurrentExact(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				if g%2 == 0 {
-					c.IncHint(uint32(g))
-				} else {
-					c.Inc()
-				}
+				c.Inc()
 			}
-		}(g)
+		}()
 	}
 	wg.Wait()
 	if got := c.Value(); got != goroutines*perG {
@@ -58,17 +54,17 @@ func TestHistogramConcurrentExact(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if got := h.Count(); got != goroutines*perG {
+	bounds, cum := h.Buckets()
+	if len(bounds) != 3 || len(cum) != 4 {
+		t.Fatalf("buckets = %v %v", bounds, cum)
+	}
+	if got := cum[3]; got != goroutines*perG {
 		t.Errorf("count = %d, want %d", got, goroutines*perG)
 	}
 	// Per goroutine: 1250 each of 0, 5, 10, 15 → sum 30*1250.
 	wantSum := float64(goroutines) * 30 * float64(perG) / 4
 	if got := h.Sum(); math.Abs(got-wantSum) > 1e-6 {
 		t.Errorf("sum = %v, want %v", got, wantSum)
-	}
-	bounds, cum := h.Buckets()
-	if len(bounds) != 3 || len(cum) != 4 {
-		t.Fatalf("buckets = %v %v", bounds, cum)
 	}
 	// le=1: the 0 values; le=10: 0,5,10; le=100 and +Inf: everything.
 	quarter := uint64(goroutines * perG / 4)
@@ -83,33 +79,26 @@ func TestHistogramConcurrentExact(t *testing.T) {
 	}
 }
 
-func TestGauge(t *testing.T) {
-	var g Gauge
-	g.Set(2.5)
-	g.Add(-1)
-	if got := g.Value(); got != 1.5 {
-		t.Errorf("gauge = %v, want 1.5", got)
-	}
-}
-
 // TestWritePrometheusGolden pins the full exposition output for a
 // registry exercising every metric kind, label rendering, histogram
 // buckets, and name ordering.
 func TestWritePrometheusGolden(t *testing.T) {
 	r := NewRegistry()
-	c := r.NewCounter("dnslb_test_queries_total", "Queries received.", nil)
-	c.Add(42)
-	perServer := r.NewCounter("dnslb_test_decisions_total", "Decisions per server.", Labels{"server", "1"})
-	perServer.Add(7)
-	r.NewCounter("dnslb_test_decisions_total", "Decisions per server.", Labels{"server", "0"}).Add(3)
-	g := r.NewGauge("dnslb_test_utilization", "Busy fraction.", nil)
-	g.Set(0.625)
+	add := func(c *Counter, n int) {
+		for i := 0; i < n; i++ {
+			c.Inc()
+		}
+	}
+	add(r.NewCounter("dnslb_test_queries_total", "Queries received.", nil), 42)
+	add(r.NewCounter("dnslb_test_decisions_total", "Decisions per server.", Labels{"server", "1"}), 7)
+	add(r.NewCounter("dnslb_test_decisions_total", "Decisions per server.", Labels{"server", "0"}), 3)
+	r.NewGaugeFunc("dnslb_test_utilization", "Busy fraction.", nil, func() float64 { return 0.625 })
 	r.NewGaugeFunc("dnslb_test_live_servers", "Servers not down.", nil, func() float64 { return 6 })
 	r.NewCounterFunc("dnslb_test_answered_total", "Answered queries.", nil, func() uint64 { return 41 })
 	h := r.NewHistogram("dnslb_test_ttl_seconds", "Returned TTLs.", nil, []float64{30, 240})
-	h.Observe(15)
-	h.Observe(60)
-	h.Observe(500)
+	h.ObserveHint(0, 15)
+	h.ObserveHint(0, 60)
+	h.ObserveHint(0, 500)
 
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
@@ -193,7 +182,7 @@ func TestRegistrationPanics(t *testing.T) {
 		"odd labels":      func(r *Registry) { r.NewCounter("ok_total", "", Labels{"just-one"}) },
 		"type clash": func(r *Registry) {
 			r.NewCounter("clash", "", nil)
-			r.NewGauge("clash", "", nil)
+			r.NewGaugeFunc("clash", "", nil, func() float64 { return 0 })
 		},
 		"duplicate series": func(r *Registry) {
 			r.NewCounter("dup_total", "", Labels{"a", "1"})

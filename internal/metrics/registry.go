@@ -74,7 +74,6 @@ type series struct {
 	labels string // rendered {k="v",...} or ""
 	// exactly one of the following is set
 	counter     *Counter
-	gauge       *Gauge
 	histogram   *Histogram
 	counterFunc func() uint64
 	gaugeFunc   func() float64
@@ -153,13 +152,6 @@ func (r *Registry) NewCounterFunc(name, help string, labels Labels, fn func() ui
 	r.register(name, help, "counter", &series{counterFunc: fn}, labels)
 }
 
-// NewGauge registers and returns a gauge series.
-func (r *Registry) NewGauge(name, help string, labels Labels) *Gauge {
-	g := &Gauge{}
-	r.register(name, help, "gauge", &series{gauge: g}, labels)
-	return g
-}
-
 // NewGaugeFunc registers a gauge evaluated from fn at exposition time.
 func (r *Registry) NewGaugeFunc(name, help string, labels Labels, fn func() float64) {
 	r.register(name, help, "gauge", &series{gaugeFunc: fn}, labels)
@@ -227,8 +219,6 @@ func writeSeries(b *strings.Builder, name string, s *series) {
 		fmt.Fprintf(b, "%s%s %d\n", name, s.labels, s.counter.Value())
 	case s.counterFunc != nil:
 		fmt.Fprintf(b, "%s%s %d\n", name, s.labels, s.counterFunc())
-	case s.gauge != nil:
-		fmt.Fprintf(b, "%s%s %s\n", name, s.labels, formatFloat(s.gauge.Value()))
 	case s.gaugeFunc != nil:
 		fmt.Fprintf(b, "%s%s %s\n", name, s.labels, formatFloat(s.gaugeFunc()))
 	case s.histogram != nil:

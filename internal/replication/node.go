@@ -177,9 +177,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	}, nil
 }
 
-// Origin returns this replica's id.
-func (n *Node) Origin() string { return n.origin }
-
 // Observe notes that a scheduling decision extended the mapping
 // ledger. It is the engine OnDecision tap: check-then-set on one
 // atomic keeps the cache line read-shared on the all-important query

@@ -73,7 +73,7 @@ func mergeAll(t *testing.T, dst *Node, deltas []*Delta) {
 	t.Helper()
 	for _, d := range deltas {
 		if _, err := dst.Merge(d); err != nil {
-			t.Fatalf("merge into %s: %v", dst.Origin(), err)
+			t.Fatalf("merge into %s: %v", dst.origin, err)
 		}
 	}
 }
@@ -83,13 +83,13 @@ func assertConverged(t *testing.T, a, b *testReplica, servers int) {
 	for i := 0; i < servers; i++ {
 		ae, be := a.eng.MappingExpiry(i), b.eng.MappingExpiry(i)
 		if math.Float64bits(ae) != math.Float64bits(be) {
-			t.Errorf("ledger slot %d diverges: %s=%v %s=%v", i, a.node.Origin(), ae, b.node.Origin(), be)
+			t.Errorf("ledger slot %d diverges: %s=%v %s=%v", i, a.node.origin, ae, b.node.origin, be)
 		}
 		asn, bsn := a.eng.State().Snapshot(), b.eng.State().Snapshot()
 		if asn.Alarmed(i) != bsn.Alarmed(i) || asn.Down(i) != bsn.Down(i) || asn.Draining(i) != bsn.Draining(i) {
 			t.Errorf("standing slot %d diverges: %s=(%v,%v,%v) %s=(%v,%v,%v)", i,
-				a.node.Origin(), asn.Alarmed(i), asn.Down(i), asn.Draining(i),
-				b.node.Origin(), bsn.Alarmed(i), bsn.Down(i), bsn.Draining(i))
+				a.node.origin, asn.Alarmed(i), asn.Down(i), asn.Draining(i),
+				b.node.origin, bsn.Alarmed(i), bsn.Down(i), bsn.Draining(i))
 		}
 	}
 }

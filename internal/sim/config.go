@@ -210,8 +210,8 @@ func (d *DetectionConfig) validate() error {
 	default:
 		return fmt.Errorf("sim: unknown detection kind %q (want %s or %s)", d.Kind, DetectProbe, DetectReport)
 	}
-	if d.Interval <= 0 {
-		return errors.New("sim: detection interval must be positive")
+	if !positive(d.Interval) {
+		return errors.New("sim: detection interval must be positive and finite")
 	}
 	return nil
 }
@@ -306,34 +306,34 @@ func (c Config) Validate() error {
 		return errors.New("sim: Servers must be positive")
 	case c.HeterogeneityPct < 0 || c.HeterogeneityPct >= 100:
 		return fmt.Errorf("sim: HeterogeneityPct %d out of [0,100)", c.HeterogeneityPct)
-	case c.TotalCapacity <= 0:
-		return errors.New("sim: TotalCapacity must be positive")
+	case !positive(c.TotalCapacity):
+		return errors.New("sim: TotalCapacity must be positive and finite")
 	case c.Policy == "":
 		return errors.New("sim: Policy is required")
-	case c.ConstantTTL <= 0:
-		return errors.New("sim: ConstantTTL must be positive")
-	case c.MinNSTTL < 0:
-		return errors.New("sim: MinNSTTL must be non-negative")
-	case c.UtilizationInterval <= 0:
-		return errors.New("sim: UtilizationInterval must be positive")
-	case c.AlarmThreshold < 0 || c.AlarmThreshold > 1:
+	case !positive(c.ConstantTTL):
+		return errors.New("sim: ConstantTTL must be positive and finite")
+	case !nonNegative(c.MinNSTTL):
+		return errors.New("sim: MinNSTTL must be non-negative and finite")
+	case !positive(c.UtilizationInterval):
+		return errors.New("sim: UtilizationInterval must be positive and finite")
+	case !probability(c.AlarmThreshold):
 		return errors.New("sim: AlarmThreshold must be within [0,1]")
-	case c.MetricWindow < c.UtilizationInterval:
-		return errors.New("sim: MetricWindow must be at least the utilization interval")
+	case !(c.MetricWindow >= c.UtilizationInterval && positive(c.MetricWindow)):
+		return errors.New("sim: MetricWindow must be finite and at least the utilization interval")
 	case math.Abs(c.MetricWindow/c.UtilizationInterval-math.Round(c.MetricWindow/c.UtilizationInterval)) > 1e-9:
 		return errors.New("sim: MetricWindow must be a multiple of the utilization interval")
-	case !c.OracleWeights && c.EstimatorInterval <= 0:
-		return errors.New("sim: EstimatorInterval must be positive")
+	case !c.OracleWeights && !positive(c.EstimatorInterval):
+		return errors.New("sim: EstimatorInterval must be positive and finite")
 	case c.Estimator != "" && c.Estimator != core.EstimatorReactive && c.Estimator != core.EstimatorPredictive:
 		return fmt.Errorf("sim: unknown estimator kind %q (want %s or %s)",
 			c.Estimator, core.EstimatorReactive, core.EstimatorPredictive)
-	case c.Duration <= 0:
-		return errors.New("sim: Duration must be positive")
-	case c.Warmup < 0:
-		return errors.New("sim: Warmup must be non-negative")
-	case c.GeoPreference < 0 || c.GeoPreference > 1:
+	case !positive(c.Duration):
+		return errors.New("sim: Duration must be positive and finite")
+	case !nonNegative(c.Warmup):
+		return errors.New("sim: Warmup must be non-negative and finite")
+	case !probability(c.GeoPreference):
 		return errors.New("sim: GeoPreference must be within [0,1]")
-	case c.ReportLossProb < 0 || c.ReportLossProb > 1:
+	case !probability(c.ReportLossProb):
 		return errors.New("sim: ReportLossProb must be within [0,1]")
 	}
 	if c.ECSMisalign != nil {
@@ -353,16 +353,16 @@ func (c Config) Validate() error {
 		}
 	}
 	for i, ev := range c.Faults {
-		if ev.Time < 0 {
-			return fmt.Errorf("sim: fault event %d at negative time %v", i, ev.Time)
+		if !nonNegative(ev.Time) {
+			return fmt.Errorf("sim: fault event %d at time %v, want non-negative finite", i, ev.Time)
 		}
 		if ev.Server < 0 || ev.Server >= c.Servers {
 			return fmt.Errorf("sim: fault event %d targets server %d, cluster has %d", i, ev.Server, c.Servers)
 		}
 	}
 	for i, ev := range c.Drains {
-		if ev.Time < 0 {
-			return fmt.Errorf("sim: drain event %d at negative time %v", i, ev.Time)
+		if !nonNegative(ev.Time) {
+			return fmt.Errorf("sim: drain event %d at time %v, want non-negative finite", i, ev.Time)
 		}
 		if ev.Server < 0 || ev.Server >= c.Servers {
 			return fmt.Errorf("sim: drain event %d targets server %d, cluster has %d", i, ev.Server, c.Servers)
@@ -370,16 +370,16 @@ func (c Config) Validate() error {
 	}
 	for i, ev := range c.FlashCrowds {
 		switch {
-		case ev.Time < 0:
-			return fmt.Errorf("sim: flash crowd %d at negative time %v", i, ev.Time)
+		case !nonNegative(ev.Time):
+			return fmt.Errorf("sim: flash crowd %d at time %v, want non-negative finite", i, ev.Time)
 		case ev.Domain < 0 || ev.Domain >= c.Workload.Domains:
 			return fmt.Errorf("sim: flash crowd %d targets domain %d, workload has %d", i, ev.Domain, c.Workload.Domains)
 		case ev.Clients <= 0:
 			return fmt.Errorf("sim: flash crowd %d needs a positive client count, got %d", i, ev.Clients)
 		case ev.Resolvers <= 0:
 			return fmt.Errorf("sim: flash crowd %d needs a positive resolver count, got %d", i, ev.Resolvers)
-		case ev.Duration <= 0:
-			return fmt.Errorf("sim: flash crowd %d needs a positive duration, got %v", i, ev.Duration)
+		case !positive(ev.Duration):
+			return fmt.Errorf("sim: flash crowd %d needs a positive finite duration, got %v", i, ev.Duration)
 		}
 	}
 	if len(c.FlashCrowds) > 0 {
@@ -395,10 +395,10 @@ func (c Config) Validate() error {
 	}
 	if c.Replicas > 1 {
 		switch {
-		case c.ReplicationInterval <= 0:
-			return errors.New("sim: ReplicationInterval must be positive when Replicas > 1")
-		case c.ReplicaLag < 0:
-			return errors.New("sim: ReplicaLag must be non-negative")
+		case !positive(c.ReplicationInterval):
+			return errors.New("sim: ReplicationInterval must be positive and finite when Replicas > 1")
+		case !nonNegative(c.ReplicaLag):
+			return errors.New("sim: ReplicaLag must be non-negative and finite")
 		case len(c.Faults) > 0 || len(c.Drains) > 0:
 			// Membership events under replication would need the drain
 			// window coordination of the live path; the simulated
@@ -406,7 +406,7 @@ func (c Config) Validate() error {
 			return errors.New("sim: Faults and Drains are not supported with Replicas > 1")
 		}
 		for i, p := range c.Partitions {
-			if p.Start < 0 || p.End <= p.Start {
+			if !nonNegative(p.Start) || !(p.End > p.Start && positive(p.End)) {
 				return fmt.Errorf("sim: partition %d window [%v,%v) is not a positive interval", i, p.Start, p.End)
 			}
 		}
@@ -415,3 +415,12 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
+
+// positive reports whether x is positive and finite; NaN is not.
+func positive(x float64) bool { return x > 0 && x <= math.MaxFloat64 }
+
+// nonNegative reports whether x is non-negative and finite; NaN is not.
+func nonNegative(x float64) bool { return x >= 0 && x <= math.MaxFloat64 }
+
+// probability reports whether x lies within [0,1]; NaN does not.
+func probability(x float64) bool { return x >= 0 && x <= 1 }

@@ -47,7 +47,7 @@ type ECSMisalignConfig struct {
 }
 
 func (c *ECSMisalignConfig) validate(domains int) error {
-	if c.Fraction < 0 || c.Fraction > 1 {
+	if !probability(c.Fraction) {
 		return errors.New("sim: ECSMisalign.Fraction must be within [0,1]")
 	}
 	if c.Shift < 0 || c.Shift >= domains {

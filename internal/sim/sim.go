@@ -147,21 +147,6 @@ type Result struct {
 // cumulative frequency of the maximum utilization.
 func (r *Result) ProbMaxUnder(x float64) float64 { return r.MaxUtil.CDF(x) }
 
-// ProbMaxUnderBatchCI estimates a within-run confidence interval for
-// Prob(MaxUtilization < x) by the method of batch means over the
-// window indicator series — the single-run analogue of the paper's
-// "95% confidence interval within 4% of the mean" statement.
-func (r *Result) ProbMaxUnderBatchCI(x, level float64) stats.Interval {
-	vals := r.MaxUtil.Values()
-	indicators := make([]float64, len(vals))
-	for i, v := range vals {
-		if v <= x {
-			indicators[i] = 1
-		}
-	}
-	return stats.BatchMeansCI(indicators, 10, level)
-}
-
 // AddressRate returns scheduler decisions per virtual second.
 func (r *Result) AddressRate() float64 {
 	return float64(r.AddressRequests) / (r.Config.Duration + r.Config.Warmup)

@@ -39,6 +39,44 @@ func TestConfigValidation(t *testing.T) {
 		{"estimator interval", func(c *Config) { c.OracleWeights = false; c.EstimatorInterval = 0 }},
 		{"zero duration", func(c *Config) { c.Duration = 0 }},
 		{"negative warmup", func(c *Config) { c.Warmup = -1 }},
+		// NaN passes every ordered comparison, and an infinite duration
+		// or interval never ends: each is refused.
+		{"NaN duration", func(c *Config) { c.Duration = math.NaN() }},
+		{"infinite duration", func(c *Config) { c.Duration = math.Inf(1) }},
+		{"NaN warmup", func(c *Config) { c.Warmup = math.NaN() }},
+		{"infinite warmup", func(c *Config) { c.Warmup = math.Inf(1) }},
+		{"NaN capacity", func(c *Config) { c.TotalCapacity = math.NaN() }},
+		{"infinite capacity", func(c *Config) { c.TotalCapacity = math.Inf(1) }},
+		{"NaN constant TTL", func(c *Config) { c.ConstantTTL = math.NaN() }},
+		{"NaN min NS TTL", func(c *Config) { c.MinNSTTL = math.NaN() }},
+		{"infinite min NS TTL", func(c *Config) { c.MinNSTTL = math.Inf(1) }},
+		{"NaN interval", func(c *Config) { c.UtilizationInterval = math.NaN() }},
+		{"infinite interval", func(c *Config) { c.UtilizationInterval = math.Inf(1) }},
+		{"NaN alarm threshold", func(c *Config) { c.AlarmThreshold = math.NaN() }},
+		{"NaN metric window", func(c *Config) { c.MetricWindow = math.NaN() }},
+		{"infinite metric window", func(c *Config) { c.MetricWindow = math.Inf(1) }},
+		{"NaN estimator interval", func(c *Config) { c.OracleWeights = false; c.EstimatorInterval = math.NaN() }},
+		{"NaN geo preference", func(c *Config) { c.GeoPreference = math.NaN() }},
+		{"NaN report loss", func(c *Config) { c.ReportLossProb = math.NaN() }},
+		{"NaN fault time", func(c *Config) { c.Faults = Outage(0, math.NaN(), 60) }},
+		{"infinite drain time", func(c *Config) { c.Drains = []DrainEvent{{Time: math.Inf(1)}} }},
+		{"NaN flash time", func(c *Config) {
+			c.FlashCrowds = []FlashEvent{{Time: math.NaN(), Clients: 1, Resolvers: 1, Duration: 60}}
+		}},
+		{"infinite flash duration", func(c *Config) {
+			c.FlashCrowds = []FlashEvent{{Time: 60, Clients: 1, Resolvers: 1, Duration: math.Inf(1)}}
+		}},
+		{"NaN replication interval", func(c *Config) { c.Replicas = 2; c.ReplicationInterval = math.NaN() }},
+		{"NaN replica lag", func(c *Config) { c.Replicas = 2; c.ReplicationInterval = 8; c.ReplicaLag = math.NaN() }},
+		{"infinite partition end", func(c *Config) {
+			c.Replicas = 2
+			c.ReplicationInterval = 8
+			c.Partitions = []PartitionEvent{{Start: 60, End: math.Inf(1)}}
+		}},
+		{"NaN detection interval", func(c *Config) {
+			c.Detection = &DetectionConfig{Kind: DetectReport, K: 2, Interval: math.NaN()}
+		}},
+		{"NaN ECS misalignment", func(c *Config) { c.ECSMisalign = &ECSMisalignConfig{Fraction: math.NaN()} }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -65,7 +103,7 @@ func TestRunBasicInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantWindows := int(cfg.Duration / cfg.MetricWindow)
-	if got := r.MaxUtil.N(); got < wantWindows-2 || got > wantWindows+2 {
+	if got := len(r.MaxUtil.Values()); got < wantWindows-2 || got > wantWindows+2 {
 		t.Errorf("metric windows = %d, want ≈ %d", got, wantWindows)
 	}
 	// System-wide mean utilization ≈ 2/3 (paper Table 1).
@@ -236,29 +274,6 @@ func TestPerturbationDegradesTwoClassSchemes(t *testing.T) {
 	}
 }
 
-func TestProbMaxUnderBatchCI(t *testing.T) {
-	cfg := quickCfg("DRR2-TTL/S_K")
-	r, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	iv := r.ProbMaxUnderBatchCI(0.98, 0.95)
-	p := r.ProbMaxUnder(0.98)
-	// Batch means drops remainder windows, so the means agree only
-	// approximately.
-	if iv.Mean < p-0.05 || iv.Mean > p+0.05 {
-		t.Errorf("batch-means mean %v far from point estimate %v", iv.Mean, p)
-	}
-	if iv.HalfWide <= 0 {
-		t.Error("half-width should be positive for a stochastic series")
-	}
-	// The paper observed 95% CIs within 4% of the mean over 5 hours;
-	// over one hour a looser bound still demonstrates convergence.
-	if iv.RelativeWidth() > 0.25 {
-		t.Errorf("relative CI width = %v, want converged", iv.RelativeWidth())
-	}
-}
-
 func TestAlarmsFire(t *testing.T) {
 	r, err := Run(quickCfg("RR"))
 	if err != nil {
@@ -310,7 +325,7 @@ func TestAllPoliciesRunToCompletion(t *testing.T) {
 			t.Errorf("%s: %v", pol, err)
 			continue
 		}
-		if r.MaxUtil.N() == 0 {
+		if len(r.MaxUtil.Values()) == 0 {
 			t.Errorf("%s: no metric windows", pol)
 		}
 	}

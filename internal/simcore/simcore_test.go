@@ -599,36 +599,6 @@ func TestGeometricMeanAndSupport(t *testing.T) {
 	}
 }
 
-func TestPickWeighted(t *testing.T) {
-	st := NewStream(5, "pick")
-	counts := make([]int, 3)
-	w := []float64{1, 2, 7}
-	const n = 100000
-	for i := 0; i < n; i++ {
-		counts[st.PickWeighted(w)]++
-	}
-	for i, want := range []float64{0.1, 0.2, 0.7} {
-		got := float64(counts[i]) / n
-		if math.Abs(got-want) > 0.01 {
-			t.Errorf("PickWeighted freq[%d] = %v, want ~%v", i, got, want)
-		}
-	}
-}
-
-func TestPickWeightedPanics(t *testing.T) {
-	st := NewStream(5, "pick")
-	assertPanics := func(name string, f func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: expected panic", name)
-			}
-		}()
-		f()
-	}
-	assertPanics("zero weights", func() { st.PickWeighted([]float64{0, 0}) })
-	assertPanics("negative weight", func() { st.PickWeighted([]float64{1, -1}) })
-}
-
 func TestZipfWeights(t *testing.T) {
 	w := ZipfWeights(20, 1)
 	if len(w) != 20 {

@@ -61,18 +61,6 @@ func (st *Stream) Exp(mean float64) float64 {
 	return -mean * math.Log(u)
 }
 
-// Uniform returns a uniform draw in [lo, hi). When hi <= lo it returns lo.
-func (st *Stream) Uniform(lo, hi float64) float64 {
-	if hi <= lo {
-		return lo
-	}
-	return lo + (hi-lo)*st.rng.Float64()
-}
-
-// IntN returns a uniform draw in [0, n). It panics if n <= 0, matching
-// math/rand semantics.
-func (st *Stream) IntN(n int) int { return st.rng.IntN(n) }
-
 // UniformInt returns a uniform draw in the inclusive range [lo, hi].
 // When hi <= lo it returns lo.
 func (st *Stream) UniformInt(lo, hi int) int {
@@ -99,33 +87,6 @@ func (st *Stream) Geometric(mean float64) int {
 		n = 1
 	}
 	return n
-}
-
-// Perm returns a random permutation of [0, n).
-func (st *Stream) Perm(n int) []int { return st.rng.Perm(n) }
-
-// PickWeighted returns an index drawn from the categorical distribution
-// given by weights (non-negative, not all zero). It panics on invalid
-// input because weights are always model constants here.
-func (st *Stream) PickWeighted(weights []float64) int {
-	var total float64
-	for _, w := range weights {
-		if w < 0 || math.IsNaN(w) {
-			panic("simcore: negative or NaN weight")
-		}
-		total += w
-	}
-	if total <= 0 {
-		panic("simcore: weights sum to zero")
-	}
-	x := st.rng.Float64() * total
-	for i, w := range weights {
-		x -= w
-		if x < 0 {
-			return i
-		}
-	}
-	return len(weights) - 1
 }
 
 // ZipfWeights returns the K probabilities of a (generalized) Zipf

@@ -9,21 +9,6 @@ type Interval struct {
 	Level    float64 // confidence level, e.g. 0.95
 }
 
-// Lo returns the lower bound of the interval.
-func (iv Interval) Lo() float64 { return iv.Mean - iv.HalfWide }
-
-// Hi returns the upper bound of the interval.
-func (iv Interval) Hi() float64 { return iv.Mean + iv.HalfWide }
-
-// RelativeWidth returns half-width / |mean|, the paper's "within x% of
-// the mean" figure. It returns +Inf for a zero mean.
-func (iv Interval) RelativeWidth() float64 {
-	if iv.Mean == 0 {
-		return math.Inf(1)
-	}
-	return iv.HalfWide / math.Abs(iv.Mean)
-}
-
 // MeanCI returns the t-based confidence interval for the mean of
 // independent replications (e.g. one observation per simulation run).
 // With fewer than two observations the half-width is infinite.
@@ -40,29 +25,6 @@ func MeanCI(obs []float64, level float64) Interval {
 	se := w.StdDev() / math.Sqrt(float64(w.N()))
 	iv.HalfWide = tCritical(w.N()-1, level) * se
 	return iv
-}
-
-// BatchMeansCI estimates a confidence interval for the steady-state
-// mean of a (possibly autocorrelated) within-run time series by the
-// method of batch means: the series is cut into `batches` contiguous
-// batches whose means are treated as approximately independent.
-func BatchMeansCI(series []float64, batches int, level float64) Interval {
-	if batches < 2 {
-		batches = 2
-	}
-	if len(series) < batches {
-		return MeanCI(series, level)
-	}
-	size := len(series) / batches
-	means := make([]float64, 0, batches)
-	for b := 0; b < batches; b++ {
-		var sum float64
-		for i := b * size; i < (b+1)*size; i++ {
-			sum += series[i]
-		}
-		means = append(means, sum/float64(size))
-	}
-	return MeanCI(means, level)
 }
 
 // tCritical returns the two-sided critical value of Student's t

@@ -1,8 +1,7 @@
 // Package stats provides the statistical machinery used by the
 // simulation study: online accumulators, empirical distribution
-// functions (the paper's "cumulative frequency" curves), quantiles,
-// and batch-means confidence intervals for steady-state output
-// analysis.
+// functions (the paper's "cumulative frequency" curves) and t-based
+// confidence intervals over independent replications.
 package stats
 
 import (
@@ -45,9 +44,9 @@ func (w *Welford) Variance() float64 {
 func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
 
 // Series is a collection of scalar observations supporting empirical
-// CDF queries and quantiles. Observations are accumulated with Add;
-// insertion order is preserved (Values), while order statistics use a
-// lazily maintained sorted copy.
+// CDF queries. Observations are accumulated with Add; insertion order
+// is preserved (Values), while CDF queries use a lazily maintained
+// sorted copy.
 type Series struct {
 	xs     []float64 // insertion order
 	sorted []float64 // rebuilt lazily for order-statistic queries
@@ -64,11 +63,8 @@ func (s *Series) Add(x float64) {
 	s.sorted = nil
 }
 
-// N returns the number of observations.
-func (s *Series) N() int { return len(s.xs) }
-
 // Values returns a copy of the observations in insertion order, which
-// for time series is temporal order (as batch-means analysis needs).
+// for time series is temporal order.
 func (s *Series) Values() []float64 {
 	out := make([]float64, len(s.xs))
 	copy(out, s.xs)
@@ -94,72 +90,4 @@ func (s *Series) CDF(x float64) float64 {
 	// Count of values <= x == index of first value > x.
 	i := sort.Search(len(s.sorted), func(i int) bool { return s.sorted[i] > x })
 	return float64(i) / float64(len(s.sorted))
-}
-
-// Quantile returns the p-quantile (0 <= p <= 1) using the nearest-rank
-// method. With no observations it returns NaN.
-func (s *Series) Quantile(p float64) float64 {
-	if len(s.xs) == 0 {
-		return math.NaN()
-	}
-	s.sort()
-	if p <= 0 {
-		return s.sorted[0]
-	}
-	if p >= 1 {
-		return s.sorted[len(s.sorted)-1]
-	}
-	rank := int(math.Ceil(p*float64(len(s.xs)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return s.sorted[rank]
-}
-
-// Mean returns the sample mean, or NaN with no observations.
-func (s *Series) Mean() float64 {
-	if len(s.xs) == 0 {
-		return math.NaN()
-	}
-	var sum float64
-	for _, x := range s.xs {
-		sum += x
-	}
-	return sum / float64(len(s.xs))
-}
-
-// Max returns the largest observation, or NaN with no observations.
-func (s *Series) Max() float64 {
-	if len(s.xs) == 0 {
-		return math.NaN()
-	}
-	s.sort()
-	return s.sorted[len(s.sorted)-1]
-}
-
-// Min returns the smallest observation, or NaN with no observations.
-func (s *Series) Min() float64 {
-	if len(s.xs) == 0 {
-		return math.NaN()
-	}
-	s.sort()
-	return s.sorted[0]
-}
-
-// Curve samples the empirical CDF at evenly spaced levels between lo
-// and hi (inclusive), returning (levels, cumulative frequencies).
-// It is the exact data behind the paper's Figures 1 and 2.
-func (s *Series) Curve(lo, hi float64, points int) (levels, freqs []float64) {
-	if points < 2 {
-		points = 2
-	}
-	levels = make([]float64, points)
-	freqs = make([]float64, points)
-	step := (hi - lo) / float64(points-1)
-	for i := 0; i < points; i++ {
-		x := lo + step*float64(i)
-		levels[i] = x
-		freqs[i] = s.CDF(x)
-	}
-	return levels, freqs
 }

@@ -56,15 +56,5 @@ func (wm *WindowedMax) Observe(i int, v float64) {
 	}
 }
 
-// ObserveAll records one full window of values at once.
-func (wm *WindowedMax) ObserveAll(vals []float64) {
-	for i, v := range vals {
-		wm.Observe(i, v)
-	}
-}
-
 // Series returns the accumulated per-window maxima.
 func (wm *WindowedMax) Series() *Series { return wm.series }
-
-// Windows returns the number of completed windows.
-func (wm *WindowedMax) Windows() int { return wm.series.N() }

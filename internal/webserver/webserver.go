@@ -52,9 +52,6 @@ func New(capacity float64, domains int) (*Server, error) {
 	return &Server{capacity: capacity, domainHits: make([]float64, domains)}, nil
 }
 
-// Capacity returns the server's capacity in hits per second.
-func (s *Server) Capacity() float64 { return s.capacity }
-
 // Arrive enqueues a page of the given number of hits from a domain at
 // virtual time now. Service time is hits/capacity seconds, appended to
 // the FIFO backlog.

@@ -161,7 +161,7 @@ func TestMeanUtilization(t *testing.T) {
 	if got := s.MeanUtilization(0); got != 0 {
 		t.Errorf("MeanUtilization at t=0 = %v, want 0", got)
 	}
-	if got := s.Capacity(); got != 100 {
+	if got := s.capacity; got != 100 {
 		t.Errorf("Capacity = %v", got)
 	}
 }

@@ -66,16 +66,16 @@ func (c Config) Validate() error {
 		return errors.New("workload: Clients must be positive")
 	case c.Clients < c.Domains:
 		return fmt.Errorf("workload: %d clients cannot cover %d domains", c.Clients, c.Domains)
-	case !c.Uniform && c.ZipfTheta < 0:
-		return errors.New("workload: ZipfTheta must be non-negative")
-	case c.MeanThinkTime <= 0:
-		return errors.New("workload: MeanThinkTime must be positive")
-	case c.PagesPerSession < 1:
-		return errors.New("workload: PagesPerSession must be at least 1")
+	case !c.Uniform && !(c.ZipfTheta >= 0 && c.ZipfTheta <= math.MaxFloat64):
+		return errors.New("workload: ZipfTheta must be non-negative and finite")
+	case !(c.MeanThinkTime > 0 && c.MeanThinkTime <= math.MaxFloat64):
+		return errors.New("workload: MeanThinkTime must be positive and finite")
+	case !(c.PagesPerSession >= 1 && c.PagesPerSession <= math.MaxFloat64):
+		return errors.New("workload: PagesPerSession must be finite and at least 1")
 	case c.HitsMin <= 0 || c.HitsMax < c.HitsMin:
 		return fmt.Errorf("workload: hits range [%d,%d] invalid", c.HitsMin, c.HitsMax)
-	case c.PerturbationPct < 0:
-		return errors.New("workload: PerturbationPct must be non-negative")
+	case !(c.PerturbationPct >= 0 && c.PerturbationPct <= math.MaxFloat64):
+		return errors.New("workload: PerturbationPct must be non-negative and finite")
 	}
 	return nil
 }
@@ -153,11 +153,6 @@ func (c Config) NominalRates() []float64 {
 		rates[j] = float64(n) * perClient
 	}
 	return rates
-}
-
-// TotalOfferedRate returns the aggregate offered hit rate in hits/s.
-func (c Config) TotalOfferedRate() float64 {
-	return float64(c.Clients) * c.MeanHitsPerPage() / c.MeanThinkTime
 }
 
 // ActualRates returns the per-domain hit rates after applying the
