@@ -10,6 +10,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/csv"
 	"flag"
 	"fmt"
@@ -56,14 +57,7 @@ func run(args []string, out io.Writer) error {
 	opts.Workers = *workers
 
 	if *exp == "verify" {
-		failed, err := dnslb.VerifyReproduction(opts, out)
-		if err != nil {
-			return err
-		}
-		if failed > 0 {
-			return fmt.Errorf("%d claim(s) failed", failed)
-		}
-		return nil
+		return runVerify(opts, *outDir, out)
 	}
 	ids := []string{*exp}
 	if *exp == "all" {
@@ -73,6 +67,31 @@ func run(args []string, out io.Writer) error {
 		if err := runOne(id, opts, *csv, *plot, *outDir, out); err != nil {
 			return err
 		}
+	}
+	if *exp == "all" {
+		return runVerify(opts, *outDir, out)
+	}
+	return nil
+}
+
+// runVerify checks every claim of the paper, writing the report to out
+// and, when outDir is set, to <outDir>/verify.txt (text only).
+func runVerify(opts dnslb.ExperimentOptions, outDir string, out io.Writer) error {
+	var report bytes.Buffer
+	failed, err := dnslb.VerifyReproduction(opts, &report)
+	if err != nil {
+		return err
+	}
+	if _, err := out.Write(report.Bytes()); err != nil {
+		return err
+	}
+	if outDir != "" {
+		if err := save(outDir, "verify.txt", report.Bytes()); err != nil {
+			return err
+		}
+	}
+	if failed > 0 {
+		return fmt.Errorf("%d claim(s) failed", failed)
 	}
 	return nil
 }
@@ -119,26 +138,27 @@ func writeBoth(id, outDir string, out io.Writer, csv bool, render func(io.Writer
 	if outDir == "" {
 		return nil
 	}
-	if err := os.MkdirAll(outDir, 0o755); err != nil {
-		return err
-	}
 	for _, form := range []struct {
 		ext   string
 		asCSV bool
 	}{{"txt", false}, {"csv", true}} {
-		f, err := os.Create(filepath.Join(outDir, id+"."+form.ext))
-		if err != nil {
+		var buf bytes.Buffer
+		if err := render(&buf, form.asCSV); err != nil {
 			return err
 		}
-		err = render(f, form.asCSV)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
+		if err := save(outDir, id+"."+form.ext, buf.Bytes()); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// save writes data to <outDir>/<name>, creating outDir if needed.
+func save(outDir, name string, data []byte) error {
+	if err := os.MkdirAll(outDir, 0o755); err != nil {
+		return err
+	}
+	return os.WriteFile(filepath.Join(outDir, name), data, 0o644)
 }
 
 // printTable1 echoes the model parameters (paper Table 1) alongside

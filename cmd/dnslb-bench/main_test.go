@@ -118,13 +118,25 @@ func TestRunBadFlag(t *testing.T) {
 }
 
 func TestRunVerify(t *testing.T) {
+	dir := t.TempDir()
 	var buf bytes.Buffer
-	err := run([]string{"-exp", "verify", "-duration", "1800"}, &buf)
+	err := run([]string{"-exp", "verify", "-duration", "1800", "-out", dir}, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
 	if !strings.Contains(out, "12/12 claims hold") {
 		t.Errorf("verify output:\n%s", out)
+	}
+	// -out stores the report as it was printed, text only.
+	data, err := os.ReadFile(filepath.Join(dir, "verify.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data) != out {
+		t.Errorf("verify.txt:\n%s\nstdout:\n%s", data, out)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "verify.csv")); !os.IsNotExist(err) {
+		t.Errorf("verify.csv: %v, want no CSV form", err)
 	}
 }

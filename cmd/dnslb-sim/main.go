@@ -322,15 +322,11 @@ func parseFlashCrowds(spec string) ([]dnslb.FlashEvent, error) {
 	return events, nil
 }
 
-// comparePolicies runs each policy against the same recorded workload
-// (identical arrivals via trace replay), so the differences are purely
-// the scheduling discipline — the paper's paired-comparison setup.
+// comparePolicies runs each policy at the same seed, so every run
+// sees identical arrivals (the simulator's named random streams are
+// common random numbers) and the differences are purely the scheduling
+// discipline — the paper's paired-comparison setup.
 func comparePolicies(policies []string, het int, duration, warmup float64, seed uint64, out io.Writer) error {
-	wl := dnslb.DefaultWorkload()
-	records, err := dnslb.GenerateTrace(wl, warmup+duration, seed)
-	if err != nil {
-		return err
-	}
 	fmt.Fprintf(out, "%-16s %-12s %-12s %-12s %-10s %-10s\n",
 		"policy", "P(<0.8)", "P(<0.9)", "P(<0.98)", "respTime", "meanTTL")
 	for _, name := range policies {
@@ -340,13 +336,8 @@ func comparePolicies(policies []string, het int, duration, warmup float64, seed 
 		cfg.Duration = duration
 		cfg.Warmup = warmup
 		cfg.Seed = seed
-		cfg.Trace = records
-		if name == "Ideal" {
-			// The Ideal envelope needs the uniform workload, which a
-			// Zipf trace cannot provide; run it live instead.
-			cfg.Trace = nil
-			cfg.Workload.Uniform = true
-		}
+		// The Ideal envelope needs the uniform workload.
+		cfg.Workload.Uniform = name == "Ideal"
 		res, err := dnslb.RunSim(cfg)
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
@@ -355,7 +346,7 @@ func comparePolicies(policies []string, het int, duration, warmup float64, seed 
 			name, res.ProbMaxUnder(0.8), res.ProbMaxUnder(0.9), res.ProbMaxUnder(0.98),
 			res.MeanResponseTime, res.Sched.MeanTTL)
 	}
-	fmt.Fprintln(out, "\nall policies saw identical arrivals (trace-paired); Ideal ran on the uniform workload")
+	fmt.Fprintln(out, "\nall policies saw identical arrivals (same seed); Ideal ran on the uniform workload")
 	return nil
 }
 

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -156,9 +157,30 @@ func TestRunCompareMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"policy", "RR", "DRR2-TTL/S_K", "Ideal", "identical arrivals"} {
+	for _, want := range []string{"policy", "RR", "DRR2-TTL/S_K", "Ideal", "identical arrivals (same seed)"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("compare output missing %q:\n%s", want, out)
+		}
+	}
+	// Pairing is by seed: each row is what a plain -policy run at the
+	// same seed measures.
+	for _, row := range strings.Split(out, "\n")[1:4] {
+		f := strings.Fields(row)
+		args := []string{"-policy", f[0], "-duration", "900", "-warmup", "300", "-json"}
+		if f[0] == "Ideal" {
+			args = append(args, "-uniform")
+		}
+		var single bytes.Buffer
+		if err := run(args, &single); err != nil {
+			t.Fatal(err)
+		}
+		var s jsonSummary
+		if err := json.Unmarshal(single.Bytes(), &s); err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("%.4f %.4f %.4f %.3f", s.ProbMaxUnder80, s.ProbMaxUnder90, s.ProbMaxUnder98, s.MeanResponseSec)
+		if got := strings.Join(f[1:5], " "); got != want {
+			t.Errorf("%s: compare row %q, plain run %q", f[0], got, want)
 		}
 	}
 }

@@ -190,8 +190,8 @@ type (
 // NewMetricsRegistry creates an empty metrics registry (see
 // internal/metrics): counters, gauges and histograms, rendered in the
 // Prometheus text exposition format. Pass one via
-// DNSServerConfig.Metrics / BackendConfig.Metrics to instrument the live
-// path; serve its Handler() on /metrics.
+// DNSServerConfig.Metrics to instrument the DNS server; serve its
+// Handler() on /metrics.
 var NewMetricsRegistry = metrics.NewRegistry
 
 // Real-network entry points.

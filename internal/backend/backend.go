@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"dnslb/internal/logging"
-	"dnslb/internal/metrics"
 	"dnslb/internal/reportlink"
 	"dnslb/internal/webserver"
 )
@@ -73,10 +72,6 @@ type Config struct {
 	Simulate bool
 	// Logger receives structured agent diagnostics; nil discards.
 	Logger *slog.Logger
-	// Metrics optionally registers the agent's observability series
-	// (reports sent/failed, redial backoffs, alarm resyncs, live
-	// utilization) on the given registry. Nil disables instrumentation.
-	Metrics *metrics.Registry
 }
 
 // Server is one capacity-limited Web server.
@@ -108,15 +103,6 @@ type Server struct {
 	logger   *slog.Logger
 
 	link *reportlink.Link
-
-	metrics *agentMetrics // nil when uninstrumented
-}
-
-// agentMetrics are the report agent's series (see DESIGN.md §10).
-type agentMetrics struct {
-	reportsOK  *metrics.Counter
-	reportsErr *metrics.Counter
-	resyncs    *metrics.Counter
 }
 
 // New creates a backend server; call Start.
@@ -156,30 +142,6 @@ func New(cfg Config) (*Server, error) {
 		s.idx.Store(-1)
 	} else {
 		s.idx.Store(int64(cfg.ServerIndex))
-	}
-	if reg := cfg.Metrics; reg != nil {
-		s.metrics = &agentMetrics{
-			reportsOK: reg.NewCounter("dnslb_backend_reports_total",
-				"Report cycles by result.", metrics.Labels{"status", "ok"}),
-			reportsErr: reg.NewCounter("dnslb_backend_reports_total",
-				"Report cycles by result.", metrics.Labels{"status", "error"}),
-			resyncs: reg.NewCounter("dnslb_backend_report_resyncs_total",
-				"Alarm-state resyncs sent after the report socket reconnected.", nil),
-		}
-		reg.NewCounterFunc("dnslb_backend_report_redials_total",
-			"Report-socket dial failures and send failures (each schedules a backoff retry).", nil, s.link.Errors)
-		reg.NewGaugeFunc("dnslb_backend_utilization",
-			"Busy fraction of the current measurement window.", nil, s.Utilization)
-		reg.NewGaugeFunc("dnslb_backend_alarmed",
-			"1 while the last closed window exceeded the alarm threshold.", nil,
-			func() float64 {
-				if s.Alarmed() {
-					return 1
-				}
-				return 0
-			})
-		reg.NewCounterFunc("dnslb_backend_hits_total",
-			"Hits served since start.", nil, s.TotalHits)
 	}
 	return s, nil
 }
@@ -368,12 +330,7 @@ func (s *Server) agentLoop() {
 			}
 			lines = append(lines, fmt.Sprintf("ROLL %g", s.cfg.UtilizationInterval.Seconds()))
 			if err := s.report(lines); err != nil {
-				if s.metrics != nil {
-					s.metrics.reportsErr.Inc()
-				}
 				s.logger.Warn("report failed", "err", err, "server", s.ServerIndex())
-			} else if s.metrics != nil {
-				s.metrics.reportsOK.Inc()
 			}
 		}
 	}
@@ -416,9 +373,6 @@ func (s *Server) hello(exchange func(string) (string, error)) error {
 	}
 	if _, err := exchange(s.alarmLine(idx)); err != nil {
 		return err
-	}
-	if s.metrics != nil {
-		s.metrics.resyncs.Inc()
 	}
 	s.logger.Info("report socket connected, alarm state resynced", "server", idx, "alarmed", s.Alarmed())
 	return nil

@@ -38,9 +38,6 @@ type Resolver struct {
 	Timeout time.Duration
 	// Dialer optionally overrides dialing (tests).
 	Dialer net.Dialer
-	// HTTPClient optionally overrides the "doh" transport's client
-	// (nil uses a default with the resolver's timeout).
-	HTTPClient *http.Client
 	// ClientSubnet, when valid, is attached to every query as an
 	// RFC 7871 EDNS Client Subnet option so the authority can classify
 	// the originating network even behind a shared resolver.
@@ -205,10 +202,7 @@ func (r *Resolver) dohURL() string {
 }
 
 func (r *Resolver) exchangeDoH(ctx context.Context, wire []byte, id uint16) (*dnswire.Message, error) {
-	client := r.HTTPClient
-	if client == nil {
-		client = &http.Client{Timeout: r.timeout()}
-	}
+	client := &http.Client{Timeout: r.timeout()}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, r.dohURL(), bytes.NewReader(wire))
 	if err != nil {
 		return nil, fmt.Errorf("dnsclient: doh request: %w", err)

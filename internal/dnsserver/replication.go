@@ -32,23 +32,18 @@ type ReplicationConfig struct {
 	// Interval is the gossip cadence (-replication-interval). Zero
 	// defaults to 1s.
 	Interval time.Duration
-	// Epoch fences this replica's writes across restarts. Zero defaults
-	// to the current Unix time in nanoseconds, which is monotone across
-	// restarts on any sanely clocked host.
-	Epoch int64
 }
 
 // newReplication builds the node and its replicator. The node sees every
 // decision from the first query on; what was restored before the links
 // start is announced with their first flush (see Start).
 func (s *Server) newReplication(cfg ReplicationConfig) error {
-	epoch := cfg.Epoch
-	if epoch == 0 {
-		epoch = time.Now().UnixNano()
-	}
 	node, err := replication.NewNode(replication.NodeConfig{
 		Origin: cfg.ReplicaID,
-		Epoch:  epoch,
+		// The epoch fences this replica's writes across restarts: Unix
+		// time in nanoseconds is monotone across restarts on any sanely
+		// clocked host.
+		Epoch:  time.Now().UnixNano(),
 		Engine: s.eng,
 		Base:   replication.WallBase{Clock: s.clock},
 		SlotAddr: func(slot int) (string, bool) {

@@ -8,6 +8,7 @@ package experiments
 
 import (
 	"errors"
+	"math"
 	"sync"
 
 	"dnslb/internal/sim"
@@ -48,8 +49,8 @@ func DefaultOptions() Options {
 
 func (o Options) validate() error {
 	switch {
-	case o.Duration <= 0:
-		return errors.New("experiments: Duration must be positive")
+	case !(o.Duration > 0) || math.IsInf(o.Duration, 1):
+		return errors.New("experiments: Duration must be positive and finite")
 	case o.Reps <= 0:
 		return errors.New("experiments: Reps must be positive")
 	}
