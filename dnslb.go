@@ -17,8 +17,8 @@
 //   - Workload traces — GenerateTrace; replay via SimConfig.Trace.
 //   - The real network path — NewDNSServer, whose DNSServerConfig
 //     describes the whole server (report socket, liveness, probing,
-//     replication, checkpointing, overload) and whose Start, Shutdown
-//     and Close own its lifecycle; NewCachingNS, NewBackend,
+//     replication, checkpointing) and whose Start, Shutdown and Close
+//     own its lifecycle; NewCachingNS, NewBackend,
 //     NewRateLimiter, NewMetricsRegistry.
 //
 // The facade names what the commands' siblings under examples/ and
@@ -182,9 +182,6 @@ type (
 	// ProbeConfig configures a DNSServer's active health prober
 	// (DNSServerConfig.Probe, DESIGN.md §16).
 	ProbeConfig = probe.Config
-	// OverloadConfig configures the DNSServer's graceful-degradation
-	// admission layer (DNSServerConfig.Overload, DESIGN.md §16).
-	OverloadConfig = dnsserver.OverloadConfig
 )
 
 // NewMetricsRegistry creates an empty metrics registry (see

@@ -69,10 +69,9 @@ type Config struct {
 	// HTTPAddr, when non-empty, additionally serves queries over HTTP
 	// (DoH): RFC 8484 wire format on /dns-query and a JSON API on
 	// /resolve (see doh.go). The HTTP front end shares the engine, the
-	// rate limiter, the overload-degradation ladder and the metrics
-	// with the UDP/TCP listeners. It speaks a strict subset of HTTP/1.1
-	// in the clear and closes on anything else: TLS and HTTP/2 terminate
-	// ahead of the process.
+	// rate limiter and the metrics with the UDP/TCP listeners. It speaks
+	// a strict subset of HTTP/1.1 in the clear and closes on anything
+	// else: TLS and HTTP/2 terminate ahead of the process.
 	HTTPAddr string
 	// ECS selects the engine's RFC 7871 client-subnet mode
 	// (passthrough/add/override); the zero value is passthrough.
@@ -91,9 +90,6 @@ type Config struct {
 	// checkpoint written under one kind refuses to restore into the
 	// other.
 	Estimator string
-	// Overload configures graceful degradation under aggregate overload
-	// (see overload.go). The zero value disables the admission layer.
-	Overload OverloadConfig
 	// MaxTCPConns bounds the number of concurrently served connections
 	// of each stream listener — DNS-over-TCP, DoH and the report socket;
 	// when a listener's cap is reached its accept loop pauses until a
@@ -188,15 +184,12 @@ type Server struct {
 	// configured. Start launches them and Shutdown stops them (serve.go).
 	//
 	// liveness and prober are the passive and the active failure detector
-	// and votes combines them (detect.go). over is the overload
-	// admission controller (overload.go): while it is nil the query path
-	// pays one nil check. replNode is the replica's protocol endpoint,
-	// fed by the engine's decision tap, and replicator its gossip links
-	// (replication.go).
+	// and votes combines them (detect.go). replNode is the replica's
+	// protocol endpoint, fed by the engine's decision tap, and replicator
+	// its gossip links (replication.go).
 	liveness   *livenessMonitor
 	votes      downVotes
 	prober     *probe.Prober
-	over       *overloadController
 	replNode   *replication.Node
 	replicator *replication.Replicator
 
@@ -248,8 +241,7 @@ type ServerStats struct {
 const statsShards = 16
 
 // statsCounter names one of the serve counters a statsShard holds:
-// ServerStats' eight, the answers the degraded ladder served, and the
-// queries received per transport.
+// ServerStats' eight and the queries received per transport.
 type statsCounter int
 
 const (
@@ -261,7 +253,6 @@ const (
 	cServFail
 	cTruncated
 	cRateLimited
-	cDegraded
 	// cTransport is the first of numTransports per-transport query
 	// counts, indexed by engine.Transport.
 	cTransport
@@ -353,7 +344,7 @@ func (c Config) Validate() error {
 	case c.RateLimit != nil && !(c.RateLimit.burst <= math.MaxFloat64):
 		return fmt.Errorf("dnsserver: RateLimit burst %v must be finite", c.RateLimit.burst)
 	}
-	return c.Overload.validate()
+	return nil
 }
 
 // New validates cfg and assembles the server it describes, every
@@ -439,9 +430,6 @@ func New(cfg Config) (*Server, error) {
 		if err := s.newProber(cfg.Probe); err != nil {
 			return nil, err
 		}
-	}
-	if cfg.Overload.Enabled() {
-		s.over = newOverloadController(s, cfg.Overload)
 	}
 	if cfg.Metrics != nil {
 		s.metrics = newServerMetrics(cfg.Metrics, s)

@@ -20,10 +20,10 @@ import (
 
 // DNS-over-HTTPS front end (enabled by Config.HTTPAddr).
 //
-// Two endpoints share the engine, the rate limiter, the
-// overload-degradation ladder, and the per-transport metrics with
-// the UDP and TCP fronts, because every request funnels into the same
-// decode and answer steps (query.go) the socket serve loops run:
+// Two endpoints share the engine, the rate limiter and the per-transport
+// metrics with the UDP and TCP fronts, because every request funnels
+// into the same decode and answer steps (query.go) the socket serve
+// loops run:
 //
 //   - /dns-query — RFC 8484 wire format: GET with a ?dns= base64url
 //     parameter, or POST with an application/dns-message body. The
@@ -469,7 +469,7 @@ func appendResolveQuery(dst, name, qtype, subnet []byte) (_ []byte, msg string) 
 // query (with a real ECS option when edns_client_subnet is given), which
 // goes through the decoder and answer step every transport uses — so
 // names and subnets from outside are validated in one place, and
-// counters, limiter and degraded mode apply — and the reply is rendered
+// counters and limiter apply — and the reply is rendered
 // as JSON directly, with no wire response in between.
 func (s *Server) serveDoHJSON(b *streamBufs, r *httpRequest) {
 	if string(r.method) != "GET" {

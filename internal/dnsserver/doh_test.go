@@ -709,10 +709,9 @@ func jsonFromWire(t *testing.T, wire []byte) dohJSONResponse {
 // TestResolveJSONMatchesWire holds the JSON renderer to the wire
 // renderer: the /resolve body equals, field for field, a rendering of
 // the wire response to the same query over POST /dns-query — for each
-// shape, from the policy, from the degraded ladder and for a
-// rate-limited source. Both endpoints are driven through the framer on a
-// hand-made connection, so counters, limiter and degraded mode are seen
-// to cover /resolve as they cover the wire path.
+// shape, from the policy and for a rate-limited source. Both endpoints
+// are driven through the framer on a hand-made connection, so counters
+// and limiter are seen to cover /resolve as they cover the wire path.
 func TestResolveJSONMatchesWire(t *testing.T) {
 	queries := []struct {
 		name, qtype, subnet string
@@ -792,15 +791,6 @@ func TestResolveJSONMatchesWire(t *testing.T) {
 	t.Run("policy", func(t *testing.T) {
 		srv, _ := testServerNoStart(t, "DRR2-TTL/S_K")
 		check(t, srv, 0, 8)
-	})
-	t.Run("degraded", func(t *testing.T) {
-		srv, _ := testServerNoStart(t, "DRR2-TTL/S_K")
-		srv.over = newOverloadController(srv, OverloadConfig{QPSCeiling: 1e12, DegradedTTL: 5})
-		srv.over.degraded.Store(true)
-		check(t, srv, 0, 8)
-		if got := srv.Degraded().Answers; got != 4 {
-			t.Errorf("%d answers from the degraded ladder, want 4 (two address queries, each asked twice)", got)
-		}
 	})
 	t.Run("rate-limited", func(t *testing.T) {
 		srv, _ := testServerNoStart(t, "DRR2-TTL/S_K")

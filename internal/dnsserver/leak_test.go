@@ -50,10 +50,10 @@ func TestServerCloseStopsGoroutines(t *testing.T) {
 
 // TestLifecycleEveryComponent runs a server with every component
 // configured — report socket, liveness, probing (a dead target),
-// replication (an unreachable peer), checkpointing, overload, DoH — and
-// stops it with an idle connection open on each stream listener: Shutdown
-// returns well within its deadline, no goroutine outlives it, report
-// intake has ended before the drain timers were cancelled, and the final
+// replication (an unreachable peer), checkpointing, DoH — and stops it
+// with an idle connection open on each stream listener: Shutdown returns
+// well within its deadline, no goroutine outlives it, report intake has
+// ended before the drain timers were cancelled, and the final
 // checkpoint, written last, restores into a fresh server. The periodic
 // checkpoint is configured with an interval no test run reaches, so the
 // one save counted is Shutdown's own (TestCheckpointerPeriodicAndFinal
@@ -70,7 +70,6 @@ func TestLifecycleEveryComponent(t *testing.T) {
 			cfg.Probe.Targets[6].Addr = "127.0.0.1:1"
 			cfg.Replication = ReplicationConfig{ReplicaID: "lifecycle", Peers: []string{"127.0.0.1:1"}, Interval: tick}
 			cfg.CheckpointPath, cfg.CheckpointInterval = ckpt, time.Hour
-			cfg.Overload = OverloadConfig{QPSCeiling: 1e9}
 		})
 		if _, err := resolverFor(t, srv).LookupA(context.Background(), "www.site.example"); err != nil {
 			t.Fatal(err)
@@ -136,38 +135,70 @@ func TestLifecycleEveryComponent(t *testing.T) {
 	}
 }
 
+// freePortPair returns a loopback address whose port was free on UDP and
+// TCP alike a moment ago: it binds both on one port, retrying with a
+// fresh UDP port when an unrelated TCP socket holds it, and releases them.
+func freePortPair(t *testing.T) string {
+	t.Helper()
+	const pairAttempts = 16
+	for attempt := 0; ; attempt++ {
+		udp, err := net.ListenPacket("udp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr := udp.LocalAddr().String()
+		tcp, err := net.Listen("tcp", addr)
+		_ = udp.Close()
+		if err == nil {
+			_ = tcp.Close()
+			return addr
+		}
+		if attempt == pairAttempts-1 {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestStartFailureLeavesNothingBehind: the report socket is the last to
 // bind; when its port is taken Start returns that error with the DNS
 // sockets released and nothing running, and the Close that follows does
 // not write a never-started server's cold state over the checkpoint file.
+// The DNS port is free only when picked: if another process takes it
+// before Start binds it, the attempt is repeated on a fresh pair.
 func TestStartFailureLeavesNothingBehind(t *testing.T) {
 	held, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer held.Close()
-	free, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dnsAddr := free.Addr().String()
-	_ = free.Close()
+	var dnsAddr string
 	ckpt := filepath.Join(t.TempDir(), "state.json")
 	base, _ := testServerNoStart(t, "RR")
 	checkGoroutines(t, func(t *testing.T) {
-		cfg := base.cfg
-		cfg.Addr, cfg.HTTPAddr, cfg.ReportAddr = dnsAddr, "127.0.0.1:0", held.Addr().String()
-		cfg.LivenessK, cfg.LivenessInterval = 3, time.Second
-		cfg.CheckpointPath, cfg.CheckpointInterval = ckpt, time.Second
-		srv, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := srv.Start(); err == nil || !strings.Contains(err.Error(), "listen report") {
-			t.Fatalf("Start = %v, want the report bind's error", err)
-		}
-		if err := srv.Close(); err != nil {
-			t.Errorf("Close after a failed Start: %v", err)
+		const startAttempts = 8
+		for attempt := 1; ; attempt++ {
+			dnsAddr = freePortPair(t)
+			cfg := base.cfg
+			cfg.Addr, cfg.HTTPAddr, cfg.ReportAddr = dnsAddr, "127.0.0.1:0", held.Addr().String()
+			cfg.LivenessK, cfg.LivenessInterval = 3, time.Second
+			cfg.CheckpointPath, cfg.CheckpointInterval = ckpt, time.Second
+			srv, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = srv.Start()
+			dnsTaken := err != nil && (strings.Contains(err.Error(), "listen udp") || strings.Contains(err.Error(), "listen tcp"))
+			if dnsTaken && attempt < startAttempts {
+				_ = srv.Close()
+				continue
+			}
+			if err == nil || !strings.Contains(err.Error(), "listen report") {
+				t.Fatalf("Start = %v, want the report bind's error", err)
+			}
+			if err := srv.Close(); err != nil {
+				t.Errorf("Close after a failed Start: %v", err)
+			}
+			return
 		}
 	})
 	udp, err := net.ListenPacket("udp", dnsAddr)

@@ -131,22 +131,6 @@ func newServerMetrics(reg *metrics.Registry, s *Server) *serverMetrics {
 		"Configured concurrent TCP connection cap (0 = unlimited).",
 		nil, func() float64 { return float64(s.maxTCPConns) })
 
-	// Overload graceful degradation (overload.go). The series exist even
-	// when the controller is disabled (all zero) so dashboards need no
-	// conditional scrape config.
-	reg.NewGaugeFunc("dnslb_dns_degraded_mode",
-		"1 while the overload controller has the server serving the static degraded ladder.",
-		nil, func() float64 { return boolGauge(s.Degraded().Degraded) })
-	reg.NewCounterFunc("dnslb_dns_degraded_transitions_total",
-		"Degraded-mode transitions (enter and leave each count once).",
-		nil, func() uint64 { return s.Degraded().Transitions })
-	reg.NewCounterFunc("dnslb_dns_degraded_answers_total",
-		"Address answers served by the static capacity-weighted ladder while degraded.",
-		nil, func() uint64 { return s.Degraded().Answers })
-	reg.NewGaugeFunc("dnslb_dns_overload_rate_qps",
-		"Aggregate query rate at the overload controller's last sample.",
-		nil, func() float64 { return s.Degraded().LastRateQPS })
-
 	// Scheduling policy: class-level decision counters and no-server
 	// failures from the policy's own atomics (per-server decisions are
 	// registered in ensureServerSeries).

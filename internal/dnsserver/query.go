@@ -8,7 +8,6 @@ import (
 	"runtime/debug"
 	"strconv"
 
-	"dnslb/internal/core"
 	"dnslb/internal/dnswire"
 	"dnslb/internal/engine"
 )
@@ -151,50 +150,29 @@ func (s *Server) answer(q *dnswire.Query, wire []byte, from netip.Addr, tr engin
 }
 
 // decideAddress answers an address query for the zone: one scheduling
-// decision, one A record. While the admission controller has the server
-// degraded (overload.go) the decision comes from the engine's static
-// capacity-weighted round-robin ladder with the configured short TTL,
-// skipping the policy and the estimator feed, and an ECS option is
-// echoed with scope zero ("answer not tailored to your subnet"), which
-// is exactly true of the ladder. Otherwise DecideQuery classifies the
-// originating domain from the forwarded client subnet (per the
-// configured ECS mode) or the resolver's address, and reports the scope
-// to echo. SERVFAIL only when every server is unschedulable, never
-// because of load.
+// decision, one A record. DecideQuery classifies the originating domain
+// from the forwarded client subnet (per the configured ECS mode) or the
+// resolver's address, and reports the scope to echo. SERVFAIL only when
+// every server is unschedulable, never because of load.
 func (s *Server) decideAddress(r *reply, q *dnswire.Query, from netip.Addr, tr engine.Transport, idx uint32, st *statsShard) {
-	var (
-		d     core.Decision
-		scope uint8
-		err   error
-	)
-	degraded := s.over != nil && s.over.active()
-	if degraded {
-		d, err = s.eng.DecideFallback(s.over.cfg.DegradedTTL)
-	} else {
-		qc := engine.QueryContext{Resolver: from, Transport: tr}
-		if q.HasECS && q.ECS.Prefix.IsValid() {
-			qc.ClientSubnet = q.ECS.Prefix
-		}
-		var qd engine.QueryDecision
-		qd, err = s.eng.DecideQuery(qc)
-		d, scope = qd.Decision, qd.Scope
+	qc := engine.QueryContext{Resolver: from, Transport: tr}
+	if q.HasECS && q.ECS.Prefix.IsValid() {
+		qc.ClientSubnet = q.ECS.Prefix
 	}
+	qd, err := s.eng.DecideQuery(qc)
 	if err != nil {
 		st.c[cServFail].Add(1)
 		r.hdr.RCode = dnswire.RCodeServFail
 		return
 	}
 	if s.metrics != nil {
-		s.metrics.ttl.ObserveHint(idx, d.TTL)
+		s.metrics.ttl.ObserveHint(idx, qd.Decision.TTL)
 		if q.HasECS {
-			s.metrics.ecsScope.ObserveHint(idx, float64(scope))
+			s.metrics.ecsScope.ObserveHint(idx, float64(qd.Scope))
 		}
 	}
 	st.c[cAnswered].Add(1)
-	if degraded {
-		st.c[cDegraded].Add(1)
-	}
-	r.shape, r.addr, r.ttl, r.scope = shapeA, s.serverAddrs()[d.Server], wireTTL(d.TTL), scope
+	r.shape, r.addr, r.ttl, r.scope = shapeA, s.serverAddrs()[qd.Decision.Server], wireTTL(qd.Decision.TTL), qd.Scope
 }
 
 // wireTTL rounds a policy TTL in seconds to the wire's whole seconds.

@@ -33,7 +33,7 @@ import (
 //     runs, so a Start that fails leaves nothing bound and no goroutine
 //     behind.
 //  3. The serve loops — UDP workers, one accept loop per stream
-//     listener — and the liveness and overload samplers.
+//     listener — and the liveness check.
 //  4. Active probing.
 //  5. Replication, after the restore so that its first flush announces
 //     the restored state to the peers.
@@ -66,9 +66,6 @@ func (s *Server) Start() error {
 	if m := s.liveness; m != nil {
 		s.every(m.interval, func() { m.check(time.Now()) })
 	}
-	if c := s.over; c != nil {
-		s.every(overloadTick, func() { c.sample(time.Now()) })
-	}
 	if s.prober != nil {
 		s.prober.Start()
 	}
@@ -84,8 +81,8 @@ func (s *Server) Start() error {
 }
 
 // every runs fn once every d, on a goroutine counted in s.wg, until the
-// server stops — the one loop behind the liveness check, the overload
-// sampler and the periodic checkpoint.
+// server stops — the one loop behind the liveness check and the
+// periodic checkpoint.
 func (s *Server) every(d time.Duration, fn func()) {
 	s.wg.Add(1)
 	go func() {
@@ -175,16 +172,17 @@ func (s *Server) Close() error {
 
 // Shutdown stops the server gracefully, in the reverse of Start's order.
 // Everything that feeds the engine stops at once: closing s.closed ends
-// the samplers and the periodic checkpoint and lets no report connection
-// take another line, then gossip and probing stop. New queries are
-// refused, but those already read from the sockets are answered before
-// the serve loops exit: the UDP socket stays open (writable) until every
-// worker has sent its in-flight batch; the stream listeners (TCP,
-// DoH, report) stop accepting at once, a connection idle between
-// exchanges ends at once and one in the middle of an exchange completes
-// it. When ctx expires first, what remains is cut off, every connection
-// closed, and ctx's error is returned. The final checkpoint is written
-// last of all, so that it records what the drained server knew.
+// the liveness check and the periodic checkpoint and lets no report
+// connection take another line, then gossip and probing stop. New
+// queries are refused, but those already read from the sockets are
+// answered before the serve loops exit: the UDP socket stays open
+// (writable) until every worker has sent its in-flight batch; the stream
+// listeners (TCP, DoH, report) stop accepting at once, a connection idle
+// between exchanges ends at once and one in the middle of an exchange
+// completes it. When ctx expires first, what remains is cut off, every
+// connection closed, and ctx's error is returned. The final checkpoint
+// is written last of all, so that it records what the drained server
+// knew.
 func (s *Server) Shutdown(ctx context.Context) error {
 	select {
 	case <-s.closed:

@@ -92,10 +92,6 @@ type Engine struct {
 	mapper      func(addr netip.Addr) int // nil: DecideQuery unavailable
 	ecs         ECSMode
 	estRejected atomic.Uint64 // hit reports the estimator refused
-
-	// fallback is the degraded-ladder smooth-WRR accumulator; see
-	// fallback.go. Zero value ready.
-	fallback fallbackState
 }
 
 // New creates an engine with a ledger sized to the policy's cluster.
