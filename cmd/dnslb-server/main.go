@@ -100,7 +100,6 @@ func configure(args []string) (*settings, error) {
 		capacities  = fs.String("capacities", "", "comma-separated capacities in hits/s (default: equal)")
 		domains     = fs.Int("domains", 20, "connected domains for source classification")
 		estKind     = fs.String("estimator", dnslb.EstimatorReactive, "hidden-load estimator kind: reactive or predictive")
-		geoPref     = fs.Float64("geo-preference", 0, "probability of answering with the nearest server instead of the policy's choice (0 = disabled)")
 		qps         = fs.Float64("qps", 0, "per-source query rate limit (0 = unlimited)")
 		burst       = fs.Float64("burst", 10, "per-source burst allowance when -qps is set")
 		livenessK   = fs.Int("liveness-k", 3, "missed report intervals before a backend is marked down (0 = disable liveness)")
@@ -168,18 +167,12 @@ func configure(args []string) (*settings, error) {
 		return nil, err
 	}
 	start := time.Now()
-	polCfg := dnslb.PolicyConfig{
+	pol, err := dnslb.NewPolicy(dnslb.PolicyConfig{
 		Name:  *policy,
 		State: state,
 		Rand:  rand.New(rand.NewPCG(rand.Uint64(), rand.Uint64())),
 		Now:   func() float64 { return time.Since(start).Seconds() },
-	}
-	// Proximity steering uses the same ring-geography helper the
-	// simulator does, so both paths derive identical latency matrices.
-	if polCfg.Proximity, err = dnslb.RingProximityConfig(*domains, len(addrs), *geoPref); err != nil {
-		return nil, err
-	}
-	pol, err := dnslb.NewPolicy(polCfg)
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -245,9 +245,6 @@ func TestRunValidation(t *testing.T) {
 		!strings.Contains(err.Error(), "-burst") {
 		t.Errorf("-burst NaN should fail validation naming the flag, got %v", err)
 	}
-	if err := run([]string{"-servers", "10.0.0.1", "-geo-preference", "NaN"}, stop, nil); err == nil {
-		t.Error("-geo-preference NaN should fail validation")
-	}
 }
 
 // scrapeValue fetches a /metrics exposition and returns the named

@@ -11,6 +11,7 @@
 //	dnslb-sim -policy DRR2-TTL/S_K -fail 0@900+600
 //	dnslb-sim -policy DRR2-TTL/S_K -estimator reactive -reportloss 0.1
 //	dnslb-sim -policy DRR2-TTL/S_K -estimator predictive -flash 0@1800+600:300x40
+//	dnslb-sim -policy DRR2-TTL/S_K -trace day.trace -replicas 2 -fail 0@900+600
 package main
 
 import (
@@ -23,6 +24,7 @@ import (
 
 	"dnslb"
 	"dnslb/internal/core"
+	"dnslb/internal/trace"
 )
 
 func main() {
@@ -65,6 +67,7 @@ func run(args []string, out io.Writer) error {
 		misalign  = fs.Float64("ecs-misalign", -1, "fraction of domains resolving through a name server located elsewhere (enables the RFC 7871 misalignment extension; -1 = off)")
 		useECS    = fs.Bool("ecs", false, "misaligned resolvers forward the clients' true subnet as EDNS Client Subnet (requires -ecs-misalign)")
 		ecsShift  = fs.Int("ecs-shift", 0, "how many domains away a misaligned resolver sits (0 = antipode)")
+		tracePath = fs.String("trace", "", "replay a recorded trace file as the arrivals; it sets the domains and the horizon")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -74,6 +77,20 @@ func run(args []string, out io.Writer) error {
 		return nil
 	}
 
+	if *tracePath != "" {
+		// The trace sets the workload and the horizon; -policies would run
+		// the generated workload instead.
+		var clash []string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "domains", "clients", "uniform", "error", "duration", "policies":
+				clash = append(clash, "-"+f.Name)
+			}
+		})
+		if len(clash) > 0 {
+			return fmt.Errorf("%s cannot be combined with -trace", strings.Join(clash, ", "))
+		}
+	}
 	if *policies != "" {
 		return comparePolicies(strings.Split(*policies, ","), *het, *duration, *warmup, *seed, out)
 	}
@@ -90,6 +107,11 @@ func run(args []string, out io.Writer) error {
 	cfg.Warmup = *warmup
 	cfg.Seed = *seed
 	cfg.MinNSTTL = *minTTL
+	if *tracePath != "" {
+		if err := useTrace(&cfg, *tracePath); err != nil {
+			return err
+		}
+	}
 	// The kind is core's to judge, here rather than deep inside the run so
 	// that the error names the flag (an empty kind means oracle weights).
 	if _, err := core.NewLoadEstimator(*estimator, 1, core.DefaultEstimatorAlpha); err != nil {
@@ -143,9 +165,13 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "policy              %s\n", *policy)
 	fmt.Fprintf(out, "servers             %d (heterogeneity %d%%, total %.0f hits/s)\n",
 		*servers, *het, *capacity)
-	fmt.Fprintf(out, "domains / clients   %d / %d\n", *domains, *clients)
+	if *tracePath != "" {
+		fmt.Fprintf(out, "trace               %s (%d records, %d domains)\n", *tracePath, len(cfg.Trace), cfg.Workload.Domains)
+	} else {
+		fmt.Fprintf(out, "domains / clients   %d / %d\n", *domains, *clients)
+	}
 	fmt.Fprintf(out, "virtual time        %.0fs warm-up + %.0fs measured, %d replication(s)\n",
-		*warmup, *duration, *reps)
+		*warmup, cfg.Duration, *reps)
 
 	for _, level := range []float64{0.8, 0.9, 0.98} {
 		iv := dnslb.ProbMaxUnderCI(results, level, 0.95)
@@ -228,6 +254,28 @@ func run(args []string, out io.Writer) error {
 			fmt.Fprintf(out, "%.3f    %.4f\n", x, r.ProbMaxUnder(x))
 		}
 	}
+	return nil
+}
+
+// useTrace makes cfg replay the trace at path: the trace's domain count
+// replaces the workload's, and its last arrival ends the run.
+func useTrace(cfg *dnslb.SimConfig, path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	records, err := trace.Read(f)
+	if err != nil {
+		return fmt.Errorf("-trace: %w", err)
+	}
+	horizon := records[len(records)-1].Time
+	if horizon <= cfg.Warmup {
+		return fmt.Errorf("-trace ends at %.1fs, inside the %.0fs warm-up", horizon, cfg.Warmup)
+	}
+	cfg.Trace = records
+	cfg.Workload.Domains = trace.Summarize(records).Domains
+	cfg.Duration = horizon - cfg.Warmup
 	return nil
 }
 

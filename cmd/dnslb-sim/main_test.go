@@ -4,8 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"dnslb"
+	"dnslb/internal/trace"
 )
 
 func TestRunList(t *testing.T) {
@@ -385,5 +391,92 @@ func TestRunWithDetection(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "detection           report") {
 		t.Errorf("output missing detection line:\n%s", buf.String())
+	}
+}
+
+// writeTrace generates a trace of the paper's workload over the given
+// horizon into a temporary file and returns its path.
+func writeTrace(t *testing.T, horizon float64) string {
+	t.Helper()
+	records, err := dnslb.GenerateTrace(dnslb.DefaultWorkload(), horizon, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "t.trace")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := trace.Write(f, records); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+func TestRunTrace(t *testing.T) {
+	path := writeTrace(t, 1200)
+	var buf bytes.Buffer
+	if err := run([]string{"-trace", path, "-policy", "DRR2-TTL/S_K", "-warmup", "300"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	for _, want := range []string{"trace ", "P(MaxUtil < 0.98)", "address requests", "hits served", "300s warm-up + 9"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("replay output missing %q:\n%s", want, out)
+		}
+	}
+
+	// Every other flag applies to the replay: replicas, faults, JSON.
+	buf.Reset()
+	err := run([]string{"-trace", path, "-warmup", "300", "-replicas", "2",
+		"-estimator", "reactive", "-fail", "1@600+200", "-json"}, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var summary struct {
+		Domains         int      `json:"domains"`
+		ReplDecisions   []uint64 `json:"replicaDecisions"`
+		DeadServerHits  uint64   `json:"deadServerHits"`
+		DurationSeconds float64  `json:"durationSeconds"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &summary); err != nil {
+		t.Fatalf("bad JSON: %v\n%s", err, buf.String())
+	}
+	if summary.Domains != 20 || len(summary.ReplDecisions) != 2 || summary.DeadServerHits == 0 ||
+		summary.DurationSeconds <= 0 || summary.DurationSeconds > 900 {
+		t.Errorf("replicated faulted replay summary = %+v", summary)
+	}
+}
+
+func TestTraceWarmupLongerThanTrace(t *testing.T) {
+	path := writeTrace(t, 120)
+	if err := run([]string{"-trace", path, "-warmup", "600"}, io.Discard); err == nil {
+		t.Error("warm-up beyond the trace horizon should error")
+	}
+}
+
+func TestTraceRefusesWorkloadFlags(t *testing.T) {
+	path := writeTrace(t, 120)
+	for _, flag := range [][]string{
+		{"-domains", "5"}, {"-clients", "10"}, {"-uniform"}, {"-error", "10"}, {"-duration", "60"},
+	} {
+		args := append([]string{"-trace", path, "-warmup", "10"}, flag...)
+		err := run(args, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), flag[0]) {
+			t.Errorf("%v with -trace: err = %v, want a refusal naming %s", flag, err, flag[0])
+		}
+	}
+	for _, args := range [][]string{
+		{"-trace", path, "-warmup", "10", "-flash", "0@20+30:10x2"},
+		{"-trace", path, "-policies", "RR,DRR2-TTL/S_K"},
+		{"-trace", filepath.Join(t.TempDir(), "missing.trace")},
+	} {
+		if err := run(args, io.Discard); err == nil {
+			t.Errorf("%v: accepted", args)
+		}
+	}
+	if err := run([]string{"-trace", path, "-warmup", "10", "-replicas", "2"}, io.Discard); err != nil {
+		t.Errorf("-trace with -replicas: %v", err)
 	}
 }

@@ -1,21 +1,21 @@
-// Command dnslb-trace records and replays client workload traces.
+// Command dnslb-trace records, converts and summarizes client workload
+// traces.
 //
 // Subcommands:
 //
 //	gen     synthesize a trace from the paper's workload model
 //	stats   summarize a trace (rate, sessions, domain skew)
-//	replay  run a simulation with the trace as its arrivals
 //	import  convert a Common Log Format access log into a trace
 //	export  render a trace as a synthetic Common Log Format log
 //
-// A trace generated with the same seed and workload replays exactly
-// like a live simulation, so `replay` enables paired policy
-// comparisons over identical traffic:
+// dnslb-sim -trace replays a trace as a simulation's arrivals. A trace
+// generated with the same seed and workload replays exactly like a
+// live simulation, and every policy replays identical traffic:
 //
 //	dnslb-trace gen -out day.trace -duration 18000
 //	dnslb-trace stats -in day.trace
-//	dnslb-trace replay -in day.trace -policy RR
-//	dnslb-trace replay -in day.trace -policy DRR2-TTL/S_K
+//	dnslb-sim -trace day.trace -policy RR
+//	dnslb-sim -trace day.trace -policy DRR2-TTL/S_K
 package main
 
 import (
@@ -39,21 +39,19 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	if len(args) == 0 {
-		return fmt.Errorf("usage: dnslb-trace <gen|stats|replay> [flags]")
+		return fmt.Errorf("usage: dnslb-trace <gen|stats|import|export> [flags]")
 	}
 	switch args[0] {
 	case "gen":
 		return runGen(args[1:], out)
 	case "stats":
 		return runStats(args[1:], out)
-	case "replay":
-		return runReplay(args[1:], out)
 	case "import":
 		return runImport(args[1:], out)
 	case "export":
 		return runExport(args[1:], out)
 	default:
-		return fmt.Errorf("unknown subcommand %q (want gen, stats, replay, import, or export)", args[0])
+		return fmt.Errorf("unknown subcommand %q (want gen, stats, import, or export)", args[0])
 	}
 }
 
@@ -136,54 +134,6 @@ func runStats(args []string, out io.Writer) error {
 	for j := 0; j < n; j++ {
 		fmt.Fprintf(out, "domain %-2d      %.1f%% of hits\n", j, 100*s.DomainShare[j])
 	}
-	return nil
-}
-
-func runReplay(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("dnslb-trace replay", flag.ContinueOnError)
-	var (
-		inPath  = fs.String("in", "", "trace file")
-		policy  = fs.String("policy", "DRR2-TTL/S_K", "scheduling policy")
-		het     = fs.Int("het", 20, "heterogeneity percent")
-		servers = fs.Int("servers", 7, "web servers")
-		warmup  = fs.Float64("warmup", 600, "warm-up seconds discarded from metrics")
-		minTTL  = fs.Float64("minttl", 0, "non-cooperative NS minimum TTL")
-		seed    = fs.Uint64("seed", 1, "random seed (policy randomness)")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	records, err := loadTrace(*inPath)
-	if err != nil {
-		return err
-	}
-	s := trace.Summarize(records)
-
-	cfg := dnslb.DefaultSimConfig(*policy)
-	cfg.Trace = records
-	cfg.Workload.Domains = s.Domains
-	cfg.HeterogeneityPct = *het
-	cfg.Servers = *servers
-	cfg.MinNSTTL = *minTTL
-	cfg.Seed = *seed
-	cfg.Warmup = *warmup
-	horizon := records[len(records)-1].Time
-	if horizon <= *warmup {
-		return fmt.Errorf("trace ends at %.1fs, inside the %.0fs warm-up", horizon, *warmup)
-	}
-	cfg.Duration = horizon - *warmup
-
-	res, err := dnslb.RunSim(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "policy              %s\n", *policy)
-	fmt.Fprintf(out, "trace               %s (%d records, %.1f hits/s)\n", *inPath, s.Records, s.HitRate)
-	for _, level := range []float64{0.8, 0.9, 0.98} {
-		fmt.Fprintf(out, "P(MaxUtil < %.2f)    %.4f\n", level, res.ProbMaxUnder(level))
-	}
-	fmt.Fprintf(out, "address requests    %d\n", res.AddressRequests)
-	fmt.Fprintf(out, "hits served         %d\n", res.TotalHits)
 	return nil
 }
 

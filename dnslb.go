@@ -78,8 +78,8 @@ var (
 	// NewState creates scheduler state for a cluster and domain count.
 	NewState = core.NewState
 	// RingProximityConfig builds the synthetic ring-geography
-	// ProximityConfig both the simulator and the live server use for
-	// proximity steering (nil when preference is 0).
+	// ProximityConfig the simulator uses for proximity steering (nil
+	// when preference is 0).
 	RingProximityConfig = core.RingProximityConfig
 )
 

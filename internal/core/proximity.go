@@ -102,9 +102,9 @@ const (
 	DefaultGeoSpanMS = 160.0
 )
 
-// RingProximityConfig builds the ProximityConfig both the simulator
-// and the live DNS server use for the geo extension: the synthetic
-// ring geography over the given population. A zero preference returns
+// RingProximityConfig builds the ProximityConfig the simulator uses
+// for the geo extension: the synthetic ring geography over the given
+// population. A zero preference returns
 // (nil, nil) — the extension disabled — so callers can pass their
 // flag value through unconditionally.
 func RingProximityConfig(domains, servers int, preference float64) (*ProximityConfig, error) {

@@ -65,8 +65,10 @@ func (v TTLVariant) String() string {
 }
 
 const (
-	// maxTTL caps any adaptive TTL at one day; it only binds for
-	// degenerate weight estimates (a domain that was never observed).
+	// maxTTL caps any adaptive TTL at one day. A domain with no
+	// evidence (factor zero) is answered as the hottest class, so the
+	// cap binds only for a positive estimate more than 86 400/base times
+	// colder than the hottest domain.
 	maxTTL = 86400.0
 	// minAdaptiveTTL is a floor guarding against pathological
 	// calibrations; real NS minimums are modelled separately by the
@@ -214,12 +216,13 @@ func (p *TTLPolicy) serverFactor(sn *Snapshot, server int) float64 {
 func (p *TTLPolicy) TTL(sn *Snapshot, domain, server int) float64 {
 	c := p.recalibrate(sn)
 	d := c.factors[domain]
-	ttl := c.base * p.serverFactor(sn, server)
-	if d > 0 {
-		ttl /= d
-	} else {
-		ttl = maxTTL
+	if !(d > 0) {
+		// A domain without evidence is unknown, not cold: answer it as
+		// the hottest class, so the least-known domain is rescheduled
+		// soonest instead of pinned for the longest.
+		d = 1
 	}
+	ttl := c.base * p.serverFactor(sn, server) / d
 	if ttl > maxTTL {
 		ttl = maxTTL
 	}

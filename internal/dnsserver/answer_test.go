@@ -716,3 +716,37 @@ func TestCompressedQuestionEchoesAskedName(t *testing.T) {
 		}
 	}
 }
+
+// TestUnseenDomainIsNotPinnedForADay: after the first ROLL, a domain
+// that sent no hits in it has a zero estimated rate. It is unknown, not
+// cold: the answer carries the hottest domain's TTL, not a day, and
+// draining the server it names waits out that TTL, not a day. The
+// server runs on its wall clock; nothing in the test waits.
+func TestUnseenDomainIsNotPinnedForADay(t *testing.T) {
+	srv, _ := smallServerCfg(t, "DRR-TTL/S_K", false, func(cfg *Config) {
+		cfg.Estimator = core.EstimatorReactive
+		cfg.Mapper = func(a netip.Addr) int { return int(a.As4()[3]) % 4 }
+	})
+	for _, line := range []string{"HITS 0 300", "HITS 1 100", "ROLL 60"} {
+		if _, err := srv.applyReport(line); err != nil {
+			t.Fatalf("%s: %v", line, err)
+		}
+	}
+	const day = 86400
+	out := srv.handle(zoneQuery(t, netip.Prefix{}), netip.AddrFrom4([4]byte{127, 0, 0, 2}), engine.TransportUDP, dnswire.MaxUDPPayload, nil)
+	resp, err := dnswire.Unpack(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	server := answerServer(t, resp)
+	if ttl := resp.Answers[0].TTL; ttl >= day/24 {
+		t.Errorf("domain 2, first seen after the first roll, answered with TTL %d s", ttl)
+	}
+	deadline, err := srv.Drain(server)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wait := time.Until(deadline); wait >= time.Hour {
+		t.Errorf("draining server %d waits %v for the unseen domain's mapping", server, wait)
+	}
+}

@@ -178,6 +178,49 @@ func TestEstimatorFeedback(t *testing.T) {
 	}
 }
 
+// TestUnseenDomainGetsBaseTTL: after one roll that saw hits for
+// domains 0 and 1 only, domains 2 and 3 have no evidence. They are
+// unknown, not cold, so they get the hottest domain's TTL on the same
+// server — the base TTL scaled by the server factor — not a day.
+func TestUnseenDomainGetsBaseTTL(t *testing.T) {
+	for _, policy := range []string{"DRR-TTL/K", "DRR-TTL/S_K"} {
+		est, err := core.NewLoadEstimator(core.EstimatorReactive, 4, core.DefaultEstimatorAlpha)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := testEngine(t, policy, est, &ManualClock{})
+		eng.RecordHits(0, 300)
+		eng.RecordHits(1, 100)
+		if err := eng.RollEstimates(60); err != nil {
+			t.Fatal(err)
+		}
+		hottest := make(map[int]float64) // server → domain 0's TTL there
+		for range 3 {
+			d, err := eng.Decide(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hottest[d.Server] = d.TTL
+		}
+		for _, domain := range []int{2, 3} {
+			for range 3 {
+				d, err := eng.Decide(domain)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, ok := hottest[d.Server]
+				if !ok {
+					t.Fatalf("%s: domain 0 never mapped to server %d", policy, d.Server)
+				}
+				if d.TTL != want {
+					t.Errorf("%s: unseen domain %d on server %d got TTL %v, want the base %v",
+						policy, domain, d.Server, d.TTL, want)
+				}
+			}
+		}
+	}
+}
+
 func TestEstimatorDisabled(t *testing.T) {
 	eng := testEngine(t, "RR", nil, &ManualClock{})
 	eng.RecordHits(0, 100) // must not panic

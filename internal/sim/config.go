@@ -112,11 +112,14 @@ type Config struct {
 
 	// Replicas runs the DNS as a set of R replicated authoritative
 	// servers (replication extension): domain d resolves through replica
-	// d mod R, server i reports load to replica i mod R, and the
-	// replicas exchange soft-state deltas (internal/replication) every
-	// ReplicationInterval. 0 or 1 runs the paper's single authoritative
-	// DNS: R ≤ 1 is the same assembly with one replica, no replication
-	// node and no gossip events.
+	// d mod R — flash crowds and ECS misalignment included — and server
+	// i's load reports, alarms, crashes, detector verdicts and drain
+	// reach replica i mod R. The replicas exchange soft-state deltas
+	// (internal/replication) every ReplicationInterval, so a peer learns
+	// a server down or draining one gossip round (plus ReplicaLag)
+	// later. 0 or 1 runs the paper's single authoritative DNS: R ≤ 1 is
+	// the same assembly with one replica, no replication node and no
+	// gossip events. Every other field applies at every R.
 	Replicas int
 	// ReplicationInterval is the gossip cadence between replicas in
 	// virtual seconds (required when Replicas > 1).
@@ -340,16 +343,10 @@ func (c Config) Validate() error {
 		if err := c.ECSMisalign.validate(c.Workload.Domains); err != nil {
 			return err
 		}
-		if c.Replicas > 1 {
-			return errors.New("sim: ECSMisalign is not supported with Replicas > 1")
-		}
 	}
 	if c.Detection != nil {
 		if err := c.Detection.validate(); err != nil {
 			return err
-		}
-		if c.Replicas > 1 {
-			return errors.New("sim: Detection is not supported with Replicas > 1")
 		}
 	}
 	for i, ev := range c.Faults {
@@ -382,13 +379,8 @@ func (c Config) Validate() error {
 			return fmt.Errorf("sim: flash crowd %d needs a positive finite duration, got %v", i, ev.Duration)
 		}
 	}
-	if len(c.FlashCrowds) > 0 {
-		if len(c.Trace) > 0 {
-			return errors.New("sim: FlashCrowds cannot be combined with trace playback")
-		}
-		if c.Replicas > 1 {
-			return errors.New("sim: FlashCrowds are not supported with Replicas > 1")
-		}
+	if len(c.FlashCrowds) > 0 && len(c.Trace) > 0 {
+		return errors.New("sim: FlashCrowds cannot be combined with trace playback")
 	}
 	if c.Replicas < 0 {
 		return errors.New("sim: Replicas must be non-negative")
@@ -399,11 +391,6 @@ func (c Config) Validate() error {
 			return errors.New("sim: ReplicationInterval must be positive and finite when Replicas > 1")
 		case !nonNegative(c.ReplicaLag):
 			return errors.New("sim: ReplicaLag must be non-negative and finite")
-		case len(c.Faults) > 0 || len(c.Drains) > 0:
-			// Membership events under replication would need the drain
-			// window coordination of the live path; the simulated
-			// extension scopes to soft-state divergence only.
-			return errors.New("sim: Faults and Drains are not supported with Replicas > 1")
 		}
 		for i, p := range c.Partitions {
 			if !nonNegative(p.Start) || !(p.End > p.Start && positive(p.End)) {

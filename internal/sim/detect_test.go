@@ -21,13 +21,6 @@ func TestDetectionValidation(t *testing.T) {
 			t.Errorf("detection %+v accepted", d)
 		}
 	}
-	cfg := DefaultConfig("RR")
-	cfg.Detection = &DetectionConfig{Kind: DetectReport, Interval: 8, K: 3}
-	cfg.Replicas = 2
-	cfg.ReplicationInterval = 1
-	if err := cfg.Validate(); err == nil {
-		t.Error("Detection with Replicas > 1 accepted")
-	}
 }
 
 func TestDetectionDelayBounds(t *testing.T) {

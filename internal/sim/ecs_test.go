@@ -33,12 +33,6 @@ func TestECSMisalignValidation(t *testing.T) {
 	if err := cfg.Validate(); err == nil {
 		t.Error("Shift >= Domains should error")
 	}
-	cfg.ECSMisalign = &ECSMisalignConfig{Fraction: 0.5}
-	cfg.Replicas = 2
-	cfg.ReplicationInterval = 10
-	if err := cfg.Validate(); err == nil {
-		t.Error("ECSMisalign with Replicas > 1 should error")
-	}
 }
 
 // TestECSMisalignment is the misalignment experiment: under a

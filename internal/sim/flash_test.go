@@ -25,10 +25,6 @@ func TestFlashConfigValidation(t *testing.T) {
 		{"flash needs clients", func(c *Config) { c.FlashCrowds[0].Clients = 0 }},
 		{"flash needs resolvers", func(c *Config) { c.FlashCrowds[0].Resolvers = 0 }},
 		{"flash needs duration", func(c *Config) { c.FlashCrowds[0].Duration = 0 }},
-		{"flash with replicas", func(c *Config) {
-			c.Replicas = 2
-			c.ReplicationInterval = 10
-		}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

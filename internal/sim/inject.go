@@ -1,12 +1,11 @@
 package sim
 
-import (
-	"dnslb/internal/engine"
-	"dnslb/internal/simcore"
-)
+import "dnslb/internal/simcore"
 
 // faultInjector schedules crash/recovery events that flip the
-// scheduler's liveness view at their virtual times. A crash also
+// scheduler's liveness view at their virtual times, at the crashed
+// server's authority replica (i mod R) — the replica its reports
+// reach; the other replicas learn Down from gossip. A crash also
 // retracts the server's alarm (a dead server signals nothing; the
 // retraction is not an alarm signal, so it does not count); what the
 // DNS cannot retract are the cached mappings still pointing at it.
@@ -18,10 +17,10 @@ import (
 // cancels a scheduled flip when a newer fault event supersedes it
 // (e.g. the server recovers before the crash was ever detected).
 type faultInjector struct {
-	sim   *simcore.Simulator
-	eng   *engine.Engine
-	recov *drainTracker
-	fail  func(error)
+	sim      *simcore.Simulator
+	replicas []*replica
+	recov    *drainTracker
+	fail     func(error)
 
 	// Detection-model state; all nil/unused under instant knowledge.
 	detect *DetectionConfig
@@ -83,16 +82,17 @@ func (f *faultInjector) fire(ev FaultEvent) {
 // apply flips the scheduler's view of the event's server, retracting
 // the alarm of a crashed one, and reports whether the view changed.
 func (f *faultInjector) apply(ev FaultEvent) bool {
-	sn := f.eng.State().Snapshot()
+	rep := authority(f.replicas, ev.Server)
+	sn := rep.state.Snapshot()
 	if sn.Down(ev.Server) == ev.Down {
 		return false
 	}
-	if err := f.eng.SetDown(ev.Server, ev.Down); err != nil {
+	if err := rep.eng.SetDown(ev.Server, ev.Down); err != nil {
 		f.fail(err)
 		return false
 	}
 	if ev.Down && sn.Alarmed(ev.Server) {
-		if err := f.eng.SetAlarm(ev.Server, false); err != nil {
+		if err := rep.eng.SetAlarm(ev.Server, false); err != nil {
 			f.fail(err)
 		}
 	}
@@ -105,20 +105,23 @@ func (f *faultInjector) apply(ev FaultEvent) bool {
 // the engine's drain deadline. Only then does the slot leave
 // membership. The engine's Drain and Retire own the rule; the live
 // DRAIN path (internal/dnsserver) runs the same two calls on a wall
-// clock.
+// clock. Both run at the server's authority replica (i mod R), whose
+// drain deadline covers the peers' mappings as their ledger windows
+// arrive by gossip; the peers learn Draining the same way.
 type drainInjector struct {
-	sim  *simcore.Simulator
-	eng  *engine.Engine
-	fail func(error)
+	sim      *simcore.Simulator
+	replicas []*replica
+	fail     func(error)
 }
 
 func (dr *drainInjector) install(events []DrainEvent) {
 	for _, ev := range events {
 		dr.sim.ScheduleAt(ev.Time, func() {
-			if sn := dr.eng.State().Snapshot(); sn.Draining(ev.Server) || !sn.Member(ev.Server) {
+			rep := authority(dr.replicas, ev.Server)
+			if sn := rep.state.Snapshot(); sn.Draining(ev.Server) || !sn.Member(ev.Server) {
 				return
 			}
-			deadline, err := dr.eng.Drain(ev.Server)
+			deadline, err := rep.eng.Drain(ev.Server)
 			if err != nil {
 				dr.fail(err)
 				return
@@ -132,7 +135,7 @@ func (dr *drainInjector) install(events []DrainEvent) {
 // later one Retire names when a mapping moved the window.
 func (dr *drainInjector) retireAt(i int, deadline float64) {
 	dr.sim.ScheduleAt(deadline, func() {
-		if later, err := dr.eng.Retire(i); err != nil {
+		if later, err := authority(dr.replicas, i).eng.Retire(i); err != nil {
 			dr.fail(err)
 		} else if later > 0 {
 			dr.retireAt(i, later)

@@ -20,17 +20,20 @@ import (
 // folds, installed when R > 1.
 //
 // Traffic splits by authority: domain d resolves through replica
-// d mod R, and Web server i reports its load to replica i mod R; each
-// replica learns the rest of the system only through the deltas it
-// merges. Every replica therefore schedules on a view that is up to
-// one gossip round (plus ReplicaLag) stale — ReplMaxWeightDiff and
-// ReplLedgerDivergenceSec in Result measure exactly that staleness,
-// and the partition scenarios measure the availability the protocol
-// buys: a cut replica keeps answering from local state.
+// d mod R, and Web server i reports its load — and its crashes,
+// recoveries and drain — to replica i mod R; each replica learns the
+// rest of the system only through the deltas it merges (a peer's
+// Down and Draining standing, and its ledger windows, which merge
+// CAS-max into the authority's drain deadline). Every replica
+// therefore schedules on a view that is up to one gossip round (plus
+// ReplicaLag) stale — ReplMaxWeightDiff and ReplLedgerDivergenceSec in
+// Result measure exactly that staleness, and the partition scenarios
+// measure the availability the protocol buys: a cut replica keeps
+// answering from local state.
 
 // replica is one authoritative DNS: a scheduling engine over its own
 // state and policy, plus — only in a set of more than one — the
-// replication node that gossips its decisions, alarms and hit counts.
+// replication node that gossips its decisions, standing and hit counts.
 type replica struct {
 	eng       *engine.Engine
 	node      *replication.Node // nil when the set has one replica
@@ -39,8 +42,10 @@ type replica struct {
 }
 
 // authority returns the replica that owns index i of a keyspace split
-// across the set: domains for decisions, servers for alarms and hit
-// reports.
+// across the set: domains for decisions (flash crowds and ECS
+// included), servers for everything a server's reports carry — alarms,
+// hits, crashes and their detection, drains and retirement — and for
+// the sink's reading of its standing. At R = 1 it is replicas[0].
 func authority(replicas []*replica, i int) *replica { return replicas[i%len(replicas)] }
 
 // aggregateSched folds the per-replica policy counters into one Stats

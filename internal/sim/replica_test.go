@@ -35,16 +35,6 @@ func TestReplicaValidation(t *testing.T) {
 		t.Error("negative ReplicaLag should error")
 	}
 	cfg.ReplicaLag = 0
-	cfg.Faults = Outage(0, 100, 50)
-	if err := cfg.Validate(); err == nil {
-		t.Error("Faults with Replicas > 1 should error")
-	}
-	cfg.Faults = nil
-	cfg.Drains = []DrainEvent{{Time: 100, Server: 0}}
-	if err := cfg.Validate(); err == nil {
-		t.Error("Drains with Replicas > 1 should error")
-	}
-	cfg.Drains = nil
 	cfg.Partitions = []PartitionEvent{{Start: 100, End: 100}}
 	if err := cfg.Validate(); err == nil {
 		t.Error("empty partition window should error")

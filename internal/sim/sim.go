@@ -182,13 +182,13 @@ func (f *failSlot) fail(err error) {
 //     engines, each with its own state, policy and estimator. One
 //     replica is the paper's single DNS: no replication node, no gossip
 //     event. In a larger set, domain d resolves through replica d mod R,
-//     server i signals alarms and reports hits to replica i mod R, and
-//     the replica exchange (replica.go) gossips the rest;
+//     everything about server i happens at replica i mod R, and the
+//     replica exchange (replica.go) gossips the rest;
 //   - the traffic source (the client population or trace playback,
 //     plus any flash crowds), every page through one page step,
 //   - the NS cache tier resolving sessions through the engines,
 //   - the traffic sink routing page bursts to the Web servers,
-//   - the fault and drain injectors,
+//   - the fault and drain injectors, at the server's authority replica,
 //   - the utilization and estimator collectors.
 //
 // Component installation order is part of the deterministic contract:
@@ -220,6 +220,123 @@ func Run(cfg Config) (*Result, error) {
 		ecs = newECSResolvers(cfg.ECSMisalign, cfg.Workload.Domains)
 	}
 
+	replicas, err := newReplicas(cfg, cluster, sc, prox, ecs != nil)
+	if err != nil {
+		return nil, err
+	}
+	servers := make([]*webserver.Server, cfg.Servers)
+	for i := range servers {
+		servers[i], err = webserver.New(cluster.Capacity(i), cfg.Workload.Domains)
+		if err != nil {
+			return nil, err
+		}
+	}
+
+	res := &Result{Config: cfg}
+	var sched failSlot
+	fail := sched.fail
+	horizon := cfg.Warmup + cfg.Duration
+
+	recov := newDrainTracker(cfg.Servers)
+	sink := &trafficSink{sim: sc, replicas: replicas, servers: servers, geo: geo, recov: recov, res: res}
+	tier, err := newCacheTier(cfg, sc, replicas, res, fail)
+	if err != nil {
+		return nil, err
+	}
+	tier.ecs = ecs
+
+	// Every kind of traffic — the workload's clients, trace playback and
+	// flash crowds — sends its pages through this one step.
+	page := func(cl *client, newSession bool, hits int) {
+		if newSession {
+			cl.server = tier.resolve(cl.cache, cl.domain)
+		}
+		sink.deliver(cl.domain, cl.server, hits)
+	}
+	if len(cfg.Trace) > 0 {
+		if err := scheduleTrace(cfg, sc, tier.caches, page); err != nil {
+			return nil, err
+		}
+	} else {
+		newPopulation(sc, cfg.Workload, "", page).spawn(tier.caches)
+	}
+	if err := scheduleFlashCrowds(cfg, sc, tier, page); err != nil {
+		return nil, err
+	}
+	if len(replicas) > 1 {
+		(&replicaExchange{sim: sc, cfg: cfg, replicas: replicas, fail: fail, horizon: horizon}).install()
+	}
+	util := newUtilizationCollector(cfg, sc, replicas, servers, res, fail, horizon)
+	util.install()
+	faults := &faultInjector{sim: sc, replicas: replicas, recov: recov, fail: fail}
+	if cfg.Detection != nil {
+		actual := make([]bool, cfg.Servers)
+		sink.actual = actual
+		faults.detect = cfg.Detection
+		faults.actual = actual
+		faults.stream = sc.Stream("detect")
+		faults.gen = make([]uint64, cfg.Servers)
+	}
+	faults.install(cfg.Faults)
+	(&drainInjector{sim: sc, replicas: replicas, fail: fail}).install(cfg.Drains)
+	// The estimator probe and the estimator and policy result folds are
+	// replica 0's view.
+	eng := replicas[0].eng
+	if eng.HasEstimator() {
+		(&estimatorCollector{cfg: cfg, sim: sc, replicas: replicas, servers: servers, res: res, fail: fail, horizon: horizon}).install()
+		(&estimatorProbe{cfg: cfg, sim: sc, eng: eng, res: res, horizon: horizon}).install()
+	}
+
+	sc.Run(horizon)
+	if sched.err != nil {
+		return nil, fmt.Errorf("sim: scheduling failed: %w", sched.err)
+	}
+
+	res.MaxUtil = util.maxUtil.Series()
+	res.MeanServerUtil = make([]float64, cfg.Servers)
+	var weightedResponse float64
+	for i, sv := range servers {
+		res.MeanServerUtil[i] = sv.MeanUtilization(sc.Now())
+		res.TotalHits += sv.TotalHits()
+		res.TotalPages += sv.TotalPages()
+		weightedResponse += sv.MeanResponseTime() * float64(sv.TotalPages())
+		if sv.MaxResponseTime() > res.MaxResponseTime {
+			res.MaxResponseTime = sv.MaxResponseTime()
+		}
+	}
+	if res.TotalPages > 0 {
+		res.MeanResponseTime = weightedResponse / float64(res.TotalPages)
+	}
+	res.MeanLatencyMS = sink.meanLatencyMS()
+	res.MeanTimeToDrain = recov.mean()
+	if faults.downDetects > 0 {
+		res.MeanDetectionDelay = faults.downDelaySum / float64(faults.downDetects)
+	}
+	if faults.upDetects > 0 {
+		res.MeanReviveDelay = faults.upDelaySum / float64(faults.upDetects)
+	}
+	res.DetectedCrashes = faults.downDetects
+	tier.collect(res)
+	if ecs != nil {
+		ecs.collect(res)
+	}
+	res.EstimatorRejected = eng.EstimatorRejected()
+	if abs, ok := eng.ForecastError(); ok {
+		res.ForecastAbsError = abs
+	}
+	res.Sched = eng.Policy().Stats()
+	if len(replicas) > 1 {
+		res.Sched = aggregateSched(replicas)
+		collectReplStats(replicas, res)
+	}
+	res.EventsFired = sc.EventsFired()
+	return res, nil
+}
+
+// newReplicas builds the replica set: max(1, cfg.Replicas) engines,
+// each over its own state, policy and estimator, and — in a set of more
+// than one — its replication node.
+func newReplicas(cfg Config, cluster *core.Cluster, sc *simcore.Simulator, prox *core.ProximityConfig, useECS bool) ([]*replica, error) {
 	replicas := make([]*replica, max(1, cfg.Replicas))
 	for r := range replicas {
 		state, err := core.NewState(cluster, cfg.Workload.Domains)
@@ -271,7 +388,7 @@ func Run(cfg Config) (*Result, error) {
 				return nil, err
 			}
 		}
-		if ecs != nil {
+		if useECS {
 			// The misalignment extension routes decisions through the
 			// engine's DecideQuery seam, which needs the address→domain
 			// mapper; without it no decision ever calls the mapper.
@@ -294,118 +411,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 		replicas[r] = rep
 	}
-	// Faults, drains, detection, flash crowds and ECS misalignment are
-	// rejected by Validate when R > 1, so the components below that take
-	// one engine get replica 0 — the only one there is.
-	eng := replicas[0].eng
-
-	servers := make([]*webserver.Server, cfg.Servers)
-	for i := range servers {
-		servers[i], err = webserver.New(cluster.Capacity(i), cfg.Workload.Domains)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	res := &Result{Config: cfg}
-	var sched failSlot
-	fail := sched.fail
-	horizon := cfg.Warmup + cfg.Duration
-
-	// The sink reads only membership and liveness standing, which no
-	// replicated run can change, so replica 0's state is ground truth.
-	recov := newDrainTracker(cfg.Servers)
-	sink := &trafficSink{sim: sc, state: replicas[0].state, servers: servers, geo: geo, recov: recov, res: res}
-	tier, err := newCacheTier(cfg, sc, replicas, res, fail)
-	if err != nil {
-		return nil, err
-	}
-	tier.ecs = ecs
-
-	// Every kind of traffic — the workload's clients, trace playback and
-	// flash crowds — sends its pages through this one step.
-	page := func(cl *client, newSession bool, hits int) {
-		if newSession {
-			cl.server = tier.resolve(cl.cache, cl.domain)
-		}
-		sink.deliver(cl.domain, cl.server, hits)
-	}
-	if len(cfg.Trace) > 0 {
-		if err := scheduleTrace(cfg, sc, tier.caches, page); err != nil {
-			return nil, err
-		}
-	} else {
-		newPopulation(sc, cfg.Workload, "", page).spawn(tier.caches)
-	}
-	if err := scheduleFlashCrowds(cfg, sc, tier, page); err != nil {
-		return nil, err
-	}
-	if len(replicas) > 1 {
-		(&replicaExchange{sim: sc, cfg: cfg, replicas: replicas, fail: fail, horizon: horizon}).install()
-	}
-	util := newUtilizationCollector(cfg, sc, replicas, servers, res, fail, horizon)
-	util.install()
-	faults := &faultInjector{sim: sc, eng: eng, recov: recov, fail: fail}
-	if cfg.Detection != nil {
-		actual := make([]bool, cfg.Servers)
-		sink.actual = actual
-		faults.detect = cfg.Detection
-		faults.actual = actual
-		faults.stream = sc.Stream("detect")
-		faults.gen = make([]uint64, cfg.Servers)
-	}
-	faults.install(cfg.Faults)
-	(&drainInjector{sim: sc, eng: eng, fail: fail}).install(cfg.Drains)
-	if eng.HasEstimator() {
-		(&estimatorCollector{cfg: cfg, sim: sc, replicas: replicas, servers: servers, res: res, fail: fail, horizon: horizon}).install()
-		(&estimatorProbe{cfg: cfg, sim: sc, eng: eng, res: res, horizon: horizon}).install()
-	}
-
-	sc.Run(horizon)
-	if sched.err != nil {
-		return nil, fmt.Errorf("sim: scheduling failed: %w", sched.err)
-	}
-
-	res.MaxUtil = util.maxUtil.Series()
-	res.MeanServerUtil = make([]float64, cfg.Servers)
-	var weightedResponse float64
-	for i, sv := range servers {
-		res.MeanServerUtil[i] = sv.MeanUtilization(sc.Now())
-		res.TotalHits += sv.TotalHits()
-		res.TotalPages += sv.TotalPages()
-		weightedResponse += sv.MeanResponseTime() * float64(sv.TotalPages())
-		if sv.MaxResponseTime() > res.MaxResponseTime {
-			res.MaxResponseTime = sv.MaxResponseTime()
-		}
-	}
-	if res.TotalPages > 0 {
-		res.MeanResponseTime = weightedResponse / float64(res.TotalPages)
-	}
-	res.MeanLatencyMS = sink.meanLatencyMS()
-	res.MeanTimeToDrain = recov.mean()
-	if faults.downDetects > 0 {
-		res.MeanDetectionDelay = faults.downDelaySum / float64(faults.downDetects)
-	}
-	if faults.upDetects > 0 {
-		res.MeanReviveDelay = faults.upDelaySum / float64(faults.upDetects)
-	}
-	res.DetectedCrashes = faults.downDetects
-	tier.collect(res)
-	if ecs != nil {
-		ecs.collect(res)
-	}
-	// Estimator results are replica 0's view, like the probe's.
-	res.EstimatorRejected = eng.EstimatorRejected()
-	if abs, ok := eng.ForecastError(); ok {
-		res.ForecastAbsError = abs
-	}
-	res.Sched = eng.Policy().Stats()
-	if len(replicas) > 1 {
-		res.Sched = aggregateSched(replicas)
-		collectReplStats(replicas, res)
-	}
-	res.EventsFired = sc.EventsFired()
-	return res, nil
+	return replicas, nil
 }
 
 // RunReplications executes the same configuration with seeds

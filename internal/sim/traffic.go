@@ -62,13 +62,15 @@ func (d *drainTracker) mean() float64 {
 // servers, accounting for the failure and retirement states the
 // scheduler state machine reports: traffic pinned to retired, dead or
 // draining servers is the hidden load the DNS no longer controls.
+// Server i's standing is read at its authority replica (i mod R), the
+// one that applies its crashes and drains.
 type trafficSink struct {
-	sim     *simcore.Simulator
-	state   *core.State
-	servers []*webserver.Server
-	geo     *core.LatencyMatrix
-	recov   *drainTracker
-	res     *Result
+	sim      *simcore.Simulator
+	replicas []*replica
+	servers  []*webserver.Server
+	geo      *core.LatencyMatrix
+	recov    *drainTracker
+	res      *Result
 
 	// actual, when non-nil, is the detection model's ground truth,
 	// true for each server that is really down: a page is lost when its
@@ -87,7 +89,7 @@ func (t *trafficSink) deliver(domain, server, hits int) {
 		t.res.LostPages++
 		return
 	}
-	sn := t.state.Snapshot()
+	sn := authority(t.replicas, server).state.Snapshot()
 	if !sn.Member(server) {
 		// A session outlived the drain window and is still pinned to
 		// a retired server: its traffic is lost.
