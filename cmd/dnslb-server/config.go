@@ -32,7 +32,7 @@ import (
 	"os"
 	"strings"
 
-	"dnslb"
+	"dnslb/internal/dnsserver"
 )
 
 // parseConfigFile parses a flag-per-line configuration file into
@@ -132,7 +132,7 @@ func applyConfigFile(fs *flag.FlagSet, path string) error {
 // config file as it is now — and applies the server set to the running
 // server (see the top of this file). running holds the flags as they were
 // parsed at startup.
-func reloadConfig(args []string, running *flag.FlagSet, srv *dnslb.DNSServer, logger *slog.Logger) error {
+func reloadConfig(args []string, running *flag.FlagSet, srv *dnsserver.Server, logger *slog.Logger) error {
 	s, err := configure(args)
 	if err != nil {
 		return err

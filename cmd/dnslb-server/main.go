@@ -11,7 +11,8 @@
 // Observability: -metrics-addr serves Prometheus text-format metrics
 // on /metrics (DESIGN.md §10 lists the series); SIGUSR1 dumps the same
 // snapshot to stderr; -log-level/-log-format control the structured
-// logs; -pprof serves net/http/pprof.
+// logs; -pprof serves the runtime's profiles under /debug/pprof/, on the
+// server's own HTTP/1.1 framer like /metrics (no net/http is linked).
 //
 // Operations: -config reads the same settings from a flag-per-line
 // file, and SIGHUP re-reads it to apply server-set changes with zero
@@ -36,11 +37,8 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
 	"math/rand/v2"
 	"net"
-	"net/http"
-	_ "net/http/pprof" // -pprof flag: registers /debug/pprof handlers
 	"net/netip"
 	"os"
 	"os/signal"
@@ -50,9 +48,12 @@ import (
 	"syscall"
 	"time"
 
-	"dnslb"
 	"dnslb/internal/core"
+	"dnslb/internal/dnsserver"
+	"dnslb/internal/engine"
 	"dnslb/internal/logging"
+	"dnslb/internal/metrics"
+	"dnslb/internal/probe"
 )
 
 func main() {
@@ -76,19 +77,19 @@ type boundAddrs struct {
 // for: the server's configuration, and what only this command acts on.
 type settings struct {
 	flags      *flag.FlagSet // as parsed, for the reload's "needs a restart"
-	server     dnslb.DNSServerConfig
+	server     dnsserver.Config
 	capacities []float64
 	log        *logging.Options
 
-	configPath, pprofAddr, metricsAddr string
-	shutdownTimeout                    time.Duration
+	configPath      string
+	shutdownTimeout time.Duration
 }
 
 // configure maps a command line to settings. It is the one place that
 // does, for start-up and for SIGHUP alike, so a reload judges a file
 // exactly as a restart would. What it checks itself is flag syntax —
 // lists, specs and flags that only make sense in pairs; what makes a
-// configuration valid is dnslb.NewDNSServer's to say (see newServer).
+// configuration valid is dnsserver.New's to say (see newServer).
 func configure(args []string) (*settings, error) {
 	fs := flag.NewFlagSet("dnslb-server", flag.ContinueOnError)
 	var (
@@ -99,7 +100,7 @@ func configure(args []string) (*settings, error) {
 		servers     = fs.String("servers", "", "comma-separated Web server IPv4 addresses (required)")
 		capacities  = fs.String("capacities", "", "comma-separated capacities in hits/s (default: equal)")
 		domains     = fs.Int("domains", 20, "connected domains for source classification")
-		estKind     = fs.String("estimator", dnslb.EstimatorReactive, "hidden-load estimator kind: reactive or predictive")
+		estKind     = fs.String("estimator", core.EstimatorReactive, "hidden-load estimator kind: reactive or predictive")
 		qps         = fs.Float64("qps", 0, "per-source query rate limit (0 = unlimited)")
 		burst       = fs.Float64("burst", 10, "per-source burst allowance when -qps is set")
 		livenessK   = fs.Int("liveness-k", 3, "missed report intervals before a backend is marked down (0 = disable liveness)")
@@ -109,7 +110,7 @@ func configure(args []string) (*settings, error) {
 		maxTCP      = fs.Int("max-tcp-conns", 0, "concurrent connection cap of each stream listener (TCP, the report socket, and DoH under -http-addr); accepts pause at the cap (0 = default 512, negative = unlimited)")
 		httpAddr    = fs.String("http-addr", "", "DNS-over-HTTP listen address: RFC 8484 wire on /dns-query, JSON on /resolve (empty = disabled)")
 		ecsMode     = fs.String("ecs-mode", "", "EDNS-Client-Subnet handling: passthrough (default), add, or override")
-		pprofAddr   = fs.String("pprof", "", "serve net/http/pprof on this address (empty = disabled)")
+		pprofAddr   = fs.String("pprof", "", "serve the runtime's profiles under /debug/pprof/ on this address (empty = disabled)")
 		metricsAddr = fs.String("metrics-addr", "", "serve Prometheus /metrics on this address (empty = disabled)")
 		configPath  = fs.String("config", "", "flag-per-line configuration file; SIGHUP re-reads it and applies server-set changes")
 		ckptPath    = fs.String("checkpoint", "", "state checkpoint file: restored on startup, saved periodically and on shutdown (empty = disabled)")
@@ -140,13 +141,13 @@ func configure(args []string) (*settings, error) {
 	if _, err := core.NewLoadEstimator(*estKind, 1, core.DefaultEstimatorAlpha); err != nil {
 		return nil, fmt.Errorf("-estimator: %w", err)
 	}
-	ecs, err := dnslb.ParseECSMode(*ecsMode)
+	ecs, err := engine.ParseECSMode(*ecsMode)
 	if err != nil {
 		return nil, fmt.Errorf("-ecs-mode: %w", err)
 	}
-	var probeCfg dnslb.ProbeConfig
+	var probeCfg probe.Config
 	if *probeSpec != "" {
-		spec, err := dnslb.ParseProbeSpec(*probeSpec)
+		spec, err := probe.ParseSpec(*probeSpec)
 		if err != nil {
 			return nil, fmt.Errorf("-probe: %w", err)
 		}
@@ -158,16 +159,16 @@ func configure(args []string) (*settings, error) {
 		return nil, fmt.Errorf("-probe-targets requires -probe")
 	}
 
-	cluster, err := dnslb.NewCluster(caps)
+	cluster, err := core.NewCluster(caps)
 	if err != nil {
 		return nil, err
 	}
-	state, err := dnslb.NewState(cluster, *domains)
+	state, err := core.NewState(cluster, *domains)
 	if err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	pol, err := dnslb.NewPolicy(dnslb.PolicyConfig{
+	pol, err := core.NewPolicy(core.PolicyConfig{
 		Name:  *policy,
 		State: state,
 		Rand:  rand.New(rand.NewPCG(rand.Uint64(), rand.Uint64())),
@@ -179,14 +180,15 @@ func configure(args []string) (*settings, error) {
 
 	s := &settings{
 		flags: fs, capacities: caps, log: logOpts,
-		configPath: *configPath, pprofAddr: *pprofAddr, metricsAddr: *metricsAddr,
-		shutdownTimeout: *shutdownTO,
-		server: dnslb.DNSServerConfig{
+		configPath: *configPath, shutdownTimeout: *shutdownTO,
+		server: dnsserver.Config{
 			Zone:               *zone,
 			ServerAddrs:        addrs,
 			Policy:             pol,
 			Addr:               *addr,
 			HTTPAddr:           *httpAddr,
+			MetricsAddr:        *metricsAddr,
+			PprofAddr:          *pprofAddr,
 			ReportAddr:         *reportAddr,
 			MaxTCPConns:        *maxTCP,
 			ECS:                ecs,
@@ -194,7 +196,7 @@ func configure(args []string) (*settings, error) {
 			LivenessK:          *livenessK,
 			LivenessInterval:   *livenessIv,
 			Probe:              probeCfg,
-			Replication:        dnslb.ReplicationConfig{ReplicaID: *replicaID, Interval: *replIv},
+			Replication:        dnsserver.ReplicationConfig{ReplicaID: *replicaID, Interval: *replIv},
 			CheckpointPath:     *ckptPath,
 			CheckpointInterval: *ckptIv,
 			CheckpointMaxAge:   *ckptMaxAge,
@@ -204,7 +206,7 @@ func configure(args []string) (*settings, error) {
 		s.server.ReportAddr = nextPort(*addr)
 	}
 	if !(*qps <= 0) { // NaN too, for the server to refuse
-		s.server.RateLimit = dnslb.NewRateLimiter(*qps, *burst)
+		s.server.RateLimit = dnsserver.NewRateLimiter(*qps, *burst)
 	}
 	if *peers != "" {
 		s.server.Replication.Peers = strings.Split(*peers, ",")
@@ -220,32 +222,16 @@ var flagNames = strings.NewReplacer(
 	"CheckpointInterval", "-checkpoint-interval",
 	"RateLimit rate", "-qps", "RateLimit burst", "-burst")
 
-// newServer assembles the server cfg describes. dnslb.NewDNSServer holds
+// newServer assembles the server cfg describes. dnsserver.New holds
 // every rule of a valid configuration and binds, reads and starts nothing,
 // so this is also how a reload asks whether a restart would accept the
 // file.
-func newServer(cfg dnslb.DNSServerConfig) (*dnslb.DNSServer, error) {
-	srv, err := dnslb.NewDNSServer(cfg)
+func newServer(cfg dnsserver.Config) (*dnsserver.Server, error) {
+	srv, err := dnsserver.New(cfg)
 	if err != nil {
 		return nil, errors.New(flagNames.Replace(err.Error()))
 	}
 	return srv, nil
-}
-
-// serveHTTP serves h (nil = http.DefaultServeMux) on addr until the
-// returned listener is closed.
-func serveHTTP(what, addr string, h http.Handler, logger *slog.Logger) (net.Listener, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("%s listen: %w", what, err)
-	}
-	go func() {
-		if err := http.Serve(ln, h); err != nil && !errors.Is(err, net.ErrClosed) {
-			logger.Warn(what+" server exited", "err", err)
-		}
-	}()
-	logger.Info(what+" enabled", "addr", ln.Addr().String())
-	return ln, nil
 }
 
 // run serves until stop closes: flags → Config → New → Start → wait →
@@ -262,7 +248,7 @@ func run(args []string, stop <-chan struct{}, started func(boundAddrs)) error {
 	}
 	// The registry always exists — the SIGUSR1 dump works even without
 	// an HTTP exposition endpoint.
-	registry := dnslb.NewMetricsRegistry()
+	registry := metrics.NewRegistry()
 	s.server.Logger, s.server.Metrics = logger, registry
 	srv, err := newServer(s.server)
 	if err != nil {
@@ -276,31 +262,13 @@ func run(args []string, stop <-chan struct{}, started func(boundAddrs)) error {
 	}
 	defer srv.Close()
 	bound := boundAddrs{DNS: srv.Addr().String(), Report: srv.ReportAddr().String()}
+	if a := srv.MetricsAddr(); a != nil {
+		bound.Metrics = a.String()
+	}
 	logger.Info("serving", "zone", s.server.Zone, "addr", bound.DNS, "report", bound.Report,
-		"http", s.server.HTTPAddr, "policy", s.server.Policy.Name(),
-		"servers", len(s.server.ServerAddrs), "udp_workers", runtime.GOMAXPROCS(0))
-
-	if s.pprofAddr != "" {
-		// net/http/pprof registers its handlers on DefaultServeMux at
-		// import. Profiling the lock-free query path under load is the
-		// point, so this stays opt-in and should never face the public
-		// internet.
-		ln, err := serveHTTP("pprof", s.pprofAddr, nil, logger)
-		if err != nil {
-			return err
-		}
-		defer ln.Close()
-	}
-	if s.metricsAddr != "" {
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", registry.Handler())
-		ln, err := serveHTTP("metrics", s.metricsAddr, mux, logger)
-		if err != nil {
-			return err
-		}
-		defer ln.Close()
-		bound.Metrics = ln.Addr().String()
-	}
+		"http", s.server.HTTPAddr, "metrics", bound.Metrics, "pprof", s.server.PprofAddr,
+		"policy", s.server.Policy.Name(), "servers", len(s.server.ServerAddrs),
+		"udp_workers", runtime.GOMAXPROCS(0))
 
 	// SIGUSR1: dump a metrics snapshot to stderr, exposition-formatted,
 	// so an operator can inspect a server that has no scrape endpoint

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -61,6 +62,28 @@ func TestNextPort(t *testing.T) {
 	}
 	if got := nextPort("garbage"); got != "127.0.0.1:0" {
 		t.Errorf("fallback = %q", got)
+	}
+}
+
+// TestServerDependencies keeps the server binary to what it serves: its
+// HTTP ports are the server's own framer, so no HTTP or TLS stack, and it
+// assembles the server from the internal packages, not the facade that
+// brings the simulator and the client side along.
+func TestServerDependencies(t *testing.T) {
+	out, err := exec.Command("go", "list", "-deps", ".").Output()
+	if err != nil {
+		t.Fatalf("go list -deps: %v", err)
+	}
+	deps := strings.Fields(string(out))
+	if len(deps) == 0 {
+		t.Fatal("go list -deps listed nothing")
+	}
+	for _, dep := range deps {
+		switch dep {
+		case "net/http", "crypto/tls", "dnslb", "dnslb/internal/sim", "dnslb/internal/experiments",
+			"dnslb/internal/dnsclient", "dnslb/internal/backend":
+			t.Errorf("dnslb-server links %s", dep)
+		}
 	}
 }
 

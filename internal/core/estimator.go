@@ -92,7 +92,7 @@ func (e *Estimator) Roll(intervalSeconds float64) {
 		if e.rolls == 0 {
 			e.rates[j] = rate
 		} else {
-			e.rates[j] = e.alpha*rate + (1-e.alpha)*e.rates[j]
+			e.rates[j] = float64(e.alpha*rate) + float64((1-e.alpha)*e.rates[j])
 		}
 		e.counts[j] = 0
 	}

@@ -43,7 +43,7 @@ func (r *ewmaRate) fold(sample, alpha float64) {
 	if r.rolls == 0 {
 		r.rate = sample
 	} else {
-		r.rate = alpha*sample + (1-alpha)*r.rate
+		r.rate = float64(alpha*sample) + float64((1-alpha)*r.rate)
 	}
 	r.rolls++
 }
@@ -161,7 +161,7 @@ func (e *PredictiveEstimator) ObserveDecision(domain int, now, ttl float64) {
 	if e.ttlObs == 0 {
 		e.meanTTL = ttl
 	} else {
-		e.meanTTL = meanTTLAlpha*ttl + (1-meanTTLAlpha)*e.meanTTL
+		e.meanTTL = float64(meanTTLAlpha*ttl) + float64((1-meanTTLAlpha)*e.meanTTL)
 	}
 	e.ttlObs++
 
@@ -292,7 +292,7 @@ func (e *PredictiveEstimator) Roll(intervalSeconds float64) {
 		if e.rolls == 0 {
 			e.rates[j] = rate
 		} else {
-			e.rates[j] = e.alpha*rate + (1-e.alpha)*e.rates[j]
+			e.rates[j] = float64(e.alpha*rate) + float64((1-e.alpha)*e.rates[j])
 		}
 		e.counts[j] = 0
 	}
@@ -347,7 +347,7 @@ func (e *PredictiveEstimator) ForecastRates(now float64) []float64 {
 				}
 			}
 			if active > 0 {
-				f += float64(active) * e.perMappingRate(j, c)
+				f += float64(float64(active) * e.perMappingRate(j, c))
 			}
 		}
 		out[j] = math.Max(e.rates[j], f)

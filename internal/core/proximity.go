@@ -89,7 +89,7 @@ func RingLatencies(domains, servers int, baseMS, spanMS float64) (*LatencyMatrix
 			if dist > 0.5 {
 				dist = 1 - dist
 			}
-			ms[j*servers+i] = baseMS + spanMS*2*dist
+			ms[j*servers+i] = baseMS + float64(spanMS*2*dist)
 		}
 	}
 	return NewLatencyMatrix(domains, servers, ms)

@@ -73,6 +73,11 @@ type Config struct {
 	// a strict subset of HTTP/1.1 in the clear and closes on anything
 	// else: TLS and HTTP/2 terminate ahead of the process.
 	HTTPAddr string
+	// MetricsAddr, when non-empty, serves Metrics on /metrics (no series
+	// without it), and PprofAddr the runtime's profiles under
+	// /debug/pprof/, on DoH's HTTP/1.1 framing (admin.go). PprofAddr is
+	// for the operator and should never face the public internet.
+	MetricsAddr, PprofAddr string
 	// ECS selects the engine's RFC 7871 client-subnet mode
 	// (passthrough/add/override); the zero value is passthrough.
 	ECS engine.ECSMode
@@ -162,11 +167,11 @@ type Server struct {
 	registry *metrics.Registry // nil when uninstrumented
 	metrics  *serverMetrics    // nil when uninstrumented
 
-	// The sockets Start binds. The three stream listeners share one
-	// accept loop and one stop path (serve.go); httpLn and reportLn are
-	// nil when Config.HTTPAddr and Config.ReportAddr are empty.
-	udp                   *net.UDPConn
-	tcp, httpLn, reportLn net.Listener
+	// The sockets Start binds. The stream listeners share one accept
+	// loop and one stop path (serve.go); all but tcp are nil when their
+	// Config address is empty.
+	udp                                       *net.UDPConn
+	tcp, httpLn, reportLn, metricsLn, pprofLn net.Listener
 
 	// DoH request outcomes, kept as plain atomics (always maintained,
 	// exported as dnslb_doh_requests_total{outcome=...} when

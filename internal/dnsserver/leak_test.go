@@ -50,9 +50,9 @@ func TestServerCloseStopsGoroutines(t *testing.T) {
 
 // TestLifecycleEveryComponent runs a server with every component
 // configured — report socket, liveness, probing (a dead target),
-// replication (an unreachable peer), checkpointing, DoH — and stops it
-// with an idle connection open on each stream listener: Shutdown returns
-// well within its deadline, no goroutine outlives it, report intake has
+// replication (an unreachable peer), checkpointing, DoH, the metrics and
+// pprof ports — and stops it with an idle connection open on each stream
+// listener: Shutdown returns well within its deadline, no goroutine outlives it, report intake has
 // ended before the drain timers were cancelled, and the final
 // checkpoint, written last, restores into a fresh server. The periodic
 // checkpoint is configured with an interval no test run reaches, so the
@@ -64,7 +64,7 @@ func TestLifecycleEveryComponent(t *testing.T) {
 	const tick = 20 * time.Millisecond
 	checkGoroutines(t, func(t *testing.T) {
 		srv, state := testServerCfg(t, "RR", func(cfg *Config) {
-			cfg.HTTPAddr = "127.0.0.1:0"
+			cfg.HTTPAddr, cfg.MetricsAddr, cfg.PprofAddr = "127.0.0.1:0", "127.0.0.1:0", "127.0.0.1:0"
 			cfg.LivenessK, cfg.LivenessInterval = 1000, tick
 			cfg.Probe = probe.Config{Targets: make([]probe.Target, 7), Interval: tick, Timeout: tick}
 			cfg.Probe.Targets[6].Addr = "127.0.0.1:1"
@@ -74,8 +74,8 @@ func TestLifecycleEveryComponent(t *testing.T) {
 		if _, err := resolverFor(t, srv).LookupA(context.Background(), "www.site.example"); err != nil {
 			t.Fatal(err)
 		}
-		var idle [3]net.Conn // report, TCP, DoH
-		for i, addr := range []net.Addr{srv.ReportAddr(), srv.Addr(), srv.httpLn.Addr()} {
+		var idle [5]net.Conn // report, TCP, DoH, metrics, pprof
+		for i, addr := range []net.Addr{srv.ReportAddr(), srv.Addr(), srv.httpLn.Addr(), srv.MetricsAddr(), srv.pprofLn.Addr()} {
 			conn, err := net.Dial("tcp", addr.String())
 			if err != nil {
 				t.Fatal(err)
@@ -99,7 +99,7 @@ func TestLifecycleEveryComponent(t *testing.T) {
 			t.Fatalf("Shutdown: %v", err)
 		}
 		if elapsed := time.Since(start); elapsed > 2*time.Second {
-			t.Errorf("Shutdown took %v with three idle connections open", elapsed)
+			t.Errorf("Shutdown took %v with five idle connections open", elapsed)
 		}
 		if n := srv.ckptSaves.Load(); n != 1 {
 			t.Errorf("%d checkpoints written by Shutdown, want the final one", n)
@@ -159,7 +159,7 @@ func freePortPair(t *testing.T) string {
 	}
 }
 
-// TestStartFailureLeavesNothingBehind: the report socket is the last to
+// TestStartFailureLeavesNothingBehind: the pprof port is the last to
 // bind; when its port is taken Start returns that error with the DNS
 // sockets released and nothing running, and the Close that follows does
 // not write a never-started server's cold state over the checkpoint file.
@@ -179,7 +179,8 @@ func TestStartFailureLeavesNothingBehind(t *testing.T) {
 		for attempt := 1; ; attempt++ {
 			dnsAddr = freePortPair(t)
 			cfg := base.cfg
-			cfg.Addr, cfg.HTTPAddr, cfg.ReportAddr = dnsAddr, "127.0.0.1:0", held.Addr().String()
+			cfg.Addr, cfg.HTTPAddr, cfg.ReportAddr = dnsAddr, "127.0.0.1:0", "127.0.0.1:0"
+			cfg.MetricsAddr, cfg.PprofAddr = "127.0.0.1:0", held.Addr().String()
 			cfg.LivenessK, cfg.LivenessInterval = 3, time.Second
 			cfg.CheckpointPath, cfg.CheckpointInterval = ckpt, time.Second
 			srv, err := New(cfg)
@@ -192,8 +193,8 @@ func TestStartFailureLeavesNothingBehind(t *testing.T) {
 				_ = srv.Close()
 				continue
 			}
-			if err == nil || !strings.Contains(err.Error(), "listen report") {
-				t.Fatalf("Start = %v, want the report bind's error", err)
+			if err == nil || !strings.Contains(err.Error(), "listen pprof") {
+				t.Fatalf("Start = %v, want the pprof bind's error", err)
 			}
 			if err := srv.Close(); err != nil {
 				t.Errorf("Close after a failed Start: %v", err)

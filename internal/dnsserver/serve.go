@@ -17,10 +17,10 @@ import (
 
 // Serve loops and lifecycle: Start and Shutdown, which own every
 // component's launch and stop in one written order; socket binding; the
-// parallel UDP reader/responder workers; the accept loop of the three
-// stream listeners (DNS-over-TCP, DoH, the report socket) and the
-// buffered per-connection loop the first two share, each with its own
-// framer; and the one helper every periodic task runs on.
+// parallel UDP reader/responder workers; the accept loop of the stream
+// listeners (DNS-over-TCP, DoH, the report socket, the admin ports) and
+// the buffered per-connection loop all but the report socket share, each
+// with its own framer; and the one helper every periodic task runs on.
 
 // Start brings up everything the configuration describes, in the one
 // order that is safe (DESIGN.md "Lifecycle"):
@@ -29,9 +29,9 @@ import (
 //     it. The liveness monitor exists since New, so a restored down flag
 //     has a monitor that the backend's next report clears it in.
 //  2. The sockets are bound: the DNS UDP/TCP pair, DoH, the report
-//     socket. Nothing after this step can fail and nothing before it
-//     runs, so a Start that fails leaves nothing bound and no goroutine
-//     behind.
+//     socket, the metrics and pprof ports. Nothing after this step can
+//     fail and nothing before it runs, so a Start that fails leaves
+//     nothing bound and no goroutine behind.
 //  3. The serve loops — UDP workers, one accept loop per stream
 //     listener — and the liveness check.
 //  4. Active probing.
@@ -57,6 +57,8 @@ func (s *Server) Start() error {
 		{s.tcp, s.serveTCPConn},
 		{s.httpLn, func(c net.Conn) { s.serveStream(c, dohFramer) }},
 		{s.reportLn, s.serveReport},
+		{s.metricsLn, func(c net.Conn) { s.serveStream(c, metricsFramer) }},
+		{s.pprofLn, func(c net.Conn) { s.serveStream(c, pprofFramer) }},
 	} {
 		if l.ln != nil {
 			s.wg.Add(1)
@@ -134,23 +136,32 @@ func (s *Server) bind() error {
 			return fmt.Errorf("dnsserver: listen tcp: %w", err)
 		}
 	}
-	if s.cfg.HTTPAddr != "" {
-		if s.httpLn, err = net.Listen("tcp", s.cfg.HTTPAddr); err != nil {
-			err = fmt.Errorf("dnsserver: listen http: %w", err)
-		}
+	lns := []struct {
+		what, addr string
+		ln         *net.Listener
+	}{
+		{"http", s.cfg.HTTPAddr, &s.httpLn},
+		{"report", s.cfg.ReportAddr, &s.reportLn},
+		{"metrics", s.cfg.MetricsAddr, &s.metricsLn},
+		{"pprof", s.cfg.PprofAddr, &s.pprofLn},
 	}
-	if err == nil && s.cfg.ReportAddr != "" {
-		if s.reportLn, err = net.Listen("tcp", s.cfg.ReportAddr); err != nil {
-			err = fmt.Errorf("dnsserver: listen report: %w", err)
+	for _, l := range lns {
+		if err == nil && l.addr != "" {
+			if *l.ln, err = net.Listen("tcp", l.addr); err != nil {
+				err = fmt.Errorf("dnsserver: listen %s: %w", l.what, err)
+			}
 		}
 	}
 	if err != nil {
 		_ = s.udp.Close()
 		_ = s.tcp.Close()
-		if s.httpLn != nil {
-			_ = s.httpLn.Close()
+		for _, l := range lns {
+			if *l.ln != nil {
+				_ = (*l.ln).Close()
+				*l.ln = nil
+			}
 		}
-		s.udp, s.tcp, s.httpLn = nil, nil, nil
+		s.udp, s.tcp = nil, nil
 	}
 	return err
 }
@@ -177,12 +188,12 @@ func (s *Server) Close() error {
 // queries are refused, but those already read from the sockets are
 // answered before the serve loops exit: the UDP socket stays open
 // (writable) until every worker has sent its in-flight batch; the stream
-// listeners (TCP, DoH, report) stop accepting at once, a connection idle
-// between exchanges ends at once and one in the middle of an exchange
-// completes it. When ctx expires first, what remains is cut off, every
-// connection closed, and ctx's error is returned. The final checkpoint
-// is written last of all, so that it records what the drained server
-// knew.
+// listeners (TCP, DoH, report, admin) stop accepting at once, a
+// connection idle between exchanges ends at once and one in the middle of
+// an exchange completes it. When ctx expires first, what remains is cut
+// off, every connection closed, and ctx's error is returned. The final
+// checkpoint is written last of all, so that it records what the drained
+// server knew.
 func (s *Server) Shutdown(ctx context.Context) error {
 	select {
 	case <-s.closed:
@@ -204,14 +215,14 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		_ = s.udp.SetReadDeadline(time.Now())
 	}
 	var first error
-	for _, ln := range []net.Listener{s.tcp, s.httpLn, s.reportLn} {
+	for _, ln := range []net.Listener{s.tcp, s.httpLn, s.reportLn, s.metricsLn, s.pprofLn} {
 		if ln != nil {
 			if err := ln.Close(); err != nil && first == nil {
 				first = err
 			}
 		}
 	}
-	// The same for the stream connections, TCP, DoH and report alike: one
+	// The same for the stream connections, of every listener alike: one
 	// blocked reading its next request wakes and exits, one handling a
 	// request still writes the response (the write deadline is its own)
 	// and exits when it comes back to read.
@@ -381,10 +392,11 @@ func (s *Server) sendUDP(b *udpBatch, k, worker int) {
 // bounding a flood.
 const DefaultMaxTCPConns = 512
 
-// acceptLoop is the accept side of a stream listener — DNS-over-TCP, DoH
-// or the report socket: it hands each accepted connection to serve on a
-// goroutine of its own, tracked in s.conns so that Shutdown can reach it,
-// and holds the listener to its own maxTCPConns connections at a time.
+// acceptLoop is the accept side of a stream listener — DNS-over-TCP, DoH,
+// the report socket or an admin port: it hands each accepted connection
+// to serve on a goroutine of its own, tracked in s.conns so that Shutdown
+// can reach it, and holds the listener to its own maxTCPConns connections
+// at a time.
 func (s *Server) acceptLoop(ln net.Listener, serve func(net.Conn)) {
 	defer s.wg.Done()
 	limit := s.maxTCPConns
@@ -488,7 +500,7 @@ func (b *streamBufs) Write(p []byte) (int, error) {
 	return b.conn.Write(p)
 }
 
-// A framer is what the two stream transports differ in: where a request
+// A framer is what the stream transports differ in: where a request
 // ends, and how its answer is written. Given the bytes the connection has
 // buffered, exchange answers the request at their head into b.bw and
 // returns its length; of an incomplete request it returns a length over

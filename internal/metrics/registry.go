@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net/http"
 	"sort"
 	"strconv"
 	"strings"
@@ -250,13 +249,4 @@ func formatFloat(v float64) string {
 		return strconv.FormatFloat(v, 'f', -1, 64)
 	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// Handler returns an http.Handler serving the registry in the text
-// exposition format — mount it on /metrics.
-func (r *Registry) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", TextContentType)
-		_ = r.WritePrometheus(w)
-	})
 }

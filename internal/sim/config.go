@@ -234,7 +234,7 @@ func (d *DetectionConfig) delay(down bool, phase float64) float64 {
 	case down:
 		rounds = d.K
 	}
-	return (phase + float64(rounds-1)) * d.Interval
+	return float64((float64(phase) + float64(rounds-1)) * d.Interval)
 }
 
 // FaultEvent is one liveness transition of one server at a fixed

@@ -107,7 +107,7 @@ func newECSResolvers(cfg *ECSMisalignConfig, domains int) *ecsResolvers {
 	if shift == 0 {
 		shift = domains / 2
 	}
-	n := int(cfg.Fraction*float64(domains) + 0.5)
+	n := int(float64(cfg.Fraction*float64(domains)) + 0.5)
 	if n > domains {
 		n = domains
 	}

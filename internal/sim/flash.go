@@ -9,7 +9,9 @@ import (
 // flashRampSeconds spreads a flash crowd's client arrivals over its
 // first seconds instead of one zero-width impulse: real flash crowds
 // ramp in seconds-to-minutes, and the stagger keeps the event heap
-// from replaying a million same-instant wakes.
+// from replaying a million same-instant wakes. It is the one absolute
+// time in a run and so the time-scale relation's one known exception
+// (TestTimeScaleRelation): a crowd longer than the ramp does not scale.
 const flashRampSeconds = 10.0
 
 // scheduleFlashCrowds installs the flash crowds: at each FlashEvent's
@@ -48,7 +50,7 @@ func scheduleFlashCrowds(cfg Config, sim *simcore.Simulator, tier *cacheTier, pa
 		pop.end = ev.Time + ev.Duration
 		for c := range ev.Clients {
 			cl := pop.newClient(c, ev.Domain, meanThink, resolvers[c%ev.Resolvers])
-			stagger := ramp.Float64() * math.Min(flashRampSeconds, ev.Duration)
+			stagger := float64(ramp.Float64() * math.Min(flashRampSeconds, ev.Duration))
 			sim.ScheduleAt(ev.Time+stagger, cl.wake)
 		}
 	}

@@ -66,7 +66,7 @@ func aggregateSched(replicas []*replica) core.Stats {
 			out.PerClass[c] += v
 		}
 		if s.Decisions > 0 {
-			ttlWeighted += s.MeanTTL * float64(s.Decisions)
+			ttlWeighted += float64(s.MeanTTL * float64(s.Decisions))
 			if out.Decisions == 0 || s.MinTTL < out.MinTTL {
 				out.MinTTL = s.MinTTL
 			}

@@ -299,7 +299,7 @@ func Run(cfg Config) (*Result, error) {
 		res.MeanServerUtil[i] = sv.MeanUtilization(sc.Now())
 		res.TotalHits += sv.TotalHits()
 		res.TotalPages += sv.TotalPages()
-		weightedResponse += sv.MeanResponseTime() * float64(sv.TotalPages())
+		weightedResponse += float64(sv.MeanResponseTime() * float64(sv.TotalPages()))
 		if sv.MaxResponseTime() > res.MaxResponseTime {
 			res.MaxResponseTime = sv.MaxResponseTime()
 		}

@@ -116,7 +116,7 @@ func (t *trafficSink) deliver(domain, server, hits int) {
 	t.recov.served(server, now)
 	t.servers[server].Arrive(now, domain, hits)
 	if t.geo != nil {
-		t.latSum += t.geo.Latency(domain, server) * float64(hits)
+		t.latSum += float64(t.geo.Latency(domain, server) * float64(hits))
 		t.latHits += float64(hits)
 	}
 }

@@ -111,7 +111,7 @@ func (c Config) Partition() []int {
 	rems := make([]rem, c.Domains)
 	assigned := 0
 	for j, s := range shares {
-		exact := s * float64(c.Clients)
+		exact := float64(s * float64(c.Clients))
 		counts[j] = int(math.Floor(exact))
 		rems[j] = rem{j: j, frac: exact - math.Floor(exact)}
 		assigned += counts[j]
