@@ -376,6 +376,11 @@ func TestRunSIGHUPReloadUnderLoad(t *testing.T) {
 	var failures atomic.Int64
 	loadStop := make(chan struct{})
 	var wg sync.WaitGroup
+	var stopOnce sync.Once
+	stopLoad := func() {
+		stopOnce.Do(func() { close(loadStop) })
+		wg.Wait()
+	}
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func() {
@@ -394,6 +399,9 @@ func TestRunSIGHUPReloadUnderLoad(t *testing.T) {
 			}
 		}()
 	}
+	// A test that fails early must not leave the load calling t.Errorf
+	// after it returned.
+	t.Cleanup(stopLoad)
 
 	// Swap 10.9.1.1 for 10.9.1.3 and reload in place.
 	writeCfg("10.9.1.2,10.9.1.3")
@@ -422,8 +430,7 @@ func TestRunSIGHUPReloadUnderLoad(t *testing.T) {
 		t.Error("kept server 10.9.1.2 never scheduled")
 	}
 
-	close(loadStop)
-	wg.Wait()
+	stopLoad()
 	if n := failures.Load(); n != 0 {
 		t.Fatalf("%d queries failed across the reload", n)
 	}

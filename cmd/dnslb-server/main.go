@@ -107,7 +107,7 @@ func configure(args []string) (*settings, error) {
 		livenessIv  = fs.Duration("liveness-interval", 8*time.Second, "expected backend report interval")
 		probeSpec   = fs.String("probe", "", "active health probe spec: tcp[,interval=2s][,timeout=500ms][,fail=3][,rise=2][,jitter=0.2] or http=/path,... (empty = disabled)")
 		probeAddrs  = fs.String("probe-targets", "", "comma-separated probe endpoints, one per -servers entry in order; empty entries skip a slot (required with -probe)")
-		maxTCP      = fs.Int("max-tcp-conns", 0, "concurrent connection cap of each stream listener (TCP, the report socket, and DoH under -http-addr); accepts pause at the cap (0 = default 512, negative = unlimited)")
+		maxTCP      = fs.Int("max-tcp-conns", 0, "concurrent connection cap of each stream listener (TCP, the report socket, DoH under -http-addr, and the -metrics-addr and -pprof ports); accepts pause at the cap (0 = default 512, negative = unlimited)")
 		httpAddr    = fs.String("http-addr", "", "DNS-over-HTTP listen address: RFC 8484 wire on /dns-query, JSON on /resolve (empty = disabled)")
 		ecsMode     = fs.String("ecs-mode", "", "EDNS-Client-Subnet handling: passthrough (default), add, or override")
 		pprofAddr   = fs.String("pprof", "", "serve the runtime's profiles under /debug/pprof/ on this address (empty = disabled)")

@@ -2,6 +2,7 @@ package dnsserver
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -27,7 +28,8 @@ import (
 //     for every runtime/pprof profile, profile?seconds=N (CPU),
 //     trace?seconds=N and cmdline. A profile without ?debug is a gzipped
 //     protocol buffer carrying its own symbols, so there is no /symbol.
-//     A recording ends early when the server shuts down.
+//     A recording ends early when the server shuts down or the client
+//     hangs up.
 
 var (
 	metricsFramer = adminFramer(func(path string) adminHandler {
@@ -182,16 +184,33 @@ func (s *Server) serveProfile(b *streamBufs, r *httpRequest) {
 }
 
 // record runs a CPU profile or a trace for the request's ?seconds
-// (defSeconds without one), or until the server shuts down, and answers
-// with what it wrote. Only one of each kind runs
-// in the process at a time: start refuses the second, answered 500.
+// (defSeconds without one) and answers with what it wrote. Only one of
+// each kind runs in the process at a time: start refuses the second,
+// answered 500. The framer's goroutine spends the recording in a read of
+// the connection, so what ends the read ends the recording: its deadline,
+// Shutdown's deadline of now (the partial recording is answered), or the
+// client hanging up (the connection closes). Bytes the client pipelines
+// meanwhile wait in the read buffer (one that fills it is cut off); the
+// read may move them, so r's slices are not read after it.
 func (s *Server) record(b *streamBufs, r *httpRequest, defSeconds int, start func(io.Writer) error, stop func()) {
 	var body bytes.Buffer
 	if err := start(&body); err != nil {
 		b.httpError("500 Internal Server Error", "", "could not start recording: "+err.Error(), r.close)
 		return
 	}
-	s.sleepOrClosed(time.Duration(intParam(r.query, "seconds", defSeconds)) * time.Second)
+	d := time.Duration(intParam(r.query, "seconds", defSeconds)) * time.Second
+	err := b.conn.SetReadDeadline(time.Now().Add(d))
+	// Shutdown closes s.closed before it sets the deadline to now: either
+	// this sees the channel closed or that deadline replaces the one above.
+	select {
+	case <-s.closed:
+		err = os.ErrDeadlineExceeded
+	default:
+	}
+	for err == nil {
+		_, err = b.br.Peek(b.br.Buffered() + 1)
+	}
 	stop()
+	r.close = r.close || !errors.Is(err, os.ErrDeadlineExceeded)
 	b.httpOK("application/octet-stream", body.Bytes(), r.close)
 }

@@ -163,18 +163,7 @@ func TestShutdownEndsCPUProfile(t *testing.T) {
 		_ = resp.Body.Close()
 		done <- result{resp.StatusCode, body, err}
 	}()
-	// Wait for the request to be recording: its goroutine sits in record.
-	for deadline := time.Now().Add(5 * time.Second); ; {
-		var stacks bytes.Buffer
-		_ = pprof.Lookup("goroutine").WriteTo(&stacks, 2)
-		if bytes.Contains(stacks.Bytes(), []byte("dnsserver.(*Server).record(")) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("the CPU profile never started")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitRecording(t, true)
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 	defer cancel()
 	start := time.Now()
@@ -188,6 +177,43 @@ func TestShutdownEndsCPUProfile(t *testing.T) {
 		}
 	case <-time.After(3 * time.Second):
 		t.Fatal("profile request still open after Shutdown")
+	}
+}
+
+// waitRecording waits until a goroutine sits in record (recording) or none
+// does (!recording).
+func waitRecording(t *testing.T, recording bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		var stacks bytes.Buffer
+		_ = pprof.Lookup("goroutine").WriteTo(&stacks, 2)
+		if bytes.Contains(stacks.Bytes(), []byte("dnsserver.(*Server).record(")) == recording {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("recording = %v for 5 s", !recording)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestHangUpEndsCPUProfile: a client that hangs up in the middle of a
+// profile ends it, so the next profile request is answered, not refused
+// because profiling is still in use.
+func TestHangUpEndsCPUProfile(t *testing.T) {
+	srv, _ := adminServer(t, 0)
+	conn, err := net.Dial("tcp", srv.pprofLn.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.WriteString(conn, "GET /debug/pprof/profile?seconds=20 HTTP/1.1\r\nHost: x\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	waitRecording(t, true)
+	_ = conn.Close()
+	waitRecording(t, false)
+	if resp, body := adminGet(t, srv.pprofLn, "/debug/pprof/profile?seconds=1"); resp.StatusCode != 200 {
+		t.Errorf("profile after a hung-up one = %d: %s", resp.StatusCode, body)
 	}
 }
 

@@ -720,10 +720,10 @@ func TestCompressedQuestionEchoesAskedName(t *testing.T) {
 // TestUnseenDomainIsNotPinnedForADay: after the first ROLL, a domain
 // that sent no hits in it has a zero estimated rate. It is unknown, not
 // cold: the answer carries the hottest domain's TTL, not a day, and
-// draining the server it names waits out that TTL, not a day. The
-// server runs on its wall clock; nothing in the test waits.
+// draining the server it names waits out exactly that TTL, not a day.
+// The server runs on a ManualClock; nothing in the test waits.
 func TestUnseenDomainIsNotPinnedForADay(t *testing.T) {
-	srv, _ := smallServerCfg(t, "DRR-TTL/S_K", false, func(cfg *Config) {
+	srv, _, clk := manualServer(t, "DRR-TTL/S_K", false, func(cfg *Config) {
 		cfg.Estimator = core.EstimatorReactive
 		cfg.Mapper = func(a netip.Addr) int { return int(a.As4()[3]) % 4 }
 	})
@@ -739,14 +739,15 @@ func TestUnseenDomainIsNotPinnedForADay(t *testing.T) {
 		t.Fatal(err)
 	}
 	server := answerServer(t, resp)
-	if ttl := resp.Answers[0].TTL; ttl >= day/24 {
+	ttl := resp.Answers[0].TTL
+	if ttl >= day/24 {
 		t.Errorf("domain 2, first seen after the first roll, answered with TTL %d s", ttl)
 	}
 	deadline, err := srv.Drain(server)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wait := time.Until(deadline); wait >= time.Hour {
-		t.Errorf("draining server %d waits %v for the unseen domain's mapping", server, wait)
+	if wait := clk.Seconds(deadline) - clk.Now(); wait != float64(ttl) {
+		t.Errorf("draining server %d waits %v s for a mapping handed out with TTL %d s", server, wait, ttl)
 	}
 }

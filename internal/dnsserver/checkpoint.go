@@ -243,8 +243,8 @@ func (s *Server) RestoreCheckpoint(cp *Checkpoint, maxAge time.Duration) error {
 		// downstream until ExpiresAt, so a drain after the restart must
 		// wait for them (NoteMapping is a CAS-max, so a shorter persisted
 		// window never shrinks a live one).
-		if exp := scp.ExpiresAt; exp.After(time.Now()) {
-			s.eng.NoteMapping(i, s.clock.Seconds(exp))
+		if exp := s.clock.Seconds(scp.ExpiresAt); exp > s.clock.Now() {
+			s.eng.NoteMapping(i, exp)
 		}
 		if scp.Alarmed {
 			_ = st.SetAlarm(i, true)

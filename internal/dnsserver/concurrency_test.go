@@ -2,6 +2,7 @@ package dnsserver
 
 import (
 	"context"
+	"io"
 	"net/netip"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"dnslb/internal/core"
 	"dnslb/internal/dnsclient"
 	"dnslb/internal/dnswire"
+	"dnslb/internal/metrics"
 	"dnslb/internal/simcore"
 )
 
@@ -181,5 +183,54 @@ func TestConcurrentClientsCountersExact(t *testing.T) {
 	}
 	if sstats.Answered != totalSent {
 		t.Errorf("server answered = %d, want %d", sstats.Answered, totalSent)
+	}
+}
+
+// TestControlPlaneConcurrent drives the control plane from several
+// goroutines at once on a ManualClock one of them steps — joins and
+// drains, the drain sweep, liveness reports and checks, metric scrapes —
+// for -race to check the locks of the sweep and the liveness monitor.
+// Every drain is this replica's own, so a sweep past every window leaves
+// none pending.
+func TestControlPlaneConcurrent(t *testing.T) {
+	reg := metrics.NewRegistry()
+	srv, state, clk := manualServer(t, "RR", false, func(cfg *Config) {
+		cfg.LivenessK, cfg.LivenessInterval, cfg.Metrics = 2, time.Second, reg
+	})
+	var wg sync.WaitGroup
+	run := func(step func(k int)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 200; k++ {
+				step(k)
+			}
+		}()
+	}
+	run(func(k int) {
+		i, err := srv.Join(netip.AddrFrom4([4]byte{10, 2, 0, byte(k % 16)}), 100)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		srv.noteMapping(i, 0.5)
+		_, _ = srv.Drain(i) // refused when i is the last schedulable server
+	})
+	run(func(int) { srv.retireDrained() })
+	run(func(k int) {
+		clk.Set(100 + float64(k)/100)
+		srv.liveness.check()
+	})
+	run(func(k int) { srv.liveness.Touch(k % srv.Servers()) })
+	run(func(int) { _ = reg.WritePrometheus(io.Discard) })
+	wg.Wait()
+
+	clk.Set(1000)
+	srv.retireDrained()
+	sn := state.Snapshot()
+	for i := 0; i < srv.Servers(); i++ {
+		if sn.Draining(i) {
+			t.Errorf("server %d still draining after a sweep past every window", i)
+		}
 	}
 }

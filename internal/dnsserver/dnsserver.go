@@ -149,10 +149,10 @@ type Server struct {
 
 	// eng is the shared scheduling engine: policy selection, TTL
 	// assignment, the outstanding-mapping ledger and the estimator
-	// feedback loop all live there; clock translates between the
-	// engine's seconds and wall time.
+	// feedback loop all live there. clock is its clock: the one "now" of
+	// the control plane, and the translation of its seconds to wall time.
 	eng    *engine.Engine
-	clock  *engine.WallClock
+	clock  clock
 	policy *core.Policy
 
 	// cfg is the configuration New accepted: what Start binds, restores
@@ -199,10 +199,11 @@ type Server struct {
 	replicator *replication.Replicator
 
 	// reconfigMu serializes membership changes (Join, Drain,
-	// Reconfigure, checkpoint restore) against each other; the query
-	// path never takes it.
+	// Reconfigure, checkpoint restore, the drain sweep) against each
+	// other; the query path never takes it. localDrains holds the drains
+	// this replica started, which the sweep retires (reconfig.go).
 	reconfigMu  sync.Mutex
-	drainTimers map[int]*time.Timer
+	localDrains map[int]struct{}
 
 	// maxTCPConns caps the concurrent connections of each stream listener
 	// (0 = unlimited after New applied the default); tcpConns is the live
@@ -352,10 +353,22 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// clock is the engine's clock with the conversions to and from wall time
+// that drain deadlines and checkpoints need: an engine.WallClock in
+// service, an engine.ManualClock in tests that step it.
+type clock interface {
+	engine.Clock
+	Time(sec float64) time.Time
+	Seconds(t time.Time) float64
+}
+
 // New validates cfg and assembles the server it describes, every
 // configured component included; nothing is bound, read from disk or
 // started until Start.
-func New(cfg Config) (*Server, error) {
+func New(cfg Config) (*Server, error) { return newServer(cfg, engine.NewWallClock()) }
+
+// newServer is New on the given clock.
+func newServer(cfg Config, clk clock) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -389,7 +402,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:         cfg,
 		zone:        zone,
 		zoneWire:    packed[12 : len(packed)-4],
-		clock:       engine.NewWallClock(),
+		clock:       clk,
 		policy:      cfg.Policy,
 		logger:      cfg.Logger,
 		limiter:     cfg.RateLimit,
@@ -397,7 +410,7 @@ func New(cfg Config) (*Server, error) {
 		maxTCPConns: maxTCP,
 		registry:    cfg.Metrics,
 		conns:       make(map[net.Conn]struct{}),
-		drainTimers: make(map[int]*time.Timer),
+		localDrains: make(map[int]struct{}),
 		closed:      make(chan struct{}),
 	}
 	addrs := append([]netip.Addr(nil), cfg.ServerAddrs...)
@@ -428,7 +441,7 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	if cfg.LivenessK > 0 {
-		s.liveness = &livenessMonitor{srv: s, interval: cfg.LivenessInterval, k: cfg.LivenessK}
+		s.liveness = &livenessMonitor{srv: s, window: (time.Duration(cfg.LivenessK) * cfg.LivenessInterval).Seconds()}
 		s.liveness.Grow(len(addrs))
 	}
 	if len(cfg.Probe.Targets) != 0 {
@@ -444,18 +457,6 @@ func New(cfg Config) (*Server, error) {
 
 // serverAddrs returns the current immutable address table.
 func (s *Server) serverAddrs() []netip.Addr { return *s.addrs.Load() }
-
-// noteMapping records that a mapping with the given TTL was just
-// handed out for server i: the hidden-load window of that server now
-// extends to at least now+TTL (lock-free CAS-max in the engine's
-// ledger). The query path notes its own mappings inside Decide; this
-// is for externally handed-out mappings (tests, restores).
-func (s *Server) noteMapping(server int, ttlSeconds float64) {
-	s.eng.NoteMapping(server, s.clock.Now()+ttlSeconds)
-	if s.replNode != nil {
-		s.replNode.NoteLedger()
-	}
-}
 
 // MappingExpiry returns the latest instant at which a mapping handed
 // to server i can still be cached downstream (zero time if none was
@@ -486,14 +487,6 @@ func (s *Server) Stats() ServerStats {
 // Servers returns the number of server slots (including retired ones;
 // see the state snapshot's Member for slot standing).
 func (s *Server) Servers() int { return len(s.serverAddrs()) }
-
-// touchLiveness records proof of life for a backend, if liveness is
-// configured.
-func (s *Server) touchLiveness(server int) {
-	if s.liveness != nil {
-		s.liveness.Touch(server)
-	}
-}
 
 // RecordHits feeds per-domain hit counts into the hidden-load
 // estimator (the server-side accounting the paper's DNS collects).

@@ -52,8 +52,9 @@ func TestServerCloseStopsGoroutines(t *testing.T) {
 // configured — report socket, liveness, probing (a dead target),
 // replication (an unreachable peer), checkpointing, DoH, the metrics and
 // pprof ports — and stops it with an idle connection open on each stream
-// listener: Shutdown returns well within its deadline, no goroutine outlives it, report intake has
-// ended before the drain timers were cancelled, and the final
+// listener: the drain sweep runs and retires a drain whose window closed,
+// Shutdown returns well within its deadline, no goroutine outlives it,
+// report intake has ended so that no drain starts behind it, and the final
 // checkpoint, written last, restores into a fresh server. The periodic
 // checkpoint is configured with an interval no test run reaches, so the
 // one save counted is Shutdown's own (TestCheckpointerPeriodicAndFinal
@@ -71,6 +72,11 @@ func TestLifecycleEveryComponent(t *testing.T) {
 			cfg.Replication = ReplicationConfig{ReplicaID: "lifecycle", Peers: []string{"127.0.0.1:1"}, Interval: tick}
 			cfg.CheckpointPath, cfg.CheckpointInterval = ckpt, time.Hour
 		})
+		// A drain whose window closes in 10 ms is the sweep's to retire.
+		srv.noteMapping(3, 0.01)
+		if _, err := srv.Drain(3); err != nil || !state.Snapshot().Member(3) {
+			t.Fatalf("Drain(3) = %v, member %v", err, state.Snapshot().Member(3))
+		}
 		if _, err := resolverFor(t, srv).LookupA(context.Background(), "www.site.example"); err != nil {
 			t.Fatal(err)
 		}
@@ -88,6 +94,7 @@ func TestLifecycleEveryComponent(t *testing.T) {
 			t.Fatalf("response = %q", resp)
 		}
 		waitCond(t, 2*time.Second, func() bool { return srv.probeDown(6) }, "the prober never ran")
+		waitCond(t, 3*drainSweepInterval, func() bool { return !state.Snapshot().Member(3) }, "the drain sweep never ran")
 		if n := srv.ckptSaves.Load(); n != 0 {
 			t.Fatalf("%d checkpoints written before Shutdown", n)
 		}
@@ -108,17 +115,17 @@ func TestLifecycleEveryComponent(t *testing.T) {
 			t.Errorf("second Shutdown: %v", err)
 		}
 
-		// A report line after the stop gets no reply and arms no timer.
+		// A report line after the stop gets no reply and starts no drain.
 		_, _ = fmt.Fprintln(idle[0], "DRAIN 2")
 		_ = idle[0].SetReadDeadline(time.Now().Add(200 * time.Millisecond))
 		if n, _ := idle[0].Read(make([]byte, 16)); n != 0 {
 			t.Error("a DRAIN written after Shutdown was answered")
 		}
 		srv.reconfigMu.Lock()
-		timers := len(srv.drainTimers)
+		drains := len(srv.localDrains)
 		srv.reconfigMu.Unlock()
-		if timers != 0 || state.Snapshot().Draining(2) {
-			t.Errorf("after Shutdown: %d drain timers armed, server 2 draining = %v", timers, state.Snapshot().Draining(2))
+		if drains != 0 || state.Snapshot().Draining(2) {
+			t.Errorf("after Shutdown: %d drains pending, server 2 draining = %v", drains, state.Snapshot().Draining(2))
 		}
 	})
 

@@ -3,7 +3,6 @@ package dnsserver
 import (
 	"strconv"
 	"sync"
-	"time"
 
 	"dnslb/internal/metrics"
 )
@@ -20,35 +19,36 @@ import (
 // New builds the monitor empty and grows it over the slots, which opens
 // every backend's grace period of k intervals to deliver its first
 // report; Start runs check once an interval until the server stops.
+// Touch on a nil monitor (liveness off) does nothing.
 type livenessMonitor struct {
-	srv      *Server
-	interval time.Duration
-	k        int
+	srv *Server
+	// window is k intervals, in seconds: a backend silent for longer is
+	// down.
+	window float64
 
+	// lastSeen is each backend's last proof of life, in engine-clock
+	// seconds.
 	mu       sync.Mutex
-	lastSeen []time.Time
+	lastSeen []float64
 
-	// exclusions holds the per-server exclusion counters (nil elements
-	// when uninstrumented); read under mu, grown by Grow.
+	// exclusions holds the per-server exclusion counters when
+	// instrumented; read under mu, grown by Grow.
 	exclusions []*metrics.Counter
-
-	// growMu serializes Grow calls so metric registration (which must
-	// happen outside mu — the gauge read functions take mu under the
-	// registry's lock at scrape time) is never attempted twice for the
-	// same slot.
-	growMu sync.Mutex
 }
 
 // Touch records proof of life for a backend; a down backend recovers
 // on the spot. Out-of-range indexes are ignored (the protocol layer
 // validates and reports them before they reach the monitor).
 func (m *livenessMonitor) Touch(server int) {
+	if m == nil {
+		return // liveness not configured
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if server < 0 || server >= len(m.lastSeen) {
 		return
 	}
-	m.lastSeen[server] = time.Now()
+	m.lastSeen[server] = m.srv.clock.Now()
 	// Withdraw the passive down vote, if cast; the scheduler re-admits the
 	// backend only when the active prober (if any) agrees it is up.
 	_ = m.srv.voteDown(detectorPassive, server, false)
@@ -56,71 +56,52 @@ func (m *livenessMonitor) Touch(server int) {
 
 // Grow extends the monitor to cover n backends, giving each new slot a
 // full grace period of k intervals — a freshly joined server is not
-// marked down before it had a chance to report. Shrinking is not
-// supported (slot indices are stable); n at or below the current size
-// is a no-op.
+// marked down before it had a chance to report. Slot indices are stable,
+// so n at or below the current size is a no-op.
 //
-// Metric series for the new slots are registered outside the state
-// lock: the registry calls the gauge read functions (which take m.mu)
-// under its own lock at scrape time, so registering under m.mu would
-// invert that order.
+// Its callers are serialized (New, then joins under reconfigMu), and it
+// registers the new slots' series outside mu: the registry calls the
+// gauge read functions (which take mu) under its own lock at scrape
+// time, so registering under mu would invert that order.
 func (m *livenessMonitor) Grow(n int) {
-	m.growMu.Lock()
-	defer m.growMu.Unlock()
-	m.mu.Lock()
-	start := len(m.lastSeen)
-	m.mu.Unlock()
-	if n <= start {
-		return
-	}
 	var counters []*metrics.Counter
-	if reg := m.srv.registry; reg != nil {
-		counters = make([]*metrics.Counter, 0, n-start)
-		for i := start; i < n; i++ {
-			i := i
-			lbl := metrics.Labels{"server", strconv.Itoa(i)}
-			counters = append(counters, reg.NewCounter("dnslb_liveness_exclusions_total",
-				"Backends marked down after k missed report intervals.", lbl))
-			reg.NewGaugeFunc("dnslb_liveness_report_age_seconds",
-				"Seconds since the backend last proved it was alive (heartbeat gap).", lbl,
-				func() float64 {
-					m.mu.Lock()
-					var last time.Time
-					if i < len(m.lastSeen) {
-						last = m.lastSeen[i]
-					}
-					m.mu.Unlock()
-					if last.IsZero() {
-						return 0
-					}
-					return time.Since(last).Seconds()
-				})
-		}
+	for i := len(m.lastSeen); i < n && m.srv.registry != nil; i++ {
+		reg, lbl := m.srv.registry, metrics.Labels{"server", strconv.Itoa(i)}
+		counters = append(counters, reg.NewCounter("dnslb_liveness_exclusions_total",
+			"Backends marked down after k missed report intervals.", lbl))
+		reg.NewGaugeFunc("dnslb_liveness_report_age_seconds",
+			"Seconds since the backend last proved it was alive (heartbeat gap).", lbl,
+			func() float64 {
+				m.mu.Lock()
+				defer m.mu.Unlock()
+				if i >= len(m.lastSeen) {
+					return 0
+				}
+				return m.srv.clock.Now() - m.lastSeen[i]
+			})
 	}
-	now := time.Now()
+	now := m.srv.clock.Now()
 	m.mu.Lock()
-	for i := start; i < n; i++ {
+	for len(m.lastSeen) < n {
 		m.lastSeen = append(m.lastSeen, now)
 	}
-	if counters != nil {
-		// Instrumented: keep exclusions index-aligned with lastSeen.
-		m.exclusions = append(m.exclusions, counters...)
-	}
+	m.exclusions = append(m.exclusions, counters...)
 	m.mu.Unlock()
 }
 
-// check marks every backend silent for more than k intervals as down.
-// It votes under mu, as Touch withdraws, so a report that lands while a
-// backend is being excluded cannot be overtaken by the exclusion.
-func (m *livenessMonitor) check(now time.Time) {
-	deadline := time.Duration(m.k) * m.interval
+// check marks every backend silent for more than k intervals of the
+// engine clock as down. It votes under mu, as Touch withdraws, so a
+// report that lands while a backend is being excluded cannot be
+// overtaken by the exclusion.
+func (m *livenessMonitor) check() {
+	now := m.srv.clock.Now()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for i, seen := range m.lastSeen {
-		if now.Sub(seen) <= deadline || m.srv.votes.holds(detectorPassive, i) {
+		if now-seen <= m.window || m.srv.votes.holds(detectorPassive, i) {
 			continue
 		}
-		if i < len(m.exclusions) && m.exclusions[i] != nil {
+		if i < len(m.exclusions) {
 			m.exclusions[i].Inc()
 		}
 		_ = m.srv.voteDown(detectorPassive, i, true)

@@ -3,10 +3,13 @@ package dnsserver
 import (
 	"bufio"
 	"fmt"
+	"math"
 	"net"
 	"strings"
 	"testing"
 	"time"
+
+	"dnslb/internal/metrics"
 )
 
 func waitFor(t *testing.T, timeout time.Duration, cond func() bool) bool {
@@ -80,13 +83,14 @@ func TestLivenessDetectsSilentBackend(t *testing.T) {
 func TestLivenessRecoveryOnReport(t *testing.T) {
 	// A down backend is re-admitted the moment it reports again —
 	// ALIVE and ALARM both count as proof of life.
-	srv := testServerLiveness(t, 15*time.Millisecond, 2)
-
-	if !waitFor(t, 2*time.Second, func() bool { sn := srv.policy.State().Snapshot(); return sn.Down(2) && sn.Down(5) }) {
+	srv, state, clk := manualServer(t, "RR", true, func(cfg *Config) { cfg.LivenessK, cfg.LivenessInterval = 2, time.Second })
+	clk.Set(clk.Now() + 3)
+	srv.liveness.check()
+	if sn := state.Snapshot(); !sn.Down(1) || !sn.Down(2) {
 		t.Fatal("backends never marked down")
 	}
-	sendReports(t, srv.ReportAddr().String(), "ALIVE 2", "ALARM 5 0")
-	if sn := srv.policy.State().Snapshot(); sn.Down(2) || sn.Down(5) {
+	sendReports(t, srv.ReportAddr().String(), "ALIVE 1", "ALARM 2 0")
+	if sn := state.Snapshot(); sn.Down(1) || sn.Down(2) {
 		t.Error("reporting backends not re-admitted immediately")
 	}
 }
@@ -113,8 +117,8 @@ func TestRestoredDownBackend(t *testing.T) {
 	}
 	_ = srv.voteDown(detectorActive, 2, true)
 
-	srv.touchLiveness(1)
-	srv.touchLiveness(2)
+	srv.liveness.Touch(1)
+	srv.liveness.Touch(2)
 	if srv.policy.State().Snapshot().Down(1) {
 		t.Error("restored backend not re-admitted by its report")
 	}
@@ -124,5 +128,40 @@ func TestRestoredDownBackend(t *testing.T) {
 	_ = srv.voteDown(detectorActive, 2, false)
 	if srv.policy.State().Snapshot().Down(2) {
 		t.Error("backend still down with every vote withdrawn")
+	}
+}
+
+// TestLivenessSilenceOfKIntervals: a backend silent for exactly k
+// intervals of the engine clock is still in, one millisecond later it is
+// excluded, and its next report re-admits it. The report-age gauge reads
+// the same clock.
+func TestLivenessSilenceOfKIntervals(t *testing.T) {
+	reg := metrics.NewRegistry()
+	srv, state, clk := manualServer(t, "RR", false, func(cfg *Config) {
+		cfg.LivenessK, cfg.LivenessInterval, cfg.Metrics = 2, 250*time.Millisecond, reg
+	})
+	t0 := clk.Now()
+	clk.Set(t0 + 0.25)
+	srv.liveness.Touch(0)
+	clk.Set(t0 + 0.5)
+	srv.liveness.check()
+	if sn := state.Snapshot(); sn.Down(1) || sn.Down(2) {
+		t.Fatal("backends silent for exactly k intervals excluded")
+	}
+	clk.Set(t0 + 0.501)
+	srv.liveness.check()
+	if sn := state.Snapshot(); !sn.Down(1) || !sn.Down(2) || sn.Down(0) {
+		t.Fatalf("one millisecond past k intervals: down %v %v %v, want false true true", sn.Down(0), sn.Down(1), sn.Down(2))
+	}
+	var text strings.Builder
+	if err := reg.WritePrometheus(&text); err != nil {
+		t.Fatal(err)
+	}
+	if age := seriesValue(t, text.String(), `dnslb_liveness_report_age_seconds{server="1"}`); math.Abs(age-0.501) > 1e-9 {
+		t.Errorf("report age %v s, want 0.501", age)
+	}
+	srv.liveness.Touch(1)
+	if state.Snapshot().Down(1) {
+		t.Error("a report did not re-admit the backend")
 	}
 }

@@ -20,8 +20,8 @@ import (
 // but the slot stays resolvable and serving until the largest
 // outstanding TTL it was handed has expired, and only then is it
 // removed from membership. The engine owns that rule (Engine.Drain and
-// Engine.Retire, as in the simulator); this file adds the wall-clock
-// timer that calls Retire.
+// Engine.Retire, as in the simulator); this file adds the sweep that
+// calls Retire.
 
 // Join adds a Web server with the given IPv4 address and capacity to
 // the cluster, returning its slot index. Join is idempotent and
@@ -56,10 +56,7 @@ func (s *Server) joinLocked(addr netip.Addr, capacity float64) (int, error) {
 			}
 			return i, nil
 		}
-		if t, ok := s.drainTimers[i]; ok {
-			t.Stop()
-			delete(s.drainTimers, i)
-		}
+		delete(s.localDrains, i)
 		if err := st.ReinstateServer(i, capacity); err != nil {
 			return 0, err
 		}
@@ -107,26 +104,30 @@ func (s *Server) noteJoin(i int) {
 
 // Drain gracefully retires server i: the scheduler stops handing out
 // new mappings to it at once, and the slot is removed from membership
-// when the hidden-load window of its outstanding TTLs has run out. The
-// returned time is the earliest instant the removal can happen.
-// Draining a server that is already draining just returns the pending
-// deadline. The last schedulable server cannot be drained.
+// when the hidden-load window of its outstanding TTLs has run out — within
+// this call when it has none. The returned time is the earliest instant
+// the removal can happen. Draining a server that is already draining just
+// returns the pending deadline. The last schedulable server cannot be
+// drained.
 func (s *Server) Drain(i int) (time.Time, error) {
 	s.reconfigMu.Lock()
-	defer s.reconfigMu.Unlock()
-	return s.drainLocked(i)
+	deadline, err := s.drainLocked(i)
+	s.reconfigMu.Unlock()
+	s.retireDrained()
+	return deadline, err
 }
 
+// drainLocked starts draining server i and makes it this replica's to
+// retire, a drain that arrived by gossip included. Caller holds
+// reconfigMu.
 func (s *Server) drainLocked(i int) (time.Time, error) {
 	started := !s.policy.State().Snapshot().Draining(i)
 	sec, err := s.eng.Drain(i)
 	if err != nil {
 		return time.Time{}, err
 	}
+	s.localDrains[i] = struct{}{}
 	deadline := s.clock.Time(sec)
-	// Re-arming a pending drain is harmless, and it gives a drain that
-	// arrived by gossip, which has no timer, one.
-	s.armDrainTimer(i, deadline)
 	if started {
 		s.drains.Add(1)
 		s.logger.Info("server draining", "server", i, "until", deadline)
@@ -134,26 +135,18 @@ func (s *Server) drainLocked(i int) (time.Time, error) {
 	return deadline, nil
 }
 
-// armDrainTimer (re)schedules the drain-completion check for server i.
-// Caller holds reconfigMu. A stopping server arms nothing: Shutdown
-// closes s.closed before it takes reconfigMu to cancel the timers, so a
-// DRAIN that slips in behind the cancellation sees the channel closed.
-func (s *Server) armDrainTimer(i int, deadline time.Time) {
-	select {
-	case <-s.closed:
-		return
-	default:
-	}
-	if t, ok := s.drainTimers[i]; ok {
-		t.Stop()
-	}
-	s.drainTimers[i] = time.AfterFunc(time.Until(deadline), func() { s.completeDrain(i) })
-}
+// drainSweepInterval is how often a running server looks for drains whose
+// window has closed: a removal is never early and at most this late.
+const drainSweepInterval = time.Second
 
-// completeDrain retires server i through Engine.Retire, or re-arms the
-// timer at the later deadline Retire names when a decision in flight
-// at the drain's start moved the window.
-func (s *Server) completeDrain(i int) {
+// retireDrained is the drain sweep, which Start runs every
+// drainSweepInterval and Drain and Reconfigure run once: it retires,
+// through Engine.Retire, every drain this replica started whose window
+// has closed by the engine clock. Retire judges the window, so a decision
+// in flight at the drain's start that moved it keeps the slot until the
+// later deadline. A drain that arrived only by gossip is not this
+// replica's to retire, and a stopping server retires nothing.
+func (s *Server) retireDrained() {
 	s.reconfigMu.Lock()
 	defer s.reconfigMu.Unlock()
 	select {
@@ -161,22 +154,19 @@ func (s *Server) completeDrain(i int) {
 		return
 	default:
 	}
-	if !s.policy.State().Snapshot().Draining(i) {
-		delete(s.drainTimers, i) // reinstated or already gone
-		return
+	for i := range s.localDrains {
+		later, err := s.eng.Retire(i)
+		switch {
+		case later > 0:
+			continue
+		case err == nil:
+			s.removals.Add(1)
+			s.logger.Info("server removed after drain", "server", i)
+		case s.policy.State().Snapshot().Draining(i):
+			s.logger.Warn("drain completion could not remove server", "server", i, "err", err)
+		}
+		delete(s.localDrains, i) // retired here, or reinstated or retired by a peer
 	}
-	later, err := s.eng.Retire(i)
-	if err == nil && later > 0 {
-		s.armDrainTimer(i, s.clock.Time(later))
-		return
-	}
-	delete(s.drainTimers, i)
-	if err != nil {
-		s.logger.Warn("drain completion could not remove server", "server", i, "err", err)
-		return
-	}
-	s.removals.Add(1)
-	s.logger.Info("server removed after drain", "server", i)
 }
 
 // Reconfigure diffs the desired server set against the current
@@ -202,6 +192,7 @@ func (s *Server) Reconfigure(addrs []netip.Addr, capacities []float64) error {
 		}
 		desired[a] = true
 	}
+	defer s.retireDrained() // after the unlock below
 	s.reconfigMu.Lock()
 	defer s.reconfigMu.Unlock()
 	// Joins before drains: the incoming capacity must be schedulable

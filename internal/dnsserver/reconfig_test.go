@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"dnslb/internal/core"
+	"dnslb/internal/engine"
 	"dnslb/internal/simcore"
 )
 
@@ -38,6 +39,22 @@ func smallServerKind(t *testing.T, policyName, estKind string, started bool) (*S
 // New.
 func smallServerCfg(t *testing.T, policyName string, started bool, edit func(*Config)) (*Server, *core.State) {
 	t.Helper()
+	return smallServerOn(t, policyName, started, engine.NewWallClock(), edit)
+}
+
+// manualServer is smallServerCfg on a ManualClock set to 100 s, which the
+// test steps; the policy reads it too.
+func manualServer(t *testing.T, policyName string, started bool, edit func(*Config)) (*Server, *core.State, *engine.ManualClock) {
+	t.Helper()
+	clk := &engine.ManualClock{}
+	clk.Set(100)
+	srv, state := smallServerOn(t, policyName, started, clk, edit)
+	return srv, state, clk
+}
+
+// smallServerOn is smallServerCfg on the given clock.
+func smallServerOn(t *testing.T, policyName string, started bool, clk clock, edit func(*Config)) (*Server, *core.State) {
+	t.Helper()
 	cluster, err := core.ScaledCluster(3, 0, 500)
 	if err != nil {
 		t.Fatal(err)
@@ -46,14 +63,12 @@ func smallServerCfg(t *testing.T, policyName string, started bool, edit func(*Co
 	if err != nil {
 		t.Fatal(err)
 	}
-	start := time.Now()
 	policy, err := core.NewPolicy(core.PolicyConfig{
 		Name:  policyName,
 		State: state,
 		Rand:  simcore.NewStream(1, "reconfig"),
-		Now:   func() float64 { return time.Since(start).Seconds() },
-		// One-second TTLs keep the drain windows short enough to wait
-		// out in the lifecycle tests.
+		Now:   clk.Now,
+		// One-second TTLs keep the drain windows short.
 		ConstantTTL: 1,
 	})
 	if err != nil {
@@ -71,7 +86,7 @@ func smallServerCfg(t *testing.T, policyName string, started bool, edit func(*Co
 		ReportAddr:  "127.0.0.1:0",
 	}
 	edit(&cfg)
-	srv, err := New(cfg)
+	srv, err := newServer(cfg, clk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,9 +94,18 @@ func smallServerCfg(t *testing.T, policyName string, started bool, edit func(*Co
 		if err := srv.Start(); err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { _ = srv.Close() })
 	}
+	t.Cleanup(func() { _ = srv.Close() })
 	return srv, state
+}
+
+// noteMapping records a mapping with the given TTL handed out to server
+// i now, as the query path's decisions do, and queues it for gossip.
+func (s *Server) noteMapping(server int, ttlSeconds float64) {
+	s.eng.NoteMapping(server, s.clock.Now()+ttlSeconds)
+	if s.replNode != nil {
+		s.replNode.NoteLedger()
+	}
 }
 
 func TestJoinAddsSchedulableServer(t *testing.T) {
@@ -178,28 +202,39 @@ func TestDrainValidation(t *testing.T) {
 	}
 }
 
+// TestDrainStopsNewMappingsAndRemoves: a drain stops new mappings to the
+// server at once, keeps it a member while the largest TTL handed out to it
+// is outstanding, and the sweep retires it at that deadline, not a
+// millisecond before. The server runs on a ManualClock; nothing waits.
 func TestDrainStopsNewMappingsAndRemoves(t *testing.T) {
-	srv, state := smallServer(t, "RR")
+	srv, state, clk := manualServer(t, "RR", true, func(*Config) {})
 	r := resolverFor(t, srv)
 	ctx := context.Background()
 
-	// Hand out at least one mapping to every server so server 1 has an
-	// open hidden-load window.
-	for i := 0; i < 9; i++ {
-		if _, err := r.LookupA(ctx, "www.site.example"); err != nil {
-			t.Fatal(err)
+	// Hand out mappings to every server at two instants; server 1's
+	// window ends one TTL after the later one.
+	last := clk.Now() + 0.25
+	var ttl time.Duration
+	for _, now := range []float64{clk.Now(), last} {
+		clk.Set(now)
+		for i := 0; i < 3; i++ {
+			answers, err := r.LookupA(ctx, "www.site.example")
+			if err != nil {
+				t.Fatal(err)
+			}
+			ttl = answers[0].TTL
 		}
 	}
-	if srv.MappingExpiry(1).IsZero() {
-		t.Fatal("server 1 never received a mapping")
+	if ttl != time.Second {
+		t.Fatalf("answer TTL %v, want the policy's constant 1 s", ttl)
 	}
 
 	deadline, err := srv.Drain(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := srv.MappingExpiry(1); !deadline.Equal(want) {
-		t.Errorf("drain deadline = %v, want mapping expiry %v", deadline, want)
+	if want := clk.Time(last + ttl.Seconds()); !deadline.Equal(want) || !srv.MappingExpiry(1).Equal(want) {
+		t.Errorf("drain deadline = %v, mapping expiry %v; want %v", deadline, srv.MappingExpiry(1), want)
 	}
 	if !state.Snapshot().Draining(1) {
 		t.Error("server 1 not draining")
@@ -226,27 +261,27 @@ func TestDrainStopsNewMappingsAndRemoves(t *testing.T) {
 			t.Fatal("draining server received a new mapping")
 		}
 	}
+	clk.Set(clk.Seconds(deadline) - 0.001)
+	srv.retireDrained()
 	if !state.Snapshot().Member(1) {
-		t.Error("draining server removed before its hidden-load window closed")
+		t.Fatal("draining server removed before its hidden-load window closed")
 	}
 
-	// After the window closes the drain timer retires the slot.
-	wait := time.Until(deadline) + 2*time.Second
-	deadlineCh := time.After(wait)
-	for state.Snapshot().Member(1) {
-		select {
-		case <-deadlineCh:
-			t.Fatalf("server 1 still a member %v after its drain window", wait)
-		case <-time.After(10 * time.Millisecond):
-		}
+	// At the deadline the sweep retires the slot.
+	clk.Set(clk.Seconds(deadline))
+	srv.retireDrained()
+	if sn := state.Snapshot(); sn.Member(1) || sn.Draining(1) {
+		t.Errorf("server 1 at its drain deadline: member %v, draining %v", sn.Member(1), sn.Draining(1))
 	}
-	if state.Snapshot().Draining(1) {
-		t.Error("removed server still flagged draining")
+	if n := srv.removals.Load(); n != 1 {
+		t.Errorf("removals = %d, want 1", n)
 	}
 }
 
+// TestRejoinCancelsDrain: a re-JOIN of a draining server's address
+// reinstates it, and the sweep past the old deadline leaves it a member.
 func TestRejoinCancelsDrain(t *testing.T) {
-	srv, state := smallServer(t, "RR")
+	srv, state, clk := manualServer(t, "RR", false, func(*Config) {})
 
 	// Open a wide hidden-load window so the drain cannot complete
 	// mid-test, then cancel it by re-joining the same address.
@@ -267,11 +302,10 @@ func TestRejoinCancelsDrain(t *testing.T) {
 	if sn := state.Snapshot(); sn.Draining(1) || !sn.Member(1) {
 		t.Error("re-join did not cancel the drain")
 	}
-	srv.reconfigMu.Lock()
-	_, pending := srv.drainTimers[1]
-	srv.reconfigMu.Unlock()
-	if pending {
-		t.Error("drain timer still armed after re-join")
+	clk.Set(clk.Now() + 3601)
+	srv.retireDrained()
+	if sn := state.Snapshot(); !sn.Member(1) || srv.removals.Load() != 0 {
+		t.Error("the sweep retired a re-joined server")
 	}
 }
 
@@ -922,5 +956,128 @@ func TestCheckpointRevivedSlotStartsClean(t *testing.T) {
 	}
 	if !srv2.MappingExpiry(2).IsZero() {
 		t.Error("revived slot inherited the retired incarnation's hidden-load window")
+	}
+}
+
+// TestDrainWithoutMappingsRetiresInTheCall: a server that was never handed
+// a mapping holds no hidden load, so its drain retires it before Drain
+// returns, with the deadline now.
+func TestDrainWithoutMappingsRetiresInTheCall(t *testing.T) {
+	srv, state, clk := manualServer(t, "RR", false, func(*Config) {})
+	deadline, err := srv.Drain(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !deadline.Equal(clk.Time(clk.Now())) {
+		t.Errorf("drain deadline %v, want now (%v)", deadline, clk.Time(clk.Now()))
+	}
+	if sn := state.Snapshot(); sn.Member(1) || sn.Draining(1) || srv.removals.Load() != 1 {
+		t.Errorf("after Drain: member %v, draining %v, removals %d; want retired", sn.Member(1), sn.Draining(1), srv.removals.Load())
+	}
+}
+
+// TestDrainSweepWaitsForLaterDeadline: a decision in flight when the drain
+// started may land after it and move the window; Retire then names the
+// later deadline, and the sweep retires the server there and not before.
+func TestDrainSweepWaitsForLaterDeadline(t *testing.T) {
+	srv, state, clk := manualServer(t, "RR", false, func(*Config) {})
+	t0 := clk.Now()
+	srv.noteMapping(1, 10)
+	deadline, err := srv.Drain(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := clk.Seconds(deadline); got != t0+10 {
+		t.Fatalf("drain deadline %v, want %v", got, t0+10)
+	}
+	srv.noteMapping(1, 15) // the in-flight decision
+	for _, at := range []float64{t0 + 10, t0 + 15 - 0.001} {
+		clk.Set(at)
+		srv.retireDrained()
+		if !state.Snapshot().Member(1) {
+			t.Fatalf("retired at %v, before the later deadline %v", at, t0+15)
+		}
+	}
+	clk.Set(t0 + 15)
+	srv.retireDrained()
+	if state.Snapshot().Member(1) {
+		t.Error("still a member at the later deadline")
+	}
+}
+
+// TestGossipDrainIsNotRetiredLocally: a drain that reaches a replica only
+// by gossip stops its new mappings there too, but only the replica that
+// started it retires the server.
+func TestGossipDrainIsNotRetiredLocally(t *testing.T) {
+	replica := func(id string) (*Server, *core.State, *engine.ManualClock) {
+		return manualServer(t, "RR", false, func(cfg *Config) {
+			cfg.Replication = ReplicationConfig{ReplicaID: id, Peers: []string{"127.0.0.1:1"}}
+		})
+	}
+	a, stateA, clkA := replica("a")
+	b, stateB, clkB := replica("b")
+	a.noteMapping(1, 10)
+	if _, err := a.Drain(1); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range a.replNode.Flush() {
+		if _, err := b.replNode.Merge(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !stateB.Snapshot().Draining(1) {
+		t.Fatal("the gossiped drain did not reach replica b")
+	}
+	for _, clk := range []*engine.ManualClock{clkA, clkB} {
+		clk.Set(clk.Now() + 60)
+	}
+	b.retireDrained()
+	a.retireDrained()
+	if sn := stateB.Snapshot(); !sn.Member(1) || !sn.Draining(1) {
+		t.Errorf("replica b retired a drain it only heard of: member %v, draining %v", sn.Member(1), sn.Draining(1))
+	}
+	if stateA.Snapshot().Member(1) {
+		t.Error("replica a did not retire its own drain")
+	}
+}
+
+// TestFailedStartAndShutdownRetireNothing: a drain restored by a Start
+// whose bind fails is not retired by a server that never ran, and a
+// stopped server's pending drain outlives its deadline.
+func TestFailedStartAndShutdownRetireNothing(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "state.json")
+	srv, state, clk := manualServer(t, "RR", true, func(*Config) {})
+	srv.noteMapping(1, 10)
+	if _, err := srv.Drain(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.WriteCheckpoint(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	clk.Set(clk.Now() + 60)
+	srv.retireDrained()
+	if !state.Snapshot().Member(1) || srv.removals.Load() != 0 {
+		t.Error("a stopped server retired a drain")
+	}
+
+	busy, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer busy.Close()
+	cold, coldState, coldClk := manualServer(t, "RR", false, func(cfg *Config) {
+		cfg.Addr = busy.LocalAddr().String()
+		cfg.CheckpointPath, cfg.CheckpointInterval = path, time.Hour
+	})
+	coldClk.Set(clk.Now()) // the restored window has closed
+	if err := cold.Start(); err == nil {
+		t.Fatal("Start on a busy address succeeded")
+	}
+	if sn := coldState.Snapshot(); !sn.Member(1) || !sn.Draining(1) || cold.removals.Load() != 0 {
+		t.Errorf("after a failed Start: member %v, draining %v, removals %d; want the restored drain pending",
+			sn.Member(1), sn.Draining(1), cold.removals.Load())
 	}
 }

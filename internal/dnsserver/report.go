@@ -125,7 +125,7 @@ func (s *Server) applyReport(line string) (string, error) {
 		if server < 0 || server >= s.Servers() {
 			return "", fmt.Errorf("server index %d out of range [0,%d)", server, s.Servers())
 		}
-		s.touchLiveness(server)
+		s.liveness.Touch(server)
 		return "", nil
 	case "ALARM":
 		if len(fields) != 3 {
@@ -142,7 +142,7 @@ func (s *Server) applyReport(line string) (string, error) {
 		if err := s.eng.SetAlarm(server, on == 1); err != nil {
 			return "", err
 		}
-		s.touchLiveness(server)
+		s.liveness.Touch(server)
 		return "", nil
 	case "HITS":
 		if len(fields) != 3 {
@@ -186,7 +186,7 @@ func (s *Server) applyReport(line string) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		s.touchLiveness(idx)
+		s.liveness.Touch(idx)
 		return strconv.Itoa(idx), nil
 	case "DRAIN":
 		if len(fields) != 2 {

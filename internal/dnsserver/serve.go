@@ -33,7 +33,7 @@ import (
 //     fail and nothing before it runs, so a Start that fails leaves
 //     nothing bound and no goroutine behind.
 //  3. The serve loops — UDP workers, one accept loop per stream
-//     listener — and the liveness check.
+//     listener — the drain sweep and the liveness check.
 //  4. Active probing.
 //  5. Replication, after the restore so that its first flush announces
 //     the restored state to the peers.
@@ -43,7 +43,6 @@ func (s *Server) Start() error {
 		s.restoreCheckpoint()
 	}
 	if err := s.bind(); err != nil {
-		s.cancelDrainTimers() // a restored drain must not complete in a server that never ran
 		return err
 	}
 	s.wg.Add(s.udpWorkers)
@@ -65,8 +64,9 @@ func (s *Server) Start() error {
 			go s.acceptLoop(l.ln, l.serve)
 		}
 	}
+	s.every(drainSweepInterval, s.retireDrained)
 	if m := s.liveness; m != nil {
-		s.every(m.interval, func() { m.check(time.Now()) })
+		s.every(s.cfg.LivenessInterval, m.check)
 	}
 	if s.prober != nil {
 		s.prober.Start()
@@ -83,8 +83,9 @@ func (s *Server) Start() error {
 }
 
 // every runs fn once every d, on a goroutine counted in s.wg, until the
-// server stops — the one loop behind the liveness check and the
-// periodic checkpoint.
+// server stops — the one loop behind the drain sweep, the liveness check
+// and the periodic checkpoint. The ticker decides when the server looks;
+// what fn sees is the engine clock.
 func (s *Server) every(d time.Duration, fn func()) {
 	s.wg.Add(1)
 	go func() {
@@ -183,17 +184,17 @@ func (s *Server) Close() error {
 
 // Shutdown stops the server gracefully, in the reverse of Start's order.
 // Everything that feeds the engine stops at once: closing s.closed ends
-// the liveness check and the periodic checkpoint and lets no report
-// connection take another line, then gossip and probing stop. New
-// queries are refused, but those already read from the sockets are
-// answered before the serve loops exit: the UDP socket stays open
-// (writable) until every worker has sent its in-flight batch; the stream
-// listeners (TCP, DoH, report, admin) stop accepting at once, a
-// connection idle between exchanges ends at once and one in the middle of
-// an exchange completes it. When ctx expires first, what remains is cut
-// off, every connection closed, and ctx's error is returned. The final
-// checkpoint is written last of all, so that it records what the drained
-// server knew.
+// the drain sweep, the liveness check and the periodic checkpoint, lets
+// no drain retire and no report connection take another line, then
+// gossip and probing stop. New queries are refused, but those already
+// read from the sockets are answered before the serve loops exit: the UDP
+// socket stays open (writable) until every worker has sent its in-flight
+// batch; the stream listeners (TCP, DoH, report, admin) stop accepting at
+// once, a connection idle between exchanges ends at once and one in the
+// middle of an exchange completes it. When ctx expires first, what
+// remains is cut off, every connection closed, and ctx's error is
+// returned. The final checkpoint is written last of all, so that it
+// records what the drained server knew.
 func (s *Server) Shutdown(ctx context.Context) error {
 	select {
 	case <-s.closed:
@@ -201,7 +202,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	default:
 	}
 	close(s.closed)
-	s.cancelDrainTimers()
 	if s.replicator != nil {
 		s.replicator.Stop()
 	}
@@ -260,17 +260,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.saveCheckpoint()
 	}
 	return first
-}
-
-// cancelDrainTimers stops every pending drain-completion timer; used
-// on shutdown so no removal fires into a closing server.
-func (s *Server) cancelDrainTimers() {
-	s.reconfigMu.Lock()
-	for i, t := range s.drainTimers {
-		t.Stop()
-		delete(s.drainTimers, i)
-	}
-	s.reconfigMu.Unlock()
 }
 
 // respBufSize is the capacity of the buffer each serve loop — a UDP

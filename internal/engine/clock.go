@@ -64,3 +64,13 @@ func (c *ManualClock) Now() float64 { return bitsToFloat(c.bits.Load()) }
 
 // Set moves the clock to t (seconds).
 func (c *ManualClock) Set(t float64) { c.bits.Store(floatToBits(t)) }
+
+// manualWall converts ManualClock seconds to and from wall time: a
+// ManualClock's 0 is the Unix epoch.
+var manualWall = WallClock{epoch: time.Unix(0, 0).UTC()}
+
+// Time converts a ManualClock instant to wall time.
+func (c *ManualClock) Time(sec float64) time.Time { return manualWall.Time(sec) }
+
+// Seconds converts a wall time to ManualClock seconds.
+func (c *ManualClock) Seconds(t time.Time) float64 { return manualWall.Seconds(t) }

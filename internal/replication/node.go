@@ -32,10 +32,16 @@ func (IdentityBase) ToWire(s float64) float64 { return s }
 func (IdentityBase) FromWire(s float64) float64 { return s }
 
 // WallBase translates a live replica's engine seconds to Unix seconds
-// on the wire. Replicas are assumed loosely NTP-synced; a skew of δ
-// seconds shifts merged ledger windows by δ, which the adaptive-TTL
-// scheduler absorbs the same way it absorbs δ of replication lag.
-type WallBase struct{ Clock *engine.WallClock }
+// on the wire through its clock (an engine.WallClock or ManualClock).
+// Replicas are assumed loosely NTP-synced; a skew of δ seconds shifts
+// merged ledger windows by δ, which the adaptive-TTL scheduler absorbs
+// the same way it absorbs δ of replication lag.
+type WallBase struct {
+	Clock interface {
+		Time(sec float64) time.Time
+		Seconds(t time.Time) float64
+	}
+}
 
 // ToWire implements TimeBase.
 func (b WallBase) ToWire(s float64) float64 {
