@@ -20,7 +20,10 @@ import (
 //	    gets exactly the hottest domain's TTL on the same server;
 //	(c) monotone in load: on one server, of two domains with evidence
 //	    the heavier never gets the longer TTL (weakly, since class
-//	    variants give a class one TTL).
+//	    variants give a class one TTL);
+//	(d) monotone in capacity: for one domain, a server with more
+//	    capacity never gets the shorter TTL, clamps included (weakly:
+//	    variants without the server term give every server one TTL).
 
 // ttlHistory is one decoded property case.
 type ttlHistory struct {
@@ -84,7 +87,7 @@ func ttlVariants(k int) []TTLVariant {
 	return out
 }
 
-// checkTTLProperties replays the history and checks (a)–(c) for every
+// checkTTLProperties replays the history and checks (a)–(d) for every
 // variant after every roll.
 func checkTTLProperties(t *testing.T, data []byte) {
 	h := decodeTTLHistory(data)
@@ -158,12 +161,19 @@ func ttlViolation(sn *Snapshot, p *TTLPolicy) string {
 						i, a, sn.Weight(a), ttl, b, sn.Weight(b), p.TTL(sn, b, i))
 				}
 			}
+			c := sn.Cluster()
+			for j := 0; j < n; j++ {
+				if c.Capacity(i) > c.Capacity(j) && ttl < p.TTL(sn, a, j) {
+					return fmt.Sprintf("(d) for domain %d server %d (capacity %v) gets TTL %v < server %d's (capacity %v) %v",
+						a, i, c.Capacity(i), ttl, j, c.Capacity(j), p.TTL(sn, a, j))
+				}
+			}
 		}
 	}
 	return ""
 }
 
-// TestTTLProperties checks (a)–(c) over a fixed corpus: hand-picked
+// TestTTLProperties checks (a)–(d) over a fixed corpus: hand-picked
 // histories (one domain hit once, a single server, a roll before any
 // hit) and 300 seeded random ones.
 func TestTTLProperties(t *testing.T) {
@@ -186,7 +196,7 @@ func TestTTLProperties(t *testing.T) {
 	}
 }
 
-// FuzzTTLPolicy checks (a)–(c) on histories the fuzzer chooses.
+// FuzzTTLPolicy checks (a)–(d) on histories the fuzzer chooses.
 func FuzzTTLPolicy(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 3, 0, 0, 1, 0, 50})

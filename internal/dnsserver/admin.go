@@ -16,12 +16,12 @@ import (
 	"dnslb/internal/metrics"
 )
 
-// The admin ports, Config.MetricsAddr and Config.PprofAddr, run on the
-// stream loop and HTTP/1.1 framing DoH runs on, each with a framer of its
-// own that serves its own paths, GET and HEAD only (HEAD closes the
-// connection behind the body, as on DoH): 404 elsewhere, 405 for other
-// methods. So both have MaxTCPConns, the timeouts and Shutdown like every
-// stream listener, and the server links no net/http.
+// The admin ports, Config.MetricsAddr and Config.PprofAddr, run on DoH's
+// stream loop and HTTP/1.1 framer (exchangeHTTP) with routes of their own,
+// GET and HEAD only (HEAD closes the connection behind the body): 404
+// elsewhere, 405 for other methods, 413 for a body over maxDoHRequest. So
+// they have the cap, timeouts and Shutdown of every stream listener, and
+// the server links no net/http.
 //
 //   - MetricsAddr: /metrics, the registry in the text exposition format.
 //   - PprofAddr: /debug/pprof/ (an index), /debug/pprof/<name>[?debug=N]
@@ -32,14 +32,24 @@ import (
 //     hangs up.
 
 var (
-	metricsFramer = adminFramer(func(path string) adminHandler {
-		if path == "/metrics" {
+	metricsFramer = adminFramer(func(path []byte) httpHandler {
+		if string(path) == "/metrics" {
 			return (*Server).serveMetrics
 		}
 		return nil
 	})
 	pprofFramer = adminFramer(pprofRoute)
 )
+
+// adminFramer returns the framer of an admin port whose paths route maps
+// to their handlers (nil for a path the port does not serve).
+func adminFramer(route func(path []byte) httpHandler) *framer {
+	return httpFramer(&httpPort{
+		route:    func(path []byte) (httpHandler, string) { return route(path), "GET, HEAD" },
+		tooLarge: "413 Content Too Large", tooLargeMsg: "request body too large",
+		refused: func(*Server) {},
+	})
+}
 
 // MetricsAddr returns the bound /metrics address, nil when
 // Config.MetricsAddr is empty (valid after Start).
@@ -48,61 +58,6 @@ func (s *Server) MetricsAddr() net.Addr {
 		return nil
 	}
 	return s.metricsLn.Addr()
-}
-
-// An adminHandler answers a GET or HEAD request that was framed whole.
-type adminHandler func(s *Server, b *streamBufs, r *httpRequest)
-
-// adminFramer returns the framer of an admin port whose paths route maps
-// to their handlers (nil for a path the port does not serve). It shares
-// DoH's buffers: its requests have the same bounds.
-func adminFramer(route func(path string) adminHandler) *framer {
-	return &framer{func(s *Server, b *streamBufs, buf []byte) int {
-		return s.exchangeAdmin(b, buf, route)
-	}, dohRequestTimeout, dohFramer.pool}
-}
-
-// exchangeAdmin is an admin port's HTTP/1.1 framer: exchangeDoH's framing
-// with route in place of the DNS endpoints.
-func (s *Server) exchangeAdmin(b *streamBufs, buf []byte, route func(string) adminHandler) int {
-	r, status, msg := parseHTTPHead(buf)
-	if status == "" && r.body > maxDoHRequest {
-		status, msg = "413 Content Too Large", "request body too large"
-	}
-	if status != "" {
-		b.httpError(status, "", msg, true)
-		// Read what the client is still sending before the close, as
-		// exchangeDoH does, so the reset does not take the response.
-		if b.bw.Flush() == nil && b.conn.SetReadDeadline(time.Now().Add(time.Second/2)) == nil {
-			_, _ = io.CopyN(io.Discard, b.br, 1<<16)
-		}
-		return 0
-	}
-	n := r.head + r.body
-	if r.head == 0 {
-		return len(buf) + 1
-	} else if len(buf) < n {
-		return n
-	}
-	r.close = r.close || string(r.method) == "HEAD"
-	switch h := route(string(r.path)); {
-	case h == nil:
-		b.httpError("404 Not Found", "", "404 page not found", r.close)
-	case string(r.method) != "GET" && string(r.method) != "HEAD":
-		b.httpError("405 Method Not Allowed", "Allow: GET, HEAD\r\n", "method not allowed", r.close)
-	default:
-		h(s, b, &r)
-	}
-	if r.close {
-		return 0
-	}
-	return n
-}
-
-// httpOK appends a 200 response with body.
-func (b *streamBufs) httpOK(ctype string, body []byte, closing bool) {
-	b.appendHTTPHead("200 OK", ctype, "", len(body), closing)
-	_, _ = b.bw.Write(body)
 }
 
 // serveMetrics renders the registry into a buffer, so the response
@@ -116,8 +71,8 @@ func (s *Server) serveMetrics(b *streamBufs, r *httpRequest) {
 }
 
 // pprofRoute maps the paths under /debug/pprof/ to their handlers.
-func pprofRoute(path string) adminHandler {
-	name, ok := strings.CutPrefix(path, "/debug/pprof/")
+func pprofRoute(path []byte) httpHandler {
+	name, ok := strings.CutPrefix(string(path), "/debug/pprof/")
 	switch {
 	case !ok:
 		return nil
@@ -202,10 +157,8 @@ func (s *Server) record(b *streamBufs, r *httpRequest, defSeconds int, start fun
 	err := b.conn.SetReadDeadline(time.Now().Add(d))
 	// Shutdown closes s.closed before it sets the deadline to now: either
 	// this sees the channel closed or that deadline replaces the one above.
-	select {
-	case <-s.closed:
+	if s.stopping() {
 		err = os.ErrDeadlineExceeded
-	default:
 	}
 	for err == nil {
 		_, err = b.br.Peek(b.br.Buffered() + 1)

@@ -106,11 +106,27 @@ func TestWireTTL(t *testing.T) {
 		want    uint32
 	}{
 		{0, 1}, {0.4, 1}, {-3, 1}, {math.NaN(), 1},
-		{1.5, 2}, {239.5, 240}, {240.4, 240},
+		{1.5, 1}, {239.5, 239}, {240.4, 240}, {240.99, 240},
 		{math.MaxUint32, math.MaxUint32}, {1e12, math.MaxUint32}, {math.Inf(1), math.MaxUint32},
 	} {
 		if got := wireTTL(c.seconds); got != c.want {
 			t.Errorf("wireTTL(%v) = %d, want %d", c.seconds, got, c.want)
+		}
+	}
+}
+
+// TestWireTTLNeverOutlastsLedger: over the TTLs a policy can hand out
+// ([1 s, 86 400 s], TTLPolicy's clamp), the wire TTL is never longer than
+// the real TTL the ledger extends the mapping by.
+func TestWireTTLNeverOutlastsLedger(t *testing.T) {
+	s := simcore.NewStream(1, "wire-ttl")
+	seconds := []float64{1, 1.5, 1.999, 2.5, 64.759, 239.5, 86399.5, 86400, math.Nextafter(86400, 0)}
+	for range 1000 {
+		seconds = append(seconds, 1+s.Float64()*86399)
+	}
+	for _, x := range seconds {
+		if w := wireTTL(x); float64(w) > x {
+			t.Errorf("wireTTL(%v) = %d, longer than the ledger's window", x, w)
 		}
 	}
 }

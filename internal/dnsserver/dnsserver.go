@@ -180,6 +180,10 @@ type Server struct {
 	dohBadRequest atomic.Uint64
 	dohDropped    atomic.Uint64
 
+	// Report-socket lines and connections by outcome, the same way
+	// (dnslb_report_*_total).
+	report struct{ ok, err, opened, closed, connErrors atomic.Uint64 }
+
 	connsMu sync.Mutex
 	conns   map[net.Conn]struct{}
 

@@ -49,10 +49,11 @@ import (
 //
 // The front end is HTTP/1.1 in the clear: TLS and HTTP/2 terminate ahead
 // of the process. It runs on the stream loop DNS-over-TCP runs on
-// (serveStream), behind a framer that serves a strict subset of HTTP/1.1
-// and closes the connection on everything outside it, so it never has to
-// resynchronise on bytes it did not understand; and every request it
-// takes net/http takes too, with the same method, path and body
+// (serveStream), behind exchangeHTTP, the framer the admin ports (admin.go)
+// share with their own routes (httpPort). It serves a strict subset of
+// HTTP/1.1 and closes the connection on everything outside it, so it never
+// has to resynchronise on bytes it did not understand; and every request
+// it takes net/http takes too, with the same method, path and body
 // (FuzzHTTPFramer holds it to that). Served: "METHOD /target HTTP/1.1"
 // (kept alive unless the request says Connection: close) and HTTP/1.0
 // (answered, then closed), lines ending in CRLF, a Content-Length the
@@ -81,7 +82,8 @@ type httpRequest struct {
 	// incomplete; body is the Content-Length, 0 without one.
 	head, body int
 	hasLength  bool
-	close      bool // the connection ends after this request's response
+	close      bool   // the connection ends after this request's response
+	content    []byte // the body, once the framer has all of it
 }
 
 // parseHTTPHead parses the request head at the front of buf, as far as it
@@ -212,6 +214,12 @@ func (b *streamBufs) appendHTTPHead(status, ctype, extra string, n int, closing 
 	_, _ = b.bw.Write(append(h, "\r\n"...))
 }
 
+// httpOK appends a 200 response with body.
+func (b *streamBufs) httpOK(ctype string, body []byte, closing bool) {
+	b.appendHTTPHead("200 OK", ctype, "", len(body), closing)
+	_, _ = b.bw.Write(body)
+}
+
 // httpError appends a plain-text error response.
 func (b *streamBufs) httpError(status, extra, msg string, closing bool) {
 	b.appendHTTPHead(status, "text/plain; charset=utf-8", extra+"X-Content-Type-Options: nosniff\r\n", len(msg)+1, closing)
@@ -221,19 +229,55 @@ func (b *streamBufs) httpError(status, extra, msg string, closing bool) {
 
 // badRequest refuses a DoH request the front end could not make a DNS
 // query of, and counts it.
-func (s *Server) badRequest(b *streamBufs, r *httpRequest, status, extra, msg string) {
+func (s *Server) badRequest(b *streamBufs, r *httpRequest, status, msg string) {
 	s.dohBadRequest.Add(1)
-	b.httpError(status, extra, msg, r.close)
+	b.httpError(status, "", msg, r.close)
 }
 
-// exchangeDoH is the HTTP/1.1 framer (see the head of this file for the
-// subset it serves): it answers the request at the head of buf once all
-// of it, head and body, lies there.
-func (s *Server) exchangeDoH(b *streamBufs, buf []byte) int {
-	r, status, msg := parseHTTPHead(buf)
+// An httpPort is what the HTTP ports — DoH and the admin ports — differ
+// in: route gives a path's handler (nil: 404) and the methods it takes
+// as an Allow header lists them (others: 405); tooLarge and tooLargeMsg
+// answer a body over maxDoHRequest; refused counts those and the 405s.
+type httpPort struct {
+	route                 func(path []byte) (h httpHandler, allow string)
+	tooLarge, tooLargeMsg string
+	refused               func(s *Server)
+}
+
+// An httpHandler answers a request framed whole, with a method it takes.
+type httpHandler func(s *Server, b *streamBufs, r *httpRequest)
+
+// httpFramer returns the framer of an HTTP port.
+func httpFramer(p *httpPort) *framer {
+	return &framer{func(s *Server, b *streamBufs, buf []byte) int {
+		return s.exchangeHTTP(b, buf, p)
+	}, tcpIdleTimeout, dohRequestTimeout, streamPool(maxDoHHead + maxDoHRequest)}
+}
+
+var dohFramer = httpFramer(&httpPort{
+	route: func(path []byte) (httpHandler, string) {
+		switch string(path) {
+		case "/dns-query":
+			return (*Server).serveDoHWire, "GET, POST"
+		case "/resolve":
+			return (*Server).serveDoHJSON, "GET"
+		}
+		return nil, ""
+	},
+	tooLarge: "400 Bad Request", tooLargeMsg: "bad dns message",
+	refused: func(s *Server) { s.dohBadRequest.Add(1) },
+})
+
+// exchangeHTTP is the HTTP/1.1 framer (see the head of this file for the
+// subset it serves): it answers the request at the head of buf, once all
+// of it, head and body, lies there, by the port's routes.
+func (s *Server) exchangeHTTP(b *streamBufs, buf []byte, p *httpPort) int {
+	r := &b.req
+	var status, msg string
+	*r, status, msg = parseHTTPHead(buf)
 	if status == "" && r.body > maxDoHRequest {
-		s.dohBadRequest.Add(1)
-		status, msg = "400 Bad Request", "bad dns message"
+		p.refused(s)
+		status, msg = p.tooLarge, p.tooLargeMsg
 	}
 	if status != "" {
 		b.httpError(status, "", msg, true)
@@ -252,22 +296,34 @@ func (s *Server) exchangeDoH(b *streamBufs, buf []byte) int {
 	} else if len(buf) < n {
 		return n
 	}
+	r.content = buf[r.head:n]
 	// A response to HEAD has no body, which is what no response written
 	// here can do; the connection closes behind it instead, and the client
 	// drops the body with it.
 	r.close = r.close || string(r.method) == "HEAD"
-	switch string(r.path) {
-	case "/dns-query":
-		s.serveDoHWire(b, &r, buf[r.head:n])
-	case "/resolve":
-		s.serveDoHJSON(b, &r)
-	default:
+	switch h, allow := p.route(r.path); {
+	case h == nil:
 		b.httpError("404 Not Found", "", "404 page not found", r.close)
+	case !allows(allow, r.method):
+		p.refused(s)
+		b.httpError("405 Method Not Allowed", "Allow: "+allow+"\r\n", "method not allowed", r.close)
+	default:
+		h(s, b, r)
 	}
 	if r.close {
 		return 0
 	}
 	return n
+}
+
+// allows reports whether method is in allow, a list as Allow writes it.
+func allows(allow string, method []byte) bool {
+	for m, rest, more := "", allow, true; more; {
+		if m, rest, more = strings.Cut(rest, ", "); m == string(method) {
+			return true
+		}
+	}
+	return false
 }
 
 // The parameters the endpoints read, in the order of scanParams' result.
@@ -326,12 +382,13 @@ func unescape(s, scratch []byte) (_, _ []byte, ok bool) {
 }
 
 // serveDoHWire serves RFC 8484 wire-format exchanges.
-func (s *Server) serveDoHWire(b *streamBufs, r *httpRequest, wire []byte) {
+func (s *Server) serveDoHWire(b *streamBufs, r *httpRequest) {
+	wire := r.content
 	switch string(r.method) {
 	case "GET":
 		p, scratch, ok := scanParams(r.query, b.scratch[:0])
 		if !ok {
-			s.badRequest(b, r, "400 Bad Request", "", "bad query string")
+			s.badRequest(b, r, "400 Bad Request", "bad query string")
 			return
 		}
 		// RFC 8484 requires unpadded base64url; accept padded as a
@@ -342,17 +399,14 @@ func (s *Server) serveDoHWire(b *streamBufs, r *httpRequest, wire []byte) {
 		if err != nil {
 			wire = nil
 		}
-	case "POST":
+	default: // POST
 		if string(r.ctype) != "application/dns-message" {
-			s.badRequest(b, r, "415 Unsupported Media Type", "", "content type must be application/dns-message")
+			s.badRequest(b, r, "415 Unsupported Media Type", "content type must be application/dns-message")
 			return
 		}
-	default:
-		s.badRequest(b, r, "405 Method Not Allowed", "Allow: GET, POST\r\n", "method not allowed")
-		return
 	}
 	if len(wire) == 0 || len(wire) > maxDoHRequest {
-		s.badRequest(b, r, "400 Bad Request", "", "bad dns message")
+		s.badRequest(b, r, "400 Bad Request", "bad dns message")
 		return
 	}
 	// HTTP has no 512-byte constraint: DoH gets the TCP budget, and no
@@ -369,8 +423,7 @@ func (s *Server) respond(b *streamBufs, r *httpRequest, ctype string, body []byt
 		return
 	}
 	s.dohOK.Add(1)
-	b.appendHTTPHead("200 OK", ctype, "", len(body), r.close)
-	_, _ = b.bw.Write(body)
+	b.httpOK(ctype, body, r.close)
 }
 
 // parseDoHType maps a ?type= parameter (mnemonic or numeric) to a
@@ -472,10 +525,6 @@ func appendResolveQuery(dst, name, qtype, subnet []byte) (_ []byte, msg string) 
 // counters and limiter apply — and the reply is rendered
 // as JSON directly, with no wire response in between.
 func (s *Server) serveDoHJSON(b *streamBufs, r *httpRequest) {
-	if string(r.method) != "GET" {
-		s.badRequest(b, r, "405 Method Not Allowed", "Allow: GET\r\n", "method not allowed")
-		return
-	}
 	p, scratch, ok := scanParams(r.query, b.scratch[:0])
 	wire, msg := scratch, "bad query string"
 	if ok {
@@ -483,7 +532,7 @@ func (s *Server) serveDoHJSON(b *streamBufs, r *httpRequest) {
 	}
 	b.scratch = wire[:0]
 	if msg != "" {
-		s.badRequest(b, r, "400 Bad Request", "", msg)
+		s.badRequest(b, r, "400 Bad Request", msg)
 		return
 	}
 	s.respond(b, r, "application/json", s.answerJSON(wire[len(scratch):], b.from, b.resp[:0]))

@@ -520,10 +520,11 @@ func TestShutdownEndsIdleDoHConn(t *testing.T) {
 // and an idle connection outlives the request timeout. The framer under
 // test is dohFramer with the five seconds shortened.
 func TestDoHFramerRequestTimeout(t *testing.T) {
-	quick := &framer{dohFramer.exchange, 150 * time.Millisecond, dohFramer.pool}
+	quick := *dohFramer
+	quick.requestTimeout = 150 * time.Millisecond
 	srv, _ := testServerNoStart(t, "RR")
 	client, server := handAccept(t)
-	done := serveByHand(srv, server, quick)
+	done := serveByHand(srv, server, &quick)
 	br := bufio.NewReader(client)
 	_ = client.SetDeadline(time.Now().Add(5 * time.Second))
 
@@ -641,7 +642,7 @@ func newDoHDirect(srv *Server) *dohDirect {
 func (d *dohDirect) raw(t testing.TB, req []byte) []byte {
 	t.Helper()
 	d.out.Reset()
-	if n := d.srv.exchangeDoH(d.b, req); n != len(req) {
+	if n := dohFramer.exchange(d.srv, d.b, req); n != len(req) {
 		t.Fatalf("the framer took %d of the request's %d bytes", n, len(req))
 	}
 	if err := d.b.bw.Flush(); err != nil {

@@ -49,13 +49,6 @@ type serverMetrics struct {
 	ttl      *metrics.Histogram
 	ecsScope *metrics.Histogram
 
-	reportOK  *metrics.Counter
-	reportErr *metrics.Counter
-
-	reportConnOpened *metrics.Counter
-	reportConnClosed *metrics.Counter
-	reportConnErrors *metrics.Counter
-
 	mu          sync.Mutex
 	serverSlots int // per-server series registered for slots [0, serverSlots)
 }
@@ -233,16 +226,16 @@ func newServerMetrics(reg *metrics.Registry, s *Server) *serverMetrics {
 	// Report protocol: accepted and rejected lines, plus connection
 	// lifecycle — the link-health signal backend agents and replication
 	// peers share (both ride the same socket).
-	m.reportOK = reg.NewCounter("dnslb_report_lines_total",
-		"Load-report lines by result.", metrics.Labels{"status", "ok"})
-	m.reportErr = reg.NewCounter("dnslb_report_lines_total",
-		"Load-report lines by result.", metrics.Labels{"status", "error"})
-	m.reportConnOpened = reg.NewCounter("dnslb_report_conn_opened_total",
-		"Report-socket connections accepted.", nil)
-	m.reportConnClosed = reg.NewCounter("dnslb_report_conn_closed_total",
-		"Report-socket connections closed (any reason).", nil)
-	m.reportConnErrors = reg.NewCounter("dnslb_report_conn_errors_total",
-		"Report-socket connections torn down by read or write errors.", nil)
+	reg.NewCounterFunc("dnslb_report_lines_total",
+		"Load-report lines by result.", metrics.Labels{"status", "ok"}, s.report.ok.Load)
+	reg.NewCounterFunc("dnslb_report_lines_total",
+		"Load-report lines by result.", metrics.Labels{"status", "error"}, s.report.err.Load)
+	reg.NewCounterFunc("dnslb_report_conn_opened_total",
+		"Report-socket connections accepted.", nil, s.report.opened.Load)
+	reg.NewCounterFunc("dnslb_report_conn_closed_total",
+		"Report-socket connections closed (any reason).", nil, s.report.closed.Load)
+	reg.NewCounterFunc("dnslb_report_conn_errors_total",
+		"Report-socket connections torn down by read or write errors.", nil, s.report.connErrors.Load)
 
 	m.ensureServerSeries(s.Servers())
 	return m

@@ -4,6 +4,8 @@ import (
 	"context"
 	"io"
 	"net"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -273,13 +275,43 @@ func TestTCPPipelineUnderConnCap(t *testing.T) {
 }
 
 // handConn is the server side of a hand-accepted connection: it counts
-// the Write calls the stream loop makes and, when set, lets a test step in
-// on a Read.
+// the Write calls the stream loop makes, records the read deadlines it
+// sets and, when set, lets a test step in on a Read.
 type handConn struct {
 	net.Conn
 	writes atomic.Int32
 	reads  atomic.Int32
 	onRead func(c *handConn, p []byte) (int, error)
+
+	mu            sync.Mutex
+	readDeadlines []time.Time
+}
+
+func (c *handConn) SetReadDeadline(t time.Time) error {
+	c.mu.Lock()
+	c.readDeadlines = append(c.readDeadlines, t)
+	c.mu.Unlock()
+	return c.Conn.SetReadDeadline(t)
+}
+
+// deadlines returns the read deadlines set so far, in order.
+func (c *handConn) deadlines() []time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return slices.Clone(c.readDeadlines)
+}
+
+// waitDeadlines waits for the loop to have set n read deadlines and
+// returns them.
+func (c *handConn) waitDeadlines(t *testing.T, n int) []time.Time {
+	t.Helper()
+	for start := time.Now(); time.Since(start) < 5*time.Second; time.Sleep(time.Millisecond) {
+		if d := c.deadlines(); len(d) >= n {
+			return d
+		}
+	}
+	t.Fatalf("read deadlines %v, want %d", c.deadlines(), n)
+	return nil
 }
 
 func (c *handConn) Write(p []byte) (int, error) {
@@ -483,4 +515,25 @@ func TestTCPPipelineUnanswerableMidStream(t *testing.T) {
 	if _, err := conn.Read(one[:]); err != io.EOF {
 		t.Fatalf("read after the unanswerable message = %v, want EOF (connection cut)", err)
 	}
+}
+
+// TestStreamRearmsAfterPipelinedBatch: the idle timeout runs from the
+// last answer, whatever the number of requests a batch held — two
+// pipelined queries answered, the loop arms a fresh deadline before it
+// waits again.
+func TestStreamRearmsAfterPipelinedBatch(t *testing.T) {
+	srv, _ := testServerNoStart(t, "RR")
+	client, server := handAccept(t)
+	done := serveByHand(srv, server, tcpFramer)
+	server.waitDeadlines(t, 1) // idle, waiting for the first query
+	_ = client.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := client.Write(append(frameTCP(pipelineQueryWire(t, 1)), frameTCP(pipelineQueryWire(t, 2))...)); err != nil {
+		t.Fatal(err)
+	}
+	readInOrder(t, client, 2)
+	if d := server.waitDeadlines(t, 2); !d[1].After(d[0]) {
+		t.Errorf("read deadlines %v: the idle deadline after the batch is not a fresh one", d)
+	}
+	_ = client.Close()
+	<-done
 }

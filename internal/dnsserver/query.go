@@ -175,11 +175,13 @@ func (s *Server) decideAddress(r *reply, q *dnswire.Query, from netip.Addr, tr e
 	r.shape, r.addr, r.ttl, r.scope = shapeA, s.serverAddrs()[qd.Decision.Server], wireTTL(qd.Decision.TTL), qd.Scope
 }
 
-// wireTTL rounds a policy TTL in seconds to the wire's whole seconds.
+// wireTTL rounds a policy TTL in seconds down to the wire's whole
+// seconds, so that no resolver holds a mapping past the window the ledger
+// counts for it, which a drain waits out (every policy TTL is ≥ 1 s).
 // Never 0: a zero TTL forbids caching, and then every request of the
 // domain comes back to the DNS.
 func wireTTL(seconds float64) uint32 {
-	r := math.Round(seconds)
+	r := math.Floor(seconds)
 	if !(r >= 1) { // NaN too
 		return 1
 	}

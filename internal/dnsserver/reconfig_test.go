@@ -1081,3 +1081,61 @@ func TestFailedStartAndShutdownRetireNothing(t *testing.T) {
 			sn.Member(1), sn.Draining(1), cold.removals.Load())
 	}
 }
+
+// TestDrainOutlastsWireTTL: a drain waits at least as long as the TTL
+// the client read off the wire. DRR2-TTL/S_K on a heterogeneous cluster
+// with Zipf weights hands out fractional TTLs; for each domain one answer
+// goes out, and draining the server it names must not end before the
+// answer's wire TTL lapses. The server runs on a ManualClock.
+func TestDrainOutlastsWireTTL(t *testing.T) {
+	roundsUp := false // a TTL whose nearest whole second is longer
+	for domain := 0; domain < 20; domain++ {
+		cluster, err := core.ScaledCluster(7, 50, 500)
+		if err != nil {
+			t.Fatal(err)
+		}
+		state, err := core.NewState(cluster, 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := state.SetWeights(simcore.ZipfWeights(20, 1)); err != nil {
+			t.Fatal(err)
+		}
+		clk := &engine.ManualClock{}
+		clk.Set(100)
+		policy, err := core.NewPolicy(core.PolicyConfig{
+			Name: "DRR2-TTL/S_K", State: state, Rand: simcore.NewStream(1, "wire-ttl"), Now: clk.Now,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs := make([]netip.Addr, 7)
+		for i := range addrs {
+			addrs[i] = netip.AddrFrom4([4]byte{10, 0, 0, byte(i + 1)})
+		}
+		srv, err := newServer(Config{
+			Zone: "www.site.example", ServerAddrs: addrs, Policy: policy,
+			Mapper: func(netip.Addr) int { return domain },
+		}, clk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		handout := clk.Now()
+		resp := askA(t, srv)
+		server, ttl := answerServer(t, resp), resp.Answers[0].TTL
+		deadline, err := srv.Drain(server)
+		if err != nil {
+			t.Fatal(err)
+		}
+		window := clk.Seconds(deadline) - handout
+		if window < float64(ttl) {
+			t.Errorf("domain %d: the drain of server %d ends %v s after the handout, the answer's wire TTL is %d s",
+				domain, server, window, ttl)
+		}
+		roundsUp = roundsUp || math.Round(window) > window
+		_ = srv.Close()
+	}
+	if !roundsUp {
+		t.Fatal("no TTL would round up to a longer whole second: the test exercises nothing")
+	}
+}

@@ -58,7 +58,7 @@ func TestTraceReplayMatchesSim(t *testing.T) {
 		ttl    uint32 // as encoded on the wire
 	}
 	wireTTL := func(ttl float64) uint32 {
-		w := uint32(math.Round(ttl))
+		w := uint32(math.Floor(ttl))
 		if w == 0 {
 			w = 1
 		}

@@ -2,6 +2,7 @@ package dnsserver
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -33,10 +34,20 @@ import (
 // peer replicas reuse this socket so link health, metrics, and
 // hardening are shared with the backend report path.
 //
-// The socket is the server's third stream listener: acceptLoop gives it
-// the connection cap, the accept backoff and the stop path of
-// DNS-over-TCP and DoH (serve.go). What it does not share is their idle
-// timeout: a backend that reports once a minute keeps its connection.
+// The socket runs on the stream loop (serve.go) like DNS-over-TCP and DoH,
+// with their connection cap, batched replies and stop path, behind the
+// framer exchangeReport: a request is a line ending in '\n', trimmed of
+// CR and blanks, a blank one skipped; bytes after the last '\n' are never
+// applied; a line over maxReportLine is answered "ERR line too long" and
+// the connection closed. There is no idle timeout — a backend that
+// reports once a minute keeps its connection — but a line once begun must
+// arrive within tcpIdleTimeout. After Shutdown begins no line is applied.
+
+// maxReportLine bounds a report line with its '\n': bufio.Scanner's token
+// limit, which replication's deltas are sized under.
+const maxReportLine = bufio.MaxScanTokenSize
+
+var reportFramer = &framer{(*Server).exchangeReport, 0, tcpIdleTimeout, streamPool(maxReportLine)}
 
 // ReportAddr returns the bound report-socket address, or nil when none is
 // configured (valid after Start).
@@ -47,65 +58,44 @@ func (s *Server) ReportAddr() net.Addr {
 	return s.reportLn.Addr()
 }
 
-// serveReport serves one report connection: one reply per line, flushed
-// per line. Shutdown ends it between lines, by the read deadline when it
-// is waiting for one.
-func (s *Server) serveReport(conn net.Conn) {
-	m := s.metrics // nil when uninstrumented
-	if m != nil {
-		m.reportConnOpened.Inc()
-		defer m.reportConnClosed.Inc()
+// serveReportConn serves one report connection, counted in s.report.
+func (s *Server) serveReportConn(conn net.Conn) {
+	s.report.opened.Add(1)
+	defer s.report.closed.Add(1)
+	if s.serveStream(conn, reportFramer) != nil {
+		s.report.connErrors.Add(1)
 	}
-	sc := bufio.NewScanner(conn)
-	w := bufio.NewWriter(conn)
-	for sc.Scan() {
-		select {
-		case <-s.closed:
-			return
-		default:
+}
+
+// exchangeReport is the report-line framer: it applies the line at the
+// head of buf and writes its one reply line.
+func (s *Server) exchangeReport(b *streamBufs, buf []byte) int {
+	i := bytes.IndexByte(buf, '\n')
+	if i < 0 {
+		if len(buf) < maxReportLine {
+			return len(buf) + 1
 		}
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if reply, err := s.applyReport(line); err != nil {
-			if m != nil {
-				m.reportErr.Inc()
-			}
-			fmt.Fprintf(w, "ERR %v\n", err)
-		} else {
-			if m != nil {
-				m.reportOK.Inc()
-			}
-			if reply == "" {
-				fmt.Fprintln(w, "OK")
-			} else {
-				fmt.Fprintln(w, "OK "+reply)
-			}
-		}
-		if err := w.Flush(); err != nil {
-			if m != nil {
-				m.reportConnErrors.Inc()
-			}
-			return
-		}
+		s.report.connErrors.Add(1)
+		_, _ = b.bw.WriteString("ERR line too long\n")
+		return 0
 	}
-	select {
-	case <-s.closed:
-		return // what ended the scan is Shutdown's read deadline
-	default:
+	if s.stopping() {
+		return 0
 	}
-	if err := sc.Err(); err != nil {
-		if m != nil {
-			m.reportConnErrors.Inc()
-		}
-		// An oversized line exceeds the scanner's token limit; tell the
-		// client why it is being disconnected (best effort).
-		if err == bufio.ErrTooLong {
-			fmt.Fprintln(w, "ERR line too long")
-			_ = w.Flush()
-		}
+	line := bytes.TrimSpace(buf[:i])
+	if len(line) == 0 {
+		return i + 1
 	}
+	reply, err := s.applyReport(string(line))
+	if err != nil {
+		s.report.err.Add(1)
+		reply = "ERR " + err.Error()
+	} else {
+		s.report.ok.Add(1)
+		reply = strings.TrimSuffix("OK "+reply, " ") // "OK" alone without a payload
+	}
+	_, _ = b.bw.WriteString(reply + "\n")
+	return i + 1
 }
 
 // applyReport parses and executes one report line, returning the reply

@@ -2,12 +2,15 @@ package dnsserver
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"net/netip"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +18,7 @@ import (
 
 	"dnslb/internal/core"
 	"dnslb/internal/dnsclient"
+	"dnslb/internal/metrics"
 	"dnslb/internal/simcore"
 )
 
@@ -130,12 +134,16 @@ func TestReportNaNCannotPoisonEstimator(t *testing.T) {
 	}
 }
 
-// FuzzReportLines fuzzes the report-line parser, the one parser that
-// faces unauthenticated input: up to eight lines go through applyReport
-// on a fresh server (New binds nothing), under either estimator kind.
-// Each line must be answered OK or ERR on one line without a panic, and
-// no sequence may leave a weight non-finite or the state unwritable as
-// a checkpoint.
+// FuzzReportLines fuzzes the report socket's input, the one parser that
+// faces unauthenticated input: the bytes a client sends — up to eight
+// lines and what follows the last of them — go through exchangeReport on
+// a fresh server (New binds nothing), under either estimator kind, the way
+// the stream loop feeds it. Each complete non-blank line must get one
+// reply, a single line starting OK or ERR, without a panic; bytes after
+// the last newline get none and change nothing; a line too long is
+// answered "ERR line too long" and nothing follows it. No sequence may
+// leave a weight non-finite or the state unwritable as a checkpoint.
+// Each seed runs with its last line torn and terminated.
 func FuzzReportLines(f *testing.F) {
 	for _, seed := range []string{
 		"ALIVE 0\nALARM 1 1\nALARM 1 0",
@@ -148,23 +156,73 @@ func FuzzReportLines(f *testing.F) {
 		"HITS 20 10\nHITS -1 10\nROLL Inf",
 		"BOGUS 1 2\nALARM x 1",
 	} {
-		f.Add(seed, false)
-		f.Add(seed, true)
+		for _, predictive := range []bool{false, true} {
+			f.Add(seed, predictive)
+			f.Add(seed+"\n", predictive)
+		}
 	}
+	f.Add("ALIVE 0\r\n \n\t\n"+strings.Repeat("A", maxReportLine)+"\nALIVE 1\n", false)
 	f.Fuzz(func(t *testing.T, input string, predictive bool) {
 		srv := fuzzReportServer(t, predictive)
 		defer srv.Close()
-		lines := strings.Split(input, "\n")
-		for _, line := range lines[:min(len(lines), 8)] {
-			if line = strings.TrimSpace(line); line == "" {
-				continue // serveReport skips blank lines
+		for i, lines := 0, 0; i < len(input); i++ {
+			if input[i] == '\n' {
+				if lines++; lines == 8 {
+					input = input[:i+1]
+				}
 			}
-			reply, err := srv.applyReport(line)
-			if err != nil {
-				reply = err.Error()
+		}
+		var out bytes.Buffer
+		b := reportFramer.pool.New().(*streamBufs)
+		b.bw.Reset(&out)
+		want, tooLong := 0, false
+		for rest := []byte(input); ; {
+			buf := rest[:min(len(rest), maxReportLine)]
+			version := srv.policy.State().Snapshot().Version()
+			est, _ := srv.eng.EstimatorState()
+			written := out.Len() + b.bw.Buffered()
+			n := srv.exchangeReport(b, buf)
+			if n == 0 {
+				tooLong = true
+				if bytes.IndexByte(buf, '\n') >= 0 {
+					t.Fatalf("the framer ended the connection on %q", buf)
+				}
+				break
 			}
-			if strings.ContainsAny(reply, "\r\n") {
-				t.Fatalf("line %q: reply %q breaks the one-line framing", line, reply)
+			if n > len(buf) {
+				after, _ := srv.eng.EstimatorState()
+				if out.Len()+b.bw.Buffered() != written || srv.policy.State().Snapshot().Version() != version ||
+					!reflect.DeepEqual(est, after) {
+					t.Fatalf("the unterminated tail %q was applied", buf)
+				}
+				break
+			}
+			if len(bytes.TrimSpace(buf[:n])) > 0 {
+				want++
+			}
+			rest = rest[n:]
+		}
+		if err := b.bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		replies := strings.SplitAfter(out.String(), "\n")
+		if last := replies[len(replies)-1]; last != "" {
+			t.Fatalf("reply %q does not end its line", last)
+		}
+		replies = replies[:len(replies)-1]
+		if tooLong {
+			if len(replies) == 0 || replies[len(replies)-1] != "ERR line too long\n" {
+				t.Fatalf("a line too long answered %q", replies)
+			}
+			replies = replies[:len(replies)-1]
+		}
+		if len(replies) != want {
+			t.Fatalf("%d replies to %d lines of %q: %q", len(replies), want, input, replies)
+		}
+		for _, reply := range replies {
+			if !(reply == "OK\n" || strings.HasPrefix(reply, "OK ") || strings.HasPrefix(reply, "ERR ")) ||
+				strings.ContainsRune(reply, '\r') {
+				t.Fatalf("reply %q to %q is not one OK or ERR line", reply, input)
 			}
 		}
 		for j := 0; j < srv.policy.State().Snapshot().Domains(); j++ {
@@ -384,5 +442,191 @@ func TestReportConcurrentBackends(t *testing.T) {
 	close(errc)
 	for err := range errc {
 		t.Error(err)
+	}
+}
+
+// TestReportTornLineNotApplied: bytes after the last newline when the
+// client closes are no request. A torn "ALARM 2 1" raises no alarm, and
+// "HITS 3 12", the head of "HITS 3 1200", records no hits. Neither is
+// answered.
+func TestReportTornLineNotApplied(t *testing.T) {
+	srv, _ := testServer(t, "RR", nil)
+	for _, torn := range []string{"ALARM 2 1", "HITS 3 12"} {
+		conn, err := net.Dial("tcp", srv.ReportAddr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+		if _, err := conn.Write([]byte(torn)); err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.(*net.TCPConn).CloseWrite()
+		// The server closes its end once it has read the end of the input.
+		out, err := io.ReadAll(conn)
+		_ = conn.Close()
+		if err != nil || len(out) != 0 {
+			t.Errorf("torn line %q answered %q (%v)", torn, out, err)
+		}
+	}
+	if srv.policy.State().Snapshot().Alarmed(2) {
+		t.Error("the torn ALARM line was applied")
+	}
+	st, ok := srv.eng.EstimatorState()
+	if !ok {
+		t.Fatal("the server has no estimator")
+	}
+	if st.Counts[3] != 0 {
+		t.Errorf("the torn HITS line recorded %v hits", st.Counts[3])
+	}
+}
+
+// TestReportRepliesBatched: k lines that arrive in one write get k
+// replies, in order, in fewer than k writes.
+func TestReportRepliesBatched(t *testing.T) {
+	srv, _ := testServerNoStart(t, "RR")
+	client, server := handAccept(t)
+	done := serveByHand(srv, server, reportFramer)
+	const k = 16
+	var lines []byte
+	var want []string
+	for i := range k {
+		if i%2 == 0 {
+			lines = fmt.Appendf(lines, "ALIVE %d\n", i%7)
+			want = append(want, "OK\n")
+		} else {
+			lines = fmt.Appendf(lines, "ALIVE %d\n", 100+i)
+			want = append(want, fmt.Sprintf("ERR server index %d out of range [0,7)\n", 100+i))
+		}
+	}
+	_ = client.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := client.Write(lines); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(client)
+	for i, w := range want {
+		if got, err := br.ReadString('\n'); err != nil || got != w {
+			t.Fatalf("reply %d = %q (%v), want %q", i, got, err, w)
+		}
+	}
+	_ = client.Close()
+	<-done
+	if w := server.writes.Load(); w >= k {
+		t.Errorf("%d replies took %d writes", k, w)
+	}
+}
+
+// TestReportIdleConnHasNoDeadline: a report connection may sit idle for
+// good, so whole lines arm no read deadline; a line that has begun must
+// arrive within tcpIdleTimeout, and once it has, the deadline is lifted.
+func TestReportIdleConnHasNoDeadline(t *testing.T) {
+	srv, _ := testServerNoStart(t, "RR")
+	client, server := handAccept(t)
+	done := serveByHand(srv, server, reportFramer)
+	_ = client.SetDeadline(time.Now().Add(5 * time.Second))
+	br := bufio.NewReader(client)
+	ask := func(line string) {
+		t.Helper()
+		if _, err := io.WriteString(client, line); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := br.ReadString('\n'); err != nil || got != "OK\n" {
+			t.Fatalf("%q answered %q (%v)", line, got, err)
+		}
+	}
+
+	// The second reply comes after the loop blocked for its line.
+	ask("ALIVE 0\n")
+	ask("ALIVE 1\n")
+	if d := server.deadlines(); len(d) != 0 {
+		t.Fatalf("an idle report connection armed read deadlines %v", d)
+	}
+
+	sent := time.Now()
+	if _, err := io.WriteString(client, "ALIVE"); err != nil {
+		t.Fatal(err)
+	}
+	d := server.waitDeadlines(t, 1)
+	if until := d[0].Sub(sent); until < tcpIdleTimeout-time.Second || until > tcpIdleTimeout+time.Second {
+		t.Errorf("a begun line has %v to arrive, want %v", until, tcpIdleTimeout)
+	}
+	ask(" 2\n")
+	if d := server.waitDeadlines(t, 2); len(d) != 2 || !d[1].IsZero() {
+		t.Errorf("read deadlines %v, want the request timeout and then none", d)
+	}
+	_ = client.Close()
+	<-done
+}
+
+// TestReportShutdownAppliesNoBufferedLine: a line applied before Shutdown
+// begins is answered; lines already read from the socket when it begins
+// are neither applied nor answered.
+func TestReportShutdownAppliesNoBufferedLine(t *testing.T) {
+	srv, state := testServerNoStart(t, "RR")
+	client, server := handAccept(t)
+	server.onRead = func(c *handConn, p []byte) (int, error) {
+		n, err := c.Conn.Read(p)
+		if bytes.Contains(p[:n], []byte("ALARM 2 1")) {
+			_ = srv.Close()
+		}
+		return n, err
+	}
+	done := serveByHand(srv, server, reportFramer)
+	_ = client.SetDeadline(time.Now().Add(5 * time.Second))
+	br := bufio.NewReader(client)
+	if _, err := io.WriteString(client, "ALARM 1 1\n"); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := br.ReadString('\n'); err != nil || got != "OK\n" {
+		t.Fatalf("ALARM 1 1 answered %q (%v)", got, err)
+	}
+	if _, err := io.WriteString(client, "ALARM 2 1\nALARM 3 1\n"); err != nil {
+		t.Fatal(err)
+	}
+	if rest, err := io.ReadAll(br); err != nil || len(rest) != 0 {
+		t.Errorf("after Shutdown the connection answered %q (%v), want EOF", rest, err)
+	}
+	<-done
+	sn := state.Snapshot()
+	if !sn.Alarmed(1) || sn.Alarmed(2) || sn.Alarmed(3) {
+		t.Errorf("alarms 1, 2, 3 = %v, %v, %v; want only the line before Shutdown applied", sn.Alarmed(1), sn.Alarmed(2), sn.Alarmed(3))
+	}
+}
+
+// TestReportMetrics: the report series count lines by result and
+// connections by how they ended — a line too long tears its connection
+// down as an error, a client that hangs up does not.
+func TestReportMetrics(t *testing.T) {
+	reg := metrics.NewRegistry()
+	srv, _ := testServerCfg(t, "RR", func(cfg *Config) { cfg.Metrics = reg })
+	addr := srv.ReportAddr().String()
+	sendReports(t, addr, "ALIVE 0", "ALIVE 99", "ALARM 1 1")
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Write([]byte(strings.Repeat("A", maxReportLine) + "\n")); err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := bufio.NewReader(conn).ReadString('\n'); err != nil || resp != "ERR line too long\n" {
+		t.Fatalf("a line too long answered %q (%v)", resp, err)
+	}
+	_ = conn.Close()
+	want := map[string]float64{
+		`dnslb_report_lines_total{status="ok"}`:    2,
+		`dnslb_report_lines_total{status="error"}`: 1,
+		`dnslb_report_conn_opened_total`:           2,
+		`dnslb_report_conn_closed_total`:           2,
+		`dnslb_report_conn_errors_total`:           1,
+	}
+	waitCond(t, 5*time.Second, func() bool { return srv.report.closed.Load() == 2 }, "report connections never counted closed")
+	var text strings.Builder
+	if err := reg.WritePrometheus(&text); err != nil {
+		t.Fatal(err)
+	}
+	for series, v := range want {
+		if got := seriesValue(t, text.String(), series); got != v {
+			t.Errorf("%s = %v, want %v", series, got, v)
+		}
 	}
 }

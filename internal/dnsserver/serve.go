@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"net/netip"
@@ -17,10 +18,11 @@ import (
 
 // Serve loops and lifecycle: Start and Shutdown, which own every
 // component's launch and stop in one written order; socket binding; the
-// parallel UDP reader/responder workers; the accept loop of the stream
-// listeners (DNS-over-TCP, DoH, the report socket, the admin ports) and
-// the buffered per-connection loop all but the report socket share, each
-// with its own framer; and the one helper every periodic task runs on.
+// parallel UDP reader/responder workers; the accept loop and the buffered
+// per-connection loop every stream listener shares (DNS-over-TCP, DoH,
+// the report socket, the admin ports), each listener with its framer —
+// DNS-over-TCP's here, HTTP/1.1's in doh.go, report lines' in report.go;
+// and the one helper every periodic task runs on.
 
 // Start brings up everything the configuration describes, in the one
 // order that is safe (DESIGN.md "Lifecycle"):
@@ -49,19 +51,10 @@ func (s *Server) Start() error {
 	for i := 0; i < s.udpWorkers; i++ {
 		go s.serveUDP(i, newUDPBatch(s.udp))
 	}
-	for _, l := range []struct {
-		ln    net.Listener
-		serve func(net.Conn)
-	}{
-		{s.tcp, s.serveTCPConn},
-		{s.httpLn, func(c net.Conn) { s.serveStream(c, dohFramer) }},
-		{s.reportLn, s.serveReport},
-		{s.metricsLn, func(c net.Conn) { s.serveStream(c, metricsFramer) }},
-		{s.pprofLn, func(c net.Conn) { s.serveStream(c, pprofFramer) }},
-	} {
-		if l.ln != nil {
+	for _, l := range s.listeners() {
+		if *l.ln != nil {
 			s.wg.Add(1)
-			go s.acceptLoop(l.ln, l.serve)
+			go s.acceptLoop(*l.ln, l.serve)
 		}
 	}
 	s.every(drainSweepInterval, s.retireDrained)
@@ -103,6 +96,25 @@ func (s *Server) every(d time.Duration, fn func()) {
 	}()
 }
 
+// A listener is a stream listener: bind's name for it, its address (none
+// for DNS-over-TCP, bound beside UDP), its field, and its serve loop.
+type listener struct {
+	what, addr string
+	ln         *net.Listener
+	serve      func(net.Conn)
+}
+
+// listeners lists every stream listener.
+func (s *Server) listeners() []listener {
+	return []listener{
+		{"tcp", "", &s.tcp, s.serveTCPConn},
+		{"http", s.cfg.HTTPAddr, &s.httpLn, func(c net.Conn) { s.serveStream(c, dohFramer) }},
+		{"report", s.cfg.ReportAddr, &s.reportLn, s.serveReportConn},
+		{"metrics", s.cfg.MetricsAddr, &s.metricsLn, func(c net.Conn) { s.serveStream(c, metricsFramer) }},
+		{"pprof", s.cfg.PprofAddr, &s.pprofLn, func(c net.Conn) { s.serveStream(c, pprofFramer) }},
+	}
+}
+
 // bind opens every configured socket, or none: on an error it closes
 // what it had opened.
 //
@@ -137,15 +149,7 @@ func (s *Server) bind() error {
 			return fmt.Errorf("dnsserver: listen tcp: %w", err)
 		}
 	}
-	lns := []struct {
-		what, addr string
-		ln         *net.Listener
-	}{
-		{"http", s.cfg.HTTPAddr, &s.httpLn},
-		{"report", s.cfg.ReportAddr, &s.reportLn},
-		{"metrics", s.cfg.MetricsAddr, &s.metricsLn},
-		{"pprof", s.cfg.PprofAddr, &s.pprofLn},
-	}
+	lns := s.listeners()
 	for _, l := range lns {
 		if err == nil && l.addr != "" {
 			if *l.ln, err = net.Listen("tcp", l.addr); err != nil {
@@ -155,14 +159,13 @@ func (s *Server) bind() error {
 	}
 	if err != nil {
 		_ = s.udp.Close()
-		_ = s.tcp.Close()
 		for _, l := range lns {
 			if *l.ln != nil {
 				_ = (*l.ln).Close()
 				*l.ln = nil
 			}
 		}
-		s.udp, s.tcp = nil, nil
+		s.udp = nil
 	}
 	return err
 }
@@ -196,10 +199,8 @@ func (s *Server) Close() error {
 // returned. The final checkpoint is written last of all, so that it
 // records what the drained server knew.
 func (s *Server) Shutdown(ctx context.Context) error {
-	select {
-	case <-s.closed:
+	if s.stopping() {
 		return nil
-	default:
 	}
 	close(s.closed)
 	if s.replicator != nil {
@@ -215,8 +216,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		_ = s.udp.SetReadDeadline(time.Now())
 	}
 	var first error
-	for _, ln := range []net.Listener{s.tcp, s.httpLn, s.reportLn, s.metricsLn, s.pprofLn} {
-		if ln != nil {
+	for _, l := range s.listeners() {
+		if ln := *l.ln; ln != nil {
 			if err := ln.Close(); err != nil && first == nil {
 				first = err
 			}
@@ -283,24 +284,36 @@ const (
 // nextBackoff returns the delay to sleep after a serve-loop error and
 // the successor backoff value.
 func nextBackoff(cur time.Duration) (sleep, next time.Duration) {
-	if cur <= 0 {
-		return errBackoffMin, 2 * errBackoffMin
-	}
-	if cur > errBackoffMax {
-		return errBackoffMax, errBackoffMax
-	}
-	return cur, cur * 2
+	sleep = min(max(cur, errBackoffMin), errBackoffMax)
+	return sleep, 2 * sleep
 }
 
-// sleepOrClosed sleeps for d, returning early (true) when the server
-// is shutting down.
-func (s *Server) sleepOrClosed(d time.Duration) bool {
-	t := time.NewTimer(d)
+// backOff is a serve loop's answer to a read or accept error: logged and
+// slept on, by nextBackoff's schedule from *backoff; false, the loop to
+// end, when the server is stopping before or during the sleep.
+func (s *Server) backOff(backoff *time.Duration, msg string, args ...any) bool {
+	if s.stopping() {
+		return false
+	}
+	s.logger.Warn(msg, args...)
+	var sleep time.Duration
+	sleep, *backoff = nextBackoff(*backoff)
+	t := time.NewTimer(sleep)
 	defer t.Stop()
 	select {
 	case <-s.closed:
-		return true
+		return false
 	case <-t.C:
+		return true
+	}
+}
+
+// stopping reports whether Shutdown has begun.
+func (s *Server) stopping() bool {
+	select {
+	case <-s.closed:
+		return true
+	default:
 		return false
 	}
 }
@@ -323,18 +336,10 @@ func (s *Server) serveUDP(worker int, b *udpBatch) {
 	for {
 		n, err := b.recv()
 		if err != nil {
-			select {
-			case <-s.closed:
+			if !s.backOff(&backoff, "udp read failed", "err", err, "worker", worker) {
 				return
-			default:
-				s.logger.Warn("udp read failed", "err", err, "worker", worker)
-				var sleep time.Duration
-				sleep, backoff = nextBackoff(backoff)
-				if s.sleepOrClosed(sleep) {
-					return
-				}
-				continue
 			}
+			continue
 		}
 		backoff = 0
 		var start time.Time
@@ -408,18 +413,10 @@ func (s *Server) acceptLoop(ln net.Listener, serve func(net.Conn)) {
 		conn, err := ln.Accept()
 		if err != nil {
 			<-sem
-			select {
-			case <-s.closed:
+			if !s.backOff(&backoff, "accept failed", "err", err) {
 				return
-			default:
-				s.logger.Warn("accept failed", "err", err)
-				var sleep time.Duration
-				sleep, backoff = nextBackoff(backoff)
-				if s.sleepOrClosed(sleep) {
-					return
-				}
-				continue
 			}
+			continue
 		}
 		backoff = 0
 		s.connsMu.Lock()
@@ -427,10 +424,8 @@ func (s *Server) acceptLoop(ln net.Listener, serve func(net.Conn)) {
 		s.connsMu.Unlock()
 		// Shutdown closes s.closed and then sets every tracked connection's
 		// read deadline to now; one tracked too late for that gets it here.
-		select {
-		case <-s.closed:
+		if s.stopping() {
 			_ = conn.SetReadDeadline(time.Now())
-		default:
 		}
 		s.wg.Add(1)
 		go func() {
@@ -447,8 +442,9 @@ func (s *Server) acceptLoop(ln net.Listener, serve func(net.Conn)) {
 	}
 }
 
-// tcpIdleTimeout bounds how long a stream client may sit between
-// requests, so idle or slowloris connections cannot pin goroutines.
+// tcpIdleTimeout bounds how long a DNS-over-TCP or HTTP client may sit
+// between requests, so idle or slowloris connections cannot pin
+// goroutines; a report line's arrival once begun; and every stream write.
 const tcpIdleTimeout = 30 * time.Second
 
 // maxTCPQuery bounds the query size on every transport. Legitimate
@@ -463,20 +459,22 @@ const maxTCPQuery = 4096
 // the responses, and the buffer handle encodes each response into (handle
 // needs a zero-length dst — the answer's compression pointer is offset
 // 12 — so the ≈60 bytes are copied into the writer behind their framing).
-// ≈10 KiB per TCP connection and ≈18 KiB per DoH connection, pooled so a
-// flood of short-lived connections recycles the buffers instead of
-// churning them.
+// ≈10 KiB per TCP connection, ≈18 KiB per HTTP connection and ≈70 KiB
+// per report connection, pooled so a flood of short-lived connections
+// recycles the buffers instead of churning them.
 type streamBufs struct {
 	conn net.Conn
 	from netip.Addr // the peer, taken once per connection
 	br   *bufio.Reader
 	bw   *bufio.Writer
 	resp []byte
-	// DoH only: the Date header's value, formatted once a second, and what
-	// a GET's parameters are decoded into — percent-escapes, ?dns='s base64
-	// — and the /resolve query built in, grown to what the connection's
-	// requests needed: tens of bytes, a message's size at most, and one
-	// that a request made of escapes grew past that is not pooled.
+	// HTTP only: the request (kept here, so that its handler's indirect
+	// call allocates nothing); the Date header's value, formatted once a
+	// second; and what a GET's parameters are decoded into — escapes,
+	// ?dns='s base64 — and the /resolve query built in, grown to what the
+	// connection's requests needed: tens of bytes, a message's size at
+	// most, and one that a request made of escapes grew past is not pooled.
+	req     httpRequest
 	date    []byte
 	dateSec int64
 	scratch []byte
@@ -497,10 +495,10 @@ func (b *streamBufs) Write(p []byte) (int, error) {
 // and 0 ends the connection, what the client is still owed written.
 type framer struct {
 	exchange func(s *Server, b *streamBufs, buf []byte) int
-	// requestTimeout bounds the arrival of the rest of a request once the
-	// loop has its first bytes and must block for more.
-	requestTimeout time.Duration
-	pool           *sync.Pool
+	// idleTimeout bounds the wait for a request's first byte (0: none),
+	// requestTimeout the arrival of the rest once the loop has some.
+	idleTimeout, requestTimeout time.Duration
+	pool                        *sync.Pool
 }
 
 // streamPool pools streamBufs that read requests of up to readSize bytes.
@@ -514,10 +512,7 @@ func streamPool(readSize int) *sync.Pool {
 	}}
 }
 
-var (
-	tcpFramer = &framer{(*Server).exchangeTCP, tcpIdleTimeout, streamPool(2 + maxTCPQuery)}
-	dohFramer = &framer{(*Server).exchangeDoH, dohRequestTimeout, streamPool(maxDoHHead + maxDoHRequest)}
-)
+var tcpFramer = &framer{(*Server).exchangeTCP, tcpIdleTimeout, tcpIdleTimeout, streamPool(2 + maxTCPQuery)}
 
 // serveTCPConn serves one DNS-over-TCP connection.
 func (s *Server) serveTCPConn(conn net.Conn) {
@@ -541,8 +536,10 @@ func (s *Server) serveTCPConn(conn net.Conn) {
 // A request the framer refuses, an unanswerable message, a socket error
 // and a graceful shutdown all end the loop; the responses already batched
 // are flushed on every one of those paths before the caller closes the
-// connection.
-func (s *Server) serveStream(conn net.Conn, f *framer) {
+// connection. It returns the socket error that ended it: nil when the
+// client closed (bytes that make no whole request are dropped), the
+// framer ended it or the server stopped.
+func (s *Server) serveStream(conn net.Conn, f *framer) error {
 	b := f.pool.Get().(*streamBufs)
 	b.conn, b.from = conn, netip.Addr{}
 	if ta, ok := conn.RemoteAddr().(*net.TCPAddr); ok {
@@ -562,38 +559,45 @@ func (s *Server) serveStream(conn net.Conn, f *framer) {
 		f.pool.Put(b)
 	}()
 	// armed is the read timeout running for the request at the head of
-	// the buffer: none, tcpIdleTimeout for its first byte, or the framer's
-	// requestTimeout for the rest of it (on TCP the same, and so not set
-	// again). Each is set once, when the loop first blocks in that state:
-	// a client trickling a request byte by byte has the two for all of it,
-	// not one for each byte, and a request that arrives whole costs one
-	// timer update.
+	// the buffer: none (0), the framer's idleTimeout for its first byte,
+	// or its requestTimeout for the rest of it (on TCP the same, and so
+	// not set again); negative once that request is answered. Each is set
+	// once, when the loop first blocks in that state: a client trickling
+	// a request byte by byte has the two for all of it, not one for each
+	// byte, and a request that arrives whole costs one timer update, or
+	// none where there is no idle timeout.
 	var armed time.Duration
 	for {
 		buf, _ := br.Peek(br.Buffered())
 		n := f.exchange(s, b, buf)
 		if n == 0 {
-			return
+			return nil
 		}
 		if n <= len(buf) {
 			_, _ = br.Discard(n)
-			armed = 0
+			if armed > 0 {
+				armed = -armed
+			}
 			continue
 		}
 		// About to block. Flush first, or a client that waits for an
 		// answer before sending more (or whose next request is split
 		// across segments) waits out the idle timeout for a response
 		// sitting in the write buffer.
-		if bw.Flush() != nil {
-			return
+		if err := bw.Flush(); err != nil {
+			return err
 		}
-		timeout := tcpIdleTimeout
+		timeout := f.idleTimeout
 		if len(buf) > 0 {
 			timeout = f.requestTimeout
 		}
 		if armed != timeout {
-			if err := conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
-				return
+			var deadline time.Time // zero: none
+			if timeout > 0 {
+				deadline = time.Now().Add(timeout)
+			}
+			if err := conn.SetReadDeadline(deadline); err != nil {
+				return err
 			}
 			armed = timeout
 		}
@@ -602,13 +606,14 @@ func (s *Server) serveStream(conn net.Conn, f *framer) {
 		// set: Shutdown closes the channel and then sets the deadline to
 		// now, so either this sees it closed or that deadline outlasts
 		// the one above and ends the read below.
-		select {
-		case <-s.closed:
-			return
-		default:
+		if s.stopping() {
+			return nil
 		}
 		if _, err := br.Peek(n); err != nil {
-			return
+			if err == io.EOF || s.stopping() { // Shutdown's deadline
+				return nil
+			}
+			return err
 		}
 	}
 }

@@ -18,16 +18,15 @@ import (
 // engine clock (s.clock) instead, so a test can step it; a new wall-clock
 // site either joins this list with a reason or moves onto that clock.
 var wallClockSites = map[string]string{
-	"admin.go Server.exchangeAdmin":          "syscall deadline: half a second to read what a refused client still sends",
 	"admin.go Server.record":                 "recording length, as the read deadline that ends it",
 	"checkpoint.go Server.Checkpoint":        "persisted wall instant: the checkpoint's SavedAt",
 	"checkpoint.go Server.RestoreCheckpoint": "persisted wall instant: the checkpoint's age",
 	"doh.go streamBufs.appendHTTPHead":       "DoH Date header",
-	"doh.go Server.exchangeDoH":              "syscall deadline: half a second to read what a refused client still sends",
+	"doh.go Server.exchangeHTTP":             "syscall deadline: half a second to read what a refused client still sends",
 	"ratelimit.go NewRateLimiter":            "the rate limiter's own now: the limiter is built outside the server",
 	"replication.go Server.newReplication":   "replica restart epoch, which fences writes across restarts",
 	"serve.go Server.every":                  "ticker: when the control plane looks; what it sees is the engine clock",
-	"serve.go Server.sleepOrClosed":          "serve-loop error backoff",
+	"serve.go Server.backOff":                "serve-loop error backoff",
 	"serve.go Server.Shutdown":               "syscall deadline: now, to wake blocked reads",
 	"serve.go Server.serveUDP":               "latency measurement",
 	"serve.go Server.acceptLoop":             "syscall deadline: now, for a connection tracked after Shutdown",
