@@ -38,7 +38,6 @@ import (
 	"flag"
 	"fmt"
 	"math/rand/v2"
-	"net"
 	"net/netip"
 	"os"
 	"os/signal"
@@ -54,6 +53,7 @@ import (
 	"dnslb/internal/logging"
 	"dnslb/internal/metrics"
 	"dnslb/internal/probe"
+	"dnslb/internal/sock"
 )
 
 func main() {
@@ -132,6 +132,18 @@ func configure(args []string) (*settings, error) {
 	}
 	if *servers == "" {
 		return nil, fmt.Errorf("-servers is required")
+	}
+	// The server looks no name up: every address is an IP literal.
+	for _, a := range [...]struct{ flag, list string }{
+		{"-addr", *addr}, {"-report", *reportAddr}, {"-http-addr", *httpAddr},
+		{"-metrics-addr", *metricsAddr}, {"-pprof", *pprofAddr}, {"-peers", *peers},
+		{"-probe-targets", strings.ReplaceAll(*probeAddrs, " ", "")},
+	} {
+		for _, addr := range strings.Split(a.list, ",") {
+			if _, err := sock.ParseAddr(addr); addr != "" && err != nil {
+				return nil, fmt.Errorf("%s: %w", a.flag, err)
+			}
+		}
 	}
 	addrs, caps, err := parseServers(*servers, *capacities)
 	if err != nil {
@@ -262,7 +274,7 @@ func run(args []string, stop <-chan struct{}, started func(boundAddrs)) error {
 	}
 	defer srv.Close()
 	bound := boundAddrs{DNS: srv.Addr().String(), Report: srv.ReportAddr().String()}
-	if a := srv.MetricsAddr(); a != nil {
+	if a := srv.MetricsAddr(); a.IsValid() {
 		bound.Metrics = a.String()
 	}
 	logger.Info("serving", "zone", s.server.Zone, "addr", bound.DNS, "report", bound.Report,
@@ -341,13 +353,13 @@ func parseServers(servers, capacities string) ([]netip.Addr, []float64, error) {
 // socket goes when -report does not say. Next to an ephemeral DNS port
 // it is ephemeral as well.
 func nextPort(addr string) string {
-	host, port, err := net.SplitHostPort(addr)
-	p, perr := strconv.ParseUint(port, 10, 16)
-	if err != nil || perr != nil {
+	i := strings.LastIndexByte(addr, ':')
+	p, err := strconv.ParseUint(addr[i+1:], 10, 16)
+	if i < 0 || err != nil {
 		return "127.0.0.1:0"
 	}
 	if p != 0 {
 		p++
 	}
-	return net.JoinHostPort(host, strconv.FormatUint(p, 10))
+	return addr[:i+1] + strconv.FormatUint(p, 10)
 }

@@ -68,21 +68,66 @@ func TestNextPort(t *testing.T) {
 // TestServerDependencies keeps the server binary to what it serves: its
 // HTTP ports are the server's own framer, so no HTTP or TLS stack, and it
 // assembles the server from the internal packages, not the facade that
-// brings the simulator and the client side along.
+// brings the simulator and the client side along. On Linux its sockets
+// are internal/sock's, so it links no net package and, with it, no cgo:
+// the binary is static and loads no C library at start.
 func TestServerDependencies(t *testing.T) {
-	out, err := exec.Command("go", "list", "-deps", ".").Output()
-	if err != nil {
-		t.Fatalf("go list -deps: %v", err)
+	for _, arch := range []string{"amd64", "arm64"} {
+		cmd := exec.Command("go", "list", "-deps", ".")
+		cmd.Env = append(os.Environ(), "GOOS=linux", "GOARCH="+arch)
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("linux/%s: go list -deps: %v", arch, err)
+		}
+		deps := strings.Fields(string(out))
+		if len(deps) == 0 {
+			t.Fatalf("linux/%s: go list -deps listed nothing", arch)
+		}
+		for _, dep := range deps {
+			switch dep {
+			case "net", "runtime/cgo", "net/http", "crypto/tls", "dnslb", "dnslb/internal/sim",
+				"dnslb/internal/experiments", "dnslb/internal/dnsclient", "dnslb/internal/backend":
+				t.Errorf("dnslb-server links %s on linux/%s", dep, arch)
+			}
+		}
 	}
-	deps := strings.Fields(string(out))
-	if len(deps) == 0 {
-		t.Fatal("go list -deps listed nothing")
-	}
-	for _, dep := range deps {
-		switch dep {
-		case "net/http", "crypto/tls", "dnslb", "dnslb/internal/sim", "dnslb/internal/experiments",
-			"dnslb/internal/dnsclient", "dnslb/internal/backend":
-			t.Errorf("dnslb-server links %s", dep)
+}
+
+// TestConfigureRefusesHostNames: the server resolves no name, so every
+// address flag takes an IP literal and a port, an empty host meaning any,
+// and a host name is refused by the flag's name before anything binds.
+func TestConfigureRefusesHostNames(t *testing.T) {
+	for _, tc := range []struct {
+		flag, value string
+	}{
+		{"-addr", "localhost:5353"},
+		{"-report", "dns.site.example:5354"},
+		{"-http-addr", "localhost:8053"},
+		{"-metrics-addr", "localhost:9153"},
+		{"-pprof", "localhost:6060"},
+		{"-peers", "127.0.0.1:5400,peer.site.example:5400"},
+		{"-probe-targets", "10.0.0.1:80, web.site.example:80"},
+	} {
+		args := []string{"-servers", "10.0.0.1,10.0.0.2", tc.flag, tc.value}
+		switch tc.flag {
+		case "-peers":
+			args = append(args, "-replica-id", "a")
+		case "-probe-targets":
+			args = append(args, "-probe", "tcp")
+		}
+		if _, err := configure(args); err == nil || !strings.HasPrefix(err.Error(), tc.flag+": ") {
+			t.Errorf("%s %s: configure = %v, want an error naming %s", tc.flag, tc.value, err, tc.flag)
+		}
+		// The same flag with IP literals (and an empty host, and an
+		// empty probe slot) is accepted.
+		ok := map[string]string{
+			"-addr": ":5353", "-report": "[::1]:5354", "-http-addr": "0.0.0.0:8053",
+			"-metrics-addr": "127.0.0.1:9153", "-pprof": "127.0.0.1:6060",
+			"-peers": "127.0.0.1:5400,[::1]:5400", "-probe-targets": "10.0.0.1:80,",
+		}[tc.flag]
+		args[3] = ok
+		if _, err := configure(args); err != nil {
+			t.Errorf("%s %s: %v", tc.flag, ok, err)
 		}
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
+	"net/netip"
 	"os"
 	"runtime/pprof"
 	"runtime/trace"
@@ -51,11 +51,11 @@ func adminFramer(route func(path []byte) httpHandler) *framer {
 	})
 }
 
-// MetricsAddr returns the bound /metrics address, nil when
-// Config.MetricsAddr is empty (valid after Start).
-func (s *Server) MetricsAddr() net.Addr {
+// MetricsAddr returns the bound /metrics address, the zero AddrPort
+// when Config.MetricsAddr is empty (valid after Start).
+func (s *Server) MetricsAddr() netip.AddrPort {
 	if s.metricsLn == nil {
-		return nil
+		return netip.AddrPort{}
 	}
 	return s.metricsLn.Addr()
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"dnslb/internal/metrics"
+	"dnslb/internal/sock"
 )
 
 // adminServer starts a server with both admin ports, a registry attached
@@ -28,7 +29,7 @@ func adminServer(t *testing.T, maxConns int) (*Server, *metrics.Registry) {
 }
 
 // adminGet fetches path from an admin port through net/http's client.
-func adminGet(t *testing.T, ln net.Listener, path string) (*http.Response, []byte) {
+func adminGet(t *testing.T, ln *sock.Listener, path string) (*http.Response, []byte) {
 	t.Helper()
 	resp, err := http.Get("http://" + ln.Addr().String() + path)
 	if err != nil {
@@ -73,7 +74,7 @@ func TestMetricsPortServesRegistry(t *testing.T) {
 func TestAdminPortsRefuse(t *testing.T) {
 	srv, _ := adminServer(t, 0)
 	for _, c := range []struct {
-		ln   net.Listener
+		ln   *sock.Listener
 		path string
 	}{
 		{srv.metricsLn, "/"},

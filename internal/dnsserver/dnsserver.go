@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
-	"net"
 	"net/netip"
 	"runtime"
 	"sync"
@@ -44,6 +43,7 @@ import (
 	"dnslb/internal/metrics"
 	"dnslb/internal/probe"
 	"dnslb/internal/replication"
+	"dnslb/internal/sock"
 )
 
 // DomainMapper identifies the connected domain an address request
@@ -64,7 +64,9 @@ type Config struct {
 	// Mapper identifies the source domain of each query. Nil installs
 	// PrefixHashMapper over the policy's domain count.
 	Mapper DomainMapper
-	// Addr is the UDP/TCP listen address, e.g. "127.0.0.1:0".
+	// Addr is the UDP/TCP listen address, e.g. "127.0.0.1:0". It and
+	// every other address here are IP literals with a port, an empty
+	// host meaning any (sock.ParseAddr): nothing is looked up.
 	Addr string
 	// HTTPAddr, when non-empty, additionally serves queries over HTTP
 	// (DoH): RFC 8484 wire format on /dns-query and a JSON API on
@@ -170,8 +172,8 @@ type Server struct {
 	// The sockets Start binds. The stream listeners share one accept
 	// loop and one stop path (serve.go); all but tcp are nil when their
 	// Config address is empty.
-	udp                                       *net.UDPConn
-	tcp, httpLn, reportLn, metricsLn, pprofLn net.Listener
+	udp                                       *sock.Listener
+	tcp, httpLn, reportLn, metricsLn, pprofLn *sock.Listener
 
 	// DoH request outcomes, kept as plain atomics (always maintained,
 	// exported as dnslb_doh_requests_total{outcome=...} when
@@ -185,7 +187,7 @@ type Server struct {
 	report struct{ ok, err, opened, closed, connErrors atomic.Uint64 }
 
 	connsMu sync.Mutex
-	conns   map[net.Conn]struct{}
+	conns   map[*sock.Conn]struct{}
 
 	// The control plane around the engine. New builds each component its
 	// Config section asks for and none is attached, replaced or removed
@@ -413,7 +415,7 @@ func newServer(cfg Config, clk clock) (*Server, error) {
 		udpWorkers:  runtime.GOMAXPROCS(0),
 		maxTCPConns: maxTCP,
 		registry:    cfg.Metrics,
-		conns:       make(map[net.Conn]struct{}),
+		conns:       make(map[*sock.Conn]struct{}),
 		localDrains: make(map[int]struct{}),
 		closed:      make(chan struct{}),
 	}

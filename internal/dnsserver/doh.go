@@ -106,8 +106,10 @@ func parseHTTPHead(buf []byte) (r httpRequest, status, msg string) {
 			return r, malformed, "line does not end in CRLF"
 		}
 		line := buf[pos : pos+i-1]
-		if bytes.ContainsFunc(line, func(c rune) bool { return c < ' ' && c != '\t' || c == 0x7f }) {
-			return r, malformed, "control character"
+		for _, c := range line { // bytes, not runes: no byte of a multi-byte UTF-8 sequence is below 0x80
+			if c < ' ' && c != '\t' || c == 0x7f {
+				return r, malformed, "control character"
+			}
 		}
 		first := pos == 0
 		pos += i + 1

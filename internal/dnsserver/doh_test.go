@@ -81,11 +81,10 @@ func dohServer(t *testing.T) (*Server, *metrics.Registry) {
 
 func dohBase(t *testing.T, srv *Server) string {
 	t.Helper()
-	ha := srv.httpLn.Addr()
-	if ha == nil {
+	if srv.httpLn == nil {
 		t.Fatal("HTTP front end not bound")
 	}
-	return "http://" + ha.String()
+	return "http://" + srv.httpLn.Addr().String()
 }
 
 func TestDoHWireGetAndPost(t *testing.T) {

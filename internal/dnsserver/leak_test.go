@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"net/netip"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -81,7 +82,7 @@ func TestLifecycleEveryComponent(t *testing.T) {
 			t.Fatal(err)
 		}
 		var idle [5]net.Conn // report, TCP, DoH, metrics, pprof
-		for i, addr := range []net.Addr{srv.ReportAddr(), srv.Addr(), srv.httpLn.Addr(), srv.MetricsAddr(), srv.pprofLn.Addr()} {
+		for i, addr := range []netip.AddrPort{srv.ReportAddr(), srv.Addr(), srv.httpLn.Addr(), srv.MetricsAddr(), srv.pprofLn.Addr()} {
 			conn, err := net.Dial("tcp", addr.String())
 			if err != nil {
 				t.Fatal(err)

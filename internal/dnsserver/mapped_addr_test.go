@@ -4,7 +4,6 @@ import (
 	"context"
 	"net"
 	"net/netip"
-	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -100,11 +99,11 @@ func TestWildcardListenClassifiesTransportsAlike(t *testing.T) {
 		cfg.Mapper = rec.mapper(20)
 		cfg.Addr = ":0"
 	})
-	bound := srv.Addr().(*net.UDPAddr)
-	if bound.IP.To4() != nil {
+	bound := srv.Addr()
+	if bound.Addr().Is4() {
 		t.Skipf("wildcard bound %v: no IPv6 on this host, nothing is mapped", bound)
 	}
-	target := net.JoinHostPort("127.0.0.1", strconv.Itoa(bound.Port))
+	target := netip.AddrPortFrom(netip.MustParseAddr("127.0.0.1"), bound.Port()).String()
 
 	r := resolverFor(t, srv)
 	r.Server = target

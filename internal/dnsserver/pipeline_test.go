@@ -356,7 +356,7 @@ func serveByHand(srv *Server, conn net.Conn, f *framer) <-chan struct{} {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		srv.serveStream(conn, f)
+		srv.serveStream(conn, conn.RemoteAddr().(*net.TCPAddr).AddrPort().Addr(), f)
 		_ = conn.Close()
 	}()
 	return done

@@ -6,10 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"net"
 	"net/netip"
 	"strconv"
 	"strings"
+
+	"dnslb/internal/sock"
 )
 
 // The report socket (Config.ReportAddr) accepts plain-text load reports
@@ -49,20 +50,20 @@ const maxReportLine = bufio.MaxScanTokenSize
 
 var reportFramer = &framer{(*Server).exchangeReport, 0, tcpIdleTimeout, streamPool(maxReportLine)}
 
-// ReportAddr returns the bound report-socket address, or nil when none is
-// configured (valid after Start).
-func (s *Server) ReportAddr() net.Addr {
+// ReportAddr returns the bound report-socket address, or the zero
+// AddrPort when none is configured (valid after Start).
+func (s *Server) ReportAddr() netip.AddrPort {
 	if s.reportLn == nil {
-		return nil
+		return netip.AddrPort{}
 	}
 	return s.reportLn.Addr()
 }
 
 // serveReportConn serves one report connection, counted in s.report.
-func (s *Server) serveReportConn(conn net.Conn) {
+func (s *Server) serveReportConn(conn *sock.Conn) {
 	s.report.opened.Add(1)
 	defer s.report.closed.Add(1)
-	if s.serveStream(conn, reportFramer) != nil {
+	if s.serveStream(conn, conn.Peer.Addr(), reportFramer) != nil {
 		s.report.connErrors.Add(1)
 	}
 }

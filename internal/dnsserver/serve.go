@@ -7,13 +7,13 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net"
 	"net/netip"
 	"sync"
 	"time"
 
 	"dnslb/internal/dnswire"
 	"dnslb/internal/engine"
+	"dnslb/internal/sock"
 )
 
 // Serve loops and lifecycle: Start and Shutdown, which own every
@@ -54,7 +54,7 @@ func (s *Server) Start() error {
 	for _, l := range s.listeners() {
 		if *l.ln != nil {
 			s.wg.Add(1)
-			go s.acceptLoop(*l.ln, l.serve)
+			go s.acceptLoop((*l.ln).Accept, l.serve)
 		}
 	}
 	s.every(drainSweepInterval, s.retireDrained)
@@ -100,18 +100,18 @@ func (s *Server) every(d time.Duration, fn func()) {
 // for DNS-over-TCP, bound beside UDP), its field, and its serve loop.
 type listener struct {
 	what, addr string
-	ln         *net.Listener
-	serve      func(net.Conn)
+	ln         **sock.Listener
+	serve      func(*sock.Conn)
 }
 
 // listeners lists every stream listener.
 func (s *Server) listeners() []listener {
 	return []listener{
 		{"tcp", "", &s.tcp, s.serveTCPConn},
-		{"http", s.cfg.HTTPAddr, &s.httpLn, func(c net.Conn) { s.serveStream(c, dohFramer) }},
+		{"http", s.cfg.HTTPAddr, &s.httpLn, func(c *sock.Conn) { s.serveStream(c, c.Peer.Addr(), dohFramer) }},
 		{"report", s.cfg.ReportAddr, &s.reportLn, s.serveReportConn},
-		{"metrics", s.cfg.MetricsAddr, &s.metricsLn, func(c net.Conn) { s.serveStream(c, metricsFramer) }},
-		{"pprof", s.cfg.PprofAddr, &s.pprofLn, func(c net.Conn) { s.serveStream(c, pprofFramer) }},
+		{"metrics", s.cfg.MetricsAddr, &s.metricsLn, func(c *sock.Conn) { s.serveStream(c, c.Peer.Addr(), metricsFramer) }},
+		{"pprof", s.cfg.PprofAddr, &s.pprofLn, func(c *sock.Conn) { s.serveStream(c, c.Peer.Addr(), pprofFramer) }},
 	}
 }
 
@@ -129,30 +129,30 @@ func (s *Server) bind() error {
 	if addr == "" {
 		addr = "127.0.0.1:0"
 	}
-	uaddr, err := net.ResolveUDPAddr("udp", addr)
+	ap, err := sock.ParseAddr(addr)
 	if err != nil {
-		return fmt.Errorf("dnsserver: resolve: %w", err)
+		return fmt.Errorf("dnsserver: %w", err)
 	}
 	const pairAttempts = 16
 	for attempt := 0; ; attempt++ {
-		udp, err := net.ListenUDP("udp", uaddr)
+		udp, err := sock.Listen("udp", addr)
 		if err != nil {
 			return fmt.Errorf("dnsserver: listen udp: %w", err)
 		}
-		tcp, err := net.Listen("tcp", udp.LocalAddr().String())
+		tcp, err := sock.Listen("tcp", udp.Addr().String())
 		if err == nil {
 			s.udp, s.tcp = udp, tcp
 			break
 		}
 		_ = udp.Close()
-		if uaddr.Port != 0 || attempt == pairAttempts-1 {
+		if ap.Port() != 0 || attempt == pairAttempts-1 {
 			return fmt.Errorf("dnsserver: listen tcp: %w", err)
 		}
 	}
 	lns := s.listeners()
 	for _, l := range lns {
 		if err == nil && l.addr != "" {
-			if *l.ln, err = net.Listen("tcp", l.addr); err != nil {
+			if *l.ln, err = sock.Listen("tcp", l.addr); err != nil {
 				err = fmt.Errorf("dnsserver: listen %s: %w", l.what, err)
 			}
 		}
@@ -171,7 +171,7 @@ func (s *Server) bind() error {
 }
 
 // Addr returns the bound UDP address (valid after Start).
-func (s *Server) Addr() net.Addr { return s.udp.LocalAddr() }
+func (s *Server) Addr() netip.AddrPort { return s.udp.Addr() }
 
 // Close stops serving immediately and waits for the serve loops to
 // exit; in-flight exchanges may be cut off. It is Shutdown with no
@@ -391,7 +391,7 @@ const DefaultMaxTCPConns = 512
 // to serve on a goroutine of its own, tracked in s.conns so that Shutdown
 // can reach it, and holds the listener to its own maxTCPConns connections
 // at a time.
-func (s *Server) acceptLoop(ln net.Listener, serve func(net.Conn)) {
+func (s *Server) acceptLoop(accept func() (*sock.Conn, error), serve func(*sock.Conn)) {
 	defer s.wg.Done()
 	limit := s.maxTCPConns
 	if limit == 0 {
@@ -410,7 +410,7 @@ func (s *Server) acceptLoop(ln net.Listener, serve func(net.Conn)) {
 		case <-s.closed:
 			return
 		}
-		conn, err := ln.Accept()
+		conn, err := accept()
 		if err != nil {
 			<-sem
 			if !s.backOff(&backoff, "accept failed", "err", err) {
@@ -463,7 +463,7 @@ const maxTCPQuery = 4096
 // per report connection, pooled so a flood of short-lived connections
 // recycles the buffers instead of churning them.
 type streamBufs struct {
-	conn net.Conn
+	conn streamConn
 	from netip.Addr // the peer, taken once per connection
 	br   *bufio.Reader
 	bw   *bufio.Writer
@@ -515,13 +515,22 @@ func streamPool(readSize int) *sync.Pool {
 var tcpFramer = &framer{(*Server).exchangeTCP, tcpIdleTimeout, tcpIdleTimeout, streamPool(2 + maxTCPQuery)}
 
 // serveTCPConn serves one DNS-over-TCP connection.
-func (s *Server) serveTCPConn(conn net.Conn) {
+func (s *Server) serveTCPConn(conn *sock.Conn) {
 	s.tcpConns.Add(1)
 	defer s.tcpConns.Add(-1)
-	s.serveStream(conn, tcpFramer)
+	s.serveStream(conn, conn.Peer.Addr(), tcpFramer)
 }
 
-// serveStream serves one stream connection: the UDP loop with framing.
+// A streamConn is what the stream loop serves: a *sock.Conn, or a test's
+// net.Conn.
+type streamConn interface {
+	io.ReadWriter
+	SetReadDeadline(time.Time) error
+	SetWriteDeadline(time.Time) error
+}
+
+// serveStream serves one stream connection, from the peer at from: the
+// UDP loop with framing.
 // Each request is handled inline, where it lies in the read buffer, and
 // its response is appended to the write buffer; the batch goes out in
 // one write when the read buffer holds no further complete request —
@@ -539,12 +548,9 @@ func (s *Server) serveTCPConn(conn net.Conn) {
 // connection. It returns the socket error that ended it: nil when the
 // client closed (bytes that make no whole request are dropped), the
 // framer ended it or the server stopped.
-func (s *Server) serveStream(conn net.Conn, f *framer) error {
+func (s *Server) serveStream(conn streamConn, from netip.Addr, f *framer) error {
 	b := f.pool.Get().(*streamBufs)
-	b.conn, b.from = conn, netip.Addr{}
-	if ta, ok := conn.RemoteAddr().(*net.TCPAddr); ok {
-		b.from = ta.AddrPort().Addr()
-	}
+	b.conn, b.from = conn, from
 	br, bw := b.br, b.bw
 	br.Reset(conn)
 	bw.Reset(b)

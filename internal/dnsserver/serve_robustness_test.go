@@ -9,12 +9,14 @@ import (
 	"io"
 	"log/slog"
 	"net"
+	"net/netip"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"dnslb/internal/dnswire"
+	"dnslb/internal/sock"
 )
 
 // testServerMaxTCP builds and starts a server with a tiny connection cap
@@ -127,7 +129,7 @@ func TestTCPConnCap(t *testing.T) {
 	}
 	for _, in := range []struct {
 		name  string
-		addr  func(*Server) net.Addr
+		addr  func(*Server) netip.AddrPort
 		ask   []byte
 		reply func(net.Conn) error // reads one reply
 	}{
@@ -142,7 +144,7 @@ func TestTCPConnCap(t *testing.T) {
 	} {
 		t.Run(in.name, func(t *testing.T) {
 			srv := testServerMaxTCP(t, 2)
-			dial := func(addr net.Addr) net.Conn {
+			dial := func(addr netip.AddrPort) net.Conn {
 				t.Helper()
 				conn, err := net.Dial("tcp", addr.String())
 				if err != nil {
@@ -201,21 +203,19 @@ func TestTCPConnCap(t *testing.T) {
 }
 
 // stubListener is a listener whose Accept fails a set number of times and
-// then blocks until Close.
+// then blocks until the server stops.
 type stubListener struct {
 	fails  atomic.Int32 // Accept calls still to fail; negative once one blocks
 	closed chan struct{}
 }
 
-func (l *stubListener) Accept() (net.Conn, error) {
+func (l *stubListener) Accept() (*sock.Conn, error) {
 	if l.fails.Add(-1) >= 0 {
 		return nil, errors.New("accept: too many open files")
 	}
 	<-l.closed
 	return nil, net.ErrClosed
 }
-func (l *stubListener) Close() error   { close(l.closed); return nil }
-func (l *stubListener) Addr() net.Addr { return &net.TCPAddr{} }
 
 // TestAcceptLoopBacksOff: a persistent accept error (EMFILE) is logged
 // and slept on, nextBackoff's schedule, instead of spun on; and the loop
@@ -237,12 +237,11 @@ func TestAcceptLoopBacksOff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln := &stubListener{closed: make(chan struct{})}
+	ln := &stubListener{closed: srv.closed}
 	ln.fails.Store(fails)
-	srv.reportLn = ln // where Shutdown finds it
 	srv.wg.Add(1)
 	start := time.Now()
-	go srv.acceptLoop(ln, func(net.Conn) {})
+	go srv.acceptLoop(ln.Accept, func(*sock.Conn) {})
 	waitCond(t, 5*time.Second, func() bool { return ln.fails.Load() < 0 }, "accept loop never got past the failures")
 	if got := time.Since(start); got < want {
 		t.Errorf("%d failed accepts took %v, want at least the backoff's %v", fails, got, want)

@@ -3,7 +3,6 @@
 package dnsserver
 
 import (
-	"net"
 	"net/netip"
 	"syscall"
 	"unsafe"
@@ -42,7 +41,7 @@ type udpBatch struct {
 	resp           [udpBatchSize][respBufSize]byte
 }
 
-func newUDPBatch(conn *net.UDPConn) *udpBatch {
+func newUDPBatch(conn syscall.Conn) *udpBatch {
 	b := new(udpBatch)
 	b.rc, _ = conn.SyscallConn() // fails only for a nil conn
 	for i := range b.in {

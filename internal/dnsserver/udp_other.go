@@ -3,16 +3,18 @@
 package dnsserver
 
 import (
-	"net"
 	"net/netip"
+
+	"dnslb/internal/sock"
 )
 
 // serveUDP's I/O where udp_linux.go does not build: one datagram a call,
-// through the net package. The receive slot is a byte longer than the
-// longest query accepted, so a datagram that fills it is known to be
-// oversized without MSG_TRUNC, which syscall lacks on some platforms.
+// through the net package under sock.Listener. The receive slot is a byte
+// longer than the longest query accepted, so a datagram that fills it is
+// known to be oversized without MSG_TRUNC, which syscall lacks on some
+// platforms.
 type udpBatch struct {
-	conn  *net.UDPConn
+	conn  *sock.Listener
 	n     int
 	peer  netip.AddrPort
 	buf   [maxTCPQuery + 1]byte
@@ -20,7 +22,7 @@ type udpBatch struct {
 	reply []byte
 }
 
-func newUDPBatch(conn *net.UDPConn) *udpBatch { return &udpBatch{conn: conn} }
+func newUDPBatch(conn *sock.Listener) *udpBatch { return &udpBatch{conn: conn} }
 
 func (b *udpBatch) recv() (n int, err error) {
 	b.n, b.peer, err = b.conn.ReadFromUDPAddrPort(b.buf[:])

@@ -21,13 +21,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"math/rand/v2"
-	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"dnslb/internal/sock"
 )
 
 // Defaults applied by New when Config leaves the knob zero.
@@ -41,7 +43,7 @@ const (
 // Target is one probe destination. An empty Addr disables probing for
 // that slot (the slot keeps reporting up so it never vetoes revival).
 type Target struct {
-	Addr     string // host:port of the service port to probe
+	Addr     string // ip:port of the service port to probe (sock.ParseAddr)
 	HTTPPath string // if non-empty, send "GET <path>" and require a 2xx/3xx status
 }
 
@@ -63,9 +65,17 @@ type Config struct {
 	Logger *slog.Logger
 	Seed   uint64 // fixes the jitter stream; 0 derives one from the clock
 
-	// Dialer overrides net dialing, a seam for tests and for callers
-	// that need source-address control. Defaults to net.Dialer.
-	Dialer func(ctx context.Context, network, addr string) (net.Conn, error)
+	// Dialer overrides dialing the TCP address addr, a seam for tests
+	// and for callers that need source-address control. Defaults to
+	// sock.Dial.
+	Dialer func(ctx context.Context, addr string) (Conn, error)
+}
+
+// Conn is what a probe does with a dialed connection; a *sock.Conn and a
+// net.Conn are both one.
+type Conn interface {
+	io.ReadWriteCloser
+	SetDeadline(time.Time) error
 }
 
 func (c Config) withDefaults() Config {
@@ -88,8 +98,7 @@ func (c Config) withDefaults() Config {
 		c.Logger = slog.New(slog.NewTextHandler(discard{}, nil))
 	}
 	if c.Dialer == nil {
-		var d net.Dialer
-		c.Dialer = d.DialContext
+		c.Dialer = func(ctx context.Context, addr string) (Conn, error) { return sock.Dial(ctx, addr) }
 	}
 	return c
 }
@@ -144,8 +153,8 @@ func New(cfg Config) (*Prober, error) {
 		if t.Addr == "" {
 			continue
 		}
-		if _, _, err := net.SplitHostPort(t.Addr); err != nil {
-			return nil, fmt.Errorf("probe: target %d addr %q: %w", i, t.Addr, err)
+		if _, err := sock.ParseAddr(t.Addr); err != nil {
+			return nil, fmt.Errorf("probe: target %d: %w", i, err)
 		}
 		if t.HTTPPath != "" && !strings.HasPrefix(t.HTTPPath, "/") {
 			return nil, fmt.Errorf("probe: target %d http path %q must start with /", i, t.HTTPPath)
@@ -287,7 +296,7 @@ func (p *Prober) probeOnce(idx int, ts *targetState) {
 func (p *Prober) check(t Target) error {
 	ctx, cancel := context.WithTimeout(context.Background(), p.cfg.Timeout)
 	defer cancel()
-	conn, err := p.cfg.Dialer(ctx, "tcp", t.Addr)
+	conn, err := p.cfg.Dialer(ctx, t.Addr)
 	if err != nil {
 		return err
 	}
@@ -297,7 +306,7 @@ func (p *Prober) check(t Target) error {
 	}
 	deadline, _ := ctx.Deadline()
 	conn.SetDeadline(deadline) //nolint:errcheck // best effort
-	host, _, _ := net.SplitHostPort(t.Addr)
+	host := t.Addr[:strings.LastIndexByte(t.Addr, ':')]
 	req := fmt.Sprintf("GET %s HTTP/1.1\r\nHost: %s\r\nUser-Agent: dnslb-probe\r\nConnection: close\r\n\r\n", t.HTTPPath, host)
 	if _, err := conn.Write([]byte(req)); err != nil {
 		return fmt.Errorf("write: %w", err)

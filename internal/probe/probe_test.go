@@ -22,7 +22,7 @@ func (d *fakeDialer) setFail(addr string, fail bool) {
 	d.mu.Unlock()
 }
 
-func (d *fakeDialer) dial(ctx context.Context, network, addr string) (net.Conn, error) {
+func (d *fakeDialer) dial(ctx context.Context, addr string) (Conn, error) {
 	d.mu.Lock()
 	fail := d.fail[addr]
 	d.mu.Unlock()
@@ -136,7 +136,7 @@ func TestProberSingleBlipNoTransition(t *testing.T) {
 	record, snapshot := collectTransitions()
 	var mu sync.Mutex
 	failuresLeft := 2 // fewer than FailN=3: hysteresis must absorb it
-	dialer := func(ctx context.Context, network, addr string) (net.Conn, error) {
+	dialer := func(ctx context.Context, addr string) (Conn, error) {
 		mu.Lock()
 		blip := failuresLeft > 0
 		if blip {
@@ -146,7 +146,7 @@ func TestProberSingleBlipNoTransition(t *testing.T) {
 		if blip {
 			return nil, errors.New("blip")
 		}
-		return d.dial(ctx, network, addr)
+		return d.dial(ctx, addr)
 	}
 	p, err := New(Config{
 		Targets:      []Target{{Addr: "10.0.0.1:80"}},
@@ -176,7 +176,7 @@ func TestProberEmptyAddrSkipped(t *testing.T) {
 		Targets:  []Target{{Addr: ""}, {Addr: "10.0.0.2:80"}},
 		Interval: 10 * time.Millisecond,
 		Seed:     1,
-		Dialer: func(ctx context.Context, network, addr string) (net.Conn, error) {
+		Dialer: func(ctx context.Context, addr string) (Conn, error) {
 			return nil, errors.New("always down")
 		},
 	})

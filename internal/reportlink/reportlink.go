@@ -9,13 +9,15 @@ package reportlink
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"io"
 	"math/rand/v2"
-	"net"
 	"strings"
 	"sync/atomic"
 	"time"
+
+	"dnslb/internal/sock"
 )
 
 const (
@@ -37,7 +39,7 @@ type Link struct {
 	addr  string
 	hello func(exchange func(line string) (string, error)) error
 
-	conn    net.Conn
+	conn    *sock.Conn
 	rd      *bufio.Reader
 	backoff time.Duration // current rung of the ladder; 0 after a success
 	next    time.Time     // no dial before this instant
@@ -46,10 +48,10 @@ type Link struct {
 	errs atomic.Uint64
 }
 
-// New returns a link to the report socket at addr. hello, when not nil,
-// runs on every new connection before the caller's line, exchanging
-// lines of its own through the function it is given; an error from it
-// fails the dial.
+// New returns a link to the report socket at addr, an IP literal and a
+// port (sock.ParseAddr). hello, when not nil, runs on every new
+// connection before the caller's line, exchanging lines of its own
+// through the function it is given; an error from it fails the dial.
 func New(addr string, hello func(exchange func(line string) (string, error)) error) *Link {
 	return &Link{addr: addr, hello: hello}
 }
@@ -80,7 +82,9 @@ func (l *Link) Connect() error {
 	if wait := time.Until(l.next); wait > 0 {
 		return fmt.Errorf("reportlink: %s down, next dial in %v", l.addr, wait.Round(time.Millisecond))
 	}
-	conn, err := net.DialTimeout("tcp", l.addr, timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	conn, err := sock.Dial(ctx, l.addr)
+	cancel()
 	if err != nil {
 		return l.fail(err)
 	}
