@@ -11,6 +11,7 @@ import (
 	"net"
 	"net/http"
 	"net/netip"
+	"os"
 	"strings"
 	"syscall"
 	"testing"
@@ -708,6 +709,28 @@ func TestDoHWirePathZeroAlloc(t *testing.T) {
 	}
 }
 
+// handPair is handAccept over an AF_UNIX socket pair: a stream with
+// deadlines and CloseWrite, as TCP's, that leaves no TIME_WAIT entry
+// behind, for a fuzz body that makes a connection per input.
+func handPair(t testing.TB) (client net.Conn, server *handConn) {
+	t.Helper()
+	fds, err := syscall.Socketpair(syscall.AF_UNIX, syscall.SOCK_STREAM, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var conns [2]net.Conn
+	for i, fd := range fds {
+		f := os.NewFile(uintptr(fd), "socketpair")
+		conns[i], err = net.FileConn(f) // a dup of fd
+		_ = f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = conns[i].Close() })
+	}
+	return conns[0], &handConn{Conn: conns[1]}
+}
+
 // FuzzHTTPFramer holds the framer to net/http, differentially. Arbitrary
 // bytes go down a hand-made connection to the stream loop. It must not
 // panic; every byte it writes back must parse with http.ReadResponse as
@@ -745,11 +768,11 @@ func FuzzHTTPFramer(f *testing.F) {
 		if len(data) > 32<<10 {
 			t.Skip() // what the framer reads on for after a refusal, and no more
 		}
-		client, server := handAccept(t)
+		client, server := handPair(t)
 		done := serveByHand(srv, server, dohFramer)
 		go func() {
 			_, _ = client.Write(data)
-			_ = client.(*net.TCPConn).CloseWrite()
+			_ = client.(*net.UnixConn).CloseWrite()
 		}()
 		_ = client.SetReadDeadline(time.Now().Add(10 * time.Second))
 		out, readErr := io.ReadAll(client)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"io"
 	"net"
+	"net/netip"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -356,7 +357,11 @@ func serveByHand(srv *Server, conn net.Conn, f *framer) <-chan struct{} {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		srv.serveStream(conn, conn.RemoteAddr().(*net.TCPAddr).AddrPort().Addr(), f)
+		from := netip.AddrFrom4([4]byte{127, 0, 0, 1}) // a socket pair's peer has no address
+		if a, ok := conn.RemoteAddr().(*net.TCPAddr); ok {
+			from = a.AddrPort().Addr()
+		}
+		srv.serveStream(conn, from, f)
 		_ = conn.Close()
 	}()
 	return done

@@ -22,18 +22,19 @@ type pageStep func(cl *client, newSession bool, hits int)
 // crowd ("flash-think", "flash-hits", "flash-pages"; it dissolves at
 // its end). Every flash crowd draws from the same three streams.
 type population struct {
-	sim                *simcore.Simulator
-	wl                 workload.Config
-	think, hits, pages *simcore.Stream
-	end                float64
-	page               pageStep
+	sim         *simcore.Simulator
+	wl          workload.Config
+	think       *simcore.ExpStream
+	hits, pages *simcore.Stream
+	end         float64
+	page        pageStep
 }
 
 func newPopulation(sim *simcore.Simulator, wl workload.Config, prefix string, page pageStep) *population {
 	return &population{
 		sim:   sim,
 		wl:    wl,
-		think: sim.Stream(prefix + "think"),
+		think: sim.ExpStream(prefix + "think"),
 		hits:  sim.Stream(prefix + "hits"),
 		pages: sim.Stream(prefix + "pages"),
 		end:   math.Inf(1),

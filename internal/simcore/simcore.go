@@ -173,3 +173,11 @@ func (s *Simulator) Run(until float64) {
 func (s *Simulator) Stream(name string) *Stream {
 	return NewStream(s.seed, name)
 }
+
+// ExpStream returns the named stream for a component that reads it
+// only through Exp; its draws are Stream(name).Exp's.
+func (s *Simulator) ExpStream(name string) *ExpStream {
+	e := &ExpStream{next: expBatch}
+	e.st.seed(s.seed, name)
+	return e
+}
