@@ -139,22 +139,41 @@ func GenerateTrace(wl workload.Config, horizon float64, seed uint64) ([]trace.Re
 // same page step the live clients use. A client's first record
 // resolves even without the new-session flag, so a trace may start
 // mid-session.
+//
+// Records are armed one at a time, each from its predecessor's handler,
+// on sequence numbers reserved here: they fire in the (time, sequence)
+// order scheduling every record now would give, ties with other events
+// included, while the event list holds one playback event, not one per
+// record. That needs the records in time order, as trace.Read keeps
+// them.
 func scheduleTrace(cfg Config, sim *simcore.Simulator, caches []*nameserver.Cache, page pageStep) error {
-	clients := make(map[int]*client)
-	for i, rec := range cfg.Trace {
-		if rec.Domain >= cfg.Workload.Domains {
+	recs := cfg.Trace
+	for i, rec := range recs {
+		if rec.Domain < 0 || rec.Domain >= cfg.Workload.Domains {
 			return fmt.Errorf("sim: trace record %d references domain %d, workload has %d",
 				i, rec.Domain, cfg.Workload.Domains)
 		}
-		sim.ScheduleAt(rec.Time, func() {
-			cl, seen := clients[rec.Client]
-			if !seen {
-				cl = &client{id: rec.Client}
-				clients[rec.Client] = cl
-			}
-			cl.domain, cl.cache = rec.Domain, caches[rec.Domain]
-			page(cl, rec.NewSession || !seen, rec.Hits)
-		})
+		if !(rec.Time >= 0) || i > 0 && rec.Time < recs[i-1].Time {
+			return fmt.Errorf("sim: trace record %d at time %v, want non-negative and in time order", i, rec.Time)
+		}
 	}
+	clients := make(map[int]*client)
+	base := sim.Reserve(len(recs))
+	k := 0
+	var play func()
+	play = func() {
+		rec := recs[k]
+		if k++; k < len(recs) {
+			sim.ScheduleAtSeq(recs[k].Time, base+uint64(k), play)
+		}
+		cl, seen := clients[rec.Client]
+		if !seen {
+			cl = &client{id: rec.Client}
+			clients[rec.Client] = cl
+		}
+		cl.domain, cl.cache = rec.Domain, caches[rec.Domain]
+		page(cl, rec.NewSession || !seen, rec.Hits)
+	}
+	sim.ScheduleAtSeq(recs[0].Time, base, play)
 	return nil
 }

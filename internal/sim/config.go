@@ -24,6 +24,8 @@ type Config struct {
 	// recorded workload (see internal/trace): arrivals are replayed
 	// verbatim, so every policy faces identical traffic. The Workload
 	// field still supplies the domain count and the oracle weights.
+	// Records must be in time order with non-negative times, as
+	// trace.Read returns them; Run refuses a trace that is not.
 	Trace []trace.Record
 
 	// Servers is the cluster size N (paper default 7, range 5–17).

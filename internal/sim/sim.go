@@ -7,6 +7,7 @@ import (
 
 	"dnslb/internal/core"
 	"dnslb/internal/engine"
+	"dnslb/internal/nameserver"
 	"dnslb/internal/replication"
 	"dnslb/internal/simcore"
 	"dnslb/internal/stats"
@@ -192,13 +193,17 @@ func (f *failSlot) fail(err error) {
 //   - the utilization and estimator collectors.
 //
 // Component installation order is part of the deterministic contract:
-// the event heap breaks time ties by insertion order, so traffic is
+// the event list breaks time ties by insertion order, so traffic is
 // installed first, then the flash-crowd injector, the replica exchange
 // (R > 1 only), the utilization sampler, the fault injector, the drain
 // injector, the estimator collector, and the estimator probe (the last
 // two only when the hidden-load estimator is enabled). Random streams
 // derive from (seed, name), so their creation order is free.
-func Run(cfg Config) (*Result, error) {
+func Run(cfg Config) (*Result, error) { return run(cfg, scheduleTrace) }
+
+// run is Run with the trace playback installer as a parameter, so a
+// test can hold scheduleTrace to scheduling every record up front.
+func run(cfg Config, playTrace func(Config, *simcore.Simulator, []*nameserver.Cache, pageStep) error) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -254,7 +259,7 @@ func Run(cfg Config) (*Result, error) {
 		sink.deliver(cl.domain, cl.server, hits)
 	}
 	if len(cfg.Trace) > 0 {
-		if err := scheduleTrace(cfg, sc, tier.caches, page); err != nil {
+		if err := playTrace(cfg, sc, tier.caches, page); err != nil {
 			return nil, err
 		}
 	} else {

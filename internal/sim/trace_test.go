@@ -3,8 +3,12 @@ package sim
 import (
 	"crypto/sha256"
 	"fmt"
+	"math"
+	"slices"
 	"testing"
 
+	"dnslb/internal/nameserver"
+	"dnslb/internal/simcore"
 	"dnslb/internal/trace"
 	"dnslb/internal/workload"
 )
@@ -85,11 +89,90 @@ func TestTraceEnablesPairedPolicyComparison(t *testing.T) {
 	}
 }
 
+// scheduleTraceUpFront is trace playback with every record scheduled
+// at once, each on a closure of its own: the order scheduleTrace must
+// reproduce.
+func scheduleTraceUpFront(cfg Config, sim *simcore.Simulator, caches []*nameserver.Cache, page pageStep) error {
+	clients := make(map[int]*client)
+	for _, rec := range cfg.Trace {
+		sim.ScheduleAt(rec.Time, func() {
+			cl, seen := clients[rec.Client]
+			if !seen {
+				cl = &client{id: rec.Client}
+				clients[rec.Client] = cl
+			}
+			cl.domain, cl.cache = rec.Domain, caches[rec.Domain]
+			page(cl, rec.NewSession || !seen, rec.Hits)
+		})
+	}
+	return nil
+}
+
+// TestTracePlaybackMatchesUpFrontSchedule puts a trace's records on
+// whole seconds, so they tie with each other and every eighth second
+// with the utilization sampler (and the estimator collector), which
+// re-arm themselves on later sequence numbers than the records'.
+// Arming one record at a time must still fire everything in the order
+// scheduling every record up front gives.
+func TestTracePlaybackMatchesUpFrontSchedule(t *testing.T) {
+	for _, oracle := range []bool{true, false} {
+		cfg := quickCfg("PRR2-TTL/K")
+		cfg.Duration = 1800
+		cfg.OracleWeights = oracle
+		records, err := GenerateTrace(cfg.Workload, cfg.Warmup+cfg.Duration, cfg.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ties := 0
+		for i := range records {
+			records[i].Time = math.Floor(records[i].Time)
+			if math.Mod(records[i].Time, cfg.UtilizationInterval) == 0 {
+				ties++
+			}
+		}
+		if ties < 1000 {
+			t.Fatalf("only %d records tie with the sampler", ties)
+		}
+		cfg.Trace = records
+		chained, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		upFront, err := run(cfg, scheduleTraceUpFront)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := fingerprint(chained), fingerprint(upFront); got != want {
+			t.Errorf("oracle weights %v: playback fingerprint %s, up-front schedule %s", oracle, got, want)
+		}
+		if !slices.Equal(chained.MeanServerUtil, upFront.MeanServerUtil) {
+			t.Errorf("oracle weights %v: MeanServerUtil %v, up front %v", oracle, chained.MeanServerUtil, upFront.MeanServerUtil)
+		}
+	}
+}
+
+// A trace out of time order, or with a negative or NaN time, is
+// refused: playback arms each record from its predecessor's handler.
+func TestTraceOutOfOrderRefused(t *testing.T) {
+	for _, times := range [][]float64{{2, 1}, {-1, 2}, {math.NaN(), 2}} {
+		cfg := quickCfg("RR")
+		cfg.Trace = []trace.Record{
+			{Time: times[0], Domain: 0, Client: 0, Hits: 5, NewSession: true},
+			{Time: times[1], Domain: 0, Client: 1, Hits: 5, NewSession: true},
+		}
+		if _, err := Run(cfg); err == nil {
+			t.Errorf("trace at times %v replayed without error", times)
+		}
+	}
+}
+
 func TestTraceDomainOutOfRange(t *testing.T) {
-	cfg := quickCfg("RR")
-	cfg.Trace = []trace.Record{{Time: 1, Domain: 99, Client: 0, Hits: 5, NewSession: true}}
-	if _, err := Run(cfg); err == nil {
-		t.Error("trace referencing unknown domain should error")
+	for _, domain := range []int{99, -1} {
+		cfg := quickCfg("RR")
+		cfg.Trace = []trace.Record{{Time: 1, Domain: domain, Client: 0, Hits: 5, NewSession: true}}
+		if _, err := Run(cfg); err == nil {
+			t.Errorf("trace referencing domain %d should error", domain)
+		}
 	}
 }
 

@@ -14,20 +14,20 @@ import (
 
 // event is one entry of the future-event list. Events are values: the
 // list hands out no handle, so nothing outside this file can hold one.
+// A vacant slot has key MaxUint64, which loses to every stored time, a
+// nil fn, and as seq the next vacant slot (len(slots) ends the list).
 type event struct {
 	key uint64 // math.Float64bits of the firing time
 	seq uint64 // schedule order; breaks ties so runs are deterministic
 	fn  func()
 }
 
-// before returns 1 if e fires before o, else 0. (time, seq) is a total
-// order, so the firing sequence does not depend on the heap's shape.
-// Stored times are never negative or −0, whose bit patterns sort like
-// the floats, so the order is the borrow out of the 128-bit (key, seq)
-// subtraction e−o: no branch on the data.
-func (e *event) before(o *event) uint64 {
-	_, b := bits.Sub64(e.seq, o.seq, 0)
-	_, b = bits.Sub64(e.key, o.key, b)
+// before returns 1 if the event (k, q) fires before (ok, oq), else 0:
+// the borrow of the 128-bit subtraction, no branch on the data. Stored
+// times are ≥ +0, whose bits sort like the floats; (time, seq) is total.
+func before(k, q, ok, oq uint64) uint64 {
+	_, b := bits.Sub64(q, oq, 0)
+	_, b = bits.Sub64(k, ok, b)
 	return b
 }
 
@@ -37,11 +37,14 @@ func (e *event) before(o *event) uint64 {
 type Simulator struct {
 	now   float64
 	seq   uint64
-	queue []event // binary min-heap by (time, seq)
+	slots []event
+	tree  []int32 // winner tree: leaf tree[n+i] is slot i, tree[j] the earlier of tree[2j] and tree[2j+1], tree[1] the next
+	free  int     // first vacant slot; len(slots) when none is
+	live  int     // pending events, a firing one not counted
 	seed  uint64
 	fired uint64
-	// firing: a handler runs and queue[0] still holds its event, whose
-	// slot the handler's first schedule takes (one sift, not pop + push).
+	// firing: a handler runs, and slot tree[1] keeps its event for the
+	// handler's first schedule to overwrite (one replay, not two).
 	firing bool
 }
 
@@ -59,12 +62,7 @@ func (s *Simulator) Now() float64 { return s.now }
 func (s *Simulator) EventsFired() uint64 { return s.fired }
 
 // Pending returns the number of events scheduled and not yet fired.
-func (s *Simulator) Pending() int {
-	if s.firing {
-		return len(s.queue) - 1
-	}
-	return len(s.queue)
-}
+func (s *Simulator) Pending() int { return s.live }
 
 // Schedule registers fn to run delay seconds from now. A negative or
 // NaN delay is treated as zero.
@@ -75,65 +73,84 @@ func (s *Simulator) Schedule(delay float64, fn func()) {
 // ScheduleAt registers fn to run at absolute virtual time t. Times in
 // the past are clamped to the current time.
 func (s *Simulator) ScheduleAt(t float64, fn func()) {
+	s.seq++
+	s.ScheduleAtSeq(t, s.seq-1, fn)
+}
+
+// Reserve takes n sequence numbers for ScheduleAtSeq and returns the first.
+func (s *Simulator) Reserve(n int) uint64 {
+	s.seq += uint64(n)
+	return s.seq - uint64(n)
+}
+
+// ScheduleAtSeq is ScheduleAt with a sequence number from a Reserve
+// block, each used once: a chain that arms each successor from its
+// predecessor's handler fires as if all were scheduled at the Reserve.
+func (s *Simulator) ScheduleAtSeq(t float64, seq uint64, fn func()) {
 	if !(t > s.now) {
 		t = s.now // the past, NaN, and −0 at time +0 alike
 	}
-	ev := event{key: math.Float64bits(t), seq: s.seq, fn: fn}
-	s.seq++
+	s.live++
+	i := s.free
 	if s.firing {
-		s.firing = false
-		s.fill(ev)
-		return
-	}
-	s.queue = append(s.queue, event{})
-	s.up(len(s.queue)-1, ev)
-}
-
-// up fills the hole at i with ev, first pulling down each later parent.
-func (s *Simulator) up(i int, ev event) {
-	q := s.queue
-	for i > 0 {
-		parent := (i - 1) / 2
-		if ev.before(&q[parent]) == 0 {
-			break
+		s.firing, i = false, int(s.tree[1])
+	} else {
+		if i == len(s.slots) {
+			s.grow()
 		}
-		q[i] = q[parent]
-		i = parent
+		s.free = int(s.slots[i].seq)
 	}
-	q[i] = ev
+	s.slots[i] = event{key: math.Float64bits(t), seq: seq, fn: fn}
+	s.replay(i)
 }
 
-// fill puts ev into the hole at the root. The hole walks to a leaf,
-// pulling up the earlier child with no branch on the data, and ev sifts
-// up from there; a successor is usually late, so it seldom climbs far.
-func (s *Simulator) fill(ev event) {
-	q := s.queue
-	n := len(q)
-	i := 0
-	for child := 1; child < n; child = 2*i + 1 {
-		if r := child + 1; r < n {
-			child += int(q[r].before(&q[child]))
+// replay re-runs the matches from slot i's leaf to the root. The path
+// follows from i, so every level's loads can issue at once; only the
+// winner, carried in registers and picked by a borrow mask, is serial.
+func (s *Simulator) replay(i int) {
+	sl, t := s.slots, s.tree
+	w, k, q := int32(i), sl[i].key, sl[i].seq
+	for j := len(sl) + i; j > 1; j >>= 1 {
+		o := t[j^1]
+		ok, oq := sl[o].key, sl[o].seq
+		m := -before(ok, oq, k, q)
+		w ^= (w ^ o) & int32(m)
+		k ^= (k ^ ok) & m
+		q ^= (q ^ oq) & m
+		t[j>>1] = w
+	}
+}
+
+// grow doubles the slots when none is vacant, threads the new ones onto
+// the free list s.free already heads, and rebuilds the tree bottom-up.
+func (s *Simulator) grow() {
+	n := max(2*len(s.slots), 64)
+	sl := append(s.slots, make([]event, n-len(s.slots))...)
+	for i := len(s.slots); i < n; i++ {
+		sl[i] = event{key: math.MaxUint64, seq: uint64(i + 1)}
+	}
+	t := make([]int32, 2*n)
+	for j := 2*n - 1; j > 0; j-- {
+		a, b := int32(j-n), int32(j-n) // a leaf is its slot
+		if j < n {
+			a, b = t[2*j], t[2*j+1]
 		}
-		q[i] = q[child]
-		i = child
+		t[j] = a ^ (a^b)&int32(-before(sl[b].key, sl[b].seq, sl[a].key, sl[a].seq))
 	}
-	s.up(i, ev)
+	s.slots, s.tree = sl, t
 }
 
-// settle pops an event whose handler scheduled nothing, zeroing the
-// vacated tail slot so no closure stays reachable beyond the live heap.
+// settle vacates the slot of an event whose handler scheduled nothing,
+// so its closure stays reachable no longer than the event pends.
 func (s *Simulator) settle() {
 	if !s.firing {
 		return
 	}
 	s.firing = false
-	n := len(s.queue) - 1
-	last := s.queue[n]
-	s.queue[n] = event{}
-	s.queue = s.queue[:n]
-	if n > 0 {
-		s.fill(last)
-	}
+	i := int(s.tree[1])
+	s.slots[i] = event{key: math.MaxUint64, seq: uint64(s.free)}
+	s.free = i
+	s.replay(i)
 }
 
 // Step executes the single next event. It returns false when the event
@@ -141,13 +158,15 @@ func (s *Simulator) settle() {
 // that handler belongs to.
 func (s *Simulator) Step() bool {
 	s.settle()
-	if len(s.queue) == 0 {
+	if s.live == 0 {
 		return false
 	}
-	s.now = math.Float64frombits(s.queue[0].key)
+	ev := &s.slots[s.tree[1]]
+	s.now = math.Float64frombits(ev.key)
 	s.fired++
+	s.live--
 	s.firing = true
-	s.queue[0].fn() // fn is read before the handler can overwrite the slot
+	ev.fn() // fn is read before the handler can overwrite the slot
 	s.settle()
 	return true
 }
@@ -158,7 +177,7 @@ func (s *Simulator) Step() bool {
 // Run continues from there.
 func (s *Simulator) Run(until float64) {
 	s.settle()
-	for len(s.queue) > 0 && math.Float64frombits(s.queue[0].key) <= until {
+	for s.live > 0 && math.Float64frombits(s.slots[s.tree[1]].key) <= until {
 		s.Step()
 	}
 	if s.now < until {

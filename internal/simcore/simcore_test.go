@@ -133,19 +133,32 @@ func TestStepOnEmptyList(t *testing.T) {
 	}
 }
 
-// A fired event's closure must not stay reachable from the slot its
-// pop vacated, or every handler's captures live as long as the list.
+// A fired event's closure must not stay reachable from the slot it
+// vacated, or every handler's captures live as long as the list: a
+// vacant slot holds no closure, and the slots holding one are exactly
+// the pending events. Every third handler re-arms once, taking its own
+// slot back, and the list grows past its first 64 slots.
 func TestFiredEventSlotCleared(t *testing.T) {
 	s := New(1)
-	for i := 0; i < 64; i++ {
-		s.Schedule(float64(i%7), func() {})
+	for i := 0; i < 100; i++ {
+		s.Schedule(float64(i%7), func() {
+			if i%3 == 0 {
+				s.Schedule(50, func() {})
+			}
+		})
 	}
 	for s.Pending() > 10 {
 		s.Step()
-	}
-	for i, ev := range s.queue[len(s.queue):cap(s.queue)] {
-		if ev.fn != nil {
-			t.Fatalf("slot %d past the live heap still holds a closure", len(s.queue)+i)
+		closures := 0
+		for i, ev := range s.slots {
+			if ev.fn != nil {
+				closures++
+			} else if ev.key != math.MaxUint64 {
+				t.Fatalf("slot %d holds no closure but is not vacant", i)
+			}
+		}
+		if closures != s.Pending() {
+			t.Fatalf("%d slots hold a closure, %d events pend", closures, s.Pending())
 		}
 	}
 }
@@ -445,12 +458,60 @@ func TestEventListMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestGrowthInsideHandlerMatchesOracle fills the list's first 64 slots,
+// then fires a handler that arms 300 events, far more than are vacant,
+// at times that tie with pending ones: the list grows inside the
+// handler, and the firing sequence must still be the reference list's.
+func TestGrowthInsideHandlerMatchesOracle(t *testing.T) {
+	script := func(l eventList) []oracleRecord {
+		var log []oracleRecord
+		rec := func(id int) func() {
+			return func() { log = append(log, oracleRecord{id, l.Now(), l.EventsFired(), l.Pending()}) }
+		}
+		for i := 0; i < 63; i++ {
+			l.Schedule(float64(i%5), rec(i))
+		}
+		l.Schedule(0, func() {
+			for i := 0; i < 300; i++ {
+				l.Schedule(float64(i%7)/2, rec(100+i))
+			}
+		})
+		l.Run(10)
+		return log
+	}
+	s := New(1)
+	got, want := script(s), script(&refList{})
+	if len(s.slots) < 4*64 {
+		t.Fatalf("the list has %d slots; the handler should have grown it from 64 at least twice", len(s.slots))
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("firing sequence diverges from the reference list:\n got %v\nwant %v", got, want)
+	}
+	if len(got) != 363 {
+		t.Fatalf("fired %d events, want 363", len(got))
+	}
+}
+
 // newHold builds the event list at the size the paper runs it: n
 // timers, each re-arming itself through one closure built up front
 // with an Exp(15) delay (500 clients and 15 s think time in the paper).
 func newHold(n int) *Simulator {
 	s := New(1)
 	st := s.Stream("hold")
+	for i := 0; i < n; i++ {
+		var rearm func()
+		rearm = func() { s.Schedule(st.Exp(15), rearm) }
+		s.Schedule(st.Exp(15), rearm)
+	}
+	return s
+}
+
+// newHoldBatched is newHold with the delays drawn through an ExpStream,
+// as the simulator's clients draw think times: the logarithms come 64
+// at a time, off the chain of dependent work that runs through the list.
+func newHoldBatched(n int) *Simulator {
+	s := New(1)
+	st := s.ExpStream("hold")
 	for i := 0; i < n; i++ {
 		var rearm func()
 		rearm = func() { s.Schedule(st.Exp(15), rearm) }
@@ -474,6 +535,18 @@ func TestScheduleStepZeroAlloc(t *testing.T) {
 // events.
 func BenchmarkSimcoreHold(b *testing.B) {
 	s := newHold(500)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Step()
+	}
+}
+
+// BenchmarkSimcoreHoldBatched is BenchmarkSimcoreHold with batched
+// draws. BenchmarkSimcoreHold's inline math.Log sits on the same chain
+// as the list and hides most of a change to it; this one shows it.
+func BenchmarkSimcoreHoldBatched(b *testing.B) {
+	s := newHoldBatched(500)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -74,7 +74,7 @@ func (st *Stream) Exp(mean float64) float64 {
 	if mean <= 0 {
 		return 0
 	}
-	return -mean * math.Log(st.positive())
+	return -mean * ln(st.positive())
 }
 
 // UniformInt returns a uniform draw in the inclusive range [lo, hi].
@@ -112,7 +112,7 @@ func (st *Stream) Geometric(mean float64) int {
 		return 1
 	}
 	p := 1 / mean
-	n := 1 + int(math.Floor(math.Log(st.positive())/math.Log(1-p)))
+	n := 1 + int(math.Floor(ln(st.positive())/ln(1-p)))
 	if n < 1 {
 		n = 1
 	}
@@ -139,7 +139,7 @@ func (e *ExpStream) Exp(mean float64) float64 {
 	}
 	if e.next == expBatch {
 		for i := range e.logs {
-			e.logs[i] = -math.Log(e.st.positive())
+			e.logs[i] = -ln(e.st.positive())
 		}
 		e.next = 0
 	}
